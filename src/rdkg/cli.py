@@ -246,9 +246,10 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **o
     kgmod.save_kg(outcome.graph, out / "refined.kg.json")
     analysis.save_trace(outcome.trace, out / "trace.jsonl")
 
-    element_embeddings = provider.embed(space.contents())
-    cov_before = _coverage_of(space, graph, provider, element_embeddings, cfg)
-    cov_after = _coverage_of(space, outcome.graph, provider, element_embeddings, cfg)
+    cov_before, cov_after = (
+        analysis.coverage(a.feature, a.coupling, cfg.coverage_percentile, cfg.coverage_row_min)
+        for a in (outcome.initial, outcome.incumbent)
+    )
     knee = (
         analysis.knee_point(outcome.trace.points)
         if len(outcome.trace.points) >= 2
@@ -275,16 +276,6 @@ def report(trace_path, config_path, out_dir, debug, set_values, **overrides) -> 
     out = Path(out_dir) if out_dir else Path(trace_path).parent
     paths = analysis.emit_report(trace, None, None, knee, out, cfg.echo())
     click.echo(f"report -> {paths['report']}")
-
-
-def _coverage_of(space, graph, provider, element_embeddings, cfg: RunConfig) -> float:
-    kg_space = kgmod.build_kg_space(graph, provider.embed, cfg.gamma,
-                                    cfg.degree_weighted_measure)
-    feats = feature_cost(element_embeddings, kg_space.node_embeddings)
-    result = fgw(space.distance, kg_space.distance, feats,
-                 space.measure, kg_space.measure, cfg.solver_config())
-    return analysis.coverage(feats, result.coupling,
-                             cfg.coverage_percentile, cfg.coverage_row_min)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,15 +2,19 @@
 
 Precedence is CLI flag > config file > built-in default. The config
 file is a flat JSON object whose keys mirror the field names below
-(refinement threshold names match RefinementConfig exactly). The
-effective configuration is echoed into report.json.
+(refinement threshold names match RefinementConfig exactly). Every
+value is checked against its field's type, and counts must not be
+negative; a bad value is an InputError. The effective configuration is
+echoed into report.json.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import InputError
 from .kg import DEFAULT_GAMMA
@@ -137,8 +141,36 @@ def load_run_config(
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
 
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(values) - known)
+    hints = get_type_hints(RunConfig)
+    unknown = sorted(set(values) - set(hints))
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(unknown)}")
+    for name, value in values.items():
+        _check_value(name, value, hints[name])
     return RunConfig(**values)
+
+
+def _check_value(name: str, value, hint) -> None:
+    """Raise InputError unless ``value`` fits the field's annotation.
+
+    Integer fields are counts and must not be negative, except
+    ``embed_seed``.
+    """
+    allowed = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    if not any(_fits(value, kind) for kind in allowed):
+        expected = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise InputError(f"config key {name} expects {expected}, got {value!r}")
+    if hint is int and name != "embed_seed" and value < 0:
+        raise InputError(f"config key {name} must not be negative, got {value}")
+
+
+def _fits(value, kind) -> bool:
+    """Whether ``value`` is a ``kind``; an int counts as a float, a bool
+    as neither."""
+    if kind in (int, float):
+        numeric = (int,) if kind is int else (int, float)
+        return isinstance(value, numeric) and not isinstance(value, bool)
+    if get_origin(kind) is list:
+        (item,) = get_args(kind)
+        return isinstance(value, list) and all(isinstance(v, item) for v in value)
+    return isinstance(value, kind)

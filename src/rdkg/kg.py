@@ -9,7 +9,6 @@ provenance and prompting but do not weight the geometry.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -162,27 +161,28 @@ def hop_distance(kg: KnowledgeGraph) -> np.ndarray:
     """All-pairs unweighted shortest-path hop counts (undirected).
 
     Unreachable pairs get max finite hop count + 1, keeping disconnected
-    components maximally distant while staying finite.
+    components maximally distant while staying finite. The breadth-first
+    search runs for all sources at once: each level expands every
+    source's frontier through one product with the adjacency matrix.
     """
-    ids = kg.node_ids()
-    index = {v: i for i, v in enumerate(ids)}
-    m = len(ids)
-    adjacency: list[list[int]] = [[] for _ in range(m)]
-    for edge in kg.edges:
-        i, j = index[edge.src], index[edge.dst]
-        if i != j and j not in adjacency[i]:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
+    index = kg.node_index()
+    m = len(kg.nodes)
+    src = [index[e.src] for e in kg.edges]
+    dst = [index[e.dst] for e in kg.edges]
+    adjacency = np.zeros((m, m))
+    adjacency[src, dst] = 1.0
+    adjacency[dst, src] = 1.0
+    np.fill_diagonal(adjacency, 0.0)  # self-loops add no path
     hops = np.full((m, m), -1.0)
-    for source in range(m):
-        hops[source, source] = 0.0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if hops[source, v] < 0:
-                    hops[source, v] = hops[source, u] + 1
-                    queue.append(v)
+    np.fill_diagonal(hops, 0.0)
+    reached = np.eye(m, dtype=bool)
+    frontier = reached
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = ((frontier.astype(np.float64) @ adjacency) > 0) & ~reached
+        hops[frontier] = level
+        reached |= frontier
     finite_max = hops.max()
     hops[hops < 0] = finite_max + 1
     return hops

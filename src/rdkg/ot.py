@@ -219,12 +219,6 @@ def _round_to_marginals(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.
     return plan
 
 
-def entropy(plan: np.ndarray) -> float:
-    """Shannon entropy -sum pi log pi (zero entries contribute zero)."""
-    p = plan[plan > 0]
-    return float(-(p * np.log(p)).sum())
-
-
 def _pair_terms(c1sq: np.ndarray, c2sq: np.ndarray, pi: np.ndarray):
     r = pi.sum(axis=1)
     s = pi.sum(axis=0)

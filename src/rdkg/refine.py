@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import RdPoint, RdTrace, coverage_tolerance
-from .embeddings import cosine_distance, cosine_similarity, feature_cost
+from .embeddings import _unit_rows, cosine_distance, cosine_similarity, feature_cost
 from .errors import InputError, NumericalError
 from .kg import (
     ALLOWED_RELATIONS,
@@ -54,6 +54,11 @@ from .ot import Coupling, FgwResult, SolverConfig, fgw
 logger = logging.getLogger(__name__)
 
 MAX_DEFINITION_CHARS = 1000
+
+#: Array kernels sum in another order than the scalar definitions they
+#: replace. Values this close to a threshold or a maximum are re-decided
+#: with the scalar definition, so every decision matches it exactly.
+_TIE_TOL = 1e-9
 
 
 @dataclass
@@ -110,6 +115,8 @@ class RefineOutcome:
     graph: KnowledgeGraph
     trace: RdTrace
     incumbent_index: int
+    initial: Aligned  # the unedited graph's alignment (trace row t0)
+    incumbent: Aligned  # the returned graph's alignment
 
 
 # --- coupling statistics ----------------------------------------------------
@@ -345,6 +352,7 @@ def op_split(
         working.nodes[idx : idx + 1] = children
         incident = [e for e in working.edges if parent.id in (e.src, e.dst)]
         working.edges = [e for e in working.edges if parent.id not in (e.src, e.dst)]
+        keys = {e.key() for e in working.edges}
         for child in children:
             for e in incident:
                 rewired = RelationEdge(
@@ -354,7 +362,7 @@ def op_split(
                     confidence=e.confidence,
                     rationale=e.rationale,
                 )
-                _add_edge_dedup(working, rewired)
+                _add_edge_dedup(working, rewired, keys)
         records.append(
             EditRecord(
                 op="split",
@@ -374,12 +382,20 @@ def op_merge(
     Pairs are scanned in ascending node order and accepted greedily; a
     node that took part in a merge this iteration is excluded from
     further merging. The absorbing node keeps its label and definition
-    and gains the absorbed node's label and aliases as aliases.
+    and gains the absorbed node's label and aliases as aliases. The
+    cosine test is read from one Gram matrix of unit rows; pairs within
+    ``_TIE_TOL`` of ``theta_cos`` are re-decided with the scalar
+    ``cosine_similarity``.
     """
     cfg = ctx.config
     plan = aligned.coupling.matrix
     col_sums = plan.sum(axis=0)
     embeddings = aligned.space.node_embeddings
+    unit = _unit_rows(embeddings)
+    cos = unit @ unit.T
+    similar = cos >= cfg.theta_cos
+    for i, j in zip(*np.nonzero(np.abs(cos - cfg.theta_cos) <= _TIE_TOL)):
+        similar[i, j] = cosine_similarity(embeddings[i], embeddings[j]) >= cfg.theta_cos
     working = kg.copy()
     used: set[str] = set()
     records: list[EditRecord] = []
@@ -394,7 +410,7 @@ def op_merge(
             drop = kg.nodes[j]
             if drop.id in used or col_sums[j] <= 0:
                 continue
-            if cosine_similarity(embeddings[i], embeddings[j]) < cfg.theta_cos:
+            if not similar[i, j]:
                 continue
             kl = symmetric_kl(
                 plan[:, i] / col_sums[i], plan[:, j] / col_sums[j], cfg.kl_smoothing
@@ -422,40 +438,57 @@ def op_relate(
 
     For every unconnected node pair, the mean lecture distance over the
     cross pairs of their top-coupled elements (identical indices
-    excluded) must fall below the threshold.
+    excluded) must fall below the threshold. Pairs are taken in
+    ascending node order (j < k), each edge appended as it is found.
+    All pair means come from one gathered block of ``d_lecture``; a mean
+    within ``_TIE_TOL`` of ``theta_relate`` is re-decided with
+    ``np.mean`` over the cross pairs in row order, so the edges are those
+    of the per-pair definition.
     """
     cfg = ctx.config
     d_lecture = ctx.lecture.distance
-    tops = [top_coupled(aligned.coupling, j) for j in range(len(kg.nodes))]
+    m = len(kg.nodes)
+    if m < 2:
+        return kg, []
+    tops = np.stack([top_coupled(aligned.coupling, j) for j in range(m)])
+    rows = tops[:, None, :, None]
+    cols = tops[None, :, None, :]
+    distinct = rows != cols  # (m, m, k, k): the p != q cross pairs
+    counts = distinct.sum(axis=(2, 3))
+    means = np.where(distinct, d_lecture[rows, cols], 0.0).sum(axis=(2, 3))
+    means /= np.maximum(counts, 1)
+    scored = np.triu(counts > 0, 1)
+    related = scored & (means < cfg.theta_relate)
+    near = scored & (np.abs(means - cfg.theta_relate) <= _TIE_TOL)
+    for j, k in zip(*np.nonzero(near)):
+        block = d_lecture[np.ix_(tops[j], tops[k])]
+        related[j, k] = float(np.mean(block[distinct[j, k]])) < cfg.theta_relate
+
+    # Edges appended below join pairs the scan has already passed, so the
+    # edges present at the start decide every skip.
+    linked = frozenset(frozenset((e.src, e.dst)) for e in kg.edges)
     working = kg.copy()
     records: list[EditRecord] = []
-    for j in range(len(kg.nodes)):
-        for k in range(j + 1, len(kg.nodes)):
-            a, b = kg.nodes[j], kg.nodes[k]
-            if working.has_edge_between(a.id, b.id):
-                continue
-            distances = [
-                d_lecture[p, q] for p in tops[j] for q in tops[k] if p != q
-            ]
-            if not distances:
-                continue
-            if float(np.mean(distances)) < cfg.theta_relate:
-                edge = RelationEdge(
-                    src=a.id,
-                    dst=b.id,
-                    relation="relatedTo",
-                    confidence=0.5,
-                    rationale="top-coupled lecture neighborhoods are adjacent",
-                )
-                working.edges.append(edge)
-                records.append(
-                    EditRecord(
-                        op="relate-add",
-                        nodes=[a.id, b.id],
-                        edges=[[edge.src, edge.relation, edge.dst]],
-                        iteration=iteration,
-                    )
-                )
+    for j, k in zip(*np.nonzero(related)):
+        a, b = kg.nodes[j], kg.nodes[k]
+        if frozenset((a.id, b.id)) in linked:
+            continue
+        edge = RelationEdge(
+            src=a.id,
+            dst=b.id,
+            relation="relatedTo",
+            confidence=0.5,
+            rationale="top-coupled lecture neighborhoods are adjacent",
+        )
+        working.edges.append(edge)
+        records.append(
+            EditRecord(
+                op="relate-add",
+                nodes=[a.id, b.id],
+                edges=[[edge.src, edge.relation, edge.dst]],
+                iteration=iteration,
+            )
+        )
     return (working, records) if records else (kg, [])
 
 
@@ -523,20 +556,17 @@ def llm_propose_edges(
 def two_means(points: np.ndarray, max_iters: int = 25) -> np.ndarray:
     """Deterministic 2-means: farthest-pair seeding, no RNG.
 
-    Assignment uses squared Euclidean distance with ties to cluster 0;
-    an emptied cluster is repaired by reassigning the point farthest
-    from the surviving centroid.
+    The seeds are the pair (i < j) with the largest cosine distance;
+    among pairs tied at the maximum, exact duplicates included, the first
+    in row order wins (``_farthest_pair``). Assignment uses squared
+    Euclidean distance with ties to cluster 0; an emptied cluster is
+    repaired by reassigning the point farthest from the surviving
+    centroid.
     """
     pts = np.asarray(points, dtype=np.float64)
-    n = len(pts)
-    if n < 2:
+    if len(pts) < 2:
         raise InputError("two_means needs at least 2 points")
-    seed_a, seed_b, best = 0, 1, -1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = cosine_distance(pts[i], pts[j])
-            if d > best:
-                best, seed_a, seed_b = d, i, j
+    seed_a, seed_b = _farthest_pair(pts)
     centroids = np.stack([pts[seed_a], pts[seed_b]])
     labels: np.ndarray | None = None
     for _ in range(max_iters):
@@ -554,6 +584,27 @@ def two_means(points: np.ndarray, max_iters: int = 25) -> np.ndarray:
         for cluster in (0, 1):
             centroids[cluster] = pts[labels == cluster].mean(axis=0)
     return labels
+
+
+def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
+    """The pair (i < j) with the largest ``cosine_distance``, ties to the
+    first in row order.
+
+    One Gram matrix of unit rows finds the pairs within ``_TIE_TOL`` of
+    the maximum, and only those are rescored with the scalar kernel in
+    row order, so exact duplicate points and equidistant pairs give the
+    pair a full scalar scan would.
+    """
+    unit = _unit_rows(pts)
+    approx = 1.0 - unit @ unit.T
+    approx[np.tril_indices(len(pts))] = -np.inf
+    rows, cols = np.nonzero(approx >= approx.max() - _TIE_TOL)
+    best, pair = -1.0, (0, 1)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        d = cosine_distance(pts[i], pts[j])
+        if d > best:
+            best, pair = d, (i, j)
+    return pair
 
 
 # --- the search loop ----------------------------------------------------------
@@ -574,7 +625,9 @@ def refine(
 
     The trace always contains the unedited initial graph as t0. On a
     solver failure mid-run the incumbent found so far is returned and
-    the trace is flagged incomplete.
+    the trace is flagged incomplete. The outcome carries the solved
+    alignments of the initial graph and of the incumbent, so callers
+    need not solve either again.
     """
     solver_cfg = solver_config or SolverConfig()
     cfg = refine_config or RefinementConfig()
@@ -602,6 +655,7 @@ def refine(
     aligned = solve(kg)
     trace = RdTrace(beta=cfg.beta)
     _record(trace, 0, kg, aligned, cfg.beta, [])
+    initial = incumbent = aligned
     incumbent_kg = kg.copy()
     incumbent_l = trace.points[0].objective
     incumbent_index = 0
@@ -634,6 +688,7 @@ def refine(
         if objective < incumbent_l:
             incumbent_l = objective
             incumbent_kg = kg.copy()
+            incumbent = aligned
             incumbent_index = t
         if abs(objective - previous_l) < cfg.conv_threshold:
             quiet += 1
@@ -643,7 +698,10 @@ def refine(
             quiet = 0
         previous_l = objective
 
-    return RefineOutcome(graph=incumbent_kg, trace=trace, incumbent_index=incumbent_index)
+    return RefineOutcome(
+        graph=incumbent_kg, trace=trace, incumbent_index=incumbent_index,
+        initial=initial, incumbent=incumbent,
+    )
 
 
 def _record(
@@ -688,6 +746,7 @@ def _merge_into(kg: KnowledgeGraph, keep_id: str, drop_id: str) -> None:
     kg.nodes = [n for n in kg.nodes if n.id != drop_id]
     old_edges = kg.edges
     kg.edges = []
+    keys: set[tuple[str, str, str]] = set()
     for e in old_edges:
         src = keep_id if e.src == drop_id else e.src
         dst = keep_id if e.dst == drop_id else e.dst
@@ -699,10 +758,15 @@ def _merge_into(kg: KnowledgeGraph, keep_id: str, drop_id: str) -> None:
                 src=src, dst=dst, relation=e.relation,
                 confidence=e.confidence, rationale=e.rationale, extra=dict(e.extra),
             ),
+            keys,
         )
 
 
-def _add_edge_dedup(kg: KnowledgeGraph, edge: RelationEdge) -> None:
-    keys = {e.key() for e in kg.edges}
-    if edge.key() not in keys:
+def _add_edge_dedup(
+    kg: KnowledgeGraph, edge: RelationEdge, keys: set[tuple[str, str, str]]
+) -> None:
+    """Append ``edge`` unless ``keys`` (the keys of ``kg.edges``) has it."""
+    key = edge.key()
+    if key not in keys:
+        keys.add(key)
         kg.edges.append(edge)

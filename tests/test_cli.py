@@ -238,6 +238,29 @@ def test_unknown_config_key_rejected(tmp_path, lecture_file, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, message", [
+    ('beta="abc"', "beta expects float"),
+    ("debug=1", "debug expects bool"),
+    ("max_iterations=-3", "max_iterations must not be negative"),
+    ("max_adds=-1", "max_adds must not be negative"),
+])
+def test_bad_config_values_exit_input(pipeline, tmp_path, capsys, setting, message):
+    code = main([
+        "refine", str(pipeline["space"]), str(pipeline["kg"]),
+        "--out", str(tmp_path / "bad"), "--set", setting,
+    ])
+    assert code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+def test_bad_config_file_value_exits_input(tmp_path, lecture_file, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"extra_relations": "causes"}))
+    assert main(["ingest", str(lecture_file), "--config", str(cfg)]) == EXIT_INPUT
+    assert "extra_relations expects" in capsys.readouterr().err
+
+
 def test_extra_relations_thread_through_refine(pipeline, tmp_path):
     # a graph using a configured extra relation must refine cleanly
     doc = json.loads(pipeline["kg"].read_text())

@@ -1,6 +1,7 @@
 """Knowledge-graph model, geometry and JSON round-trip."""
 
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -152,6 +153,49 @@ def test_hop_triangle_inequality_on_random_connected(seed):
         for j in range(m):
             for k in range(m):
                 assert hops[i, j] <= hops[i, k] + hops[k, j] + 1e-12
+
+
+def deque_bfs_hops(m, pairs):
+    """Reference hop counts: one queue-based BFS per source."""
+    adjacency = [set() for _ in range(m)]
+    for i, j in pairs:
+        if i != j:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    hops = np.full((m, m), -1.0)
+    for source in range(m):
+        hops[source, source] = 0.0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in sorted(adjacency[u]):
+                if hops[source, v] < 0:
+                    hops[source, v] = hops[source, u] + 1
+                    queue.append(v)
+    hops[hops < 0] = hops.max() + 1
+    return hops
+
+
+@st.composite
+def graphs_with_messy_edges(draw):
+    """Up to 12 nodes; edges may repeat, appear reversed or be self-loops,
+    and the graph may fall apart into several components."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    node = st.integers(min_value=0, max_value=m - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * m))
+    reversed_copies = [(j, i) for i, j in pairs if draw(st.booleans())]
+    return m, pairs + reversed_copies
+
+
+@given(graphs_with_messy_edges())
+@settings(max_examples=150, deadline=None)
+def test_hop_distance_matches_deque_bfs(graph):
+    m, pairs = graph
+    kg = KnowledgeGraph(
+        nodes=[ConceptNode(id=f"n{i}", label=f"N{i}") for i in range(m)],
+        edges=[RelationEdge(f"n{i}", f"n{j}", "relatedTo", 0.5) for i, j in pairs],
+    )
+    assert np.array_equal(hop_distance(kg), deque_bfs_hops(m, pairs))
 
 
 def test_struct_distance_permutation_invariance():

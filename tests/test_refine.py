@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdkg.analysis import coverage_tolerance
-from rdkg.embeddings import feature_cost
+from rdkg.embeddings import cosine_distance, cosine_similarity, feature_cost
 from rdkg.errors import InputError
 from rdkg.kg import (
     ConceptNode,
@@ -21,6 +21,8 @@ from rdkg.llm import Namer
 from rdkg.ot import Coupling, SolverConfig, fgw
 from rdkg.refine import (
     Aligned,
+    _farthest_pair,
+    _merge_into,
     EditRecord,
     OpContext,
     RefinementConfig,
@@ -43,6 +45,7 @@ from conftest import (
     TOPIC_A_WORDS,
     TOPIC_B_WORDS,
     make_section,
+    random_metric,
     topic_a_only_kg,
     two_topic_markdown,
 )
@@ -197,6 +200,70 @@ def test_two_means_identical_points_repair():
     pts = np.ones((5, 3))
     labels = two_means(pts)
     assert set(labels) == {0, 1}  # repair keeps both clusters nonempty
+
+
+def scalar_farthest_pair(pts):
+    """Reference seeding: every pair scored with the scalar kernel, the
+    first strict improvement in row order wins."""
+    pair, best = (0, 1), -1.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = cosine_distance(pts[i], pts[j])
+            if d > best:
+                best, pair = d, (i, j)
+    return pair
+
+
+def reference_two_means(pts, max_iters=25):
+    """two_means with the scalar seeding scan."""
+    a, b = scalar_farthest_pair(pts)
+    centroids = np.stack([pts[a], pts[b]])
+    labels = None
+    for _ in range(max_iters):
+        d0 = ((pts - centroids[0]) ** 2).sum(axis=1)
+        d1 = ((pts - centroids[1]) ** 2).sum(axis=1)
+        new_labels = (d1 < d0).astype(int)
+        for cluster in (0, 1):
+            if not (new_labels == cluster).any():
+                far = int(np.argmax(((pts - centroids[1 - cluster]) ** 2).sum(axis=1)))
+                new_labels[far] = cluster
+        if labels is not None and (new_labels == labels).all():
+            break
+        labels = new_labels
+        for cluster in (0, 1):
+            centroids[cluster] = pts[labels == cluster].mean(axis=0)
+    return labels
+
+
+def tied_point_sets():
+    """Point sets with exact duplicates and many pairs tied at the maximum.
+
+    Antipodal copies put every (v, -v) pair at distance ~2; scaled
+    copies differ from their originals only in the last bits of the unit
+    row, so the tied distances differ by an ulp or not at all.
+    """
+    rng = np.random.default_rng(7)
+    sets = [
+        np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+        np.ones((5, 3)),
+    ]
+    for _ in range(30):
+        base = rng.integers(-2, 3, size=(int(rng.integers(2, 6)), 8)).astype(float)
+        base[~base.any(axis=1), 0] = 1.0
+        copies = [base, -base, 3.0 * base, -7.0 * base, base]
+        pts = np.concatenate(copies)[rng.permutation(5 * len(base))]
+        sets.append(pts)
+    return sets
+
+
+def test_farthest_pair_matches_scalar_scan_on_ties():
+    for pts in tied_point_sets():
+        assert _farthest_pair(pts) == scalar_farthest_pair(pts)
+
+
+def test_two_means_matches_scalar_seeding_on_ties():
+    for pts in tied_point_sets():
+        assert np.array_equal(two_means(pts), reference_two_means(pts))
 
 
 # --- operators ---------------------------------------------------------------------
@@ -388,6 +455,37 @@ def test_op_merge_identical_columns_always_fires():
     assert records[0].nodes == ["a", "b"]
 
 
+def test_op_merge_cosine_threshold_matches_scalar():
+    # identical columns (KL 0), so only the cosine test decides; theta_cos
+    # set exactly to each pair's scalar similarity must still admit it
+    rng = np.random.default_rng(5)
+    emb = rng.integers(-2, 3, size=(6, 8)).astype(float)
+    emb[~emb.any(axis=1), 0] = 1.0
+    plan = np.full((3, 6), 1.0 / 18)
+    pi = Coupling(plan, plan.sum(axis=1), plan.sum(axis=0))
+    kg = KnowledgeGraph(nodes=[ConceptNode(id=f"v{i}", label=f"V{i}") for i in range(6)])
+    space = type("FakeSpace", (), {"node_embeddings": emb})()
+    result = type("FakeResult", (), {"coupling": pi})()
+    aligned = Aligned(space=space, feature=np.zeros((3, 6)), result=result)
+    for i in range(6):
+        for j in range(i + 1, 6):
+            theta = cosine_similarity(emb[i], emb[j])
+            if theta <= 0:
+                continue
+            ctx = type("FakeCtx", (), {"config": RefinementConfig(theta_cos=theta)})()
+            _, records = op_merge(kg, aligned, ctx, 1)
+            expected, used = [], set()
+            for a in range(6):
+                if len(expected) >= 3 or a in used:
+                    continue
+                for b in range(a + 1, 6):
+                    if b not in used and cosine_similarity(emb[a], emb[b]) >= theta:
+                        expected.append([f"v{a}", f"v{b}"])
+                        used.update((a, b))
+                        break
+            assert [r.nodes for r in records] == expected
+
+
 def test_op_merge_respects_cap(provider):
     space, kg = duplicate_pair_fixture(provider)
     # add a second duplicate pair
@@ -423,6 +521,98 @@ def test_op_relate_skips_connected_pairs(provider):
     for record in records:
         src, _, dst = record.edges[0]
         assert tuple(sorted((src, dst))) not in connected_before
+
+
+def reference_relate_edges(kg, plan, d_lecture, theta):
+    """Per-pair definition of op_relate: scan j < k, skip connected
+    pairs (edges added so far included), mean over p != q cross pairs."""
+    m = len(kg.nodes)
+    tops = [top_coupled(plan, j) for j in range(m)]
+    working = kg.copy()
+    added = []
+    for j in range(m):
+        for k in range(j + 1, m):
+            a, b = kg.nodes[j].id, kg.nodes[k].id
+            if working.has_edge_between(a, b):
+                continue
+            distances = [d_lecture[p, q] for p in tops[j] for q in tops[k] if p != q]
+            if distances and float(np.mean(distances)) < theta:
+                working.edges.append(RelationEdge(a, b, "relatedTo", 0.5))
+                added.append([a, "relatedTo", b])
+    return added
+
+
+def hand_built_relate_state(n_elements=8):
+    """Five nodes over an 8-element lecture; columns chosen so the
+    top-5 sets overlap (shared indices hit the p == q exclusion), and an
+    existing edge joins n0 and n2."""
+    rng = np.random.default_rng(11)
+    d = random_metric(n_elements, rng)
+    plan = np.full((n_elements, 5), 1e-4)
+    for j in range(5):
+        for rank, i in enumerate(range(j, j + 5)):
+            plan[i % n_elements, j] += 0.05 - 0.005 * rank
+    kg = KnowledgeGraph(
+        nodes=[ConceptNode(id=f"n{j}", label=f"N{j}") for j in range(5)],
+        edges=[RelationEdge("n2", "n0", "uses", 0.9)],
+    )
+    aligned = type("FakeAligned", (), {"coupling": plan})()
+    return kg, plan, d, aligned
+
+
+def relate_ctx(d, theta):
+    lecture = type("FakeLecture", (), {"distance": d})()
+    return type("FakeCtx", (), {"lecture": lecture,
+                                "config": RefinementConfig(theta_relate=theta)})()
+
+
+def test_op_relate_matches_per_pair_reference():
+    kg, plan, d, aligned = hand_built_relate_state()
+    tops = [top_coupled(plan, j) for j in range(5)]
+    assert len(set(tops[0]) & set(tops[1])) > 0  # p == q pairs exist
+    means = sorted(
+        float(np.mean([d[p, q] for p in tops[j] for q in tops[k] if p != q]))
+        for j in range(5) for k in range(j + 1, 5)
+    )
+    # thresholds between the pair means, and exactly at each of them
+    # (strict <: a pair whose mean equals theta is not related)
+    thetas = [means[0] / 2, *means, (means[3] + means[4]) / 2, 2.0]
+    fired = 0
+    for theta in thetas:
+        out, records = op_relate(kg, aligned, relate_ctx(d, theta), 1)
+        expected = reference_relate_edges(kg, plan, d, theta)
+        assert [r.edges[0] for r in records] == expected
+        assert [r.nodes for r in records] == [[e[0], e[2]] for e in expected]
+        assert [[e.src, e.relation, e.dst] for e in out.edges[1:]] == expected
+        assert ["n0", "relatedTo", "n2"] not in expected
+        fired += bool(expected)
+    assert 0 < fired < len(thetas)
+
+
+def test_op_relate_no_distinct_cross_pairs():
+    # a one-element lecture: every cross pair is (0, 0), so no pair is scored
+    kg, plan, _, _ = hand_built_relate_state()
+    aligned = type("FakeAligned", (), {"coupling": plan[:1]})()
+    out, records = op_relate(kg, aligned, relate_ctx(np.zeros((1, 1)), 2.0), 1)
+    assert records == [] and out is kg
+
+
+def test_merge_into_keeps_edge_order_and_drops_duplicates():
+    kg = KnowledgeGraph(
+        nodes=[ConceptNode(id=x, label=x.upper()) for x in ("a", "b", "c", "x")],
+        edges=[
+            RelationEdge("a", "x", "uses", 0.5),
+            RelationEdge("b", "x", "uses", 0.5),  # duplicate of a-x once b is a
+            RelationEdge("c", "b", "partOf", 0.5),
+            RelationEdge("a", "b", "uses", 0.5),  # self-loop once b is a
+            RelationEdge("x", "b", "partOf", 0.5),
+        ],
+    )
+    _merge_into(kg, "a", "b")
+    assert [(e.src, e.relation, e.dst) for e in kg.edges] == [
+        ("a", "uses", "x"), ("c", "partOf", "a"), ("x", "partOf", "a"),
+    ]
+    assert kg.get_node("a").aliases == ["B"]
 
 
 def test_op_prune_removes_unsupported(provider):
@@ -526,6 +716,19 @@ def test_refine_zero_iterations(provider):
     out = refine(space, kg, provider, refine_config=RefinementConfig(max_iterations=0))
     assert len(out.trace.points) == 1
     assert [n.id for n in out.graph.nodes] == [n.id for n in kg.nodes]
+
+
+def test_refine_returns_initial_and_incumbent_alignments(provider):
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    kg = topic_a_only_kg()
+    out = refine(space, kg, provider, refine_config=RefinementConfig(max_iterations=3))
+    assert out.incumbent_index > 0
+    for aligned, graph, t in ((out.initial, kg, 0),
+                              (out.incumbent, out.graph, out.incumbent_index)):
+        fresh = solve(space, graph, provider)
+        assert np.array_equal(aligned.coupling.matrix, fresh.coupling.matrix)
+        assert np.array_equal(aligned.feature, fresh.feature)
+        assert aligned.result.distortion == out.trace.points[t].distortion
 
 
 def test_refine_objective_identity(provider):
