@@ -1,6 +1,11 @@
 """Entropic optimal transport and the fused structural-feature coupling.
 
-The linear solver is log-domain Sinkhorn. The fused problem
+The linear solver is Sinkhorn in the stabilized scaling form: each
+epsilon stage starts with one log-domain iteration, then iterates on
+scalings against a kernel with the potentials absorbed (two
+matrix-vector products per iteration) and falls back to a log-domain
+iteration whenever a scaling leaves a safe range (Cuturi, NeurIPS 2013;
+Schmitzer, SIAM J. Sci. Comput. 2019). The fused problem
 
     min_pi (1-lam) * sum_{i,j,k,l} |C1(i,k) - C2(j,l)|^2 pi(i,j) pi(k,l)
            + lam * <M, pi>
@@ -36,6 +41,14 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 MARGINAL_TOL = 1e-6
+#: Upper bound on the Sinkhorn scalings between two absorptions, and the
+#: kernel entries flushed to 0 when the kernel is formed (subnormal
+#: operands slow every product they enter). A flushed entry would carry
+#: at most _KERNEL_FLOOR * _SCALE_LIMIT**2 = 1e-50 of mass, far below
+#: float precision on any marginal. Small scalings need no bound: they
+#: only shrink entries.
+_SCALE_LIMIT = 1e50
+_KERNEL_FLOOR = 1e-150
 
 
 @dataclass
@@ -110,13 +123,16 @@ def sinkhorn(
     max_iters: int = 200,
     potentials: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Coupling:
-    """Entropy-regularized linear transport in the log domain.
+    """Entropy-regularized linear transport by stabilized Sinkhorn.
 
     Minimizes <cost, pi> - epsilon * H(pi) over couplings of (mu, nu).
-    Cold starts anneal the regularization from the cost scale down to
-    the target epsilon (geometric halving, potentials carried across
-    stages); near-boundary optima that take millions of plain updates
-    converge in tens this way. ``potentials`` warm starts the duals
+    The duals f, g are log-domain potentials, iterated as scalings
+    within a stage (see _scale_loop); the plan is
+    exp((f + g - cost) / epsilon). Cold starts anneal the
+    regularization from the cost scale down to the target epsilon
+    (geometric halving, potentials carried across stages);
+    near-boundary optima that take millions of plain updates converge
+    in tens this way. ``potentials`` warm starts the duals
     instead, for callers solving a sequence of nearby problems; the
     final potentials are stashed on the returned coupling for reuse.
 
@@ -185,18 +201,61 @@ def _epsilon_schedule(cost: np.ndarray, target: float) -> list[float]:
 
 
 def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool]:
-    """Alternating updates at one epsilon; mutates f and g in place."""
-    for iteration in range(cap):
+    """Alternating updates at one epsilon; mutates f and g in place.
+
+    Returns (iterations spent, converged). Iteration k > 0 first tests
+    the row marginals (columns are exact after the previous g-update,
+    so the row error is the full marginal violation), then updates f
+    and g. The first iteration runs in the log domain, which is exact
+    for any potentials. Later ones run on the scalings u = exp(df/eps),
+    v = exp(dg/eps) of the potentials against the kernel
+    K = exp((f + g - cost)/eps), formed once with the potentials
+    absorbed and entries below _KERNEL_FLOOR flushed to 0: row sums
+    are u o Kv, and the updates are u = mu/Kv, v = nu/K'u, two
+    matrix-vector products per iteration. The scalings are absorbed
+    into f and g on exit. An iteration whose new scalings exceed
+    _SCALE_LIMIT (or are infinite: a row or column of the kernel
+    underflowed) is discarded and redone in the log domain from the
+    absorbed potentials, which re-centres the kernel. With both
+    scalings positive and bounded, Kv and K'u stay finite, so u and v
+    never reach 0 or NaN.
+    """
+    nu = np.exp(log_nu)
+    iteration = 0
+    while iteration < cap:
         row_lse = _logsumexp((g[None, :] - cost) / eps, axis=1)
         if iteration > 0:
-            # Columns are exact after the previous g-update, so the row
-            # error is the full marginal violation.
             row_sums = np.exp(f / eps + row_lse)
             if np.abs(row_sums - mu).max() <= MARGINAL_TOL:
                 return iteration, True
         f[:] = eps * (log_mu - row_lse)
         col_lse = _logsumexp((f[:, None] - cost) / eps, axis=0)
         g[:] = eps * (log_nu - col_lse)
+        iteration += 1
+        if iteration == cap:
+            break
+        kernel = np.exp((f[:, None] + g[None, :] - cost) / eps)
+        kernel[kernel < _KERNEL_FLOOR] = 0.0
+        u = np.ones_like(f)
+        v = np.ones_like(g)
+        converged = False
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            while iteration < cap:
+                kv = kernel @ v
+                if np.abs(u * kv - mu).max() <= MARGINAL_TOL:
+                    converged = True
+                    break
+                u_next = mu / kv
+                v_next = nu / (u_next @ kernel)
+                # An infinite u_next can make v_next NaN (inf * 0); both fail.
+                if not (u_next.max() <= _SCALE_LIMIT and v_next.max() <= _SCALE_LIMIT):
+                    break
+                u, v = u_next, v_next
+                iteration += 1
+        f += eps * np.log(u)
+        g += eps * np.log(v)
+        if converged:
+            return iteration, True
     return cap, False
 
 
@@ -225,6 +284,21 @@ def _pair_terms(c1sq: np.ndarray, c2sq: np.ndarray, pi: np.ndarray):
     return c1sq @ r, c2sq @ s, r, s
 
 
+def _structure_parts(c1, c2, c1sq, c2sq, pi):
+    """(structure value, (C1 o C1) r, (C2 o C2) s, C1 pi C2) of a plan.
+
+    The last three are what the gradient at pi is made of.
+    """
+    u, w, r, s = _pair_terms(c1sq, c2sq, pi)
+    product = c1 @ pi @ c2
+    value = float(r @ u + s @ w - 2.0 * np.tensordot(product, pi))
+    return max(value, 0.0), u, w, product
+
+
+def _gradient(u: np.ndarray, w: np.ndarray, product: np.ndarray) -> np.ndarray:
+    return 2.0 * (u[:, None] + w[None, :]) - 4.0 * product
+
+
 def structure_value(c1: np.ndarray, c2: np.ndarray, pi: np.ndarray) -> float:
     """Quadratic structural mismatch of a plan via the fast expansion.
 
@@ -232,16 +306,14 @@ def structure_value(c1: np.ndarray, c2: np.ndarray, pi: np.ndarray) -> float:
     (up to float rounding) for any nonnegative pi.
     """
     _check_square(c1, c2, pi)
-    u, w, r, s = _pair_terms(c1 * c1, c2 * c2, pi)
-    value = float(r @ u + s @ w - 2.0 * np.tensordot(c1 @ pi @ c2, pi))
-    return max(value, 0.0)
+    return _structure_parts(c1, c2, c1 * c1, c2 * c2, pi)[0]
 
 
 def gw_gradient(c1: np.ndarray, c2: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Gradient of the structural term at pi (exact, factor 2 included)."""
     _check_square(c1, c2, pi)
     u, w, _, _ = _pair_terms(c1 * c1, c2 * c2, pi)
-    return 2.0 * (u[:, None] + w[None, :]) - 4.0 * (c1 @ pi @ c2)
+    return _gradient(u, w, c1 @ pi @ c2)
 
 
 def distortion_terms(
@@ -274,6 +346,11 @@ def fgw(
     relative objective decrease drops below fw_tol. The objective is
     nonincreasing across outer iterations by construction; the history
     of unregularized objective values is returned for inspection.
+
+    C1 o C1 and C2 o C2 are formed once per call, and each objective
+    evaluation keeps the product C1 pi C2 and the pair terms, which give
+    the next gradient and the final structure and feature terms, so an
+    outer step makes two matrix products (objective, line search).
     """
     cfg = config or SolverConfig()
     lam = cfg.lambda_feat
@@ -288,8 +365,11 @@ def fgw(
     if feature_costs.shape != (n, m):
         raise InputError("feature cost shape does not match the marginals")
 
+    c1sq, c2sq = d_source * d_source, d_target * d_target
     pi = np.outer(mu, nu)
-    objective = _objective(d_source, d_target, feature_costs, pi, lam)
+    objective, feature, parts = _evaluate(
+        d_source, d_target, c1sq, c2sq, feature_costs, pi, lam
+    )
     history = [objective]
     converged = False
     inner_converged = True
@@ -299,7 +379,7 @@ def fgw(
     for iterations in range(1, cfg.fw_iters + 1):
         grad = lam * feature_costs
         if lam < 1.0:
-            grad = grad + (1.0 - lam) * gw_gradient(d_source, d_target, pi)
+            grad = grad + (1.0 - lam) * _gradient(*parts[1:])
         if not np.isfinite(grad).all():
             raise NumericalError(
                 f"numerical failure at outer iteration {iterations}: bad gradient"
@@ -314,14 +394,16 @@ def fgw(
 
         # Exact line search: objective along pi + t*delta is quadratic
         # a t^2 + b t + const with the coefficients below.
-        a = (1.0 - lam) * _quad_coeff(d_source, d_target, delta)
+        a = (1.0 - lam) * _quad_coeff(d_source, d_target, delta, c1sq, c2sq)
         b = float(np.tensordot(grad, delta))
         t = _argmin_quadratic_unit(a, b)
         if t == 0.0:
             converged = True
             break
         pi = pi + t * delta
-        new_objective = _objective(d_source, d_target, feature_costs, pi, lam)
+        new_objective, feature, parts = _evaluate(
+            d_source, d_target, c1sq, c2sq, feature_costs, pi, lam
+        )
         if np.isnan(new_objective):
             raise NumericalError(
                 f"numerical failure at outer iteration {iterations}: NaN objective"
@@ -333,7 +415,12 @@ def fgw(
             converged = True
             break
 
-    structure, feature = distortion_terms(pi, d_source, d_target, feature_costs)
+    # parts and feature belong to the last evaluated plan, which is pi.
+    if parts is None:
+        structure = structure_value(d_source, d_target, pi)
+    else:
+        structure = parts[0]
+    feature = max(feature, 0.0)
     # Every iterate is a convex combination of the feasible start and
     # the inner solutions, so the residual is bounded by the worst inner
     # one; converged reflects whether all inner solves hit tolerance.
@@ -359,21 +446,23 @@ def coupling_dump(pi: Coupling) -> dict:
     }
 
 
-def _objective(c1, c2, feats, pi, lam) -> float:
-    value = lam * float(np.tensordot(feats, pi))
+def _evaluate(c1, c2, c1sq, c2sq, feats, pi, lam):
+    """(objective, raw feature term, _structure_parts or None at lam = 1)."""
+    feature = float(np.tensordot(feats, pi))
+    value = lam * feature
+    parts = None
     if lam < 1.0:
-        value += (1.0 - lam) * structure_value(c1, c2, pi)
-    return value
+        parts = _structure_parts(c1, c2, c1sq, c2sq, pi)
+        value += (1.0 - lam) * parts[0]
+    return value, feature, parts
 
 
-def _quad_coeff(c1: np.ndarray, c2: np.ndarray, delta: np.ndarray) -> float:
+def _quad_coeff(c1, c2, delta, c1sq, c2sq) -> float:
     # E(delta) with delta's own (signed) marginals; may be negative, in
     # which case the line search picks an endpoint.
     r = delta.sum(axis=1)
     s = delta.sum(axis=0)
-    return float(
-        r @ (c1 * c1) @ r + s @ (c2 * c2) @ s - 2.0 * np.tensordot(c1 @ delta @ c2, delta)
-    )
+    return float(r @ c1sq @ r + s @ c2sq @ s - 2.0 * np.tensordot(c1 @ delta @ c2, delta))
 
 
 def _argmin_quadratic_unit(a: float, b: float) -> float:

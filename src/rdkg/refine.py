@@ -162,7 +162,8 @@ def symmetric_kl(p: np.ndarray, q: np.ndarray, smoothing: float = 1e-9) -> float
     """0.5 * (KL(p||q) + KL(q||p)) after additive smoothing.
 
     Smoothing every entry before renormalizing keeps the value finite
-    on disjoint supports.
+    on disjoint supports. Profiles equal up to rounding give 0.0, not
+    a rounding residue of either sign.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -172,7 +173,7 @@ def symmetric_kl(p: np.ndarray, q: np.ndarray, smoothing: float = 1e-9) -> float
     qs = (q + smoothing) / (q + smoothing).sum()
     forward = float((ps * np.log(ps / qs)).sum())
     backward = float((qs * np.log(qs / ps)).sum())
-    return 0.5 * (forward + backward)
+    return max(0.0, 0.5 * (forward + backward))
 
 
 def edge_support(
@@ -210,7 +211,6 @@ class OpContext:
 
     def __post_init__(self) -> None:
         self._id_counter = 0
-        self._known_embeddings: dict[str, np.ndarray] = {}
 
     def fresh_id(self, kg: KnowledgeGraph, base: str) -> str:
         existing = set(kg.node_ids())
@@ -219,12 +219,6 @@ class OpContext:
             self._id_counter += 1
             candidate = f"{base}_{self._id_counter}"
         return candidate
-
-    def node_embedding(self, node: ConceptNode) -> np.ndarray:
-        text = node_text(node)
-        if text not in self._known_embeddings:
-            self._known_embeddings[text] = self.embed([text])[0]
-        return self._known_embeddings[text]
 
 
 # --- operators ---------------------------------------------------------------
@@ -281,7 +275,7 @@ def op_add(
             confidence=0.5,
             rationale="covers lecture span with low coupled mass",
         )
-        new_embedding = ctx.node_embedding(node)
+        new_embedding = ctx.embed([node_text(node)])[0]
         others = list(working.nodes)
         working.nodes.append(node)
         edges: list[RelationEdge] = []
@@ -631,7 +625,7 @@ def refine(
     """
     solver_cfg = solver_config or SolverConfig()
     cfg = refine_config or RefinementConfig()
-    embed = provider.embed
+    embed = _memoized(provider.embed)
     element_embeddings = embed(lecture.contents())
     ctx = OpContext(
         lecture=lecture,
@@ -702,6 +696,25 @@ def refine(
         graph=incumbent_kg, trace=trace, incumbent_index=incumbent_index,
         initial=initial, incumbent=incumbent,
     )
+
+
+def _memoized(embed: Callable[[list[str]], np.ndarray]) -> Callable[[list[str]], np.ndarray]:
+    """``embed`` behind a text -> row memo: each distinct text is embedded once.
+
+    No provider's row for a text depends on the other texts of its
+    batch, so the memo returns exactly what ``embed`` would.
+    """
+    rows: dict[str, np.ndarray] = {}
+
+    def memo_embed(texts: list[str]) -> np.ndarray:
+        if not texts:
+            return embed(texts)  # the provider's own error
+        missing = list(dict.fromkeys(t for t in texts if t not in rows))
+        if missing:
+            rows.update(zip(missing, embed(missing)))
+        return np.stack([rows[t] for t in texts])
+
+    return memo_embed
 
 
 def _record(

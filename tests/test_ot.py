@@ -13,10 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdkg import ot
 from rdkg.errors import InputError
 from rdkg.ot import (
+    MARGINAL_TOL,
     Coupling,
     SolverConfig,
+    _argmin_quadratic_unit,
+    _logsumexp,
     distortion_terms,
     fgw,
     gw_gradient,
@@ -97,6 +101,96 @@ def test_sinkhorn_rejects_bad_inputs():
         sinkhorn(np.array([[np.inf, 0.0], [0.0, 0.0]]), u, u, 0.05)
     with pytest.raises(InputError, match="strictly positive"):
         sinkhorn(np.zeros((2, 2)), np.array([1.0, 0.0]), u, 0.05)
+
+
+def log_domain_scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap):
+    """Oracle: every Sinkhorn iteration in the log domain, as the solver
+    did before it iterated on scalings."""
+    for iteration in range(cap):
+        row_lse = _logsumexp((g[None, :] - cost) / eps, axis=1)
+        if iteration > 0:
+            row_sums = np.exp(f / eps + row_lse)
+            if np.abs(row_sums - mu).max() <= MARGINAL_TOL:
+                return iteration, True
+        f[:] = eps * (log_mu - row_lse)
+        col_lse = _logsumexp((f[:, None] - cost) / eps, axis=0)
+        g[:] = eps * (log_nu - col_lse)
+    return cap, False
+
+
+def sinkhorn_with(loop, monkeypatch, *args, **kwargs):
+    """sinkhorn run with ``loop`` as its per-stage loop: (coupling,
+    [(spent, converged) of each stage])."""
+    stages = []
+
+    def recorded(*loop_args):
+        out = loop(*loop_args)
+        stages.append(out)
+        return out
+
+    monkeypatch.setattr(ot, "_scale_loop", recorded)
+    try:
+        return sinkhorn(*args, **kwargs), stages
+    finally:
+        monkeypatch.undo()
+
+
+def assert_same_solve(got, want):
+    (plan, stages), (ref_plan, ref_stages) = got, want
+    assert stages == ref_stages
+    assert plan.converged == ref_plan.converged
+    scale = np.abs(ref_plan.matrix).max()
+    assert np.abs(plan.matrix - ref_plan.matrix).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (39, 12), (217, 60)])
+@pytest.mark.parametrize("eps", [0.05, 1e-2, 1e-3, 1e-4])
+def test_sinkhorn_matches_log_domain_oracle(shape, eps, monkeypatch):
+    n, m = shape
+    rng = np.random.default_rng(n * 1000 + m)
+    mu = rng.random(n) + 0.1
+    mu /= mu.sum()
+    nu = rng.random(m) + 0.1
+    nu /= nu.sum()
+    for spread in (1.0, 30.0):
+        cost = rng.random((n, m)) * spread
+        cold = sinkhorn_with(ot._scale_loop, monkeypatch, cost, mu, nu, eps)
+        ref_cold = sinkhorn_with(log_domain_scale_loop, monkeypatch, cost, mu, nu, eps)
+        assert_same_solve(cold, ref_cold)
+        # warm start from the solved potentials on a shifted cost
+        shifted = cost + rng.random((n, m)) * 0.2 * spread
+        warm = ref_cold[0].potentials
+        assert_same_solve(
+            sinkhorn_with(ot._scale_loop, monkeypatch, shifted, mu, nu, eps, potentials=warm),
+            sinkhorn_with(log_domain_scale_loop, monkeypatch, shifted, mu, nu, eps,
+                          potentials=warm),
+        )
+
+
+def test_sinkhorn_recentres_far_off_warm_start(monkeypatch):
+    # Warm potentials far off the cost at eps 1e-3: the kernel formed after
+    # the first iteration has underflowed rows, so scaling steps overflow
+    # and are redone in the log domain. No error, a finite feasible plan.
+    rng = np.random.default_rng(11)
+    n, m, eps = 39, 12, 1e-3
+    cost = rng.random((n, m)) * 30.0
+    mu = np.full(n, 1 / n)
+    nu = np.full(m, 1 / m)
+    f = rng.random(n) * 40.0 - 20.0
+    g = np.concatenate([np.full(m // 2, 15.0), np.full(m - m // 2, -25.0)])
+    log_domain_iterations = []
+
+    def counted_logsumexp(a, axis):
+        # a log-domain iteration takes one row and one column logsumexp
+        log_domain_iterations.append(axis)
+        return _logsumexp(a, axis)
+
+    monkeypatch.setattr(ot, "_logsumexp", counted_logsumexp)
+    out = sinkhorn(cost, mu, nu, eps, 2000, potentials=(f, g))
+    assert log_domain_iterations.count(0) > 1  # the first one and re-centrings
+    assert np.isfinite(out.matrix).all()
+    assert out.marginal_residual() <= 1e-6
+    assert np.isfinite(out.potentials[0]).all() and np.isfinite(out.potentials[1]).all()
 
 
 # --- structural term ------------------------------------------------------------
@@ -184,6 +278,59 @@ def _self_alignment_fixture(n=6):
     feats = np.ones((n, n)) - np.eye(n)  # orthonormal embeddings
     mu = np.full(n, 1 / n)
     return d, feats, mu
+
+
+def reference_fgw(c1, c2, feats, mu, nu, cfg):
+    """Frank-Wolfe through the public gw_gradient, structure_value and
+    distortion_terms, every product recomputed: (plan, terms, history)."""
+    lam = cfg.lambda_feat
+
+    def objective(plan):
+        value = lam * float(np.tensordot(feats, plan))
+        if lam < 1.0:
+            value += (1.0 - lam) * structure_value(c1, c2, plan)
+        return value
+
+    pi = np.outer(mu, nu)
+    history = [objective(pi)]
+    potentials = None
+    for _ in range(cfg.fw_iters):
+        grad = lam * feats
+        if lam < 1.0:
+            grad = grad + (1.0 - lam) * gw_gradient(c1, c2, pi)
+        inner = sinkhorn(grad, mu, nu, cfg.epsilon, cfg.sinkhorn_iters, potentials=potentials)
+        potentials = inner.potentials
+        delta = inner.matrix - pi
+        r, s = delta.sum(axis=1), delta.sum(axis=0)
+        quad = float(r @ (c1 * c1) @ r + s @ (c2 * c2) @ s
+                     - 2.0 * np.tensordot(c1 @ delta @ c2, delta))
+        t = _argmin_quadratic_unit((1.0 - lam) * quad, float(np.tensordot(grad, delta)))
+        if t == 0.0:
+            break
+        pi = pi + t * delta
+        history.append(objective(pi))
+        if history[-2] - history[-1] < cfg.fw_tol * max(abs(history[-1]), 1.0):
+            break
+    return pi, distortion_terms(pi, c1, c2, feats), history
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
+def test_fgw_reuses_products_exactly(rng, lam):
+    # the kept products and pair terms give bit-identical iterates and terms
+    for _ in range(3):
+        n, m = int(rng.integers(3, 9)), int(rng.integers(3, 9))
+        c1, c2 = random_metric(n, rng), random_metric(m, rng)
+        feats = rng.random((n, m)) * 2
+        mu = np.full(n, 1 / n)
+        nu = rng.random(m) + 0.1
+        nu /= nu.sum()
+        cfg = SolverConfig(lambda_feat=lam)
+        res = fgw(c1, c2, feats, mu, nu, cfg)
+        plan, (structure, feature), history = reference_fgw(c1, c2, feats, mu, nu, cfg)
+        assert len(history) > 2
+        assert np.array_equal(res.coupling.matrix, plan)
+        assert res.history == history
+        assert (res.structure_term, res.feature_term) == (structure, feature)
 
 
 def test_fgw_self_alignment_identity():

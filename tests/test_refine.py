@@ -22,6 +22,7 @@ from rdkg.ot import Coupling, SolverConfig, fgw
 from rdkg.refine import (
     Aligned,
     _farthest_pair,
+    _memoized,
     _merge_into,
     EditRecord,
     OpContext,
@@ -131,6 +132,21 @@ def test_symmetric_kl_values():
     # hand oracle: each direction is 0.5 * ln 3
     assert symmetric_kl(p, q) == pytest.approx(0.5 * math.log(3.0), rel=1e-5)
     assert symmetric_kl(p, p) == 0.0
+    # the same column normalized from two scalings differs only by
+    # rounding; unclamped, this pair sums to about -1e-18
+    column = np.array([0.6855419844806947, 0.6504592762678163, 0.6884467305709401,
+                       0.3889214239791038, 0.13509650502241122, 0.7214883401940817,
+                       0.5253543224757259])
+    rng = np.random.default_rng(3)
+    pairs = [(column, 3.0 * column)] + [
+        (c, s * c) for c, s in zip(rng.random((20, 7)), rng.uniform(0.1, 10.0, 20))
+    ]
+    for a, b in pairs:
+        kl = symmetric_kl(a / a.sum(), b / b.sum())
+        assert kl >= 0.0 and kl < 1e-15
+        assert f"{kl:.4f}" == "0.0000"
+    kl = symmetric_kl(column / column.sum(), 3.0 * column / (3.0 * column).sum())
+    assert kl == 0.0 and math.copysign(1.0, kl) == 1.0
 
 
 def test_symmetric_kl_smoothing_keeps_finite():
@@ -766,6 +782,39 @@ def test_refine_deterministic(provider):
     from rdkg.kg import kg_to_dict
 
     assert kg_to_dict(a.graph) == kg_to_dict(b.graph)
+
+
+def test_memoized_embed_matches_provider_and_embeds_each_text_once(provider):
+    calls = []
+
+    def counted(texts):
+        calls.append(list(texts))
+        return provider.embed(texts)
+
+    embed = _memoized(counted)
+    batches = [["a b", "c", "a b"], ["c", "d e", "f"], ["f", "a b"], ["g", "g", "c"]]
+    for texts in batches:
+        assert np.array_equal(embed(texts), provider.embed(texts))
+    assert calls == [["a b", "c"], ["d e", "f"], ["g"]]
+    with pytest.raises(InputError):
+        embed([])
+    with pytest.raises(InputError):
+        embed(["new", ""])  # the provider's error for an empty text
+
+
+def test_refine_embeds_each_text_once(provider):
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    seen = []
+
+    class Counting:
+        def embed(self, texts):
+            seen.extend(texts)
+            return provider.embed(texts)
+
+    out = refine(space, topic_a_only_kg(), Counting(),
+                 refine_config=RefinementConfig(max_iterations=3))
+    assert len(out.trace.points) > 1 and sum(len(e) for e in out.trace.edits) > 0
+    assert len(seen) == len(set(seen))
 
 
 def test_refine_incumbent_is_argmin(provider):
