@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 import click
 
 from . import analysis, kg as kgmod, lecture as lecmod
-from .config import RunConfig, load_run_config
+from .config import RunConfig, config_keys, load_run_config
 from .embeddings import feature_cost, provider_from_config
 from .errors import InputError, NumericalError, ProviderError
 from .kg import ALLOWED_RELATIONS
@@ -33,17 +32,10 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _field_flag_type(field) -> object | None:
-    default = field.default if field.default is not MISSING else None
-    if isinstance(default, bool):
-        return click.BOOL
-    if isinstance(default, int):
-        return click.INT
-    if isinstance(default, float):
-        return click.FLOAT
-    if isinstance(default, str) or default is None:
-        return click.STRING
-    return None  # compound fields stay reachable via --set / config file
+# click type of each scalar annotation; a list key gets no flag and stays
+# reachable via --set / config file
+_FLAG_TYPES = {bool: click.BOOL, int: click.INT, float: click.FLOAT,
+               str: click.STRING, str | None: click.STRING}
 
 
 def _config_options(fn):
@@ -57,18 +49,15 @@ def _config_options(fn):
         click.option("--set", "set_values", multiple=True, metavar="KEY=VALUE",
                      help="Override any config key (repeatable)."),
     ]
-    # one flag per RunConfig field, e.g. --beta, --lambda-feat, --embed-provider
-    for field in fields(RunConfig):
-        if field.name == "debug":
-            continue
-        flag_type = _field_flag_type(field)
-        if flag_type is None:
+    # one flag per scalar config key, e.g. --beta, --lambda-feat, --embed-provider
+    for key, (_, hint) in config_keys().items():
+        if key == "debug" or hint not in _FLAG_TYPES:
             continue
         decorators.append(
             click.option(
-                "--" + field.name.replace("_", "-"), field.name,
-                type=flag_type, default=None,
-                help=f"Override config key {field.name}.",
+                "--" + key.replace("_", "-"), key,
+                type=_FLAG_TYPES[hint], default=None,
+                help=f"Override config key {key}.",
             )
         )
     for dec in reversed(decorators):
@@ -112,6 +101,17 @@ def _require_file(path: str) -> Path:
     if not p.is_file():
         raise InputError(f"file not found: {path}")
     return p
+
+
+def _load_space(path: str, cfg: RunConfig) -> lecmod.LectureSpace:
+    """Load a lecture-space artifact, refusing one built with other alpha weights."""
+    space = lecmod.load_lecture_space(_require_file(path))
+    if space.alpha != cfg.alpha:
+        raise InputError(
+            f"{path} was built with alpha (chron, logic, sem) = {space.alpha}, "
+            f"but this run sets {cfg.alpha}; re-ingest or pass the same --alpha-* values"
+        )
+    return space
 
 
 def _llm_client(cfg: RunConfig) -> LlmClient | None:
@@ -191,7 +191,7 @@ def bootstrap(markdown_path, config_path, out_dir, debug, set_values, **override
 def align(space_path, kg_path, config_path, out_dir, debug, set_values, **overrides) -> None:
     """Align a lecture space to a knowledge graph and report distortion."""
     cfg = _setup(config_path, set_values, debug, **overrides)
-    space = lecmod.load_lecture_space(_require_file(space_path))
+    space = _load_space(space_path, cfg)
     graph = kgmod.load_kg(_require_file(kg_path))
     violations = kgmod.validate_graph(graph, _allowed_relations(cfg))
     if violations:
@@ -201,14 +201,14 @@ def align(space_path, kg_path, config_path, out_dir, debug, set_values, **overri
                                     cfg.degree_weighted_measure)
     feats = feature_cost(provider.embed(space.contents()), kg_space.node_embeddings)
     result = fgw(space.distance, kg_space.distance, feats,
-                 space.measure, kg_space.measure, cfg.solver_config())
+                 space.measure, kg_space.measure, cfg.solver)
     cov = analysis.coverage(feats, result.coupling,
                             cfg.coverage_percentile, cfg.coverage_row_min)
     r = kgmod.rate(graph)
     click.echo(
         f"D={result.distortion:.6f} (structure={result.structure_term:.6f}, "
         f"feature={result.feature_term:.6f}) rate={r:g} "
-        f"L={r + cfg.beta * result.distortion:.6f} coverage={cov:.4f}"
+        f"L={r + cfg.refinement.beta * result.distortion:.6f} coverage={cov:.4f}"
     )
     if cfg.debug:
         out = Path(out_dir) if out_dir else Path(".")
@@ -225,7 +225,7 @@ def align(space_path, kg_path, config_path, out_dir, debug, set_values, **overri
 def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **overrides) -> None:
     """Refine a knowledge graph against a lecture space; write all artifacts."""
     cfg = _setup(config_path, set_values, debug, **overrides)
-    space = lecmod.load_lecture_space(_require_file(space_path))
+    space = _load_space(space_path, cfg)
     graph = kgmod.load_kg(_require_file(kg_path))
     violations = kgmod.validate_graph(graph, _allowed_relations(cfg))
     if violations:
@@ -233,8 +233,8 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **o
     provider = provider_from_config(cfg)
     outcome = refine(
         space, graph, provider,
-        solver_config=cfg.solver_config(),
-        refine_config=cfg.refinement_config(),
+        solver_config=cfg.solver,
+        refine_config=cfg.refinement,
         gamma=cfg.gamma,
         llm_client=_llm_client(cfg),
         degree_weighted_measure=cfg.degree_weighted_measure,

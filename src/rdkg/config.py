@@ -1,21 +1,25 @@
 """Run configuration: defaults, config-file loading, CLI overrides.
 
 Precedence is CLI flag > config file > built-in default. The config
-file is a flat JSON object whose keys mirror the field names below
-(refinement threshold names match RefinementConfig exactly). Every
-value is checked against its field's type, and counts must not be
-negative; a bad value is an InputError. The effective configuration is
-echoed into report.json.
+file is a flat JSON object. Its keys are RunConfig's own fields plus the
+fields of the nested SolverConfig and RefinementConfig, each declared
+once, in the dataclass that uses it. Every value is checked against its
+key's type, counts must not be negative, and the nested configs' range
+checks run at load, so a bad value is an InputError in every command.
+The effective configuration is echoed flat into report.json.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from types import UnionType
+from types import MappingProxyType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
+from .analysis import COVERAGE_PERCENTILE
 from .errors import InputError
 from .kg import DEFAULT_GAMMA
 from .lecture import DEFAULT_ALPHA
@@ -33,31 +37,10 @@ class RunConfig:
     gamma_struct: float = DEFAULT_GAMMA[0]
     gamma_sem: float = DEFAULT_GAMMA[1]
     degree_weighted_measure: bool = False
-    # solver
-    lambda_feat: float = 0.6
-    epsilon: float = 0.05
-    sinkhorn_iters: int = 200
-    fw_iters: int = 50
-    fw_tol: float = 1e-6
-    # refinement
-    beta: float = 100.0
-    theta_add: float = 0.02
-    theta_split: float = 0.35
-    theta_merge: float = 0.12
-    theta_cos: float = 0.90
-    theta_relate: float = 0.25
-    tau: float = 1e-4
-    max_adds: int = 5
-    max_splits: int = 3
-    max_merges: int = 3
-    max_iterations: int = 12
-    conv_threshold: float = 0.25
-    patience: int = 2
-    kl_smoothing: float = 1e-9
-    split_entropy_raw: bool = False
-    add_fractional: bool = False
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    refinement: RefinementConfig = field(default_factory=RefinementConfig)
     # analysis
-    coverage_percentile: float = 30.0
+    coverage_percentile: float = COVERAGE_PERCENTILE
     coverage_row_min: bool = False
     # embedding provider
     embed_provider: str = "hash"  # hash | file | http
@@ -86,37 +69,32 @@ class RunConfig:
     def gamma(self) -> tuple[float, float]:
         return (self.gamma_struct, self.gamma_sem)
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            lambda_feat=self.lambda_feat,
-            epsilon=self.epsilon,
-            sinkhorn_iters=self.sinkhorn_iters,
-            fw_iters=self.fw_iters,
-            fw_tol=self.fw_tol,
-        )
-
-    def refinement_config(self) -> RefinementConfig:
-        return RefinementConfig(
-            beta=self.beta,
-            theta_add=self.theta_add,
-            theta_split=self.theta_split,
-            theta_merge=self.theta_merge,
-            theta_cos=self.theta_cos,
-            theta_relate=self.theta_relate,
-            tau=self.tau,
-            max_adds=self.max_adds,
-            max_splits=self.max_splits,
-            max_merges=self.max_merges,
-            max_iterations=self.max_iterations,
-            conv_threshold=self.conv_threshold,
-            patience=self.patience,
-            kl_smoothing=self.kl_smoothing,
-            split_entropy_raw=self.split_entropy_raw,
-            add_fractional=self.add_fractional,
-        )
-
     def echo(self) -> dict:
-        return asdict(self)
+        """Every flat key with its value, in config_keys() order."""
+        return {
+            key: getattr(getattr(self, section) if section else self, key)
+            for key, (section, _) in config_keys().items()
+        }
+
+
+@cache
+def config_keys() -> Mapping[str, tuple[str | None, object]]:
+    """Every flat config key in declaration order -> (section, annotation).
+
+    ``section`` is the RunConfig field holding the nested config that
+    declares the key (``solver``, ``refinement``), or None for a key
+    RunConfig declares itself.
+    """
+    hints = get_type_hints(RunConfig)
+    keys: dict[str, tuple[str | None, object]] = {}
+    for f in fields(RunConfig):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            nested = get_type_hints(hint)
+            keys.update({g.name: (f.name, nested[g.name]) for g in fields(hint)})
+        else:
+            keys[f.name] = (None, hint)
+    return MappingProxyType(keys)
 
 
 def load_run_config(
@@ -141,13 +119,20 @@ def load_run_config(
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
 
-    hints = get_type_hints(RunConfig)
-    unknown = sorted(set(values) - set(hints))
+    keys = config_keys()
+    unknown = sorted(set(values) - set(keys))
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(unknown)}")
+    grouped: dict[str | None, dict] = {None: {}}
     for name, value in values.items():
-        _check_value(name, value, hints[name])
-    return RunConfig(**values)
+        section, hint = keys[name]
+        _check_value(name, value, hint)
+        grouped.setdefault(section, {})[name] = value
+    cfg = RunConfig(**grouped.pop(None))
+    for section, nested in grouped.items():
+        # replace() reruns the nested config's range checks, in every command
+        setattr(cfg, section, replace(getattr(cfg, section), **nested))
+    return cfg
 
 
 def _check_value(name: str, value, hint) -> None:

@@ -23,10 +23,10 @@ import logging
 import os
 import re
 import time
-import urllib.error
 import urllib.request
 from pathlib import Path
 from threading import Lock
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from .errors import InputError, ProviderError
 logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
+
+T = TypeVar("T")
 
 #: Environment variable holding the embedding endpoint API key (never logged).
 API_KEY_ENV = "EMBEDDINGS_API_KEY"
@@ -152,7 +154,7 @@ class HttpEmbedder:
         self.model = model
         self.timeout = timeout
         self.retries = retries
-        self._transport = transport or _http_post_json
+        self._transport = transport or post_json
         self._cache: dict[str, np.ndarray] = {}
         self._lock = Lock()
 
@@ -164,9 +166,16 @@ class HttpEmbedder:
             for text in texts:
                 if content_hash(text) not in self._cache and text not in missing:
                     missing.append(text)
+        headers = json_headers(API_KEY_ENV)
         for start in range(0, len(missing), self.BATCH):
             batch = missing[start : start + self.BATCH]
-            vectors = self._request(batch)
+            payload = {"model": self.model, "inputs": batch}
+            vectors = request_with_retries(
+                lambda: self._transport(self.base_url, payload, headers, self.timeout),
+                lambda reply: reply["embeddings"],
+                self.retries,
+                "embedding",
+            )
             if len(vectors) != len(batch):
                 raise ProviderError(
                     f"embedding endpoint returned {len(vectors)} vectors "
@@ -178,30 +187,45 @@ class HttpEmbedder:
         with self._lock:
             return np.stack([self._cache[content_hash(t)] for t in texts])
 
-    def _request(self, batch: list[str]) -> list:
-        payload = {"model": self.model, "inputs": batch}
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        last_error = None
-        for attempt in range(self.retries + 1):
-            try:
-                reply = self._transport(self.base_url, payload, headers, self.timeout)
-                return reply["embeddings"]
-            except Exception as exc:  # noqa: BLE001 - provider boundary
-                last_error = exc
-                if attempt < self.retries:
-                    time.sleep(2.0**attempt * 0.5)
-        raise ProviderError(f"embedding provider unavailable: {last_error}")
+
+def json_headers(key_env: str) -> dict:
+    """JSON request headers, with a bearer token when the environment
+    variable ``key_env`` holds an API key."""
+    headers = {"Content-Type": "application/json"}
+    api_key = os.environ.get(key_env)
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    return headers
 
 
-def _http_post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
+def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
+    """POST ``payload`` as JSON and decode the JSON reply."""
     req = urllib.request.Request(
         url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
     )
     with urllib.request.urlopen(req, timeout=timeout) as resp:  # noqa: S310
         return json.loads(resp.read().decode("utf-8"))
+
+
+def request_with_retries(
+    send: Callable[[], dict], parse: Callable[[dict], T], retries: int, what: str
+) -> T:
+    """``parse(send())`` from the first attempt in which neither raises.
+
+    Makes ``retries + 1`` attempts, logs a warning for each failed one
+    and sleeps 0.5 * 2**k s after failed attempt k unless it was the
+    last; then raises ProviderError naming the ``what`` provider.
+    """
+    last_error = None
+    for attempt in range(retries + 1):
+        try:
+            return parse(send())
+        except Exception as exc:  # noqa: BLE001 - provider boundary
+            last_error = exc
+            logger.warning("%s request failed (attempt %d): %s", what, attempt + 1, exc)
+            if attempt < retries:
+                time.sleep(2.0**attempt * 0.5)
+    raise ProviderError(f"{what} provider unavailable: {last_error}")
 
 
 def provider_from_config(cfg) -> HashEmbedder | FileEmbedder | HttpEmbedder:

@@ -14,17 +14,14 @@ import hashlib
 import json
 import logging
 import math
-import os
 import re
-import time
-import urllib.request
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import cosine_distance
-from .errors import InputError
+from .embeddings import cosine_distance, json_headers, post_json, request_with_retries
+from .errors import InputError, ProviderError
 from .kg import (
     ALLOWED_RELATIONS,
     ConceptNode,
@@ -125,7 +122,7 @@ class LlmClient:
 
     def __init__(self, config: LlmClientConfig, transport=None, log_dir=None):
         self.config = config
-        self._transport = transport or _http_post_json
+        self._transport = transport or post_json
         self._cache: dict[str, dict | None] = {}
         self._log_dir = log_dir
         self._log_counter = 0
@@ -145,23 +142,18 @@ class LlmClient:
             "temperature": self.config.temperature,
             "messages": [{"role": "user", "content": prompt}],
         }
-        headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        result = None
-        for attempt in range(self.config.retries + 1):
-            try:
-                reply = self._transport(
+        headers = json_headers(API_KEY_ENV)
+        try:
+            result = request_with_retries(
+                lambda: self._transport(
                     self.config.base_url, payload, headers, self.config.timeout
-                )
-                result = _extract_json(reply)
-                if result is not None:
-                    break
-            except Exception as exc:  # noqa: BLE001 - provider boundary
-                logger.warning("LLM request failed (attempt %d): %s", attempt + 1, exc)
-                if attempt < self.config.retries:
-                    time.sleep(2.0**attempt * 0.5)
+                ),
+                _extract_json,
+                self.config.retries,
+                "LLM",
+            )
+        except ProviderError:
+            result = None
         self._cache[key] = result
         return result
 
@@ -173,30 +165,19 @@ class LlmClient:
         path.write_text(prompt, encoding="utf-8")
 
 
-def _http_post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
-    req = urllib.request.Request(
-        url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
-    )
-    with urllib.request.urlopen(req, timeout=timeout) as resp:  # noqa: S310
-        return json.loads(resp.read().decode("utf-8"))
-
-
-def _extract_json(reply: dict) -> dict | None:
-    """Pull the JSON object out of a chat-completion style response."""
-    try:
-        content = reply["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError):
-        return None
+def _extract_json(reply: dict) -> dict:
+    """The JSON object in a chat-completion style reply; raises when the
+    reply holds none."""
+    content = reply["choices"][0]["message"]["content"]
     if not isinstance(content, str):
-        return None
+        raise ProviderError("reply content is not text")
     content = content.strip()
     if content.startswith("```"):
         content = re.sub(r"^```[a-zA-Z]*\n?|```$", "", content).strip()
-    try:
-        doc = json.loads(content)
-    except json.JSONDecodeError:
-        return None
-    return doc if isinstance(doc, dict) else None
+    doc = json.loads(content)
+    if not isinstance(doc, dict):
+        raise ProviderError("reply content is not a JSON object")
+    return doc
 
 
 # --- bootstrap --------------------------------------------------------------
@@ -381,13 +362,7 @@ def propose_label_edges(
     if not others:
         return []
     if client is not None:
-        doc = client.chat_json(
-            EDGE_PROMPT.format(
-                relations=", ".join(sorted(allowed_relations)),
-                nodes="\n".join(f"- {n.id}: {node_text(n)}" for n in kg.nodes),
-                edges="\n".join(f"- {e.src} {e.relation} {e.dst}" for e in kg.edges),
-            )
-        )
+        doc = client.chat_json(edge_prompt(kg, allowed_relations))
         proposals = _valid_edge_proposals(doc, kg, allowed_relations)
         touching = [e for e in proposals if new_node.id in (e.src, e.dst)]
         if touching:
@@ -405,6 +380,16 @@ def propose_label_edges(
             rationale="nearest existing concept by semantic similarity",
         )
     ]
+
+
+def edge_prompt(kg: KnowledgeGraph, allowed_relations: frozenset[str]) -> str:
+    """The edge-proposal prompt: the allowed relations, the graph's nodes
+    and its existing edges."""
+    return EDGE_PROMPT.format(
+        relations=", ".join(sorted(allowed_relations)),
+        nodes="\n".join(f"- {n.id}: {node_text(n)}" for n in kg.nodes),
+        edges="\n".join(f"- {e.src} {e.relation} {e.dst}" for e in kg.edges),
+    )
 
 
 def _valid_edge_proposals(

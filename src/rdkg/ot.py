@@ -120,7 +120,7 @@ def sinkhorn(
     mu: np.ndarray,
     nu: np.ndarray,
     epsilon: float,
-    max_iters: int = 200,
+    max_iters: int = SolverConfig.sinkhorn_iters,
     potentials: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Coupling:
     """Entropy-regularized linear transport by stabilized Sinkhorn.

@@ -48,7 +48,7 @@ from .kg import (
     validate_graph,
 )
 from .lecture import LectureSpace
-from .llm import EDGE_PROMPT, LlmClient, Namer, _valid_edge_proposals, propose_label_edges
+from .llm import LlmClient, Namer, _valid_edge_proposals, edge_prompt, propose_label_edges
 from .ot import Coupling, FgwResult, SolverConfig, fgw
 
 logger = logging.getLogger(__name__)
@@ -158,7 +158,9 @@ def column_entropy(pi: Coupling | np.ndarray, raw: bool = False) -> np.ndarray:
     return out
 
 
-def symmetric_kl(p: np.ndarray, q: np.ndarray, smoothing: float = 1e-9) -> float:
+def symmetric_kl(
+    p: np.ndarray, q: np.ndarray, smoothing: float = RefinementConfig.kl_smoothing
+) -> float:
     """0.5 * (KL(p||q) + KL(q||p)) after additive smoothing.
 
     Smoothing every entry before renormalizing keeps the value finite
@@ -521,13 +523,7 @@ def llm_propose_edges(
     """Optional LLM pass proposing new edges from graph content only."""
     if client is None:
         return kg, []
-    doc = client.chat_json(
-        EDGE_PROMPT.format(
-            relations=", ".join(sorted(allowed_relations)),
-            nodes="\n".join(f"- {n.id}: {node_text(n)}" for n in kg.nodes),
-            edges="\n".join(f"- {e.src} {e.relation} {e.dst}" for e in kg.edges),
-        )
-    )
+    doc = client.chat_json(edge_prompt(kg, allowed_relations))
     proposals = _valid_edge_proposals(doc, kg, allowed_relations)
     if not proposals:
         return kg, []

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, ingest, main
+from rdkg.config import load_run_config
 from rdkg.kg import load_kg
 
 from conftest import topic_a_only_kg, two_topic_markdown
@@ -310,3 +311,53 @@ def test_pipeline_composability(tmp_path):
             "--out", str(out), "--set", "max_iterations=2",
         ])
         assert code == EXIT_OK, md[:30]
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("epsilon=0", "epsilon must be positive"),
+    ("lambda_feat=2", "lambda_feat must lie in [0, 1]"),
+    ("beta=0", "beta must be positive"),
+    ("theta_add=-1", "theta_add must be positive"),
+])
+def test_range_checked_by_every_command(pipeline, lecture_file, tmp_path, capsys,
+                                        setting, message):
+    inputs = {
+        "ingest": [str(lecture_file)],
+        "bootstrap": [str(lecture_file)],
+        "align": [str(pipeline["space"]), str(pipeline["kg"])],
+        "refine": [str(pipeline["space"]), str(pipeline["kg"])],
+    }
+    for command, args in inputs.items():
+        out = tmp_path / f"bad-{command}"
+        code = main([command, *args, "--out", str(out), "--set", setting])
+        assert code == EXIT_INPUT, command
+        assert message in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+def test_every_flag_takes_its_default(tmp_path, lecture_file):
+    defaults = load_run_config().echo()
+    flags = {p.name: p.opts[0] for p in ingest.params if p.name in defaults}
+    # list keys get no flag; debug keeps its plain switch
+    assert set(flags) == set(defaults) - {"extra_relations"}
+    argv = ["ingest", str(lecture_file), "--out", str(tmp_path)]
+    for key, flag in flags.items():
+        if key != "debug" and defaults[key] is not None:
+            argv += [flag, str(defaults[key])]
+    assert main(argv) == EXIT_OK
+    assert main(["bootstrap", str(lecture_file), "--extra-relations", "causes"]) == EXIT_USAGE
+
+
+def test_align_and_refine_refuse_artifact_with_other_alpha(tmp_path, lecture_file, capsys):
+    assert main(["ingest", str(lecture_file), "--out", str(tmp_path),
+                 "--alpha-chron", "0.5", "--alpha-sem", "0.2"]) == EXIT_OK
+    assert main(["bootstrap", str(lecture_file), "--out", str(tmp_path)]) == EXIT_OK
+    space, kg = str(tmp_path / "lecture.space.json"), str(tmp_path / "lecture.kg.json")
+    capsys.readouterr()
+    for command in ("align", "refine"):
+        out = tmp_path / f"out-{command}"
+        assert main([command, space, kg, "--out", str(out)]) == EXIT_INPUT, command
+        err = capsys.readouterr().err
+        assert "(0.5, 0.3, 0.2)" in err and "(0.2, 0.3, 0.5)" in err, command
+        assert not out.exists(), command
+    assert main(["align", space, kg, "--alpha-chron", "0.5", "--alpha-sem", "0.2"]) == EXIT_OK

@@ -1,0 +1,73 @@
+"""Run configuration: one flat key set over RunConfig and its nested configs."""
+
+import re
+from dataclasses import asdict, fields
+
+import pytest
+
+from rdkg.analysis import COVERAGE_PERCENTILE
+from rdkg.config import RunConfig, config_keys, load_run_config
+from rdkg.errors import InputError
+from rdkg.ot import SolverConfig
+from rdkg.refine import RefinementConfig
+
+FLAT_KEYS = [
+    "alpha_chron", "alpha_logic", "alpha_sem", "gamma_struct", "gamma_sem",
+    "degree_weighted_measure", "lambda_feat", "epsilon", "sinkhorn_iters",
+    "fw_iters", "fw_tol", "beta", "theta_add", "theta_split", "theta_merge",
+    "theta_cos", "theta_relate", "tau", "max_adds", "max_splits", "max_merges",
+    "max_iterations", "conv_threshold", "patience", "kl_smoothing",
+    "split_entropy_raw", "add_fractional", "coverage_percentile",
+    "coverage_row_min", "embed_provider", "embed_dim", "embed_seed",
+    "embeddings_file", "embed_url", "embed_model", "embed_timeout",
+    "embed_retries", "llm_url", "llm_model", "llm_timeout", "llm_retries",
+    "llm_temperature", "extra_relations", "debug",
+]
+
+
+def test_echo_keeps_the_flat_keys_in_order():
+    assert list(load_run_config().echo()) == FLAT_KEYS
+    assert list(config_keys()) == FLAT_KEYS
+
+
+def test_nested_fields_declared_once():
+    own = {f.name for f in fields(RunConfig)}
+    for nested in (SolverConfig, RefinementConfig):
+        assert own.isdisjoint(f.name for f in fields(nested))
+
+
+def test_defaults_come_from_the_nested_configs():
+    cfg = load_run_config()
+    assert cfg.solver == SolverConfig()
+    assert cfg.refinement == RefinementConfig()
+    echo = cfg.echo()
+    for nested in (SolverConfig(), RefinementConfig()):
+        assert {k: echo[k] for k in asdict(nested)} == asdict(nested)
+    assert echo["coverage_percentile"] == COVERAGE_PERCENTILE
+
+
+def test_overrides_reach_the_nested_configs(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"epsilon": 0.1, "max_iterations": 4, "alpha_sem": 0.5}')
+    cfg = load_run_config(path, {"beta": 7, "epsilon": None})
+    assert cfg.solver.epsilon == 0.1
+    assert cfg.refinement.max_iterations == 4
+    assert cfg.refinement.beta == 7
+    assert cfg.echo()["beta"] == 7
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epsilon", 0, "epsilon must be positive"),
+    ("lambda_feat", 2, "lambda_feat must lie in [0, 1]"),
+    ("beta", 0, "beta must be positive"),
+    ("theta_add", -1, "theta_add must be positive"),
+])
+def test_nested_range_checks_run_at_load(key, value, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_run_config(overrides={key: value})
+
+
+@pytest.mark.parametrize("key", ["solver", "refinement"])
+def test_section_names_are_not_keys(key):
+    with pytest.raises(InputError, match="unknown config keys"):
+        load_run_config(overrides={key: {}})

@@ -17,6 +17,7 @@ from rdkg.llm import (
     propose_label_edges,
 )
 from rdkg.markdown import heading_count, parse_markdown
+from rdkg.refine import llm_propose_edges
 
 
 def make_client(reply_factory, retries=0):
@@ -252,3 +253,65 @@ def test_offline_operations_deterministic():
     b = bootstrap_kg(md)
     assert [n.__dict__ for n in a.nodes] == [n.__dict__ for n in b.nodes]
     assert [e.__dict__ for e in a.edges] == [e.__dict__ for e in b.edges]
+
+
+PINNED_EDGE_PROMPT = """Given the knowledge-graph nodes below, propose new edges using
+only this information. Allowed relations: partOf, relatedTo, uses. Reply with a single JSON
+object {"edges": [{"src": str, "dst": str, "relation": str,
+"confidence": float, "rationale": str}]} and nothing else.
+
+Nodes:
+- a: Tables. dataframe index column
+- b: Plots. figure axis chart
+
+Existing edges:
+- a uses b
+"""
+
+
+def test_edge_prompt_same_from_both_callers():
+    kg = KnowledgeGraph(
+        nodes=[
+            ConceptNode(id="a", label="Tables", definition="dataframe index column"),
+            ConceptNode(id="b", label="Plots", definition="figure axis chart"),
+        ],
+        edges=[RelationEdge("a", "b", "uses", 0.5, "tables feed plots")],
+    )
+    relations = frozenset({"uses", "partOf", "relatedTo"})
+    sent = []
+
+    def record(payload):
+        sent.append(payload["messages"][0]["content"])
+        return '{"edges": []}'
+
+    propose_label_edges(kg.get_node("b"), kg, np.array([[1.0, 0.0]]),
+                        np.array([0.0, 1.0]), make_client(record), relations)
+    llm_propose_edges(kg, make_client(record), 1, relations)
+    assert sent == [PINNED_EDGE_PROMPT, PINNED_EDGE_PROMPT]
+
+
+def test_client_retries_with_backoff_until_json(monkeypatch):
+    slept = []
+    monkeypatch.setattr("rdkg.embeddings.time.sleep", slept.append)
+    replies = [OSError("down"), "not json", '{"label": "X"}']
+    client = make_client(lambda p: replies.pop(0), retries=2)
+    assert client.chat_json("prompt") == {"label": "X"}
+    assert replies == [] and slept == [0.5, 1.0]
+
+    attempts = []
+    client = make_client(lambda p: attempts.append(1) or "[1, 2]", retries=2)
+    assert client.chat_json("prompt") is None
+    assert len(attempts) == 3
+
+
+def test_client_sends_api_key_header(monkeypatch):
+    seen = {}
+
+    def transport(url, payload, headers, timeout):
+        seen.update(headers)
+        return {"choices": [{"message": {"content": "{}"}}]}
+
+    monkeypatch.setenv("LLM_API_KEY", "sekrit")
+    client = LlmClient(LlmClientConfig(base_url="http://fake", model="m"), transport=transport)
+    client.chat_json("prompt")
+    assert seen == {"Content-Type": "application/json", "Authorization": "Bearer sekrit"}
