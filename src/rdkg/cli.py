@@ -17,7 +17,7 @@ import click
 
 from . import analysis, kg as kgmod, lecture as lecmod
 from .config import RunConfig, config_keys, load_run_config
-from .embeddings import feature_cost, provider_from_config
+from .embeddings import feature_cost, memoized, provider_from_config
 from .errors import InputError, NumericalError, ProviderError
 from .kg import ALLOWED_RELATIONS
 from .llm import LlmClient, LlmClientConfig, bootstrap_kg
@@ -103,13 +103,15 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _load_space(path: str, cfg: RunConfig) -> lecmod.LectureSpace:
-    """Load a lecture-space artifact, refusing one built with other alpha weights."""
+def _load_space(path: str, cfg: RunConfig, provider) -> lecmod.LectureSpace:
+    """Load a lecture-space artifact, refusing one whose stamp (alpha weights
+    and embedding fingerprint) differs from this run's."""
     space = lecmod.load_lecture_space(_require_file(path))
-    if space.alpha != cfg.alpha:
+    if (space.alpha, space.fingerprint) != (cfg.alpha, provider.fingerprint):
         raise InputError(
-            f"{path} was built with alpha (chron, logic, sem) = {space.alpha}, "
-            f"but this run sets {cfg.alpha}; re-ingest or pass the same --alpha-* values"
+            f"{path} was built with alpha (chron, logic, sem) = {space.alpha} and "
+            f"embedding {space.fingerprint}, but this run sets {cfg.alpha} and "
+            f"{provider.fingerprint}; re-ingest, or pass the settings it was built with"
         )
     return space
 
@@ -149,7 +151,8 @@ def ingest(markdown_path, config_path, out_dir, debug, set_values, **overrides) 
     provider = provider_from_config(cfg)
     try:
         space = lecmod.build_lecture_space(
-            src.read_text(encoding="utf-8"), embed=provider.embed, alpha=cfg.alpha
+            src.read_text(encoding="utf-8"), embed=memoized(provider.embed),
+            alpha=cfg.alpha, fingerprint=provider.fingerprint,
         )
     except InputError as exc:
         raise InputError(f"{src}: {exc}") from exc
@@ -191,15 +194,15 @@ def bootstrap(markdown_path, config_path, out_dir, debug, set_values, **override
 def align(space_path, kg_path, config_path, out_dir, debug, set_values, **overrides) -> None:
     """Align a lecture space to a knowledge graph and report distortion."""
     cfg = _setup(config_path, set_values, debug, **overrides)
-    space = _load_space(space_path, cfg)
+    provider = provider_from_config(cfg)
+    space = _load_space(space_path, cfg, provider)
     graph = kgmod.load_kg(_require_file(kg_path))
     violations = kgmod.validate_graph(graph, _allowed_relations(cfg))
     if violations:
         raise InputError("invalid KG: " + "; ".join(violations))
-    provider = provider_from_config(cfg)
-    kg_space = kgmod.build_kg_space(graph, provider.embed, cfg.gamma,
-                                    cfg.degree_weighted_measure)
-    feats = feature_cost(provider.embed(space.contents()), kg_space.node_embeddings)
+    embed = memoized(provider.embed)
+    kg_space = kgmod.build_kg_space(graph, embed, cfg.gamma, cfg.degree_weighted_measure)
+    feats = feature_cost(embed(space.contents()), kg_space.node_embeddings)
     result = fgw(space.distance, kg_space.distance, feats,
                  space.measure, kg_space.measure, cfg.solver)
     cov = analysis.coverage(feats, result.coupling,
@@ -225,12 +228,12 @@ def align(space_path, kg_path, config_path, out_dir, debug, set_values, **overri
 def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **overrides) -> None:
     """Refine a knowledge graph against a lecture space; write all artifacts."""
     cfg = _setup(config_path, set_values, debug, **overrides)
-    space = _load_space(space_path, cfg)
+    provider = provider_from_config(cfg)
+    space = _load_space(space_path, cfg, provider)
     graph = kgmod.load_kg(_require_file(kg_path))
     violations = kgmod.validate_graph(graph, _allowed_relations(cfg))
     if violations:
         raise InputError("invalid KG: " + "; ".join(violations))
-    provider = provider_from_config(cfg)
     outcome = refine(
         space, graph, provider,
         solver_config=cfg.solver,

@@ -4,9 +4,10 @@ Precedence is CLI flag > config file > built-in default. The config
 file is a flat JSON object. Its keys are RunConfig's own fields plus the
 fields of the nested SolverConfig and RefinementConfig, each declared
 once, in the dataclass that uses it. Every value is checked against its
-key's type, counts must not be negative, and the nested configs' range
-checks run at load, so a bad value is an InputError in every command.
-The effective configuration is echoed flat into report.json.
+key's type, counts must not be negative, and the range checks of
+RunConfig and the nested configs run at load, so a bad value is an
+InputError in every command. The effective configuration is echoed flat
+into report.json.
 """
 
 from __future__ import annotations
@@ -20,9 +21,18 @@ from types import MappingProxyType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from .analysis import COVERAGE_PERCENTILE
+from .embeddings import (
+    DEFAULT_EMBED_DIM,
+    DEFAULT_EMBED_RETRIES,
+    DEFAULT_EMBED_SEED,
+    DEFAULT_EMBED_TIMEOUT,
+    check_dim,
+    check_request_settings,
+)
 from .errors import InputError
 from .kg import DEFAULT_GAMMA
-from .lecture import DEFAULT_ALPHA
+from .lecture import DEFAULT_ALPHA, check_weights
+from .llm import DEFAULT_LLM_RETRIES, DEFAULT_LLM_TEMPERATURE, DEFAULT_LLM_TIMEOUT
 from .ot import SolverConfig
 from .refine import RefinementConfig
 
@@ -44,22 +54,32 @@ class RunConfig:
     coverage_row_min: bool = False
     # embedding provider
     embed_provider: str = "hash"  # hash | file | http
-    embed_dim: int = 256
-    embed_seed: int = 0
+    embed_dim: int = DEFAULT_EMBED_DIM
+    embed_seed: int = DEFAULT_EMBED_SEED
     embeddings_file: str | None = None
     embed_url: str | None = None
     embed_model: str = "default"
-    embed_timeout: float = 30.0
-    embed_retries: int = 2
+    embed_timeout: float = DEFAULT_EMBED_TIMEOUT
+    embed_retries: int = DEFAULT_EMBED_RETRIES
     # optional LLM client
     llm_url: str | None = None
     llm_model: str = "default"
-    llm_timeout: float = 60.0
-    llm_retries: int = 2
-    llm_temperature: float = 0.0
+    llm_timeout: float = DEFAULT_LLM_TIMEOUT
+    llm_retries: int = DEFAULT_LLM_RETRIES
+    llm_temperature: float = DEFAULT_LLM_TEMPERATURE
     # extra relation names admitted beyond the built-in ontology
     extra_relations: list[str] | None = None
     debug: bool = False
+
+    def __post_init__(self) -> None:
+        # the rules of the code each key reaches, run wherever a config is made
+        check_weights("alpha", self.alpha, 3)
+        check_weights("gamma", self.gamma, 2)
+        if not 0.0 <= self.coverage_percentile <= 100.0:
+            raise InputError("coverage_percentile must lie in [0, 100]")
+        check_dim(self.embed_dim)
+        check_request_settings(self.embed_timeout, self.embed_retries, "embed_")
+        check_request_settings(self.llm_timeout, self.llm_retries, "llm_")
 
     @property
     def alpha(self) -> tuple[float, float, float]:

@@ -9,10 +9,12 @@ Three interchangeable providers:
 * FileEmbedder: vectors precomputed elsewhere, keyed by the SHA-256 of
   the exact input text.
 * HttpEmbedder: a POST endpoint speaking {model, inputs} -> {embeddings},
-  with batching, retries and an in-run response cache.
+  with batching and retries.
 
-All distance computations normalize rows on the fly; stored embeddings
-stay raw.
+Each provider has a ``fingerprint``: the settings that decide its rows.
+``memoized`` puts a text -> row cache in front of any provider; every
+command embeds through one such cache. All distance computations
+normalize rows on the fly; stored embeddings stay raw.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import re
 import time
 import urllib.request
 from pathlib import Path
-from threading import Lock
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -40,6 +41,11 @@ T = TypeVar("T")
 
 #: Environment variable holding the embedding endpoint API key (never logged).
 API_KEY_ENV = "EMBEDDINGS_API_KEY"
+
+DEFAULT_EMBED_DIM = 256  # HashEmbedder vector length
+DEFAULT_EMBED_SEED = 0  # HashEmbedder token-hash seed
+DEFAULT_EMBED_TIMEOUT = 30.0  # HttpEmbedder request timeout, seconds
+DEFAULT_EMBED_RETRIES = 2  # HttpEmbedder retries after a failed request
 
 
 def content_hash(text: str) -> str:
@@ -56,11 +62,14 @@ class HashEmbedder:
     text so no row is ever zero.
     """
 
-    def __init__(self, dim: int = 256, seed: int = 0):
-        if dim < 1:
-            raise InputError("embedding dimension must be positive")
+    def __init__(self, dim: int = DEFAULT_EMBED_DIM, seed: int = DEFAULT_EMBED_SEED):
+        check_dim(dim)
         self.dim = dim
         self.seed = seed
+
+    @property
+    def fingerprint(self) -> dict:
+        return {"kind": "hash", "dim": self.dim, "seed": self.seed}
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
@@ -115,6 +124,10 @@ class FileEmbedder:
                 )
             self._table[key] = arr
 
+    @property
+    def fingerprint(self) -> dict:
+        return {"kind": "file", "dim": self.dim}
+
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise InputError("no texts to embed")
@@ -134,10 +147,9 @@ class HttpEmbedder:
     """Provider calling a remote embedding endpoint.
 
     Wire contract: POST {"model": ..., "inputs": [text, ...]} returning
-    {"embeddings": [[...], ...]}, batched at 64 texts per request, two
-    retries with exponential backoff. Responses are cached by content
-    hash for the lifetime of the provider so repeated embedding of the
-    same text within a run is free and stable.
+    {"embeddings": [[...], ...]}, batched at 64 texts per request, with
+    retries and exponential backoff. Every text given is sent; wrap the
+    provider in ``memoized`` to send each distinct text once.
     """
 
     BATCH = 64
@@ -146,29 +158,29 @@ class HttpEmbedder:
         self,
         base_url: str,
         model: str,
-        timeout: float = 30.0,
-        retries: int = 2,
+        timeout: float = DEFAULT_EMBED_TIMEOUT,
+        retries: int = DEFAULT_EMBED_RETRIES,
         transport=None,
     ):
+        check_request_settings(timeout, retries)
         self.base_url = base_url
         self.model = model
         self.timeout = timeout
         self.retries = retries
         self._transport = transport or post_json
-        self._cache: dict[str, np.ndarray] = {}
-        self._lock = Lock()
+
+    @property
+    def fingerprint(self) -> dict:
+        # the URL is where the model is served, not what it computes
+        return {"kind": "http", "model": self.model}
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
             raise InputError("no texts to embed")
-        missing: list[str] = []
-        with self._lock:
-            for text in texts:
-                if content_hash(text) not in self._cache and text not in missing:
-                    missing.append(text)
         headers = json_headers(API_KEY_ENV)
-        for start in range(0, len(missing), self.BATCH):
-            batch = missing[start : start + self.BATCH]
+        rows: list = []
+        for start in range(0, len(texts), self.BATCH):
+            batch = texts[start : start + self.BATCH]
             payload = {"model": self.model, "inputs": batch}
             vectors = request_with_retries(
                 lambda: self._transport(self.base_url, payload, headers, self.timeout),
@@ -181,11 +193,42 @@ class HttpEmbedder:
                     f"embedding endpoint returned {len(vectors)} vectors "
                     f"for {len(batch)} inputs"
                 )
-            with self._lock:
-                for text, vec in zip(batch, vectors):
-                    self._cache[content_hash(text)] = np.asarray(vec, dtype=np.float64)
-        with self._lock:
-            return np.stack([self._cache[content_hash(t)] for t in texts])
+            rows.extend(vectors)
+        return np.asarray(rows, dtype=np.float64)
+
+
+def memoized(embed: Callable[[list[str]], np.ndarray]) -> Callable[[list[str]], np.ndarray]:
+    """``embed`` behind a text -> row memo: each distinct text is embedded once.
+
+    No provider's row for a text depends on the other texts of its
+    batch, so the memo returns exactly what ``embed`` would.
+    """
+    rows: dict[str, np.ndarray] = {}
+
+    def memo_embed(texts: list[str]) -> np.ndarray:
+        if not texts:
+            return embed(texts)  # the provider's own error
+        missing = list(dict.fromkeys(t for t in texts if t not in rows))
+        if missing:
+            rows.update(zip(missing, embed(missing)))
+        return np.stack([rows[t] for t in texts])
+
+    return memo_embed
+
+
+def check_dim(dim: int) -> None:
+    """The embedding-dimension rule: at least 1."""
+    if dim < 1:
+        raise InputError("embedding dimension must be positive")
+
+
+def check_request_settings(timeout: float, retries: int, prefix: str = "") -> None:
+    """The rule for an endpoint's request settings: a positive timeout and
+    a nonnegative retry count. ``prefix`` leads the names in the message."""
+    if timeout <= 0:
+        raise InputError(f"{prefix}timeout must be positive")
+    if retries < 0:
+        raise InputError(f"{prefix}retries must be nonnegative")
 
 
 def json_headers(key_env: str) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .embeddings import feature_cost
 from .errors import InputError
-from .lecture import minmax_normalize, uniform_measure
+from .lecture import check_weights, minmax_normalize, uniform_measure
 
 #: The allowed relation ontology. relatedTo is the low-confidence
 #: fallback relation used by refinement. Additional relations may be
@@ -41,8 +41,6 @@ ALLOWED_RELATIONS = frozenset(
 )
 
 DEFAULT_GAMMA = (0.4, 0.6)  # (struct, sem) fusion weights
-
-_WEIGHT_TOL = 1e-9
 
 _NODE_KEYS = ("id", "label", "definition", "aliases", "provenance", "confidence", "rationale")
 _EDGE_KEYS = ("src", "dst", "relation", "confidence", "rationale")
@@ -217,9 +215,7 @@ def combine_kg_distance(
     Both inputs normalized to [0, 1]; output min-max normalized over
     off-diagonal entries with the diagonal forced to 0.
     """
-    g = np.asarray(gamma, dtype=np.float64)
-    if g.shape != (2,) or (g < 0).any() or abs(g.sum() - 1.0) > _WEIGHT_TOL:
-        raise InputError("invalid weights: gamma must be nonnegative and sum to 1")
+    g = check_weights("gamma", gamma, 2)
     return minmax_normalize(g[0] * d_struct + g[1] * d_sem)
 
 

@@ -6,6 +6,10 @@ the units (chronological separation, section-hierarchy separation,
 embedding dissimilarity), normalized to [0, 1], and fused by a convex
 combination into the single lecture distance matrix. The measure over
 units is uniform.
+
+The lecture-space artifact holds the units, the fused distance, the
+measure, and the stamp of how it was made: the fusion weights and the
+embedding provider's fingerprint.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from .errors import InputError
 from .markdown import ROOT_TITLE, Section, parse_markdown
 
 DEFAULT_ALPHA = (0.2, 0.3, 0.5)  # (chron, logic, sem) fusion weights
+
+#: Layout version of the lecture-space artifact; a file without one is
+#: version 1, which also stored the three component matrices.
+ARTIFACT_FORMAT = 2
 
 #: Units shorter than this after whitespace normalization are dropped
 #: before indexing; separators and artifacts pollute the embedding space.
@@ -40,19 +48,20 @@ class LectureElement:
 
 @dataclass
 class LectureSpace:
-    """The lecture metric-measure space.
+    """The lecture metric-measure space and the stamp of how it was made.
 
     ``distance`` is the fused N x N matrix in [0, 1] (symmetric, zero
-    diagonal), ``measure`` the length-N probability vector, and
-    ``components`` the three normalized component matrices keyed
-    "chron", "logic", "sem".
+    diagonal), ``measure`` the length-N probability vector, ``alpha``
+    the fusion weights, and ``fingerprint`` the fingerprint of the
+    embedding provider whose rows gave the semantic distance (None when
+    the rows came from elsewhere).
     """
 
     elements: list[LectureElement]
     distance: np.ndarray
     measure: np.ndarray
-    components: dict[str, np.ndarray]
     alpha: tuple[float, float, float]
+    fingerprint: dict | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -169,11 +178,20 @@ def combine_lecture_distance(
     Convex combination followed by off-diagonal min-max normalization;
     the diagonal is forced to exactly 0.
     """
-    a = np.asarray(alpha, dtype=np.float64)
-    if a.shape != (3,) or (a < 0).any() or abs(a.sum() - 1.0) > _WEIGHT_TOL:
-        raise InputError("invalid weights: alpha must be nonnegative and sum to 1")
+    a = check_weights("alpha", alpha, 3)
     fused = a[0] * d_chron + a[1] * d_logic + a[2] * d_sem
     return minmax_normalize(fused)
+
+
+def check_weights(name: str, weights, n: int) -> np.ndarray:
+    """The fusion-weight rule: ``n`` nonnegative weights summing to 1.
+
+    Returns the weights as an array; raises InputError naming ``name``.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,) or (w < 0).any() or abs(w.sum() - 1.0) > _WEIGHT_TOL:
+        raise InputError(f"invalid weights: {name} must be nonnegative and sum to 1")
+    return w
 
 
 def uniform_measure(n: int) -> np.ndarray:
@@ -188,12 +206,14 @@ def build_lecture_space(
     embeddings: np.ndarray | None = None,
     embed=None,
     alpha: tuple[float, float, float] = DEFAULT_ALPHA,
+    fingerprint: dict | None = None,
 ) -> LectureSpace:
     """Parse Markdown text and assemble the full lecture space.
 
     Embeddings for the unit contents are taken from ``embeddings`` if
     given, else computed with the ``embed`` callable (an embedding
-    provider's ``embed`` method).
+    provider's ``embed`` method). ``fingerprint`` is that provider's
+    fingerprint, stamped on the space.
     """
     tree = parse_markdown(text)
     elements = flatten(tree)
@@ -205,29 +225,31 @@ def build_lecture_space(
         raise InputError(
             f"embedding rows ({embeddings.shape[0]}) != unit count ({len(elements)})"
         )
-    comp = {
-        "chron": chron_distance(elements),
-        "logic": logic_distance(elements),
-        "sem": minmax_normalize(semantic_distance(embeddings)),
-    }
-    d = combine_lecture_distance(comp["chron"], comp["logic"], comp["sem"], alpha)
+    d = combine_lecture_distance(
+        chron_distance(elements),
+        logic_distance(elements),
+        minmax_normalize(semantic_distance(embeddings)),
+        alpha,
+    )
     return LectureSpace(
         elements=elements,
         distance=d,
         measure=uniform_measure(len(elements)),
-        components=comp,
         alpha=tuple(float(x) for x in alpha),
+        fingerprint=fingerprint,
     )
 
 
 def save_lecture_space(space: LectureSpace, path: str | Path) -> None:
     """Write the lecture-space JSON artifact.
 
-    Matrix values are serialized with full float precision (well beyond
-    the 9 significant digits the format requires) so a reload is
-    bit-exact.
+    Keys: ``format``, ``elements``, ``mu``, ``d``, and the stamp
+    ``alpha`` and ``fingerprint``. Matrix values are serialized with
+    full float precision (well beyond the 9 significant digits the
+    format requires) so a reload is bit-exact.
     """
     doc = {
+        "format": ARTIFACT_FORMAT,
         "elements": [
             {
                 "id": e.id,
@@ -239,21 +261,30 @@ def save_lecture_space(space: LectureSpace, path: str | Path) -> None:
         ],
         "mu": space.measure.tolist(),
         "d": space.distance.tolist(),
-        "components": {k: v.tolist() for k, v in space.components.items()},
         "alpha": list(space.alpha),
+        "fingerprint": space.fingerprint,
     }
-    # compact separators: the matrices dominate and this file is machine-read
+    # compact separators: the matrix dominates and this file is machine-read
     Path(path).write_text(
         json.dumps(doc, ensure_ascii=False, separators=(",", ":")), encoding="utf-8"
     )
 
 
 def load_lecture_space(path: str | Path) -> LectureSpace:
-    """Load a lecture-space artifact written by save_lecture_space."""
+    """Load a lecture-space artifact written by save_lecture_space.
+
+    Raises InputError for a file of another ``format``.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed lecture artifact {path}: {exc}") from exc
+    version = doc.get("format", 1) if isinstance(doc, dict) else None
+    if version != ARTIFACT_FORMAT:
+        raise InputError(
+            f"lecture artifact {path} has format {version}, this version reads "
+            f"format {ARTIFACT_FORMAT}; re-ingest the lecture"
+        )
     try:
         elements = [
             LectureElement(
@@ -268,10 +299,8 @@ def load_lecture_space(path: str | Path) -> LectureSpace:
             elements=elements,
             distance=np.asarray(doc["d"], dtype=np.float64),
             measure=np.asarray(doc["mu"], dtype=np.float64),
-            components={
-                k: np.asarray(v, dtype=np.float64) for k, v in doc["components"].items()
-            },
             alpha=tuple(float(x) for x in doc["alpha"]),
+            fingerprint=doc.get("fingerprint"),
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"lecture artifact {path} missing field: {exc}") from exc

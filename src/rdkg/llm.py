@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import cosine_distance, json_headers, post_json, request_with_retries
+from .embeddings import (
+    check_request_settings,
+    cosine_distance,
+    json_headers,
+    post_json,
+    request_with_retries,
+)
 from .errors import InputError, ProviderError
 from .kg import (
     ALLOWED_RELATIONS,
@@ -35,6 +41,10 @@ logger = logging.getLogger(__name__)
 
 #: Environment variable holding the LLM endpoint API key (never logged).
 API_KEY_ENV = "LLM_API_KEY"
+
+DEFAULT_LLM_TIMEOUT = 60.0  # request timeout, seconds
+DEFAULT_LLM_RETRIES = 2  # retries after a failed request
+DEFAULT_LLM_TEMPERATURE = 0.0
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
 
@@ -101,15 +111,12 @@ Existing edges:
 class LlmClientConfig:
     base_url: str
     model: str
-    timeout: float = 60.0
-    retries: int = 2
-    temperature: float = 0.0
+    timeout: float = DEFAULT_LLM_TIMEOUT
+    retries: int = DEFAULT_LLM_RETRIES
+    temperature: float = DEFAULT_LLM_TEMPERATURE
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise InputError("timeout must be positive")
-        if self.retries < 0:
-            raise InputError("retries must be nonnegative")
+        check_request_settings(self.timeout, self.retries)
 
 
 class LlmClient:
@@ -117,15 +124,12 @@ class LlmClient:
 
     Responses are cached by prompt hash for the lifetime of the client
     so repeated identical prompts within a run are stable and free.
-    Prompts can be logged to a directory for auditing (debug runs).
     """
 
-    def __init__(self, config: LlmClientConfig, transport=None, log_dir=None):
+    def __init__(self, config: LlmClientConfig, transport=None):
         self.config = config
         self._transport = transport or post_json
         self._cache: dict[str, dict | None] = {}
-        self._log_dir = log_dir
-        self._log_counter = 0
 
     def chat_json(self, prompt: str) -> dict | None:
         """Send a prompt, parse the reply content as JSON.
@@ -136,7 +140,6 @@ class LlmClient:
         key = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
         if key in self._cache:
             return self._cache[key]
-        self._log_prompt(prompt)
         payload = {
             "model": self.config.model,
             "temperature": self.config.temperature,
@@ -156,13 +159,6 @@ class LlmClient:
             result = None
         self._cache[key] = result
         return result
-
-    def _log_prompt(self, prompt: str) -> None:
-        if self._log_dir is None:
-            return
-        self._log_counter += 1
-        path = self._log_dir / f"prompt_{self._log_counter:04d}.txt"
-        path.write_text(prompt, encoding="utf-8")
 
 
 def _extract_json(reply: dict) -> dict:

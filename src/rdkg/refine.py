@@ -33,7 +33,13 @@ from typing import Callable
 import numpy as np
 
 from .analysis import RdPoint, RdTrace, coverage_tolerance
-from .embeddings import _unit_rows, cosine_distance, cosine_similarity, feature_cost
+from .embeddings import (
+    _unit_rows,
+    cosine_distance,
+    cosine_similarity,
+    feature_cost,
+    memoized,
+)
 from .errors import InputError, NumericalError
 from .kg import (
     ALLOWED_RELATIONS,
@@ -621,7 +627,7 @@ def refine(
     """
     solver_cfg = solver_config or SolverConfig()
     cfg = refine_config or RefinementConfig()
-    embed = _memoized(provider.embed)
+    embed = memoized(provider.embed)
     element_embeddings = embed(lecture.contents())
     ctx = OpContext(
         lecture=lecture,
@@ -692,25 +698,6 @@ def refine(
         graph=incumbent_kg, trace=trace, incumbent_index=incumbent_index,
         initial=initial, incumbent=incumbent,
     )
-
-
-def _memoized(embed: Callable[[list[str]], np.ndarray]) -> Callable[[list[str]], np.ndarray]:
-    """``embed`` behind a text -> row memo: each distinct text is embedded once.
-
-    No provider's row for a text depends on the other texts of its
-    batch, so the memo returns exactly what ``embed`` would.
-    """
-    rows: dict[str, np.ndarray] = {}
-
-    def memo_embed(texts: list[str]) -> np.ndarray:
-        if not texts:
-            return embed(texts)  # the provider's own error
-        missing = list(dict.fromkeys(t for t in texts if t not in rows))
-        if missing:
-            rows.update(zip(missing, embed(missing)))
-        return np.stack([rows[t] for t in texts])
-
-    return memo_embed
 
 
 def _record(

@@ -6,7 +6,9 @@ import pytest
 
 from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, ingest, main
 from rdkg.config import load_run_config
+from rdkg.embeddings import HashEmbedder
 from rdkg.kg import load_kg
+from rdkg.lecture import ARTIFACT_FORMAT, build_lecture_space
 
 from conftest import topic_a_only_kg, two_topic_markdown
 
@@ -37,7 +39,14 @@ def test_ingest_writes_artifact(tmp_path, lecture_file, capsys):
     doc = json.loads((tmp_path / "lecture.space.json").read_text())
     assert len(doc["elements"]) == 40
     assert len(doc["d"]) == 40
-    assert set(doc["components"]) == {"chron", "logic", "sem"}
+    # the space and its stamp, nothing else
+    assert list(doc) == ["format", "elements", "mu", "d", "alpha", "fingerprint"]
+    assert doc["format"] == ARTIFACT_FORMAT
+    assert doc["alpha"] == [0.2, 0.3, 0.5]
+    assert doc["fingerprint"] == {"kind": "hash", "dim": 256, "seed": 0}
+    space = build_lecture_space(two_topic_markdown(), embed=HashEmbedder().embed)
+    assert doc["d"] == space.distance.tolist()
+    assert doc["mu"] == space.measure.tolist()
 
 
 def test_ingest_missing_file(tmp_path, capsys):
@@ -283,6 +292,12 @@ def test_provider_kind_aliases(tmp_path, lecture_file):
     code = main(["ingest", str(lecture_file), "--out", str(tmp_path),
                  "--embed-provider", "deterministic-hash"])
     assert code == EXIT_OK
+    # an alias stamps its canonical kind, so it matches a plain hash run
+    assert main(["bootstrap", str(lecture_file), "--out", str(tmp_path)]) == EXIT_OK
+    space, kg = str(tmp_path / "lecture.space.json"), str(tmp_path / "lecture.kg.json")
+    assert main(["align", space, kg]) == EXIT_OK
+    assert main(["refine", space, kg, "--out", str(tmp_path / "alias"),
+                 "--max-iterations", "1", "--embed-provider", "deterministic-hash"]) == EXIT_OK
 
 
 def test_ingest_parse_error_carries_file_context(tmp_path, capsys):
@@ -318,6 +333,12 @@ def test_pipeline_composability(tmp_path):
     ("lambda_feat=2", "lambda_feat must lie in [0, 1]"),
     ("beta=0", "beta must be positive"),
     ("theta_add=-1", "theta_add must be positive"),
+    ("coverage_percentile=500", "coverage_percentile must lie in [0, 100]"),
+    ("gamma_struct=5", "gamma must be nonnegative and sum to 1"),
+    ("alpha_sem=0.9", "alpha must be nonnegative and sum to 1"),
+    ("embed_dim=0", "embedding dimension must be positive"),
+    ("embed_timeout=-1", "embed_timeout must be positive"),
+    ("llm_timeout=0", "llm_timeout must be positive"),
 ])
 def test_range_checked_by_every_command(pipeline, lecture_file, tmp_path, capsys,
                                         setting, message):
@@ -326,6 +347,7 @@ def test_range_checked_by_every_command(pipeline, lecture_file, tmp_path, capsys
         "bootstrap": [str(lecture_file)],
         "align": [str(pipeline["space"]), str(pipeline["kg"])],
         "refine": [str(pipeline["space"]), str(pipeline["kg"])],
+        "report": [str(tmp_path / "trace.jsonl")],
     }
     for command, args in inputs.items():
         out = tmp_path / f"bad-{command}"
@@ -361,3 +383,64 @@ def test_align_and_refine_refuse_artifact_with_other_alpha(tmp_path, lecture_fil
         assert "(0.5, 0.3, 0.2)" in err and "(0.2, 0.3, 0.5)" in err, command
         assert not out.exists(), command
     assert main(["align", space, kg, "--alpha-chron", "0.5", "--alpha-sem", "0.2"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flags", [
+    ["--set", "embed_dim=8"],
+    ["--embed-seed", "3"],
+    ["--embed-provider", "http", "--embed-url", "http://localhost:9/embed"],
+])
+def test_align_and_refine_refuse_artifact_with_other_embedding(pipeline, tmp_path, capsys,
+                                                               flags):
+    capsys.readouterr()
+    for command in ("align", "refine"):
+        out = tmp_path / f"out-{command}"
+        code = main([command, str(pipeline["space"]), str(pipeline["kg"]),
+                     "--out", str(out), *flags])
+        assert code == EXIT_INPUT, command
+        err = capsys.readouterr().err
+        assert "{'kind': 'hash', 'dim': 256, 'seed': 0}" in err, command
+        assert "re-ingest" in err, command
+        assert not out.exists(), command
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.pop("fingerprint"), "embedding None"),
+    (lambda doc: doc.update(fingerprint=None), "embedding None"),
+    (lambda doc: doc.pop("format"), "has format 1"),
+    (lambda doc: doc.update(format=3), "has format 3"),
+])
+def test_align_and_refine_refuse_unstamped_or_other_format(pipeline, tmp_path, capsys,
+                                                          edit, message):
+    doc = json.loads(pipeline["space"].read_text())
+    edit(doc)
+    hand = tmp_path / "hand.space.json"
+    hand.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("align", "refine"):
+        out = tmp_path / f"out-{command}"
+        assert main([command, str(hand), str(pipeline["kg"]), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert message in err and "re-ingest" in err, command
+        assert not out.exists(), command
+
+
+def test_every_command_sends_each_text_to_the_endpoint_once(tmp_path, monkeypatch):
+    sent = []
+
+    def fake_post(url, payload, headers, timeout):
+        sent.extend(payload["inputs"])
+        return {"embeddings": HashEmbedder().embed(payload["inputs"]).tolist()}
+
+    monkeypatch.setattr("rdkg.embeddings.post_json", fake_post)
+    md = tmp_path / "dup.md"
+    md.write_text("# A\nsame words here\n\nsame words here\n## B\nother words\n\nsame words here")
+    http = ["--embed-provider", "http", "--embed-url", "http://fake/embed"]
+    space, kg = str(tmp_path / "dup.space.json"), str(tmp_path / "dup.kg.json")
+    for argv in (["ingest", str(md)], ["bootstrap", str(md)], ["align", space, kg],
+                 ["refine", space, kg, "--max-iterations", "2"]):
+        sent.clear()
+        assert main([*argv, "--out", str(tmp_path), *http]) == EXIT_OK, argv[0]
+        assert len(sent) == len(set(sent)), argv[0]
+        if argv[0] == "ingest":
+            assert sorted(sent) == ["other words", "same words here"]

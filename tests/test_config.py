@@ -1,5 +1,6 @@
 """Run configuration: one flat key set over RunConfig and its nested configs."""
 
+import inspect
 import re
 from dataclasses import asdict, fields
 
@@ -7,7 +8,9 @@ import pytest
 
 from rdkg.analysis import COVERAGE_PERCENTILE
 from rdkg.config import RunConfig, config_keys, load_run_config
+from rdkg.embeddings import HashEmbedder, HttpEmbedder
 from rdkg.errors import InputError
+from rdkg.llm import LlmClientConfig
 from rdkg.ot import SolverConfig
 from rdkg.refine import RefinementConfig
 
@@ -46,6 +49,23 @@ def test_defaults_come_from_the_nested_configs():
     assert echo["coverage_percentile"] == COVERAGE_PERCENTILE
 
 
+def _defaults(fn) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_provider_defaults_come_from_the_providers():
+    cfg = RunConfig()
+    hash_defaults = _defaults(HashEmbedder)
+    http_defaults = _defaults(HttpEmbedder)
+    llm_defaults = _defaults(LlmClientConfig)
+    assert (cfg.embed_dim, cfg.embed_seed) == (hash_defaults["dim"], hash_defaults["seed"])
+    assert (cfg.embed_timeout, cfg.embed_retries) == (
+        http_defaults["timeout"], http_defaults["retries"])
+    assert (cfg.llm_timeout, cfg.llm_retries, cfg.llm_temperature) == (
+        llm_defaults["timeout"], llm_defaults["retries"], llm_defaults["temperature"])
+
+
 def test_overrides_reach_the_nested_configs(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"epsilon": 0.1, "max_iterations": 4, "alpha_sem": 0.5}')
@@ -65,6 +85,14 @@ def test_overrides_reach_the_nested_configs(tmp_path):
 def test_nested_range_checks_run_at_load(key, value, message):
     with pytest.raises(InputError, match=re.escape(message)):
         load_run_config(overrides={key: value})
+
+
+def test_own_range_bounds_are_inclusive():
+    for value in (0, 100):
+        assert load_run_config(overrides={"coverage_percentile": value})
+    with pytest.raises(InputError, match=re.escape("must lie in [0, 100]")):
+        load_run_config(overrides={"coverage_percentile": -1})
+    assert load_run_config(overrides={"alpha_chron": 0, "alpha_logic": 0.5})
 
 
 @pytest.mark.parametrize("key", ["solver", "refinement"])

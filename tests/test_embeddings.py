@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdkg.config import RunConfig
 from rdkg.embeddings import (
     FileEmbedder,
     HashEmbedder,
@@ -14,6 +15,8 @@ from rdkg.embeddings import (
     content_hash,
     cosine_distance,
     feature_cost,
+    memoized,
+    provider_from_config,
 )
 from rdkg.errors import InputError, ProviderError
 
@@ -92,7 +95,7 @@ def test_file_provider_dimension_mismatch(tmp_path):
 # --- http provider ---------------------------------------------------------------
 
 
-def test_http_provider_wire_format_and_cache():
+def test_http_provider_wire_format():
     calls = []
 
     def transport(url, payload, headers, timeout):
@@ -104,9 +107,39 @@ def test_http_provider_wire_format_and_cache():
     assert calls[0][0] == "http://fake/embed"
     assert calls[0][1] == {"model": "test-model", "inputs": ["alpha", "beta"]}
     assert out.shape == (2, 2)
-    # cached: same texts trigger no further requests
-    p.embed(["beta", "alpha"])
-    assert len(calls) == 1
+
+
+def test_memo_sends_each_text_to_the_http_endpoint_once():
+    sent = []
+
+    def transport(url, payload, headers, timeout):
+        sent.append(list(payload["inputs"]))
+        return {"embeddings": [[1.0, float(len(t))] for t in payload["inputs"]]}
+
+    embed = memoized(HttpEmbedder("http://fake", "m", transport=transport).embed)
+    first = embed(["alpha", "beta", "alpha"])  # an in-batch duplicate
+    assert sent == [["alpha", "beta"]]
+    assert np.array_equal(first, [[1.0, 5.0], [1.0, 4.0], [1.0, 5.0]])
+    # repeated texts trigger no further requests; only the new one is sent
+    assert np.array_equal(embed(["beta", "alpha"]), first[[1, 0]])
+    embed(["gamma", "beta", "gamma"])
+    assert sent == [["alpha", "beta"], ["gamma"]]
+
+
+def test_provider_fingerprints_use_the_canonical_kind(tmp_path):
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps({"dim": 3, "keys": [], "vectors": []}))
+    stamps = {
+        kind: provider_from_config(RunConfig(
+            embed_provider=kind, embed_dim=8, embed_seed=3, embeddings_file=str(path),
+            embed_url="http://fake", embed_model="m")).fingerprint
+        for kind in ("hash", "deterministic-hash", "file", "precomputed-file",
+                     "http", "http-endpoint")
+    }
+    assert stamps["hash"] == stamps["deterministic-hash"] == {"kind": "hash", "dim": 8, "seed": 3}
+    assert stamps["file"] == stamps["precomputed-file"] == {"kind": "file", "dim": 3}
+    # the URL says where the model runs, not what it computes
+    assert stamps["http"] == stamps["http-endpoint"] == {"kind": "http", "model": "m"}
 
 
 def test_http_provider_sends_api_key_header(monkeypatch):

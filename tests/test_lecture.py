@@ -197,7 +197,11 @@ def test_build_space_invariants(provider):
     assert np.allclose(np.diag(d), 0.0)
     assert d.min() >= 0.0 and d.max() <= 1.0
     assert abs(space.measure.sum() - 1.0) < 1e-9
-    for comp in space.components.values():
+    # the three components the space fuses
+    elements = flatten(parse_markdown(two_topic_markdown()))
+    embeddings = provider.embed([e.content for e in elements])
+    for comp in (chron_distance(elements), logic_distance(elements),
+                 minmax_normalize(semantic_distance(embeddings))):
         assert np.array_equal(comp, comp.T)
         assert comp.min() >= -1e-12 and comp.max() <= 1.0 + 1e-12
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdkg.analysis import coverage_tolerance
-from rdkg.embeddings import cosine_distance, cosine_similarity, feature_cost
+from rdkg.embeddings import cosine_distance, cosine_similarity, feature_cost, memoized
 from rdkg.errors import InputError
 from rdkg.kg import (
     ConceptNode,
@@ -22,7 +22,6 @@ from rdkg.ot import Coupling, SolverConfig, fgw
 from rdkg.refine import (
     Aligned,
     _farthest_pair,
-    _memoized,
     _merge_into,
     EditRecord,
     OpContext,
@@ -791,7 +790,7 @@ def test_memoized_embed_matches_provider_and_embeds_each_text_once(provider):
         calls.append(list(texts))
         return provider.embed(texts)
 
-    embed = _memoized(counted)
+    embed = memoized(counted)
     batches = [["a b", "c", "a b"], ["c", "d e", "f"], ["f", "a b"], ["g", "g", "c"]]
     for texts in batches:
         assert np.array_equal(embed(texts), provider.embed(texts))
