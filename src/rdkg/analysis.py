@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .ot import Coupling
 
 COVERAGE_PERCENTILE = 30.0
 _COLLINEAR_EPS = 1e-9
@@ -86,15 +85,12 @@ def coverage_tolerance(
     return float(np.percentile(values, percentile))
 
 
-def covered_fraction(
-    feature_costs: np.ndarray, pi: Coupling | np.ndarray, tolerance: float
-) -> float:
+def covered_fraction(feature_costs: np.ndarray, plan: np.ndarray, tolerance: float) -> float:
     """Fraction of segments whose best-aligned node cost is within tolerance.
 
-    Best-aligned = per-row argmax of the coupling, ties to the lowest
+    Best-aligned = per-row argmax of the coupling plan, ties to the lowest
     column index.
     """
-    plan = pi.matrix if isinstance(pi, Coupling) else np.asarray(pi)
     if plan.shape != feature_costs.shape:
         raise InputError("coupling and feature-cost shapes differ")
     best = plan.argmax(axis=1)
@@ -104,13 +100,14 @@ def covered_fraction(
 
 def coverage(
     feature_costs: np.ndarray,
-    pi: Coupling | np.ndarray,
+    plan: np.ndarray,
     percentile: float = COVERAGE_PERCENTILE,
     row_min: bool = False,
 ) -> float:
-    """Coverage score in [0, 1] at the percentile-derived tolerance."""
+    """Coverage score in [0, 1] of a coupling plan at the percentile-derived
+    tolerance."""
     return covered_fraction(
-        feature_costs, pi, coverage_tolerance(feature_costs, percentile, row_min)
+        feature_costs, plan, coverage_tolerance(feature_costs, percentile, row_min)
     )
 
 
@@ -227,9 +224,9 @@ def save_trace(trace: RdTrace, path: str | Path) -> None:
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def load_trace(path: str | Path, beta: float | None = None) -> RdTrace:
-    """Read a JSONL trace. beta, when not given, is recovered from the
-    first point with nonzero distortion (objective = rate + beta * distortion).
+def load_trace(path: str | Path) -> RdTrace:
+    """Read a JSONL trace. beta is recovered from the first point with
+    nonzero distortion (objective = rate + beta * distortion), else 0.
     """
     points: list[RdPoint] = []
     edits: list[list[dict]] = []
@@ -254,12 +251,11 @@ def load_trace(path: str | Path, beta: float | None = None) -> RdTrace:
             raise InputError(f"malformed trace at line {lineno}: {exc}") from exc
     if not points:
         raise InputError("empty trace file")
-    if beta is None:
-        beta = 0.0
-        for p in points:
-            if p.distortion > 0:
-                beta = (p.objective - p.rate) / p.distortion
-                break
+    beta = 0.0
+    for p in points:
+        if p.distortion > 0:
+            beta = (p.objective - p.rate) / p.distortion
+            break
     return RdTrace(beta=beta, points=points, edits=edits)
 
 

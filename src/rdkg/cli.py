@@ -17,12 +17,12 @@ import click
 
 from . import analysis, kg as kgmod, lecture as lecmod
 from .config import RunConfig, config_keys, load_run_config
-from .embeddings import feature_cost, memoized, provider_from_config
+from .embeddings import memoized, provider_from_config
 from .errors import InputError, NumericalError, ProviderError
 from .kg import ALLOWED_RELATIONS
 from .llm import LlmClient, LlmClientConfig, bootstrap_kg
-from .ot import coupling_dump, fgw
-from .refine import refine
+from .ot import coupling_dump
+from .refine import align_graph, refine
 
 logger = logging.getLogger(__name__)
 
@@ -200,12 +200,9 @@ def align(space_path, kg_path, config_path, out_dir, debug, set_values, **overri
     violations = kgmod.validate_graph(graph, _allowed_relations(cfg))
     if violations:
         raise InputError("invalid KG: " + "; ".join(violations))
-    embed = memoized(provider.embed)
-    kg_space = kgmod.build_kg_space(graph, embed, cfg.gamma, cfg.degree_weighted_measure)
-    feats = feature_cost(embed(space.contents()), kg_space.node_embeddings)
-    result = fgw(space.distance, kg_space.distance, feats,
-                 space.measure, kg_space.measure, cfg.solver)
-    cov = analysis.coverage(feats, result.coupling,
+    aligned = align_graph(space, graph, memoized(provider.embed), cfg.gamma, cfg.solver)
+    result = aligned.result
+    cov = analysis.coverage(aligned.feature, aligned.coupling.matrix,
                             cfg.coverage_percentile, cfg.coverage_row_min)
     r = kgmod.rate(graph)
     click.echo(
@@ -240,7 +237,6 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **o
         refine_config=cfg.refinement,
         gamma=cfg.gamma,
         llm_client=_llm_client(cfg),
-        degree_weighted_measure=cfg.degree_weighted_measure,
         allowed_relations=_allowed_relations(cfg),
     )
 
@@ -250,7 +246,8 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **o
     analysis.save_trace(outcome.trace, out / "trace.jsonl")
 
     cov_before, cov_after = (
-        analysis.coverage(a.feature, a.coupling, cfg.coverage_percentile, cfg.coverage_row_min)
+        analysis.coverage(a.feature, a.coupling.matrix,
+                          cfg.coverage_percentile, cfg.coverage_row_min)
         for a in (outcome.initial, outcome.incumbent)
     )
     knee = (
@@ -274,7 +271,7 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **o
 def report(trace_path, config_path, out_dir, debug, set_values, **overrides) -> None:
     """Regenerate report files from an existing trace."""
     cfg = _setup(config_path, set_values, debug, **overrides)
-    trace = analysis.load_trace(_require_file(trace_path), beta=None)
+    trace = analysis.load_trace(_require_file(trace_path))
     knee = analysis.knee_point(trace.points) if len(trace.points) >= 2 else None
     out = Path(out_dir) if out_dir else Path(trace_path).parent
     paths = analysis.emit_report(trace, None, None, knee, out, cfg.echo())

@@ -46,7 +46,6 @@ class RunConfig:
     # graph-space fusion weights
     gamma_struct: float = DEFAULT_GAMMA[0]
     gamma_sem: float = DEFAULT_GAMMA[1]
-    degree_weighted_measure: bool = False
     solver: SolverConfig = field(default_factory=SolverConfig)
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
     # analysis

@@ -99,13 +99,15 @@ class FileEmbedder:
 
     File format: {"dim": d, "keys": [content-hash, ...],
     "vectors": [[...], ...]} with keys[i] the SHA-256 of the exact text
-    vectors[i] embeds.
+    vectors[i] embeds. The fingerprint names the file by the SHA-256 of
+    its bytes.
     """
 
     def __init__(self, path: str | Path):
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = Path(path).read_bytes()
+            doc = json.loads(raw.decode("utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read embeddings file {path}: {exc}") from exc
         try:
             self.dim = int(doc["dim"])
@@ -115,6 +117,7 @@ class FileEmbedder:
             raise InputError(f"embeddings file {path} missing field: {exc}") from exc
         if len(keys) != len(vectors):
             raise InputError("embeddings file: keys/vectors count mismatch")
+        self.sha256 = hashlib.sha256(raw).hexdigest()
         self._table: dict[str, np.ndarray] = {}
         for key, vec in zip(keys, vectors):
             arr = np.asarray(vec, dtype=np.float64)
@@ -126,7 +129,7 @@ class FileEmbedder:
 
     @property
     def fingerprint(self) -> dict:
-        return {"kind": "file", "dim": self.dim}
+        return {"kind": "file", "dim": self.dim, "sha256": self.sha256}
 
     def embed(self, texts: list[str]) -> np.ndarray:
         if not texts:
@@ -149,7 +152,8 @@ class HttpEmbedder:
     Wire contract: POST {"model": ..., "inputs": [text, ...]} returning
     {"embeddings": [[...], ...]}, batched at 64 texts per request, with
     retries and exponential backoff. Every text given is sent; wrap the
-    provider in ``memoized`` to send each distinct text once.
+    provider in ``memoized`` to send each distinct text once. A reply
+    whose vectors are not one numeric matrix raises ProviderError.
     """
 
     BATCH = 64
@@ -184,7 +188,7 @@ class HttpEmbedder:
             payload = {"model": self.model, "inputs": batch}
             vectors = request_with_retries(
                 lambda: self._transport(self.base_url, payload, headers, self.timeout),
-                lambda reply: reply["embeddings"],
+                lambda reply: list(reply["embeddings"]),
                 self.retries,
                 "embedding",
             )
@@ -194,7 +198,10 @@ class HttpEmbedder:
                     f"for {len(batch)} inputs"
                 )
             rows.extend(vectors)
-        return np.asarray(rows, dtype=np.float64)
+        try:
+            return np.asarray(rows, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric vectors
+            raise ProviderError(f"embedding endpoint returned malformed vectors: {exc}") from exc
 
 
 def memoized(embed: Callable[[list[str]], np.ndarray]) -> Callable[[list[str]], np.ndarray]:

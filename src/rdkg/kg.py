@@ -109,10 +109,8 @@ class KnowledgeGraph:
 class KgSpace:
     """The graph's metric-measure space plus its node embeddings."""
 
-    graph: KnowledgeGraph
     distance: np.ndarray
     measure: np.ndarray
-    gamma: tuple[float, float]
     node_embeddings: np.ndarray
 
 
@@ -219,28 +217,11 @@ def combine_kg_distance(
     return minmax_normalize(g[0] * d_struct + g[1] * d_sem)
 
 
-def node_measure(kg: KnowledgeGraph, degree_weighted: bool = False) -> np.ndarray:
-    """Probability measure over nodes: uniform, or (1 + degree)-proportional."""
-    m = len(kg.nodes)
-    if not degree_weighted:
-        return uniform_measure(m)
-    if m < 1:
-        raise InputError("measure requires at least one node")
-    degree = {n.id: 0 for n in kg.nodes}
-    for e in kg.edges:
-        degree[e.src] += 1
-        degree[e.dst] += 1
-    w = np.array([1.0 + degree[n.id] for n in kg.nodes])
-    return w / w.sum()
-
-
 def build_kg_space(
-    kg: KnowledgeGraph,
-    embed,
-    gamma: tuple[float, float] = DEFAULT_GAMMA,
-    degree_weighted: bool = False,
+    kg: KnowledgeGraph, embed, gamma: tuple[float, float] = DEFAULT_GAMMA
 ) -> KgSpace:
-    """Assemble the graph metric-measure space.
+    """Assemble the graph metric-measure space, uniform over nodes as the
+    lecture space is over units.
 
     ``embed`` is an embedding provider's embed method, applied to the
     node texts (label, definition, up to three aliases).
@@ -251,10 +232,8 @@ def build_kg_space(
     d_struct = struct_distance(kg)
     d_sem = minmax_normalize(feature_cost(embeddings, embeddings))
     return KgSpace(
-        graph=kg,
         distance=combine_kg_distance(d_struct, d_sem, gamma),
-        measure=node_measure(kg, degree_weighted),
-        gamma=tuple(float(x) for x in gamma),
+        measure=uniform_measure(len(kg.nodes)),
         node_embeddings=embeddings,
     )
 

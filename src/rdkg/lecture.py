@@ -54,7 +54,7 @@ class LectureSpace:
     diagonal), ``measure`` the length-N probability vector, ``alpha``
     the fusion weights, and ``fingerprint`` the fingerprint of the
     embedding provider whose rows gave the semantic distance (None when
-    the rows came from elsewhere).
+    the builder was given none).
     """
 
     elements: list[LectureElement]
@@ -203,24 +203,18 @@ def uniform_measure(n: int) -> np.ndarray:
 
 def build_lecture_space(
     text: str,
-    embeddings: np.ndarray | None = None,
-    embed=None,
+    embed,
     alpha: tuple[float, float, float] = DEFAULT_ALPHA,
     fingerprint: dict | None = None,
 ) -> LectureSpace:
     """Parse Markdown text and assemble the full lecture space.
 
-    Embeddings for the unit contents are taken from ``embeddings`` if
-    given, else computed with the ``embed`` callable (an embedding
-    provider's ``embed`` method). ``fingerprint`` is that provider's
+    The unit contents are embedded with ``embed`` (an embedding
+    provider's ``embed`` method); ``fingerprint`` is that provider's
     fingerprint, stamped on the space.
     """
-    tree = parse_markdown(text)
-    elements = flatten(tree)
-    if embeddings is None:
-        if embed is None:
-            raise InputError("either embeddings or an embed provider is required")
-        embeddings = embed([e.content for e in elements])
+    elements = flatten(parse_markdown(text))
+    embeddings = embed([e.content for e in elements])
     if embeddings.shape[0] != len(elements):
         raise InputError(
             f"embedding rows ({embeddings.shape[0]}) != unit count ({len(elements)})"

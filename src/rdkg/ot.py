@@ -317,13 +317,12 @@ def gw_gradient(c1: np.ndarray, c2: np.ndarray, pi: np.ndarray) -> np.ndarray:
 
 
 def distortion_terms(
-    pi: Coupling | np.ndarray,
+    plan: np.ndarray,
     d_source: np.ndarray,
     d_target: np.ndarray,
     feature_costs: np.ndarray,
 ) -> tuple[float, float]:
     """(structure, feature) mismatch terms of a plan, both >= 0."""
-    plan = pi.matrix if isinstance(pi, Coupling) else np.asarray(pi)
     if feature_costs.shape != plan.shape:
         raise InputError("feature cost shape does not match the coupling")
     structure = structure_value(d_source, d_target, plan)

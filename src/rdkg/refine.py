@@ -1,11 +1,12 @@
 """Coupling-driven graph refinement minimizing rate + beta * distortion.
 
 Each iteration applies the local edit operators in a fixed order (add,
-split, merge, relate, prune, optional LLM edges), recomputing the
-transport coupling after every operator that changed the graph, then
-records one trace point. The incumbent is the argmin of the objective
-over all recorded iterations; the loop stops early once the objective
-change stays below a threshold for a configured number of iterations.
+split, merge, relate, prune, and the LLM edge pass when a client is
+set), re-solving the alignment (``align_graph``) after every operator
+that changed the graph, then records one trace point. The incumbent is
+the argmin of the objective over all recorded iterations; the loop
+stops early once the objective change stays below a threshold for a
+configured number of iterations.
 
 Operator signals all come from the coupling:
 
@@ -15,8 +16,7 @@ Operator signals all come from the coupling:
   mass within the coverage tolerance falls short get a new concept.
 * split: normalized column entropy flags nodes coupled to heterogeneous
   lecture subsets; 2-means on the coupled embeddings yields children.
-  (Entropy is normalized by ln N so the threshold is size independent;
-  the raw variant of any spread-out column exceeds it trivially.)
+  (Entropy is normalized by ln N so the threshold is size independent.)
 * merge: cosine similarity of node embeddings plus symmetric KL of
   column profiles detects redundant pairs.
 * relate/prune: mean lecture distance between top-coupled neighborhoods
@@ -83,9 +83,6 @@ class RefinementConfig:
     conv_threshold: float = 0.25
     patience: int = 2
     kl_smoothing: float = 1e-9
-    # Config-gated variants of ambiguous signal definitions.
-    split_entropy_raw: bool = False
-    add_fractional: bool = False
 
     def __post_init__(self) -> None:
         for name in ("beta", "theta_add", "theta_split", "theta_merge",
@@ -116,6 +113,28 @@ class Aligned:
         return self.result.coupling
 
 
+def align_graph(
+    lecture: LectureSpace,
+    kg: KnowledgeGraph,
+    embed: Callable[[list[str]], np.ndarray],
+    gamma: tuple[float, float],
+    solver_config: SolverConfig,
+) -> Aligned:
+    """Solve the fused transport alignment of ``kg`` to ``lecture``.
+
+    Builds the graph space, costs every lecture unit against every node
+    and runs ``fgw``; ``embed`` gives the unit and node rows. Every
+    alignment the program solves comes from here.
+    """
+    space = build_kg_space(kg, embed, gamma)
+    feature = feature_cost(embed(lecture.contents()), space.node_embeddings)
+    result = fgw(
+        lecture.distance, space.distance, feature,
+        lecture.measure, space.measure, solver_config,
+    )
+    return Aligned(space=space, feature=feature, result=result)
+
+
 @dataclass
 class RefineOutcome:
     graph: KnowledgeGraph
@@ -128,29 +147,24 @@ class RefineOutcome:
 # --- coupling statistics ----------------------------------------------------
 
 
-def covered_row_mass(
-    pi: Coupling | np.ndarray, feature_costs: np.ndarray, tol: float
-) -> np.ndarray:
+def covered_row_mass(plan: np.ndarray, feature_costs: np.ndarray, tol: float) -> np.ndarray:
     """Per-element coupling mass carried by semantically close nodes.
 
-    rho_i = sum_j pi(i,j) * [feature_costs(i,j) <= tol]. Without the
+    rho_i = sum_j plan(i,j) * [feature_costs(i,j) <= tol]. Without the
     indicator the row sum is just the element's marginal mass and the
     add threshold could never fire.
     """
-    plan = pi.matrix if isinstance(pi, Coupling) else np.asarray(pi)
     if plan.shape != feature_costs.shape:
         raise InputError("coupling and feature-cost shapes differ")
     return (plan * (feature_costs <= tol)).sum(axis=1)
 
 
-def column_entropy(pi: Coupling | np.ndarray, raw: bool = False) -> np.ndarray:
-    """Entropy of each normalized coupling column, in [0, 1] by default.
+def column_entropy(plan: np.ndarray) -> np.ndarray:
+    """Entropy of each normalized coupling column, in [0, 1].
 
     Columns with zero mass get entropy 0. Normalization divides by
-    ln N so a fixed threshold means the same thing at any lecture size;
-    the raw variant returns plain nats.
+    ln N so a fixed threshold means the same thing at any lecture size.
     """
-    plan = pi.matrix if isinstance(pi, Coupling) else np.asarray(pi)
     n = plan.shape[0]
     sums = plan.sum(axis=0)
     out = np.zeros(plan.shape[1])
@@ -160,7 +174,7 @@ def column_entropy(pi: Coupling | np.ndarray, raw: bool = False) -> np.ndarray:
         p = plan[:, j] / sums[j]
         p = p[p > 0]
         h = float(-(p * np.log(p)).sum())
-        out[j] = h if raw else (h / np.log(n) if n > 1 else 0.0)
+        out[j] = h / np.log(n) if n > 1 else 0.0
     return out
 
 
@@ -184,11 +198,8 @@ def symmetric_kl(
     return max(0.0, 0.5 * (forward + backward))
 
 
-def edge_support(
-    pi: Coupling | np.ndarray, edge: RelationEdge, node_index: dict[str, int]
-) -> float:
+def edge_support(plan: np.ndarray, edge: RelationEdge, node_index: dict[str, int]) -> float:
     """Coupling support of an edge: product of its endpoint column masses."""
-    plan = pi.matrix if isinstance(pi, Coupling) else np.asarray(pi)
     try:
         a = node_index[edge.src]
         b = node_index[edge.dst]
@@ -198,9 +209,8 @@ def edge_support(
     return float(masses[a] * masses[b])
 
 
-def top_coupled(pi: Coupling | np.ndarray, column: int, k: int = 5) -> np.ndarray:
+def top_coupled(plan: np.ndarray, column: int, k: int = 5) -> np.ndarray:
     """Indices of the k largest entries of a column, ties to lowest index."""
-    plan = pi.matrix if isinstance(pi, Coupling) else np.asarray(pi)
     order = np.argsort(-plan[:, column], kind="stable")
     return order[: min(k, plan.shape[0])]
 
@@ -216,6 +226,7 @@ class OpContext:
     namer: Namer
     config: RefinementConfig
     llm_client: LlmClient | None = None
+    allowed_relations: frozenset[str] = ALLOWED_RELATIONS
 
     def __post_init__(self) -> None:
         self._id_counter = 0
@@ -243,11 +254,8 @@ def op_add(
     """
     cfg = ctx.config
     tol = coverage_tolerance(aligned.feature)
-    rho = covered_row_mass(aligned.coupling, aligned.feature, tol)
-    threshold = cfg.theta_add
-    if cfg.add_fractional:
-        rho = rho / ctx.lecture.measure
-    flagged = [i for i in range(len(rho)) if rho[i] < threshold]
+    rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, tol)
+    flagged = [i for i in range(len(rho)) if rho[i] < cfg.theta_add]
     if not flagged:
         return kg, []
 
@@ -290,7 +298,8 @@ def op_add(
         if others:
             other_rows = np.stack([embeddings_by_id[n.id] for n in others])
             edges = propose_label_edges(
-                node, working, other_rows, new_embedding, ctx.llm_client
+                node, working, other_rows, new_embedding, ctx.llm_client,
+                ctx.allowed_relations,
             )
             working.edges.extend(edges)
         embeddings_by_id[node.id] = new_embedding
@@ -317,7 +326,7 @@ def op_split(
     concatenated text as definition, and inherit every incident edge.
     """
     cfg = ctx.config
-    entropies = column_entropy(aligned.coupling, raw=cfg.split_entropy_raw)
+    entropies = column_entropy(aligned.coupling.matrix)
     candidates = [j for j in range(len(entropies)) if entropies[j] > cfg.theta_split]
     candidates.sort(key=lambda j: (-entropies[j], j))
     candidates = candidates[: cfg.max_splits]
@@ -452,7 +461,8 @@ def op_relate(
     m = len(kg.nodes)
     if m < 2:
         return kg, []
-    tops = np.stack([top_coupled(aligned.coupling, j) for j in range(m)])
+    plan = aligned.coupling.matrix
+    tops = np.stack([top_coupled(plan, j) for j in range(m)])
     rows = tops[:, None, :, None]
     cols = tops[None, :, None, :]
     distinct = rows != cols  # (m, m, k, k): the p != q cross pairs
@@ -499,11 +509,12 @@ def op_prune(
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
     """Remove edges whose coupling support falls below tau."""
     index = kg.node_index()
+    plan = aligned.coupling.matrix
     working = kg.copy()
     kept: list[RelationEdge] = []
     records: list[EditRecord] = []
     for edge in working.edges:
-        support = edge_support(aligned.coupling, edge, index)
+        support = edge_support(plan, edge, index)
         if support < ctx.config.tau:
             records.append(
                 EditRecord(
@@ -521,16 +532,14 @@ def op_prune(
 
 
 def llm_propose_edges(
-    kg: KnowledgeGraph,
-    client: LlmClient | None,
-    iteration: int = 0,
-    allowed_relations: frozenset[str] = ALLOWED_RELATIONS,
+    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext, iteration: int
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
-    """Optional LLM pass proposing new edges from graph content only."""
-    if client is None:
+    """LLM pass proposing new edges from graph content only; a no-op
+    without a client."""
+    if ctx.llm_client is None:
         return kg, []
-    doc = client.chat_json(edge_prompt(kg, allowed_relations))
-    proposals = _valid_edge_proposals(doc, kg, allowed_relations)
+    doc = ctx.llm_client.chat_json(edge_prompt(kg, ctx.allowed_relations))
+    proposals = _valid_edge_proposals(doc, kg, ctx.allowed_relations)
     if not proposals:
         return kg, []
     working = kg.copy()
@@ -614,7 +623,6 @@ def refine(
     refine_config: RefinementConfig | None = None,
     gamma: tuple[float, float] = DEFAULT_GAMMA,
     llm_client: LlmClient | None = None,
-    degree_weighted_measure: bool = False,
     allowed_relations: frozenset[str] = ALLOWED_RELATIONS,
 ) -> RefineOutcome:
     """Run the bounded refinement search and return the incumbent graph.
@@ -628,27 +636,18 @@ def refine(
     solver_cfg = solver_config or SolverConfig()
     cfg = refine_config or RefinementConfig()
     embed = memoized(provider.embed)
-    element_embeddings = embed(lecture.contents())
     ctx = OpContext(
         lecture=lecture,
-        element_embeddings=element_embeddings,
+        element_embeddings=embed(lecture.contents()),
         embed=embed,
         namer=Namer(lecture.contents(), llm_client),
         config=cfg,
         llm_client=llm_client,
+        allowed_relations=allowed_relations,
     )
 
-    def solve(kg: KnowledgeGraph) -> Aligned:
-        space = build_kg_space(kg, embed, gamma, degree_weighted_measure)
-        feature = feature_cost(element_embeddings, space.node_embeddings)
-        result = fgw(
-            lecture.distance, space.distance, feature,
-            lecture.measure, space.measure, solver_cfg,
-        )
-        return Aligned(space=space, feature=feature, result=result)
-
     kg = initial_kg.copy()
-    aligned = solve(kg)
+    aligned = align_graph(lecture, kg, embed, gamma, solver_cfg)
     trace = RdTrace(beta=cfg.beta)
     _record(trace, 0, kg, aligned, cfg.beta, [])
     initial = incumbent = aligned
@@ -656,7 +655,10 @@ def refine(
     incumbent_l = trace.points[0].objective
     incumbent_index = 0
 
+    # looked up here, not at import, so a rebound module name takes effect
     operators = (op_add, op_split, op_merge, op_relate, op_prune)
+    if llm_client is not None:
+        operators += (llm_propose_edges,)
     quiet = 0
     previous_l = incumbent_l
     for t in range(1, cfg.max_iterations + 1):
@@ -667,13 +669,7 @@ def refine(
                 if records:
                     _check_valid(kg, op.__name__, allowed_relations)
                     edits.extend(records)
-                    aligned = solve(kg)
-            if llm_client is not None:
-                kg, records = llm_propose_edges(kg, llm_client, t, allowed_relations)
-                if records:
-                    _check_valid(kg, "llm_propose_edges", allowed_relations)
-                    edits.extend(records)
-                    aligned = solve(kg)
+                    aligned = align_graph(lecture, kg, embed, gamma, solver_cfg)
         except NumericalError as exc:
             logger.error("solver failure at iteration %d: %s", t, exc)
             trace.incomplete = True

@@ -14,12 +14,11 @@ import numpy as np
 
 from rdkg.analysis import coverage, knee_point, RdPoint
 from rdkg.cli import EXIT_OK, main
-from rdkg.embeddings import HashEmbedder, feature_cost
-from rdkg.kg import build_kg_space, kg_to_dict, load_kg, rate, save_kg
+from rdkg.kg import DEFAULT_GAMMA, kg_to_dict, load_kg, rate, save_kg
 from rdkg.lecture import build_lecture_space
 from rdkg.llm import bootstrap_kg
 from rdkg.ot import SolverConfig, fgw, sinkhorn, structure_value
-from rdkg.refine import RefinementConfig, refine
+from rdkg.refine import RefinementConfig, align_graph, refine
 
 from conftest import random_metric, topic_a_only_kg, two_topic_markdown
 
@@ -227,14 +226,10 @@ def test_criterion_09_coverage_improvement(tmp_path, provider):
     started = time.time()
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
     kg = topic_a_only_kg()
-    element_embeddings = provider.embed(space.contents())
 
     def evaluate(graph):
-        ks = build_kg_space(graph, provider.embed)
-        feats = feature_cost(element_embeddings, ks.node_embeddings)
-        res = fgw(space.distance, ks.distance, feats, space.measure, ks.measure,
-                  SolverConfig())
-        return res.distortion, coverage(feats, res.coupling)
+        aligned = align_graph(space, graph, provider.embed, DEFAULT_GAMMA, SolverConfig())
+        return aligned.result.distortion, coverage(aligned.feature, aligned.coupling.matrix)
 
     d_before, cov_before = evaluate(kg)
     out = refine(space, kg, provider)

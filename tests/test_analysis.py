@@ -18,7 +18,6 @@ from rdkg.analysis import (
     save_trace,
 )
 from rdkg.errors import InputError
-from rdkg.ot import Coupling
 
 
 def points_from(pairs, beta=100.0):
@@ -90,23 +89,18 @@ def test_knee_tie_breaks_by_objective():
 # --- coverage -----------------------------------------------------------------
 
 
-def make_coupling(plan):
-    plan = np.asarray(plan, dtype=np.float64)
-    return Coupling(plan, plan.sum(axis=1), plan.sum(axis=0))
-
-
 def test_coverage_all_zero_costs():
     feats = np.zeros((3, 2))
-    pi = make_coupling(np.full((3, 2), 1 / 6))
-    assert coverage(feats, pi) == 1.0
+    plan = np.full((3, 2), 1 / 6)
+    assert coverage(feats, plan) == 1.0
 
 
 def test_coverage_single_segment_above_tolerance():
     feats = np.array([[0.9, 0.2]])
-    pi = make_coupling([[0.8, 0.2]])  # best aligned is column 0, cost 0.9
+    plan = np.array([[0.8, 0.2]])  # best aligned is column 0, cost 0.9
     q = coverage_tolerance(feats)
     assert q < 0.9
-    assert coverage(feats, pi) == 0.0
+    assert coverage(feats, plan) == 0.0
 
 
 def test_coverage_reference_2x2():
@@ -115,30 +109,29 @@ def test_coverage_reference_2x2():
     # 30th percentile at rank 0.9 -> 0.1 + 0.9 * 0.8 = 0.82
     assert coverage_tolerance(feats) == pytest.approx(0.82)
     assert np.percentile([0.1, 0.9, 0.9, 0.9], 30) == pytest.approx(0.82)
-    pi = make_coupling([[0.4, 0.1], [0.1, 0.4]])
-    assert coverage(feats, pi) == 0.5  # segment 0 covered, segment 1 not
+    plan = np.array([[0.4, 0.1], [0.1, 0.4]])
+    assert coverage(feats, plan) == 0.5  # segment 0 covered, segment 1 not
 
 
 def test_coverage_permutation_invariance(rng):
     feats = rng.random((6, 4)) * 2
     plan = rng.random((6, 4))
     plan /= plan.sum()
-    base = coverage(feats, make_coupling(plan))
+    base = coverage(feats, plan)
     perm = rng.permutation(4)
-    assert coverage(feats[:, perm], make_coupling(plan[:, perm])) == base
+    assert coverage(feats[:, perm], plan[:, perm]) == base
 
 
 def test_covered_fraction_monotone_under_improvement(rng):
     feats = rng.random((5, 3))
     plan = rng.random((5, 3))
     plan /= plan.sum()
-    pi = make_coupling(plan)
     q = coverage_tolerance(feats)
-    base = covered_fraction(feats, pi, q)
+    base = covered_fraction(feats, plan, q)
     improved = feats.copy()
     best = plan.argmax(axis=1)
     improved[np.arange(5), best] = 0.0  # drop every best-aligned cost
-    assert covered_fraction(improved, pi, q) >= base
+    assert covered_fraction(improved, plan, q) >= base
 
 
 def test_coverage_row_min_mode():

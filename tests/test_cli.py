@@ -1,14 +1,18 @@
 """CLI pipeline: stages, exit codes, determinism."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 
 from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, ingest, main
 from rdkg.config import load_run_config
-from rdkg.embeddings import HashEmbedder
-from rdkg.kg import load_kg
-from rdkg.lecture import ARTIFACT_FORMAT, build_lecture_space
+from rdkg.embeddings import HashEmbedder, content_hash
+from rdkg.kg import load_kg, node_text
+from rdkg.lecture import ARTIFACT_FORMAT, build_lecture_space, flatten
+from rdkg.llm import bootstrap_kg
+from rdkg.markdown import parse_markdown
 
 from conftest import topic_a_only_kg, two_topic_markdown
 
@@ -203,7 +207,8 @@ def test_numerical_failure_exits_three(pipeline, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NumericalError("numerical failure at outer iteration 1")
 
-    monkeypatch.setattr("rdkg.cli.fgw", boom)
+    # every alignment is solved through the fgw that rdkg.refine holds
+    monkeypatch.setattr(sys.modules["rdkg.refine"], "fgw", boom)
     code = main(["align", str(pipeline["space"]), str(pipeline["kg"])])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -444,3 +449,67 @@ def test_every_command_sends_each_text_to_the_endpoint_once(tmp_path, monkeypatc
         assert len(sent) == len(set(sent)), argv[0]
         if argv[0] == "ingest":
             assert sorted(sent) == ["other words", "same words here"]
+
+
+def test_align_prints_the_distortion_of_refine_row_t0(pipeline, tmp_path, capsys):
+    space, kg = str(pipeline["space"]), str(pipeline["kg"])
+    capsys.readouterr()
+    assert main(["align", space, kg]) == EXIT_OK
+    printed = capsys.readouterr().out
+    out = tmp_path / "t0"
+    assert main(["refine", space, kg, "--out", str(out), "--max-iterations", "1"]) == EXIT_OK
+    row = json.loads((out / "trace.jsonl").read_text().splitlines()[0])
+    assert row["t"] == 0
+    for printed_name, row_name in (("D=", "distortion"), ("structure=", "structure"),
+                                   ("feature=", "feature")):
+        value = printed.split(printed_name)[1].split()[0].rstrip(",)")
+        assert f"{row[row_name]:.6f}" == value, printed_name
+
+
+@pytest.mark.parametrize("units, vectors, message", [
+    (3, lambda inputs: [[1.0, 2.0]] + [[1.0]] * (len(inputs) - 1),  # ragged in a batch
+     "malformed vectors"),
+    (65, lambda inputs: [[1.0, 2.0, 3.0] if len(inputs) == 64 else [1.0, 2.0]]
+     * len(inputs), "malformed vectors"),  # each batch even, 3 then 2 numbers per vector
+    (1, lambda inputs: [["x", 1.0]], "malformed vectors"),
+    (1, lambda inputs: None, "embedding provider unavailable"),  # no vector list
+])
+def test_malformed_embedding_reply_exits_input(tmp_path, monkeypatch, capsys, units, vectors,
+                                               message):
+    monkeypatch.setattr("rdkg.embeddings.post_json",
+                        lambda url, payload, headers, timeout:
+                        {"embeddings": vectors(payload["inputs"])})
+    md = tmp_path / "units.md"
+    md.write_text("# L\n\n" + "\n\n".join(f"unit number {i} here" for i in range(units)))
+    code = main(["ingest", str(md), "--out", str(tmp_path), "--embed-retries", "0",
+                 "--embed-provider", "http", "--embed-url", "http://fake/embed"])
+    assert code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "units.space.json").exists()
+
+
+def test_align_refuses_an_artifact_ingested_with_another_embeddings_file(
+        tmp_path, lecture_file, capsys):
+    text = lecture_file.read_text()
+    texts = [e.content for e in flatten(parse_markdown(text))]
+    texts += [node_text(n) for n in bootstrap_kg(text).nodes]
+    files = []
+    for seed in (0, 1):  # same dimension, other vectors
+        path = tmp_path / f"emb{seed}.json"
+        path.write_text(json.dumps({
+            "dim": 16, "keys": [content_hash(t) for t in texts],
+            "vectors": HashEmbedder(dim=16, seed=seed).embed(texts).tolist(),
+        }))
+        files.append(path)
+    provider = ["--embed-provider", "file", "--embeddings-file"]
+    assert main(["ingest", str(lecture_file), "--out", str(tmp_path),
+                 *provider, str(files[0])]) == EXIT_OK
+    assert main(["bootstrap", str(lecture_file), "--out", str(tmp_path)]) == EXIT_OK
+    space, kg = str(tmp_path / "lecture.space.json"), str(tmp_path / "lecture.kg.json")
+    capsys.readouterr()
+    assert main(["align", space, kg, *provider, str(files[1])]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    for path in files:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() in err
+    assert "re-ingest" in err
+    assert main(["align", space, kg, *provider, str(files[0])]) == EXIT_OK

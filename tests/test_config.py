@@ -16,11 +16,10 @@ from rdkg.refine import RefinementConfig
 
 FLAT_KEYS = [
     "alpha_chron", "alpha_logic", "alpha_sem", "gamma_struct", "gamma_sem",
-    "degree_weighted_measure", "lambda_feat", "epsilon", "sinkhorn_iters",
-    "fw_iters", "fw_tol", "beta", "theta_add", "theta_split", "theta_merge",
-    "theta_cos", "theta_relate", "tau", "max_adds", "max_splits", "max_merges",
-    "max_iterations", "conv_threshold", "patience", "kl_smoothing",
-    "split_entropy_raw", "add_fractional", "coverage_percentile",
+    "lambda_feat", "epsilon", "sinkhorn_iters", "fw_iters", "fw_tol", "beta",
+    "theta_add", "theta_split", "theta_merge", "theta_cos", "theta_relate",
+    "tau", "max_adds", "max_splits", "max_merges", "max_iterations",
+    "conv_threshold", "patience", "kl_smoothing", "coverage_percentile",
     "coverage_row_min", "embed_provider", "embed_dim", "embed_seed",
     "embeddings_file", "embed_url", "embed_model", "embed_timeout",
     "embed_retries", "llm_url", "llm_model", "llm_timeout", "llm_retries",

@@ -1,5 +1,6 @@
 """Embedding providers and the cosine kernel."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -137,7 +138,9 @@ def test_provider_fingerprints_use_the_canonical_kind(tmp_path):
                      "http", "http-endpoint")
     }
     assert stamps["hash"] == stamps["deterministic-hash"] == {"kind": "hash", "dim": 8, "seed": 3}
-    assert stamps["file"] == stamps["precomputed-file"] == {"kind": "file", "dim": 3}
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert stamps["file"] == stamps["precomputed-file"] == {
+        "kind": "file", "dim": 3, "sha256": digest}
     # the URL says where the model runs, not what it computes
     assert stamps["http"] == stamps["http-endpoint"] == {"kind": "http", "model": "m"}
 

@@ -274,11 +274,6 @@ def test_build_kg_space_invariants(provider):
     assert space.node_embeddings.shape[0] == 3
 
 
-def test_degree_weighted_measure(provider):
-    space = build_kg_space(simple_graph(), provider.embed, degree_weighted=True)
-    assert space.measure[1] > space.measure[0]  # b has degree 2
-
-
 # --- JSON round-trip ---------------------------------------------------------------
 
 

@@ -286,7 +286,9 @@ def test_edge_prompt_same_from_both_callers():
 
     propose_label_edges(kg.get_node("b"), kg, np.array([[1.0, 0.0]]),
                         np.array([0.0, 1.0]), make_client(record), relations)
-    llm_propose_edges(kg, make_client(record), 1, relations)
+    ctx = type("FakeCtx", (), {"llm_client": make_client(record),
+                               "allowed_relations": relations})()
+    llm_propose_edges(kg, None, ctx, 1)  # the pass reads no alignment
     assert sent == [PINNED_EDGE_PROMPT, PINNED_EDGE_PROMPT]
 
 

@@ -1,6 +1,8 @@
 """Refinement operators and the bounded search loop."""
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from rdkg.analysis import coverage_tolerance
 from rdkg.embeddings import cosine_distance, cosine_similarity, feature_cost, memoized
 from rdkg.errors import InputError
 from rdkg.kg import (
+    ALLOWED_RELATIONS,
+    DEFAULT_GAMMA,
     ConceptNode,
     KnowledgeGraph,
     RelationEdge,
@@ -26,6 +30,7 @@ from rdkg.refine import (
     EditRecord,
     OpContext,
     RefinementConfig,
+    align_graph,
     column_entropy,
     covered_row_mass,
     edge_support,
@@ -51,7 +56,7 @@ from conftest import (
 )
 
 
-def make_ctx(space, provider, config=None, client=None):
+def make_ctx(space, provider, config=None, client=None, relations=ALLOWED_RELATIONS):
     embeddings = provider.embed(space.contents())
     return OpContext(
         lecture=space,
@@ -60,14 +65,19 @@ def make_ctx(space, provider, config=None, client=None):
         namer=Namer(space.contents(), client),
         config=config or RefinementConfig(),
         llm_client=client,
+        allowed_relations=relations,
     )
 
 
 def solve(space, kg, provider, cfg=None):
-    ks = build_kg_space(kg, provider.embed)
+    return align_graph(space, kg, provider.embed, DEFAULT_GAMMA, cfg or SolverConfig())
+
+
+def hand_composed_alignment(space, kg, provider, cfg, gamma=DEFAULT_GAMMA):
+    """The alignment spelled out: graph space, feature cost, fgw."""
+    ks = build_kg_space(kg, provider.embed, gamma)
     feats = feature_cost(provider.embed(space.contents()), ks.node_embeddings)
-    result = fgw(space.distance, ks.distance, feats, space.measure, ks.measure,
-                 cfg or SolverConfig())
+    result = fgw(space.distance, ks.distance, feats, space.measure, ks.measure, cfg)
     return Aligned(space=ks, feature=feats, result=result)
 
 
@@ -76,11 +86,10 @@ def solve(space, kg, provider, cfg=None):
 
 def test_covered_row_mass_indicator_extremes():
     plan = np.full((4, 2), 0.125)
-    pi = Coupling(plan, np.full(4, 0.25), np.full(2, 0.5))
     low = np.zeros((4, 2))
     high = np.ones((4, 2))
-    assert np.allclose(covered_row_mass(pi, low, tol=0.1), 0.25)  # all within tol
-    assert np.allclose(covered_row_mass(pi, high, tol=0.1), 0.0)  # none within tol
+    assert np.allclose(covered_row_mass(plan, low, tol=0.1), 0.25)  # all within tol
+    assert np.allclose(covered_row_mass(plan, high, tol=0.1), 0.0)  # none within tol
 
 
 def test_covered_row_mass_partial():
@@ -117,12 +126,6 @@ def test_column_entropy_zero_column():
     plan = np.zeros((3, 2))
     plan[:, 0] = 1 / 3
     assert column_entropy(plan).tolist() == [pytest.approx(1.0), 0.0]
-
-
-def test_column_entropy_raw_mode():
-    n = 8
-    uniform = np.full((n, 1), 1.0 / n)
-    assert column_entropy(uniform, raw=True)[0] == pytest.approx(math.log(n))
 
 
 def test_symmetric_kl_values():
@@ -163,12 +166,11 @@ def test_symmetric_kl_length_mismatch():
 def test_edge_support_arithmetic():
     m = 10
     plan = np.full((10, m), 1.0 / (10 * m))
-    pi = Coupling(plan, np.full(10, 0.1), np.full(m, 0.1))
     kg = KnowledgeGraph(
         nodes=[ConceptNode(id=f"n{i}", label="x") for i in range(m)],
         edges=[RelationEdge("n0", "n1", "uses", 0.5)],
     )
-    support = edge_support(pi, kg.edges[0], kg.node_index())
+    support = edge_support(plan, kg.edges[0], kg.node_index())
     assert support == pytest.approx(0.01)
     assert support > RefinementConfig().tau
 
@@ -176,17 +178,15 @@ def test_edge_support_arithmetic():
 def test_edge_support_zero_column_prunes():
     plan = np.zeros((4, 2))
     plan[:, 0] = 0.25
-    pi = Coupling(plan, np.full(4, 0.25), np.array([1.0, 0.0]))
     edge = RelationEdge("a", "b", "uses", 0.5)
-    support = edge_support(pi, edge, {"a": 0, "b": 1})
+    support = edge_support(plan, edge, {"a": 0, "b": 1})
     assert support == 0.0
     assert support < RefinementConfig().tau
 
 
 def test_edge_support_unmapped_endpoint():
-    pi = Coupling(np.ones((1, 1)), np.ones(1), np.ones(1))
     with pytest.raises(InputError, match="endpoint"):
-        edge_support(pi, RelationEdge("a", "ghost", "uses", 0.5), {"a": 0})
+        edge_support(np.ones((1, 1)), RelationEdge("a", "ghost", "uses", 0.5), {"a": 0})
 
 
 def test_top_coupled_ties_lowest_index():
@@ -328,13 +328,48 @@ def test_op_add_cap_and_ordering(provider):
     cfg = RefinementConfig(max_adds=2)
     ctx = make_ctx(space, provider, cfg)
     tol = coverage_tolerance(aligned.feature)
-    rho = covered_row_mass(aligned.coupling, aligned.feature, tol)
+    rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, tol)
     out, records = op_add(kg, aligned, ctx, 1)
     assert len(records) == 2
     # groups are taken lowest mass first; every skipped flagged element
     # has mass at least the worst accepted group's minimum
     flagged = [i for i in range(len(rho)) if rho[i] < cfg.theta_add]
     assert flagged
+
+
+def test_op_add_sends_and_keeps_extra_relations(provider):
+    # the edge prompt of each added node offers the run's extra relation,
+    # and a proposed edge with that relation touching the new node is kept
+    from rdkg.llm import LlmClient, LlmClientConfig
+
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    kg = topic_a_only_kg()
+    relations = ALLOWED_RELATIONS | {"causes"}
+    edge_prompts = []
+
+    def transport(url, payload, headers, timeout):
+        prompt = payload["messages"][0]["content"]
+        content = "{}"
+        if "propose new edges" in prompt:
+            edge_prompts.append(prompt)
+            nodes = prompt.split("Nodes:\n")[1].split("\n\n")[0].splitlines()
+            ids = [line[2:].split(":")[0] for line in nodes]
+            content = json.dumps({"edges": [{
+                "src": ids[-1], "dst": ids[0], "relation": "causes",
+                "confidence": 0.7, "rationale": "the new span causes the first",
+            }]})
+        return {"choices": [{"message": {"content": content}}]}
+
+    client = LlmClient(LlmClientConfig("http://fake", "m", retries=0), transport=transport)
+    aligned = solve(space, kg, provider)
+    ctx = make_ctx(space, provider, client=client, relations=relations)
+    out, records = op_add(kg, aligned, ctx, 1)
+    assert records and len(edge_prompts) == len(records)
+    assert all("causes" in prompt.split("Allowed relations:")[1].split(".")[0]
+               for prompt in edge_prompts)
+    for record in records:
+        assert record.edges == [[record.nodes[0], "causes", "n1"]]
+    assert validate_graph(out, relations) == []
 
 
 def test_op_split_trivial_noop(provider):
@@ -571,8 +606,13 @@ def hand_built_relate_state(n_elements=8):
         nodes=[ConceptNode(id=f"n{j}", label=f"N{j}") for j in range(5)],
         edges=[RelationEdge("n2", "n0", "uses", 0.9)],
     )
-    aligned = type("FakeAligned", (), {"coupling": plan})()
-    return kg, plan, d, aligned
+    return kg, plan, d, fake_aligned(plan)
+
+
+def fake_aligned(plan):
+    """Stand-in for an Aligned whose coupling holds ``plan``."""
+    pi = Coupling(plan, plan.sum(axis=1), plan.sum(axis=0))
+    return type("FakeAligned", (), {"coupling": pi})()
 
 
 def relate_ctx(d, theta):
@@ -607,8 +647,7 @@ def test_op_relate_matches_per_pair_reference():
 def test_op_relate_no_distinct_cross_pairs():
     # a one-element lecture: every cross pair is (0, 0), so no pair is scored
     kg, plan, _, _ = hand_built_relate_state()
-    aligned = type("FakeAligned", (), {"coupling": plan[:1]})()
-    out, records = op_relate(kg, aligned, relate_ctx(np.zeros((1, 1)), 2.0), 1)
+    out, records = op_relate(kg, fake_aligned(plan[:1]), relate_ctx(np.zeros((1, 1)), 2.0), 1)
     assert records == [] and out is kg
 
 
@@ -648,9 +687,10 @@ def test_op_prune_keeps_supported(provider):
     assert len(out.edges) == len(kg.edges)
 
 
-def test_llm_propose_edges_noop_without_client():
-    kg = KnowledgeGraph(nodes=[ConceptNode(id="a", label="A")])
-    out, records = llm_propose_edges(kg, None)
+def test_llm_propose_edges_noop_without_client(provider):
+    space, kg = duplicate_pair_fixture(provider)
+    out, records = llm_propose_edges(kg, solve(space, kg, provider),
+                                     make_ctx(space, provider), 1)
     assert out is kg and records == []
 
 
@@ -740,10 +780,41 @@ def test_refine_returns_initial_and_incumbent_alignments(provider):
     assert out.incumbent_index > 0
     for aligned, graph, t in ((out.initial, kg, 0),
                               (out.incumbent, out.graph, out.incumbent_index)):
-        fresh = solve(space, graph, provider)
+        fresh = hand_composed_alignment(space, graph, provider, SolverConfig())
         assert np.array_equal(aligned.coupling.matrix, fresh.coupling.matrix)
         assert np.array_equal(aligned.feature, fresh.feature)
         assert aligned.result.distortion == out.trace.points[t].distortion
+
+
+def test_align_graph_equals_the_hand_composed_solve(provider):
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    _, duplicate_kg = duplicate_pair_fixture(provider)
+    cases = [(topic_a_only_kg(), DEFAULT_GAMMA, SolverConfig()),
+             (duplicate_kg, (0.7, 0.3), SolverConfig(lambda_feat=0.3, epsilon=0.02))]
+    for kg, gamma, cfg in cases:
+        got = align_graph(space, kg, provider.embed, gamma, cfg)
+        want = hand_composed_alignment(space, kg, provider, cfg, gamma)
+        for name in ("distance", "measure", "node_embeddings"):
+            assert np.array_equal(getattr(got.space, name), getattr(want.space, name))
+        assert np.array_equal(got.feature, want.feature)
+        assert np.array_equal(got.coupling.matrix, want.coupling.matrix)
+        for name in ("distortion", "structure_term", "feature_term", "history",
+                     "outer_iterations", "converged"):
+            assert getattr(got.result, name) == getattr(want.result, name)
+
+
+def test_refine_calls_the_operators_bound_in_its_module(provider, monkeypatch):
+    # a tool that rebinds rdkg.refine.op_* (such as a span tracer) sees every call
+    module = sys.modules["rdkg.refine"]
+    names = ("op_add", "op_split", "op_merge", "op_relate", "op_prune")
+    calls = []
+    for name in names:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _op=original, _name=name:
+                            calls.append(_name) or _op(*args))
+    space, kg = duplicate_pair_fixture(provider)
+    refine(space, kg, provider, refine_config=RefinementConfig(max_iterations=2))
+    assert calls == list(names) * 2
 
 
 def test_refine_objective_identity(provider):
@@ -828,15 +899,6 @@ def test_edit_record_shape():
     record = EditRecord(op="add", nodes=["x"], edges=[["x", "relatedTo", "y"]],
                         rationale="r", iteration=3)
     assert record.iteration == 3
-
-
-def test_refine_degree_weighted_measure_runs(provider):
-    space, kg = duplicate_pair_fixture(provider)
-    out = refine(space, kg, provider,
-                 refine_config=RefinementConfig(max_iterations=2),
-                 degree_weighted_measure=True)
-    assert validate_graph(out.graph) == []
-    assert len(out.trace.points) >= 1
 
 
 def test_refine_with_llm_client_proposes_edges(provider):
