@@ -34,7 +34,7 @@ from .lecture import (
     load_lecture_space,
     save_lecture_space,
 )
-from .llm import LlmClient, LlmClientConfig, Namer, bootstrap_kg, name_concept
+from .llm import LlmClient, LlmClientConfig, Namer, bootstrap_kg
 from .markdown import parse_markdown
 from .ot import Coupling, FgwResult, SolverConfig, distortion_terms, fgw, sinkhorn
 from .refine import RefinementConfig, RefineOutcome, refine
@@ -78,7 +78,6 @@ __all__ = [
     "knee_point",
     "load_kg",
     "load_lecture_space",
-    "name_concept",
     "parse_markdown",
     "rate",
     "refine",

@@ -204,6 +204,8 @@ def emit_report(
 
 
 def save_trace(trace: RdTrace, path: str | Path) -> None:
+    """Write one JSON row per point. Each row carries the run's beta,
+    unrounded: it is an input of the run, not a measurement."""
     rows = []
     for i, p in enumerate(trace.points):
         edits = trace.edits[i] if i < len(trace.edits) else []
@@ -216,6 +218,7 @@ def save_trace(trace: RdTrace, path: str | Path) -> None:
                     "structure": _round9(p.structure),
                     "feature": _round9(p.feature),
                     "objective": _round9(p.objective),
+                    "beta": float(trace.beta),
                     "edits": edits,
                 },
                 ensure_ascii=False,
@@ -225,11 +228,14 @@ def save_trace(trace: RdTrace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> RdTrace:
-    """Read a JSONL trace. beta is recovered from the first point with
-    nonzero distortion (objective = rate + beta * distortion), else 0.
+    """Read a JSONL trace written by save_trace.
+
+    Raises InputError for a row without ``beta`` (a trace written before
+    rows carried it) or rows that disagree on it.
     """
     points: list[RdPoint] = []
     edits: list[list[dict]] = []
+    betas: set[float] = set()
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -247,16 +253,23 @@ def load_trace(path: str | Path) -> RdTrace:
                 )
             )
             edits.append(row.get("edits", []))
+            beta = float(row["beta"]) if "beta" in row else None
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed trace at line {lineno}: {exc}") from exc
+        if beta is None:
+            raise InputError(
+                f"trace {path} line {lineno} has no beta (it predates traces that "
+                "record it); re-run refine to write a new one"
+            )
+        betas.add(beta)
     if not points:
         raise InputError("empty trace file")
-    beta = 0.0
-    for p in points:
-        if p.distortion > 0:
-            beta = (p.objective - p.rate) / p.distortion
-            break
-    return RdTrace(beta=beta, points=points, edits=edits)
+    if len(betas) > 1:
+        raise InputError(
+            f"trace {path} rows disagree on beta ({', '.join(map(repr, sorted(betas)))}); "
+            "re-run refine to write a trace of one run"
+        )
+    return RdTrace(beta=betas.pop(), points=points, edits=edits)
 
 
 def _normalize_axis(values: np.ndarray) -> np.ndarray:

@@ -103,17 +103,27 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _load_space(path: str, cfg: RunConfig, provider) -> lecmod.LectureSpace:
-    """Load a lecture-space artifact, refusing one whose stamp (alpha weights
-    and embedding fingerprint) differs from this run's."""
-    space = lecmod.load_lecture_space(_require_file(path))
+def _load_inputs(space_path: str, kg_path: str, cfg: RunConfig):
+    """The embedding provider, lecture space and graph of an ``align`` or
+    ``refine`` run.
+
+    Refuses a lecture space whose stamp (alpha weights and embedding
+    fingerprint) differs from this run's, and a graph that fails
+    validation.
+    """
+    provider = provider_from_config(cfg)
+    space = lecmod.load_lecture_space(_require_file(space_path))
     if (space.alpha, space.fingerprint) != (cfg.alpha, provider.fingerprint):
         raise InputError(
-            f"{path} was built with alpha (chron, logic, sem) = {space.alpha} and "
+            f"{space_path} was built with alpha (chron, logic, sem) = {space.alpha} and "
             f"embedding {space.fingerprint}, but this run sets {cfg.alpha} and "
             f"{provider.fingerprint}; re-ingest, or pass the settings it was built with"
         )
-    return space
+    graph = kgmod.load_kg(_require_file(kg_path))
+    violations = kgmod.validate_graph(graph, _allowed_relations(cfg))
+    if violations:
+        raise InputError("invalid KG: " + "; ".join(violations))
+    return provider, space, graph
 
 
 def _llm_client(cfg: RunConfig) -> LlmClient | None:
@@ -194,16 +204,12 @@ def bootstrap(markdown_path, config_path, out_dir, debug, set_values, **override
 def align(space_path, kg_path, config_path, out_dir, debug, set_values, **overrides) -> None:
     """Align a lecture space to a knowledge graph and report distortion."""
     cfg = _setup(config_path, set_values, debug, **overrides)
-    provider = provider_from_config(cfg)
-    space = _load_space(space_path, cfg, provider)
-    graph = kgmod.load_kg(_require_file(kg_path))
-    violations = kgmod.validate_graph(graph, _allowed_relations(cfg))
-    if violations:
-        raise InputError("invalid KG: " + "; ".join(violations))
+    provider, space, graph = _load_inputs(space_path, kg_path, cfg)
     aligned = align_graph(space, graph, memoized(provider.embed), cfg.gamma, cfg.solver)
     result = aligned.result
     cov = analysis.coverage(aligned.feature, aligned.coupling.matrix,
-                            cfg.coverage_percentile, cfg.coverage_row_min)
+                            cfg.refinement.coverage_percentile,
+                            cfg.refinement.coverage_row_min)
     r = kgmod.rate(graph)
     click.echo(
         f"D={result.distortion:.6f} (structure={result.structure_term:.6f}, "
@@ -225,12 +231,7 @@ def align(space_path, kg_path, config_path, out_dir, debug, set_values, **overri
 def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **overrides) -> None:
     """Refine a knowledge graph against a lecture space; write all artifacts."""
     cfg = _setup(config_path, set_values, debug, **overrides)
-    provider = provider_from_config(cfg)
-    space = _load_space(space_path, cfg, provider)
-    graph = kgmod.load_kg(_require_file(kg_path))
-    violations = kgmod.validate_graph(graph, _allowed_relations(cfg))
-    if violations:
-        raise InputError("invalid KG: " + "; ".join(violations))
+    provider, space, graph = _load_inputs(space_path, kg_path, cfg)
     outcome = refine(
         space, graph, provider,
         solver_config=cfg.solver,
@@ -247,7 +248,8 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **o
 
     cov_before, cov_after = (
         analysis.coverage(a.feature, a.coupling.matrix,
-                          cfg.coverage_percentile, cfg.coverage_row_min)
+                          cfg.refinement.coverage_percentile,
+                          cfg.refinement.coverage_row_min)
         for a in (outcome.initial, outcome.incumbent)
     )
     knee = (

@@ -20,7 +20,6 @@ from pathlib import Path
 from types import MappingProxyType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .analysis import COVERAGE_PERCENTILE
 from .embeddings import (
     DEFAULT_EMBED_DIM,
     DEFAULT_EMBED_RETRIES,
@@ -48,9 +47,6 @@ class RunConfig:
     gamma_sem: float = DEFAULT_GAMMA[1]
     solver: SolverConfig = field(default_factory=SolverConfig)
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
-    # analysis
-    coverage_percentile: float = COVERAGE_PERCENTILE
-    coverage_row_min: bool = False
     # embedding provider
     embed_provider: str = "hash"  # hash | file | http
     embed_dim: int = DEFAULT_EMBED_DIM
@@ -74,8 +70,6 @@ class RunConfig:
         # the rules of the code each key reaches, run wherever a config is made
         check_weights("alpha", self.alpha, 3)
         check_weights("gamma", self.gamma, 2)
-        if not 0.0 <= self.coverage_percentile <= 100.0:
-            raise InputError("coverage_percentile must lie in [0, 100]")
         check_dim(self.embed_dim)
         check_request_settings(self.embed_timeout, self.embed_retries, "embed_")
         check_request_settings(self.llm_timeout, self.llm_retries, "llm_")

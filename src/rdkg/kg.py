@@ -17,7 +17,7 @@ import numpy as np
 
 from .embeddings import feature_cost
 from .errors import InputError
-from .lecture import check_weights, minmax_normalize, uniform_measure
+from .lecture import fuse, minmax_normalize, uniform_measure
 
 #: The allowed relation ontology. relatedTo is the low-confidence
 #: fallback relation used by refinement. Additional relations may be
@@ -203,20 +203,6 @@ def node_text(node: ConceptNode) -> str:
     return ". ".join(p for p in parts if p)
 
 
-def combine_kg_distance(
-    d_struct: np.ndarray,
-    d_sem: np.ndarray,
-    gamma: tuple[float, float] = DEFAULT_GAMMA,
-) -> np.ndarray:
-    """Convex fusion of structural and semantic node distances.
-
-    Both inputs normalized to [0, 1]; output min-max normalized over
-    off-diagonal entries with the diagonal forced to 0.
-    """
-    g = check_weights("gamma", gamma, 2)
-    return minmax_normalize(g[0] * d_struct + g[1] * d_sem)
-
-
 def build_kg_space(
     kg: KnowledgeGraph, embed, gamma: tuple[float, float] = DEFAULT_GAMMA
 ) -> KgSpace:
@@ -229,10 +215,11 @@ def build_kg_space(
     if not kg.nodes:
         raise InputError("cannot build a space over an empty graph")
     embeddings = embed([node_text(n) for n in kg.nodes])
-    d_struct = struct_distance(kg)
-    d_sem = minmax_normalize(feature_cost(embeddings, embeddings))
     return KgSpace(
-        distance=combine_kg_distance(d_struct, d_sem, gamma),
+        distance=fuse("gamma", gamma, [
+            struct_distance(kg),
+            minmax_normalize(feature_cost(embeddings, embeddings)),
+        ]),
         measure=uniform_measure(len(kg.nodes)),
         node_embeddings=embeddings,
     )

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .embeddings import feature_cost
 from .errors import InputError
 from .markdown import ROOT_TITLE, Section, parse_markdown
 
@@ -128,24 +129,17 @@ def logic_distance(elements: list[LectureElement]) -> np.ndarray:
     """
     paths = [e.section_path for e in elements]
     max_depth = max(len(p) for p in paths)
-    n = len(paths)
-    d = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            lcp = _common_prefix_len(paths[i], paths[j])
-            d[i, j] = d[j, i] = 1.0 - lcp / max_depth
-    return d
-
-
-def semantic_distance(embeddings: np.ndarray) -> np.ndarray:
-    """Raw cosine-dissimilarity matrix clip(1 - cos, 0, 2) over unit rows.
-
-    Returned un-normalized (entries in [0, 2], exact-zero diagonal);
-    the space builder min-max normalizes it before fusion.
-    """
-    from .embeddings import feature_cost
-
-    return feature_cost(embeddings, embeddings)
+    # the paths share their first k entries iff their length-k prefixes are
+    # equal, so the LCP is the count of depths with equal prefix codes; a
+    # path shorter than k has code NaN, which equals nothing
+    codes: dict[tuple[str, ...], int] = {}
+    lcp = np.zeros((len(paths), len(paths)))
+    for k in range(1, max_depth + 1):
+        code = np.array(
+            [codes.setdefault(p[:k], len(codes)) if len(p) >= k else np.nan for p in paths]
+        )
+        lcp += code[:, None] == code[None, :]
+    return 1.0 - lcp / max_depth
 
 
 def minmax_normalize(matrix: np.ndarray) -> np.ndarray:
@@ -167,19 +161,17 @@ def minmax_normalize(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def combine_lecture_distance(
-    d_chron: np.ndarray,
-    d_logic: np.ndarray,
-    d_sem: np.ndarray,
-    alpha: tuple[float, float, float] = DEFAULT_ALPHA,
-) -> np.ndarray:
-    """Fuse the three normalized components into the lecture distance.
+def fuse(name: str, weights, components: list[np.ndarray]) -> np.ndarray:
+    """The fusion rule of both spaces: a convex combination of normalized
+    component distances, then off-diagonal min-max normalization.
 
-    Convex combination followed by off-diagonal min-max normalization;
-    the diagonal is forced to exactly 0.
+    ``weights`` must pass ``check_weights`` (``name`` names them in the
+    error); the diagonal of the result is exactly 0.
     """
-    a = check_weights("alpha", alpha, 3)
-    fused = a[0] * d_chron + a[1] * d_logic + a[2] * d_sem
+    w = check_weights(name, weights, len(components))
+    fused = w[0] * components[0]
+    for weight, component in zip(w[1:], components[1:]):
+        fused = fused + weight * component
     return minmax_normalize(fused)
 
 
@@ -219,12 +211,11 @@ def build_lecture_space(
         raise InputError(
             f"embedding rows ({embeddings.shape[0]}) != unit count ({len(elements)})"
         )
-    d = combine_lecture_distance(
+    d = fuse("alpha", alpha, [
         chron_distance(elements),
         logic_distance(elements),
-        minmax_normalize(semantic_distance(embeddings)),
-        alpha,
-    )
+        minmax_normalize(feature_cost(embeddings, embeddings)),
+    ])
     return LectureSpace(
         elements=elements,
         distance=d,
@@ -302,12 +293,3 @@ def load_lecture_space(path: str | Path) -> LectureSpace:
     if space.distance.shape != (n, n) or space.measure.shape != (n,):
         raise InputError(f"lecture artifact {path} has inconsistent shapes")
     return space
-
-
-def _common_prefix_len(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    k = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        k += 1
-    return k

@@ -326,13 +326,6 @@ class Namer:
         return " ".join(term.capitalize() for term, _ in scored[:3])
 
 
-def name_concept(
-    texts: list[str], corpus_texts: list[str], client: LlmClient | None = None
-) -> str:
-    """Label a group of lecture texts (convenience over Namer)."""
-    return Namer(corpus_texts, client).name(texts)
-
-
 # --- edge proposal for a new node -------------------------------------------
 
 

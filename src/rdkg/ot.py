@@ -76,10 +76,6 @@ class Coupling:
         col_err = np.abs(self.matrix.sum(axis=0) - self.mu_col).max()
         return float(max(row_err, col_err))
 
-    def row_argmax(self) -> np.ndarray:
-        """Per-row best column; ties resolve to the lowest index."""
-        return self.matrix.argmax(axis=1)
-
 
 @dataclass
 class SolverConfig:

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import RdPoint, RdTrace, coverage_tolerance
+from .analysis import COVERAGE_PERCENTILE, RdPoint, RdTrace, coverage_tolerance
 from .embeddings import (
     _unit_rows,
     cosine_distance,
@@ -83,12 +83,17 @@ class RefinementConfig:
     conv_threshold: float = 0.25
     patience: int = 2
     kl_smoothing: float = 1e-9
+    # the coverage rule: op_add flags rows against it, coverage is scored with it
+    coverage_percentile: float = COVERAGE_PERCENTILE
+    coverage_row_min: bool = False
 
     def __post_init__(self) -> None:
         for name in ("beta", "theta_add", "theta_split", "theta_merge",
                      "theta_cos", "theta_relate", "tau", "kl_smoothing"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
+        if not 0.0 <= self.coverage_percentile <= 100.0:
+            raise InputError("coverage_percentile must lie in [0, 100]")
 
 
 @dataclass
@@ -253,7 +258,7 @@ def op_add(
     low-confidence relatedTo to the nearest existing concept.
     """
     cfg = ctx.config
-    tol = coverage_tolerance(aligned.feature)
+    tol = coverage_tolerance(aligned.feature, cfg.coverage_percentile, cfg.coverage_row_min)
     rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, tol)
     flagged = [i for i in range(len(rho)) if rho[i] < cfg.theta_add]
     if not flagged:

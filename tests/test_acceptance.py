@@ -134,7 +134,7 @@ def test_criterion_04_self_alignment():
     mu = np.full(n, 1 / n)
     res = fgw(d, d, feats, mu, mu, SolverConfig(epsilon=0.05))
     assert res.distortion <= 0.05
-    assert list(res.coupling.row_argmax()) == list(range(n))
+    assert list(res.coupling.matrix.argmax(axis=1)) == list(range(n))
     note(4, f"distortion {res.distortion:.2e}, identity argmax")
 
 

@@ -198,7 +198,7 @@ def test_trace_round_trip(tmp_path):
     path = tmp_path / "trace.jsonl"
     save_trace(trace, path)
     loaded = load_trace(path)
-    assert loaded.beta == pytest.approx(trace.beta)
+    assert loaded.beta == trace.beta
     for got, want in zip(loaded.points, trace.points):
         assert got.t == want.t
         for name in ("rate", "distortion", "objective", "structure", "feature"):
@@ -216,6 +216,28 @@ def test_trace_rejects_malformed(tmp_path):
         load_trace(path)
 
 
+def test_trace_keeps_beta_exact(tmp_path):
+    # beta is an input, written as given: 9-digit rounding would change it
+    trace = sample_trace()
+    trace.beta = 1 / 3
+    save_trace(trace, tmp_path / "trace.jsonl")
+    assert load_trace(tmp_path / "trace.jsonl").beta == 1 / 3
+
+
+def test_trace_rejects_rows_without_beta_or_with_two(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    save_trace(sample_trace(), path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    del rows[2]["beta"]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(InputError, match="line 3 has no beta.*re-run refine"):
+        load_trace(path)
+    rows[2]["beta"] = 10.0
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(InputError, match="disagree on beta.*re-run refine"):
+        load_trace(path)
+
+
 def test_trace_rejects_empty(tmp_path):
     path = tmp_path / "trace.jsonl"
     path.write_text("")
@@ -224,8 +246,7 @@ def test_trace_rejects_empty(tmp_path):
 
 
 def test_emit_report_zero_beta_skips_iso_lines(tmp_path):
-    # a trace whose distortion never moves recovers beta = 0; the report
-    # must still emit, just without contour lines
+    # a trace with beta 0 has no contour lines; the report must still emit
     points = [
         RdPoint(t=0, rate=5.0, distortion=0.0, objective=5.0, structure=0, feature=0),
         RdPoint(t=1, rate=4.0, distortion=0.0, objective=4.0, structure=0, feature=0),

@@ -190,6 +190,48 @@ def test_report_from_trace(pipeline, tmp_path, capsys):
     assert regenerated["knee_index"] == original["knee_index"]
 
 
+def test_report_writes_the_beta_of_the_run(pipeline, tmp_path):
+    # the regenerated report states the run's beta, not one re-derived from
+    # rounded trace rows, so its contour lines are the refine run's
+    run_dir = tmp_path / "run"
+    assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]), "--out", str(run_dir),
+                 "--beta", "10", "--max-iterations", "3"]) == EXIT_OK
+    regen = tmp_path / "regen"
+    assert main(["report", str(run_dir / "trace.jsonl"), "--out", str(regen)]) == EXIT_OK
+    assert json.loads((regen / "report.json").read_text())["beta"] == 10.0
+    original = json.loads((run_dir / "plot_data.json").read_text())
+    regenerated = json.loads((regen / "plot_data.json").read_text())
+    assert regenerated["iso_objective"] == original["iso_objective"]
+
+
+@pytest.mark.parametrize("rewrite", ["drop", "disagree"])
+def test_report_refuses_a_trace_without_one_beta(pipeline, tmp_path, capsys, rewrite):
+    run_dir = tmp_path / "run"
+    assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]), "--out", str(run_dir),
+                 "--max-iterations", "2"]) == EXIT_OK
+    trace = run_dir / "trace.jsonl"
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    if rewrite == "drop":
+        del rows[0]["beta"]
+    else:
+        rows[-1]["beta"] = rows[0]["beta"] * 2
+    trace.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    assert main(["report", str(trace), "--out", str(tmp_path / "regen")]) == EXIT_INPUT
+    assert "re-run refine" in capsys.readouterr().err
+
+
+def test_refine_trace_follows_the_coverage_rule(pipeline, tmp_path):
+    # op_add flags rows by the configured rule, so the search itself changes
+    traces = []
+    for percentile in ("1", "30"):
+        out = tmp_path / f"p{percentile}"
+        assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]), "--out", str(out),
+                     "--coverage-percentile", percentile, "--max-iterations", "2"]) == EXIT_OK
+        traces.append((out / "trace.jsonl").read_text())
+    assert traces[0] != traces[1]
+
+
 def test_report_empty_trace_errors(tmp_path, capsys):
     empty = tmp_path / "trace.jsonl"
     empty.write_text("")

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdkg.embeddings import feature_cost
 from rdkg.errors import InputError
 from rdkg.kg import (
     ConceptNode,
     KnowledgeGraph,
     RelationEdge,
     build_kg_space,
-    combine_kg_distance,
     hop_distance,
     kg_from_dict,
     kg_to_dict,
@@ -25,7 +25,9 @@ from rdkg.kg import (
     struct_distance,
     validate_graph,
 )
-from rdkg.lecture import minmax_normalize
+from rdkg.lecture import fuse, minmax_normalize
+
+from conftest import topic_a_only_kg
 
 
 def simple_graph():
@@ -233,7 +235,7 @@ def test_combine_kg_distance_reduction():
     c = rng.random((4, 4))
     c = (c + c.T) / 2
     np.fill_diagonal(c, 0)
-    d = combine_kg_distance(c, np.zeros_like(c), (1.0, 0.0))
+    d = fuse("gamma", (1.0, 0.0), [c, np.zeros_like(c)])
     assert np.allclose(d, minmax_normalize(c))
 
 
@@ -244,14 +246,14 @@ def test_combine_kg_distance_direct_value():
     # off-diagonal value min-max maps it to 0 (constant rule)
     fused = 0.4 * 0.5 + 0.6 * 1.0
     assert fused == pytest.approx(0.8)
-    d = combine_kg_distance(s, f, (0.4, 0.6))
+    d = fuse("gamma", (0.4, 0.6), [s, f])
     assert d[0, 1] == 0.0
 
 
 def test_combine_kg_invalid_gamma():
     z = np.zeros((2, 2))
     with pytest.raises(InputError, match="invalid weights"):
-        combine_kg_distance(z, z, (0.7, 0.6))
+        fuse("gamma", (0.7, 0.6), [z, z])
 
 
 def test_rate_values():
@@ -272,6 +274,18 @@ def test_build_kg_space_invariants(provider):
     assert 0.0 <= d.min() and d.max() <= 1.0
     assert abs(space.measure.sum() - 1.0) < 1e-9
     assert space.node_embeddings.shape[0] == 3
+
+
+@pytest.mark.parametrize("gamma", [(0.5, 0.5), (0.3, 0.7)])
+def test_build_kg_space_equals_the_hand_written_fusion(provider, gamma):
+    # the fusion the graph space had before it shared lecture.fuse, bit for bit
+    for kg in (simple_graph(), topic_a_only_kg()):
+        rows = provider.embed([node_text(n) for n in kg.nodes])
+        g = np.asarray(gamma, dtype=np.float64)
+        reference = minmax_normalize(
+            g[0] * struct_distance(kg) + g[1] * minmax_normalize(feature_cost(rows, rows))
+        )
+        assert np.array_equal(build_kg_space(kg, provider.embed, gamma).distance, reference)
 
 
 # --- JSON round-trip ---------------------------------------------------------------

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdkg.embeddings import feature_cost
 from rdkg.errors import InputError
 from rdkg.lecture import (
+    DEFAULT_ALPHA,
     LectureElement,
     build_lecture_space,
     chron_distance,
-    combine_lecture_distance,
     flatten,
+    fuse,
     load_lecture_space,
     logic_distance,
     minmax_normalize,
     save_lecture_space,
-    semantic_distance,
     uniform_measure,
 )
 from rdkg.markdown import parse_markdown
@@ -117,9 +118,38 @@ def test_logic_diagonal_reflects_depth():
     assert d[1, 1] == 0.0
 
 
+def scalar_logic_distance(paths):
+    """1 - LCP / max_depth, one pair and one path entry at a time."""
+    max_depth = max(len(p) for p in paths)
+    d = np.empty((len(paths), len(paths)))
+    for i, a in enumerate(paths):
+        for j, b in enumerate(paths):
+            lcp = 0
+            for x, y in zip(a, b):
+                if x != y:
+                    break
+                lcp += 1
+            d[i, j] = 1.0 - lcp / max_depth
+    return d
+
+
+_section_paths = st.one_of(
+    st.just(("<root>",)),
+    st.lists(st.sampled_from("ABC"), min_size=1, max_size=5).map(tuple),
+)
+
+
+@given(st.lists(_section_paths, min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_logic_equals_the_scalar_prefix_reference(paths):
+    # ragged depths, shared prefixes, the same title at another depth,
+    # and root-only units; LCP counts are integers, so equality is exact
+    assert np.array_equal(logic_distance(elems(*paths)), scalar_logic_distance(paths))
+
+
 def test_semantic_trivial_cases():
     e = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    d = semantic_distance(e)
+    d = feature_cost(e, e)
     assert d[0, 0] == 0.0
     assert d[0, 1] == pytest.approx(2.0)
     assert d[0, 2] == pytest.approx(1.0)
@@ -136,13 +166,13 @@ def test_combine_pair_with_all_components_at_one():
         [1.0, 0.0, 0.2],
         [0.4, 0.2, 0.0],
     ])
-    d = combine_lecture_distance(comp, comp, comp, (0.2, 0.3, 0.5))
+    d = fuse("alpha", (0.2, 0.3, 0.5), [comp, comp, comp])
     assert d[0, 1] == pytest.approx(1.0)
 
 
 def test_combine_constant_components_give_zero():
     z = np.zeros((3, 3))
-    assert combine_lecture_distance(z, z, z).sum() == 0.0
+    assert fuse("alpha", DEFAULT_ALPHA, [z, z, z]).sum() == 0.0
 
 
 def test_combine_reduction_to_single_component(rng):
@@ -150,14 +180,14 @@ def test_combine_reduction_to_single_component(rng):
     c = (c + c.T) / 2
     np.fill_diagonal(c, 0)
     z = np.zeros_like(c)
-    d = combine_lecture_distance(c, z, z, (1.0, 0.0, 0.0))
+    d = fuse("alpha", (1.0, 0.0, 0.0), [c, z, z])
     assert np.allclose(d, minmax_normalize(c))
 
 
 def test_combine_invalid_weights():
     z = np.zeros((2, 2))
     with pytest.raises(InputError, match="invalid weights"):
-        combine_lecture_distance(z, z, z, (0.5, 0.2, 0.2))
+        fuse("alpha", (0.5, 0.2, 0.2), [z, z, z])
 
 
 @given(st.permutations([0, 1, 2]))
@@ -172,9 +202,9 @@ def test_alpha_permutation_invariance(perm):
         np.fill_diagonal(c, 0)
         comps.append(c)
     alpha = (0.2, 0.3, 0.5)
-    base = combine_lecture_distance(*comps, alpha)
-    swapped = combine_lecture_distance(
-        *(comps[i] for i in perm), tuple(alpha[i] for i in perm)
+    base = fuse("alpha", alpha, comps)
+    swapped = fuse(
+        "alpha", tuple(alpha[i] for i in perm), [comps[i] for i in perm]
     )
     assert np.allclose(base, swapped)
 
@@ -201,9 +231,24 @@ def test_build_space_invariants(provider):
     elements = flatten(parse_markdown(two_topic_markdown()))
     embeddings = provider.embed([e.content for e in elements])
     for comp in (chron_distance(elements), logic_distance(elements),
-                 minmax_normalize(semantic_distance(embeddings))):
+                 minmax_normalize(feature_cost(embeddings, embeddings))):
         assert np.array_equal(comp, comp.T)
         assert comp.min() >= -1e-12 and comp.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, (0.45, 0.15, 0.4)])
+def test_build_space_equals_the_hand_written_fusion(provider, alpha):
+    # the fusion the lecture space had before it shared fuse, bit for bit
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed, alpha=alpha)
+    elements = flatten(parse_markdown(two_topic_markdown()))
+    rows = provider.embed([e.content for e in elements])
+    a = np.asarray(alpha, dtype=np.float64)
+    reference = minmax_normalize(
+        a[0] * chron_distance(elements)
+        + a[1] * logic_distance(elements)
+        + a[2] * minmax_normalize(feature_cost(rows, rows))
+    )
+    assert np.array_equal(space.distance, reference)
 
 
 def test_artifact_round_trip(provider, tmp_path):

@@ -13,7 +13,6 @@ from rdkg.llm import (
     LlmClientConfig,
     Namer,
     bootstrap_kg,
-    name_concept,
     propose_label_edges,
 )
 from rdkg.markdown import heading_count, parse_markdown
@@ -153,7 +152,7 @@ def tfidf_oracle(group_text, corpus):
 
 def test_tfidf_label_prefers_rare_repeated_term():
     corpus = ["filler words only"] * 9 + ["set_index reset_index set_index"]
-    label = name_concept(["set_index reset_index set_index"], corpus)
+    label = Namer(corpus).name(["set_index reset_index set_index"])
     scores = tfidf_oracle("set_index reset_index set_index", corpus)
     assert scores["set_index"] > scores["reset_index"]
     assert "Set_index" in label
@@ -162,16 +161,16 @@ def test_tfidf_label_prefers_rare_repeated_term():
 
 def test_tfidf_excludes_stopwords():
     corpus = ["the and of gradient descent", "gradient methods", "descent rates"]
-    label = name_concept(["the and of gradient descent"], corpus)
+    label = Namer(corpus).name(["the and of gradient descent"])
     assert "The" not in label.split()
     assert "Gradient" in label or "Descent" in label
 
 
 def test_all_stopword_group_gets_hash_label():
     corpus = ["the and of", "other words here"]
-    label = name_concept(["the and of"], corpus)
+    label = Namer(corpus).name(["the and of"])
     assert label.startswith("Concept ")
-    assert name_concept(["the and of"], corpus) == label  # deterministic
+    assert Namer(corpus).name(["the and of"]) == label  # deterministic
 
 
 def test_client_label_used_verbatim():

@@ -337,7 +337,7 @@ def test_fgw_self_alignment_identity():
     d, feats, mu = _self_alignment_fixture()
     res = fgw(d, d, feats, mu, mu, SolverConfig(epsilon=0.05))
     assert res.distortion <= 0.05
-    assert list(res.coupling.row_argmax()) == list(range(len(mu)))
+    assert list(res.coupling.matrix.argmax(axis=1)) == list(range(len(mu)))
 
 
 def test_fgw_lambda_one_reduces_to_sinkhorn(rng):
@@ -451,10 +451,4 @@ def test_coupling_validation_helpers():
     plan = np.array([[0.5, 0.0], [0.0, 0.5]])
     c = Coupling(plan, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
     assert c.marginal_residual() == 0.0
-    assert c.row_argmax().tolist() == [0, 1]
-
-
-def test_row_argmax_tie_breaks_low_index():
-    plan = np.array([[0.25, 0.25], [0.25, 0.25]])
-    c = Coupling(plan, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    assert c.row_argmax().tolist() == [0, 0]
+    assert c.matrix.argmax(axis=1).tolist() == [0, 1]

@@ -337,6 +337,33 @@ def test_op_add_cap_and_ordering(provider):
     assert flagged
 
 
+def _add_group_starts(space, aligned, tol, theta_add):
+    """First row of each span op_add would flag at tolerance ``tol``."""
+    rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, tol)
+    flagged = {i for i in range(len(rho)) if rho[i] < theta_add}
+    paths = [e.section_path for e in space.elements]
+    return {i for i in flagged if i - 1 not in flagged or paths[i - 1] != paths[i]}
+
+
+@pytest.mark.parametrize("percentile, row_min", [(5.0, False), (60.0, False), (30.0, True)])
+def test_op_add_flags_rows_by_the_configured_coverage_rule(provider, percentile, row_min):
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    kg = topic_a_only_kg()
+    aligned = solve(space, kg, provider)
+    cfg = RefinementConfig(max_adds=100, coverage_percentile=percentile,
+                           coverage_row_min=row_min)
+    starts = _add_group_starts(
+        space, aligned, coverage_tolerance(aligned.feature, percentile, row_min),
+        cfg.theta_add,
+    )
+    # the case is only informative where the default rule flags other spans
+    assert starts != _add_group_starts(
+        space, aligned, coverage_tolerance(aligned.feature), cfg.theta_add
+    )
+    _, records = op_add(kg, aligned, make_ctx(space, provider, cfg), 1)
+    assert {r.nodes[0] for r in records} == {f"add_t1_{i}" for i in starts}
+
+
 def test_op_add_sends_and_keeps_extra_relations(provider):
     # the edge prompt of each added node offers the run's extra relation,
     # and a proposed edge with that relation touching the new node is kept
