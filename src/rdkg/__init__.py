@@ -8,6 +8,7 @@ rate + beta * distortion. See README.md for the pipeline walkthrough.
 
 from .analysis import RdPoint, RdTrace, coverage, emit_report, knee_point
 from .embeddings import (
+    CostMemo,
     FileEmbedder,
     HashEmbedder,
     HttpEmbedder,
@@ -44,6 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALLOWED_RELATIONS",
     "ConceptNode",
+    "CostMemo",
     "Coupling",
     "FgwResult",
     "FileEmbedder",

@@ -230,8 +230,9 @@ def save_trace(trace: RdTrace, path: str | Path) -> None:
 def load_trace(path: str | Path) -> RdTrace:
     """Read a JSONL trace written by save_trace.
 
-    Raises InputError for a row without ``beta`` (a trace written before
-    rows carried it) or rows that disagree on it.
+    Raises InputError for a row field that is not a JSON number (``t``
+    must be an integer; a boolean is no number), a row without ``beta``
+    (a trace written before rows carried it) or rows that disagree on it.
     """
     points: list[RdPoint] = []
     edits: list[list[dict]] = []
@@ -244,17 +245,17 @@ def load_trace(path: str | Path) -> RdTrace:
             row = json.loads(line)
             points.append(
                 RdPoint(
-                    t=int(row["t"]),
-                    rate=float(row["rate"]),
-                    distortion=float(row["distortion"]),
-                    objective=float(row["objective"]),
-                    structure=float(row["structure"]),
-                    feature=float(row["feature"]),
+                    t=_row_number(row, "t", int),
+                    rate=float(_row_number(row, "rate")),
+                    distortion=float(_row_number(row, "distortion")),
+                    objective=float(_row_number(row, "objective")),
+                    structure=float(_row_number(row, "structure")),
+                    feature=float(_row_number(row, "feature")),
                 )
             )
             edits.append(row.get("edits", []))
-            beta = float(row["beta"]) if "beta" in row else None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            beta = float(_row_number(row, "beta")) if "beta" in row else None
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed trace at line {lineno}: {exc}") from exc
         if beta is None:
             raise InputError(
@@ -270,6 +271,15 @@ def load_trace(path: str | Path) -> RdTrace:
             "re-run refine to write a trace of one run"
         )
     return RdTrace(beta=betas.pop(), points=points, edits=edits)
+
+
+def _row_number(row: dict, name: str, kind: type | tuple = (int, float)):
+    """``row[name]`` if it is a JSON number of ``kind`` (never a boolean)."""
+    value = row[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is int else "a number"
+        raise TypeError(f"field {name!r} must be {what}, got {json.dumps(value)}")
+    return value
 
 
 def _normalize_axis(values: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import click
 
 from . import analysis, kg as kgmod, lecture as lecmod
 from .config import RunConfig, config_keys, load_run_config
-from .embeddings import memoized, provider_from_config
+from .embeddings import CostMemo, memoized, provider_from_config
 from .errors import InputError, NumericalError, ProviderError
 from .kg import ALLOWED_RELATIONS
 from .llm import LlmClient, LlmClientConfig, bootstrap_kg
@@ -205,7 +205,8 @@ def align(space_path, kg_path, config_path, out_dir, debug, set_values, **overri
     """Align a lecture space to a knowledge graph and report distortion."""
     cfg = _setup(config_path, set_values, debug, **overrides)
     provider, space, graph = _load_inputs(space_path, kg_path, cfg)
-    aligned = align_graph(space, graph, memoized(provider.embed), cfg.gamma, cfg.solver)
+    memo = CostMemo(provider.embed, space.contents())
+    aligned = align_graph(space, graph, memo, cfg.gamma, cfg.solver)
     result = aligned.result
     cov = analysis.coverage(aligned.feature, aligned.coupling.matrix,
                             cfg.refinement.coverage_percentile,

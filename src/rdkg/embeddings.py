@@ -13,8 +13,9 @@ Three interchangeable providers:
 
 Each provider has a ``fingerprint``: the settings that decide its rows.
 ``memoized`` puts a text -> row cache in front of any provider; every
-command embeds through one such cache. All distance computations
-normalize rows on the fly; stored embeddings stay raw.
+command embeds through one such cache. ``CostMemo`` holds one command's
+feature costs, so each node text is costed once. All distance
+computations normalize rows on the fly; stored embeddings stay raw.
 """
 
 from __future__ import annotations
@@ -361,3 +362,70 @@ def feature_cost(
         out[i0 : i0 + block] = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
     np.clip(out, 0.0, 2.0, out=out)
     return out
+
+
+def self_cost(rows: np.ndarray, start: int = 0, block: int = 64) -> np.ndarray:
+    """Rows ``start:`` of ``feature_cost(rows, rows)``, costing one half.
+
+    Each block of rows is costed through ``feature_cost`` against the
+    rows up to the block's end (the entries on and below the diagonal);
+    the entries above it are mirrored. An entry of ``feature_cost``
+    depends only on its two rows, not on the other rows of the call nor
+    on their order, so every entry is bit-equal to the full matrix's.
+    """
+    n = len(rows)
+    out = np.empty((n - start, n))
+    for i0 in range(start, n, block):
+        i1 = min(i0 + block, n)
+        out[i0 - start : i1 - start, :i1] = feature_cost(rows[i0:i1], rows[:i1])
+    square = out[:, start:]
+    upper = np.triu_indices(n - start, 1)
+    square[upper] = square.T[upper]
+    return out
+
+
+class CostMemo:
+    """One command's feature costs, each node text costed once.
+
+    Embeds the lecture ``units`` once (``unit_rows``) and keeps, for
+    every node text seen so far, its column of costs against the units
+    and its costs against the other texts seen. A text not seen before
+    is costed through ``feature_cost``: against the units, and against
+    the known texts plus itself (``self_cost``). Rows stay in the
+    ``memoized`` cache behind ``embed``. Every cost read from the memo
+    is bit-equal to the entry of a full ``feature_cost`` matrix.
+    """
+
+    def __init__(self, embed: Callable[[list[str]], np.ndarray], units: list[str]):
+        self.embed = memoized(embed)
+        self.unit_rows = self.embed(units)
+        self._index: dict[str, int] = {}
+        self._unit_cost = np.empty((len(self.unit_rows), 0))
+        self._pair_cost = np.empty((0, 0))
+
+    def unit_cost(self, texts: list[str]) -> np.ndarray:
+        """N x len(texts): ``feature_cost(unit_rows, embed(texts))``."""
+        columns = self._columns(texts)
+        return self._unit_cost[:, columns]
+
+    def pair_cost(self, texts: list[str]) -> np.ndarray:
+        """``feature_cost(rows, rows)`` over the rows of ``texts``."""
+        columns = self._columns(texts)
+        return self._pair_cost[np.ix_(columns, columns)]
+
+    def _columns(self, texts: list[str]) -> list[int]:
+        new = [t for t in dict.fromkeys(texts) if t not in self._index]
+        if new:
+            known = len(self._index)
+            rows = self.embed(list(self._index) + new)
+            self._unit_cost = np.hstack(
+                [self._unit_cost, feature_cost(self.unit_rows, rows[known:])]
+            )
+            block = self_cost(rows, start=known)
+            pair = np.empty((len(rows), len(rows)))
+            pair[:known, :known] = self._pair_cost
+            pair[known:] = block
+            pair[:known, known:] = block[:, :known].T
+            self._pair_cost = pair
+            self._index.update((t, known + k) for k, t in enumerate(new))
+        return [self._index[t] for t in texts]

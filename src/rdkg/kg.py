@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .embeddings import feature_cost
+from .embeddings import CostMemo
 from .errors import InputError
 from .lecture import fuse, minmax_normalize, uniform_measure
 
@@ -204,21 +204,22 @@ def node_text(node: ConceptNode) -> str:
 
 
 def build_kg_space(
-    kg: KnowledgeGraph, embed, gamma: tuple[float, float] = DEFAULT_GAMMA
+    kg: KnowledgeGraph, memo: CostMemo, gamma: tuple[float, float] = DEFAULT_GAMMA
 ) -> KgSpace:
     """Assemble the graph metric-measure space, uniform over nodes as the
     lecture space is over units.
 
-    ``embed`` is an embedding provider's embed method, applied to the
-    node texts (label, definition, up to three aliases).
+    ``memo`` gives the node rows and their pairwise feature costs, keyed
+    by node text (label, definition, up to three aliases).
     """
     if not kg.nodes:
         raise InputError("cannot build a space over an empty graph")
-    embeddings = embed([node_text(n) for n in kg.nodes])
+    texts = [node_text(n) for n in kg.nodes]
+    embeddings = memo.embed(texts)
     return KgSpace(
         distance=fuse("gamma", gamma, [
             struct_distance(kg),
-            minmax_normalize(feature_cost(embeddings, embeddings)),
+            minmax_normalize(memo.pair_cost(texts)),
         ]),
         measure=uniform_measure(len(kg.nodes)),
         node_embeddings=embeddings,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import feature_cost
+from .embeddings import self_cost
 from .errors import InputError
 from .markdown import ROOT_TITLE, Section, parse_markdown
 
@@ -214,7 +214,7 @@ def build_lecture_space(
     d = fuse("alpha", alpha, [
         chron_distance(elements),
         logic_distance(elements),
-        minmax_normalize(feature_cost(embeddings, embeddings)),
+        minmax_normalize(self_cost(embeddings)),
     ])
     return LectureSpace(
         elements=elements,

@@ -33,13 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import COVERAGE_PERCENTILE, RdPoint, RdTrace, coverage_tolerance
-from .embeddings import (
-    _unit_rows,
-    cosine_distance,
-    cosine_similarity,
-    feature_cost,
-    memoized,
-)
+from .embeddings import CostMemo, _unit_rows, cosine_distance, cosine_similarity
 from .errors import InputError, NumericalError
 from .kg import (
     ALLOWED_RELATIONS,
@@ -121,18 +115,18 @@ class Aligned:
 def align_graph(
     lecture: LectureSpace,
     kg: KnowledgeGraph,
-    embed: Callable[[list[str]], np.ndarray],
+    memo: CostMemo,
     gamma: tuple[float, float],
     solver_config: SolverConfig,
 ) -> Aligned:
     """Solve the fused transport alignment of ``kg`` to ``lecture``.
 
-    Builds the graph space, costs every lecture unit against every node
-    and runs ``fgw``; ``embed`` gives the unit and node rows. Every
-    alignment the program solves comes from here.
+    Builds the graph space, reads the cost of every lecture unit against
+    every node from ``memo`` (made over ``lecture``'s units) and runs
+    ``fgw``. Every alignment the program solves comes from here.
     """
-    space = build_kg_space(kg, embed, gamma)
-    feature = feature_cost(embed(lecture.contents()), space.node_embeddings)
+    space = build_kg_space(kg, memo, gamma)
+    feature = memo.unit_cost([node_text(n) for n in kg.nodes])
     result = fgw(
         lecture.distance, space.distance, feature,
         lecture.measure, space.measure, solver_config,
@@ -636,15 +630,16 @@ def refine(
     solver failure mid-run the incumbent found so far is returned and
     the trace is flagged incomplete. The outcome carries the solved
     alignments of the initial graph and of the incumbent, so callers
-    need not solve either again.
+    need not solve either again. One ``CostMemo`` serves every solve, so
+    each node text is embedded and costed once per search.
     """
     solver_cfg = solver_config or SolverConfig()
     cfg = refine_config or RefinementConfig()
-    embed = memoized(provider.embed)
+    memo = CostMemo(provider.embed, lecture.contents())
     ctx = OpContext(
         lecture=lecture,
-        element_embeddings=embed(lecture.contents()),
-        embed=embed,
+        element_embeddings=memo.unit_rows,
+        embed=memo.embed,
         namer=Namer(lecture.contents(), llm_client),
         config=cfg,
         llm_client=llm_client,
@@ -652,7 +647,7 @@ def refine(
     )
 
     kg = initial_kg.copy()
-    aligned = align_graph(lecture, kg, embed, gamma, solver_cfg)
+    aligned = align_graph(lecture, kg, memo, gamma, solver_cfg)
     trace = RdTrace(beta=cfg.beta)
     _record(trace, 0, kg, aligned, cfg.beta, [])
     initial = incumbent = aligned
@@ -674,7 +669,7 @@ def refine(
                 if records:
                     _check_valid(kg, op.__name__, allowed_relations)
                     edits.extend(records)
-                    aligned = align_graph(lecture, kg, embed, gamma, solver_cfg)
+                    aligned = align_graph(lecture, kg, memo, gamma, solver_cfg)
         except NumericalError as exc:
             logger.error("solver failure at iteration %d: %s", t, exc)
             trace.incomplete = True

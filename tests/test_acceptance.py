@@ -14,6 +14,7 @@ import numpy as np
 
 from rdkg.analysis import coverage, knee_point, RdPoint
 from rdkg.cli import EXIT_OK, main
+from rdkg.embeddings import CostMemo
 from rdkg.kg import DEFAULT_GAMMA, kg_to_dict, load_kg, rate, save_kg
 from rdkg.lecture import build_lecture_space
 from rdkg.llm import bootstrap_kg
@@ -228,7 +229,8 @@ def test_criterion_09_coverage_improvement(tmp_path, provider):
     kg = topic_a_only_kg()
 
     def evaluate(graph):
-        aligned = align_graph(space, graph, provider.embed, DEFAULT_GAMMA, SolverConfig())
+        memo = CostMemo(provider.embed, space.contents())
+        aligned = align_graph(space, graph, memo, DEFAULT_GAMMA, SolverConfig())
         return aligned.result.distortion, coverage(aligned.feature, aligned.coupling.matrix)
 
     d_before, cov_before = evaluate(kg)

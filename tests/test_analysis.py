@@ -216,6 +216,19 @@ def test_trace_rejects_malformed(tmp_path):
         load_trace(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t", 1.0), ("t", False), ("distortion", None), ("objective", [1.0]), ("feature", "0.1"),
+])
+def test_trace_rejects_a_field_that_is_no_number(tmp_path, field, value):
+    path = tmp_path / "trace.jsonl"
+    save_trace(sample_trace(), path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[1][field] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(InputError, match=f"line 2: field '{field}' must be"):
+        load_trace(path)
+
+
 def test_trace_keeps_beta_exact(tmp_path):
     # beta is an input, written as given: 9-digit rounding would change it
     trace = sample_trace()

@@ -221,6 +221,29 @@ def test_report_refuses_a_trace_without_one_beta(pipeline, tmp_path, capsys, rew
     assert "re-run refine" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("beta", True, "field 'beta' must be a number, got true"),
+    ("rate", "41.5", "field 'rate' must be a number, got \"41.5\""),
+])
+def test_report_refuses_a_trace_field_that_is_no_number(
+    pipeline, tmp_path, capsys, field, value, message
+):
+    # coercing such a row would write a report of a run that never was
+    run_dir = tmp_path / "run"
+    assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]), "--out", str(run_dir),
+                 "--max-iterations", "2"]) == EXIT_OK
+    trace = run_dir / "trace.jsonl"
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    for row in rows:
+        row[field] = value
+    trace.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    regen = tmp_path / "regen"
+    assert main(["report", str(trace), "--out", str(regen)]) == EXIT_INPUT
+    assert f"malformed trace at line 1: {message}" in capsys.readouterr().err
+    assert not regen.exists()
+
+
 def test_refine_trace_follows_the_coverage_rule(pipeline, tmp_path):
     # op_add flags rows by the configured rule, so the search itself changes
     traces = []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rdkg.config import RunConfig
 from rdkg.embeddings import (
+    CostMemo,
     FileEmbedder,
     HashEmbedder,
     HttpEmbedder,
@@ -18,6 +19,7 @@ from rdkg.embeddings import (
     feature_cost,
     memoized,
     provider_from_config,
+    self_cost,
 )
 from rdkg.errors import InputError, ProviderError
 
@@ -255,4 +257,71 @@ def test_feature_cost_dimension_mismatch():
 def test_feature_cost_blocking_matches_direct(rng):
     a = rng.normal(size=(9, 5))
     b = rng.normal(size=(4, 5))
-    assert np.allclose(feature_cost(a, b, block=2), feature_cost(a, b, block=64))
+    assert np.array_equal(feature_cost(a, b, block=2), feature_cost(a, b, block=64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 30),
+    dim=st.sampled_from([1, 2, 7, 64, 256]),
+    seed=st.integers(0, 2**32 - 1),
+    duplicates=st.integers(0, 6),
+    data=st.data(),
+)
+def test_feature_cost_entries_do_not_depend_on_the_rest_of_the_call(
+    n, m, dim, seed, duplicates, data
+):
+    # the premise of CostMemo and self_cost: an entry depends on its two rows only
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, dim))
+    b = rng.normal(size=(m, dim))
+    for _ in range(duplicates):  # repeated rows within and across the two sets
+        b[rng.integers(m)] = b[rng.integers(m)]
+        a[rng.integers(n)] = b[rng.integers(m)]
+        a[rng.integers(n)] = a[rng.integers(n)]
+    full = feature_cost(a, b)
+    j = data.draw(st.integers(0, m - 1), label="column")
+    assert np.array_equal(feature_cost(a, b[j : j + 1])[:, 0], full[:, j])
+    columns = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m),
+                        label="columns")
+    assert np.array_equal(feature_cost(a, b[columns]), full[:, columns])
+    assert np.array_equal(feature_cost(b, a), full.T)
+    start = data.draw(st.integers(0, n), label="start")
+    block = data.draw(st.integers(1, 70), label="block")
+    assert np.array_equal(self_cost(a, start, block), feature_cost(a, a)[start:])
+
+
+def test_cost_memo_reads_equal_the_full_matrices():
+    provider = HashEmbedder(dim=32)
+    units = ["alpha beta", "gamma", "delta epsilon", "alpha beta"]
+    memo = CostMemo(provider.embed, units)
+    unit_rows = provider.embed(units)
+    assert np.array_equal(memo.unit_rows, unit_rows)
+    for texts in (["x y", "gamma", "x y"], ["z", "gamma", "w v"], ["x y"], ["w v", "z"]):
+        rows = provider.embed(texts)
+        assert np.array_equal(memo.unit_cost(texts), feature_cost(unit_rows, rows))
+        assert np.array_equal(memo.pair_cost(texts), feature_cost(rows, rows))
+        assert np.array_equal(memo.embed(texts), rows)
+
+
+def test_cost_memo_costs_each_text_once(monkeypatch):
+    import rdkg.embeddings as module
+
+    provider = HashEmbedder(dim=32)
+    costed = []
+    original = module.feature_cost
+
+    def spy(source, target, *args, **kwargs):
+        costed.append((len(source), len(target)))
+        return original(source, target, *args, **kwargs)
+
+    monkeypatch.setattr(module, "feature_cost", spy)
+    memo = CostMemo(provider.embed, ["u one", "u two", "u three"])
+    memo.unit_cost(["a", "b", "a"])
+    assert costed == [(3, 2), (2, 2)]  # the units, then the half triangle
+    memo.pair_cost(["b", "a"])
+    memo.unit_cost(["a"])
+    assert len(costed) == 2
+    memo.pair_cost(["c", "a"])
+    assert costed[2:] == [(3, 1), (1, 3)]  # the new text against the units, then all three

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdkg.embeddings import feature_cost
+from rdkg.embeddings import CostMemo, feature_cost
 from rdkg.errors import InputError
 from rdkg.kg import (
     ConceptNode,
@@ -267,7 +267,7 @@ def test_rate_values():
 
 
 def test_build_kg_space_invariants(provider):
-    space = build_kg_space(simple_graph(), provider.embed)
+    space = build_kg_space(simple_graph(), CostMemo(provider.embed, ["unit"]))
     d = space.distance
     assert np.array_equal(d, d.T)
     assert np.allclose(np.diag(d), 0.0)
@@ -285,7 +285,8 @@ def test_build_kg_space_equals_the_hand_written_fusion(provider, gamma):
         reference = minmax_normalize(
             g[0] * struct_distance(kg) + g[1] * minmax_normalize(feature_cost(rows, rows))
         )
-        assert np.array_equal(build_kg_space(kg, provider.embed, gamma).distance, reference)
+        memo = CostMemo(provider.embed, ["unit"])
+        assert np.array_equal(build_kg_space(kg, memo, gamma).distance, reference)
 
 
 # --- JSON round-trip ---------------------------------------------------------------

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from rdkg.analysis import coverage_tolerance
-from rdkg.embeddings import cosine_distance, cosine_similarity, feature_cost, memoized
+from rdkg.embeddings import (
+    CostMemo,
+    cosine_distance,
+    cosine_similarity,
+    feature_cost,
+    memoized,
+)
 from rdkg.errors import InputError
 from rdkg.kg import (
     ALLOWED_RELATIONS,
@@ -17,6 +23,7 @@ from rdkg.kg import (
     KnowledgeGraph,
     RelationEdge,
     build_kg_space,
+    node_text,
     rate,
     validate_graph,
 )
@@ -70,12 +77,13 @@ def make_ctx(space, provider, config=None, client=None, relations=ALLOWED_RELATI
 
 
 def solve(space, kg, provider, cfg=None):
-    return align_graph(space, kg, provider.embed, DEFAULT_GAMMA, cfg or SolverConfig())
+    memo = CostMemo(provider.embed, space.contents())
+    return align_graph(space, kg, memo, DEFAULT_GAMMA, cfg or SolverConfig())
 
 
 def hand_composed_alignment(space, kg, provider, cfg, gamma=DEFAULT_GAMMA):
     """The alignment spelled out: graph space, feature cost, fgw."""
-    ks = build_kg_space(kg, provider.embed, gamma)
+    ks = build_kg_space(kg, CostMemo(provider.embed, space.contents()), gamma)
     feats = feature_cost(provider.embed(space.contents()), ks.node_embeddings)
     result = fgw(space.distance, ks.distance, feats, space.measure, ks.measure, cfg)
     return Aligned(space=ks, feature=feats, result=result)
@@ -819,7 +827,7 @@ def test_align_graph_equals_the_hand_composed_solve(provider):
     cases = [(topic_a_only_kg(), DEFAULT_GAMMA, SolverConfig()),
              (duplicate_kg, (0.7, 0.3), SolverConfig(lambda_feat=0.3, epsilon=0.02))]
     for kg, gamma, cfg in cases:
-        got = align_graph(space, kg, provider.embed, gamma, cfg)
+        got = align_graph(space, kg, CostMemo(provider.embed, space.contents()), gamma, cfg)
         want = hand_composed_alignment(space, kg, provider, cfg, gamma)
         for name in ("distance", "measure", "node_embeddings"):
             assert np.array_equal(getattr(got.space, name), getattr(want.space, name))
@@ -912,6 +920,40 @@ def test_refine_embeds_each_text_once(provider):
                  refine_config=RefinementConfig(max_iterations=3))
     assert len(out.trace.points) > 1 and sum(len(e) for e in out.trace.edits) > 0
     assert len(seen) == len(set(seen))
+
+
+def test_refine_costs_each_node_text_once(provider, monkeypatch):
+    embeddings_module = sys.modules["rdkg.embeddings"]
+    refine_module = sys.modules["rdkg.refine"]
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    unit_rows = provider.embed(space.contents())
+    unit_columns = node_rows = 0
+    solved_texts = set()
+    original_cost = embeddings_module.feature_cost
+    original_build = refine_module.build_kg_space
+
+    def cost_spy(source, target, *args, **kwargs):
+        nonlocal unit_columns, node_rows
+        if np.array_equal(source, unit_rows):
+            unit_columns += len(target)
+        else:
+            node_rows += len(source)
+        return original_cost(source, target, *args, **kwargs)
+
+    def build_spy(kg, memo, gamma):
+        solved_texts.update(node_text(n) for n in kg.nodes)
+        return original_build(kg, memo, gamma)
+
+    monkeypatch.setattr(embeddings_module, "feature_cost", cost_spy)
+    monkeypatch.setattr(refine_module, "build_kg_space", build_spy)
+    out = refine(space, topic_a_only_kg(), provider,
+                 refine_config=RefinementConfig(max_iterations=4))
+    monkeypatch.undo()
+    assert len(out.trace.points) > 2 and sum(len(e) for e in out.trace.edits) > 0
+    assert unit_columns == node_rows == len(solved_texts)
+    for aligned, graph in ((out.initial, topic_a_only_kg()), (out.incumbent, out.graph)):
+        rows = provider.embed([node_text(n) for n in graph.nodes])
+        assert np.array_equal(aligned.feature, feature_cost(unit_rows, rows))
 
 
 def test_refine_incumbent_is_argmin(provider):
