@@ -26,7 +26,6 @@ import logging
 import os
 import re
 import time
-import urllib.request
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -251,6 +250,10 @@ def json_headers(key_env: str) -> dict:
 
 def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
     """POST ``payload`` as JSON and decode the JSON reply."""
+    # Imported here: urllib.request pulls in http.client, ssl and email,
+    # which only the HTTP providers need.
+    import urllib.request
+
     req = urllib.request.Request(
         url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
     )

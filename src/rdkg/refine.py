@@ -333,14 +333,16 @@ def op_split(
         return kg, []
 
     plan = aligned.coupling.matrix
-    working = kg.copy()
+    working = None  # copied at the first split
     records: list[EditRecord] = []
     for j in candidates:
         parent = kg.nodes[j]
         column = plan[:, j]
-        subset = [i for i in range(len(column)) if column[i] > column.mean()]
+        subset = np.flatnonzero(column > column.mean()).tolist()
         if len(subset) < 4:
             continue
+        if working is None:
+            working = kg.copy()
         labels = two_means(ctx.element_embeddings[subset])
         group_a = [subset[i] for i in range(len(subset)) if labels[i] == 0]
         group_b = [subset[i] for i in range(len(subset)) if labels[i] == 1]
@@ -406,7 +408,7 @@ def op_merge(
     similar = cos >= cfg.theta_cos
     for i, j in zip(*np.nonzero(np.abs(cos - cfg.theta_cos) <= _TIE_TOL)):
         similar[i, j] = cosine_similarity(embeddings[i], embeddings[j]) >= cfg.theta_cos
-    working = kg.copy()
+    working = None  # copied at the first merge
     used: set[str] = set()
     records: list[EditRecord] = []
     m = len(kg.nodes)
@@ -427,6 +429,8 @@ def op_merge(
             )
             if kl > cfg.theta_merge:
                 continue
+            if working is None:
+                working = kg.copy()
             _merge_into(working, keep.id, drop.id)
             used.update((keep.id, drop.id))
             records.append(
@@ -478,7 +482,7 @@ def op_relate(
     # Edges appended below join pairs the scan has already passed, so the
     # edges present at the start decide every skip.
     linked = frozenset(frozenset((e.src, e.dst)) for e in kg.edges)
-    working = kg.copy()
+    added: list[RelationEdge] = []
     records: list[EditRecord] = []
     for j, k in zip(*np.nonzero(related)):
         a, b = kg.nodes[j], kg.nodes[k]
@@ -491,7 +495,7 @@ def op_relate(
             confidence=0.5,
             rationale="top-coupled lecture neighborhoods are adjacent",
         )
-        working.edges.append(edge)
+        added.append(edge)
         records.append(
             EditRecord(
                 op="relate-add",
@@ -500,7 +504,11 @@ def op_relate(
                 iteration=iteration,
             )
         )
-    return (working, records) if records else (kg, [])
+    if not records:
+        return kg, []
+    working = kg.copy()
+    working.edges.extend(added)
+    return working, records
 
 
 def op_prune(
@@ -509,12 +517,12 @@ def op_prune(
     """Remove edges whose coupling support falls below tau."""
     index = kg.node_index()
     plan = aligned.coupling.matrix
-    working = kg.copy()
-    kept: list[RelationEdge] = []
+    pruned: set[int] = set()
     records: list[EditRecord] = []
-    for edge in working.edges:
+    for pos, edge in enumerate(kg.edges):
         support = edge_support(plan, edge, index)
         if support < ctx.config.tau:
+            pruned.add(pos)
             records.append(
                 EditRecord(
                     op="prune",
@@ -524,10 +532,11 @@ def op_prune(
                     iteration=iteration,
                 )
             )
-        else:
-            kept.append(edge)
-    working.edges = kept
-    return (working, records) if records else (kg, [])
+    if not records:
+        return kg, []
+    working = kg.copy()
+    working.edges = [e for pos, e in enumerate(working.edges) if pos not in pruned]
+    return working, records
 
 
 def llm_propose_edges(

@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdkg
 from rdkg.config import RunConfig
 from rdkg.embeddings import (
     CostMemo,
@@ -199,6 +204,17 @@ def test_http_provider_recovers_after_transient_failure(monkeypatch):
     monkeypatch.setattr("rdkg.embeddings.time.sleep", lambda s: None)
     out = HttpEmbedder("http://fake", "m", transport=transport).embed(["x"])
     assert out.tolist() == [[2.0]]
+
+
+def test_importing_the_cli_leaves_the_http_stack_unloaded():
+    # urllib.request brings http.client, ssl and email; only a request needs them
+    src = str(Path(rdkg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, rdkg.cli; sys.exit('http.client' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr or "http.client was imported"
 
 
 # --- cosine kernel ------------------------------------------------------------------

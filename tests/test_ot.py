@@ -104,13 +104,13 @@ def test_sinkhorn_rejects_bad_inputs():
 
 
 def log_domain_scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap):
-    """Oracle: every Sinkhorn iteration in the log domain, as the solver
-    did before it iterated on scalings."""
+    """Oracle: every Sinkhorn iteration in the log domain, plain (no
+    over-relaxation), testing the rows before each iteration."""
     for iteration in range(cap):
         row_lse = _logsumexp((g[None, :] - cost) / eps, axis=1)
         if iteration > 0:
             row_sums = np.exp(f / eps + row_lse)
-            if np.abs(row_sums - mu).max() <= MARGINAL_TOL:
+            if np.abs(row_sums - mu).max() <= ot.MARGINAL_TOL:
                 return iteration, True
         f[:] = eps * (log_mu - row_lse)
         col_lse = _logsumexp((f[:, None] - cost) / eps, axis=0)
@@ -118,34 +118,31 @@ def log_domain_scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap):
     return cap, False
 
 
-def sinkhorn_with(loop, monkeypatch, *args, **kwargs):
-    """sinkhorn run with ``loop`` as its per-stage loop: (coupling,
-    [(spent, converged) of each stage])."""
-    stages = []
-
-    def recorded(*loop_args):
-        out = loop(*loop_args)
-        stages.append(out)
-        return out
-
-    monkeypatch.setattr(ot, "_scale_loop", recorded)
-    try:
-        return sinkhorn(*args, **kwargs), stages
-    finally:
-        monkeypatch.undo()
+def oracle_sinkhorn(*args, **kwargs):
+    """sinkhorn with the log-domain oracle as its per-stage loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ot, "_scale_loop", log_domain_scale_loop)
+        return sinkhorn(*args, **kwargs)
 
 
-def assert_same_solve(got, want):
-    (plan, stages), (ref_plan, ref_stages) = got, want
-    assert stages == ref_stages
-    assert plan.converged == ref_plan.converged
-    scale = np.abs(ref_plan.matrix).max()
-    assert np.abs(plan.matrix - ref_plan.matrix).max() <= 1e-9 * scale
+def assert_oracle_fixed_point(plan, cost, mu, nu, eps):
+    """The oracle, started from the solver's potentials, keeps the plan."""
+    ref = oracle_sinkhorn(cost, mu, nu, eps, 50, potentials=plan.potentials)
+    scale = np.abs(ref.matrix).max()
+    assert np.abs(plan.matrix - ref.matrix).max() <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (39, 12), (217, 60)])
 @pytest.mark.parametrize("eps", [0.05, 1e-2, 1e-3, 1e-4])
 def test_sinkhorn_matches_log_domain_oracle(shape, eps, monkeypatch):
+    # Over-relaxed and plain iterations share only their fixed point, so
+    # the solver runs to a tolerance far below the default and the plain
+    # log-domain oracle, started from its potentials, must stay on its plan.
+    # A solve that does not get there within the cap (sharp eps on the
+    # spread-30 costs, single-stage warm starts far from the new optimum)
+    # has no common fixed point to compare and is only checked feasible;
+    # at the program's epsilon every cold solve must get there.
+    monkeypatch.setattr(ot, "MARGINAL_TOL", 1e-12)
     n, m = shape
     rng = np.random.default_rng(n * 1000 + m)
     mu = rng.random(n) + 0.1
@@ -154,17 +151,50 @@ def test_sinkhorn_matches_log_domain_oracle(shape, eps, monkeypatch):
     nu /= nu.sum()
     for spread in (1.0, 30.0):
         cost = rng.random((n, m)) * spread
-        cold = sinkhorn_with(ot._scale_loop, monkeypatch, cost, mu, nu, eps)
-        ref_cold = sinkhorn_with(log_domain_scale_loop, monkeypatch, cost, mu, nu, eps)
-        assert_same_solve(cold, ref_cold)
+        cold = sinkhorn(cost, mu, nu, eps, 20000)
         # warm start from the solved potentials on a shifted cost
         shifted = cost + rng.random((n, m)) * 0.2 * spread
-        warm = ref_cold[0].potentials
-        assert_same_solve(
-            sinkhorn_with(ot._scale_loop, monkeypatch, shifted, mu, nu, eps, potentials=warm),
-            sinkhorn_with(log_domain_scale_loop, monkeypatch, shifted, mu, nu, eps,
-                          potentials=warm),
-        )
+        warm = sinkhorn(shifted, mu, nu, eps, 20000, potentials=cold.potentials)
+        if eps == SolverConfig.epsilon:
+            assert cold.converged
+        for solved_cost, plan in ((cost, cold), (shifted, warm)):
+            assert np.isfinite(plan.matrix).all()
+            assert plan.marginal_residual() <= 1e-9
+            if plan.converged:
+                assert_oracle_fixed_point(plan, solved_cost, mu, nu, eps)
+
+
+def self_similarity_cost(seed: int, n: int = 40, topics: int = 4, words: int = 15):
+    """1 - cosine similarity of n bag-of-words rows with themselves.
+
+    Units against nodes named after them give this shape of feature
+    cost: a spread of about 1 with near-tied assignments, on which plain
+    Sinkhorn contracts slowly at eps 0.05.
+    """
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((n, topics * words))
+    for row in rows:
+        topic = rng.integers(topics)
+        np.add.at(row, topic * words + rng.integers(0, words, 6), 1.0)
+        np.add.at(row, rng.integers(0, topics * words, 2), 1.0)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return 1.0 - rows @ rows.T
+
+
+def test_sinkhorn_converges_where_plain_scaling_is_slow():
+    cost = self_similarity_cost(8)
+    mu = np.full(len(cost), 1 / len(cost))
+    assert not oracle_sinkhorn(cost, mu, mu, 0.05).converged  # plain needs > 200
+    out = sinkhorn(cost, mu, mu, 0.05)
+    assert out.converged
+    # converged means rows and columns both, before the plan is rounded
+    f, g = out.potentials
+    raw = np.exp((f[:, None] + g[None, :] - cost) / 0.05)
+    assert np.abs(raw.sum(axis=1) - mu).max() <= MARGINAL_TOL
+    assert np.abs(raw.sum(axis=0) - mu).max() <= MARGINAL_TOL
+    ref = oracle_sinkhorn(cost, mu, mu, 0.05, 5000)
+    assert ref.converged
+    assert np.abs(out.matrix - ref.matrix).max() <= 10 * MARGINAL_TOL
 
 
 def test_sinkhorn_recentres_far_off_warm_start(monkeypatch):

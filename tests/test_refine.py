@@ -722,6 +722,64 @@ def test_op_prune_keeps_supported(provider):
     assert len(out.edges) == len(kg.edges)
 
 
+@pytest.fixture
+def graph_copies(monkeypatch):
+    """Every KnowledgeGraph.copy call from here on, by the graph copied."""
+    copied = []
+    copy = KnowledgeGraph.copy
+
+    def counted(self):
+        copied.append(self)
+        return copy(self)
+
+    monkeypatch.setattr(KnowledgeGraph, "copy", counted)
+    return copied
+
+
+def test_operators_without_edits_return_the_input_uncopied(provider, graph_copies):
+    space, kg = duplicate_pair_fixture(provider)
+    aligned = solve(space, kg, provider)
+    quiet = RefinementConfig(theta_cos=2.0, theta_relate=1e-9, tau=1e-300)
+    ctx = make_ctx(space, provider, quiet)
+    tiny_md = "\n".join(["# T", "", make_section("Tiny", TOPIC_A_WORDS, 3, 0)])
+    tiny_space = build_lecture_space(tiny_md, embed=provider.embed)
+    tiny_kg = KnowledgeGraph(
+        nodes=[ConceptNode(id="n1", label="Tiny", definition=" ".join(TOPIC_A_WORDS))]
+    )
+    tiny_aligned = solve(tiny_space, tiny_kg, provider)
+    graph_copies.clear()
+    calls = [
+        # a split candidate whose coupled subset is too small to split
+        (op_split, tiny_kg, tiny_aligned, make_ctx(tiny_space, provider)),
+        (op_merge, kg, aligned, ctx),
+        (op_relate, kg, aligned, ctx),
+        (op_prune, kg, aligned, ctx),
+    ]
+    for op, graph, graph_aligned, op_ctx in calls:
+        out, records = op(graph, graph_aligned, op_ctx, 1)
+        assert records == [] and out is graph, op.__name__
+    assert graph_copies == []
+
+
+def test_operators_copy_once_when_they_edit(provider, graph_copies):
+    space, kg = duplicate_pair_fixture(provider)
+    aligned = solve(space, kg, provider)
+    ctx = make_ctx(space, provider, RefinementConfig(theta_relate=0.999, tau=10.0))
+    split_space, split_kg = overloaded_fixture(provider)
+    split_aligned = solve(split_space, split_kg, provider)
+    calls = [
+        (op_split, split_kg, split_aligned, make_ctx(split_space, provider)),
+        (op_merge, kg, aligned, ctx),
+        (op_relate, kg, aligned, ctx),
+        (op_prune, kg, aligned, ctx),
+    ]
+    for op, graph, graph_aligned, op_ctx in calls:
+        graph_copies.clear()
+        out, records = op(graph, graph_aligned, op_ctx, 1)
+        assert records and out is not graph, op.__name__
+        assert graph_copies == [graph], op.__name__
+
+
 def test_llm_propose_edges_noop_without_client(provider):
     space, kg = duplicate_pair_fixture(provider)
     out, records = llm_propose_edges(kg, solve(space, kg, provider),
