@@ -9,7 +9,8 @@ Schmitzer, SIAM J. Sci. Comput. 2019). Where plain scaling contracts
 slowly, the updates over-relax by a fixed factor, which keeps the fixed
 point and contracts much faster (Thibault, Chizat, Dossal, Papadakis,
 arXiv:1711.01851); a stalled stage returns to plain updates. Both
-marginals are checked only every few iterations, so an iteration
+marginals are checked only where the contraction measured so far would
+meet the tolerance, at most a few iterations apart, so an iteration
 between checks is two products and two updates. The fused problem
 
     min_pi (1-lam) * sum_{i,j,k,l} |C1(i,k) - C2(j,l)|^2 pi(i,j) pi(k,l)
@@ -39,6 +40,7 @@ distortion definition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +64,12 @@ _KERNEL_FLOOR = 1e-150
 _OMEGA = 1.7
 #: Longest run of scaling iterations between two marginal checks. A check
 #: (six reductions, six elementwise operations) costs about two
-#: over-relaxed iterations at 40 x 30, and a solve overruns its
-#: convergence by half a gap on average; on the same solves, caps of 4
-#: and 16 both cost more time than 8.
+#: over-relaxed iterations at 40 x 30. A longer run saves checks on slow
+#: solves, a shorter one bounds the overrun where the contraction speeds
+#: up after a check. Counting iterations and checks, weighted by their
+#: timed cost, over the solves of a seed-1 round of each perfbench
+#: workload, runs of 8 to 16 came within 1% of each other, 6 cost 3% more
+#: and 4 12% more.
 _CHECK_GAP = 8
 
 
@@ -167,6 +172,8 @@ def sinkhorn(
     n, m = cost.shape
     if mu.shape != (n,) or nu.shape != (m,):
         raise InputError("marginal shapes do not match the cost matrix")
+    if max_iters < 1:
+        raise InputError("iteration counts must be at least 1")
 
     log_mu = np.log(mu)
     log_nu = np.log(nu)
@@ -233,23 +240,40 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool]:
     twice the elementwise work. So a pass runs plain iterations until a
     check shows them contracting by less than omega - 1 per iteration
     since the previous check, and over-relaxes with omega = _OMEGA from
-    then on. Once two consecutive checks bring no new best residual,
-    the rest of the stage runs plain iterations, whose global
-    convergence the over-relaxed ones do not share (Lehmann et al.,
-    Optim. Lett. 2022).
+    then on. Over-relaxing from the first iteration would slow the
+    stages that plain iterations finish in a few steps; on a long
+    epsilon schedule those would run to their caps and leave the target
+    stage short of max_iters. Once two consecutive checks bring no new
+    best residual, the rest of the stage runs plain iterations, whose
+    global convergence the over-relaxed ones do not share (Lehmann et
+    al., Optim. Lett. 2022).
 
     A check tests both marginals, since with omega > 1 neither is exact
     after an update: rows u o Kv against mu (Kv is the next update's
     product) and columns v o K'u against nu (K'u is the last update's).
-    ``converged`` means both were within MARGINAL_TOL at a check. Checks
-    run after 0, 2, 6, 14, 22, ... scaling iterations of a pass (gaps
-    doubling up to _CHECK_GAP) and at the cap; an iteration between two
-    checks is the two products and the two updates. A check also tests
-    that both scalings lie in (0, _SCALE_LIMIT]; an infinite or NaN
-    entry fails (a kernel row or column underflowed, or an update
-    overflowed). On a failure the scalings go back to the last checked
-    pair and a new pass starts from the absorbed potentials, which
-    re-centres the kernel. The discarded iterations count as spent. The
+    ``converged`` means both were within MARGINAL_TOL at a check. A pass
+    checks after 0 and 2 scaling iterations; each later check goes where
+    the contraction per iteration measured between the last two checks
+    would bring the residual to MARGINAL_TOL, at least 1 and at most
+    _CHECK_GAP iterations on (_CHECK_GAP if the residual did not fall),
+    and one runs at the cap. Gaps that ignore the rate (say doubling up
+    to _CHECK_GAP) overrun a quickly converging stage by up to 7
+    iterations, which on a long epsilon schedule uses up max_iters
+    before the target stage. An iteration between two checks is the two
+    products and the two updates.
+
+    A check also tests that both scalings lie in (0, _SCALE_LIMIT]; a
+    failure ends the pass, and a new one starts from the absorbed
+    potentials, which re-centres the kernel. Finite positive scalings
+    are absorbed as they are: beyond the limit a flushed kernel entry
+    may have carried mass, but the next pass starts with an exact
+    log-domain iteration from whatever potentials it gets, and only a
+    check within the limit can report convergence. Going back to the
+    last checked pair would make a far-off warm start, which needs a new
+    pass every few dozen iterations, fall far behind plain iterations.
+    An infinite, NaN or zero entry (a kernel row or column
+    underflowed, or an update overflowed) sends the scalings back to
+    the last checked pair; the discarded iterations count as spent. The
     scalings are absorbed into f and g whenever a pass ends.
     """
     nu = np.exp(log_nu)
@@ -271,7 +295,7 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool]:
         ktu = kernel.sum(axis=0)
         checked = (u, v)
         last_residual, last_scaled = np.inf, 0  # the previous check of this pass
-        scaled, next_check, gap = 0, 0, 2
+        scaled, next_check = 0, 0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while True:
                 kv = kernel @ v
@@ -279,7 +303,9 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool]:
                     # NaN fails every comparison, so it fails this test.
                     if not (0.0 < u.min() and u.max() <= _SCALE_LIMIT
                             and 0.0 < v.min() and v.max() <= _SCALE_LIMIT):
-                        u, v = checked
+                        if not (np.isfinite(u).all() and np.isfinite(v).all()
+                                and 0.0 < u.min() and 0.0 < v.min()):
+                            u, v = checked
                         converged = False
                         break
                     residual = max(np.abs(u * kv - mu).max(), np.abs(v * ktu - nu).max())
@@ -295,9 +321,15 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool]:
                         stalls += 1
                         if stalls == 2:
                             omega, relax = 1.0, False
+                    gap = 2 if scaled == 0 else _CHECK_GAP
+                    ratio = residual / last_residual  # 0 at the first check of a pass
+                    if 0.0 < ratio < 1.0:
+                        # repeats of the last gap its contraction needs to meet the tolerance
+                        need = math.log(MARGINAL_TOL / residual) / math.log(ratio)
+                        gap = min(max(math.ceil(need * (scaled - last_scaled)), 1), _CHECK_GAP)
                     checked = (u, v)
                     last_residual, last_scaled = residual, scaled
-                    next_check, gap = scaled + gap, min(2 * gap, _CHECK_GAP)
+                    next_check = scaled + gap
                 if omega == 1.0:
                     u = mu / kv
                     ktu = u @ kernel

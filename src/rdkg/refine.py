@@ -453,7 +453,8 @@ def op_relate(
     For every unconnected node pair, the mean lecture distance over the
     cross pairs of their top-coupled elements (identical indices
     excluded) must fall below the threshold. Pairs are taken in
-    ascending node order (j < k), each edge appended as it is found.
+    ascending node order (j < k); a pair already joined by an edge of
+    the input graph is skipped.
     All pair means come from one gathered block of ``d_lecture``; a mean
     within ``_TIE_TOL`` of ``theta_relate`` is re-decided with
     ``np.mean`` over the cross pairs in row order, so the edges are those
@@ -479,8 +480,6 @@ def op_relate(
         block = d_lecture[np.ix_(tops[j], tops[k])]
         related[j, k] = float(np.mean(block[distinct[j, k]])) < cfg.theta_relate
 
-    # Edges appended below join pairs the scan has already passed, so the
-    # edges present at the start decide every skip.
     linked = frozenset(frozenset((e.src, e.dst)) for e in kg.edges)
     added: list[RelationEdge] = []
     records: list[EditRecord] = []

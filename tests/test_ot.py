@@ -101,6 +101,8 @@ def test_sinkhorn_rejects_bad_inputs():
         sinkhorn(np.array([[np.inf, 0.0], [0.0, 0.0]]), u, u, 0.05)
     with pytest.raises(InputError, match="strictly positive"):
         sinkhorn(np.zeros((2, 2)), np.array([1.0, 0.0]), u, 0.05)
+    with pytest.raises(InputError, match="at least 1"):
+        sinkhorn(np.zeros((2, 2)), u, u, 0.05, 0)
 
 
 def log_domain_scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap):
@@ -136,13 +138,18 @@ def assert_oracle_fixed_point(plan, cost, mu, nu, eps):
 @pytest.mark.parametrize("eps", [0.05, 1e-2, 1e-3, 1e-4])
 def test_sinkhorn_matches_log_domain_oracle(shape, eps, monkeypatch):
     # Over-relaxed and plain iterations share only their fixed point, so
-    # the solver runs to a tolerance far below the default and the plain
-    # log-domain oracle, started from its potentials, must stay on its plan.
-    # A solve that does not get there within the cap (sharp eps on the
-    # spread-30 costs, single-stage warm starts far from the new optimum)
-    # has no common fixed point to compare and is only checked feasible;
-    # at the program's epsilon every cold solve must get there.
-    monkeypatch.setattr(ot, "MARGINAL_TOL", 1e-12)
+    # every leg (cold and warm solve of each cost) is held against the
+    # plain log-domain oracle twice:
+    # - from the same start at the default tolerance and cap, the solver
+    #   converges wherever the oracle does, and the two plans then agree
+    #   to the order of the tolerance both meet;
+    # - the solver runs to a tolerance far below the default with a large
+    #   cap, and where it gets there the oracle, started from its
+    #   potentials, must keep its plan to 1e-9.
+    # Legs on which neither the solver nor the oracle meets either
+    # tolerance (sharp eps on the spread-30 costs, single-stage warm
+    # starts far from the new optimum) have no common point to compare.
+    # At the program's epsilon every cold solve gets to the tight one.
     n, m = shape
     rng = np.random.default_rng(n * 1000 + m)
     mu = rng.random(n) + 0.1
@@ -151,17 +158,25 @@ def test_sinkhorn_matches_log_domain_oracle(shape, eps, monkeypatch):
     nu /= nu.sum()
     for spread in (1.0, 30.0):
         cost = rng.random((n, m)) * spread
-        cold = sinkhorn(cost, mu, nu, eps, 20000)
-        # warm start from the solved potentials on a shifted cost
+        # warm start from solved potentials on a shifted cost
         shifted = cost + rng.random((n, m)) * 0.2 * spread
-        warm = sinkhorn(shifted, mu, nu, eps, 20000, potentials=cold.potentials)
-        if eps == SolverConfig.epsilon:
-            assert cold.converged
-        for solved_cost, plan in ((cost, cold), (shifted, warm)):
-            assert np.isfinite(plan.matrix).all()
-            assert plan.marginal_residual() <= 1e-9
-            if plan.converged:
-                assert_oracle_fixed_point(plan, solved_cost, mu, nu, eps)
+        with monkeypatch.context() as mp:
+            mp.setattr(ot, "MARGINAL_TOL", 1e-12)
+            cold = sinkhorn(cost, mu, nu, eps, 20000)
+            warm = sinkhorn(shifted, mu, nu, eps, 20000, potentials=cold.potentials)
+            if eps == SolverConfig.epsilon:
+                assert cold.converged
+            for solved_cost, plan in ((cost, cold), (shifted, warm)):
+                assert np.isfinite(plan.matrix).all()
+                assert plan.marginal_residual() <= 1e-9
+                if plan.converged:
+                    assert_oracle_fixed_point(plan, solved_cost, mu, nu, eps)
+        for solved_cost, start in ((cost, None), (shifted, cold.potentials)):
+            got = sinkhorn(solved_cost, mu, nu, eps, potentials=start)
+            ref = oracle_sinkhorn(solved_cost, mu, nu, eps, potentials=start)
+            assert got.converged or not ref.converged
+            if ref.converged:
+                assert np.abs(got.matrix - ref.matrix).max() <= 10 * MARGINAL_TOL
 
 
 def self_similarity_cost(seed: int, n: int = 40, topics: int = 4, words: int = 15):
@@ -221,6 +236,44 @@ def test_sinkhorn_recentres_far_off_warm_start(monkeypatch):
     assert np.isfinite(out.matrix).all()
     assert out.marginal_residual() <= 1e-6
     assert np.isfinite(out.potentials[0]).all() and np.isfinite(out.potentials[1]).all()
+
+
+def far_off_warm_start():
+    """The far-off warm start above: (cost, mu, nu, eps, f, g)."""
+    rng = np.random.default_rng(11)
+    n, m = 39, 12
+    cost = rng.random((n, m)) * 30.0
+    f = rng.random(n) * 40.0 - 20.0
+    g = np.concatenate([np.full(m // 2, 15.0), np.full(m - m // 2, -25.0)])
+    return cost, np.full(n, 1 / n), np.full(m, 1 / m), 1e-3, f, g
+
+
+def test_sinkhorn_recentring_keeps_pace_with_plain_iterations():
+    # The far-off warm start needs a new pass every few dozen iterations.
+    # Each pass must keep the iterations it made, so the solver ends as
+    # close to the marginals as plain log-domain iterations with the same
+    # budget from the same start.
+    cost, mu, nu, eps, f, g = far_off_warm_start()
+
+    def raw_residual(plan):
+        pf, pg = plan.potentials
+        raw = np.exp((pf[:, None] + pg[None, :] - cost) / eps)
+        return max(np.abs(raw.sum(axis=1) - mu).max(), np.abs(raw.sum(axis=0) - nu).max())
+
+    got = sinkhorn(cost, mu, nu, eps, 5000, potentials=(f, g))
+    ref = oracle_sinkhorn(cost, mu, nu, eps, 5000, potentials=(f, g))
+    assert raw_residual(got) <= 1.1 * raw_residual(ref)
+
+
+def test_sinkhorn_drops_non_finite_scalings(monkeypatch):
+    # With no range limit the far-off warm start's scalings overflow to
+    # inf or NaN or underflow to 0; such a pass must go back to its last
+    # checked scalings rather than absorb them into the potentials.
+    monkeypatch.setattr(ot, "_SCALE_LIMIT", np.inf)
+    cost, mu, nu, eps, f, g = far_off_warm_start()
+    out = sinkhorn(cost, mu, nu, eps, 2000, potentials=(f, g))
+    assert np.isfinite(out.potentials[0]).all() and np.isfinite(out.potentials[1]).all()
+    assert out.marginal_residual() <= 1e-6
 
 
 # --- structural term ------------------------------------------------------------
