@@ -320,6 +320,12 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
+#: Array kernels sum in another order than the scalar definitions they
+#: replace. Values this close to a threshold or an extremum are re-decided
+#: with the scalar definition, so every decision matches it exactly.
+_TIE_TOL = 1e-9
+
+
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     """clip(1 - cos(u, v), 0, 2), exactly 0 for identical vectors.
 

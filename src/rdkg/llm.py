@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import (
+    _TIE_TOL,
+    _unit_rows,
     check_request_settings,
     cosine_distance,
     json_headers,
@@ -356,10 +358,7 @@ def propose_label_edges(
         touching = [e for e in proposals if new_node.id in (e.src, e.dst)]
         if touching:
             return touching
-    distances = [
-        cosine_distance(new_embedding, node_embeddings[i]) for i in range(len(others))
-    ]
-    nearest = others[int(np.argmin(distances))]
+    nearest = others[_nearest_row(new_embedding, node_embeddings[: len(others)])]
     return [
         RelationEdge(
             src=new_node.id,
@@ -369,6 +368,25 @@ def propose_label_edges(
             rationale="nearest existing concept by semantic similarity",
         )
     ]
+
+
+def _nearest_row(point: np.ndarray, rows: np.ndarray) -> int:
+    """Index of the row with the smallest ``cosine_distance`` to point,
+    ties to the first.
+
+    One product of unit vectors scores every row (as in
+    ``refine._farthest_pair``), and only the rows within ``_TIE_TOL`` of
+    the minimum are rescored with the scalar kernel, in index order with
+    strict ``<`` (``np.argmin``'s rule), so exact duplicates and
+    equidistant rows give the row a full scalar scan would.
+    """
+    approx = 1.0 - _unit_rows(rows) @ _unit_rows([point])[0]
+    best, index = np.inf, 0
+    for i in np.flatnonzero(approx <= approx.min() + _TIE_TOL).tolist():
+        d = cosine_distance(point, rows[i])
+        if d < best:
+            best, index = d, i
+    return index
 
 
 def edge_prompt(kg: KnowledgeGraph, allowed_relations: frozenset[str]) -> str:

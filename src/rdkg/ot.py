@@ -1,14 +1,16 @@
 """Entropic optimal transport and the fused structural-feature coupling.
 
 The linear solver is Sinkhorn in the stabilized scaling form: each
-epsilon stage starts with one log-domain iteration, then iterates on
-scalings against a kernel with the potentials absorbed (two
-matrix-vector products per iteration) and falls back to a log-domain
-iteration whenever a scaling leaves a safe range (Cuturi, NeurIPS 2013;
-Schmitzer, SIAM J. Sci. Comput. 2019). Where plain scaling contracts
-slowly, the updates over-relax by a fixed factor, which keeps the fixed
-point and contracts much faster (Thibault, Chizat, Dossal, Papadakis,
-arXiv:1711.01851); a stalled stage returns to plain updates. Both
+epsilon stage starts a pass with one exact iteration from the
+potentials, whose row log-sum-exp keeps its exponentials as the kernel
+with the potentials absorbed (one N x M exponential per pass), then
+iterates on scalings against that kernel (two matrix-vector products per
+iteration) and opens a new pass whenever a scaling leaves a safe range
+(Cuturi, NeurIPS 2013; Schmitzer, SIAM J. Sci. Comput. 2019). The
+plan is the last kernel with its scalings applied. Where plain scaling
+contracts slowly, the updates over-relax by a fixed factor, which keeps
+the fixed point and contracts much faster (Thibault, Chizat, Dossal,
+Papadakis, arXiv:1711.01851); a stalled stage returns to plain updates. Both
 marginals are checked only where the contraction measured so far would
 meet the tolerance, at most a few iterations apart, so an iteration
 between checks is two products and two updates. The fused problem
@@ -146,7 +148,9 @@ def sinkhorn(
     Minimizes <cost, pi> - epsilon * H(pi) over couplings of (mu, nu).
     The duals f, g are log-domain potentials, iterated as scalings
     within a stage (see _scale_loop); the plan is
-    exp((f + g - cost) / epsilon). Cold starts anneal the
+    exp((f + g - cost) / epsilon), taken from the last pass's kernel and
+    scalings rather than exponentiated anew, so entries below
+    _KERNEL_FLOOR are 0. Cold starts anneal the
     regularization from the cost scale down to the target epsilon
     (geometric halving, potentials carried across stages);
     near-boundary optima that take millions of plain updates converge
@@ -178,13 +182,16 @@ def sinkhorn(
     log_mu = np.log(mu)
     log_nu = np.log(nu)
     if potentials is not None:
-        f, g = np.array(potentials[0]), np.array(potentials[1])
+        f, g = (np.array(p, dtype=np.float64) for p in potentials)
+        if f.shape != (n,) or g.shape != (m,):
+            raise InputError("potential shapes do not match the cost matrix")
+        if not (np.isfinite(f).all() and np.isfinite(g).all()):
+            raise InputError("potentials have non-finite entries")
         schedule = [epsilon]
     else:
         f, g = np.zeros(n), np.zeros(m)
         schedule = _epsilon_schedule(cost, epsilon)
     budget = max_iters
-    converged = False
     for stage, eps in enumerate(schedule):
         final_stage = stage == len(schedule) - 1
         if final_stage:
@@ -194,13 +201,12 @@ def sinkhorn(
         else:
             # Early stages only need to roughly track the continuation path.
             cap = min(budget, max(16, max_iters // (4 * len(schedule))))
-        spent, converged = _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap)
+        spent, converged, plan = _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap)
         budget -= spent
         if budget <= 0 and not final_stage:
-            spent, converged = _scale_loop(cost, epsilon, f, g, log_mu, log_nu, mu, 2)
+            _, converged, plan = _scale_loop(cost, epsilon, f, g, log_mu, log_nu, mu, 2)
             break
 
-    plan = np.exp((f[:, None] + g[None, :] - cost) / epsilon)
     if not np.isfinite(plan).all():
         raise NumericalError("numerical failure in sinkhorn: non-finite plan")
     plan = _round_to_marginals(plan, mu, nu)
@@ -221,14 +227,14 @@ def _epsilon_schedule(cost: np.ndarray, target: float) -> list[float]:
     return schedule
 
 
-def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool]:
+def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool, np.ndarray]:
     """Scaling iterations at one epsilon; mutates f and g in place.
 
-    Returns (iterations spent, converged). A pass starts with one
-    log-domain iteration, which is exact for any potentials, then forms
-    the kernel K = exp((f + g - cost)/eps) once, with the potentials
-    absorbed and entries below _KERNEL_FLOOR flushed to 0, and iterates
-    on the scalings u = exp(df/eps), v = exp(dg/eps):
+    Returns (iterations spent, converged, plan). A pass starts with one
+    exact iteration from the potentials (_open_pass), which also yields
+    the kernel K = exp((f + g - cost)/eps) with the potentials absorbed
+    and entries below _KERNEL_FLOOR flushed to 0, and iterates on the
+    scalings u = exp(df/eps), v = exp(dg/eps):
 
         u <- u o (mu / (u o Kv))^omega,   v <- v o (nu / (v o K'u))^omega
 
@@ -267,14 +273,17 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool]:
     potentials, which re-centres the kernel. Finite positive scalings
     are absorbed as they are: beyond the limit a flushed kernel entry
     may have carried mass, but the next pass starts with an exact
-    log-domain iteration from whatever potentials it gets, and only a
+    iteration from whatever potentials it gets, and only a
     check within the limit can report convergence. Going back to the
     last checked pair would make a far-off warm start, which needs a new
     pass every few dozen iterations, fall far behind plain iterations.
     An infinite, NaN or zero entry (a kernel row or column
     underflowed, or an update overflowed) sends the scalings back to
     the last checked pair; the discarded iterations count as spent. The
-    scalings are absorbed into f and g whenever a pass ends.
+    scalings are absorbed into f and g whenever a pass ends. The last
+    pass's kernel, scaled in its own buffer to u o K o v, is the plan
+    exp((f + g - cost)/eps) of the returned potentials, up to the flushed
+    entries.
     """
     nu = np.exp(log_nu)
     omega = 1.0
@@ -283,13 +292,8 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool]:
     stalls = 0
     iteration = 0
     while True:
-        row_lse = _logsumexp((g[None, :] - cost) / eps, axis=1)
-        f[:] = eps * (log_mu - row_lse)
-        col_lse = _logsumexp((f[:, None] - cost) / eps, axis=0)
-        g[:] = eps * (log_nu - col_lse)
+        kernel = _open_pass(cost, eps, f, g, log_mu, log_nu, mu, nu)
         iteration += 1
-        kernel = np.exp((f[:, None] + g[None, :] - cost) / eps)
-        kernel[kernel < _KERNEL_FLOOR] = 0.0
         u = np.ones_like(f)
         v = np.ones_like(g)
         ktu = kernel.sum(axis=0)
@@ -343,25 +347,64 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool]:
         f += eps * np.log(u)
         g += eps * np.log(v)
         if converged or iteration == cap:
-            return iteration, converged
+            kernel *= u[:, None]
+            kernel *= v
+            return iteration, converged, kernel
+
+
+def _open_pass(cost, eps, f, g, log_mu, log_nu, mu, nu) -> np.ndarray:
+    """One exact Sinkhorn iteration from the potentials; sets f and g in
+    place and returns the kernel exp((f + g - cost)/eps) of the result,
+    entries below _KERNEL_FLOOR flushed to 0.
+
+    The row step is a log-sum-exp whose exponentials are kept:
+    E = exp((g - cost)/eps - rowmax) and f = eps (log mu - rowmax -
+    log rowsum E), the ops of _logsumexp, and E o (mu / rowsum E) is the
+    kernel with the new f absorbed. The column step then scales that
+    kernel's columns to nu and moves g by the same factor in the log
+    domain. Every row of E holds a 1, but a column of the kernel may
+    underflow: where a column sum is below _KERNEL_FLOOR, entries that
+    lost precision could carry mass once scaled, so the column step is
+    taken in the log domain and the kernel exponentiated anew.
+    """
+    kernel = g[None, :] - cost
+    kernel /= eps
+    top = kernel.max(axis=1, keepdims=True)
+    kernel -= top
+    np.exp(kernel, out=kernel)
+    rows = kernel.sum(axis=1, keepdims=True)
+    f[:] = eps * (log_mu - np.squeeze(top + np.log(rows), axis=1))
+    kernel *= mu[:, None] / rows
+    cols = kernel.sum(axis=0)
+    if cols.min() < _KERNEL_FLOOR:
+        col_lse = _logsumexp((f[:, None] - cost) / eps, axis=0)
+        g[:] = eps * (log_nu - col_lse)
+        kernel = np.exp((f[:, None] + g[None, :] - cost) / eps)
+    else:
+        g += eps * (log_nu - np.log(cols))
+        kernel *= nu / cols
+    kernel[kernel < _KERNEL_FLOOR] = 0.0
+    return kernel
 
 
 def _round_to_marginals(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Project an almost-feasible plan onto exact marginals.
+    """Project an almost-feasible plan onto exact marginals, in place.
 
     Scales overfull rows then columns down to their targets and restores
     the missing mass as a rank-one correction; perturbs the plan by at
-    most the pre-projection marginal violation.
+    most the pre-projection marginal violation. Returns the plan.
     """
     rows = plan.sum(axis=1)
-    plan = plan * np.minimum(1.0, mu / np.where(rows > 0, rows, 1.0))[:, None]
+    plan *= np.minimum(1.0, mu / np.where(rows > 0, rows, 1.0))[:, None]
     cols = plan.sum(axis=0)
-    plan = plan * np.minimum(1.0, nu / np.where(cols > 0, cols, 1.0))[None, :]
+    plan *= np.minimum(1.0, nu / np.where(cols > 0, cols, 1.0))[None, :]
     missing_rows = np.maximum(mu - plan.sum(axis=1), 0.0)
     missing_cols = np.maximum(nu - plan.sum(axis=0), 0.0)
     deficit = missing_rows.sum()
     if deficit > 0:
-        plan = plan + np.outer(missing_rows, missing_cols) / deficit
+        correction = np.outer(missing_rows, missing_cols)
+        correction /= deficit
+        plan += correction
     return plan
 
 

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import COVERAGE_PERCENTILE, RdPoint, RdTrace, coverage_tolerance
-from .embeddings import CostMemo, _unit_rows, cosine_distance, cosine_similarity
+from .embeddings import _TIE_TOL, CostMemo, _unit_rows, cosine_distance, cosine_similarity
 from .errors import InputError, NumericalError
 from .kg import (
     ALLOWED_RELATIONS,
@@ -54,11 +54,6 @@ from .ot import Coupling, FgwResult, SolverConfig, fgw
 logger = logging.getLogger(__name__)
 
 MAX_DEFINITION_CHARS = 1000
-
-#: Array kernels sum in another order than the scalar definitions they
-#: replace. Values this close to a threshold or a maximum are re-decided
-#: with the scalar definition, so every decision matches it exactly.
-_TIE_TOL = 1e-9
 
 
 @dataclass

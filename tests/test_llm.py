@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from rdkg.embeddings import cosine_distance
 from rdkg.errors import InputError
 from rdkg.kg import ConceptNode, KnowledgeGraph, RelationEdge, validate_graph
 from rdkg.llm import (
     LlmClient,
     LlmClientConfig,
     Namer,
+    _nearest_row,
     bootstrap_kg,
     propose_label_edges,
 )
@@ -210,6 +212,28 @@ def test_fallback_single_related_to_nearest():
     assert edges[0].relation == "relatedTo"
     assert edges[0].confidence == 0.3
     assert {edges[0].src, edges[0].dst} == {"new", "a"}
+
+
+def test_nearest_row_is_the_scalar_argmin():
+    # Rows are small-integer multiples of six directions, the last five
+    # exact copies of earlier rows, so many rows tie at the minimum and
+    # the array pass alone breaks some ties differently from the scalar
+    # kernel. The point is a multiple of a row or a direction plus noise.
+    array_only_misses = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        base = rng.integers(-2, 3, size=(6, 4)).astype(float)
+        base[np.abs(base).sum(axis=1) == 0] = 1.0
+        rows = base[rng.integers(0, 6, 30)] * rng.integers(1, 8, 30)[:, None]
+        rows[-5:] = rows[rng.integers(0, 25, 5)]
+        points = [3.0 * rows[rng.integers(0, 30)],
+                  base[rng.integers(0, 6)] + rng.normal(0.0, 0.3, 4)]
+        for point in points:
+            expected = int(np.argmin([cosine_distance(point, row) for row in rows]))
+            assert _nearest_row(point, rows) == expected
+            unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            array_only_misses += int(np.argmax(unit @ point) != expected)
+    assert array_only_misses > 0
 
 
 def test_client_self_loop_dropped_fallback_applies():

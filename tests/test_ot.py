@@ -21,6 +21,7 @@ from rdkg.ot import (
     SolverConfig,
     _argmin_quadratic_unit,
     _logsumexp,
+    _round_to_marginals,
     distortion_terms,
     fgw,
     gw_gradient,
@@ -103,21 +104,34 @@ def test_sinkhorn_rejects_bad_inputs():
         sinkhorn(np.zeros((2, 2)), np.array([1.0, 0.0]), u, 0.05)
     with pytest.raises(InputError, match="at least 1"):
         sinkhorn(np.zeros((2, 2)), u, u, 0.05, 0)
+    for potentials, message in [
+        ((np.zeros(3), np.zeros(2)), "potential shapes"),
+        ((np.zeros(2), np.zeros((2, 1))), "potential shapes"),
+        ((np.zeros(2), np.array([0.0, np.nan])), "non-finite"),
+        ((np.array([np.inf, 0.0]), np.zeros(2)), "non-finite"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            sinkhorn(np.zeros((2, 2)), u, u, 0.05, potentials=potentials)
 
 
 def log_domain_scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap):
     """Oracle: every Sinkhorn iteration in the log domain, plain (no
-    over-relaxation), testing the rows before each iteration."""
+    over-relaxation), testing the rows before each iteration; the plan is
+    the exponential of its own potentials."""
+    converged = False
     for iteration in range(cap):
         row_lse = _logsumexp((g[None, :] - cost) / eps, axis=1)
         if iteration > 0:
             row_sums = np.exp(f / eps + row_lse)
             if np.abs(row_sums - mu).max() <= ot.MARGINAL_TOL:
-                return iteration, True
+                converged = True
+                break
         f[:] = eps * (log_mu - row_lse)
         col_lse = _logsumexp((f[:, None] - cost) / eps, axis=0)
         g[:] = eps * (log_nu - col_lse)
-    return cap, False
+    else:
+        iteration = cap
+    return iteration, converged, np.exp((f[:, None] + g[None, :] - cost) / eps)
 
 
 def oracle_sinkhorn(*args, **kwargs):
@@ -132,6 +146,13 @@ def assert_oracle_fixed_point(plan, cost, mu, nu, eps):
     ref = oracle_sinkhorn(cost, mu, nu, eps, 50, potentials=plan.potentials)
     scale = np.abs(ref.matrix).max()
     assert np.abs(plan.matrix - ref.matrix).max() <= 1e-9 * scale
+
+
+def assert_plan_from_potentials(plan, cost, mu, nu, eps):
+    """The plan is the rounded exponential of the returned potentials."""
+    f, g = plan.potentials
+    ref = _round_to_marginals(np.exp((f[:, None] + g[None, :] - cost) / eps), mu, nu)
+    assert np.abs(plan.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (39, 12), (217, 60)])
@@ -171,12 +192,49 @@ def test_sinkhorn_matches_log_domain_oracle(shape, eps, monkeypatch):
                 assert plan.marginal_residual() <= 1e-9
                 if plan.converged:
                     assert_oracle_fixed_point(plan, solved_cost, mu, nu, eps)
+                    assert_plan_from_potentials(plan, solved_cost, mu, nu, eps)
         for solved_cost, start in ((cost, None), (shifted, cold.potentials)):
             got = sinkhorn(solved_cost, mu, nu, eps, potentials=start)
             ref = oracle_sinkhorn(solved_cost, mu, nu, eps, potentials=start)
             assert got.converged or not ref.converged
             if ref.converged:
                 assert np.abs(got.matrix - ref.matrix).max() <= 10 * MARGINAL_TOL
+
+
+@pytest.mark.parametrize("offset", [-50.0, -36.5])
+def test_sinkhorn_opening_falls_back_for_an_underflowed_column(offset, monkeypatch):
+    # A warm start whose last column potential is far below the others at
+    # eps 0.05: after the row step that kernel column is about
+    # exp(offset / eps), 0 in float at -50 and subnormal (a sum near
+    # 5e-316, a few significant bits) at -36.5. Scaling it to nu would
+    # take log(0) or divide by a sum that has lost its precision, so the
+    # opening must take the column step in the log domain instead, and
+    # the solve must land on the oracle's fixed point.
+    rng = np.random.default_rng(3)
+    n, m, eps = 12, 8, 0.05
+    cost = rng.random((n, m))
+    mu = np.full(n, 1 / n)
+    nu = rng.random(m) + 0.1
+    nu /= nu.sum()
+    start = (np.zeros(n), np.concatenate([np.zeros(m - 1), [offset]]))
+    column_steps = []
+
+    def counted_logsumexp(a, axis):
+        column_steps.append(axis)
+        return _logsumexp(a, axis)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ot, "_logsumexp", counted_logsumexp)
+        mp.setattr(ot, "MARGINAL_TOL", 1e-12)
+        out = sinkhorn(cost, mu, nu, eps, 20000, potentials=start)
+    assert column_steps == [0]  # the first opening only
+    assert out.converged
+    assert_oracle_fixed_point(out, cost, mu, nu, eps)
+    assert_plan_from_potentials(out, cost, mu, nu, eps)
+    got = sinkhorn(cost, mu, nu, eps, potentials=start)
+    ref = oracle_sinkhorn(cost, mu, nu, eps, potentials=start)
+    assert got.converged and ref.converged
+    assert np.abs(got.matrix - ref.matrix).max() <= 10 * MARGINAL_TOL
 
 
 def self_similarity_cost(seed: int, n: int = 40, topics: int = 4, words: int = 15):
@@ -213,9 +271,10 @@ def test_sinkhorn_converges_where_plain_scaling_is_slow():
 
 
 def test_sinkhorn_recentres_far_off_warm_start(monkeypatch):
-    # Warm potentials far off the cost at eps 1e-3: the kernel formed after
-    # the first iteration has underflowed rows, so scaling steps overflow
-    # and are redone in the log domain. No error, a finite feasible plan.
+    # Warm potentials far off the cost at eps 1e-3: the kernel formed by
+    # the first iteration has underflowed entries, so scaling steps leave
+    # the safe range and new passes open from the absorbed potentials.
+    # No error, a finite feasible plan.
     rng = np.random.default_rng(11)
     n, m, eps = 39, 12, 1e-3
     cost = rng.random((n, m)) * 30.0
@@ -223,16 +282,16 @@ def test_sinkhorn_recentres_far_off_warm_start(monkeypatch):
     nu = np.full(m, 1 / m)
     f = rng.random(n) * 40.0 - 20.0
     g = np.concatenate([np.full(m // 2, 15.0), np.full(m - m // 2, -25.0)])
-    log_domain_iterations = []
+    passes = []
 
-    def counted_logsumexp(a, axis):
-        # a log-domain iteration takes one row and one column logsumexp
-        log_domain_iterations.append(axis)
-        return _logsumexp(a, axis)
+    def counted_open_pass(*args):
+        passes.append(1)
+        return open_pass(*args)
 
-    monkeypatch.setattr(ot, "_logsumexp", counted_logsumexp)
+    open_pass = ot._open_pass
+    monkeypatch.setattr(ot, "_open_pass", counted_open_pass)
     out = sinkhorn(cost, mu, nu, eps, 2000, potentials=(f, g))
-    assert log_domain_iterations.count(0) > 1  # the first one and re-centrings
+    assert len(passes) > 1  # the first one and re-centrings
     assert np.isfinite(out.matrix).all()
     assert out.marginal_residual() <= 1e-6
     assert np.isfinite(out.potentials[0]).all() and np.isfinite(out.potentials[1]).all()
