@@ -349,15 +349,22 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return 1.0 - cosine_distance(u, v)
 
 
-def feature_cost(
-    source: np.ndarray, target: np.ndarray, block: int = 64
-) -> np.ndarray:
+#: Bytes of the difference tensor that ``feature_cost`` forms per block of
+#: rows. A fixed row count would let it grow with the target set: 64 rows
+#: against 481 targets of 256 dimensions make 63 MB.
+_BLOCK_BYTES = 2 * 1024 * 1024
+
+
+def feature_cost(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Pairwise cosine-distance cost matrix between two embedding sets.
 
     Entry (i, j) is clip(1 - cos(source_i, target_j), 0, 2). This is an
     absolute cost (never re-normalized) consumed by the transport
-    objective and by coverage. Identical rows give exact zeros. Row
-    blocks bound the memory of the broadcasted difference tensor.
+    objective and by coverage. Identical rows give exact zeros. Rows are
+    costed in blocks whose broadcasted difference tensor holds at most
+    _BLOCK_BYTES (at least one row per block), so the memory beyond the
+    output stays bounded whatever the sizes; an entry does not depend on
+    the block it was costed in.
     """
     a = _unit_rows(source)
     b = _unit_rows(target)
@@ -365,9 +372,12 @@ def feature_cost(
         raise InputError(
             f"feature_cost: dimension mismatch ({a.shape[1]} vs {b.shape[1]})"
         )
+    block = max(1, _BLOCK_BYTES // max(8 * b.size, 1))
     out = np.empty((a.shape[0], b.shape[0]))
+    buffer = np.empty((min(block, a.shape[0]), *b.shape))  # reused by every block
     for i0 in range(0, a.shape[0], block):
-        diff = a[i0 : i0 + block, None, :] - b[None, :, :]
+        diff = buffer[: min(block, a.shape[0] - i0)]
+        np.subtract(a[i0 : i0 + block, None, :], b[None, :, :], out=diff)
         out[i0 : i0 + block] = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
     np.clip(out, 0.0, 2.0, out=out)
     return out

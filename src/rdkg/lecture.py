@@ -258,7 +258,8 @@ def save_lecture_space(space: LectureSpace, path: str | Path) -> None:
 def load_lecture_space(path: str | Path) -> LectureSpace:
     """Load a lecture-space artifact written by save_lecture_space.
 
-    Raises InputError for a file of another ``format``.
+    Raises InputError for a file of another ``format``, and for missing,
+    ragged, non-numeric or non-finite fields.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -289,7 +290,11 @@ def load_lecture_space(path: str | Path) -> LectureSpace:
         )
     except (KeyError, TypeError) as exc:
         raise InputError(f"lecture artifact {path} missing field: {exc}") from exc
+    except ValueError as exc:  # a ragged or non-numeric matrix or vector
+        raise InputError(f"lecture artifact {path} has a malformed field: {exc}") from exc
     n = len(space.elements)
     if space.distance.shape != (n, n) or space.measure.shape != (n,):
         raise InputError(f"lecture artifact {path} has inconsistent shapes")
+    if not (np.isfinite(space.distance).all() and np.isfinite(space.measure).all()):
+        raise InputError(f"lecture artifact {path} has non-finite distances or measure")
     return space

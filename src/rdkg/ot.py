@@ -35,6 +35,12 @@ r and column sums s of pi, the squared-loss expansion gives
 and s are taken from pi itself, E matches the explicit 4-index sum for
 any nonnegative matrix, not only for exactly-feasible couplings.
 
+The product C1 pi C2 is linear in pi, so the solver carries it across
+outer steps: the line search's product C1 delta C2 of the step
+direction delta is the only N^2 M-sized product of a step, and the
+step pi + t delta moves the carried product by t times it. The start
+plan mu nu' has the rank-one product (C1 mu)(C2' nu)'.
+
 Reported distortion is the unregularized objective at the returned
 coupling; the entropy term is a solver device, not part of the
 distortion definition.
@@ -414,15 +420,15 @@ def _pair_terms(c1sq: np.ndarray, c2sq: np.ndarray, pi: np.ndarray):
     return c1sq @ r, c2sq @ s, r, s
 
 
-def _structure_parts(c1, c2, c1sq, c2sq, pi):
-    """(structure value, (C1 o C1) r, (C2 o C2) s, C1 pi C2) of a plan.
+def _structure_parts(c1sq, c2sq, pi, product):
+    """(structure value, (C1 o C1) r, (C2 o C2) s) of a plan, given its
+    product C1 pi C2.
 
-    The last three are what the gradient at pi is made of.
+    The last two, with the product, are what the gradient at pi is made of.
     """
     u, w, r, s = _pair_terms(c1sq, c2sq, pi)
-    product = c1 @ pi @ c2
     value = float(r @ u + s @ w - 2.0 * np.tensordot(product, pi))
-    return max(value, 0.0), u, w, product
+    return max(value, 0.0), u, w
 
 
 def _gradient(u: np.ndarray, w: np.ndarray, product: np.ndarray) -> np.ndarray:
@@ -436,7 +442,7 @@ def structure_value(c1: np.ndarray, c2: np.ndarray, pi: np.ndarray) -> float:
     (up to float rounding) for any nonnegative pi.
     """
     _check_square(c1, c2, pi)
-    return _structure_parts(c1, c2, c1 * c1, c2 * c2, pi)[0]
+    return _structure_parts(c1 * c1, c2 * c2, pi, c1 @ pi @ c2)[0]
 
 
 def gw_gradient(c1: np.ndarray, c2: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -476,10 +482,12 @@ def fgw(
     nonincreasing across outer iterations by construction; the history
     of unregularized objective values is returned for inspection.
 
-    C1 o C1 and C2 o C2 are formed once per call, and each objective
-    evaluation keeps the product C1 pi C2 and the pair terms, which give
-    the next gradient and the final structure and feature terms, so an
-    outer step makes two matrix products (objective, line search).
+    C1 o C1 and C2 o C2 are formed once per call. The product C1 pi C2
+    is carried across steps (see the module docstring): the start plan's
+    is rank-one, and the line search's product C1 delta C2 both gives the
+    step's quadratic coefficient and moves the carried one, so an outer
+    step makes one matrix product. The carried product, with the pair
+    terms, gives each gradient and the final structure term.
     """
     cfg = config or SolverConfig()
     lam = cfg.lambda_feat
@@ -496,9 +504,8 @@ def fgw(
 
     c1sq, c2sq = d_source * d_source, d_target * d_target
     pi = np.outer(mu, nu)
-    objective, feature, parts = _evaluate(
-        d_source, d_target, c1sq, c2sq, feature_costs, pi, lam
-    )
+    product = np.outer(d_source @ mu, nu @ d_target)
+    objective, feature, parts = _evaluate(c1sq, c2sq, feature_costs, pi, product, lam)
     history = [objective]
     converged = False
     inner_converged = True
@@ -508,7 +515,7 @@ def fgw(
     for iterations in range(1, cfg.fw_iters + 1):
         grad = lam * feature_costs
         if lam < 1.0:
-            grad = grad + (1.0 - lam) * _gradient(*parts[1:])
+            grad = grad + (1.0 - lam) * _gradient(*parts[1:], product)
         if not np.isfinite(grad).all():
             raise NumericalError(
                 f"numerical failure at outer iteration {iterations}: bad gradient"
@@ -523,15 +530,17 @@ def fgw(
 
         # Exact line search: objective along pi + t*delta is quadratic
         # a t^2 + b t + const with the coefficients below.
-        a = (1.0 - lam) * _quad_coeff(d_source, d_target, delta, c1sq, c2sq)
+        quad, step_product = _quad_coeff(d_source, d_target, delta, c1sq, c2sq)
+        a = (1.0 - lam) * quad
         b = float(np.tensordot(grad, delta))
         t = _argmin_quadratic_unit(a, b)
         if t == 0.0:
             converged = True
             break
         pi = pi + t * delta
+        product = product + t * step_product
         new_objective, feature, parts = _evaluate(
-            d_source, d_target, c1sq, c2sq, feature_costs, pi, lam
+            c1sq, c2sq, feature_costs, pi, product, lam
         )
         if np.isnan(new_objective):
             raise NumericalError(
@@ -575,23 +584,29 @@ def coupling_dump(pi: Coupling) -> dict:
     }
 
 
-def _evaluate(c1, c2, c1sq, c2sq, feats, pi, lam):
-    """(objective, raw feature term, _structure_parts or None at lam = 1)."""
+def _evaluate(c1sq, c2sq, feats, pi, product, lam):
+    """(objective, raw feature term, _structure_parts or None at lam = 1),
+    given the product C1 pi C2."""
     feature = float(np.tensordot(feats, pi))
     value = lam * feature
     parts = None
     if lam < 1.0:
-        parts = _structure_parts(c1, c2, c1sq, c2sq, pi)
+        parts = _structure_parts(c1sq, c2sq, pi, product)
         value += (1.0 - lam) * parts[0]
     return value, feature, parts
 
 
-def _quad_coeff(c1, c2, delta, c1sq, c2sq) -> float:
-    # E(delta) with delta's own (signed) marginals; may be negative, in
-    # which case the line search picks an endpoint.
+def _quad_coeff(c1, c2, delta, c1sq, c2sq) -> tuple[float, np.ndarray]:
+    """(E(delta), C1 delta C2): the line search's quadratic coefficient,
+    with delta's own (signed) marginals, and the product it is made of.
+
+    The coefficient may be negative, in which case the line search picks
+    an endpoint.
+    """
     r = delta.sum(axis=1)
     s = delta.sum(axis=0)
-    return float(r @ c1sq @ r + s @ c2sq @ s - 2.0 * np.tensordot(c1 @ delta @ c2, delta))
+    product = c1 @ delta @ c2
+    return float(r @ c1sq @ r + s @ c2sq @ s - 2.0 * np.tensordot(product, delta)), product
 
 
 def _argmin_quadratic_unit(a: float, b: float) -> float:

@@ -26,6 +26,7 @@ Operator signals all come from the coupling:
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -113,19 +114,36 @@ def align_graph(
     memo: CostMemo,
     gamma: tuple[float, float],
     solver_config: SolverConfig,
+    solved: dict[bytes, FgwResult] | None = None,
 ) -> Aligned:
     """Solve the fused transport alignment of ``kg`` to ``lecture``.
 
     Builds the graph space, reads the cost of every lecture unit against
     every node from ``memo`` (made over ``lecture``'s units) and runs
     ``fgw``. Every alignment the program solves comes from here.
+
+    ``solved`` maps the SHA-256 digest of the exact bytes of each earlier
+    solve's graph inputs (distance, measure, feature cost) to its result;
+    a graph whose inputs are there reuses that result, and a new solve is
+    added. One map serves one lecture and one solver setting.
     """
     space = build_kg_space(kg, memo, gamma)
     feature = memo.unit_cost([node_text(n) for n in kg.nodes])
+    key = None
+    if solved is not None:
+        # the lecture fixes N, so the total length fixes M and each part's bytes
+        digest = hashlib.sha256()
+        for part in (space.distance, space.measure, feature):
+            digest.update(part.tobytes())
+        key = digest.digest()
+        if key in solved:
+            return Aligned(space=space, feature=feature, result=solved[key])
     result = fgw(
         lecture.distance, space.distance, feature,
         lecture.measure, space.measure, solver_config,
     )
+    if key is not None:
+        solved[key] = result
     return Aligned(space=space, feature=feature, result=result)
 
 
@@ -634,11 +652,13 @@ def refine(
     the trace is flagged incomplete. The outcome carries the solved
     alignments of the initial graph and of the incumbent, so callers
     need not solve either again. One ``CostMemo`` serves every solve, so
-    each node text is embedded and costed once per search.
+    each node text is embedded and costed once per search, and a graph
+    whose solve inputs equal an earlier one's reuses that solve.
     """
     solver_cfg = solver_config or SolverConfig()
     cfg = refine_config or RefinementConfig()
     memo = CostMemo(provider.embed, lecture.contents())
+    solved: dict[bytes, FgwResult] = {}
     ctx = OpContext(
         lecture=lecture,
         element_embeddings=memo.unit_rows,
@@ -650,7 +670,7 @@ def refine(
     )
 
     kg = initial_kg.copy()
-    aligned = align_graph(lecture, kg, memo, gamma, solver_cfg)
+    aligned = align_graph(lecture, kg, memo, gamma, solver_cfg, solved)
     trace = RdTrace(beta=cfg.beta)
     _record(trace, 0, kg, aligned, cfg.beta, [])
     initial = incumbent = aligned
@@ -672,7 +692,7 @@ def refine(
                 if records:
                     _check_valid(kg, op.__name__, allowed_relations)
                     edits.extend(records)
-                    aligned = align_graph(lecture, kg, memo, gamma, solver_cfg)
+                    aligned = align_graph(lecture, kg, memo, gamma, solver_cfg, solved)
         except NumericalError as exc:
             logger.error("solver failure at iteration %d: %s", t, exc)
             trace.incomplete = True

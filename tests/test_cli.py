@@ -495,6 +495,24 @@ def test_align_and_refine_refuse_unstamped_or_other_format(pipeline, tmp_path, c
         assert not out.exists(), command
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["d"][1].pop(), "malformed field"),
+    (lambda doc: doc["d"][0].__setitem__(1, "near"), "malformed field"),
+    (lambda doc: doc["mu"].__setitem__(0, [doc["mu"][0]]), "malformed field"),
+    (lambda doc: doc["mu"].__setitem__(0, "x"), "malformed field"),
+    (lambda doc: doc["d"][0].__setitem__(1, float("nan")), "non-finite"),
+], ids=["ragged-d", "text-in-d", "ragged-mu", "text-in-mu", "nan-in-d"])
+def test_align_refuses_a_bad_lecture_artifact(pipeline, tmp_path, capsys, edit, message):
+    doc = json.loads(pipeline["space"].read_text())
+    edit(doc)
+    hand = tmp_path / "hand.space.json"
+    hand.write_text(json.dumps(doc))  # a NaN is written as the NaN literal
+    capsys.readouterr()
+    assert main(["align", str(hand), str(pipeline["kg"])]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_every_command_sends_each_text_to_the_endpoint_once(tmp_path, monkeypatch):
     sent = []
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdkg
+from rdkg import embeddings
 from rdkg.config import RunConfig
 from rdkg.embeddings import (
     CostMemo,
@@ -270,10 +272,27 @@ def test_feature_cost_dimension_mismatch():
         feature_cost(np.ones((2, 3)), np.ones((2, 4)))
 
 
-def test_feature_cost_blocking_matches_direct(rng):
+def test_feature_cost_blocking_matches_direct(rng, monkeypatch):
     a = rng.normal(size=(9, 5))
     b = rng.normal(size=(4, 5))
-    assert np.array_equal(feature_cost(a, b, block=2), feature_cost(a, b, block=64))
+    whole = feature_cost(a, b)  # one block
+    for block_bytes in (1, 8 * b.size * 2):  # blocks of one row, of two rows
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(feature_cost(a, b), whole)
+
+
+def test_self_cost_memory_is_bounded_by_the_block_bytes():
+    # beyond its output, the cost of 481 rows of 256 dimensions holds one
+    # block's difference tensor, a copy of the unit rows and the mirror's
+    # indices; 64-row blocks held a 63 MB tensor
+    rows = np.random.default_rng(0).normal(size=(481, 256))
+    tracemalloc.start()
+    try:
+        out = self_cost(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2 * embeddings._BLOCK_BYTES + 2**20
 
 
 @settings(max_examples=80, deadline=None)

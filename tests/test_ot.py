@@ -422,7 +422,7 @@ def _self_alignment_fixture(n=6):
     return d, feats, mu
 
 
-def reference_fgw(c1, c2, feats, mu, nu, cfg):
+def recomputing_fgw(c1, c2, feats, mu, nu, cfg):
     """Frank-Wolfe through the public gw_gradient, structure_value and
     distortion_terms, every product recomputed: (plan, terms, history)."""
     lam = cfg.lambda_feat
@@ -456,23 +456,100 @@ def reference_fgw(c1, c2, feats, mu, nu, cfg):
     return pi, distortion_terms(pi, c1, c2, feats), history
 
 
+def reference_fgw(c1, c2, feats, mu, nu, cfg):
+    """Frank-Wolfe with the product P = C1 pi C2 carried by linearity: P
+    starts as (C1 mu)(C2' nu)' and each step pi + t delta adds t C1 delta C2,
+    the line search's product. Returns (plan, terms, history, iterates),
+    iterates pairing every plan with its carried P."""
+    lam = cfg.lambda_feat
+    c1sq, c2sq = c1 * c1, c2 * c2
+
+    def terms(plan, product):
+        # (structure from the carried product, raw feature, (C1 o C1) r, (C2 o C2) s)
+        r, s = plan.sum(axis=1), plan.sum(axis=0)
+        u, w = c1sq @ r, c2sq @ s
+        structure = max(float(r @ u + s @ w - 2.0 * np.tensordot(product, plan)), 0.0)
+        return structure, float(np.tensordot(feats, plan)), u, w
+
+    def objective(structure, feature):
+        value = lam * feature
+        if lam < 1.0:
+            value += (1.0 - lam) * structure
+        return value
+
+    pi = np.outer(mu, nu)
+    product = np.outer(c1 @ mu, nu @ c2)
+    structure, feature, u, w = terms(pi, product)
+    history = [objective(structure, feature)]
+    iterates = [(pi, product)]
+    potentials = None
+    for _ in range(cfg.fw_iters):
+        grad = lam * feats
+        if lam < 1.0:
+            grad = grad + (1.0 - lam) * (2.0 * (u[:, None] + w[None, :]) - 4.0 * product)
+        inner = sinkhorn(grad, mu, nu, cfg.epsilon, cfg.sinkhorn_iters, potentials=potentials)
+        potentials = inner.potentials
+        delta = inner.matrix - pi
+        r, s = delta.sum(axis=1), delta.sum(axis=0)
+        step = c1 @ delta @ c2
+        quad = float(r @ c1sq @ r + s @ c2sq @ s - 2.0 * np.tensordot(step, delta))
+        t = _argmin_quadratic_unit((1.0 - lam) * quad, float(np.tensordot(grad, delta)))
+        if t == 0.0:
+            break
+        pi = pi + t * delta
+        product = product + t * step
+        structure, feature, u, w = terms(pi, product)
+        history.append(objective(structure, feature))
+        iterates.append((pi, product))
+        if history[-2] - history[-1] < cfg.fw_tol * max(abs(history[-1]), 1.0):
+            break
+    if lam == 1.0:
+        structure = structure_value(c1, c2, pi)
+    return pi, (structure, max(feature, 0.0)), history, iterates
+
+
+def _fw_problem(rng, lam, low=3, high=9):
+    n, m = int(rng.integers(low, high)), int(rng.integers(low, high))
+    c1, c2 = random_metric(n, rng), random_metric(m, rng)
+    feats = rng.random((n, m)) * 2
+    mu = np.full(n, 1 / n)
+    nu = rng.random(m) + 0.1
+    nu /= nu.sum()
+    return c1, c2, feats, mu, nu, SolverConfig(lambda_feat=lam)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
 def test_fgw_reuses_products_exactly(rng, lam):
-    # the kept products and pair terms give bit-identical iterates and terms
+    # the carried product and the kept pair terms give bit-identical
+    # iterates and terms
     for _ in range(3):
-        n, m = int(rng.integers(3, 9)), int(rng.integers(3, 9))
-        c1, c2 = random_metric(n, rng), random_metric(m, rng)
-        feats = rng.random((n, m)) * 2
-        mu = np.full(n, 1 / n)
-        nu = rng.random(m) + 0.1
-        nu /= nu.sum()
-        cfg = SolverConfig(lambda_feat=lam)
-        res = fgw(c1, c2, feats, mu, nu, cfg)
-        plan, (structure, feature), history = reference_fgw(c1, c2, feats, mu, nu, cfg)
+        problem = _fw_problem(rng, lam)
+        res = fgw(*problem)
+        plan, (structure, feature), history, _ = reference_fgw(*problem)
         assert len(history) > 2
         assert np.array_equal(res.coupling.matrix, plan)
         assert res.history == history
         assert (res.structure_term, res.feature_term) == (structure, feature)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.6])
+def test_fgw_carried_product_matches_fresh_products(rng, lam):
+    # carrying C1 pi C2 by linearity drifts from a fresh product only by
+    # rounding, and moves the solve no further than that
+    for low, high in ((3, 9), (3, 9), (20, 45)):
+        problem = _fw_problem(rng, lam, low, high)
+        c1, c2 = problem[:2]
+        _, _, history, iterates = reference_fgw(*problem)
+        assert len(iterates) > 2
+        for plan, product in iterates:
+            fresh = c1 @ plan @ c2
+            assert np.abs(product - fresh).max() <= 1e-12 * np.abs(fresh).max()
+        res = fgw(*problem)
+        plan, terms, recomputed_history = recomputing_fgw(*problem)
+        assert len(recomputed_history) == len(history)
+        assert np.abs(res.coupling.matrix - plan).max() <= 1e-12 * plan.max()
+        for got, want in zip((res.structure_term, res.feature_term), terms):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_fgw_self_alignment_identity():

@@ -896,6 +896,24 @@ def test_align_graph_equals_the_hand_composed_solve(provider):
             assert getattr(got.result, name) == getattr(want.result, name)
 
 
+def test_align_graph_reuses_a_solve_of_the_same_inputs(provider, monkeypatch):
+    refine_module = sys.modules["rdkg.refine"]
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    memo = CostMemo(provider.embed, space.contents())
+    solves = []
+    monkeypatch.setattr(refine_module, "fgw", lambda *a: solves.append(a) or fgw(*a))
+    solved = {}
+    first = align_graph(space, topic_a_only_kg(), memo, DEFAULT_GAMMA, SolverConfig(), solved)
+    again = align_graph(space, topic_a_only_kg(), memo, DEFAULT_GAMMA, SolverConfig(), solved)
+    assert len(solves) == 1 and again.result is first.result
+    edited = topic_a_only_kg()
+    edited.edges.clear()
+    other = align_graph(space, edited, memo, DEFAULT_GAMMA, SolverConfig(), solved)
+    assert len(solves) == 2 and other.result is not first.result
+    fresh = align_graph(space, edited, memo, DEFAULT_GAMMA, SolverConfig())
+    assert np.array_equal(other.coupling.matrix, fresh.coupling.matrix)
+
+
 def test_refine_calls_the_operators_bound_in_its_module(provider, monkeypatch):
     # a tool that rebinds rdkg.refine.op_* (such as a span tracer) sees every call
     module = sys.modules["rdkg.refine"]
