@@ -59,13 +59,25 @@ class HashEmbedder:
     Each lowercase token is mapped by SHA-256(seed:token) to one
     coordinate and a sign; token counts accumulate. Texts without any
     word token fall back to a single pseudo-token derived from the raw
-    text so no row is ever zero.
+    text so no row is ever zero. Each instance hashes a distinct token
+    once and keeps its slot.
     """
 
     def __init__(self, dim: int = DEFAULT_EMBED_DIM, seed: int = DEFAULT_EMBED_SEED):
         check_dim(dim)
         self.dim = dim
         self.seed = seed
+        self._slots: dict[str, tuple[int, float]] = {}
+
+    def _slot(self, tok: str) -> tuple[int, float]:
+        """The (coordinate, sign) of one token."""
+        slot = self._slots.get(tok)
+        if slot is None:
+            digest = hashlib.sha256(f"{self.seed}:{tok}".encode()).digest()
+            slot = (int.from_bytes(digest[:4], "big") % self.dim,
+                    1.0 if digest[4] % 2 == 0 else -1.0)
+            self._slots[tok] = slot
+        return slot
 
     @property
     def fingerprint(self) -> dict:
@@ -82,9 +94,7 @@ class HashEmbedder:
             if not tokens:
                 tokens = ["raw:" + content_hash(text)]
             for tok in tokens:
-                digest = hashlib.sha256(f"{self.seed}:{tok}".encode()).digest()
-                coord = int.from_bytes(digest[:4], "big") % self.dim
-                sign = 1.0 if digest[4] % 2 == 0 else -1.0
+                coord, sign = self._slot(tok)
                 out[row, coord] += sign
             if not out[row].any():
                 # Sign cancellations across duplicate-coordinate tokens are

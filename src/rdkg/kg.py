@@ -9,7 +9,7 @@ provenance and prompting but do not weight the geometry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -96,11 +96,17 @@ class KnowledgeGraph:
         return any(tuple(sorted((e.src, e.dst))) == pair for e in self.edges)
 
     def copy(self) -> "KnowledgeGraph":
+        # the constructors, not dataclasses.replace, which costs several times
+        # more per call; a search copies thousands of nodes and edges
         return KnowledgeGraph(
-            nodes=[replace(n, aliases=list(n.aliases),
-                           provenance=dict(n.provenance) if n.provenance else None,
-                           extra=dict(n.extra)) for n in self.nodes],
-            edges=[replace(e, extra=dict(e.extra)) for e in self.edges],
+            nodes=[ConceptNode(id=n.id, label=n.label, definition=n.definition,
+                               aliases=list(n.aliases),
+                               provenance=dict(n.provenance) if n.provenance else None,
+                               confidence=n.confidence, rationale=n.rationale,
+                               extra=dict(n.extra)) for n in self.nodes],
+            edges=[RelationEdge(src=e.src, dst=e.dst, relation=e.relation,
+                                confidence=e.confidence, rationale=e.rationale,
+                                extra=dict(e.extra)) for e in self.edges],
             extra=dict(self.extra),
         )
 

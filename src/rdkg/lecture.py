@@ -9,7 +9,11 @@ units is uniform.
 
 The lecture-space artifact holds the units, the fused distance, the
 measure, and the stamp of how it was made: the fusion weights and the
-embedding provider's fingerprint.
+embedding provider's fingerprint. It is one compact JSON object whose
+distance is written row by row from its upper triangle. The writer and
+the reader enforce one contract (``check_space``): the distance is
+finite, exactly symmetric, zero on the diagonal and in [0, 1], and the
+measure is a positive probability vector.
 """
 
 from __future__ import annotations
@@ -225,15 +229,54 @@ def build_lecture_space(
     )
 
 
+def check_space(space: LectureSpace, name: str) -> None:
+    """The lecture space's contract, shared by the writer and the reader.
+
+    ``distance`` is an N x N matrix, N the unit count, finite, exactly
+    symmetric (bit for bit, which the row-by-row writer relies on), with a
+    zero diagonal and entries in [0, 1]; ``measure`` is a finite, strictly
+    positive length-N vector summing to 1. Raises InputError naming
+    ``name`` for the first rule broken.
+    """
+    d = np.asarray(space.distance, dtype=np.float64)
+    mu = np.asarray(space.measure, dtype=np.float64)
+    n = len(space.elements)
+    if d.shape != (n, n) or mu.shape != (n,):
+        raise InputError(f"{name} has inconsistent shapes")
+    if not (np.isfinite(d).all() and np.isfinite(mu).all()):
+        raise InputError(f"{name} has non-finite distances or measure")
+    if not np.array_equal(d.view(np.int64), d.T.view(np.int64)):
+        raise InputError(f"{name} has a distance matrix that is not exactly symmetric")
+    if (np.diagonal(d) != 0.0).any():
+        raise InputError(f"{name} has a nonzero diagonal distance")
+    if (d < 0.0).any() or (d > 1.0).any():
+        raise InputError(f"{name} has distances outside [0, 1]")
+    if (mu <= 0.0).any() or abs(mu.sum() - 1.0) > _WEIGHT_TOL:
+        raise InputError(f"{name} has a measure that is not a positive probability vector")
+
+
+def _dumps(obj) -> str:
+    # compact separators: the matrix dominates and this file is machine-read
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+
+
 def save_lecture_space(space: LectureSpace, path: str | Path) -> None:
     """Write the lecture-space JSON artifact.
 
     Keys: ``format``, ``elements``, ``mu``, ``d``, and the stamp
-    ``alpha`` and ``fingerprint``. Matrix values are serialized with
-    full float precision (well beyond the 9 significant digits the
-    format requires) so a reload is bit-exact.
+    ``alpha`` and ``fingerprint``. The bytes are those of one compact
+    ``json.dumps`` of the whole document, with matrix values at full
+    float precision so a reload is bit-exact. ``d`` is written row by
+    row from its upper triangle: row i formats its entries j >= i and
+    takes its entries j < i from the strings rows j made, so each value
+    is formatted once and neither the whole matrix as Python floats nor
+    the whole document as one string is ever held.
+
+    Raises InputError, writing nothing, for a space that breaks
+    ``check_space``.
     """
-    doc = {
+    check_space(space, "lecture space")
+    head = _dumps({
         "format": ARTIFACT_FORMAT,
         "elements": [
             {
@@ -245,21 +288,29 @@ def save_lecture_space(space: LectureSpace, path: str | Path) -> None:
             for e in space.elements
         ],
         "mu": space.measure.tolist(),
-        "d": space.distance.tolist(),
-        "alpha": list(space.alpha),
-        "fingerprint": space.fingerprint,
-    }
-    # compact separators: the matrix dominates and this file is machine-read
-    Path(path).write_text(
-        json.dumps(doc, ensure_ascii=False, separators=(",", ":")), encoding="utf-8"
-    )
+    })
+    tail = _dumps({"alpha": list(space.alpha), "fingerprint": space.fingerprint})
+    n = len(space.elements)
+    lower: list[list[str] | None] = [[] for _ in range(n)]  # row k's strings for j < k
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write(head[:-1] + ',"d":[')
+        for i, row in enumerate(space.distance):
+            upper = list(map(float.__repr__, row[i:].tolist()))
+            for strings, s in zip(lower[i + 1:], upper[1:]):
+                strings.append(s)
+            out.write(("[" if i == 0 else ",[") + ",".join(lower[i] + upper) + "]")
+            lower[i] = None
+        out.write("]," + tail[1:])
 
 
 def load_lecture_space(path: str | Path) -> LectureSpace:
     """Load a lecture-space artifact written by save_lecture_space.
 
-    Raises InputError for a file of another ``format``, and for missing,
-    ragged, non-numeric or non-finite fields.
+    Raises InputError for a file of another ``format``, for missing,
+    ragged or non-numeric fields, and for a space that breaks
+    ``check_space`` (non-finite, asymmetric or out-of-range distances, a
+    nonzero diagonal, a measure that is not a positive probability
+    vector).
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -292,9 +343,5 @@ def load_lecture_space(path: str | Path) -> LectureSpace:
         raise InputError(f"lecture artifact {path} missing field: {exc}") from exc
     except ValueError as exc:  # a ragged or non-numeric matrix or vector
         raise InputError(f"lecture artifact {path} has a malformed field: {exc}") from exc
-    n = len(space.elements)
-    if space.distance.shape != (n, n) or space.measure.shape != (n,):
-        raise InputError(f"lecture artifact {path} has inconsistent shapes")
-    if not (np.isfinite(space.distance).all() and np.isfinite(space.measure).all()):
-        raise InputError(f"lecture artifact {path} has non-finite distances or measure")
+    check_space(space, f"lecture artifact {path}")
     return space

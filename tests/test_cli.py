@@ -501,7 +501,16 @@ def test_align_and_refine_refuse_unstamped_or_other_format(pipeline, tmp_path, c
     (lambda doc: doc["mu"].__setitem__(0, [doc["mu"][0]]), "malformed field"),
     (lambda doc: doc["mu"].__setitem__(0, "x"), "malformed field"),
     (lambda doc: doc["d"][0].__setitem__(1, float("nan")), "non-finite"),
-], ids=["ragged-d", "text-in-d", "ragged-mu", "text-in-mu", "nan-in-d"])
+    (lambda doc: doc.update(mu=[2 * m for m in doc["mu"]]), "not a positive probability"),
+    (lambda doc: doc["d"][0].__setitem__(1, -5.0), "not exactly symmetric"),
+    (lambda doc: doc["d"][0].__setitem__(2, doc["d"][2][0] / 2), "not exactly symmetric"),
+    (lambda doc: (doc["d"][0].__setitem__(1, -5.0), doc["d"][1].__setitem__(0, -5.0)),
+     "outside [0, 1]"),
+    (lambda doc: (doc["d"][0].__setitem__(1, 1.5), doc["d"][1].__setitem__(0, 1.5)),
+     "outside [0, 1]"),
+    (lambda doc: doc["d"][0].__setitem__(0, 0.25), "nonzero diagonal"),
+], ids=["ragged-d", "text-in-d", "ragged-mu", "text-in-mu", "nan-in-d", "doubled-mu",
+        "negative-d-one-side", "asymmetric-d", "negative-d", "d-above-1", "nonzero-diagonal"])
 def test_align_refuses_a_bad_lecture_artifact(pipeline, tmp_path, capsys, edit, message):
     doc = json.loads(pipeline["space"].read_text())
     edit(doc)
@@ -511,6 +520,20 @@ def test_align_refuses_a_bad_lecture_artifact(pipeline, tmp_path, capsys, edit, 
     assert main(["align", str(hand), str(pipeline["kg"])]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_refine_refuses_an_artifact_whose_measure_is_not_a_probability(pipeline, tmp_path,
+                                                                      capsys):
+    doc = json.loads(pipeline["space"].read_text())
+    doc["mu"] = [2 * m for m in doc["mu"]]
+    hand = tmp_path / "hand.space.json"
+    hand.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["refine", str(hand), str(pipeline["kg"]), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "not a positive probability" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_every_command_sends_each_text_to_the_endpoint_once(tmp_path, monkeypatch):

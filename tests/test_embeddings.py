@@ -64,6 +64,32 @@ def test_hash_provider_nonzero_for_symbol_soup():
     assert np.linalg.norm(rows, axis=1).min() > 0
 
 
+def test_hash_provider_hashes_each_distinct_token_once(monkeypatch):
+    texts = ["Alpha beta alpha", "beta GAMMA beta", "!!!", "!!!", "alpha"]
+    tokens = [["alpha", "beta", "alpha"], ["beta", "gamma", "beta"],
+              ["raw:" + content_hash("!!!")], ["raw:" + content_hash("!!!")], ["alpha"]]
+    # the definition: each token adds the sign its own SHA-256(seed:token) picks
+    expected = np.zeros((len(texts), 32))
+    for row, toks in enumerate(tokens):
+        for tok in toks:
+            digest = hashlib.sha256(f"7:{tok}".encode()).digest()
+            expected[row, int.from_bytes(digest[:4], "big") % 32] += (
+                1.0 if digest[4] % 2 == 0 else -1.0)
+    hashed = []
+    sha256 = hashlib.sha256
+
+    def counted(data=b""):
+        hashed.append(bytes(data))
+        return sha256(data)
+
+    monkeypatch.setattr(embeddings.hashlib, "sha256", counted)
+    provider = HashEmbedder(dim=32, seed=7)
+    assert np.array_equal(provider.embed(texts), expected)
+    assert np.array_equal(provider.embed(texts[::-1]), expected[::-1])
+    token_hashes = sorted(h for h in hashed if h.startswith(b"7:"))
+    assert token_hashes == sorted(f"7:{t}".encode() for t in {t for ts in tokens for t in ts})
+
+
 # --- file provider ------------------------------------------------------------
 
 

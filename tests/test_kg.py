@@ -1,5 +1,6 @@
 """Knowledge-graph model, geometry and JSON round-trip."""
 
+import dataclasses
 import json
 from collections import deque
 
@@ -28,6 +29,27 @@ from rdkg.kg import (
 from rdkg.lecture import fuse, minmax_normalize
 
 from conftest import topic_a_only_kg
+
+
+def test_copy_is_equal_and_shares_no_list_or_dict():
+    node = ConceptNode(id="n", label="L", definition="def", aliases=["x"],
+                       provenance={"source": "s"}, confidence=0.9, rationale="why",
+                       extra={"k": 1})
+    edge = RelationEdge(src="n", dst="m", relation="uses", confidence=0.8,
+                        rationale="because", extra={"k": 2})
+    # a field that copy forgets would come back at its default
+    for obj, cls in ((node, ConceptNode), (edge, RelationEdge)):
+        for f in dataclasses.fields(cls):
+            default = (f.default_factory() if f.default_factory is not dataclasses.MISSING
+                       else f.default)
+            assert getattr(obj, f.name) != default, f.name
+    kg = KnowledgeGraph(nodes=[node], edges=[edge], extra={"k": 3})
+    copied = kg.copy()
+    assert copied == kg
+    for original, clone in ((kg, copied), (node, copied.nodes[0]), (edge, copied.edges[0])):
+        for name, value in vars(original).items():
+            if isinstance(value, (list, dict)):
+                assert getattr(clone, name) is not value, name
 
 
 def simple_graph():

@@ -1,5 +1,8 @@
 """Lecture metric-measure space construction."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from rdkg.errors import InputError
 from rdkg.lecture import (
     DEFAULT_ALPHA,
     LectureElement,
+    LectureSpace,
     build_lecture_space,
     chron_distance,
     flatten,
@@ -262,6 +266,94 @@ def test_artifact_round_trip(provider, tmp_path):
     assert loaded.alpha == space.alpha
     save_lecture_space(loaded, tmp_path / "space2.json")
     assert (tmp_path / "space.json").read_bytes() == (tmp_path / "space2.json").read_bytes()
+
+
+def old_artifact_text(space):
+    """The artifact's bytes as one json.dumps of the whole document: the writer's reference."""
+    return json.dumps({
+        "format": 2,
+        "elements": [{"id": e.id, "idx": e.idx, "path": list(e.section_path),
+                      "content": e.content} for e in space.elements],
+        "mu": space.measure.tolist(),
+        "d": space.distance.tolist(),
+        "alpha": list(space.alpha),
+        "fingerprint": space.fingerprint,
+    }, ensure_ascii=False, separators=(",", ":"))
+
+
+# entries that print in exponent form, the smallest subnormal, and any others
+_DISTANCES = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-05, 1e-300, 1 / 3]),
+                       st.floats(0.0, 1.0))
+
+
+@st.composite
+def lecture_spaces(draw):
+    n = draw(st.integers(1, 7))
+    iu = np.triu_indices(n, 1)
+    d = np.zeros((n, n))
+    d[iu] = draw(st.lists(_DISTANCES, min_size=len(iu[0]), max_size=len(iu[0])))
+    d.T[iu] = d[iu]
+    weights = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
+    texts = st.text(min_size=1, max_size=12)
+    elements = [
+        LectureElement(id=f"u{i}", idx=i, section_path=tuple(draw(st.lists(texts, max_size=3))),
+                       content=draw(st.one_of(st.just("Größe ∑ 𝛼 — ünits"), texts)))
+        for i in range(n)
+    ]
+    return LectureSpace(
+        elements=elements,
+        distance=d,
+        measure=draw(st.sampled_from([uniform_measure(n), weights / weights.sum()])),
+        alpha=draw(st.sampled_from([DEFAULT_ALPHA, (0.45, 0.15, 0.4)])),
+        fingerprint=draw(st.sampled_from([None, {"kind": "hash", "dim": 256, "seed": 0}])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=lecture_spaces())
+def test_artifact_bytes_equal_one_dump_of_the_document(space, tmp_path_factory):
+    path = tmp_path_factory.mktemp("artifact") / "space.json"
+    save_lecture_space(space, path)
+    assert path.read_bytes() == old_artifact_text(space).encode("utf-8")
+
+
+def test_artifact_save_peaks_below_8_mib_at_n_481(tmp_path):
+    # one json.dumps of the whole document peaked at about 15.8 MiB here
+    n = 481
+    a = np.random.default_rng(0).random((n, n))
+    d = (a + a.T) / 2
+    np.fill_diagonal(d, 0.0)
+    space = LectureSpace(
+        elements=[LectureElement(id=f"u{i}", idx=i, section_path=("S", f"T{i % 7}"),
+                                 content=f"unit {i} of the lecture") for i in range(n)],
+        distance=d,
+        measure=uniform_measure(n),
+        alpha=DEFAULT_ALPHA,
+    )
+    tracemalloc.start()
+    try:
+        save_lecture_space(space, tmp_path / "space.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert (tmp_path / "space.json").read_bytes() == old_artifact_text(space).encode("utf-8")
+
+
+@pytest.mark.parametrize("i, j, value, message", [
+    (0, 1, 0.5, "not exactly symmetric"),
+    (0, 1, -0.0, "not exactly symmetric"),  # equal to 0.0, but it prints as -0.0
+    (1, 2, float("nan"), "non-finite"),
+])
+def test_artifact_save_refuses_a_broken_distance_and_writes_nothing(provider, tmp_path,
+                                                                   i, j, value, message):
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    space.distance[0, 1] = space.distance[1, 0] = 0.0
+    space.distance[i, j] = value
+    path = tmp_path / "space.json"
+    with pytest.raises(InputError, match=message):
+        save_lecture_space(space, path)
+    assert not path.exists()
 
 
 def test_artifact_rejects_garbage(tmp_path):
