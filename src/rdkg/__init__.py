@@ -37,7 +37,7 @@ from .lecture import (
 )
 from .llm import LlmClient, LlmClientConfig, Namer, bootstrap_kg
 from .markdown import parse_markdown
-from .ot import Coupling, FgwResult, SolverConfig, distortion_terms, fgw, sinkhorn
+from .ot import Coupling, FgwResult, SolverConfig, fgw, sinkhorn
 from .refine import RefinementConfig, RefineOutcome, refine
 
 __version__ = "0.1.0"
@@ -73,7 +73,6 @@ __all__ = [
     "build_lecture_space",
     "cosine_distance",
     "coverage",
-    "distortion_terms",
     "emit_report",
     "feature_cost",
     "fgw",

@@ -120,17 +120,32 @@ class FileEmbedder:
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read embeddings file {path}: {exc}") from exc
         try:
-            self.dim = int(doc["dim"])
+            self.dim = doc["dim"]
             keys = doc["keys"]
             vectors = doc["vectors"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"embeddings file {path} missing field: {exc}") from exc
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
+            raise InputError(f"embeddings file {path}: dim is not an integer")
+        if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+            raise InputError(f"embeddings file {path}: keys is not a list of strings")
+        if not isinstance(vectors, list):
+            raise InputError(f"embeddings file {path}: vectors is not a list")
         if len(keys) != len(vectors):
             raise InputError("embeddings file: keys/vectors count mismatch")
         self.sha256 = hashlib.sha256(raw).hexdigest()
         self._table: dict[str, np.ndarray] = {}
         for key, vec in zip(keys, vectors):
-            arr = np.asarray(vec, dtype=np.float64)
+            try:
+                arr = np.asarray(vec, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise InputError(
+                    f"embeddings file {path}: non-numeric vector for key {key[:12]}"
+                ) from exc
+            if not np.isfinite(arr).all():
+                raise InputError(
+                    f"embeddings file {path}: non-finite vector for key {key[:12]}"
+                )
             if arr.shape != (self.dim,):
                 raise InputError(
                     f"embeddings file: dimension mismatch for key {key[:12]}"
@@ -330,12 +345,6 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
-#: Array kernels sum in another order than the scalar definitions they
-#: replace. Values this close to a threshold or an extremum are re-decided
-#: with the scalar definition, so every decision matches it exactly.
-_TIE_TOL = 1e-9
-
-
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     """clip(1 - cos(u, v), 0, 2), exactly 0 for identical vectors.
 
@@ -352,11 +361,6 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
         raise InputError("degenerate embedding: zero-norm vector")
     diff = u / nu - v / nv
     return float(np.clip(0.5 * np.dot(diff, diff), 0.0, 2.0))
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Plain cosine similarity in [-1, 1]."""
-    return 1.0 - cosine_distance(u, v)
 
 
 #: Bytes of the difference tensor that ``feature_cost`` forms per block of

@@ -113,11 +113,14 @@ class KnowledgeGraph:
 
 @dataclass
 class KgSpace:
-    """The graph's metric-measure space plus its node embeddings."""
+    """The graph's metric-measure space: node distance and node measure.
+
+    Node rows and node-to-node feature costs stay in the search's
+    ``CostMemo``, keyed by node text.
+    """
 
     distance: np.ndarray
     measure: np.ndarray
-    node_embeddings: np.ndarray
 
 
 def validate_graph(
@@ -215,20 +218,18 @@ def build_kg_space(
     """Assemble the graph metric-measure space, uniform over nodes as the
     lecture space is over units.
 
-    ``memo`` gives the node rows and their pairwise feature costs, keyed
-    by node text (label, definition, up to three aliases).
+    ``memo`` gives the pairwise feature costs of the node texts (label,
+    definition, up to three aliases).
     """
     if not kg.nodes:
         raise InputError("cannot build a space over an empty graph")
     texts = [node_text(n) for n in kg.nodes]
-    embeddings = memo.embed(texts)
     return KgSpace(
         distance=fuse("gamma", gamma, [
             struct_distance(kg),
             minmax_normalize(memo.pair_cost(texts)),
         ]),
         measure=uniform_measure(len(kg.nodes)),
-        node_embeddings=embeddings,
     )
 
 
@@ -240,13 +241,15 @@ def build_kg_space(
 
 
 def kg_from_dict(doc: dict[str, Any]) -> KnowledgeGraph:
+    if not isinstance(doc, dict):
+        raise TypeError("the top level is not a JSON object")
     nodes = []
     for raw in doc.get("nodes", []):
         raw = dict(raw)
         nodes.append(
             ConceptNode(
-                id=str(raw.pop("id")),
-                label=str(raw.pop("label", "")),
+                id=_pop_text(raw, "id"),
+                label=_pop_text(raw, "label", ""),
                 definition=str(raw.pop("definition", "") or ""),
                 aliases=[str(a) for a in raw.pop("aliases", []) or []],
                 provenance=raw.pop("provenance", None),
@@ -260,9 +263,9 @@ def kg_from_dict(doc: dict[str, Any]) -> KnowledgeGraph:
         raw = dict(raw)
         edges.append(
             RelationEdge(
-                src=str(raw.pop("src")),
-                dst=str(raw.pop("dst")),
-                relation=str(raw.pop("relation")),
+                src=_pop_text(raw, "src"),
+                dst=_pop_text(raw, "dst"),
+                relation=_pop_text(raw, "relation"),
                 confidence=float(raw.pop("confidence", 0.5)),
                 rationale=raw.pop("rationale", None),
                 extra=raw,
@@ -270,6 +273,15 @@ def kg_from_dict(doc: dict[str, Any]) -> KnowledgeGraph:
         )
     extra = {k: v for k, v in doc.items() if k not in ("nodes", "edges")}
     return KnowledgeGraph(nodes=nodes, edges=edges, extra=extra)
+
+
+def _pop_text(raw: dict[str, Any], key: str, *default: str) -> str:
+    """``raw.pop(key, *default)`` as a string; a null value is refused
+    rather than read as the string "None"."""
+    value = raw.pop(key, *default)
+    if value is None:
+        raise ValueError(f"{key} is null")
+    return str(value)
 
 
 def kg_to_dict(kg: KnowledgeGraph) -> dict[str, Any]:

@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import (
-    _TIE_TOL,
-    _unit_rows,
-    check_request_settings,
-    cosine_distance,
-    json_headers,
-    post_json,
-    request_with_retries,
-)
+from .embeddings import check_request_settings, json_headers, post_json, request_with_retries
 from .errors import InputError, ProviderError
 from .kg import (
     ALLOWED_RELATIONS,
@@ -334,8 +326,7 @@ class Namer:
 def propose_label_edges(
     new_node: ConceptNode,
     kg: KnowledgeGraph,
-    node_embeddings: np.ndarray,
-    new_embedding: np.ndarray,
+    costs: np.ndarray,
     client: LlmClient | None = None,
     allowed_relations: frozenset[str] = ALLOWED_RELATIONS,
 ) -> list[RelationEdge]:
@@ -344,10 +335,11 @@ def propose_label_edges(
     With a client: relation-constrained proposals touching the new node,
     each validated (existing endpoints, allowed relation, confidence in
     [0, 1], no self-loop). Without a client, or when nothing valid comes
-    back: a single low-confidence relatedTo edge to the cosine-nearest
-    existing node.
+    back: a single low-confidence relatedTo edge to the existing node of
+    least feature cost, ties to the first (``np.argmin``).
 
-    node_embeddings rows follow kg.nodes order and exclude the new node.
+    ``costs`` holds the new node's feature cost against each other node,
+    in kg.nodes order without the new node.
     """
     others = [n for n in kg.nodes if n.id != new_node.id]
     if not others:
@@ -358,7 +350,7 @@ def propose_label_edges(
         touching = [e for e in proposals if new_node.id in (e.src, e.dst)]
         if touching:
             return touching
-    nearest = others[_nearest_row(new_embedding, node_embeddings[: len(others)])]
+    nearest = others[int(np.argmin(costs))]
     return [
         RelationEdge(
             src=new_node.id,
@@ -368,25 +360,6 @@ def propose_label_edges(
             rationale="nearest existing concept by semantic similarity",
         )
     ]
-
-
-def _nearest_row(point: np.ndarray, rows: np.ndarray) -> int:
-    """Index of the row with the smallest ``cosine_distance`` to point,
-    ties to the first.
-
-    One product of unit vectors scores every row (as in
-    ``refine._farthest_pair``), and only the rows within ``_TIE_TOL`` of
-    the minimum are rescored with the scalar kernel, in index order with
-    strict ``<`` (``np.argmin``'s rule), so exact duplicates and
-    equidistant rows give the row a full scalar scan would.
-    """
-    approx = 1.0 - _unit_rows(rows) @ _unit_rows([point])[0]
-    best, index = np.inf, 0
-    for i in np.flatnonzero(approx <= approx.min() + _TIE_TOL).tolist():
-        d = cosine_distance(point, rows[i])
-        if d < best:
-            best, index = d, i
-    return index
 
 
 def edge_prompt(kg: KnowledgeGraph, allowed_relations: frozenset[str]) -> str:

@@ -452,20 +452,6 @@ def gw_gradient(c1: np.ndarray, c2: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return _gradient(u, w, c1 @ pi @ c2)
 
 
-def distortion_terms(
-    plan: np.ndarray,
-    d_source: np.ndarray,
-    d_target: np.ndarray,
-    feature_costs: np.ndarray,
-) -> tuple[float, float]:
-    """(structure, feature) mismatch terms of a plan, both >= 0."""
-    if feature_costs.shape != plan.shape:
-        raise InputError("feature cost shape does not match the coupling")
-    structure = structure_value(d_source, d_target, plan)
-    feature = max(float(np.tensordot(feature_costs, plan)), 0.0)
-    return structure, feature
-
-
 def fgw(
     d_source: np.ndarray,
     d_target: np.ndarray,

@@ -17,11 +17,15 @@ Operator signals all come from the coupling:
 * split: normalized column entropy flags nodes coupled to heterogeneous
   lecture subsets; 2-means on the coupled embeddings yields children.
   (Entropy is normalized by ln N so the threshold is size independent.)
-* merge: cosine similarity of node embeddings plus symmetric KL of
-  column profiles detects redundant pairs.
+* merge: cosine similarity of node texts (one minus their feature cost)
+  plus symmetric KL of column profiles detects redundant pairs.
 * relate/prune: mean lecture distance between top-coupled neighborhoods
   adds relatedTo edges; the product of endpoint column masses prunes
   weakly supported ones.
+
+The search's ``CostMemo`` is the one source of node rows and
+node-to-node costs: split clusters its unit rows, merge reads its pair
+costs, and add reads the new nodes' costs for its nearest-node edges.
 """
 
 from __future__ import annotations
@@ -29,12 +33,11 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .analysis import COVERAGE_PERCENTILE, RdPoint, RdTrace, coverage_tolerance
-from .embeddings import _TIE_TOL, CostMemo, _unit_rows, cosine_distance, cosine_similarity
+from .embeddings import CostMemo, _unit_rows, cosine_distance
 from .errors import InputError, NumericalError
 from .kg import (
     ALLOWED_RELATIONS,
@@ -55,6 +58,11 @@ from .ot import Coupling, FgwResult, SolverConfig, fgw
 logger = logging.getLogger(__name__)
 
 MAX_DEFINITION_CHARS = 1000
+
+#: Array kernels sum in another order than the scalar definitions they
+#: replace. Values this close to a threshold or an extremum are re-decided
+#: with the scalar definition, so every decision matches it exactly.
+_TIE_TOL = 1e-9
 
 
 @dataclass
@@ -233,8 +241,7 @@ def top_coupled(plan: np.ndarray, column: int, k: int = 5) -> np.ndarray:
 @dataclass
 class OpContext:
     lecture: LectureSpace
-    element_embeddings: np.ndarray
-    embed: Callable[[list[str]], np.ndarray]
+    memo: CostMemo  # the search's node rows and costs, made over the lecture's units
     namer: Namer
     config: RefinementConfig
     llm_client: LlmClient | None = None
@@ -262,7 +269,10 @@ def op_add(
 
     Contiguous flagged elements sharing a section path become one node;
     per-group edges come from the LLM when available, else a single
-    low-confidence relatedTo to the nearest existing concept.
+    low-confidence relatedTo to the nearest concept added or existing
+    before it. The new nodes are named first and their texts costed in
+    one memo read; each then joins the graph in turn, so its edge prompt
+    shows the nodes and edges before it.
     """
     cfg = ctx.config
     tol = coverage_tolerance(aligned.feature, cfg.coverage_percentile, cfg.coverage_row_min)
@@ -286,41 +296,36 @@ def op_add(
     groups = groups[: cfg.max_adds]
 
     working = kg.copy()
-    embeddings_by_id = {
-        node.id: aligned.space.node_embeddings[i]
-        for i, node in enumerate(kg.nodes)
-    }
-    records: list[EditRecord] = []
     for group in groups:
         texts = [ctx.lecture.elements[i].content for i in group]
         path = ctx.lecture.elements[group[0]].section_path
         definition = " ".join(texts)[:MAX_DEFINITION_CHARS]
-        node = ConceptNode(
+        working.nodes.append(ConceptNode(
             id=ctx.fresh_id(working, f"add_t{iteration}_{group[0]}"),
             label=ctx.namer.name(texts),
             definition=definition,
             provenance={"path": list(path), "excerpt": definition[:200]},
             confidence=0.5,
             rationale="covers lecture span with low coupled mass",
-        )
-        new_embedding = ctx.embed([node_text(node)])[0]
-        others = list(working.nodes)
+        ))
+    costs = ctx.memo.pair_cost([node_text(n) for n in working.nodes])
+    m = len(kg.nodes)
+    added, working.nodes = working.nodes[m:], working.nodes[:m]
+    records: list[EditRecord] = []
+    for node in added:
+        position = len(working.nodes)
         working.nodes.append(node)
-        edges: list[RelationEdge] = []
-        if others:
-            other_rows = np.stack([embeddings_by_id[n.id] for n in others])
-            edges = propose_label_edges(
-                node, working, other_rows, new_embedding, ctx.llm_client,
-                ctx.allowed_relations,
-            )
-            working.edges.extend(edges)
-        embeddings_by_id[node.id] = new_embedding
+        edges = propose_label_edges(
+            node, working, costs[position, :position], ctx.llm_client,
+            ctx.allowed_relations,
+        )
+        working.edges.extend(edges)
         records.append(
             EditRecord(
                 op="add",
                 nodes=[node.id],
                 edges=[[e.src, e.relation, e.dst] for e in edges],
-                rationale=f"under-covered span at {'/'.join(path)}",
+                rationale=f"under-covered span at {'/'.join(node.provenance['path'])}",
                 iteration=iteration,
             )
         )
@@ -334,8 +339,9 @@ def op_split(
 
     The coupled subset (entries above the column mean) is clustered by
     deterministic 2-means; subsets smaller than 4 elements are left
-    alone. Children clone the parent's attributes, take their group's
-    concatenated text as definition, and inherit every incident edge.
+    alone. Children clone the parent's attributes (``extra`` included),
+    take their group's concatenated text as definition, and inherit every
+    incident edge with its ``extra``.
     """
     cfg = ctx.config
     entropies = column_entropy(aligned.coupling.matrix)
@@ -356,7 +362,7 @@ def op_split(
             continue
         if working is None:
             working = kg.copy()
-        labels = two_means(ctx.element_embeddings[subset])
+        labels = two_means(ctx.memo.unit_rows[subset])
         group_a = [subset[i] for i in range(len(subset)) if labels[i] == 0]
         group_b = [subset[i] for i in range(len(subset)) if labels[i] == 1]
         children: list[ConceptNode] = []
@@ -371,6 +377,7 @@ def op_split(
                     provenance=dict(parent.provenance) if parent.provenance else None,
                     confidence=parent.confidence,
                     rationale=f"split of {parent.id} (heterogeneous coupling)",
+                    extra=dict(parent.extra),
                 )
             )
         idx = next(i for i, n in enumerate(working.nodes) if n.id == parent.id)
@@ -386,6 +393,7 @@ def op_split(
                     relation=e.relation,
                     confidence=e.confidence,
                     rationale=e.rationale,
+                    extra=dict(e.extra),
                 )
                 _add_edge_dedup(working, rewired, keys)
         records.append(
@@ -402,25 +410,19 @@ def op_split(
 def op_merge(
     kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext, iteration: int
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
-    """Merge redundant node pairs (similar embeddings, similar columns).
+    """Merge redundant node pairs (similar texts, similar columns).
 
     Pairs are scanned in ascending node order and accepted greedily; a
     node that took part in a merge this iteration is excluded from
     further merging. The absorbing node keeps its label and definition
-    and gains the absorbed node's label and aliases as aliases. The
-    cosine test is read from one Gram matrix of unit rows; pairs within
-    ``_TIE_TOL`` of ``theta_cos`` are re-decided with the scalar
-    ``cosine_similarity``.
+    and gains the absorbed node's label and aliases as aliases. A pair's
+    cosine similarity is one minus the feature cost of its node texts,
+    read from the search's memo.
     """
     cfg = ctx.config
     plan = aligned.coupling.matrix
     col_sums = plan.sum(axis=0)
-    embeddings = aligned.space.node_embeddings
-    unit = _unit_rows(embeddings)
-    cos = unit @ unit.T
-    similar = cos >= cfg.theta_cos
-    for i, j in zip(*np.nonzero(np.abs(cos - cfg.theta_cos) <= _TIE_TOL)):
-        similar[i, j] = cosine_similarity(embeddings[i], embeddings[j]) >= cfg.theta_cos
+    similar = 1.0 - ctx.memo.pair_cost([node_text(n) for n in kg.nodes]) >= cfg.theta_cos
     working = None  # copied at the first merge
     used: set[str] = set()
     records: list[EditRecord] = []
@@ -661,8 +663,7 @@ def refine(
     solved: dict[bytes, FgwResult] = {}
     ctx = OpContext(
         lecture=lecture,
-        element_embeddings=memo.unit_rows,
-        embed=memo.embed,
+        memo=memo,
         namer=Namer(lecture.contents(), llm_client),
         config=cfg,
         llm_client=llm_client,

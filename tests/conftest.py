@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rdkg.embeddings import HashEmbedder
+from rdkg.embeddings import CostMemo, HashEmbedder
 from rdkg.kg import ConceptNode, KnowledgeGraph, RelationEdge
 
 TOPIC_A_WORDS = [
@@ -65,6 +65,13 @@ def random_metric(n: int, rng: np.random.Generator, dim: int = 3) -> np.ndarray:
     pts = rng.normal(size=(n, dim))
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     return d / d.max()
+
+
+def table_memo(rows_by_text: dict) -> CostMemo:
+    """A CostMemo over one unit whose provider looks each text's row up."""
+    rows = {t: np.asarray(r, dtype=np.float64) for t, r in rows_by_text.items()}
+    rows["unit"] = np.ones(len(next(iter(rows.values()))))
+    return CostMemo(lambda texts: np.stack([rows[t] for t in texts]), ["unit"])
 
 
 @pytest.fixture

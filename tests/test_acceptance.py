@@ -175,6 +175,7 @@ def test_criterion_06_frank_wolfe_monotone():
 def test_criterion_07_refinement_soundness(provider):
     """Duplicate nodes merge; an overloaded node splits profitably."""
     from test_refine import duplicate_pair_fixture, overloaded_fixture, solve
+    from rdkg.embeddings import CostMemo
     from rdkg.refine import op_split, OpContext
     from rdkg.llm import Namer
 
@@ -190,8 +191,7 @@ def test_criterion_07_refinement_soundness(provider):
     aligned = solve(space2, kg2, provider)
     ctx = OpContext(
         lecture=space2,
-        element_embeddings=provider.embed(space2.contents()),
-        embed=provider.embed,
+        memo=CostMemo(provider.embed, space2.contents()),
         namer=Namer(space2.contents()),
         config=RefinementConfig(),
     )

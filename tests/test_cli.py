@@ -118,6 +118,30 @@ def test_align_broken_kg_lists_violations(pipeline, tmp_path, capsys):
     assert "dangling endpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([{"id": "a", "label": "A"}], "not a JSON object"),
+    ({"nodes": [{"id": None, "label": "A"}]}, "id is null"),
+    ({"nodes": [{"id": "a", "label": None}]}, "label is null"),
+    ({"nodes": [{"id": "a", "label": "A"}, {"id": "None", "label": "B"}],
+      "edges": [{"src": None, "dst": "a", "relation": "uses"}]}, "src is null"),
+    ({"nodes": [{"id": "a", "label": "A"}, {"id": "None", "label": "B"}],
+      "edges": [{"src": "a", "dst": None, "relation": "uses"}]}, "dst is null"),
+    ({"nodes": [{"id": "a", "label": "A"}, {"id": "b", "label": "B"}],
+      "edges": [{"src": "a", "dst": "b", "relation": None}]}, "relation is null"),
+])
+def test_align_refuses_malformed_kg_json(pipeline, tmp_path, capsys, doc, message):
+    # a null is refused, not read as the string "None" (which names a node here)
+    bad = tmp_path / "bad.kg.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("align", "refine"):
+        argv = [command, str(pipeline["space"]), str(bad)]
+        if command == "refine":
+            argv += ["--out", str(tmp_path / "refined")]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "invalid structure" in err and message in err
+
+
 def test_align_debug_coupling_dump(pipeline, tmp_path):
     out_dir = tmp_path / "dump"
     code = main(["align", str(pipeline["space"]), str(pipeline["kg"]),
@@ -592,6 +616,23 @@ def test_malformed_embedding_reply_exits_input(tmp_path, monkeypatch, capsys, un
     assert code == EXIT_INPUT
     assert message in capsys.readouterr().err
     assert not (tmp_path / "units.space.json").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"dim": "sixteen", "keys": [], "vectors": []}, "dim is not an integer"),
+    ({"dim": 2.5, "keys": [], "vectors": []}, "dim is not an integer"),
+    ({"dim": 2, "keys": 7, "vectors": []}, "keys is not a list"),
+    ({"dim": 2, "keys": [content_hash("x")], "vectors": [["one", 1.0]]}, "non-numeric vector"),
+    ({"dim": 2, "keys": [content_hash("x")], "vectors": [[None, 1.0]]}, "non-finite vector"),
+])
+def test_ingest_refuses_a_malformed_embeddings_file(tmp_path, lecture_file, capsys, doc, message):
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(doc))
+    code = main(["ingest", str(lecture_file), "--out", str(tmp_path),
+                 "--embed-provider", "file", "--embeddings-file", str(path)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
 
 
 def test_align_refuses_an_artifact_ingested_with_another_embeddings_file(

@@ -295,7 +295,7 @@ def test_build_kg_space_invariants(provider):
     assert np.allclose(np.diag(d), 0.0)
     assert 0.0 <= d.min() and d.max() <= 1.0
     assert abs(space.measure.sum() - 1.0) < 1e-9
-    assert space.node_embeddings.shape[0] == 3
+    assert d.shape == (3, 3) and space.measure.shape == (3,)
 
 
 @pytest.mark.parametrize("gamma", [(0.5, 0.5), (0.3, 0.7)])

@@ -8,17 +8,18 @@ import pytest
 
 from rdkg.embeddings import cosine_distance
 from rdkg.errors import InputError
-from rdkg.kg import ConceptNode, KnowledgeGraph, RelationEdge, validate_graph
+from rdkg.kg import ConceptNode, KnowledgeGraph, RelationEdge, node_text, validate_graph
 from rdkg.llm import (
     LlmClient,
     LlmClientConfig,
     Namer,
-    _nearest_row,
     bootstrap_kg,
     propose_label_edges,
 )
 from rdkg.markdown import heading_count, parse_markdown
 from rdkg.refine import llm_propose_edges
+
+from conftest import table_memo
 
 
 def make_client(reply_factory, retries=0):
@@ -200,26 +201,25 @@ def graph_with_new_node():
             ConceptNode(id="new", label="Joins", definition="merge join dataframe"),
         ]
     )
-    emb = np.array([[1.0, 0.0], [0.0, 1.0]])  # rows for a, b
-    new_emb = np.array([0.9, 0.1])  # closest to a
-    return kg, emb, new_emb
+    costs = np.array([0.1, 0.6])  # the new node's costs against a, b: closest to a
+    return kg, costs
 
 
 def test_fallback_single_related_to_nearest():
-    kg, emb, new_emb = graph_with_new_node()
-    edges = propose_label_edges(kg.get_node("new"), kg, emb, new_emb)
+    kg, costs = graph_with_new_node()
+    edges = propose_label_edges(kg.get_node("new"), kg, costs)
     assert len(edges) == 1
     assert edges[0].relation == "relatedTo"
     assert edges[0].confidence == 0.3
     assert {edges[0].src, edges[0].dst} == {"new", "a"}
 
 
-def test_nearest_row_is_the_scalar_argmin():
+def test_fallback_takes_the_first_least_memo_cost():
     # Rows are small-integer multiples of six directions, the last five
-    # exact copies of earlier rows, so many rows tie at the minimum and
-    # the array pass alone breaks some ties differently from the scalar
-    # kernel. The point is a multiple of a row or a direction plus noise.
-    array_only_misses = 0
+    # exact copies of earlier rows, so many nodes tie at the least cost.
+    # The new node's row is a multiple of a row or a direction plus noise.
+    # The fallback links the first node at the least memo cost, and that
+    # node is nearest by the scalar cosine distance too.
     for seed in range(20):
         rng = np.random.default_rng(seed)
         base = rng.integers(-2, 3, size=(6, 4)).astype(float)
@@ -229,27 +229,32 @@ def test_nearest_row_is_the_scalar_argmin():
         points = [3.0 * rows[rng.integers(0, 30)],
                   base[rng.integers(0, 6)] + rng.normal(0.0, 0.3, 4)]
         for point in points:
-            expected = int(np.argmin([cosine_distance(point, row) for row in rows]))
-            assert _nearest_row(point, rows) == expected
-            unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-            array_only_misses += int(np.argmax(unit @ point) != expected)
-    assert array_only_misses > 0
+            kg = KnowledgeGraph(nodes=[ConceptNode(id=f"r{i}", label=f"R{i}")
+                                       for i in range(30)])
+            kg.nodes.append(ConceptNode(id="new", label="New"))
+            memo = table_memo({**{f"R{i}": row for i, row in enumerate(rows)}, "New": point})
+            costs = memo.pair_cost([node_text(n) for n in kg.nodes])[-1, :-1]
+            edges = propose_label_edges(kg.nodes[-1], kg, costs)
+            nearest = int(edges[0].dst[1:])
+            assert nearest == costs.tolist().index(costs.min())
+            scalar = [cosine_distance(point, row) for row in rows]
+            assert scalar[nearest] <= min(scalar) + 1e-12
 
 
 def test_client_self_loop_dropped_fallback_applies():
-    kg, emb, new_emb = graph_with_new_node()
+    kg, costs = graph_with_new_node()
     reply = json.dumps({"edges": [{"src": "new", "dst": "new", "relation": "uses",
                                    "confidence": 0.5, "rationale": "x"}]})
-    edges = propose_label_edges(kg.get_node("new"), kg, emb, new_emb,
+    edges = propose_label_edges(kg.get_node("new"), kg, costs,
                                 make_client(lambda p: reply))
     assert len(edges) == 1 and edges[0].relation == "relatedTo"
 
 
 def test_client_valid_uses_edge_returned():
-    kg, emb, new_emb = graph_with_new_node()
+    kg, costs = graph_with_new_node()
     reply = json.dumps({"edges": [{"src": "new", "dst": "b", "relation": "uses",
                                    "confidence": 0.8, "rationale": "joins feed plots"}]})
-    edges = propose_label_edges(kg.get_node("new"), kg, emb, new_emb,
+    edges = propose_label_edges(kg.get_node("new"), kg, costs,
                                 make_client(lambda p: reply))
     assert [(e.src, e.relation, e.dst, e.confidence) for e in edges] == [
         ("new", "uses", "b", 0.8)
@@ -307,8 +312,7 @@ def test_edge_prompt_same_from_both_callers():
         sent.append(payload["messages"][0]["content"])
         return '{"edges": []}'
 
-    propose_label_edges(kg.get_node("b"), kg, np.array([[1.0, 0.0]]),
-                        np.array([0.0, 1.0]), make_client(record), relations)
+    propose_label_edges(kg.get_node("b"), kg, np.array([1.0]), make_client(record), relations)
     ctx = type("FakeCtx", (), {"llm_client": make_client(record),
                                "allowed_relations": relations})()
     llm_propose_edges(kg, None, ctx, 1)  # the pass reads no alignment

@@ -22,7 +22,6 @@ from rdkg.ot import (
     _argmin_quadratic_unit,
     _logsumexp,
     _round_to_marginals,
-    distortion_terms,
     fgw,
     gw_gradient,
     sinkhorn,
@@ -382,33 +381,12 @@ def test_gradient_is_numerical_derivative(rng):
             assert grad[i, j] == pytest.approx(fd, abs=1e-4)
 
 
-def test_distortion_terms_constant_feature_cost(rng):
-    mu = np.full(3, 1 / 3)
-    nu = np.full(4, 1 / 4)
-    plan = np.outer(mu, nu)
-    feats = np.full((3, 4), 0.7)
-    structure, feature = distortion_terms(plan, np.zeros((3, 3)), np.zeros((4, 4)), feats)
-    assert structure == 0.0
-    assert feature == pytest.approx(0.7)
-
-
-def test_distortion_terms_match_oracle(rng):
-    c1 = random_metric(3, rng)
-    c2 = random_metric(3, rng)
-    plan = rng.random((3, 3))
-    plan /= plan.sum()
-    feats = rng.random((3, 3)) * 2
-    structure, feature = distortion_terms(plan, c1, c2, feats)
-    assert structure == pytest.approx(four_index_structure(c1, c2, plan), abs=1e-10)
-    assert feature == pytest.approx((feats * plan).sum(), abs=1e-12)
-
-
 def test_shape_mismatch_errors(rng):
     plan = np.full((2, 3), 1 / 6)
     with pytest.raises(InputError):
         gw_gradient(np.zeros((3, 3)), np.zeros((3, 3)), plan)
     with pytest.raises(InputError):
-        distortion_terms(plan, np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((3, 2)))
+        structure_value(np.zeros((3, 3)), np.zeros((3, 3)), plan)
 
 
 # --- fused solver ------------------------------------------------------------------
@@ -423,8 +401,8 @@ def _self_alignment_fixture(n=6):
 
 
 def recomputing_fgw(c1, c2, feats, mu, nu, cfg):
-    """Frank-Wolfe through the public gw_gradient, structure_value and
-    distortion_terms, every product recomputed: (plan, terms, history)."""
+    """Frank-Wolfe through the public gw_gradient and structure_value,
+    every product recomputed: (plan, terms, history)."""
     lam = cfg.lambda_feat
 
     def objective(plan):
@@ -453,7 +431,8 @@ def recomputing_fgw(c1, c2, feats, mu, nu, cfg):
         history.append(objective(pi))
         if history[-2] - history[-1] < cfg.fw_tol * max(abs(history[-1]), 1.0):
             break
-    return pi, distortion_terms(pi, c1, c2, feats), history
+    terms = (structure_value(c1, c2, pi), max(float(np.tensordot(feats, pi)), 0.0))
+    return pi, terms, history
 
 
 def reference_fgw(c1, c2, feats, mu, nu, cfg):

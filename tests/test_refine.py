@@ -11,7 +11,6 @@ from rdkg.analysis import coverage_tolerance
 from rdkg.embeddings import (
     CostMemo,
     cosine_distance,
-    cosine_similarity,
     feature_cost,
     memoized,
 )
@@ -58,17 +57,16 @@ from conftest import (
     TOPIC_B_WORDS,
     make_section,
     random_metric,
+    table_memo,
     topic_a_only_kg,
     two_topic_markdown,
 )
 
 
 def make_ctx(space, provider, config=None, client=None, relations=ALLOWED_RELATIONS):
-    embeddings = provider.embed(space.contents())
     return OpContext(
         lecture=space,
-        element_embeddings=embeddings,
-        embed=provider.embed,
+        memo=CostMemo(provider.embed, space.contents()),
         namer=Namer(space.contents(), client),
         config=config or RefinementConfig(),
         llm_client=client,
@@ -84,7 +82,8 @@ def solve(space, kg, provider, cfg=None):
 def hand_composed_alignment(space, kg, provider, cfg, gamma=DEFAULT_GAMMA):
     """The alignment spelled out: graph space, feature cost, fgw."""
     ks = build_kg_space(kg, CostMemo(provider.embed, space.contents()), gamma)
-    feats = feature_cost(provider.embed(space.contents()), ks.node_embeddings)
+    feats = feature_cost(provider.embed(space.contents()),
+                         provider.embed([node_text(n) for n in kg.nodes]))
     result = fgw(space.distance, ks.distance, feats, space.measure, ks.measure, cfg)
     return Aligned(space=ks, feature=feats, result=result)
 
@@ -405,6 +404,37 @@ def test_op_add_sends_and_keeps_extra_relations(provider):
     for record in records:
         assert record.edges == [[record.nodes[0], "causes", "n1"]]
     assert validate_graph(out, relations) == []
+    # each edge prompt shows the graph as it stood when its node joined
+    new_ids = [r.nodes[0] for r in records]
+    for k, prompt in enumerate(edge_prompts):
+        nodes = prompt.split("Nodes:\n")[1].split("\n\n")[0].splitlines()
+        assert [line[2:].split(":")[0] for line in nodes] == kg.node_ids() + new_ids[: k + 1]
+
+
+def test_op_add_costs_its_new_nodes_in_one_memo_read(provider, monkeypatch):
+    # the batch's new texts are costed once, against the units and against
+    # the nodes before them; the solve after the edit costs nothing new
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    kg = topic_a_only_kg()
+    ctx = make_ctx(space, provider)
+    aligned = align_graph(space, kg, ctx.memo, DEFAULT_GAMMA, SolverConfig())
+    embeddings_module = sys.modules["rdkg.embeddings"]
+    original = embeddings_module.feature_cost
+    calls = []
+    monkeypatch.setattr(embeddings_module, "feature_cost",
+                        lambda a, b: calls.append(len(a)) or original(a, b))
+    out, records = op_add(kg, aligned, ctx, 1)
+    assert len(records) >= 2
+    assert calls == [len(space.elements), len(records)]
+    align_graph(space, out, ctx.memo, DEFAULT_GAMMA, SolverConfig())
+    assert len(calls) == 2
+    # each fallback edge goes to the first node before it at the least cost
+    costs = ctx.memo.pair_cost([node_text(n) for n in out.nodes])
+    ids = out.node_ids()
+    for record in records:
+        k = ids.index(record.nodes[0])
+        nearest = ids[int(np.argmin(costs[k, :k]))]
+        assert record.edges == [[record.nodes[0], "relatedTo", nearest]]
 
 
 def test_op_split_trivial_noop(provider):
@@ -454,6 +484,23 @@ def test_op_split_fires_and_reduces_distortion(provider):
     assert len(mix_children) == 2
     after = solve(space, out, provider)
     assert after.result.distortion < aligned.result.distortion
+
+
+def test_op_split_keeps_extra_fields(provider):
+    # children copy their parent's unknown fields; rewired edges keep theirs
+    space, kg = overloaded_fixture(provider)
+    kg.get_node("mix").extra = {"source": "seed notes", "level": 2}
+    kg.get_node("anchor").extra = {"source": "syllabus"}
+    kg.edges[0].extra = {"weight_hint": 0.8}
+    aligned = solve(space, kg, provider)
+    out, records = op_split(kg, aligned, make_ctx(space, provider), 1)
+    assert "mix" in [r.nodes[0] for r in records]
+    for record in records:
+        parent = kg.get_node(record.nodes[0])
+        for child_id in record.nodes[1:]:
+            child = out.get_node(child_id)
+            assert child.extra == parent.extra and child.extra is not parent.extra
+    assert out.edges and all(e.extra == {"weight_hint": 0.8} for e in out.edges)
 
 
 def test_op_split_skips_small_subsets(provider):
@@ -530,41 +577,44 @@ def test_op_merge_identical_columns_always_fires():
     )
     plan = np.array([[0.2, 0.2, 0.1], [0.1, 0.1, 0.3]])
     pi = Coupling(plan, plan.sum(axis=1), plan.sum(axis=0))
-    emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    space = type("FakeSpace", (), {"node_embeddings": emb})()
+    memo = table_memo({"A": [1.0, 0.0], "B": [1.0, 0.0], "C": [0.0, 1.0]})
     result = type("FakeResult", (), {"coupling": pi})()
-    aligned = Aligned(space=space, feature=np.zeros((2, 3)), result=result)
-    ctx = type("FakeCtx", (), {"config": RefinementConfig()})()
+    aligned = Aligned(space=None, feature=np.zeros((2, 3)), result=result)
+    ctx = type("FakeCtx", (), {"config": RefinementConfig(), "memo": memo})()
     out, records = op_merge(kg, aligned, ctx, 1)
     assert [r.op for r in records] == ["merge"]
     assert records[0].nodes == ["a", "b"]
 
 
-def test_op_merge_cosine_threshold_matches_scalar():
+def test_op_merge_cosine_threshold_is_one_minus_the_memo_cost():
     # identical columns (KL 0), so only the cosine test decides; theta_cos
-    # set exactly to each pair's scalar similarity must still admit it
+    # set exactly to each pair's similarity, one minus its memo cost, must
+    # still admit it
     rng = np.random.default_rng(5)
     emb = rng.integers(-2, 3, size=(6, 8)).astype(float)
     emb[~emb.any(axis=1), 0] = 1.0
     plan = np.full((3, 6), 1.0 / 18)
     pi = Coupling(plan, plan.sum(axis=1), plan.sum(axis=0))
     kg = KnowledgeGraph(nodes=[ConceptNode(id=f"v{i}", label=f"V{i}") for i in range(6)])
-    space = type("FakeSpace", (), {"node_embeddings": emb})()
+    memo = table_memo({f"V{i}": row for i, row in enumerate(emb)})
+    similarity = 1.0 - memo.pair_cost([f"V{i}" for i in range(6)])
     result = type("FakeResult", (), {"coupling": pi})()
-    aligned = Aligned(space=space, feature=np.zeros((3, 6)), result=result)
+    aligned = Aligned(space=None, feature=np.zeros((3, 6)), result=result)
     for i in range(6):
         for j in range(i + 1, 6):
-            theta = cosine_similarity(emb[i], emb[j])
+            theta = similarity[i, j]
+            assert theta == pytest.approx(1.0 - cosine_distance(emb[i], emb[j]), abs=1e-12)
             if theta <= 0:
                 continue
-            ctx = type("FakeCtx", (), {"config": RefinementConfig(theta_cos=theta)})()
+            ctx = type("FakeCtx", (), {"config": RefinementConfig(theta_cos=theta),
+                                       "memo": memo})()
             _, records = op_merge(kg, aligned, ctx, 1)
             expected, used = [], set()
             for a in range(6):
                 if len(expected) >= 3 or a in used:
                     continue
                 for b in range(a + 1, 6):
-                    if b not in used and cosine_similarity(emb[a], emb[b]) >= theta:
+                    if b not in used and similarity[a, b] >= theta:
                         expected.append([f"v{a}", f"v{b}"])
                         used.update((a, b))
                         break
@@ -887,7 +937,7 @@ def test_align_graph_equals_the_hand_composed_solve(provider):
     for kg, gamma, cfg in cases:
         got = align_graph(space, kg, CostMemo(provider.embed, space.contents()), gamma, cfg)
         want = hand_composed_alignment(space, kg, provider, cfg, gamma)
-        for name in ("distance", "measure", "node_embeddings"):
+        for name in ("distance", "measure"):
             assert np.array_equal(getattr(got.space, name), getattr(want.space, name))
         assert np.array_equal(got.feature, want.feature)
         assert np.array_equal(got.coupling.matrix, want.coupling.matrix)
