@@ -48,6 +48,11 @@ DEFAULT_EMBED_TIMEOUT = 30.0  # HttpEmbedder request timeout, seconds
 DEFAULT_EMBED_RETRIES = 2  # HttpEmbedder retries after a failed request
 
 
+def word_tokens(text: str) -> list[str]:
+    """The word tokens of a text: its runs of [a-z0-9_] once lowercased."""
+    return _TOKEN_RE.findall(text.lower())
+
+
 def content_hash(text: str) -> str:
     """Lowercase-hex SHA-256 of the exact input text."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -90,7 +95,7 @@ class HashEmbedder:
         for row, text in enumerate(texts):
             if not text:
                 raise InputError("cannot embed empty text")
-            tokens = _TOKEN_RE.findall(text.lower())
+            tokens = word_tokens(text)
             if not tokens:
                 tokens = ["raw:" + content_hash(text)]
             for tok in tokens:

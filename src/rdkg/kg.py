@@ -9,7 +9,7 @@ provenance and prompting but do not weight the geometry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -41,9 +41,6 @@ ALLOWED_RELATIONS = frozenset(
 )
 
 DEFAULT_GAMMA = (0.4, 0.6)  # (struct, sem) fusion weights
-
-_NODE_KEYS = ("id", "label", "definition", "aliases", "provenance", "confidence", "rationale")
-_EDGE_KEYS = ("src", "dst", "relation", "confidence", "rationale")
 
 
 @dataclass
@@ -126,34 +123,53 @@ class KgSpace:
 def validate_graph(
     kg: KnowledgeGraph, allowed_relations: frozenset[str] = ALLOWED_RELATIONS
 ) -> list[str]:
-    """Return a list of violation descriptions; empty means valid."""
+    """Return a list of violation descriptions; empty means valid. Each
+    node is checked by ``node_violations``, each edge by ``edge_violations``."""
     violations: list[str] = []
     seen_ids: set[str] = set()
     for node in kg.nodes:
-        if node.id in seen_ids:
-            violations.append(f"duplicate id: {node.id}")
-        seen_ids.add(node.id)
-        if not node.label.strip():
-            violations.append(f"empty label: {node.id}")
-        if not 0.0 <= node.confidence <= 1.0:
-            violations.append(f"invalid confidence: {node.id} ({node.confidence})")
-    seen_edges: set[tuple[str, str, str]] = set()
+        violations += node_violations(node, seen_ids)
+    seen_keys: set[tuple[str, str, str]] = set()
     for edge in kg.edges:
-        if edge.src == edge.dst:
-            violations.append(f"self-loop: {edge.src} -{edge.relation}-")
-        for endpoint in (edge.src, edge.dst):
-            if endpoint not in seen_ids:
-                violations.append(f"dangling endpoint: {endpoint}")
-        if edge.relation not in allowed_relations:
-            violations.append(f"unknown relation: {edge.relation}")
-        if not 0.0 <= edge.confidence <= 1.0:
-            violations.append(
-                f"invalid confidence: {edge.src}-{edge.dst} ({edge.confidence})"
-            )
-        key = edge.key()
-        if key in seen_edges:
-            violations.append(f"duplicate edge: {key[0]}-{key[2]}-{key[1]}")
-        seen_edges.add(key)
+        violations += edge_violations(edge, seen_ids, allowed_relations, seen_keys)
+    return violations
+
+
+def node_violations(node: ConceptNode, seen_ids: set[str]) -> list[str]:
+    """The violations of one node: an id in ``seen_ids`` (which it joins),
+    a blank id or label, a confidence outside [0, 1]."""
+    violations = []
+    if node.id in seen_ids:
+        violations.append(f"duplicate id: {node.id}")
+    seen_ids.add(node.id)
+    if not node.id.strip():
+        violations.append(f"empty id: {node.id!r}")
+    if not node.label.strip():
+        violations.append(f"empty label: {node.id}")
+    if not 0.0 <= node.confidence <= 1.0:
+        violations.append(f"invalid confidence: {node.id} ({node.confidence})")
+    return violations
+
+
+def edge_violations(edge: RelationEdge, ids: set[str], allowed_relations: frozenset[str],
+                    seen_keys: set[tuple[str, str, str]]) -> list[str]:
+    """The violations of one edge: a self-loop, an endpoint not in ``ids``,
+    a relation not in ``allowed_relations``, a confidence outside [0, 1],
+    a key in ``seen_keys`` (which it joins)."""
+    violations = []
+    if edge.src == edge.dst:
+        violations.append(f"self-loop: {edge.src} -{edge.relation}-")
+    for endpoint in (edge.src, edge.dst):
+        if endpoint not in ids:
+            violations.append(f"dangling endpoint: {endpoint}")
+    if edge.relation not in allowed_relations:
+        violations.append(f"unknown relation: {edge.relation}")
+    if not 0.0 <= edge.confidence <= 1.0:
+        violations.append(f"invalid confidence: {edge.src}-{edge.dst} ({edge.confidence})")
+    key = edge.key()
+    if key in seen_keys:
+        violations.append(f"duplicate edge: {key[0]}-{key[2]}-{key[1]}")
+    seen_keys.add(key)
     return violations
 
 
@@ -241,77 +257,98 @@ def build_kg_space(
 
 
 def kg_from_dict(doc: dict[str, Any]) -> KnowledgeGraph:
+    """Read a KG document with ``node_from_dict`` and ``edge_from_dict``;
+    other top-level keys are kept in ``extra``. Raises TypeError or
+    ValueError naming a mistyped, missing or refused field; validity is
+    ``validate_graph``'s."""
     if not isinstance(doc, dict):
         raise TypeError("the top level is not a JSON object")
-    nodes = []
-    for raw in doc.get("nodes", []):
-        raw = dict(raw)
-        nodes.append(
-            ConceptNode(
-                id=_pop_text(raw, "id"),
-                label=_pop_text(raw, "label", ""),
-                definition=str(raw.pop("definition", "") or ""),
-                aliases=[str(a) for a in raw.pop("aliases", []) or []],
-                provenance=raw.pop("provenance", None),
-                confidence=float(raw.pop("confidence", 0.5)),
-                rationale=raw.pop("rationale", None),
-                extra=raw,
-            )
-        )
-    edges = []
-    for raw in doc.get("edges", []):
-        raw = dict(raw)
-        edges.append(
-            RelationEdge(
-                src=_pop_text(raw, "src"),
-                dst=_pop_text(raw, "dst"),
-                relation=_pop_text(raw, "relation"),
-                confidence=float(raw.pop("confidence", 0.5)),
-                rationale=raw.pop("rationale", None),
-                extra=raw,
-            )
-        )
-    extra = {k: v for k, v in doc.items() if k not in ("nodes", "edges")}
-    return KnowledgeGraph(nodes=nodes, edges=edges, extra=extra)
+    doc = dict(doc)
+    nodes = [node_from_dict(raw) for raw in _field(doc, "nodes", "a list", ())]
+    edges = [edge_from_dict(raw) for raw in _field(doc, "edges", "a list", ())]
+    return KnowledgeGraph(nodes=nodes, edges=edges, extra=doc)
 
 
-def _pop_text(raw: dict[str, Any], key: str, *default: str) -> str:
-    """``raw.pop(key, *default)`` as a string; a null value is refused
-    rather than read as the string "None"."""
-    value = raw.pop(key, *default)
+def node_from_dict(raw: Any) -> ConceptNode:
+    """Read one node object, keeping unknown keys in ``extra``.
+
+    A missing or null ``id`` is refused, as is a null ``label`` (missing:
+    empty) or ``confidence`` (missing: 0.5, never a boolean). A null
+    ``definition`` or ``aliases`` reads as empty, a null ``provenance``
+    or ``rationale`` as None.
+    """
+    if not isinstance(raw, dict):
+        raise TypeError("a node is not a JSON object")
+    raw = dict(raw)
+    return ConceptNode(
+        id=_field(raw, "id", "a string"),
+        label=_field(raw, "label", "a string", ""),
+        definition=_field(raw, "definition", "a string", "", null_ok=True),
+        aliases=list(_field(raw, "aliases", "a list of strings", (), null_ok=True)),
+        provenance=_field(raw, "provenance", "an object", None, null_ok=True),
+        confidence=float(_field(raw, "confidence", "a number", 0.5)),
+        rationale=_field(raw, "rationale", "a string", None, null_ok=True),
+        extra=raw,
+    )
+
+
+def edge_from_dict(raw: Any) -> RelationEdge:
+    """Read one edge object, keeping unknown keys in ``extra``. A missing
+    or null ``src``, ``dst`` or ``relation`` is refused; ``confidence``
+    and ``rationale`` read as in ``node_from_dict``."""
+    if not isinstance(raw, dict):
+        raise TypeError("an edge is not a JSON object")
+    raw = dict(raw)
+    return RelationEdge(
+        src=_field(raw, "src", "a string"),
+        dst=_field(raw, "dst", "a string"),
+        relation=_field(raw, "relation", "a string"),
+        confidence=float(_field(raw, "confidence", "a number", 0.5)),
+        rationale=_field(raw, "rationale", "a string", None, null_ok=True),
+        extra=raw,
+    )
+
+
+# the check of each JSON type, by the name a refusal gives it
+_IS = {
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
+    "a list": lambda v: isinstance(v, list),
+    "an object": lambda v: isinstance(v, dict),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+_REQUIRED = object()
+
+
+def _field(raw: dict[str, Any], key: str, kind: str, default: Any = _REQUIRED,
+           null_ok: bool = False) -> Any:
+    """Pop ``raw[key]``, refusing a value that is not ``kind``. A missing
+    key gives ``default`` (refused without one); a null gives ``default``
+    when ``null_ok``, else it is refused."""
+    value = raw.pop(key, _REQUIRED)
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise ValueError(f"{key} is missing")
+        return default
     if value is None:
-        raise ValueError(f"{key} is null")
-    return str(value)
+        if not null_ok:
+            raise ValueError(f"{key} is null")
+        return default
+    if not _IS[kind](value):
+        raise TypeError(f"{key} is not {kind} ({type(value).__name__})")
+    return value
 
 
 def kg_to_dict(kg: KnowledgeGraph) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "nodes": [
-            {
-                "id": n.id,
-                "label": n.label,
-                "definition": n.definition,
-                "aliases": list(n.aliases),
-                "provenance": n.provenance,
-                "confidence": n.confidence,
-                "rationale": n.rationale,
-                **n.extra,
-            }
-            for n in kg.nodes
-        ],
-        "edges": [
-            {
-                "src": e.src,
-                "dst": e.dst,
-                "relation": e.relation,
-                "confidence": e.confidence,
-                "rationale": e.rationale,
-                **e.extra,
-            }
-            for e in kg.edges
-        ],
-    }
-    doc.update(kg.extra)
+    """The JSON document of a graph: each node's and edge's fields in
+    declaration order, then its extra keys; then the graph's extra keys."""
+    return {"nodes": [_element_doc(n) for n in kg.nodes],
+            "edges": [_element_doc(e) for e in kg.edges], **kg.extra}
+
+
+def _element_doc(element: ConceptNode | RelationEdge) -> dict[str, Any]:
+    doc = asdict(element)
+    doc.update(doc.pop("extra"))
     return doc
 
 
@@ -322,7 +359,7 @@ def load_kg(path: str | Path) -> KnowledgeGraph:
         raise InputError(f"malformed KG JSON {path}: {exc}") from exc
     try:
         return kg_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"KG JSON {path} has invalid structure: {exc}") from exc
 
 

@@ -3,14 +3,14 @@
 Every operation here works without a client: graph bootstrapping falls
 back to a heading-based extraction, concept naming to TF-IDF keyword
 scoring, and edge proposal to a nearest-neighbor relatedTo link. With a
-client configured, responses are validated structurally and anything
-invalid is dropped (never fatal), so a flaky endpoint degrades to the
-fallbacks instead of breaking a run.
+client configured, each reply node and edge goes through the graph's own
+reader and rules (``kg.node_from_dict``, ``kg.node_violations`` and their
+edge twins) and anything invalid is dropped (never fatal), so a flaky
+endpoint degrades to the fallbacks instead of breaking a run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -20,15 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import check_request_settings, json_headers, post_json, request_with_retries
+from .embeddings import (check_request_settings, content_hash, json_headers, post_json,
+                         request_with_retries, word_tokens)
 from .errors import InputError, ProviderError
-from .kg import (
-    ALLOWED_RELATIONS,
-    ConceptNode,
-    KnowledgeGraph,
-    RelationEdge,
-    node_text,
-)
+from .kg import (ALLOWED_RELATIONS, ConceptNode, KnowledgeGraph, RelationEdge, edge_from_dict,
+                 edge_violations, node_from_dict, node_text, node_violations)
 from .markdown import parse_markdown
 
 logger = logging.getLogger(__name__)
@@ -39,8 +35,6 @@ API_KEY_ENV = "LLM_API_KEY"
 DEFAULT_LLM_TIMEOUT = 60.0  # request timeout, seconds
 DEFAULT_LLM_RETRIES = 2  # retries after a failed request
 DEFAULT_LLM_TEMPERATURE = 0.0
-
-_TOKEN_RE = re.compile(r"[a-z0-9_]+")
 
 #: Fixed stopword list shipped with the package for reproducible TF-IDF
 #: labeling (no external corpus dependency).
@@ -131,7 +125,7 @@ class LlmClient:
         Returns None when the endpoint keeps failing or never yields
         parseable JSON; callers fall back deterministically.
         """
-        key = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        key = content_hash(prompt)
         if key in self._cache:
             return self._cache[key]
         payload = {
@@ -194,48 +188,20 @@ def bootstrap_kg(
         prompt = BOOTSTRAP_PROMPT.format(
             relations=", ".join(sorted(allowed_relations)), markdown=markdown_text
         )
-        doc = client.chat_json(prompt)
-        kg = _graph_from_response(doc, allowed_relations) if doc else None
-        if kg is not None and kg.nodes:
+        kg = _graph_from_response(client.chat_json(prompt), allowed_relations)
+        if kg.nodes:
             return kg
         logger.warning("LLM bootstrap unusable; falling back to heading extraction")
     return _heading_bootstrap(markdown_text)
 
 
-def _graph_from_response(
-    doc: dict, allowed_relations: frozenset[str]
-) -> KnowledgeGraph | None:
-    nodes: list[ConceptNode] = []
-    seen: set[str] = set()
-    for raw in doc.get("nodes", []) or []:
-        if not isinstance(raw, dict):
-            continue
-        node_id = str(raw.get("id", "")).strip()
-        label = str(raw.get("label", "")).strip()
-        confidence = raw.get("confidence")
-        rationale = str(raw.get("rationale", "") or "").strip()
-        if not node_id or not label or node_id in seen:
-            logger.info("dropping bootstrap node without id/label: %r", raw)
-            continue
-        if not isinstance(confidence, (int, float)) or not 0.0 <= confidence <= 1.0:
-            logger.info("dropping bootstrap node with bad confidence: %s", node_id)
-            continue
-        if not rationale:
-            logger.info("dropping bootstrap node without rationale: %s", node_id)
-            continue
-        seen.add(node_id)
-        nodes.append(
-            ConceptNode(
-                id=node_id,
-                label=label,
-                definition=str(raw.get("definition", "") or ""),
-                aliases=[str(a) for a in raw.get("aliases", []) or []],
-                provenance=raw.get("provenance"),
-                confidence=float(confidence),
-                rationale=rationale,
-            )
-        )
-    kg = KnowledgeGraph(nodes=nodes)
+def _graph_from_response(doc: dict | None, allowed_relations: frozenset[str]) -> KnowledgeGraph:
+    """The graph of a bootstrap reply: the reply nodes that ``_reply_items``
+    keeps under ``node_violations``, then the reply edges that
+    ``_valid_edge_proposals`` keeps between them."""
+    seen_ids: set[str] = set()
+    kg = KnowledgeGraph(nodes=_reply_items(
+        doc, "nodes", node_from_dict, lambda node: node_violations(node, seen_ids)))
     kg.edges.extend(_valid_edge_proposals(doc, kg, allowed_relations))
     return kg
 
@@ -295,24 +261,22 @@ class Namer:
         self._n_units = max(len(corpus_texts), 1)
         self._df: Counter[str] = Counter()
         for text in corpus_texts:
-            self._df.update(set(_tokens(text)))
+            self._df.update(set(word_tokens(text)))
 
     def name(self, texts: list[str]) -> str:
         if not texts:
             raise InputError("cannot name an empty group")
         if self.client is not None:
             doc = self.client.chat_json(NAME_PROMPT.format(text="\n".join(texts)))
-            if doc:
-                label = str(doc.get("label", "")).strip()
-                if label:
-                    return label
+            label = doc.get("label") if doc else None
+            if isinstance(label, str) and label.strip():
+                return label.strip()
         return self._tfidf_label(texts)
 
     def _tfidf_label(self, texts: list[str]) -> str:
-        tf = Counter(t for t in _tokens(" ".join(texts)) if t not in STOPWORDS)
+        tf = Counter(t for t in word_tokens(" ".join(texts)) if t not in STOPWORDS)
         if not tf:
-            digest = hashlib.sha256(" ".join(texts).encode("utf-8")).hexdigest()
-            return f"Concept {digest[:8]}"
+            return f"Concept {content_hash(' '.join(texts))[:8]}"
         scored = sorted(
             tf.items(),
             key=lambda kv: (-kv[1] * math.log(1.0 + self._n_units / max(self._df[kv[0]], 1)), kv[0]),
@@ -332,11 +296,11 @@ def propose_label_edges(
 ) -> list[RelationEdge]:
     """Candidate edges attaching a freshly added node to the graph.
 
-    With a client: relation-constrained proposals touching the new node,
-    each validated (existing endpoints, allowed relation, confidence in
-    [0, 1], no self-loop). Without a client, or when nothing valid comes
-    back: a single low-confidence relatedTo edge to the existing node of
-    least feature cost, ties to the first (``np.argmin``).
+    With a client: the relation-constrained proposals touching the new
+    node that ``_valid_edge_proposals`` keeps. Without a client, or when
+    nothing valid comes back: a single low-confidence relatedTo edge to
+    the existing node of least feature cost, ties to the first
+    (``np.argmin``).
 
     ``costs`` holds the new node's feature cost against each other node,
     in kg.nodes order without the new node.
@@ -372,48 +336,38 @@ def edge_prompt(kg: KnowledgeGraph, allowed_relations: frozenset[str]) -> str:
     )
 
 
-def _valid_edge_proposals(
-    doc: dict | None,
-    kg: KnowledgeGraph,
-    allowed_relations: frozenset[str] = ALLOWED_RELATIONS,
-) -> list[RelationEdge]:
-    """Filter raw proposal dicts down to structurally valid new edges."""
-    if not doc:
-        return []
+def _valid_edge_proposals(doc: dict | None, kg: KnowledgeGraph,
+                          allowed_relations: frozenset[str] = ALLOWED_RELATIONS
+                          ) -> list[RelationEdge]:
+    """The reply edges that ``_reply_items`` keeps under ``edge_violations``
+    against ``kg``'s node ids and edge keys."""
     ids = set(kg.node_ids())
-    existing = {e.key() for e in kg.edges}
-    accepted: list[RelationEdge] = []
-    for raw in doc.get("edges", []) or []:
-        if not isinstance(raw, dict):
-            continue
-        edge = RelationEdge(
-            src=str(raw.get("src", "")),
-            dst=str(raw.get("dst", "")),
-            relation=str(raw.get("relation", "")),
-            confidence=raw.get("confidence", -1.0),
-            rationale=str(raw.get("rationale", "") or "") or None,
-        )
-        reason = None
-        if edge.src not in ids or edge.dst not in ids:
-            reason = "unknown endpoint"
-        elif edge.src == edge.dst:
-            reason = "self-loop"
-        elif edge.relation not in allowed_relations:
-            reason = "relation not allowed"
-        elif not isinstance(edge.confidence, (int, float)) or not 0.0 <= edge.confidence <= 1.0:
-            reason = "confidence out of range"
-        elif not edge.rationale:
-            reason = "missing rationale"
-        elif edge.key() in existing:
-            reason = "duplicate edge"
-        if reason:
-            logger.info("dropping proposed edge %r: %s", raw, reason)
-            continue
-        edge.confidence = float(edge.confidence)
-        existing.add(edge.key())
-        accepted.append(edge)
-    return accepted
+    seen_keys = {e.key() for e in kg.edges}
+    return _reply_items(doc, "edges", edge_from_dict,
+                        lambda edge: edge_violations(edge, ids, allowed_relations, seen_keys))
 
 
-def _tokens(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+def _reply_items(doc: dict | None, key: str, read, violations) -> list:
+    """The items of the list ``doc[key]`` that ``read`` (``kg``'s reader)
+    accepts, that state a ``confidence`` and a non-blank ``rationale`` as
+    the prompts ask, and in which ``violations`` (``kg``'s rule) finds
+    nothing. Each dropped item is logged with its reasons."""
+    items = doc.get(key) if doc else None
+    kept = []
+    for raw in items if isinstance(items, list) else []:
+        try:
+            item = read(raw)
+        except (TypeError, ValueError) as exc:
+            reasons = [str(exc)]
+        else:
+            reasons = []
+            if "confidence" not in raw:
+                reasons.append("no confidence")
+            if not (item.rationale or "").strip():
+                reasons.append("no rationale")
+            reasons = reasons or violations(item)
+        if reasons:
+            logger.info("dropping reply %s %r: %s", key, raw, "; ".join(reasons))
+        else:
+            kept.append(item)
+    return kept

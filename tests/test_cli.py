@@ -9,7 +9,7 @@ import pytest
 from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, ingest, main
 from rdkg.config import load_run_config
 from rdkg.embeddings import HashEmbedder, content_hash
-from rdkg.kg import load_kg, node_text
+from rdkg.kg import load_kg, node_text, validate_graph
 from rdkg.lecture import ARTIFACT_FORMAT, build_lecture_space, flatten
 from rdkg.llm import bootstrap_kg
 from rdkg.markdown import parse_markdown
@@ -128,9 +128,24 @@ def test_align_broken_kg_lists_violations(pipeline, tmp_path, capsys):
       "edges": [{"src": "a", "dst": None, "relation": "uses"}]}, "dst is null"),
     ({"nodes": [{"id": "a", "label": "A"}, {"id": "b", "label": "B"}],
       "edges": [{"src": "a", "dst": "b", "relation": None}]}, "relation is null"),
+    ({"nodes": [{"id": "a", "label": "A", "provenance": "slides 3"}]},
+     "provenance is not an object (str)"),
+    ({"nodes": [{"id": "a", "label": "A", "aliases": "matrix algebra"}]},
+     "aliases is not a list of strings (str)"),
+    ({"nodes": [{"id": "a", "label": "A", "confidence": "0.9"}]},
+     "confidence is not a number (str)"),
+    ({"nodes": [{"id": "a", "label": "A", "confidence": True}]},
+     "confidence is not a number (bool)"),
+    ({"nodes": [{"id": "a", "label": "A", "definition": ["x", "y"]}]},
+     "definition is not a string (list)"),
+    ({"nodes": [{"id": "a", "label": "A"}, {"id": "b", "label": "B"}],
+      "edges": [{"src": "a", "dst": "b", "relation": "uses", "confidence": False}]},
+     "confidence is not a number (bool)"),
 ])
 def test_align_refuses_malformed_kg_json(pipeline, tmp_path, capsys, doc, message):
-    # a null is refused, not read as the string "None" (which names a node here)
+    # a null is refused, not read as the string "None" (which names a node here);
+    # a mistyped field is refused, not converted (a string of aliases read as its
+    # characters, "0.9" and true as numbers; a string provenance crashed refine)
     bad = tmp_path / "bad.kg.json"
     bad.write_text(json.dumps(doc))
     for command in ("align", "refine"):
@@ -660,3 +675,53 @@ def test_align_refuses_an_artifact_ingested_with_another_embeddings_file(
         assert hashlib.sha256(path.read_bytes()).hexdigest() in err
     assert "re-ingest" in err
     assert main(["align", space, kg, *provider, str(files[0])]) == EXIT_OK
+
+
+def test_bootstrap_and_refine_through_an_llm_endpoint(tmp_path, lecture_file, monkeypatch):
+    """Replies are read by the KG reader and rules: the bootstrap keeps its
+    two well-typed nodes, and refine adds the one edge its edge replies
+    propose."""
+    bootstrap_reply = {
+        "nodes": [
+            {"id": "c1", "label": "Tables", "definition": "dataframe index column",
+             "aliases": ["frames"], "confidence": 0.9, "rationale": "topic A",
+             "salience": 3},
+            {"id": "c2", "label": "Sequences", "definition": "list tuple slice",
+             "confidence": 0.8, "rationale": "topic B"},
+            {"id": "c3", "label": "Slides", "provenance": "slides 3",
+             "confidence": 0.7, "rationale": "mistyped provenance"},
+            {"id": "c4", "label": "Algebra", "aliases": "matrix algebra",
+             "confidence": 0.7, "rationale": "mistyped aliases"},
+        ],
+        "edges": [{"src": "c3", "dst": "c1", "relation": "partOf",
+                   "confidence": 0.5, "rationale": "to a dropped node"}],
+    }
+    edge_reply = {"edges": [{"src": "c1", "dst": "c2", "relation": "contrastsWith",
+                             "confidence": 0.6, "rationale": "two kinds of container"}]}
+
+    def fake_post(url, payload, headers, timeout):
+        assert url == "http://fake/llm"
+        prompt = payload["messages"][0]["content"]
+        if prompt.startswith("You convert lecture notes"):
+            reply = bootstrap_reply
+        elif prompt.startswith("Given the knowledge-graph nodes"):
+            reply = edge_reply
+        else:
+            reply = {"label": "Concept " + content_hash(prompt)[:6]}
+        return {"choices": [{"message": {"content": json.dumps(reply)}}]}
+
+    monkeypatch.setattr("rdkg.llm.post_json", fake_post)
+    llm = ["--llm-url", "http://fake/llm"]
+    assert main(["ingest", str(lecture_file), "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["bootstrap", str(lecture_file), "--out", str(tmp_path), *llm]) == EXIT_OK
+    kg = load_kg(tmp_path / "lecture.kg.json")
+    assert [n.id for n in kg.nodes] == ["c1", "c2"] and kg.edges == []
+    assert kg.nodes[0].extra == {"salience": 3}
+
+    out = tmp_path / "refined"
+    assert main(["refine", str(tmp_path / "lecture.space.json"), str(tmp_path / "lecture.kg.json"),
+                 "--out", str(out), "--max-iterations", "2", *llm]) == EXIT_OK
+    assert validate_graph(load_kg(out / "refined.kg.json")) == []
+    rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    llm_edits = [e for row in rows for e in row["edits"] if e["op"] == "llm-edge"]
+    assert [e["edges"] for e in llm_edits] == [[["c1", "contrastsWith", "c2"]]]

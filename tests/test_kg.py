@@ -16,10 +16,12 @@ from rdkg.kg import (
     KnowledgeGraph,
     RelationEdge,
     build_kg_space,
+    edge_from_dict,
     hop_distance,
     kg_from_dict,
     kg_to_dict,
     load_kg,
+    node_from_dict,
     node_text,
     rate,
     save_kg,
@@ -117,6 +119,11 @@ def test_validate_empty_label_and_confidence_range():
     assert any(v == "empty label: x" for v in report)
     assert any(v.startswith("invalid confidence: y") for v in report)
     assert any(v.startswith("invalid confidence: x-y") for v in report)
+
+
+def test_validate_blank_id():
+    kg = KnowledgeGraph(nodes=[ConceptNode(id=" ", label="X"), ConceptNode(id="y", label="Y")])
+    assert validate_graph(kg) == ["empty id: ' '"]
 
 
 def test_extra_relations_accepted_via_config():
@@ -356,3 +363,55 @@ def test_load_rejects_malformed(tmp_path):
     bad.write_text("{]")
     with pytest.raises(InputError, match="malformed"):
         load_kg(bad)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"id": 7}, "id is not a string (int)"),
+    ({"label": ["A"]}, "label is not a string (list)"),
+    ({"definition": ["x", "y"]}, "definition is not a string (list)"),
+    ({"aliases": "matrix algebra"}, "aliases is not a list of strings (str)"),
+    ({"aliases": ["ok", 3]}, "aliases is not a list of strings (list)"),
+    ({"provenance": "slides 3"}, "provenance is not an object (str)"),
+    ({"confidence": "0.9"}, "confidence is not a number (str)"),
+    ({"confidence": True}, "confidence is not a number (bool)"),
+    ({"confidence": None}, "confidence is null"),
+    ({"rationale": 1}, "rationale is not a string (int)"),
+])
+def test_node_from_dict_refuses_a_mistyped_field(fields, message):
+    with pytest.raises((TypeError, ValueError)) as info:
+        node_from_dict({"id": "a", "label": "A", **fields})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"src": 1}, "src is not a string (int)"),
+    ({"relation": None}, "relation is null"),
+    ({"confidence": False}, "confidence is not a number (bool)"),
+    ({"rationale": ["why"]}, "rationale is not a string (list)"),
+])
+def test_edge_from_dict_refuses_a_mistyped_field(fields, message):
+    with pytest.raises((TypeError, ValueError)) as info:
+        edge_from_dict({"src": "a", "dst": "b", "relation": "uses", **fields})
+    assert str(info.value) == message
+
+
+def test_reader_refuses_a_missing_endpoint_and_a_non_object():
+    with pytest.raises(ValueError, match="^dst is missing$"):
+        edge_from_dict({"src": "a", "relation": "uses"})
+    with pytest.raises(TypeError, match="a node is not a JSON object"):
+        kg_from_dict({"nodes": ["a"]})
+    with pytest.raises(TypeError, match="edges is not a list"):
+        kg_from_dict({"nodes": [], "edges": {"src": "a"}})
+
+
+def test_reader_null_means_empty_or_none_where_a_field_may_be_empty():
+    node = node_from_dict({"id": "a", "label": "A", "definition": None, "aliases": None,
+                           "provenance": None, "rationale": None})
+    assert (node.definition, node.aliases, node.provenance, node.rationale) == ("", [], None, None)
+    assert node.confidence == 0.5 and node.extra == {}
+    edge = edge_from_dict({"src": "a", "dst": "b", "relation": "uses", "confidence": 1,
+                           "rationale": None})
+    assert edge.confidence == 1.0 and isinstance(edge.confidence, float)
+    assert edge.rationale is None
+    with pytest.raises(ValueError, match="^nodes is null$"):
+        kg_from_dict({"nodes": None})

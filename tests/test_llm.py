@@ -113,6 +113,62 @@ def test_bootstrap_drops_invalid_relation_keeps_rest():
     assert [e.relation for e in kg.edges] == ["uses"]
 
 
+@pytest.mark.parametrize("bad_node", [
+    {"provenance": "slides 3"},
+    {"aliases": "matrix algebra"},
+    {"confidence": "0.9"},
+    {"confidence": True},
+    {"definition": ["x", "y"]},
+    {"id": None},
+    {"id": "  "},
+    {"confidence": 1.5},
+    {"id": "c1"},  # a duplicate id
+    {"rationale": " "},
+])
+def test_bootstrap_drops_a_bad_node_keeps_the_rest(bad_node):
+    good = [{"id": "c1", "label": "A", "confidence": 0.9, "rationale": "r"},
+            {"id": "c2", "label": "B", "confidence": 0.9, "rationale": "r"}]
+    bad = {"id": "c3", "label": "C", "confidence": 0.5, "rationale": "r", **bad_node}
+    reply = json.dumps({"nodes": [good[0], bad, good[1]],
+                        "edges": [{"src": "c1", "dst": "c2", "relation": "uses",
+                                   "confidence": 0.7, "rationale": "r"}]})
+    kg = bootstrap_kg("# A\ntext", make_client(lambda p: reply))
+    assert [n.id for n in kg.nodes] == ["c1", "c2"]
+    assert [e.relation for e in kg.edges] == ["uses"]
+
+
+@pytest.mark.parametrize("bad_edge", [
+    {"confidence": False},
+    {"confidence": "0.9"},
+    {"rationale": ["why"]},
+    {"dst": "ghost"},
+    {"dst": "new"},  # a self-loop
+    {"relation": "causes"},
+    {"dst": "a", "relation": "uses"},  # the edge the graph has
+    {"confidence": -0.1},
+])
+def test_edge_proposals_drop_a_bad_edge_keep_the_rest(bad_edge):
+    kg, costs = graph_with_new_node()
+    kg.edges.append(RelationEdge("a", "new", "uses", 0.5, "x"))
+    bad = {"src": "new", "dst": "b", "relation": "partOf", "confidence": 0.5,
+           "rationale": "r", **bad_edge}
+    good = {"src": "new", "dst": "b", "relation": "uses", "confidence": 0.8, "rationale": "r"}
+    reply = json.dumps({"edges": [bad, good]})
+    edges = propose_label_edges(kg.get_node("new"), kg, costs, make_client(lambda p: reply))
+    assert [(e.src, e.relation, e.dst) for e in edges] == [("new", "uses", "b")]
+
+
+def test_reply_items_must_state_confidence_and_keep_unknown_keys():
+    reply = json.dumps({"nodes": [
+        {"id": "c1", "label": "A", "rationale": "no confidence"},
+        {"id": " c2 ", "label": " B ", "confidence": 0.9, "rationale": " r ", "salience": 2},
+    ]})
+    kg = bootstrap_kg("# A\ntext", make_client(lambda p: reply))
+    assert [(n.id, n.label, n.rationale, n.extra) for n in kg.nodes] == [
+        (" c2 ", " B ", " r ", {"salience": 2})
+    ]
+
+
 def test_bootstrap_unusable_response_falls_back():
     kg = bootstrap_kg("# A\ntext\n## B\nmore", make_client(lambda p: "not json at all"))
     assert sorted(n.label for n in kg.nodes) == ["A", "B"]
@@ -188,6 +244,14 @@ def test_empty_client_label_falls_back():
     )
     label = namer.name(["groupby aggregation groupby"])
     assert "Groupby" in label
+
+
+@pytest.mark.parametrize("reply", ['{"label": null}', '{"label": 5}', '{"label": ["A"]}'])
+def test_client_label_that_is_no_string_falls_back(reply):
+    # a null label was read as the label "None"
+    namer = Namer(["groupby aggregation is common", "other filler"],
+                  make_client(lambda p: reply))
+    assert namer.name(["groupby aggregation groupby"]).startswith("Groupby")
 
 
 # --- edge proposal ----------------------------------------------------------------
