@@ -10,6 +10,7 @@ downstream plotting consumes. All floating-point output is written with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -230,8 +231,8 @@ def save_trace(trace: RdTrace, path: str | Path) -> None:
 def load_trace(path: str | Path) -> RdTrace:
     """Read a JSONL trace written by save_trace.
 
-    Raises InputError for a row field that is not a JSON number (``t``
-    must be an integer; a boolean is no number), a row without ``beta``
+    Raises InputError for a row field that is not a finite JSON number
+    (``t`` must be an integer; a boolean is no number), a row without ``beta``
     (a trace written before rows carried it) or rows that disagree on it.
     """
     points: list[RdPoint] = []
@@ -274,11 +275,14 @@ def load_trace(path: str | Path) -> RdTrace:
 
 
 def _row_number(row: dict, name: str, kind: type | tuple = (int, float)):
-    """``row[name]`` if it is a JSON number of ``kind`` (never a boolean)."""
+    """``row[name]`` if it is a finite JSON number of ``kind`` (never a
+    boolean, ``NaN`` or ``Infinity``)."""
     value = row[name]
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is int else "a number"
         raise TypeError(f"field {name!r} must be {what}, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"field {name!r} must be finite, got {json.dumps(value)}")
     return value
 
 

@@ -17,7 +17,7 @@ import click
 
 from . import analysis, kg as kgmod, lecture as lecmod
 from .config import RunConfig, config_keys, load_run_config
-from .embeddings import CostMemo, memoized, provider_from_config
+from .embeddings import CostMemo, provider_from_config
 from .errors import InputError, NumericalError, ProviderError
 from .kg import ALLOWED_RELATIONS
 from .llm import LlmClient, LlmClientConfig, bootstrap_kg
@@ -161,7 +161,7 @@ def ingest(markdown_path, config_path, out_dir, debug, set_values, **overrides) 
     provider = provider_from_config(cfg)
     try:
         space = lecmod.build_lecture_space(
-            src.read_text(encoding="utf-8"), embed=memoized(provider.embed),
+            src.read_text(encoding="utf-8"), embed=provider.embed,
             alpha=cfg.alpha, fingerprint=provider.fingerprint,
         )
     except InputError as exc:

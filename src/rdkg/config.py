@@ -13,6 +13,7 @@ into report.json.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
@@ -151,13 +152,16 @@ def load_run_config(
 def _check_value(name: str, value, hint) -> None:
     """Raise InputError unless ``value`` fits the field's annotation.
 
-    Integer fields are counts and must not be negative, except
-    ``embed_seed``.
+    Float fields must be finite. Integer fields are counts and must not
+    be negative, except ``embed_seed``.
     """
     allowed = get_args(hint) if isinstance(hint, UnionType) else (hint,)
     if not any(_fits(value, kind) for kind in allowed):
         expected = hint.__name__ if isinstance(hint, type) else str(hint)
         raise InputError(f"config key {name} expects {expected}, got {value!r}")
+    # NaN compares false; an int beyond the largest float is refused too
+    if hint is float and not abs(value) <= sys.float_info.max:
+        raise InputError(f"config key {name} must be finite, got {value!r}")
     if hint is int and name != "embed_seed" and value < 0:
         raise InputError(f"config key {name} must not be negative, got {value}")
 

@@ -12,10 +12,9 @@ Three interchangeable providers:
   with batching and retries.
 
 Each provider has a ``fingerprint``: the settings that decide its rows.
-``memoized`` puts a text -> row cache in front of any provider; every
-command embeds through one such cache. ``CostMemo`` holds one command's
-feature costs, so each node text is costed once. All distance
-computations normalize rows on the fly; stored embeddings stay raw.
+``CostMemo`` is a command's one text cache, so each node text is
+embedded and costed once. All distance computations normalize rows on
+the fly; stored embeddings stay raw.
 """
 
 from __future__ import annotations
@@ -181,9 +180,9 @@ class HttpEmbedder:
 
     Wire contract: POST {"model": ..., "inputs": [text, ...]} returning
     {"embeddings": [[...], ...]}, batched at 64 texts per request, with
-    retries and exponential backoff. Every text given is sent; wrap the
-    provider in ``memoized`` to send each distinct text once. A reply
-    whose vectors are not one numeric matrix raises ProviderError.
+    retries and exponential backoff. Every text given is sent, repeats
+    included. A reply whose vectors are not one numeric matrix raises
+    ProviderError.
     """
 
     BATCH = 64
@@ -234,23 +233,17 @@ class HttpEmbedder:
             raise ProviderError(f"embedding endpoint returned malformed vectors: {exc}") from exc
 
 
-def memoized(embed: Callable[[list[str]], np.ndarray]) -> Callable[[list[str]], np.ndarray]:
-    """``embed`` behind a text -> row memo: each distinct text is embedded once.
+def embed_distinct(embed: Callable[[list[str]], np.ndarray], texts: list[str]) -> np.ndarray:
+    """``embed(texts)``, sending each distinct text of ``texts`` once.
 
     No provider's row for a text depends on the other texts of its
-    batch, so the memo returns exactly what ``embed`` would.
+    batch, so the result is exactly what ``embed(texts)`` returns.
     """
-    rows: dict[str, np.ndarray] = {}
-
-    def memo_embed(texts: list[str]) -> np.ndarray:
-        if not texts:
-            return embed(texts)  # the provider's own error
-        missing = list(dict.fromkeys(t for t in texts if t not in rows))
-        if missing:
-            rows.update(zip(missing, embed(missing)))
-        return np.stack([rows[t] for t in texts])
-
-    return memo_embed
+    distinct = list(dict.fromkeys(texts))
+    if len(distinct) == len(texts):
+        return embed(texts)
+    rows = dict(zip(distinct, embed(distinct)))
+    return np.stack([rows[text] for text in texts])
 
 
 def check_dim(dim: int) -> None:
@@ -313,13 +306,9 @@ def request_with_retries(
 
 
 def provider_from_config(cfg) -> HashEmbedder | FileEmbedder | HttpEmbedder:
-    """Build a provider from a RunConfig-style object.
-
-    Accepts both the short kind names and their descriptive aliases
-    (deterministic-hash, precomputed-file, http-endpoint).
-    """
-    kind = {"deterministic-hash": "hash", "precomputed-file": "file",
-            "http-endpoint": "http"}.get(cfg.embed_provider, cfg.embed_provider)
+    """Build a provider from a RunConfig-style object whose
+    ``embed_provider`` is ``hash``, ``file`` or ``http``."""
+    kind = cfg.embed_provider
     if kind == "hash":
         return HashEmbedder(dim=cfg.embed_dim, seed=cfg.embed_seed)
     if kind == "file":
@@ -423,21 +412,22 @@ def self_cost(rows: np.ndarray, start: int = 0, block: int = 64) -> np.ndarray:
 
 
 class CostMemo:
-    """One command's feature costs, each node text costed once.
+    """One command's text cache: each node text embedded and costed once.
 
-    Embeds the lecture ``units`` once (``unit_rows``) and keeps, for
-    every node text seen so far, its column of costs against the units
-    and its costs against the other texts seen. A text not seen before
-    is costed through ``feature_cost``: against the units, and against
-    the known texts plus itself (``self_cost``). Rows stay in the
-    ``memoized`` cache behind ``embed``. Every cost read from the memo
-    is bit-equal to the entry of a full ``feature_cost`` matrix.
+    Embeds each distinct lecture unit once (``unit_rows``) and keeps, for
+    every node text seen so far, its row, its column of costs against the
+    units and its costs against the other texts seen. A new text is
+    embedded and costed through ``feature_cost``: against the units, and
+    against the known texts plus itself (``self_cost``). Every cost read
+    from the memo is bit-equal to the entry of a full ``feature_cost``
+    matrix.
     """
 
     def __init__(self, embed: Callable[[list[str]], np.ndarray], units: list[str]):
-        self.embed = memoized(embed)
-        self.unit_rows = self.embed(units)
+        self._embed = embed
+        self.unit_rows = embed_distinct(embed, units)
         self._index: dict[str, int] = {}
+        self._rows = self.unit_rows[:0]
         self._unit_cost = np.empty((len(self.unit_rows), 0))
         self._pair_cost = np.empty((0, 0))
 
@@ -455,12 +445,13 @@ class CostMemo:
         new = [t for t in dict.fromkeys(texts) if t not in self._index]
         if new:
             known = len(self._index)
-            rows = self.embed(list(self._index) + new)
+            rows = self._embed(new)
             self._unit_cost = np.hstack(
-                [self._unit_cost, feature_cost(self.unit_rows, rows[known:])]
+                [self._unit_cost, feature_cost(self.unit_rows, rows)]
             )
-            block = self_cost(rows, start=known)
-            pair = np.empty((len(rows), len(rows)))
+            self._rows = np.vstack([self._rows, rows])
+            block = self_cost(self._rows, start=known)
+            pair = np.empty((len(self._rows), len(self._rows)))
             pair[:known, :known] = self._pair_cost
             pair[known:] = block
             pair[:known, known:] = block[:, :known].T

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import self_cost
+from .embeddings import embed_distinct, self_cost
 from .errors import InputError
 from .markdown import ROOT_TITLE, Section, parse_markdown
 
@@ -206,11 +206,11 @@ def build_lecture_space(
     """Parse Markdown text and assemble the full lecture space.
 
     The unit contents are embedded with ``embed`` (an embedding
-    provider's ``embed`` method); ``fingerprint`` is that provider's
-    fingerprint, stamped on the space.
+    provider's ``embed`` method), each distinct content once;
+    ``fingerprint`` is that provider's fingerprint, stamped on the space.
     """
     elements = flatten(parse_markdown(text))
-    embeddings = embed([e.content for e in elements])
+    embeddings = embed_distinct(embed, [e.content for e in elements])
     if embeddings.shape[0] != len(elements):
         raise InputError(
             f"embedding rows ({embeddings.shape[0]}) != unit count ({len(elements)})"

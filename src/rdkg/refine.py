@@ -80,14 +80,13 @@ class RefinementConfig:
     max_iterations: int = 12
     conv_threshold: float = 0.25
     patience: int = 2
-    kl_smoothing: float = 1e-9
     # the coverage rule: op_add flags rows against it, coverage is scored with it
     coverage_percentile: float = COVERAGE_PERCENTILE
     coverage_row_min: bool = False
 
     def __post_init__(self) -> None:
         for name in ("beta", "theta_add", "theta_split", "theta_merge",
-                     "theta_cos", "theta_relate", "tau", "kl_smoothing"):
+                     "theta_cos", "theta_relate", "tau"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
         if not 0.0 <= self.coverage_percentile <= 100.0:
@@ -198,9 +197,10 @@ def column_entropy(plan: np.ndarray) -> np.ndarray:
     return out
 
 
-def symmetric_kl(
-    p: np.ndarray, q: np.ndarray, smoothing: float = RefinementConfig.kl_smoothing
-) -> float:
+KL_SMOOTHING = 1e-9  # symmetric_kl's additive smoothing
+
+
+def symmetric_kl(p: np.ndarray, q: np.ndarray, smoothing: float = KL_SMOOTHING) -> float:
     """0.5 * (KL(p||q) + KL(q||p)) after additive smoothing.
 
     Smoothing every entry before renormalizing keeps the value finite
@@ -216,17 +216,6 @@ def symmetric_kl(
     forward = float((ps * np.log(ps / qs)).sum())
     backward = float((qs * np.log(qs / ps)).sum())
     return max(0.0, 0.5 * (forward + backward))
-
-
-def edge_support(plan: np.ndarray, edge: RelationEdge, node_index: dict[str, int]) -> float:
-    """Coupling support of an edge: product of its endpoint column masses."""
-    try:
-        a = node_index[edge.src]
-        b = node_index[edge.dst]
-    except KeyError as exc:
-        raise InputError(f"edge endpoint not mapped to a coupling column: {exc}") from exc
-    masses = plan.sum(axis=0)
-    return float(masses[a] * masses[b])
 
 
 def top_coupled(plan: np.ndarray, column: int, k: int = 5) -> np.ndarray:
@@ -439,9 +428,7 @@ def op_merge(
                 continue
             if not similar[i, j]:
                 continue
-            kl = symmetric_kl(
-                plan[:, i] / col_sums[i], plan[:, j] / col_sums[j], cfg.kl_smoothing
-            )
+            kl = symmetric_kl(plan[:, i] / col_sums[i], plan[:, j] / col_sums[j])
             if kl > cfg.theta_merge:
                 continue
             if working is None:
@@ -528,13 +515,14 @@ def op_relate(
 def op_prune(
     kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext, iteration: int
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
-    """Remove edges whose coupling support falls below tau."""
+    """Remove edges whose support, the product of their endpoints' column
+    masses, falls below tau."""
     index = kg.node_index()
-    plan = aligned.coupling.matrix
+    masses = aligned.coupling.matrix.sum(axis=0)
     pruned: set[int] = set()
     records: list[EditRecord] = []
     for pos, edge in enumerate(kg.edges):
-        support = edge_support(plan, edge, index)
+        support = float(masses[index[edge.src]] * masses[index[edge.dst]])
         if support < ctx.config.tau:
             pruned.add(pos)
             records.append(

@@ -218,6 +218,7 @@ def test_trace_rejects_malformed(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("t", 1.0), ("t", False), ("distortion", None), ("objective", [1.0]), ("feature", "0.1"),
+    ("rate", float("nan")), ("beta", float("inf")), ("structure", float("-inf")),
 ])
 def test_trace_rejects_a_field_that_is_no_number(tmp_path, field, value):
     path = tmp_path / "trace.jsonl"

@@ -263,6 +263,8 @@ def test_report_refuses_a_trace_without_one_beta(pipeline, tmp_path, capsys, rew
 @pytest.mark.parametrize("field, value, message", [
     ("beta", True, "field 'beta' must be a number, got true"),
     ("rate", "41.5", "field 'rate' must be a number, got \"41.5\""),
+    ("objective", float("nan"), "field 'objective' must be finite, got NaN"),
+    ("beta", float("inf"), "field 'beta' must be finite, got Infinity"),
 ])
 def test_report_refuses_a_trace_field_that_is_no_number(
     pipeline, tmp_path, capsys, field, value, message
@@ -397,16 +399,17 @@ def test_extra_relations_thread_through_refine(pipeline, tmp_path):
     assert code == EXIT_OK
 
 
-def test_provider_kind_aliases(tmp_path, lecture_file):
-    code = main(["ingest", str(lecture_file), "--out", str(tmp_path),
-                 "--embed-provider", "deterministic-hash"])
-    assert code == EXIT_OK
-    # an alias stamps its canonical kind, so it matches a plain hash run
-    assert main(["bootstrap", str(lecture_file), "--out", str(tmp_path)]) == EXIT_OK
-    space, kg = str(tmp_path / "lecture.space.json"), str(tmp_path / "lecture.kg.json")
-    assert main(["align", space, kg]) == EXIT_OK
-    assert main(["refine", space, kg, "--out", str(tmp_path / "alias"),
-                 "--max-iterations", "1", "--embed-provider", "deterministic-hash"]) == EXIT_OK
+def test_provider_kind_aliases(pipeline, tmp_path, capsys):
+    # a provider kind has one name: hash, file or http
+    space, kg = str(pipeline["space"]), str(pipeline["kg"])
+    for alias in ("deterministic-hash", "precomputed-file", "http-endpoint"):
+        capsys.readouterr()
+        assert main(["ingest", str(pipeline["dir"] / "lecture.md"), "--out",
+                     str(tmp_path / "alias"), "--embed-provider", alias]) == EXIT_INPUT
+        assert main(["refine", space, kg, "--out", str(tmp_path / "alias"),
+                     "--embed-provider", alias]) == EXIT_INPUT
+        assert f"unknown embedding provider kind: {alias!r}" in capsys.readouterr().err
+    assert not (tmp_path / "alias").exists()
 
 
 def test_ingest_parse_error_carries_file_context(tmp_path, capsys):

@@ -7,6 +7,7 @@ from dataclasses import asdict, fields
 import pytest
 
 from rdkg.analysis import COVERAGE_PERCENTILE
+from rdkg.cli import EXIT_INPUT, main
 from rdkg.config import RunConfig, config_keys, load_run_config
 from rdkg.embeddings import HashEmbedder, HttpEmbedder
 from rdkg.errors import InputError
@@ -19,7 +20,7 @@ FLAT_KEYS = [
     "lambda_feat", "epsilon", "sinkhorn_iters", "fw_iters", "fw_tol", "beta",
     "theta_add", "theta_split", "theta_merge", "theta_cos", "theta_relate",
     "tau", "max_adds", "max_splits", "max_merges", "max_iterations",
-    "conv_threshold", "patience", "kl_smoothing", "coverage_percentile",
+    "conv_threshold", "patience", "coverage_percentile",
     "coverage_row_min", "embed_provider", "embed_dim", "embed_seed",
     "embeddings_file", "embed_url", "embed_model", "embed_timeout",
     "embed_retries", "llm_url", "llm_model", "llm_timeout", "llm_retries",
@@ -98,3 +99,21 @@ def test_own_range_bounds_are_inclusive():
 def test_section_names_are_not_keys(key):
     with pytest.raises(InputError, match="unknown config keys"):
         load_run_config(overrides={key: {}})
+
+
+FLOAT_KEYS = [key for key, (_, hint) in config_keys().items() if hint is float]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_float_key_must_be_finite(tmp_path, capsys, key):
+    # NaN and Infinity would reach the solver, or be written as non-JSON tokens
+    lecture = tmp_path / "l.md"
+    lecture.write_text("# A\n\nsome lecture text\n")
+    flag = "--" + key.replace("_", "-")
+    for args in (["--set", f"{key}=NaN"], ["--set", f"{key}=-Infinity"],
+                 ["--set", f"{key}=1e400"], ["--set", f"{key}=1{'0' * 400}"],
+                 [flag, "nan"], [flag, "inf"]):
+        capsys.readouterr()
+        assert main(["ingest", str(lecture), "--out", str(tmp_path), *args]) == EXIT_INPUT
+        assert f"config key {key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "l.space.json").exists()

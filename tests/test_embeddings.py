@@ -23,12 +23,13 @@ from rdkg.embeddings import (
     HttpEmbedder,
     content_hash,
     cosine_distance,
+    embed_distinct,
     feature_cost,
-    memoized,
     provider_from_config,
     self_cost,
 )
 from rdkg.errors import InputError, ProviderError
+from rdkg.lecture import build_lecture_space
 
 
 # --- hash provider -----------------------------------------------------------
@@ -145,21 +146,61 @@ def test_http_provider_wire_format():
     assert out.shape == (2, 2)
 
 
-def test_memo_sends_each_text_to_the_http_endpoint_once():
-    sent = []
-
+def _recording_endpoint(sent: list):
+    """An HttpEmbedder whose fake endpoint records each request's inputs
+    and answers with the default hash provider's rows."""
     def transport(url, payload, headers, timeout):
         sent.append(list(payload["inputs"]))
-        return {"embeddings": [[1.0, float(len(t))] for t in payload["inputs"]]}
+        return {"embeddings": HashEmbedder().embed(payload["inputs"]).tolist()}
 
-    embed = memoized(HttpEmbedder("http://fake", "m", transport=transport).embed)
-    first = embed(["alpha", "beta", "alpha"])  # an in-batch duplicate
-    assert sent == [["alpha", "beta"]]
-    assert np.array_equal(first, [[1.0, 5.0], [1.0, 4.0], [1.0, 5.0]])
-    # repeated texts trigger no further requests; only the new one is sent
-    assert np.array_equal(embed(["beta", "alpha"]), first[[1, 0]])
-    embed(["gamma", "beta", "gamma"])
-    assert sent == [["alpha", "beta"], ["gamma"]]
+    return HttpEmbedder("http://fake", "m", transport=transport)
+
+
+def test_memo_sends_each_text_to_the_http_endpoint_once():
+    sent = []
+    units = ["alpha unit", "beta unit", "alpha unit"]  # an in-batch duplicate
+    memo = CostMemo(_recording_endpoint(sent).embed, units)
+    assert sent == [["alpha unit", "beta unit"]]
+    unit_rows = HashEmbedder().embed(units)
+    assert np.array_equal(memo.unit_rows, unit_rows)
+    memo.unit_cost(["gamma", "delta", "gamma"])
+    assert sent[1:] == [["gamma", "delta"]]
+    # repeated node texts trigger no further requests; only the new one is sent
+    memo.pair_cost(["delta", "gamma"])
+    memo.unit_cost(["gamma"])
+    texts = ["epsilon", "delta", "epsilon"]
+    rows = HashEmbedder().embed(texts)
+    assert np.array_equal(memo.unit_cost(texts), feature_cost(unit_rows, rows))
+    assert np.array_equal(memo.pair_cost(texts), feature_cost(rows, rows))
+    assert sent[1:] == [["gamma", "delta"], ["epsilon"]]
+
+
+def test_ingest_sends_each_distinct_unit_to_the_http_endpoint_once():
+    sent = []
+    text = "# A\n\nshared unit text\n\nfirst unit\n\n# B\n\nshared unit text\n\nsecond unit\n"
+    space = build_lecture_space(text, embed=_recording_endpoint(sent).embed)
+    assert space.contents() == ["shared unit text", "first unit", "shared unit text",
+                                "second unit"]
+    assert sent == [["shared unit text", "first unit", "second unit"]]
+    reference = build_lecture_space(text, embed=HashEmbedder().embed)
+    assert np.array_equal(space.distance, reference.distance)
+
+
+def test_embed_distinct_matches_provider_and_embeds_each_text_once():
+    provider = HashEmbedder(dim=32)
+    calls = []
+
+    def counted(texts):
+        calls.append(list(texts))
+        return provider.embed(texts)
+
+    for texts in (["a b", "c", "a b"], ["c", "d e"], ["g", "g", "g"]):
+        assert np.array_equal(embed_distinct(counted, texts), provider.embed(texts))
+    assert calls == [["a b", "c"], ["c", "d e"], ["g"]]
+    with pytest.raises(InputError):
+        embed_distinct(counted, [])
+    with pytest.raises(InputError):
+        embed_distinct(counted, ["new", "", "new"])  # the provider's error for an empty text
 
 
 def test_provider_fingerprints_use_the_canonical_kind(tmp_path):
@@ -169,15 +210,13 @@ def test_provider_fingerprints_use_the_canonical_kind(tmp_path):
         kind: provider_from_config(RunConfig(
             embed_provider=kind, embed_dim=8, embed_seed=3, embeddings_file=str(path),
             embed_url="http://fake", embed_model="m")).fingerprint
-        for kind in ("hash", "deterministic-hash", "file", "precomputed-file",
-                     "http", "http-endpoint")
+        for kind in ("hash", "file", "http")
     }
-    assert stamps["hash"] == stamps["deterministic-hash"] == {"kind": "hash", "dim": 8, "seed": 3}
+    assert stamps["hash"] == {"kind": "hash", "dim": 8, "seed": 3}
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert stamps["file"] == stamps["precomputed-file"] == {
-        "kind": "file", "dim": 3, "sha256": digest}
+    assert stamps["file"] == {"kind": "file", "dim": 3, "sha256": digest}
     # the URL says where the model runs, not what it computes
-    assert stamps["http"] == stamps["http-endpoint"] == {"kind": "http", "model": "m"}
+    assert stamps["http"] == {"kind": "http", "model": "m"}
 
 
 def test_http_provider_sends_api_key_header(monkeypatch):
@@ -363,7 +402,6 @@ def test_cost_memo_reads_equal_the_full_matrices():
         rows = provider.embed(texts)
         assert np.array_equal(memo.unit_cost(texts), feature_cost(unit_rows, rows))
         assert np.array_equal(memo.pair_cost(texts), feature_cost(rows, rows))
-        assert np.array_equal(memo.embed(texts), rows)
 
 
 def test_cost_memo_costs_each_text_once(monkeypatch):

@@ -3,17 +3,13 @@
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rdkg.analysis import coverage_tolerance
-from rdkg.embeddings import (
-    CostMemo,
-    cosine_distance,
-    feature_cost,
-    memoized,
-)
+from rdkg.embeddings import CostMemo, cosine_distance, feature_cost
 from rdkg.errors import InputError
 from rdkg.kg import (
     ALLOWED_RELATIONS,
@@ -39,7 +35,6 @@ from rdkg.refine import (
     align_graph,
     column_entropy,
     covered_row_mass,
-    edge_support,
     llm_propose_edges,
     op_add,
     op_merge,
@@ -170,30 +165,37 @@ def test_symmetric_kl_length_mismatch():
         symmetric_kl(np.array([1.0]), np.array([0.5, 0.5]))
 
 
+def prune_with(plan, kg, tau=RefinementConfig.tau):
+    """``op_prune`` against ``plan``: it reads only the coupling and tau."""
+    aligned = SimpleNamespace(coupling=SimpleNamespace(matrix=plan))
+    return op_prune(kg, aligned, SimpleNamespace(config=RefinementConfig(tau=tau)), 1)
+
+
 def test_edge_support_arithmetic():
-    m = 10
-    plan = np.full((10, m), 1.0 / (10 * m))
+    # an edge's support is the product of its endpoints' column masses
+    plan = np.array([[0.25, 0.125, 0.0], [0.25, 0.125, 0.25]])
     kg = KnowledgeGraph(
-        nodes=[ConceptNode(id=f"n{i}", label="x") for i in range(m)],
-        edges=[RelationEdge("n0", "n1", "uses", 0.5)],
+        nodes=[ConceptNode(id=x, label=x.upper()) for x in "abc"],
+        edges=[RelationEdge("a", "b", "uses", 0.5), RelationEdge("c", "b", "partOf", 0.5)],
     )
-    support = edge_support(plan, kg.edges[0], kg.node_index())
-    assert support == pytest.approx(0.01)
-    assert support > RefinementConfig().tau
+    assert prune_with(plan, kg, tau=0.0625) == (kg, [])  # supports 0.125 and 0.0625
+    out, records = prune_with(plan, kg, tau=0.07)
+    assert [(e.src, e.dst) for e in out.edges] == [("a", "b")]
+    assert [r.rationale for r in records] == ["support 6.250e-02 below tau"]
+    out, records = prune_with(plan, kg, tau=0.13)
+    assert out.edges == [] and len(records) == 2
 
 
 def test_edge_support_zero_column_prunes():
     plan = np.zeros((4, 2))
     plan[:, 0] = 0.25
-    edge = RelationEdge("a", "b", "uses", 0.5)
-    support = edge_support(plan, edge, {"a": 0, "b": 1})
-    assert support == 0.0
-    assert support < RefinementConfig().tau
-
-
-def test_edge_support_unmapped_endpoint():
-    with pytest.raises(InputError, match="endpoint"):
-        edge_support(np.ones((1, 1)), RelationEdge("a", "ghost", "uses", 0.5), {"a": 0})
+    kg = KnowledgeGraph(
+        nodes=[ConceptNode(id=x, label=x.upper()) for x in "ab"],
+        edges=[RelationEdge("a", "b", "uses", 0.5)],
+    )
+    out, records = prune_with(plan, kg)
+    assert out.edges == []
+    assert [r.rationale for r in records] == ["support 0.000e+00 below tau"]
 
 
 def test_top_coupled_ties_lowest_index():
@@ -1013,24 +1015,6 @@ def test_refine_deterministic(provider):
     from rdkg.kg import kg_to_dict
 
     assert kg_to_dict(a.graph) == kg_to_dict(b.graph)
-
-
-def test_memoized_embed_matches_provider_and_embeds_each_text_once(provider):
-    calls = []
-
-    def counted(texts):
-        calls.append(list(texts))
-        return provider.embed(texts)
-
-    embed = memoized(counted)
-    batches = [["a b", "c", "a b"], ["c", "d e", "f"], ["f", "a b"], ["g", "g", "c"]]
-    for texts in batches:
-        assert np.array_equal(embed(texts), provider.embed(texts))
-    assert calls == [["a b", "c"], ["d e", "f"], ["g"]]
-    with pytest.raises(InputError):
-        embed([])
-    with pytest.raises(InputError):
-        embed(["new", ""])  # the provider's error for an empty text
 
 
 def test_refine_embeds_each_text_once(provider):
