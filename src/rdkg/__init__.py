@@ -35,7 +35,7 @@ from .lecture import (
     load_lecture_space,
     save_lecture_space,
 )
-from .llm import LlmClient, LlmClientConfig, Namer, bootstrap_kg
+from .llm import LlmClient, Namer, bootstrap_kg
 from .markdown import parse_markdown
 from .ot import Coupling, FgwResult, SolverConfig, fgw, sinkhorn
 from .refine import RefinementConfig, RefineOutcome, refine
@@ -57,7 +57,6 @@ __all__ = [
     "LectureElement",
     "LectureSpace",
     "LlmClient",
-    "LlmClientConfig",
     "Namer",
     "NumericalError",
     "ProviderError",

@@ -116,22 +116,17 @@ def emit_report(
     trace: RdTrace,
     coverage_before: float | None,
     coverage_after: float | None,
-    knee: int | None,
     out_dir: str | Path,
     config_echo: dict | None = None,
-) -> dict[str, Path]:
+) -> int | None:
     """Write rd_curve.csv, report.json and plot_data.json into out_dir.
 
-    Returns the paths written. Outputs are deterministic: rerunning on
-    the same trace produces byte-identical files.
+    Returns the trace's knee index, or None for a trace of fewer than 2
+    points. Outputs are deterministic: rerunning on the same trace
+    produces byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "rd_curve": out / "rd_curve.csv",
-        "report": out / "report.json",
-        "plot_data": out / "plot_data.json",
-    }
 
     lines = ["t,rate,distortion,objective,structure,feature"]
     for p in trace.points:
@@ -139,8 +134,9 @@ def emit_report(
             f"{p.t},{_fmt(p.rate)},{_fmt(p.distortion)},{_fmt(p.objective)},"
             f"{_fmt(p.structure)},{_fmt(p.feature)}"
         )
-    paths["rd_curve"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "rd_curve.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+    knee = knee_point(trace.points) if len(trace.points) >= 2 else None
     knee_entry = None
     if knee is not None:
         kp = trace.points[knee]
@@ -160,7 +156,7 @@ def emit_report(
         "coverage_after": _round9(coverage_after),
         "config": config_echo or {},
     }
-    paths["report"].write_text(
+    (out / "report.json").write_text(
         json.dumps(report, ensure_ascii=False, indent=1), encoding="utf-8"
     )
 
@@ -195,10 +191,10 @@ def emit_report(
         "knee_index": knee,
         "iso_objective": {"beta": _round9(trace.beta), "lines": iso},
     }
-    paths["plot_data"].write_text(
+    (out / "plot_data.json").write_text(
         json.dumps(plot_data, ensure_ascii=False, indent=1), encoding="utf-8"
     )
-    return paths
+    return knee
 
 
 # --- trace persistence (JSON lines, one record per iteration) ---------------

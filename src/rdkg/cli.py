@@ -12,6 +12,8 @@ import json
 import logging
 import sys
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin
 
 import click
 
@@ -20,7 +22,7 @@ from .config import RunConfig, config_keys, load_run_config
 from .embeddings import CostMemo, provider_from_config
 from .errors import InputError, NumericalError, ProviderError
 from .kg import ALLOWED_RELATIONS
-from .llm import LlmClient, LlmClientConfig, bootstrap_kg
+from .llm import LlmClient, bootstrap_kg
 from .ot import coupling_dump
 from .refine import align_graph, refine
 
@@ -32,10 +34,21 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-# click type of each scalar annotation; a list key gets no flag and stays
-# reachable via --set / config file
-_FLAG_TYPES = {bool: click.BOOL, int: click.INT, float: click.FLOAT,
-               str: click.STRING, str | None: click.STRING}
+def _flag(key: str, hint):
+    """The one flag of config key ``key``, read off its annotation: a
+    ``--key/--no-key`` switch for a bool, a repeatable option for a list,
+    else an option of the key's type. An absent flag gives None."""
+    name = "--" + key.replace("_", "-")
+    kinds = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    (kind,) = (k for k in kinds if k is not NoneType)
+    help_text = f"Override config key {key}."
+    if kind is bool:
+        return click.option(f"{name}/--no-{name[2:]}", key, default=None, help=help_text)
+    if get_origin(kind) is list:
+        (item,) = get_args(kind)
+        return click.option(name, key, type=item, multiple=True, help=help_text + " Repeatable.",
+                            callback=lambda _ctx, _param, value: list(value) or None)
+    return click.option(name, key, type=kind, default=None, help=help_text)
 
 
 def _config_options(fn):
@@ -44,50 +57,15 @@ def _config_options(fn):
                      help="Flat JSON config file."),
         click.option("--out", "out_dir", type=click.Path(), default=None,
                      help="Output directory (default: alongside inputs)."),
-        click.option("--debug", is_flag=True, default=False,
-                     help="Verbose logging plus debug dumps."),
-        click.option("--set", "set_values", multiple=True, metavar="KEY=VALUE",
-                     help="Override any config key (repeatable)."),
     ]
-    # one flag per scalar config key, e.g. --beta, --lambda-feat, --embed-provider
-    for key, (_, hint) in config_keys().items():
-        if key == "debug" or hint not in _FLAG_TYPES:
-            continue
-        decorators.append(
-            click.option(
-                "--" + key.replace("_", "-"), key,
-                type=_FLAG_TYPES[hint], default=None,
-                help=f"Override config key {key}.",
-            )
-        )
+    # one flag per config key, e.g. --beta, --lambda-feat, --debug/--no-debug
+    decorators += [_flag(key, hint) for key, (_, hint) in config_keys().items()]
     for dec in reversed(decorators):
         fn = dec(fn)
     return fn
 
 
-def _numeric_overrides(set_values: tuple[str, ...]) -> dict:
-    overrides: dict = {}
-    for item in set_values:
-        if "=" not in item:
-            raise click.UsageError(f"--set expects KEY=VALUE, got {item!r}")
-        key, raw = item.split("=", 1)
-        overrides[key.strip()] = json.loads(raw) if _is_json(raw) else raw
-    return overrides
-
-
-def _is_json(raw: str) -> bool:
-    try:
-        json.loads(raw)
-        return True
-    except json.JSONDecodeError:
-        return False
-
-
-def _setup(config_path, set_values, debug, **direct) -> RunConfig:
-    overrides = _numeric_overrides(set_values)
-    overrides.update({k: v for k, v in direct.items() if v is not None})
-    if debug:
-        overrides["debug"] = True
+def _setup(config_path, overrides: dict) -> RunConfig:
     cfg = load_run_config(config_path, overrides)
     logging.basicConfig(
         level=logging.DEBUG if cfg.debug else logging.WARNING,
@@ -129,15 +107,8 @@ def _load_inputs(space_path: str, kg_path: str, cfg: RunConfig):
 def _llm_client(cfg: RunConfig) -> LlmClient | None:
     if not cfg.llm_url:
         return None
-    return LlmClient(
-        LlmClientConfig(
-            base_url=cfg.llm_url,
-            model=cfg.llm_model,
-            timeout=cfg.llm_timeout,
-            retries=cfg.llm_retries,
-            temperature=cfg.llm_temperature,
-        )
-    )
+    return LlmClient(cfg.llm_url, cfg.llm_model, cfg.llm_timeout, cfg.llm_retries,
+                     cfg.llm_temperature)
 
 
 def _allowed_relations(cfg: RunConfig) -> frozenset[str]:
@@ -154,9 +125,9 @@ def cli() -> None:
 @cli.command()
 @click.argument("markdown_path", type=click.Path())
 @_config_options
-def ingest(markdown_path, config_path, out_dir, debug, set_values, **overrides) -> None:
+def ingest(markdown_path, config_path, out_dir, **overrides) -> None:
     """Parse lecture Markdown into a lecture-space artifact."""
-    cfg = _setup(config_path, set_values, debug, **overrides)
+    cfg = _setup(config_path, overrides)
     src = _require_file(markdown_path)
     provider = provider_from_config(cfg)
     try:
@@ -180,9 +151,9 @@ def ingest(markdown_path, config_path, out_dir, debug, set_values, **overrides) 
 @cli.command()
 @click.argument("markdown_path", type=click.Path())
 @_config_options
-def bootstrap(markdown_path, config_path, out_dir, debug, set_values, **overrides) -> None:
+def bootstrap(markdown_path, config_path, out_dir, **overrides) -> None:
     """Extract an initial knowledge graph from lecture Markdown."""
-    cfg = _setup(config_path, set_values, debug, **overrides)
+    cfg = _setup(config_path, overrides)
     src = _require_file(markdown_path)
     graph = bootstrap_kg(
         src.read_text(encoding="utf-8"), _llm_client(cfg), _allowed_relations(cfg)
@@ -201,9 +172,9 @@ def bootstrap(markdown_path, config_path, out_dir, debug, set_values, **override
 @click.argument("space_path", type=click.Path())
 @click.argument("kg_path", type=click.Path())
 @_config_options
-def align(space_path, kg_path, config_path, out_dir, debug, set_values, **overrides) -> None:
+def align(space_path, kg_path, config_path, out_dir, **overrides) -> None:
     """Align a lecture space to a knowledge graph and report distortion."""
-    cfg = _setup(config_path, set_values, debug, **overrides)
+    cfg = _setup(config_path, overrides)
     provider, space, graph = _load_inputs(space_path, kg_path, cfg)
     memo = CostMemo(provider.embed, space.contents())
     aligned = align_graph(space, graph, memo, cfg.gamma, cfg.solver)
@@ -229,9 +200,9 @@ def align(space_path, kg_path, config_path, out_dir, debug, set_values, **overri
 @click.argument("space_path", type=click.Path())
 @click.argument("kg_path", type=click.Path())
 @_config_options
-def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **overrides) -> None:
+def refine_cmd(space_path, kg_path, config_path, out_dir, **overrides) -> None:
     """Refine a knowledge graph against a lecture space; write all artifacts."""
-    cfg = _setup(config_path, set_values, debug, **overrides)
+    cfg = _setup(config_path, overrides)
     provider, space, graph = _load_inputs(space_path, kg_path, cfg)
     outcome = refine(
         space, graph, provider,
@@ -253,12 +224,7 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **o
                           cfg.refinement.coverage_row_min)
         for a in (outcome.initial, outcome.incumbent)
     )
-    knee = (
-        analysis.knee_point(outcome.trace.points)
-        if len(outcome.trace.points) >= 2
-        else None
-    )
-    analysis.emit_report(outcome.trace, cov_before, cov_after, knee, out, cfg.echo())
+    knee = analysis.emit_report(outcome.trace, cov_before, cov_after, out, cfg.echo())
     click.echo(
         f"refined: |V|={len(outcome.graph.nodes)} |E|={len(outcome.graph.edges)} "
         f"incumbent t={outcome.incumbent_index} knee={knee} "
@@ -271,14 +237,13 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, debug, set_values, **o
 @cli.command()
 @click.argument("trace_path", type=click.Path())
 @_config_options
-def report(trace_path, config_path, out_dir, debug, set_values, **overrides) -> None:
+def report(trace_path, config_path, out_dir, **overrides) -> None:
     """Regenerate report files from an existing trace."""
-    cfg = _setup(config_path, set_values, debug, **overrides)
+    cfg = _setup(config_path, overrides)
     trace = analysis.load_trace(_require_file(trace_path))
-    knee = analysis.knee_point(trace.points) if len(trace.points) >= 2 else None
     out = Path(out_dir) if out_dir else Path(trace_path).parent
-    paths = analysis.emit_report(trace, None, None, knee, out, cfg.echo())
-    click.echo(f"report -> {paths['report']}")
+    analysis.emit_report(trace, None, None, out, cfg.echo())
+    click.echo(f"report -> {out / 'report.json'}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -27,6 +27,7 @@ from .embeddings import (
     DEFAULT_EMBED_SEED,
     DEFAULT_EMBED_TIMEOUT,
     check_dim,
+    check_provider_kind,
     check_request_settings,
 )
 from .errors import InputError
@@ -49,7 +50,7 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
     # embedding provider
-    embed_provider: str = "hash"  # hash | file | http
+    embed_provider: str = "hash"  # one of embeddings.PROVIDER_KINDS
     embed_dim: int = DEFAULT_EMBED_DIM
     embed_seed: int = DEFAULT_EMBED_SEED
     embeddings_file: str | None = None
@@ -71,6 +72,7 @@ class RunConfig:
         # the rules of the code each key reaches, run wherever a config is made
         check_weights("alpha", self.alpha, 3)
         check_weights("gamma", self.gamma, 2)
+        check_provider_kind(self.embed_provider)
         check_dim(self.embed_dim)
         check_request_settings(self.embed_timeout, self.embed_retries, "embed_")
         check_request_settings(self.llm_timeout, self.llm_retries, "llm_")

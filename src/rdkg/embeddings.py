@@ -45,6 +45,8 @@ DEFAULT_EMBED_DIM = 256  # HashEmbedder vector length
 DEFAULT_EMBED_SEED = 0  # HashEmbedder token-hash seed
 DEFAULT_EMBED_TIMEOUT = 30.0  # HttpEmbedder request timeout, seconds
 DEFAULT_EMBED_RETRIES = 2  # HttpEmbedder retries after a failed request
+#: The embedding provider kinds that provider_from_config builds.
+PROVIDER_KINDS = ("hash", "file", "http")
 
 
 def word_tokens(text: str) -> list[str]:
@@ -252,6 +254,12 @@ def check_dim(dim: int) -> None:
         raise InputError("embedding dimension must be positive")
 
 
+def check_provider_kind(kind: str) -> None:
+    """The provider-kind rule: one of PROVIDER_KINDS."""
+    if kind not in PROVIDER_KINDS:
+        raise InputError(f"unknown embedding provider kind: {kind!r}")
+
+
 def check_request_settings(timeout: float, retries: int, prefix: str = "") -> None:
     """The rule for an endpoint's request settings: a positive timeout and
     a nonnegative retry count. ``prefix`` leads the names in the message."""
@@ -307,24 +315,24 @@ def request_with_retries(
 
 def provider_from_config(cfg) -> HashEmbedder | FileEmbedder | HttpEmbedder:
     """Build a provider from a RunConfig-style object whose
-    ``embed_provider`` is ``hash``, ``file`` or ``http``."""
+    ``embed_provider`` is one of PROVIDER_KINDS."""
     kind = cfg.embed_provider
+    check_provider_kind(kind)
     if kind == "hash":
         return HashEmbedder(dim=cfg.embed_dim, seed=cfg.embed_seed)
     if kind == "file":
         if not cfg.embeddings_file:
             raise InputError("embed_provider=file requires embeddings_file")
         return FileEmbedder(cfg.embeddings_file)
-    if kind == "http":
-        if not cfg.embed_url:
-            raise InputError("embed_provider=http requires embed_url")
-        return HttpEmbedder(
-            base_url=cfg.embed_url,
-            model=cfg.embed_model,
-            timeout=cfg.embed_timeout,
-            retries=cfg.embed_retries,
-        )
-    raise InputError(f"unknown embedding provider kind: {cfg.embed_provider!r}")
+    # the last kind, http
+    if not cfg.embed_url:
+        raise InputError("embed_provider=http requires embed_url")
+    return HttpEmbedder(
+        base_url=cfg.embed_url,
+        model=cfg.embed_model,
+        timeout=cfg.embed_timeout,
+        retries=cfg.embed_retries,
+    )
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:

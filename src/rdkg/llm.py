@@ -16,7 +16,6 @@ import logging
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,18 +94,6 @@ Existing edges:
 """
 
 
-@dataclass
-class LlmClientConfig:
-    base_url: str
-    model: str
-    timeout: float = DEFAULT_LLM_TIMEOUT
-    retries: int = DEFAULT_LLM_RETRIES
-    temperature: float = DEFAULT_LLM_TEMPERATURE
-
-    def __post_init__(self) -> None:
-        check_request_settings(self.timeout, self.retries)
-
-
 class LlmClient:
     """Chat-completion client expecting a single JSON object per reply.
 
@@ -114,8 +101,21 @@ class LlmClient:
     so repeated identical prompts within a run are stable and free.
     """
 
-    def __init__(self, config: LlmClientConfig, transport=None):
-        self.config = config
+    def __init__(
+        self,
+        base_url: str,
+        model: str,
+        timeout: float = DEFAULT_LLM_TIMEOUT,
+        retries: int = DEFAULT_LLM_RETRIES,
+        temperature: float = DEFAULT_LLM_TEMPERATURE,
+        transport=None,
+    ):
+        check_request_settings(timeout, retries)
+        self.base_url = base_url
+        self.model = model
+        self.timeout = timeout
+        self.retries = retries
+        self.temperature = temperature
         self._transport = transport or post_json
         self._cache: dict[str, dict | None] = {}
 
@@ -129,18 +129,16 @@ class LlmClient:
         if key in self._cache:
             return self._cache[key]
         payload = {
-            "model": self.config.model,
-            "temperature": self.config.temperature,
+            "model": self.model,
+            "temperature": self.temperature,
             "messages": [{"role": "user", "content": prompt}],
         }
         headers = json_headers(API_KEY_ENV)
         try:
             result = request_with_retries(
-                lambda: self._transport(
-                    self.config.base_url, payload, headers, self.config.timeout
-                ),
+                lambda: self._transport(self.base_url, payload, headers, self.timeout),
                 _extract_json,
-                self.config.retries,
+                self.retries,
                 "LLM",
             )
         except ProviderError:

@@ -255,7 +255,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         code = main([
             "refine", str(tmp_path / "lecture.space.json"),
             str(tmp_path / "lecture.kg.json"),
-            "--out", str(run_dir), "--set", "max_iterations=4",
+            "--out", str(run_dir), "--max-iterations", "4",
         ])
         assert code == EXIT_OK
     names = ("refined.kg.json", "trace.jsonl", "report.json",

@@ -159,17 +159,17 @@ def sample_trace():
 
 def test_emit_report_files(tmp_path):
     trace = sample_trace()
-    knee = knee_point(trace.points)
-    paths = emit_report(trace, 0.4, 0.7, knee, tmp_path, {"beta": 100.0})
-    csv_lines = paths["rd_curve"].read_text().strip().splitlines()
+    knee = emit_report(trace, 0.4, 0.7, tmp_path, {"beta": 100.0})
+    assert knee == knee_point(trace.points)
+    csv_lines = (tmp_path / "rd_curve.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "t,rate,distortion,objective,structure,feature"
     assert len(csv_lines) == 1 + 4
-    report = json.loads(paths["report"].read_text())
+    report = json.loads((tmp_path / "report.json").read_text())
     assert report["knee_index"] == knee == 1
     assert report["coverage_before"] == 0.4
     assert report["coverage_after"] == 0.7
     assert report["config"] == {"beta": 100.0}
-    plot = json.loads(paths["plot_data"].read_text())
+    plot = json.loads((tmp_path / "plot_data.json").read_text())
     assert len(plot["points"]) == 4
     levels = [line["objective"] for line in plot["iso_objective"]["lines"]]
     knee_l = trace.points[knee].objective
@@ -181,11 +181,10 @@ def test_emit_report_files(tmp_path):
 
 def test_emit_report_deterministic(tmp_path):
     trace = sample_trace()
-    knee = knee_point(trace.points)
     a = tmp_path / "a"
     b = tmp_path / "b"
-    emit_report(trace, 0.4, 0.7, knee, a, {})
-    emit_report(trace, 0.4, 0.7, knee, b, {})
+    emit_report(trace, 0.4, 0.7, a, {})
+    emit_report(trace, 0.4, 0.7, b, {})
     for name in ("rd_curve.csv", "report.json", "plot_data.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -266,8 +265,8 @@ def test_emit_report_zero_beta_skips_iso_lines(tmp_path):
         RdPoint(t=1, rate=4.0, distortion=0.0, objective=4.0, structure=0, feature=0),
     ]
     trace = RdTrace(beta=0.0, points=points, edits=[[], []])
-    paths = emit_report(trace, None, None, knee_point(points), tmp_path)
-    plot = json.loads(paths["plot_data"].read_text())
+    assert emit_report(trace, None, None, tmp_path) == knee_point(points)
+    plot = json.loads((tmp_path / "plot_data.json").read_text())
     assert plot["iso_objective"]["lines"] == []
 
 
@@ -282,7 +281,7 @@ def test_csv_floats_nine_significant_digits(tmp_path):
         ],
         edits=[[], []],
     )
-    paths = emit_report(trace, None, None, 0, tmp_path)
-    row = paths["rd_curve"].read_text().splitlines()[1].split(",")
+    emit_report(trace, None, None, tmp_path)
+    row = (tmp_path / "rd_curve.csv").read_text().splitlines()[1].split(",")
     assert row[1] == f"{1 / 3:.9g}"
     assert row[4] == "0.123456789"

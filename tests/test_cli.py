@@ -99,7 +99,7 @@ def test_align_prints_metrics(pipeline, capsys):
 
 def test_align_lambda_one_distortion_equals_feature(pipeline, capsys):
     code = main(["align", str(pipeline["space"]), str(pipeline["kg"]),
-                 "--set", "lambda_feat=1.0"])
+                 "--lambda-feat", "1.0"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     d = float(out.split("D=")[1].split()[0])
@@ -172,7 +172,7 @@ def test_refine_full_run_outputs(pipeline, tmp_path, capsys):
     out_dir = tmp_path / "run"
     code = main([
         "refine", str(pipeline["space"]), str(pipeline["kg"]),
-        "--out", str(out_dir), "--set", "max_iterations=4",
+        "--out", str(out_dir), "--max-iterations", "4",
     ])
     assert code == EXIT_OK
     for name in ("refined.kg.json", "trace.jsonl", "rd_curve.csv",
@@ -191,7 +191,7 @@ def test_refine_zero_iterations(pipeline, tmp_path):
     out_dir = tmp_path / "zero"
     code = main([
         "refine", str(pipeline["space"]), str(pipeline["kg"]),
-        "--out", str(out_dir), "--set", "max_iterations=0",
+        "--out", str(out_dir), "--max-iterations", "0",
     ])
     assert code == EXIT_OK
     lines = (out_dir / "trace.jsonl").read_text().strip().splitlines()
@@ -208,7 +208,7 @@ def test_refine_deterministic_outputs(pipeline, tmp_path):
     for d in dirs:
         code = main([
             "refine", str(pipeline["space"]), str(pipeline["kg"]),
-            "--out", str(d), "--set", "max_iterations=3",
+            "--out", str(d), "--max-iterations", "3",
         ])
         assert code == EXIT_OK
     for name in ("refined.kg.json", "trace.jsonl", "rd_curve.csv",
@@ -219,7 +219,7 @@ def test_refine_deterministic_outputs(pipeline, tmp_path):
 def test_report_from_trace(pipeline, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]),
-                 "--out", str(run_dir), "--set", "max_iterations=3"]) == EXIT_OK
+                 "--out", str(run_dir), "--max-iterations", "3"]) == EXIT_OK
     capsys.readouterr()
     rerun = tmp_path / "rerun"
     code = main(["report", str(run_dir / "trace.jsonl"), "--out", str(rerun)])
@@ -329,7 +329,7 @@ def test_config_file_and_flag_precedence(tmp_path, lecture_file, capsys):
     code = main([
         "refine", str(tmp_path / "lecture.space.json"), str(tmp_path / "lecture.kg.json"),
         "--config", str(cfg), "--out", str(out_dir),
-        "--set", "beta=75.0",  # flag beats file
+        "--beta", "75.0",  # flag beats file
     ])
     assert code == EXIT_OK
     report = json.loads((out_dir / "report.json").read_text())
@@ -366,9 +366,14 @@ def test_unknown_config_key_rejected(tmp_path, lecture_file, capsys):
     ("max_adds=-1", "max_adds must not be negative"),
 ])
 def test_bad_config_values_exit_input(pipeline, tmp_path, capsys, setting, message):
+    # a config file is the only source a value of another type can come
+    # from: click refuses "abc" for --beta with a usage error
+    key, raw = setting.split("=")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({key: json.loads(raw)}))
     code = main([
         "refine", str(pipeline["space"]), str(pipeline["kg"]),
-        "--out", str(tmp_path / "bad"), "--set", setting,
+        "--out", str(tmp_path / "bad"), "--config", str(cfg),
     ])
     assert code == EXIT_INPUT
     assert message in capsys.readouterr().err
@@ -394,7 +399,7 @@ def test_extra_relations_thread_through_refine(pipeline, tmp_path):
     out_dir = tmp_path / "custom_out"
     code = main([
         "refine", str(pipeline["space"]), str(custom), "--out", str(out_dir),
-        "--set", 'extra_relations=["causes"]', "--set", "max_iterations=1",
+        "--extra-relations", "causes", "--max-iterations", "1",
     ])
     assert code == EXIT_OK
 
@@ -435,7 +440,7 @@ def test_pipeline_composability(tmp_path):
         assert main(["bootstrap", str(src), "--out", str(out)]) == EXIT_OK
         code = main([
             "refine", str(out / f"f{k}.space.json"), str(out / f"f{k}.kg.json"),
-            "--out", str(out), "--set", "max_iterations=2",
+            "--out", str(out), "--max-iterations", "2",
         ])
         assert code == EXIT_OK, md[:30]
 
@@ -451,6 +456,7 @@ def test_pipeline_composability(tmp_path):
     ("embed_dim=0", "embedding dimension must be positive"),
     ("embed_timeout=-1", "embed_timeout must be positive"),
     ("llm_timeout=0", "llm_timeout must be positive"),
+    ("embed_provider=bogus", "unknown embedding provider kind: 'bogus'"),
 ])
 def test_range_checked_by_every_command(pipeline, lecture_file, tmp_path, capsys,
                                         setting, message):
@@ -461,9 +467,11 @@ def test_range_checked_by_every_command(pipeline, lecture_file, tmp_path, capsys
         "refine": [str(pipeline["space"]), str(pipeline["kg"])],
         "report": [str(tmp_path / "trace.jsonl")],
     }
+    key, value = setting.split("=")
+    flag = "--" + key.replace("_", "-")
     for command, args in inputs.items():
         out = tmp_path / f"bad-{command}"
-        code = main([command, *args, "--out", str(out), "--set", setting])
+        code = main([command, *args, "--out", str(out), flag, value])
         assert code == EXIT_INPUT, command
         assert message in capsys.readouterr().err, command
         assert not out.exists(), command
@@ -471,15 +479,42 @@ def test_range_checked_by_every_command(pipeline, lecture_file, tmp_path, capsys
 
 def test_every_flag_takes_its_default(tmp_path, lecture_file):
     defaults = load_run_config().echo()
-    flags = {p.name: p.opts[0] for p in ingest.params if p.name in defaults}
-    # list keys get no flag; debug keeps its plain switch
-    assert set(flags) == set(defaults) - {"extra_relations"}
+    options = [p for p in ingest.params if p.name in defaults]
+    # exactly one flag per key, named after it; a bool key is a switch
+    assert sorted(p.name for p in options) == sorted(defaults)
     argv = ["ingest", str(lecture_file), "--out", str(tmp_path)]
-    for key, flag in flags.items():
-        if key != "debug" and defaults[key] is not None:
-            argv += [flag, str(defaults[key])]
+    for option in options:
+        flag = "--" + option.name.replace("_", "-")
+        assert option.opts == [flag]
+        value = defaults[option.name]
+        if isinstance(value, bool):
+            assert option.secondary_opts == ["--no-" + flag[2:]]
+            argv.append(flag if value else option.secondary_opts[0])
+        elif value is not None:
+            argv += [flag, str(value)]
     assert main(argv) == EXIT_OK
-    assert main(["bootstrap", str(lecture_file), "--extra-relations", "causes"]) == EXIT_USAGE
+    # the list key repeats its flag
+    assert main(["bootstrap", str(lecture_file), "--out", str(tmp_path),
+                 "--extra-relations", "causes", "--extra-relations", "enables"]) == EXIT_OK
+
+
+def test_a_string_flag_keeps_a_numeric_value(pipeline, tmp_path):
+    out = tmp_path / "model"
+    assert main(["ingest", str(pipeline["dir"] / "lecture.md"), "--out", str(out),
+                 "--embed-model", "123"]) == EXIT_OK
+    assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]), "--out", str(out),
+                 "--max-iterations", "0", "--embed-model", "123"]) == EXIT_OK
+    assert json.loads((out / "report.json").read_text())["config"]["embed_model"] == "123"
+
+
+def test_no_debug_switch_overrides_the_config_file(pipeline, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"debug": True}))
+    for extra, debug in (([], True), (["--no-debug"], False)):
+        out = tmp_path / f"debug-{debug}"
+        assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]), "--out", str(out),
+                     "--max-iterations", "0", "--config", str(cfg), *extra]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["config"]["debug"] is debug
 
 
 def test_align_and_refine_refuse_artifact_with_other_alpha(tmp_path, lecture_file, capsys):
@@ -498,7 +533,7 @@ def test_align_and_refine_refuse_artifact_with_other_alpha(tmp_path, lecture_fil
 
 
 @pytest.mark.parametrize("flags", [
-    ["--set", "embed_dim=8"],
+    ["--embed-dim", "8"],
     ["--embed-seed", "3"],
     ["--embed-provider", "http", "--embed-url", "http://localhost:9/embed"],
 ])

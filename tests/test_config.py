@@ -11,7 +11,7 @@ from rdkg.cli import EXIT_INPUT, main
 from rdkg.config import RunConfig, config_keys, load_run_config
 from rdkg.embeddings import HashEmbedder, HttpEmbedder
 from rdkg.errors import InputError
-from rdkg.llm import LlmClientConfig
+from rdkg.llm import LlmClient
 from rdkg.ot import SolverConfig
 from rdkg.refine import RefinementConfig
 
@@ -58,7 +58,7 @@ def test_provider_defaults_come_from_the_providers():
     cfg = RunConfig()
     hash_defaults = _defaults(HashEmbedder)
     http_defaults = _defaults(HttpEmbedder)
-    llm_defaults = _defaults(LlmClientConfig)
+    llm_defaults = _defaults(LlmClient)
     assert (cfg.embed_dim, cfg.embed_seed) == (hash_defaults["dim"], hash_defaults["seed"])
     assert (cfg.embed_timeout, cfg.embed_retries) == (
         http_defaults["timeout"], http_defaults["retries"])
@@ -110,9 +110,13 @@ def test_a_float_key_must_be_finite(tmp_path, capsys, key):
     lecture = tmp_path / "l.md"
     lecture.write_text("# A\n\nsome lecture text\n")
     flag = "--" + key.replace("_", "-")
-    for args in (["--set", f"{key}=NaN"], ["--set", f"{key}=-Infinity"],
-                 ["--set", f"{key}=1e400"], ["--set", f"{key}=1{'0' * 400}"],
-                 [flag, "nan"], [flag, "inf"]):
+    # a 400-digit integer in a file stays an int: the finite check compares
+    # it with the largest float instead of converting it
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"{key}": 1{"0" * 400}}}')
+    for args in ([flag, "NaN"], [flag, "-Infinity"], [flag, "1e400"],
+                 [flag, f"1{'0' * 400}"], [flag, "nan"], [flag, "inf"],
+                 ["--config", str(cfg)]):
         capsys.readouterr()
         assert main(["ingest", str(lecture), "--out", str(tmp_path), *args]) == EXIT_INPUT
         assert f"config key {key} must be finite" in capsys.readouterr().err

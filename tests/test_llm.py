@@ -11,7 +11,6 @@ from rdkg.errors import InputError
 from rdkg.kg import ConceptNode, KnowledgeGraph, RelationEdge, node_text, validate_graph
 from rdkg.llm import (
     LlmClient,
-    LlmClientConfig,
     Namer,
     bootstrap_kg,
     propose_label_edges,
@@ -31,10 +30,8 @@ def make_client(reply_factory, retries=0):
             raise content
         return {"choices": [{"message": {"content": content}}]}
 
-    return LlmClient(
-        LlmClientConfig(base_url="http://fake/llm", model="m", retries=retries),
-        transport=transport,
-    )
+    return LlmClient(base_url="http://fake/llm", model="m", retries=retries,
+                     transport=transport)
 
 
 # --- bootstrap ---------------------------------------------------------------
@@ -397,6 +394,15 @@ def test_client_retries_with_backoff_until_json(monkeypatch):
     assert len(attempts) == 3
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"timeout": 0}, "timeout must be positive"),
+    ({"retries": -1}, "retries must be nonnegative"),
+])
+def test_client_refuses_bad_request_settings(settings, message):
+    with pytest.raises(InputError, match=message):
+        LlmClient("http://fake", "m", **settings)
+
+
 def test_client_sends_api_key_header(monkeypatch):
     seen = {}
 
@@ -405,6 +411,6 @@ def test_client_sends_api_key_header(monkeypatch):
         return {"choices": [{"message": {"content": "{}"}}]}
 
     monkeypatch.setenv("LLM_API_KEY", "sekrit")
-    client = LlmClient(LlmClientConfig(base_url="http://fake", model="m"), transport=transport)
+    client = LlmClient(base_url="http://fake", model="m", transport=transport)
     client.chat_json("prompt")
     assert seen == {"Content-Type": "application/json", "Authorization": "Bearer sekrit"}

@@ -376,7 +376,7 @@ def test_op_add_flags_rows_by_the_configured_coverage_rule(provider, percentile,
 def test_op_add_sends_and_keeps_extra_relations(provider):
     # the edge prompt of each added node offers the run's extra relation,
     # and a proposed edge with that relation touching the new node is kept
-    from rdkg.llm import LlmClient, LlmClientConfig
+    from rdkg.llm import LlmClient
 
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
     kg = topic_a_only_kg()
@@ -396,7 +396,7 @@ def test_op_add_sends_and_keeps_extra_relations(provider):
             }]})
         return {"choices": [{"message": {"content": content}}]}
 
-    client = LlmClient(LlmClientConfig("http://fake", "m", retries=0), transport=transport)
+    client = LlmClient("http://fake", "m", retries=0, transport=transport)
     aligned = solve(space, kg, provider)
     ctx = make_ctx(space, provider, client=client, relations=relations)
     out, records = op_add(kg, aligned, ctx, 1)
@@ -1083,7 +1083,7 @@ def test_edit_record_shape():
 def test_refine_with_llm_client_proposes_edges(provider):
     import json as jsonlib
 
-    from rdkg.llm import LlmClient, LlmClientConfig
+    from rdkg.llm import LlmClient
 
     space, kg = duplicate_pair_fixture(provider)
 
@@ -1098,7 +1098,7 @@ def test_refine_with_llm_client_proposes_edges(provider):
             content = "{}"
         return {"choices": [{"message": {"content": content}}]}
 
-    client = LlmClient(LlmClientConfig("http://fake", "m", retries=0), transport=transport)
+    client = LlmClient("http://fake", "m", retries=0, transport=transport)
     out = refine(space, kg, provider, refine_config=RefinementConfig(max_iterations=1),
                  llm_client=client)
     ops = [e["op"] for edits in out.trace.edits for e in edits]
