@@ -19,7 +19,6 @@ from .errors import InputError, NumericalError, ProviderError, RdkgError
 from .kg import (
     ALLOWED_RELATIONS,
     ConceptNode,
-    KgSpace,
     KnowledgeGraph,
     RelationEdge,
     build_kg_space,
@@ -52,7 +51,6 @@ __all__ = [
     "HashEmbedder",
     "HttpEmbedder",
     "InputError",
-    "KgSpace",
     "KnowledgeGraph",
     "LectureElement",
     "LectureSpace",

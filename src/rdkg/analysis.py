@@ -10,13 +10,12 @@ downstream plotting consumes. All floating-point output is written with
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_json, pop_field
 
 COVERAGE_PERCENTILE = 30.0
 _COLLINEAR_EPS = 1e-9
@@ -227,8 +226,8 @@ def save_trace(trace: RdTrace, path: str | Path) -> None:
 def load_trace(path: str | Path) -> RdTrace:
     """Read a JSONL trace written by save_trace.
 
-    Raises InputError for a row field that is not a finite JSON number
-    (``t`` must be an integer; a boolean is no number), a row without ``beta``
+    Raises InputError for a row field that ``check_json`` refuses as a
+    finite number (``t``: an integer), a row without ``beta``
     (a trace written before rows carried it) or rows that disagree on it.
     """
     points: list[RdPoint] = []
@@ -239,27 +238,27 @@ def load_trace(path: str | Path) -> RdTrace:
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = check_json("the row", json.loads(line), dict)
             points.append(
                 RdPoint(
-                    t=_row_number(row, "t", int),
-                    rate=float(_row_number(row, "rate")),
-                    distortion=float(_row_number(row, "distortion")),
-                    objective=float(_row_number(row, "objective")),
-                    structure=float(_row_number(row, "structure")),
-                    feature=float(_row_number(row, "feature")),
+                    t=pop_field(row, "t", int),
+                    rate=float(pop_field(row, "rate", float)),
+                    distortion=float(pop_field(row, "distortion", float)),
+                    objective=float(pop_field(row, "objective", float)),
+                    structure=float(pop_field(row, "structure", float)),
+                    feature=float(pop_field(row, "feature", float)),
                 )
             )
             edits.append(row.get("edits", []))
-            beta = float(_row_number(row, "beta")) if "beta" in row else None
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            beta = pop_field(row, "beta", float, None)
+        except ValueError as exc:  # malformed JSON, or a field check_json refuses
             raise InputError(f"malformed trace at line {lineno}: {exc}") from exc
         if beta is None:
             raise InputError(
                 f"trace {path} line {lineno} has no beta (it predates traces that "
                 "record it); re-run refine to write a new one"
             )
-        betas.add(beta)
+        betas.add(float(beta))
     if not points:
         raise InputError("empty trace file")
     if len(betas) > 1:
@@ -268,18 +267,6 @@ def load_trace(path: str | Path) -> RdTrace:
             "re-run refine to write a trace of one run"
         )
     return RdTrace(beta=betas.pop(), points=points, edits=edits)
-
-
-def _row_number(row: dict, name: str, kind: type | tuple = (int, float)):
-    """``row[name]`` if it is a finite JSON number of ``kind`` (never a
-    boolean, ``NaN`` or ``Infinity``)."""
-    value = row[name]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is int else "a number"
-        raise TypeError(f"field {name!r} must be {what}, got {json.dumps(value)}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"field {name!r} must be finite, got {json.dumps(value)}")
-    return value
 
 
 def _normalize_axis(values: np.ndarray) -> np.ndarray:

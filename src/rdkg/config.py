@@ -13,13 +13,12 @@ into report.json.
 from __future__ import annotations
 
 import json
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
-from types import MappingProxyType, UnionType
-from typing import get_args, get_origin, get_type_hints
+from types import MappingProxyType
+from typing import get_type_hints
 
 from .embeddings import (
     DEFAULT_EMBED_DIM,
@@ -27,10 +26,10 @@ from .embeddings import (
     DEFAULT_EMBED_SEED,
     DEFAULT_EMBED_TIMEOUT,
     check_dim,
-    check_provider_kind,
+    check_provider,
     check_request_settings,
 )
-from .errors import InputError
+from .errors import InputError, check_json
 from .kg import DEFAULT_GAMMA
 from .lecture import DEFAULT_ALPHA, check_weights
 from .llm import DEFAULT_LLM_RETRIES, DEFAULT_LLM_TEMPERATURE, DEFAULT_LLM_TIMEOUT
@@ -72,7 +71,7 @@ class RunConfig:
         # the rules of the code each key reaches, run wherever a config is made
         check_weights("alpha", self.alpha, 3)
         check_weights("gamma", self.gamma, 2)
-        check_provider_kind(self.embed_provider)
+        check_provider(self.embed_provider, self.embed_url, self.embeddings_file)
         check_dim(self.embed_dim)
         check_request_settings(self.embed_timeout, self.embed_retries, "embed_")
         check_request_settings(self.llm_timeout, self.llm_retries, "llm_")
@@ -152,29 +151,9 @@ def load_run_config(
 
 
 def _check_value(name: str, value, hint) -> None:
-    """Raise InputError unless ``value`` fits the field's annotation.
-
-    Float fields must be finite. Integer fields are counts and must not
-    be negative, except ``embed_seed``.
-    """
-    allowed = get_args(hint) if isinstance(hint, UnionType) else (hint,)
-    if not any(_fits(value, kind) for kind in allowed):
-        expected = hint.__name__ if isinstance(hint, type) else str(hint)
-        raise InputError(f"config key {name} expects {expected}, got {value!r}")
-    # NaN compares false; an int beyond the largest float is refused too
-    if hint is float and not abs(value) <= sys.float_info.max:
-        raise InputError(f"config key {name} must be finite, got {value!r}")
+    """Raise InputError unless ``value`` passes ``check_json`` for the
+    field's annotation. Integer fields are counts and must not be
+    negative, except ``embed_seed``."""
+    check_json(f"config key {name}", value, hint)
     if hint is int and name != "embed_seed" and value < 0:
         raise InputError(f"config key {name} must not be negative, got {value}")
-
-
-def _fits(value, kind) -> bool:
-    """Whether ``value`` is a ``kind``; an int counts as a float, a bool
-    as neither."""
-    if kind in (int, float):
-        numeric = (int,) if kind is int else (int, float)
-        return isinstance(value, numeric) and not isinstance(value, bool)
-    if get_origin(kind) is list:
-        (item,) = get_args(kind)
-        return isinstance(value, list) and all(isinstance(v, item) for v in value)
-    return isinstance(value, kind)

@@ -30,7 +30,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import InputError, ProviderError
+from .errors import InputError, ProviderError, check_json, pop_field
 
 logger = logging.getLogger(__name__)
 
@@ -126,17 +126,12 @@ class FileEmbedder:
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read embeddings file {path}: {exc}") from exc
         try:
-            self.dim = doc["dim"]
-            keys = doc["keys"]
-            vectors = doc["vectors"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"embeddings file {path} missing field: {exc}") from exc
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
-            raise InputError(f"embeddings file {path}: dim is not an integer")
-        if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
-            raise InputError(f"embeddings file {path}: keys is not a list of strings")
-        if not isinstance(vectors, list):
-            raise InputError(f"embeddings file {path}: vectors is not a list")
+            check_json("the document", doc, dict)
+            self.dim = pop_field(doc, "dim", int)
+            keys = pop_field(doc, "keys", list[str])
+            vectors = pop_field(doc, "vectors", list)
+        except InputError as exc:
+            raise InputError(f"embeddings file {path}: {exc}") from exc
         if len(keys) != len(vectors):
             raise InputError("embeddings file: keys/vectors count mismatch")
         self.sha256 = hashlib.sha256(raw).hexdigest()
@@ -254,10 +249,15 @@ def check_dim(dim: int) -> None:
         raise InputError("embedding dimension must be positive")
 
 
-def check_provider_kind(kind: str) -> None:
-    """The provider-kind rule: one of PROVIDER_KINDS."""
+def check_provider(kind: str, embed_url: str | None, embeddings_file: str | None) -> None:
+    """The provider rule: ``kind`` is one of PROVIDER_KINDS, ``http`` has an
+    ``embed_url`` and ``file`` an ``embeddings_file``."""
     if kind not in PROVIDER_KINDS:
         raise InputError(f"unknown embedding provider kind: {kind!r}")
+    if kind == "http" and not embed_url:
+        raise InputError("embed_provider=http requires embed_url")
+    if kind == "file" and not embeddings_file:
+        raise InputError("embed_provider=file requires embeddings_file")
 
 
 def check_request_settings(timeout: float, retries: int, prefix: str = "") -> None:
@@ -314,19 +314,12 @@ def request_with_retries(
 
 
 def provider_from_config(cfg) -> HashEmbedder | FileEmbedder | HttpEmbedder:
-    """Build a provider from a RunConfig-style object whose
-    ``embed_provider`` is one of PROVIDER_KINDS."""
-    kind = cfg.embed_provider
-    check_provider_kind(kind)
-    if kind == "hash":
+    """Build a provider from a RunConfig, whose settings passed
+    ``check_provider``."""
+    if cfg.embed_provider == "hash":
         return HashEmbedder(dim=cfg.embed_dim, seed=cfg.embed_seed)
-    if kind == "file":
-        if not cfg.embeddings_file:
-            raise InputError("embed_provider=file requires embeddings_file")
+    if cfg.embed_provider == "file":
         return FileEmbedder(cfg.embeddings_file)
-    # the last kind, http
-    if not cfg.embed_url:
-        raise InputError("embed_provider=http requires embed_url")
     return HttpEmbedder(
         base_url=cfg.embed_url,
         model=cfg.embed_model,

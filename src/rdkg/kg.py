@@ -16,8 +16,8 @@ from typing import Any
 import numpy as np
 
 from .embeddings import CostMemo
-from .errors import InputError
-from .lecture import fuse, minmax_normalize, uniform_measure
+from .errors import InputError, pop_field
+from .lecture import fuse, minmax_normalize
 
 #: The allowed relation ontology. relatedTo is the low-confidence
 #: fallback relation used by refinement. Additional relations may be
@@ -106,18 +106,6 @@ class KnowledgeGraph:
                                 extra=dict(e.extra)) for e in self.edges],
             extra=dict(self.extra),
         )
-
-
-@dataclass
-class KgSpace:
-    """The graph's metric-measure space: node distance and node measure.
-
-    Node rows and node-to-node feature costs stay in the search's
-    ``CostMemo``, keyed by node text.
-    """
-
-    distance: np.ndarray
-    measure: np.ndarray
 
 
 def validate_graph(
@@ -230,9 +218,9 @@ def node_text(node: ConceptNode) -> str:
 
 def build_kg_space(
     kg: KnowledgeGraph, memo: CostMemo, gamma: tuple[float, float] = DEFAULT_GAMMA
-) -> KgSpace:
-    """Assemble the graph metric-measure space, uniform over nodes as the
-    lecture space is over units.
+) -> np.ndarray:
+    """The graph space's fused node distance; its measure is uniform over
+    nodes, as the lecture's is over units.
 
     ``memo`` gives the pairwise feature costs of the node texts (label,
     definition, up to three aliases).
@@ -240,13 +228,10 @@ def build_kg_space(
     if not kg.nodes:
         raise InputError("cannot build a space over an empty graph")
     texts = [node_text(n) for n in kg.nodes]
-    return KgSpace(
-        distance=fuse("gamma", gamma, [
-            struct_distance(kg),
-            minmax_normalize(memo.pair_cost(texts)),
-        ]),
-        measure=uniform_measure(len(kg.nodes)),
-    )
+    return fuse("gamma", gamma, [
+        struct_distance(kg),
+        minmax_normalize(memo.pair_cost(texts)),
+    ])
 
 
 # --- JSON round-trip -------------------------------------------------------
@@ -264,8 +249,8 @@ def kg_from_dict(doc: dict[str, Any]) -> KnowledgeGraph:
     if not isinstance(doc, dict):
         raise TypeError("the top level is not a JSON object")
     doc = dict(doc)
-    nodes = [node_from_dict(raw) for raw in _field(doc, "nodes", "a list", ())]
-    edges = [edge_from_dict(raw) for raw in _field(doc, "edges", "a list", ())]
+    nodes = [node_from_dict(raw) for raw in pop_field(doc, "nodes", list, ())]
+    edges = [edge_from_dict(raw) for raw in pop_field(doc, "edges", list, ())]
     return KnowledgeGraph(nodes=nodes, edges=edges, extra=doc)
 
 
@@ -273,21 +258,21 @@ def node_from_dict(raw: Any) -> ConceptNode:
     """Read one node object, keeping unknown keys in ``extra``.
 
     A missing or null ``id`` is refused, as is a null ``label`` (missing:
-    empty) or ``confidence`` (missing: 0.5, never a boolean). A null
-    ``definition`` or ``aliases`` reads as empty, a null ``provenance``
-    or ``rationale`` as None.
+    empty) or ``confidence`` (missing: 0.5). A null ``definition`` or
+    ``aliases`` reads as empty, a null ``provenance`` or ``rationale`` as
+    None. Each field is read by ``errors.pop_field``.
     """
     if not isinstance(raw, dict):
         raise TypeError("a node is not a JSON object")
     raw = dict(raw)
     return ConceptNode(
-        id=_field(raw, "id", "a string"),
-        label=_field(raw, "label", "a string", ""),
-        definition=_field(raw, "definition", "a string", "", null_ok=True),
-        aliases=list(_field(raw, "aliases", "a list of strings", (), null_ok=True)),
-        provenance=_field(raw, "provenance", "an object", None, null_ok=True),
-        confidence=float(_field(raw, "confidence", "a number", 0.5)),
-        rationale=_field(raw, "rationale", "a string", None, null_ok=True),
+        id=pop_field(raw, "id", str),
+        label=pop_field(raw, "label", str, ""),
+        definition=pop_field(raw, "definition", str | None, ""),
+        aliases=list(pop_field(raw, "aliases", list[str] | None, ())),
+        provenance=pop_field(raw, "provenance", dict | None, None),
+        confidence=float(pop_field(raw, "confidence", float, 0.5)),
+        rationale=pop_field(raw, "rationale", str | None, None),
         extra=raw,
     )
 
@@ -300,43 +285,13 @@ def edge_from_dict(raw: Any) -> RelationEdge:
         raise TypeError("an edge is not a JSON object")
     raw = dict(raw)
     return RelationEdge(
-        src=_field(raw, "src", "a string"),
-        dst=_field(raw, "dst", "a string"),
-        relation=_field(raw, "relation", "a string"),
-        confidence=float(_field(raw, "confidence", "a number", 0.5)),
-        rationale=_field(raw, "rationale", "a string", None, null_ok=True),
+        src=pop_field(raw, "src", str),
+        dst=pop_field(raw, "dst", str),
+        relation=pop_field(raw, "relation", str),
+        confidence=float(pop_field(raw, "confidence", float, 0.5)),
+        rationale=pop_field(raw, "rationale", str | None, None),
         extra=raw,
     )
-
-
-# the check of each JSON type, by the name a refusal gives it
-_IS = {
-    "a string": lambda v: isinstance(v, str),
-    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v),
-    "a list": lambda v: isinstance(v, list),
-    "an object": lambda v: isinstance(v, dict),
-    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-}
-_REQUIRED = object()
-
-
-def _field(raw: dict[str, Any], key: str, kind: str, default: Any = _REQUIRED,
-           null_ok: bool = False) -> Any:
-    """Pop ``raw[key]``, refusing a value that is not ``kind``. A missing
-    key gives ``default`` (refused without one); a null gives ``default``
-    when ``null_ok``, else it is refused."""
-    value = raw.pop(key, _REQUIRED)
-    if value is _REQUIRED:
-        if default is _REQUIRED:
-            raise ValueError(f"{key} is missing")
-        return default
-    if value is None:
-        if not null_ok:
-            raise ValueError(f"{key} is null")
-        return default
-    if not _IS[kind](value):
-        raise TypeError(f"{key} is not {kind} ({type(value).__name__})")
-    return value
 
 
 def kg_to_dict(kg: KnowledgeGraph) -> dict[str, Any]:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import embed_distinct, self_cost
-from .errors import InputError
+from .errors import InputError, check_json, pop_field
 from .markdown import ROOT_TITLE, Section, parse_markdown
 
 DEFAULT_ALPHA = (0.2, 0.3, 0.5)  # (chron, logic, sem) fusion weights
@@ -306,42 +306,57 @@ def save_lecture_space(space: LectureSpace, path: str | Path) -> None:
 def load_lecture_space(path: str | Path) -> LectureSpace:
     """Load a lecture-space artifact written by save_lecture_space.
 
-    Raises InputError for a file of another ``format``, for missing,
-    ragged or non-numeric fields, and for a space that breaks
-    ``check_space`` (non-finite, asymmetric or out-of-range distances, a
-    nonzero diagonal, a measure that is not a positive probability
-    vector).
+    Each field is read by ``errors.pop_field``: ``format`` an integer,
+    each element's ``id`` and ``content`` strings, ``idx`` an integer and
+    ``path`` a list of strings, ``alpha`` a list of numbers, ``fingerprint``
+    an object or null, ``d`` and ``mu`` lists. Raises InputError for a file
+    of another ``format``, a missing or mistyped field, a ragged or
+    non-numeric ``d`` or ``mu``, and a space that breaks ``check_space``
+    (non-finite, asymmetric or out-of-range distances, a nonzero diagonal,
+    a measure that is not a positive probability vector).
     """
+    name = f"lecture artifact {path}"
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise InputError(f"malformed lecture artifact {path}: {exc}") from exc
-    version = doc.get("format", 1) if isinstance(doc, dict) else None
-    if version != ARTIFACT_FORMAT:
-        raise InputError(
-            f"lecture artifact {path} has format {version}, this version reads "
-            f"format {ARTIFACT_FORMAT}; re-ingest the lecture"
-        )
+        raise InputError(f"malformed {name}: {exc}") from exc
     try:
-        elements = [
-            LectureElement(
-                id=e["id"],
-                idx=int(e["idx"]),
-                section_path=tuple(e["path"]),
-                content=e["content"],
-            )
-            for e in doc["elements"]
-        ]
+        check_json("the document", doc, dict)
+        version = pop_field(doc, "format", int, 1)
+        if version != ARTIFACT_FORMAT:
+            raise InputError(f"the file has format {version}, this version reads "
+                             f"format {ARTIFACT_FORMAT}; re-ingest the lecture")
+        elements = [_element_from_dict(i, raw)
+                    for i, raw in enumerate(pop_field(doc, "elements", list))]
+        distance = pop_field(doc, "d", list)
+        measure = pop_field(doc, "mu", list)
+        alpha = tuple(float(x) for x in pop_field(doc, "alpha", list[float]))
+        fingerprint = pop_field(doc, "fingerprint", dict | None, None)
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from exc
+    try:
         space = LectureSpace(
             elements=elements,
-            distance=np.asarray(doc["d"], dtype=np.float64),
-            measure=np.asarray(doc["mu"], dtype=np.float64),
-            alpha=tuple(float(x) for x in doc["alpha"]),
-            fingerprint=doc.get("fingerprint"),
+            distance=np.asarray(distance, dtype=np.float64),
+            measure=np.asarray(measure, dtype=np.float64),
+            alpha=alpha,
+            fingerprint=fingerprint,
         )
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"lecture artifact {path} missing field: {exc}") from exc
-    except ValueError as exc:  # a ragged or non-numeric matrix or vector
-        raise InputError(f"lecture artifact {path} has a malformed field: {exc}") from exc
-    check_space(space, f"lecture artifact {path}")
+    except (TypeError, ValueError) as exc:  # a ragged or non-numeric matrix or vector
+        raise InputError(f"{name} has a malformed field: {exc}") from exc
+    check_space(space, name)
     return space
+
+
+def _element_from_dict(i: int, raw) -> LectureElement:
+    where = f"element {i}"
+    check_json(where, raw, dict)
+    try:
+        return LectureElement(
+            id=pop_field(raw, "id", str),
+            idx=pop_field(raw, "idx", int),
+            section_path=tuple(pop_field(raw, "path", list[str])),
+            content=pop_field(raw, "content", str),
+        )
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc

@@ -43,7 +43,6 @@ from .kg import (
     ALLOWED_RELATIONS,
     DEFAULT_GAMMA,
     ConceptNode,
-    KgSpace,
     KnowledgeGraph,
     RelationEdge,
     build_kg_space,
@@ -51,7 +50,7 @@ from .kg import (
     rate,
     validate_graph,
 )
-from .lecture import LectureSpace
+from .lecture import LectureSpace, uniform_measure
 from .llm import LlmClient, Namer, _valid_edge_proposals, edge_prompt, propose_label_edges
 from .ot import Coupling, FgwResult, SolverConfig, fgw
 
@@ -106,7 +105,6 @@ class EditRecord:
 class Aligned:
     """One solved alignment between the lecture and the current graph."""
 
-    space: KgSpace
     feature: np.ndarray  # N x M cosine cost, absolute scale
     result: FgwResult
 
@@ -125,33 +123,34 @@ def align_graph(
 ) -> Aligned:
     """Solve the fused transport alignment of ``kg`` to ``lecture``.
 
-    Builds the graph space, reads the cost of every lecture unit against
-    every node from ``memo`` (made over ``lecture``'s units) and runs
-    ``fgw``. Every alignment the program solves comes from here.
+    Builds the graph's node distance, reads the cost of every lecture
+    unit against every node from ``memo`` (made over ``lecture``'s units)
+    and runs ``fgw`` with uniform measures. Every alignment the program
+    solves comes from here.
 
     ``solved`` maps the SHA-256 digest of the exact bytes of each earlier
-    solve's graph inputs (distance, measure, feature cost) to its result;
+    solve's graph inputs (node distance, feature cost) to its result;
     a graph whose inputs are there reuses that result, and a new solve is
     added. One map serves one lecture and one solver setting.
     """
-    space = build_kg_space(kg, memo, gamma)
+    distance = build_kg_space(kg, memo, gamma)
     feature = memo.unit_cost([node_text(n) for n in kg.nodes])
     key = None
     if solved is not None:
         # the lecture fixes N, so the total length fixes M and each part's bytes
         digest = hashlib.sha256()
-        for part in (space.distance, space.measure, feature):
+        for part in (distance, feature):
             digest.update(part.tobytes())
         key = digest.digest()
         if key in solved:
-            return Aligned(space=space, feature=feature, result=solved[key])
+            return Aligned(feature=feature, result=solved[key])
     result = fgw(
-        lecture.distance, space.distance, feature,
-        lecture.measure, space.measure, solver_config,
+        lecture.distance, distance, feature,
+        lecture.measure, uniform_measure(len(kg.nodes)), solver_config,
     )
     if key is not None:
         solved[key] = result
-    return Aligned(space=space, feature=feature, result=result)
+    return Aligned(feature=feature, result=result)
 
 
 @dataclass

@@ -225,7 +225,7 @@ def test_trace_rejects_a_field_that_is_no_number(tmp_path, field, value):
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     rows[1][field] = value
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    with pytest.raises(InputError, match=f"line 2: field '{field}' must be"):
+    with pytest.raises(InputError, match=f"line 2: {field} must be"):
         load_trace(path)
 
 

@@ -120,27 +120,40 @@ def test_align_broken_kg_lists_violations(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, message", [
     ([{"id": "a", "label": "A"}], "not a JSON object"),
-    ({"nodes": [{"id": None, "label": "A"}]}, "id is null"),
-    ({"nodes": [{"id": "a", "label": None}]}, "label is null"),
+    ({"nodes": [{"id": None, "label": "A"}]}, "id must be a string, got null"),
+    ({"nodes": [{"id": "a", "label": None}]}, "label must be a string, got null"),
     ({"nodes": [{"id": "a", "label": "A"}, {"id": "None", "label": "B"}],
-      "edges": [{"src": None, "dst": "a", "relation": "uses"}]}, "src is null"),
+      "edges": [{"src": None, "dst": "a", "relation": "uses"}]}, "src must be a string, got null"),
     ({"nodes": [{"id": "a", "label": "A"}, {"id": "None", "label": "B"}],
-      "edges": [{"src": "a", "dst": None, "relation": "uses"}]}, "dst is null"),
+      "edges": [{"src": "a", "dst": None, "relation": "uses"}]}, "dst must be a string, got null"),
     ({"nodes": [{"id": "a", "label": "A"}, {"id": "b", "label": "B"}],
-      "edges": [{"src": "a", "dst": "b", "relation": None}]}, "relation is null"),
+      "edges": [{"src": "a", "dst": "b", "relation": None}]}, "relation must be a string, got null"),
     ({"nodes": [{"id": "a", "label": "A", "provenance": "slides 3"}]},
-     "provenance is not an object (str)"),
+     'provenance must be an object or null, got "slides 3"'),
     ({"nodes": [{"id": "a", "label": "A", "aliases": "matrix algebra"}]},
-     "aliases is not a list of strings (str)"),
+     'aliases must be a list of strings or null, got "matrix algebra"'),
     ({"nodes": [{"id": "a", "label": "A", "confidence": "0.9"}]},
-     "confidence is not a number (str)"),
+     'confidence must be a finite number, got "0.9"'),
     ({"nodes": [{"id": "a", "label": "A", "confidence": True}]},
-     "confidence is not a number (bool)"),
+     "confidence must be a finite number, got true"),
     ({"nodes": [{"id": "a", "label": "A", "definition": ["x", "y"]}]},
-     "definition is not a string (list)"),
+     'definition must be a string or null, got ["x", "y"]'),
     ({"nodes": [{"id": "a", "label": "A"}, {"id": "b", "label": "B"}],
       "edges": [{"src": "a", "dst": "b", "relation": "uses", "confidence": False}]},
-     "confidence is not a number (bool)"),
+     "confidence must be a finite number, got false"),
+], ids=[
+    "doc0-not a JSON object",
+    "doc1-id is null",
+    "doc2-label is null",
+    "doc3-src is null",
+    "doc4-dst is null",
+    "doc5-relation is null",
+    "doc6-provenance is not an object (str)",
+    "doc7-aliases is not a list of strings (str)",
+    "doc8-confidence is not a number (str)",
+    "doc9-confidence is not a number (bool)",
+    "doc10-definition is not a string (list)",
+    "doc11-confidence is not a number (bool)",
 ])
 def test_align_refuses_malformed_kg_json(pipeline, tmp_path, capsys, doc, message):
     # a null is refused, not read as the string "None" (which names a node here);
@@ -261,10 +274,15 @@ def test_report_refuses_a_trace_without_one_beta(pipeline, tmp_path, capsys, rew
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("beta", True, "field 'beta' must be a number, got true"),
-    ("rate", "41.5", "field 'rate' must be a number, got \"41.5\""),
-    ("objective", float("nan"), "field 'objective' must be finite, got NaN"),
-    ("beta", float("inf"), "field 'beta' must be finite, got Infinity"),
+    ("beta", True, "beta must be a finite number, got true"),
+    ("rate", "41.5", "rate must be a finite number, got \"41.5\""),
+    ("objective", float("nan"), "objective must be a finite number, got NaN"),
+    ("beta", float("inf"), "beta must be a finite number, got Infinity"),
+], ids=[
+    "beta-True-field 'beta' must be a number, got true",
+    "rate-41.5-field 'rate' must be a number, got \"41.5\"",
+    "objective-nan-field 'objective' must be finite, got NaN",
+    "beta-inf-field 'beta' must be finite, got Infinity",
 ])
 def test_report_refuses_a_trace_field_that_is_no_number(
     pipeline, tmp_path, capsys, field, value, message
@@ -360,10 +378,15 @@ def test_unknown_config_key_rejected(tmp_path, lecture_file, capsys):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ('beta="abc"', "beta expects float"),
-    ("debug=1", "debug expects bool"),
+    ('beta="abc"', 'config key beta must be a finite number, got "abc"'),
+    ("debug=1", "config key debug must be a boolean, got 1"),
     ("max_iterations=-3", "max_iterations must not be negative"),
     ("max_adds=-1", "max_adds must not be negative"),
+], ids=[
+    'beta="abc"-beta expects float',
+    "debug=1-debug expects bool",
+    "max_iterations=-3-max_iterations must not be negative",
+    "max_adds=-1-max_adds must not be negative",
 ])
 def test_bad_config_values_exit_input(pipeline, tmp_path, capsys, setting, message):
     # a config file is the only source a value of another type can come
@@ -384,7 +407,7 @@ def test_bad_config_file_value_exits_input(tmp_path, lecture_file, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"extra_relations": "causes"}))
     assert main(["ingest", str(lecture_file), "--config", str(cfg)]) == EXIT_INPUT
-    assert "extra_relations expects" in capsys.readouterr().err
+    assert 'config key extra_relations must be a list of strings or null, got "causes"' in capsys.readouterr().err
 
 
 def test_extra_relations_thread_through_refine(pipeline, tmp_path):
@@ -457,6 +480,8 @@ def test_pipeline_composability(tmp_path):
     ("embed_timeout=-1", "embed_timeout must be positive"),
     ("llm_timeout=0", "llm_timeout must be positive"),
     ("embed_provider=bogus", "unknown embedding provider kind: 'bogus'"),
+    ("embed_provider=http", "embed_provider=http requires embed_url"),
+    ("embed_provider=file", "embed_provider=file requires embeddings_file"),
 ])
 def test_range_checked_by_every_command(pipeline, lecture_file, tmp_path, capsys,
                                         setting, message):
@@ -599,6 +624,95 @@ def test_align_refuses_a_bad_lecture_artifact(pipeline, tmp_path, capsys, edit, 
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["elements"][0].update(content=5), "element 0: content must be a string, got 5"),
+    (lambda doc: doc["elements"][0].update(path="AB"),
+     'element 0: path must be a list of strings, got "AB"'),
+    (lambda doc: doc["elements"][0].update(idx="0"), 'element 0: idx must be an integer, got "0"'),
+    (lambda doc: doc["elements"][0].update(id=3), "element 0: id must be a string, got 3"),
+    (lambda doc: doc.update(alpha=["0.2", "0.3", "0.5"]),
+     'alpha must be a list of finite numbers, got ["0.2", "0.3", "0.5"]'),
+    (lambda doc: doc.update(format=2.0), "format must be an integer, got 2.0"),
+], ids=["content-5", "path-string", "idx-string", "id-number", "alpha-strings", "format-float"])
+def test_align_and_refine_refuse_a_mistyped_artifact_field(pipeline, tmp_path, capsys, edit,
+                                                          message):
+    # neither converted ("AB" as the path ("A", "B"), "0" as 0) nor a traceback
+    doc = json.loads(pipeline["space"].read_text())
+    edit(doc)
+    hand = tmp_path / "hand.space.json"
+    hand.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("align", "refine"):
+        out = tmp_path / f"out-{command}"
+        assert main([command, str(hand), str(pipeline["kg"]), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"lecture artifact {hand}: {message}" in err and "Traceback" not in err, command
+        assert not out.exists(), command
+
+
+#: a reader's slot -> (the field as its message names it, the kind expected)
+TYPED_SLOTS = {
+    "config-number": ("config key beta", "a finite number"),
+    "config-integer": ("config key max_iterations", "an integer"),
+    "kg-number": ("confidence", "a finite number"),
+    "trace-number": ("rate", "a finite number"),
+    "trace-integer": ("t", "an integer"),
+    "embeddings-integer": ("dim", "an integer"),
+    "artifact-numbers": ("alpha", "a list of finite numbers"),
+    "artifact-integer": ("idx", "an integer"),
+}
+
+
+def _command_reading(slot, value, pipeline, tmp_path):
+    """The argv of a command whose reader finds ``value`` in ``slot``, and
+    the JSON value the field then holds."""
+    lecture, space, kg = pipeline["dir"] / "lecture.md", pipeline["space"], pipeline["kg"]
+    bad = tmp_path / "bad.json"
+    placed = value
+    if slot.startswith("config"):
+        bad.write_text(json.dumps({TYPED_SLOTS[slot][0].split()[-1]: value}))
+        return ["ingest", str(lecture), "--config", str(bad)], placed
+    if slot.startswith("embeddings"):
+        bad.write_text(json.dumps({"dim": value, "keys": [], "vectors": []}))
+        return ["ingest", str(lecture), "--embed-provider", "file",
+                "--embeddings-file", str(bad)], placed
+    if slot.startswith("trace"):
+        row = {"t": 0, "rate": 3.0, "distortion": 0.5, "objective": 53.0, "structure": 0.2,
+               "feature": 0.3, "beta": 100.0, "edits": []}
+        row[TYPED_SLOTS[slot][0]] = value
+        bad.write_text(json.dumps(row) + "\n")
+        return ["report", str(bad)], placed
+    source = kg if slot.startswith("kg") else space
+    doc = json.loads(source.read_text())
+    if slot == "kg-number":
+        doc["nodes"][0]["confidence"] = value
+    elif slot == "artifact-numbers":
+        doc["alpha"] = placed = [value, 0.3, 0.5]
+    else:
+        doc["elements"][0]["idx"] = value
+    bad.write_text(json.dumps(doc))  # NaN and Infinity as their JSON literals
+    graph, artifact = (bad, space) if source == kg else (kg, bad)
+    return ["align", str(artifact), str(graph)], placed
+
+
+@pytest.mark.parametrize("slot, value", [
+    (slot, value) for slot, (_, kind) in TYPED_SLOTS.items()
+    for value in (True, "0.9", float("nan"), float("inf"), 2.5)
+    if value != 2.5 or kind == "an integer"
+])
+def test_every_reader_refuses_a_mistyped_value_with_one_message(pipeline, tmp_path, capsys,
+                                                                slot, value):
+    # config file, KG file, trace row, embeddings-file header, lecture artifact
+    argv, placed = _command_reading(slot, value, pipeline, tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+    field, kind = TYPED_SLOTS[slot]
+    err = capsys.readouterr().err
+    assert f"{field} must be {kind}, got {json.dumps(placed)}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_refine_refuses_an_artifact_whose_measure_is_not_a_probability(pipeline, tmp_path,
                                                                       capsys):
     doc = json.loads(pipeline["space"].read_text())
@@ -672,11 +786,17 @@ def test_malformed_embedding_reply_exits_input(tmp_path, monkeypatch, capsys, un
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"dim": "sixteen", "keys": [], "vectors": []}, "dim is not an integer"),
-    ({"dim": 2.5, "keys": [], "vectors": []}, "dim is not an integer"),
-    ({"dim": 2, "keys": 7, "vectors": []}, "keys is not a list"),
+    ({"dim": "sixteen", "keys": [], "vectors": []}, 'dim must be an integer, got "sixteen"'),
+    ({"dim": 2.5, "keys": [], "vectors": []}, "dim must be an integer, got 2.5"),
+    ({"dim": 2, "keys": 7, "vectors": []}, "keys must be a list of strings, got 7"),
     ({"dim": 2, "keys": [content_hash("x")], "vectors": [["one", 1.0]]}, "non-numeric vector"),
     ({"dim": 2, "keys": [content_hash("x")], "vectors": [[None, 1.0]]}, "non-finite vector"),
+], ids=[
+    "doc0-dim is not an integer",
+    "doc1-dim is not an integer",
+    "doc2-keys is not a list",
+    "doc3-non-numeric vector",
+    "doc4-non-finite vector",
 ])
 def test_ingest_refuses_a_malformed_embeddings_file(tmp_path, lecture_file, capsys, doc, message):
     path = tmp_path / "emb.json"

@@ -119,5 +119,5 @@ def test_a_float_key_must_be_finite(tmp_path, capsys, key):
                  ["--config", str(cfg)]):
         capsys.readouterr()
         assert main(["ingest", str(lecture), "--out", str(tmp_path), *args]) == EXIT_INPUT
-        assert f"config key {key} must be finite" in capsys.readouterr().err
+        assert f"config key {key} must be a finite number, got " in capsys.readouterr().err
     assert not (tmp_path / "l.space.json").exists()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from collections import deque
 
 import numpy as np
@@ -296,13 +297,11 @@ def test_rate_values():
 
 
 def test_build_kg_space_invariants(provider):
-    space = build_kg_space(simple_graph(), CostMemo(provider.embed, ["unit"]))
-    d = space.distance
+    d = build_kg_space(simple_graph(), CostMemo(provider.embed, ["unit"]))
     assert np.array_equal(d, d.T)
     assert np.allclose(np.diag(d), 0.0)
     assert 0.0 <= d.min() and d.max() <= 1.0
-    assert abs(space.measure.sum() - 1.0) < 1e-9
-    assert d.shape == (3, 3) and space.measure.shape == (3,)
+    assert d.shape == (3, 3)
 
 
 @pytest.mark.parametrize("gamma", [(0.5, 0.5), (0.3, 0.7)])
@@ -315,7 +314,7 @@ def test_build_kg_space_equals_the_hand_written_fusion(provider, gamma):
             g[0] * struct_distance(kg) + g[1] * minmax_normalize(feature_cost(rows, rows))
         )
         memo = CostMemo(provider.embed, ["unit"])
-        assert np.array_equal(build_kg_space(kg, memo, gamma).distance, reference)
+        assert np.array_equal(build_kg_space(kg, memo, gamma), reference)
 
 
 # --- JSON round-trip ---------------------------------------------------------------
@@ -366,16 +365,29 @@ def test_load_rejects_malformed(tmp_path):
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"id": 7}, "id is not a string (int)"),
-    ({"label": ["A"]}, "label is not a string (list)"),
-    ({"definition": ["x", "y"]}, "definition is not a string (list)"),
-    ({"aliases": "matrix algebra"}, "aliases is not a list of strings (str)"),
-    ({"aliases": ["ok", 3]}, "aliases is not a list of strings (list)"),
-    ({"provenance": "slides 3"}, "provenance is not an object (str)"),
-    ({"confidence": "0.9"}, "confidence is not a number (str)"),
-    ({"confidence": True}, "confidence is not a number (bool)"),
-    ({"confidence": None}, "confidence is null"),
-    ({"rationale": 1}, "rationale is not a string (int)"),
+    ({"id": 7}, "id must be a string, got 7"),
+    ({"label": ["A"]}, 'label must be a string, got ["A"]'),
+    ({"definition": ["x", "y"]}, 'definition must be a string or null, got ["x", "y"]'),
+    ({"aliases": "matrix algebra"}, 'aliases must be a list of strings or null, got "matrix algebra"'),
+    ({"aliases": ["ok", 3]}, 'aliases must be a list of strings or null, got ["ok", 3]'),
+    ({"provenance": "slides 3"}, 'provenance must be an object or null, got "slides 3"'),
+    ({"confidence": "0.9"}, 'confidence must be a finite number, got "0.9"'),
+    ({"confidence": True}, "confidence must be a finite number, got true"),
+    ({"confidence": None}, "confidence must be a finite number, got null"),
+    ({"rationale": 1}, "rationale must be a string or null, got 1"),
+    ({"confidence": 10**400}, "confidence must be a finite number, got 1" + "0" * 76 + "..."),
+], ids=[
+    "fields0-id is not a string (int)",
+    "fields1-label is not a string (list)",
+    "fields2-definition is not a string (list)",
+    "fields3-aliases is not a list of strings (str)",
+    "fields4-aliases is not a list of strings (list)",
+    "fields5-provenance is not an object (str)",
+    "fields6-confidence is not a number (str)",
+    "fields7-confidence is not a number (bool)",
+    "fields8-confidence is null",
+    "fields9-rationale is not a string (int)",
+    "fields10-confidence beyond the largest float",
 ])
 def test_node_from_dict_refuses_a_mistyped_field(fields, message):
     with pytest.raises((TypeError, ValueError)) as info:
@@ -384,10 +396,15 @@ def test_node_from_dict_refuses_a_mistyped_field(fields, message):
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"src": 1}, "src is not a string (int)"),
-    ({"relation": None}, "relation is null"),
-    ({"confidence": False}, "confidence is not a number (bool)"),
-    ({"rationale": ["why"]}, "rationale is not a string (list)"),
+    ({"src": 1}, "src must be a string, got 1"),
+    ({"relation": None}, "relation must be a string, got null"),
+    ({"confidence": False}, "confidence must be a finite number, got false"),
+    ({"rationale": ["why"]}, 'rationale must be a string or null, got ["why"]'),
+], ids=[
+    "fields0-src is not a string (int)",
+    "fields1-relation is null",
+    "fields2-confidence is not a number (bool)",
+    "fields3-rationale is not a string (list)",
 ])
 def test_edge_from_dict_refuses_a_mistyped_field(fields, message):
     with pytest.raises((TypeError, ValueError)) as info:
@@ -400,7 +417,7 @@ def test_reader_refuses_a_missing_endpoint_and_a_non_object():
         edge_from_dict({"src": "a", "relation": "uses"})
     with pytest.raises(TypeError, match="a node is not a JSON object"):
         kg_from_dict({"nodes": ["a"]})
-    with pytest.raises(TypeError, match="edges is not a list"):
+    with pytest.raises(ValueError, match=re.escape('edges must be a list, got {"src": "a"}')):
         kg_from_dict({"nodes": [], "edges": {"src": "a"}})
 
 
@@ -413,5 +430,5 @@ def test_reader_null_means_empty_or_none_where_a_field_may_be_empty():
                            "rationale": None})
     assert edge.confidence == 1.0 and isinstance(edge.confidence, float)
     assert edge.rationale is None
-    with pytest.raises(ValueError, match="^nodes is null$"):
+    with pytest.raises(ValueError, match="^nodes must be a list, got null$"):
         kg_from_dict({"nodes": None})

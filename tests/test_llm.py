@@ -121,6 +121,8 @@ def test_bootstrap_drops_invalid_relation_keeps_rest():
     {"confidence": 1.5},
     {"id": "c1"},  # a duplicate id
     {"rationale": " "},
+    {"confidence": float("nan")},
+    {"confidence": 10**400},  # beyond the largest float: no OverflowError escapes
 ])
 def test_bootstrap_drops_a_bad_node_keeps_the_rest(bad_node):
     good = [{"id": "c1", "label": "A", "confidence": 0.9, "rationale": "r"},

@@ -75,12 +75,14 @@ def solve(space, kg, provider, cfg=None):
 
 
 def hand_composed_alignment(space, kg, provider, cfg, gamma=DEFAULT_GAMMA):
-    """The alignment spelled out: graph space, feature cost, fgw."""
-    ks = build_kg_space(kg, CostMemo(provider.embed, space.contents()), gamma)
+    """The alignment spelled out: node distance, feature cost, fgw with a
+    uniform node measure; returns it with the node distance."""
+    distance = build_kg_space(kg, CostMemo(provider.embed, space.contents()), gamma)
     feats = feature_cost(provider.embed(space.contents()),
                          provider.embed([node_text(n) for n in kg.nodes]))
-    result = fgw(space.distance, ks.distance, feats, space.measure, ks.measure, cfg)
-    return Aligned(space=ks, feature=feats, result=result)
+    measure = np.full(len(kg.nodes), 1.0 / len(kg.nodes))
+    result = fgw(space.distance, distance, feats, space.measure, measure, cfg)
+    return Aligned(feature=feats, result=result), distance
 
 
 # --- coupling statistics --------------------------------------------------------
@@ -581,7 +583,7 @@ def test_op_merge_identical_columns_always_fires():
     pi = Coupling(plan, plan.sum(axis=1), plan.sum(axis=0))
     memo = table_memo({"A": [1.0, 0.0], "B": [1.0, 0.0], "C": [0.0, 1.0]})
     result = type("FakeResult", (), {"coupling": pi})()
-    aligned = Aligned(space=None, feature=np.zeros((2, 3)), result=result)
+    aligned = Aligned(feature=np.zeros((2, 3)), result=result)
     ctx = type("FakeCtx", (), {"config": RefinementConfig(), "memo": memo})()
     out, records = op_merge(kg, aligned, ctx, 1)
     assert [r.op for r in records] == ["merge"]
@@ -601,7 +603,7 @@ def test_op_merge_cosine_threshold_is_one_minus_the_memo_cost():
     memo = table_memo({f"V{i}": row for i, row in enumerate(emb)})
     similarity = 1.0 - memo.pair_cost([f"V{i}" for i in range(6)])
     result = type("FakeResult", (), {"coupling": pi})()
-    aligned = Aligned(space=None, feature=np.zeros((3, 6)), result=result)
+    aligned = Aligned(feature=np.zeros((3, 6)), result=result)
     for i in range(6):
         for j in range(i + 1, 6):
             theta = similarity[i, j]
@@ -925,22 +927,26 @@ def test_refine_returns_initial_and_incumbent_alignments(provider):
     assert out.incumbent_index > 0
     for aligned, graph, t in ((out.initial, kg, 0),
                               (out.incumbent, out.graph, out.incumbent_index)):
-        fresh = hand_composed_alignment(space, graph, provider, SolverConfig())
+        fresh, _ = hand_composed_alignment(space, graph, provider, SolverConfig())
         assert np.array_equal(aligned.coupling.matrix, fresh.coupling.matrix)
         assert np.array_equal(aligned.feature, fresh.feature)
         assert aligned.result.distortion == out.trace.points[t].distortion
 
 
-def test_align_graph_equals_the_hand_composed_solve(provider):
+def test_align_graph_equals_the_hand_composed_solve(provider, monkeypatch):
+    refine_module = sys.modules["rdkg.refine"]
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
     _, duplicate_kg = duplicate_pair_fixture(provider)
     cases = [(topic_a_only_kg(), DEFAULT_GAMMA, SolverConfig()),
              (duplicate_kg, (0.7, 0.3), SolverConfig(lambda_feat=0.3, epsilon=0.02))]
+    solves = []
+    monkeypatch.setattr(refine_module, "fgw", lambda *a: solves.append(a) or fgw(*a))
     for kg, gamma, cfg in cases:
         got = align_graph(space, kg, CostMemo(provider.embed, space.contents()), gamma, cfg)
-        want = hand_composed_alignment(space, kg, provider, cfg, gamma)
-        for name in ("distance", "measure"):
-            assert np.array_equal(getattr(got.space, name), getattr(want.space, name))
+        want, distance = hand_composed_alignment(space, kg, provider, cfg, gamma)
+        _, solved_distance, _, _, solved_measure, _ = solves.pop()
+        assert np.array_equal(solved_distance, distance)
+        assert np.array_equal(solved_measure, np.full(len(kg.nodes), 1.0 / len(kg.nodes)))
         assert np.array_equal(got.feature, want.feature)
         assert np.array_equal(got.coupling.matrix, want.coupling.matrix)
         for name in ("distortion", "structure_term", "feature_term", "history",
