@@ -29,13 +29,19 @@ class RdPoint:
     objective: float
     structure: float
     feature: float
+    # the row's solve: Frank-Wolfe outer steps and whether it converged
+    # (None in a trace written before rows carried them)
+    outer_iterations: int | None = None
+    converged: bool | None = None
 
 
 @dataclass
 class RdTrace:
     beta: float
     points: list[RdPoint] = field(default_factory=list)
-    edits: list[list[dict]] = field(default_factory=list)
+    edits: list[list[dict]] = field(default_factory=list)  # kept edit records per row
+    # per row, each rejected batch: {"op", "delta_L" (its rise in L), "edits"}
+    rejected: list[list[dict]] = field(default_factory=list)
     incomplete: bool = False
 
 
@@ -201,25 +207,25 @@ def emit_report(
 
 def save_trace(trace: RdTrace, path: str | Path) -> None:
     """Write one JSON row per point. Each row carries the run's beta,
-    unrounded: it is an input of the run, not a measurement."""
+    unrounded: it is an input of the run, not a measurement; its kept
+    and rejected edits; and, when known, its solve's ``solver``
+    diagnostics."""
     rows = []
     for i, p in enumerate(trace.points):
-        edits = trace.edits[i] if i < len(trace.edits) else []
-        rows.append(
-            json.dumps(
-                {
-                    "t": p.t,
-                    "rate": _round9(p.rate),
-                    "distortion": _round9(p.distortion),
-                    "structure": _round9(p.structure),
-                    "feature": _round9(p.feature),
-                    "objective": _round9(p.objective),
-                    "beta": float(trace.beta),
-                    "edits": edits,
-                },
-                ensure_ascii=False,
-            )
-        )
+        row = {
+            "t": p.t,
+            "rate": _round9(p.rate),
+            "distortion": _round9(p.distortion),
+            "structure": _round9(p.structure),
+            "feature": _round9(p.feature),
+            "objective": _round9(p.objective),
+            "beta": float(trace.beta),
+            "edits": trace.edits[i] if i < len(trace.edits) else [],
+            "rejected": trace.rejected[i] if i < len(trace.rejected) else [],
+        }
+        if p.outer_iterations is not None:
+            row["solver"] = {"outer_iterations": p.outer_iterations, "converged": p.converged}
+        rows.append(json.dumps(row, ensure_ascii=False))
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -229,9 +235,12 @@ def load_trace(path: str | Path) -> RdTrace:
     Raises InputError for a row field that ``check_json`` refuses as a
     finite number (``t``: an integer), a row without ``beta``
     (a trace written before rows carried it) or rows that disagree on it.
+    ``rejected`` and ``solver`` are optional, so traces written before
+    rows carried them still load.
     """
     points: list[RdPoint] = []
     edits: list[list[dict]] = []
+    rejected: list[list[dict]] = []
     betas: set[float] = set()
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -239,6 +248,7 @@ def load_trace(path: str | Path) -> RdTrace:
             continue
         try:
             row = check_json("the row", json.loads(line), dict)
+            solver = pop_field(row, "solver", dict, {})
             points.append(
                 RdPoint(
                     t=pop_field(row, "t", int),
@@ -247,9 +257,12 @@ def load_trace(path: str | Path) -> RdTrace:
                     objective=float(pop_field(row, "objective", float)),
                     structure=float(pop_field(row, "structure", float)),
                     feature=float(pop_field(row, "feature", float)),
+                    outer_iterations=pop_field(solver, "outer_iterations", int, None),
+                    converged=pop_field(solver, "converged", bool, None),
                 )
             )
             edits.append(row.get("edits", []))
+            rejected.append(row.get("rejected", []))
             beta = pop_field(row, "beta", float, None)
         except ValueError as exc:  # malformed JSON, or a field check_json refuses
             raise InputError(f"malformed trace at line {lineno}: {exc}") from exc
@@ -266,7 +279,7 @@ def load_trace(path: str | Path) -> RdTrace:
             f"trace {path} rows disagree on beta ({', '.join(map(repr, sorted(betas)))}); "
             "re-run refine to write a trace of one run"
         )
-    return RdTrace(beta=betas.pop(), points=points, edits=edits)
+    return RdTrace(beta=betas.pop(), points=points, edits=edits, rejected=rejected)
 
 
 def _normalize_axis(values: np.ndarray) -> np.ndarray:

@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except click.exceptions.Abort:
         return EXIT_USAGE
-    except (InputError, ProviderError, OSError) as exc:
+    except (InputError, ProviderError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
     except NumericalError as exc:

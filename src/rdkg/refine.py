@@ -2,11 +2,14 @@
 
 Each iteration applies the local edit operators in a fixed order (add,
 split, merge, relate, prune, and the LLM edge pass when a client is
-set), re-solving the alignment (``align_graph``) after every operator
-that changed the graph, then records one trace point. The incumbent is
-the argmin of the objective over all recorded iterations; the loop
-stops early once the objective change stays below a threshold for a
-configured number of iterations.
+set). An operator's batch of edits is a candidate: its graph is solved
+(``align_graph``) and kept only if it strictly lowers the objective,
+else the previous graph and alignment stay and the batch is recorded as
+rejected with its rise in the objective. Each iteration then records
+one trace point, so the trace objective never rises. The incumbent is
+the first row of least objective; the loop stops early once the
+objective change stays below a threshold for a configured number of
+iterations (an iteration that keeps nothing changes it by zero).
 
 Operator signals all come from the coupling:
 
@@ -36,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .analysis import COVERAGE_PERCENTILE, RdPoint, RdTrace, coverage_tolerance
+from .analysis import COVERAGE_PERCENTILE, RdPoint, RdTrace, _round9, coverage_tolerance
 from .embeddings import CostMemo, _unit_rows, cosine_distance
 from .errors import InputError, NumericalError
 from .kg import (
@@ -660,7 +663,7 @@ def refine(
     kg = initial_kg.copy()
     aligned = align_graph(lecture, kg, memo, gamma, solver_cfg, solved)
     trace = RdTrace(beta=cfg.beta)
-    _record(trace, 0, kg, aligned, cfg.beta, [])
+    _record(trace, 0, kg, aligned, cfg.beta, [], [])
     initial = incumbent = aligned
     incumbent_kg = kg.copy()
     incumbent_l = trace.points[0].objective
@@ -674,19 +677,29 @@ def refine(
     previous_l = incumbent_l
     for t in range(1, cfg.max_iterations + 1):
         edits: list[EditRecord] = []
+        rejected: list[dict] = []
         try:
             for op in operators:
-                kg, records = op(kg, aligned, ctx, t)
-                if records:
-                    _check_valid(kg, op.__name__, allowed_relations)
+                candidate, records = op(kg, aligned, ctx, t)
+                if not records:
+                    continue
+                # the records name the operator; a wrapper around op may not
+                _check_valid(candidate, records[0].op, allowed_relations)
+                solution = align_graph(lecture, candidate, memo, gamma, solver_cfg, solved)
+                delta = (_objective(candidate, solution, cfg.beta)
+                         - _objective(kg, aligned, cfg.beta))
+                if delta < 0:
+                    kg, aligned = candidate, solution
                     edits.extend(records)
-                    aligned = align_graph(lecture, kg, memo, gamma, solver_cfg, solved)
+                else:
+                    rejected.append({"op": records[0].op, "delta_L": _round9(delta),
+                                     "edits": [asdict(r) for r in records]})
         except NumericalError as exc:
             logger.error("solver failure at iteration %d: %s", t, exc)
             trace.incomplete = True
             break
 
-        _record(trace, t, kg, aligned, cfg.beta, edits)
+        _record(trace, t, kg, aligned, cfg.beta, edits, rejected)
         objective = trace.points[-1].objective
         if objective < incumbent_l:
             incumbent_l = objective
@@ -714,20 +727,27 @@ def _record(
     aligned: Aligned,
     beta: float,
     edits: list[EditRecord],
+    rejected: list[dict],
 ) -> None:
-    r = rate(kg)
-    d = aligned.result.distortion
+    result = aligned.result
     trace.points.append(
         RdPoint(
             t=t,
-            rate=r,
-            distortion=d,
-            objective=r + beta * d,
-            structure=aligned.result.structure_term,
-            feature=aligned.result.feature_term,
+            rate=rate(kg),
+            distortion=result.distortion,
+            objective=_objective(kg, aligned, beta),
+            structure=result.structure_term,
+            feature=result.feature_term,
+            outer_iterations=result.outer_iterations,
+            converged=result.converged,
         )
     )
     trace.edits.append([asdict(e) for e in edits])
+    trace.rejected.append(rejected)
+
+
+def _objective(kg: KnowledgeGraph, aligned: Aligned, beta: float) -> float:
+    return rate(kg) + beta * aligned.result.distortion
 
 
 def _check_valid(

@@ -208,6 +208,33 @@ def test_trace_round_trip(tmp_path):
     assert path.read_bytes() == (tmp_path / "trace2.jsonl").read_bytes()
 
 
+def test_trace_reads_rows_with_and_without_rejected_and_solver(tmp_path):
+    trace = sample_trace()
+    trace.rejected = [[], [], [{"op": "split", "delta_L": 0.5, "edits": []}], []]
+    trace.points[1].outer_iterations, trace.points[1].converged = 7, True
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [row.get("solver") for row in rows] == [
+        None, {"outer_iterations": 7, "converged": True}, None, None]
+    loaded = load_trace(path)
+    assert loaded.rejected == trace.rejected
+    assert [(p.outer_iterations, p.converged) for p in loaded.points] == [
+        (None, None), (7, True), (None, None), (None, None)]
+    # rows written before they carried the two fields
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(
+        json.dumps({k: v for k, v in row.items() if k not in ("rejected", "solver")}) + "\n"
+        for row in rows))
+    loaded = load_trace(old)
+    assert loaded.rejected == [[], [], [], []] and loaded.edits == trace.edits
+    assert all(p.outer_iterations is None and p.converged is None for p in loaded.points)
+    rows[1]["solver"]["converged"] = "yes"
+    old.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(InputError, match="line 2: converged must be a boolean"):
+        load_trace(old)
+
+
 def test_trace_rejects_malformed(tmp_path):
     path = tmp_path / "trace.jsonl"
     path.write_text('{"t": 0, "rate": 1}\n')

@@ -713,6 +713,26 @@ def test_every_reader_refuses_a_mistyped_value_with_one_message(pipeline, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("reader", ["ingest", "bootstrap", "kg", "artifact", "trace", "config"])
+def test_every_reader_refuses_a_file_that_is_not_utf8(pipeline, tmp_path, capsys, reader):
+    bad = tmp_path / "bad"
+    bad.write_bytes(bytes.fromhex("fffe00626164"))
+    lecture, space, kg = pipeline["dir"] / "lecture.md", pipeline["space"], pipeline["kg"]
+    argv = {
+        "ingest": ["ingest", bad],
+        "bootstrap": ["bootstrap", bad],
+        "kg": ["align", space, bad],
+        "artifact": ["align", bad, kg],
+        "trace": ["report", bad],
+        "config": ["ingest", lecture, "--config", bad],
+    }[reader]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*map(str, argv), "--out", str(out)]) == EXIT_INPUT
+    assert "input error: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_refine_refuses_an_artifact_whose_measure_is_not_a_probability(pipeline, tmp_path,
                                                                       capsys):
     doc = json.loads(pipeline["space"].read_text())
@@ -837,7 +857,7 @@ def test_align_refuses_an_artifact_ingested_with_another_embeddings_file(
 
 def test_bootstrap_and_refine_through_an_llm_endpoint(tmp_path, lecture_file, monkeypatch):
     """Replies are read by the KG reader and rules: the bootstrap keeps its
-    two well-typed nodes, and refine adds the one edge its edge replies
+    two well-typed nodes, and refine tries the one edge its edge replies
     propose."""
     bootstrap_reply = {
         "nodes": [
@@ -881,5 +901,12 @@ def test_bootstrap_and_refine_through_an_llm_endpoint(tmp_path, lecture_file, mo
                  "--out", str(out), "--max-iterations", "2", *llm]) == EXIT_OK
     assert validate_graph(load_kg(out / "refined.kg.json")) == []
     rows = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
-    llm_edits = [e for row in rows for e in row["edits"] if e["op"] == "llm-edge"]
-    assert [e["edges"] for e in llm_edits] == [[["c1", "contrastsWith", "c2"]]]
+    # the edge adds 0.5 to R and lowers beta * D by less, so each iteration
+    # proposes it once and rejects it; it is never kept
+    assert len(rows) == 3
+    assert not [e for row in rows for e in row["edits"] if e["op"] == "llm-edge"]
+    for row in rows:
+        llm_batches = [b for b in row["rejected"] if b["op"] == "llm-edge"]
+        assert [[e["edges"] for e in b["edits"]] for b in llm_batches] == (
+            [[[["c1", "contrastsWith", "c2"]]]] if row["t"] else [])
+        assert all(b["delta_L"] >= 0 for b in llm_batches)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rdkg.analysis import coverage_tolerance
+from rdkg.analysis import coverage_tolerance, save_trace
 from rdkg.embeddings import CostMemo, cosine_distance, feature_cost
 from rdkg.errors import InputError
 from rdkg.kg import (
@@ -1078,6 +1078,70 @@ def test_refine_incumbent_is_argmin(provider):
                  refine_config=RefinementConfig(max_iterations=5))
     objectives = [p.objective for p in out.trace.points]
     assert out.trace.points[out.incumbent_index].objective == min(objectives)
+
+
+@pytest.mark.parametrize("fixture", [duplicate_pair_fixture, overloaded_fixture])
+def test_refine_objective_never_rises(provider, fixture):
+    space, kg = fixture(provider)
+    out = refine(space, kg, provider)
+    objectives = [p.objective for p in out.trace.points]
+    assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+    assert len(out.trace.rejected) == len(out.trace.points)
+    for t, batches in enumerate(out.trace.rejected):
+        for batch in batches:
+            assert batch["delta_L"] >= 0
+            assert {e["op"] for e in batch["edits"]} == {batch["op"]}
+            assert {e["iteration"] for e in batch["edits"]} == {t}
+
+
+def test_refine_rejects_a_batch_that_raises_the_objective(provider, monkeypatch):
+    space, kg = duplicate_pair_fixture(provider)
+    # no operator of the module fires under these settings
+    quiet = RefinementConfig(max_iterations=2, theta_add=1e-9, theta_split=1.5,
+                             max_merges=0, theta_relate=1e-9, tau=1e-12)
+    baseline = refine(space, kg, provider, refine_config=quiet)
+
+    def op_add(graph, aligned, ctx, iteration):
+        stray = graph.copy()
+        stray.nodes.append(ConceptNode(id="stray", label="Volcanoes",
+                                       definition="magma lava eruption crater"))
+        return stray, [EditRecord(op="add", nodes=["stray"], iteration=iteration)]
+
+    monkeypatch.setattr(sys.modules["rdkg.refine"], "op_add", op_add)
+    out = refine(space, kg, provider, refine_config=quiet)
+    assert out.graph.node_ids() == baseline.graph.node_ids() == kg.node_ids()
+    assert out.graph.edges == kg.edges
+    assert out.incumbent_index == 0
+    assert out.incumbent.result is out.initial.result
+    assert np.array_equal(out.incumbent.coupling.matrix, baseline.incumbent.coupling.matrix)
+    assert [p.objective for p in out.trace.points] == [p.objective
+                                                       for p in baseline.trace.points]
+    assert out.trace.edits == [[], [], []]
+    for row in out.trace.rejected[1:]:
+        assert [(b["op"], [e["nodes"] for e in b["edits"]]) for b in row] == [
+            ("add", [["stray"]])]
+        assert row[0]["delta_L"] > 0
+
+
+def test_refine_trace_does_not_depend_on_operator_function_names(provider, monkeypatch,
+                                                                 tmp_path):
+    # a tracer wraps the operators in functions of another name; the
+    # trace names each batch after its records, so its bytes stay the same
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    cfg = RefinementConfig(max_iterations=3)
+    module = sys.modules["rdkg.refine"]
+    plain = refine(space, topic_a_only_kg(), provider, refine_config=cfg)
+    assert "add" in [b["op"] for row in plain.trace.rejected for b in row]
+    original = module.op_add
+
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "op_add", wrapper)
+    wrapped = refine(space, topic_a_only_kg(), provider, refine_config=cfg)
+    save_trace(plain.trace, tmp_path / "plain.jsonl")
+    save_trace(wrapped.trace, tmp_path / "wrapped.jsonl")
+    assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "wrapped.jsonl").read_bytes()
 
 
 def test_edit_record_shape():
