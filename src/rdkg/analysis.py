@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, check_json, pop_field
+from .errors import InputError, check_json, pop_field, read_utf8
 
 COVERAGE_PERCENTILE = 30.0
 _COLLINEAR_EPS = 1e-9
@@ -242,7 +242,7 @@ def load_trace(path: str | Path) -> RdTrace:
     edits: list[list[dict]] = []
     rejected: list[list[dict]] = []
     betas: set[float] = set()
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path, f"trace {path}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -20,7 +20,7 @@ import click
 from . import analysis, kg as kgmod, lecture as lecmod
 from .config import RunConfig, config_keys, load_run_config
 from .embeddings import CostMemo, provider_from_config
-from .errors import InputError, NumericalError, ProviderError
+from .errors import InputError, NumericalError, ProviderError, read_utf8
 from .kg import ALLOWED_RELATIONS
 from .llm import LlmClient, bootstrap_kg
 from .ot import coupling_dump
@@ -130,10 +130,10 @@ def ingest(markdown_path, config_path, out_dir, **overrides) -> None:
     cfg = _setup(config_path, overrides)
     src = _require_file(markdown_path)
     provider = provider_from_config(cfg)
+    text = read_utf8(src, f"lecture {src}")
     try:
         space = lecmod.build_lecture_space(
-            src.read_text(encoding="utf-8"), embed=provider.embed,
-            alpha=cfg.alpha, fingerprint=provider.fingerprint,
+            text, embed=provider.embed, alpha=cfg.alpha, fingerprint=provider.fingerprint,
         )
     except InputError as exc:
         raise InputError(f"{src}: {exc}") from exc
@@ -156,7 +156,7 @@ def bootstrap(markdown_path, config_path, out_dir, **overrides) -> None:
     cfg = _setup(config_path, overrides)
     src = _require_file(markdown_path)
     graph = bootstrap_kg(
-        src.read_text(encoding="utf-8"), _llm_client(cfg), _allowed_relations(cfg)
+        read_utf8(src, f"lecture {src}"), _llm_client(cfg), _allowed_relations(cfg)
     )
     out = Path(out_dir) if out_dir else src.parent
     out.mkdir(parents=True, exist_ok=True)
@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except click.exceptions.Abort:
         return EXIT_USAGE
-    except (InputError, ProviderError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, ProviderError, OSError) as exc:
         click.echo(f"input error: {exc}", err=True)
         return EXIT_INPUT
     except NumericalError as exc:

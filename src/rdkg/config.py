@@ -29,12 +29,17 @@ from .embeddings import (
     check_provider,
     check_request_settings,
 )
-from .errors import InputError, check_json
+from .errors import InputError, check_json, read_utf8
 from .kg import DEFAULT_GAMMA
 from .lecture import DEFAULT_ALPHA, check_weights
 from .llm import DEFAULT_LLM_RETRIES, DEFAULT_LLM_TEMPERATURE, DEFAULT_LLM_TIMEOUT
 from .ot import SolverConfig
 from .refine import RefinementConfig
+
+
+#: The integers the lecture artifact's JSON codec writes; ``embed_seed``
+#: is stamped on every artifact in the embedding fingerprint.
+SEED_RANGE = (-2**63, 2**64 - 1)
 
 
 @dataclass
@@ -73,6 +78,9 @@ class RunConfig:
         check_weights("gamma", self.gamma, 2)
         check_provider(self.embed_provider, self.embed_url, self.embeddings_file)
         check_dim(self.embed_dim)
+        if not SEED_RANGE[0] <= self.embed_seed <= SEED_RANGE[1]:
+            raise InputError(f"embed_seed must be in [{SEED_RANGE[0]}, {SEED_RANGE[1]}], "
+                             f"got {self.embed_seed}")
         check_request_settings(self.embed_timeout, self.embed_retries, "embed_")
         check_request_settings(self.llm_timeout, self.llm_retries, "llm_")
 
@@ -123,7 +131,7 @@ def load_run_config(
     values: dict = {}
     if config_path is not None:
         try:
-            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            doc = json.loads(read_utf8(config_path, f"config file {config_path}"))
         except OSError as exc:
             raise InputError(f"cannot read config file {config_path}: {exc}") from exc
         except json.JSONDecodeError as exc:

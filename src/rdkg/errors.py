@@ -4,11 +4,13 @@ The CLI maps these onto stable exit codes: usage errors exit 1,
 InputError exits 2, NumericalError exits 3. The JSON type rule lives
 here too, so that every reader of a JSON file (config, KG, LLM reply,
 trace, embeddings file, lecture artifact) refuses a mistyped value with
-one message form.
+one message form, and so does ``read_utf8``, through which every text
+file is read, so that a file that is not UTF-8 is refused by name.
 """
 
 import json
 import sys
+from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, get_args
 
@@ -27,6 +29,15 @@ class NumericalError(RdkgError, RuntimeError):
 
 class ProviderError(RdkgError, RuntimeError):
     """An external provider (embedding endpoint, LLM) is unavailable."""
+
+
+def read_utf8(path: str | Path, name: str) -> str:
+    """The text of the UTF-8 file at ``path``; raises InputError naming
+    ``name`` (which names the file) when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{name} is not UTF-8: {exc}") from exc
 
 
 # --- the JSON type rule -----------------------------------------------------

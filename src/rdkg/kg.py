@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .embeddings import CostMemo
-from .errors import InputError, pop_field
+from .errors import InputError, pop_field, read_utf8
 from .lecture import fuse, minmax_normalize
 
 #: The allowed relation ontology. relatedTo is the low-confidence
@@ -309,7 +309,7 @@ def _element_doc(element: ConceptNode | RelationEdge) -> dict[str, Any]:
 
 def load_kg(path: str | Path) -> KnowledgeGraph:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_utf8(path, f"KG JSON {path}"))
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed KG JSON {path}: {exc}") from exc
     try:

@@ -9,11 +9,14 @@ units is uniform.
 
 The lecture-space artifact holds the units, the fused distance, the
 measure, and the stamp of how it was made: the fusion weights and the
-embedding provider's fingerprint. It is one compact JSON object whose
-distance is written row by row from its upper triangle. The writer and
-the reader enforce one contract (``check_space``): the distance is
-finite, exactly symmetric, zero on the diagonal and in [0, 1], and the
-measure is a positive probability vector.
+embedding provider's fingerprint. It is one compact UTF-8 JSON object,
+written and parsed with orjson; its distance is written one row at a
+time. A file orjson refuses (NaN or Infinity literals, numbers beyond a
+float, lone surrogates) is parsed again with the stdlib ``json``, so it
+is refused by the same checks and messages. The writer and the reader
+enforce one contract (``check_space``): the distance is finite, exactly
+symmetric, zero on the diagonal and in [0, 1], and the measure is a
+positive probability vector.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .embeddings import embed_distinct, self_cost
-from .errors import InputError, check_json, pop_field
+from .errors import InputError, check_json, pop_field, read_utf8
 from .markdown import ROOT_TITLE, Section, parse_markdown
 
 DEFAULT_ALPHA = (0.2, 0.3, 0.5)  # (chron, logic, sem) fusion weights
@@ -233,10 +237,9 @@ def check_space(space: LectureSpace, name: str) -> None:
     """The lecture space's contract, shared by the writer and the reader.
 
     ``distance`` is an N x N matrix, N the unit count, finite, exactly
-    symmetric (bit for bit, which the row-by-row writer relies on), with a
-    zero diagonal and entries in [0, 1]; ``measure`` is a finite, strictly
-    positive length-N vector summing to 1. Raises InputError naming
-    ``name`` for the first rule broken.
+    symmetric (bit for bit), with a zero diagonal and entries in [0, 1];
+    ``measure`` is a finite, strictly positive length-N vector summing to
+    1. Raises InputError naming ``name`` for the first rule broken.
     """
     d = np.asarray(space.distance, dtype=np.float64)
     mu = np.asarray(space.measure, dtype=np.float64)
@@ -255,28 +258,23 @@ def check_space(space: LectureSpace, name: str) -> None:
         raise InputError(f"{name} has a measure that is not a positive probability vector")
 
 
-def _dumps(obj) -> str:
-    # compact separators: the matrix dominates and this file is machine-read
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
-
-
 def save_lecture_space(space: LectureSpace, path: str | Path) -> None:
     """Write the lecture-space JSON artifact.
 
     Keys: ``format``, ``elements``, ``mu``, ``d``, and the stamp
     ``alpha`` and ``fingerprint``. The bytes are those of one compact
-    ``json.dumps`` of the whole document, with matrix values at full
-    float precision so a reload is bit-exact. ``d`` is written row by
-    row from its upper triangle: row i formats its entries j >= i and
-    takes its entries j < i from the strings rows j made, so each value
-    is formatted once and neither the whole matrix as Python floats nor
-    the whole document as one string is ever held.
+    ``orjson.dumps`` of the whole document: UTF-8 text, floats at their
+    shortest round-trip digits so a reload is bit-exact (``repr``'s
+    digits; values below 1e-4 are spelled without an exponent, e.g.
+    ``0.00001``, and values from 1e16 up as ``1e16``). ``d`` is written one
+    row per ``orjson.dumps``, so the whole document is never held as one
+    buffer.
 
     Raises InputError, writing nothing, for a space that breaks
     ``check_space``.
     """
     check_space(space, "lecture space")
-    head = _dumps({
+    head = orjson.dumps({
         "format": ARTIFACT_FORMAT,
         "elements": [
             {
@@ -287,20 +285,17 @@ def save_lecture_space(space: LectureSpace, path: str | Path) -> None:
             }
             for e in space.elements
         ],
-        "mu": space.measure.tolist(),
-    })
-    tail = _dumps({"alpha": list(space.alpha), "fingerprint": space.fingerprint})
-    n = len(space.elements)
-    lower: list[list[str] | None] = [[] for _ in range(n)]  # row k's strings for j < k
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write(head[:-1] + ',"d":[')
-        for i, row in enumerate(space.distance):
-            upper = list(map(float.__repr__, row[i:].tolist()))
-            for strings, s in zip(lower[i + 1:], upper[1:]):
-                strings.append(s)
-            out.write(("[" if i == 0 else ",[") + ",".join(lower[i] + upper) + "]")
-            lower[i] = None
-        out.write("]," + tail[1:])
+        "mu": np.ascontiguousarray(space.measure, dtype=np.float64),
+    }, option=orjson.OPT_SERIALIZE_NUMPY)
+    tail = orjson.dumps({"alpha": list(space.alpha), "fingerprint": space.fingerprint})
+    d = np.ascontiguousarray(space.distance, dtype=np.float64)
+    with Path(path).open("wb") as out:
+        out.write(head[:-1] + b',"d":[')
+        for i, row in enumerate(d):
+            if i:
+                out.write(b",")
+            out.write(orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY))
+        out.write(b"]," + tail[1:])
 
 
 def load_lecture_space(path: str | Path) -> LectureSpace:
@@ -309,17 +304,16 @@ def load_lecture_space(path: str | Path) -> LectureSpace:
     Each field is read by ``errors.pop_field``: ``format`` an integer,
     each element's ``id`` and ``content`` strings, ``idx`` an integer and
     ``path`` a list of strings, ``alpha`` a list of numbers, ``fingerprint``
-    an object or null, ``d`` and ``mu`` lists. Raises InputError for a file
-    of another ``format``, a missing or mistyped field, a ragged or
-    non-numeric ``d`` or ``mu``, and a space that breaks ``check_space``
-    (non-finite, asymmetric or out-of-range distances, a nonzero diagonal,
-    a measure that is not a positive probability vector).
+    an object or null, ``d`` and ``mu`` lists. An integer outside
+    [-2**63, 2**64 - 1] is read as a float, so a ``format`` or ``idx``
+    beyond it is mistyped. Raises InputError for a file that is not UTF-8
+    or not JSON, a file of another ``format``, a missing or mistyped field,
+    a ragged or non-numeric ``d`` or ``mu``, and a space that breaks
+    ``check_space`` (non-finite, asymmetric or out-of-range distances, a
+    nonzero diagonal, a measure that is not a positive probability vector).
     """
     name = f"lecture artifact {path}"
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed {name}: {exc}") from exc
+    doc = _parse(read_utf8(path, name), name)  # the text is freed before d is built
     try:
         check_json("the document", doc, dict)
         version = pop_field(doc, "format", int, 1)
@@ -346,6 +340,19 @@ def load_lecture_space(path: str | Path) -> LectureSpace:
         raise InputError(f"{name} has a malformed field: {exc}") from exc
     check_space(space, name)
     return space
+
+
+def _parse(text: str, name: str):
+    try:
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            # NaN and Infinity literals, numbers beyond a float and lone
+            # surrogates: the stdlib reads them for the checks to refuse,
+            # or refuses the text with its own message
+            return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed {name}: {exc}") from exc
 
 
 def _element_from_dict(i: int, raw) -> LectureElement:

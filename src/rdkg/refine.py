@@ -238,16 +238,17 @@ class OpContext:
     llm_client: LlmClient | None = None
     allowed_relations: frozenset[str] = ALLOWED_RELATIONS
 
-    def __post_init__(self) -> None:
-        self._id_counter = 0
 
-    def fresh_id(self, kg: KnowledgeGraph, base: str) -> str:
-        existing = set(kg.node_ids())
-        candidate = base
-        while candidate in existing:
-            self._id_counter += 1
-            candidate = f"{base}_{self._id_counter}"
-        return candidate
+def fresh_id(kg: KnowledgeGraph, base: str) -> str:
+    """``base``, or ``base_<k>`` with the least k >= 1 that ``kg`` does not
+    use: a function of the graph, so an edit proposed again on the same
+    graph gets the same ids (and the same LLM prompts)."""
+    existing = set(kg.node_ids())
+    candidate, k = base, 0
+    while candidate in existing:
+        k += 1
+        candidate = f"{base}_{k}"
+    return candidate
 
 
 # --- operators ---------------------------------------------------------------
@@ -263,7 +264,10 @@ def op_add(
     low-confidence relatedTo to the nearest concept added or existing
     before it. The new nodes are named first and their texts costed in
     one memo read; each then joins the graph in turn, so its edge prompt
-    shows the nodes and edges before it.
+    shows the nodes and edges before it. A node's id is ``add_<unit>``,
+    its span's first unit, and names no iteration: a rejected batch that
+    is proposed again sends the same prompts, which the LLM client's
+    cache answers.
     """
     cfg = ctx.config
     tol = coverage_tolerance(aligned.feature, cfg.coverage_percentile, cfg.coverage_row_min)
@@ -292,7 +296,7 @@ def op_add(
         path = ctx.lecture.elements[group[0]].section_path
         definition = " ".join(texts)[:MAX_DEFINITION_CHARS]
         working.nodes.append(ConceptNode(
-            id=ctx.fresh_id(working, f"add_t{iteration}_{group[0]}"),
+            id=fresh_id(working, f"add_{group[0]}"),
             label=ctx.namer.name(texts),
             definition=definition,
             provenance={"path": list(path), "excerpt": definition[:200]},
@@ -361,7 +365,7 @@ def op_split(
             texts = [ctx.lecture.elements[i].content for i in group]
             children.append(
                 ConceptNode(
-                    id=ctx.fresh_id(working, f"{parent.id}_{tag}"),
+                    id=fresh_id(working, f"{parent.id}_{tag}"),
                     label=ctx.namer.name(texts),
                     definition=" ".join(texts)[:MAX_DEFINITION_CHARS],
                     aliases=list(parent.aliases),

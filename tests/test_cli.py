@@ -482,6 +482,11 @@ def test_pipeline_composability(tmp_path):
     ("embed_provider=bogus", "unknown embedding provider kind: 'bogus'"),
     ("embed_provider=http", "embed_provider=http requires embed_url"),
     ("embed_provider=file", "embed_provider=file requires embeddings_file"),
+    # the artifact's JSON codec writes integers in [-2**63, 2**64 - 1]
+    ("embed_seed=18446744073709551616", "embed_seed must be in "
+     "[-9223372036854775808, 18446744073709551615], got 18446744073709551616"),
+    ("embed_seed=-9223372036854775809", "embed_seed must be in "
+     "[-9223372036854775808, 18446744073709551615], got -9223372036854775809"),
 ])
 def test_range_checked_by_every_command(pipeline, lecture_file, tmp_path, capsys,
                                         setting, message):
@@ -555,6 +560,16 @@ def test_align_and_refine_refuse_artifact_with_other_alpha(tmp_path, lecture_fil
         assert "(0.5, 0.3, 0.2)" in err and "(0.2, 0.3, 0.5)" in err, command
         assert not out.exists(), command
     assert main(["align", space, kg, "--alpha-chron", "0.5", "--alpha-sem", "0.2"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("seed", [-2**63, 2**64 - 1])
+def test_the_widest_embed_seeds_write_an_artifact_that_align_reads(lecture_file, tmp_path,
+                                                                   seed):
+    flags = ["--out", str(tmp_path), "--embed-seed", str(seed)]
+    assert main(["ingest", str(lecture_file), *flags]) == EXIT_OK
+    assert main(["bootstrap", str(lecture_file), *flags]) == EXIT_OK
+    stem = tmp_path / lecture_file.stem
+    assert main(["align", f"{stem}.space.json", f"{stem}.kg.json", *flags]) == EXIT_OK
 
 
 @pytest.mark.parametrize("flags", [
@@ -633,7 +648,13 @@ def test_align_refuses_a_bad_lecture_artifact(pipeline, tmp_path, capsys, edit, 
     (lambda doc: doc.update(alpha=["0.2", "0.3", "0.5"]),
      'alpha must be a list of finite numbers, got ["0.2", "0.3", "0.5"]'),
     (lambda doc: doc.update(format=2.0), "format must be an integer, got 2.0"),
-], ids=["content-5", "path-string", "idx-string", "id-number", "alpha-strings", "format-float"])
+    # an integer beyond 64 bits is read as a float
+    (lambda doc: doc["elements"][0].update(idx=2**64),
+     "element 0: idx must be an integer, got 1.8446744073709552e+19"),
+    (lambda doc: doc.update(format=-2**63 - 1),
+     "format must be an integer, got -9.223372036854776e+18"),
+], ids=["content-5", "path-string", "idx-string", "id-number", "alpha-strings", "format-float",
+        "idx-beyond-64-bits", "format-beyond-64-bits"])
 def test_align_and_refine_refuse_a_mistyped_artifact_field(pipeline, tmp_path, capsys, edit,
                                                           message):
     # neither converted ("AB" as the path ("A", "B"), "0" as 0) nor a traceback
@@ -729,7 +750,10 @@ def test_every_reader_refuses_a_file_that_is_not_utf8(pipeline, tmp_path, capsys
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([*map(str, argv), "--out", str(out)]) == EXIT_INPUT
-    assert "input error: 'utf-8' codec can't decode" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "'utf-8' codec can't decode" in err
+    assert f"{bad} is not UTF-8" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

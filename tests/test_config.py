@@ -93,6 +93,12 @@ def test_own_range_bounds_are_inclusive():
     with pytest.raises(InputError, match=re.escape("must lie in [0, 100]")):
         load_run_config(overrides={"coverage_percentile": -1})
     assert load_run_config(overrides={"alpha_chron": 0, "alpha_logic": 0.5})
+    # embed_seed: the integers the artifact's JSON codec writes, in a config made directly too
+    for value in (-2**63, 2**64 - 1):
+        assert RunConfig(embed_seed=value).embed_seed == value
+    for value in (-2**63 - 1, 2**64):
+        with pytest.raises(InputError, match=re.escape(f"embed_seed must be in [{-2**63}, ")):
+            RunConfig(embed_seed=value)
 
 
 @pytest.mark.parametrize("key", ["solver", "refinement"])

@@ -4,6 +4,7 @@ import json
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,9 +269,9 @@ def test_artifact_round_trip(provider, tmp_path):
     assert (tmp_path / "space.json").read_bytes() == (tmp_path / "space2.json").read_bytes()
 
 
-def old_artifact_text(space):
-    """The artifact's bytes as one json.dumps of the whole document: the writer's reference."""
-    return json.dumps({
+def artifact_document(space):
+    """The artifact as one document of Python values."""
+    return {
         "format": 2,
         "elements": [{"id": e.id, "idx": e.idx, "path": list(e.section_path),
                       "content": e.content} for e in space.elements],
@@ -278,12 +279,30 @@ def old_artifact_text(space):
         "d": space.distance.tolist(),
         "alpha": list(space.alpha),
         "fingerprint": space.fingerprint,
-    }, ensure_ascii=False, separators=(",", ":"))
+    }
 
 
-# entries that print in exponent form, the smallest subnormal, and any others
+def old_artifact_text(space):
+    """The artifact's bytes as one orjson.dumps of the whole document, the
+    one-shot dump the row-by-row writer must reproduce."""
+    return orjson.dumps(artifact_document(space)).decode("utf-8")
+
+
+# entries that print in exponent form (1e-05 as 0.00001 in orjson), the
+# smallest subnormal, and any others
 _DISTANCES = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-05, 1e-300, 1 / 3]),
                        st.floats(0.0, 1.0))
+
+
+def _as_layout(d, layout):
+    """``d`` in C order, in Fortran order, or as a strided view."""
+    if layout == "F":
+        return np.asfortranarray(d)
+    if layout == "strided":
+        wide = np.zeros((d.shape[0], 2 * d.shape[1]))
+        wide[:, ::2] = d
+        return wide[:, ::2]
+    return d
 
 
 @st.composite
@@ -293,6 +312,7 @@ def lecture_spaces(draw):
     d = np.zeros((n, n))
     d[iu] = draw(st.lists(_DISTANCES, min_size=len(iu[0]), max_size=len(iu[0])))
     d.T[iu] = d[iu]
+    d = _as_layout(d, draw(st.sampled_from(["C", "F", "strided"])))
     weights = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n)))
     texts = st.text(min_size=1, max_size=12)
     elements = [
@@ -314,7 +334,14 @@ def lecture_spaces(draw):
 def test_artifact_bytes_equal_one_dump_of_the_document(space, tmp_path_factory):
     path = tmp_path_factory.mktemp("artifact") / "space.json"
     save_lecture_space(space, path)
-    assert path.read_bytes() == old_artifact_text(space).encode("utf-8")
+    data = path.read_bytes()
+    assert data == old_artifact_text(space).encode("utf-8")
+    # a stdlib reader gets back every float bit for bit and every string exactly
+    doc, expected = json.loads(data), artifact_document(space)
+    for key in ("d", "mu", "alpha"):
+        got, want = np.array(doc.pop(key), dtype=np.float64), np.array(expected.pop(key))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), key
+    assert doc == expected
 
 
 def test_artifact_save_peaks_below_8_mib_at_n_481(tmp_path):

@@ -35,6 +35,7 @@ from rdkg.refine import (
     align_graph,
     column_entropy,
     covered_row_mass,
+    fresh_id,
     llm_propose_edges,
     op_add,
     op_merge,
@@ -372,7 +373,8 @@ def test_op_add_flags_rows_by_the_configured_coverage_rule(provider, percentile,
         space, aligned, coverage_tolerance(aligned.feature), cfg.theta_add
     )
     _, records = op_add(kg, aligned, make_ctx(space, provider, cfg), 1)
-    assert {r.nodes[0] for r in records} == {f"add_t1_{i}" for i in starts}
+    # a node is named after the first unit of its span
+    assert {r.nodes[0] for r in records} == {f"add_{i}" for i in starts}
 
 
 def test_op_add_sends_and_keeps_extra_relations(provider):
@@ -413,6 +415,50 @@ def test_op_add_sends_and_keeps_extra_relations(provider):
     for k, prompt in enumerate(edge_prompts):
         nodes = prompt.split("Nodes:\n")[1].split("\n\n")[0].splitlines()
         assert [line[2:].split(":")[0] for line in nodes] == kg.node_ids() + new_ids[: k + 1]
+
+
+def test_fresh_id_takes_the_least_free_suffix_of_the_graph():
+    kg = KnowledgeGraph(nodes=[ConceptNode(id=i, label=i) for i in ("add_3", "add_3_1", "c")])
+    assert fresh_id(kg, "add_4") == "add_4"
+    # the same graph gives the same id on every call, so a re-proposed edit repeats
+    assert fresh_id(kg, "add_3") == fresh_id(kg, "add_3") == "add_3_2"
+
+
+def test_a_re_proposed_add_batch_sends_no_new_edge_prompts(provider, monkeypatch):
+    # the added nodes' ids do not name the iteration, so an add batch that
+    # was rejected and is proposed again asks the same edge prompts, which
+    # the client's prompt cache answers
+    from rdkg.llm import LlmClient
+
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    edge_prompts = []
+
+    def transport(url, payload, headers, timeout):
+        prompt = payload["messages"][0]["content"]
+        if "propose new edges" in prompt:
+            edge_prompts.append(prompt)
+        return {"choices": [{"message": {"content": "{}"}}]}
+
+    module = sys.modules["rdkg.refine"]
+    original = module.op_add
+    calls = []  # per op_add call: (its node ids, the edge prompts it sent)
+
+    def counting(kg, aligned, ctx, iteration):
+        before = len(edge_prompts)
+        out, records = original(kg, aligned, ctx, iteration)
+        calls.append(([r.nodes[0] for r in records], len(edge_prompts) - before))
+        return out, records
+
+    monkeypatch.setattr(module, "op_add", counting)
+    client = LlmClient("http://fake", "m", retries=0, transport=transport)
+    out = refine(space, topic_a_only_kg(), provider,
+                 refine_config=RefinementConfig(max_iterations=4), llm_client=client)
+    rejected_adds = [t for t, row in enumerate(out.trace.rejected)
+                     if "add" in [b["op"] for b in row]]
+    assert rejected_adds == [2, 3]
+    (first, sent), (again, sent_again) = calls[1], calls[2]
+    assert first == again and sent == len(first) > 0
+    assert sent_again == 0
 
 
 def test_op_add_costs_its_new_nodes_in_one_memo_read(provider, monkeypatch):
