@@ -358,10 +358,8 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(0.5 * np.dot(diff, diff), 0.0, 2.0))
 
 
-#: Bytes of the difference tensor that ``feature_cost`` forms per block of
-#: rows. A fixed row count would let it grow with the target set: 64 rows
-#: against 481 targets of 256 dimensions make 63 MB.
-_BLOCK_BYTES = 2 * 1024 * 1024
+#: Entries of ``1 - a.b`` below this are costed again as ``0.5 * |a - b|^2``.
+_RECOST_BELOW = 1e-8
 
 
 def feature_cost(source: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -369,11 +367,22 @@ def feature_cost(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 
     Entry (i, j) is clip(1 - cos(source_i, target_j), 0, 2). This is an
     absolute cost (never re-normalized) consumed by the transport
-    objective and by coverage. Identical rows give exact zeros. Rows are
-    costed in blocks whose broadcasted difference tensor holds at most
-    _BLOCK_BYTES (at least one row per block), so the memory beyond the
-    output stays bounded whatever the sizes; an entry does not depend on
-    the block it was costed in.
+    objective and by coverage.
+
+    The kernel is ``1 - a_i . b_j`` over the unit rows, with the dot
+    products from ``np.einsum``'s own sum-of-products loop. A BLAS
+    product is not used: its entries can change in the last bit with the
+    shape of the call. Near 0, ``1 - a.b`` is not exactly 0 for identical
+    rows and loses its relative accuracy, so each entry below
+    _RECOST_BELOW is costed again as half the squared distance of the
+    unit rows: exactly 0 for identical rows, accurate for near-duplicates.
+    Both the test and the recost read only the entry's two rows, so an
+    entry depends on nothing else in the call (not the other rows, not
+    their order), and ``feature_cost(b, a)`` is ``feature_cost(a, b).T``
+    bit for bit. Beyond the output, it holds the two unit-row copies and,
+    for the entries recosted, their indices and their row differences,
+    len(target) pairs at a time (so many duplicates cannot make the
+    differences larger than a few copies of the target rows).
     """
     a = _unit_rows(source)
     b = _unit_rows(target)
@@ -381,13 +390,14 @@ def feature_cost(source: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise InputError(
             f"feature_cost: dimension mismatch ({a.shape[1]} vs {b.shape[1]})"
         )
-    block = max(1, _BLOCK_BYTES // max(8 * b.size, 1))
-    out = np.empty((a.shape[0], b.shape[0]))
-    buffer = np.empty((min(block, a.shape[0]), *b.shape))  # reused by every block
-    for i0 in range(0, a.shape[0], block):
-        diff = buffer[: min(block, a.shape[0] - i0)]
-        np.subtract(a[i0 : i0 + block, None, :], b[None, :, :], out=diff)
-        out[i0 : i0 + block] = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
+    out = np.einsum("ik,jk->ij", a, b)
+    np.subtract(1.0, out, out=out)
+    near_i, near_j = np.nonzero(out < _RECOST_BELOW)
+    step = max(len(b), 1)
+    for k in range(0, near_i.size, step):
+        i, j = near_i[k : k + step], near_j[k : k + step]
+        diff = a[i] - b[j]
+        out[i, j] = 0.5 * np.einsum("ij,ij->i", diff, diff)
     np.clip(out, 0.0, 2.0, out=out)
     return out
 
@@ -400,6 +410,8 @@ def self_cost(rows: np.ndarray, start: int = 0, block: int = 64) -> np.ndarray:
     the entries above it are mirrored. An entry of ``feature_cost``
     depends only on its two rows, not on the other rows of the call nor
     on their order, so every entry is bit-equal to the full matrix's.
+    Beyond the output, it holds one block's unit-row copies, then the
+    mirror's indices.
     """
     n = len(rows)
     out = np.empty((n - start, n))

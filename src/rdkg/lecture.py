@@ -304,29 +304,25 @@ def load_lecture_space(path: str | Path) -> LectureSpace:
     Each field is read by ``errors.pop_field``: ``format`` an integer,
     each element's ``id`` and ``content`` strings, ``idx`` an integer and
     ``path`` a list of strings, ``alpha`` a list of numbers, ``fingerprint``
-    an object or null, ``d`` and ``mu`` lists. An integer outside
-    [-2**63, 2**64 - 1] is read as a float, so a ``format`` or ``idx``
-    beyond it is mistyped. Raises InputError for a file that is not UTF-8
-    or not JSON, a file of another ``format``, a missing or mistyped field,
-    a ragged or non-numeric ``d`` or ``mu``, and a space that breaks
-    ``check_space`` (non-finite, asymmetric or out-of-range distances, a
-    nonzero diagonal, a measure that is not a positive probability vector).
+    an object or null, ``d`` and ``mu`` lists. A ``format`` or ``idx``
+    outside [-2**63, 2**64 - 1] is refused and quoted as written: orjson
+    reads such an integer as a float, so the fields of a refused file are
+    read again from the stdlib's parse. Raises InputError for a file that
+    is not UTF-8 or not JSON, a file of another ``format``, a missing or
+    mistyped field, a ragged or non-numeric ``d`` or ``mu``, and a space
+    that breaks ``check_space`` (non-finite, asymmetric or out-of-range
+    distances, a nonzero diagonal, a measure that is not a positive
+    probability vector).
     """
     name = f"lecture artifact {path}"
     doc = _parse(read_utf8(path, name), name)  # the text is freed before d is built
     try:
-        check_json("the document", doc, dict)
-        version = pop_field(doc, "format", int, 1)
-        if version != ARTIFACT_FORMAT:
-            raise InputError(f"the file has format {version}, this version reads "
-                             f"format {ARTIFACT_FORMAT}; re-ingest the lecture")
-        elements = [_element_from_dict(i, raw)
-                    for i, raw in enumerate(pop_field(doc, "elements", list))]
-        distance = pop_field(doc, "d", list)
-        measure = pop_field(doc, "mu", list)
-        alpha = tuple(float(x) for x in pop_field(doc, "alpha", list[float]))
-        fingerprint = pop_field(doc, "fingerprint", dict | None, None)
+        elements, distance, measure, alpha, fingerprint = _fields(doc)
     except InputError as exc:
+        try:  # the stdlib keeps an integer orjson read as a float as written
+            _fields(json.loads(read_utf8(path, name)))
+        except InputError as written:
+            exc = written
         raise InputError(f"{name}: {exc}") from exc
     try:
         space = LectureSpace(
@@ -340,6 +336,31 @@ def load_lecture_space(path: str | Path) -> LectureSpace:
         raise InputError(f"{name} has a malformed field: {exc}") from exc
     check_space(space, name)
     return space
+
+
+def _fields(doc):
+    """The artifact's elements, ``d``, ``mu``, ``alpha`` and fingerprint;
+    raises InputError for a missing or mistyped field."""
+    check_json("the document", doc, dict)
+    version = _int64("format", pop_field(doc, "format", int, 1))
+    if version != ARTIFACT_FORMAT:
+        raise InputError(f"the file has format {version}, this version reads "
+                         f"format {ARTIFACT_FORMAT}; re-ingest the lecture")
+    elements = [_element_from_dict(i, raw)
+                for i, raw in enumerate(pop_field(doc, "elements", list))]
+    distance = pop_field(doc, "d", list)
+    measure = pop_field(doc, "mu", list)
+    alpha = tuple(float(x) for x in pop_field(doc, "alpha", list[float]))
+    fingerprint = pop_field(doc, "fingerprint", dict | None, None)
+    return elements, distance, measure, alpha, fingerprint
+
+
+def _int64(key: str, value: int) -> int:
+    """``value``; raises InputError naming ``key`` if it lies outside
+    [-2**63, 2**64 - 1], the integers orjson reads as integers."""
+    if not -2**63 <= value < 2**64:
+        raise InputError(f"{key} {value} lies outside [-2**63, 2**64 - 1]")
+    return value
 
 
 def _parse(text: str, name: str):
@@ -361,7 +382,7 @@ def _element_from_dict(i: int, raw) -> LectureElement:
     try:
         return LectureElement(
             id=pop_field(raw, "id", str),
-            idx=pop_field(raw, "idx", int),
+            idx=_int64("idx", pop_field(raw, "idx", int)),
             section_path=tuple(pop_field(raw, "path", list[str])),
             content=pop_field(raw, "content", str),
         )

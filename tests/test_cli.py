@@ -648,13 +648,15 @@ def test_align_refuses_a_bad_lecture_artifact(pipeline, tmp_path, capsys, edit, 
     (lambda doc: doc.update(alpha=["0.2", "0.3", "0.5"]),
      'alpha must be a list of finite numbers, got ["0.2", "0.3", "0.5"]'),
     (lambda doc: doc.update(format=2.0), "format must be an integer, got 2.0"),
-    # an integer beyond 64 bits is read as a float
+    # an integer beyond 64 bits (orjson reads it as a float) is quoted as written
     (lambda doc: doc["elements"][0].update(idx=2**64),
-     "element 0: idx must be an integer, got 1.8446744073709552e+19"),
+     "element 0: idx 18446744073709551616 lies outside [-2**63, 2**64 - 1]"),
     (lambda doc: doc.update(format=-2**63 - 1),
-     "format must be an integer, got -9.223372036854776e+18"),
+     "format -9223372036854775809 lies outside [-2**63, 2**64 - 1]"),
+    (lambda doc: doc["elements"][0].update(idx=10**400),  # beyond a float too
+     f"element 0: idx {10**400} lies outside [-2**63, 2**64 - 1]"),
 ], ids=["content-5", "path-string", "idx-string", "id-number", "alpha-strings", "format-float",
-        "idx-beyond-64-bits", "format-beyond-64-bits"])
+        "idx-beyond-64-bits", "format-beyond-64-bits", "idx-beyond-a-float"])
 def test_align_and_refine_refuse_a_mistyped_artifact_field(pipeline, tmp_path, capsys, edit,
                                                           message):
     # neither converted ("AB" as the path ("A", "B"), "0" as 0) nor a traceback

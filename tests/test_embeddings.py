@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -337,19 +339,62 @@ def test_feature_cost_dimension_mismatch():
         feature_cost(np.ones((2, 3)), np.ones((2, 4)))
 
 
-def test_feature_cost_blocking_matches_direct(rng, monkeypatch):
-    a = rng.normal(size=(9, 5))
-    b = rng.normal(size=(4, 5))
-    whole = feature_cost(a, b)  # one block
-    for block_bytes in (1, 8 * b.size * 2):  # blocks of one row, of two rows
-        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", block_bytes)
-        assert np.array_equal(feature_cost(a, b), whole)
+def _exact_cosine_distance(u, v):
+    """1 - cos(u, v) from exact rational sums, as (1 - cos^2) / (1 + cos)
+    where that avoids cancellation."""
+    uu = sum(Fraction(x) ** 2 for x in u)
+    vv = sum(Fraction(x) ** 2 for x in v)
+    uv = sum(Fraction(x) * Fraction(y) for x, y in zip(u, v))
+    squared = uv * uv / (uu * vv)
+    if uv <= 0:
+        return 1.0 + math.sqrt(squared)
+    return float(1 - squared) / (1.0 + math.sqrt(squared))
 
 
-def test_self_cost_memory_is_bounded_by_the_block_bytes():
-    # beyond its output, the cost of 481 rows of 256 dimensions holds one
-    # block's difference tensor, a copy of the unit rows and the mirror's
-    # indices; 64-row blocks held a 63 MB tensor
+def test_feature_cost_is_exact_at_0_and_2_and_accurate_near_0(rng):
+    # the recost guard: 1 - a.b alone is not 0 for equal rows, and near 0
+    # it keeps only an absolute accuracy of about 1e-16
+    a = rng.normal(size=(12, 64))
+    b = rng.normal(size=(9, 64))
+    a[0], b[3], b[8], a[5] = a[11], a[7], b[1], b[1]  # equal rows within and across
+    equal = (a[:, None, :] == b[None, :, :]).all(axis=2)
+    assert equal.sum() == 3
+    costs = feature_cost(a, b)
+    assert (costs[equal] == 0.0).all()
+    assert (costs[~equal] > 0.1).all()
+    assert (feature_cost(a, a)[(a[:, None, :] == a[None, :, :]).all(axis=2)] == 0.0).all()
+
+    u = rng.normal(size=16)
+    for scale in (3e-6, 1e-5, 3e-5):  # near-duplicate pairs among other rows
+        v = u + scale * rng.normal(size=16)
+        reference = _exact_cosine_distance(u, v)
+        assert 1e-12 < reference < 1e-9
+        cost = feature_cost(np.vstack([a[:, :16], u]), np.vstack([v, b[:, :16]]))[-1, 0]
+        assert abs(cost - reference) <= 1e-6 * reference, scale
+
+    # antiparallel rows whose unit rows are exact
+    source = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, -3.0, 0.0, 0.0], [0.3, -0.2, 0.7, 0.1]])
+    target = np.array([[0.0, 5.0, 0.0, 0.0], [0.5, 0.1, -0.2, 0.4], [-2.0, -2.0, -2.0, -2.0]])
+    costs = feature_cost(source, target)
+    assert costs[0, 2] == 2.0 and costs[1, 0] == 2.0
+
+    for dim in (2, 7, 64, 256):  # random rows against the scalar definition
+        a = rng.normal(size=(20, dim))
+        b = rng.normal(size=(20, dim))
+        costs = feature_cost(a, b)
+        for i, j in np.ndindex(costs.shape):
+            assert abs(costs[i, j] - cosine_distance(a[i], b[j])) <= 1e-15, (dim, i, j)
+    a = rng.normal(size=(10, 16))
+    b = rng.normal(size=(10, 16))
+    costs = feature_cost(a, b)
+    for i, j in np.ndindex(costs.shape):  # and against exact arithmetic
+        assert abs(costs[i, j] - _exact_cosine_distance(a[i], b[j])) <= 1e-15, (i, j)
+
+
+def test_self_cost_memory_is_bounded_by_the_unit_rows():
+    # beyond its output, the cost of 481 rows of 256 dimensions holds the
+    # unit rows of one block and of the rows before it, then the mirror's
+    # indices; the difference tensors of 64-row blocks held 63 MB
     rows = np.random.default_rng(0).normal(size=(481, 256))
     tracemalloc.start()
     try:
@@ -357,7 +402,18 @@ def test_self_cost_memory_is_bounded_by_the_block_bytes():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < out.nbytes + 2 * embeddings._BLOCK_BYTES + 2**20
+    assert peak < out.nbytes + 2 * rows.nbytes + 2**20
+    # equal rows recost every entry: their differences are taken len(rows)
+    # pairs at a time, beside the entries' indices
+    rows = np.tile(rows[:1], (120, 1))
+    tracemalloc.start()
+    try:
+        out = feature_cost(rows, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not out.any()
+    assert peak < 3 * out.nbytes + 4 * rows.nbytes + 2**20
 
 
 @settings(max_examples=80, deadline=None)
