@@ -406,21 +406,19 @@ def self_cost(rows: np.ndarray, start: int = 0, block: int = 64) -> np.ndarray:
     """Rows ``start:`` of ``feature_cost(rows, rows)``, costing one half.
 
     Each block of rows is costed through ``feature_cost`` against the
-    rows up to the block's end (the entries on and below the diagonal);
-    the entries above it are mirrored. An entry of ``feature_cost``
-    depends only on its two rows, not on the other rows of the call nor
-    on their order, so every entry is bit-equal to the full matrix's.
-    Beyond the output, it holds one block's unit-row copies, then the
-    mirror's indices.
+    rows up to the block's end (the entries on and below the diagonal),
+    and its transpose is copied into the earlier rows' columns above the
+    diagonal. An entry of ``feature_cost`` depends only on its two rows,
+    not on the other rows of the call nor on their order, so every entry
+    is bit-equal to the full matrix's. Beyond the output, it holds one
+    block's unit-row copies and cost rows.
     """
     n = len(rows)
     out = np.empty((n - start, n))
     for i0 in range(start, n, block):
         i1 = min(i0 + block, n)
         out[i0 - start : i1 - start, :i1] = feature_cost(rows[i0:i1], rows[:i1])
-    square = out[:, start:]
-    upper = np.triu_indices(n - start, 1)
-    square[upper] = square.T[upper]
+        out[: i0 - start, i0:i1] = out[i0 - start : i1 - start, start:i0].T
     return out
 
 

@@ -6,10 +6,11 @@ set). An operator's batch of edits is a candidate: its graph is solved
 (``align_graph``) and kept only if it strictly lowers the objective,
 else the previous graph and alignment stay and the batch is recorded as
 rejected with its rise in the objective. Each iteration then records
-one trace point, so the trace objective never rises. The incumbent is
-the first row of least objective; the loop stops early once the
-objective change stays below a threshold for a configured number of
-iterations (an iteration that keeps nothing changes it by zero).
+one trace point, so the trace objective never rises and the current
+graph is the incumbent. The operators are deterministic functions of
+the graph and its alignment, so an iteration that keeps nothing would be
+repeated exactly by every later one: the search stops at the first such
+iteration (the fixed point), or after ``max_iterations``.
 
 Operator signals all come from the coupling:
 
@@ -80,8 +81,6 @@ class RefinementConfig:
     max_splits: int = 3
     max_merges: int = 3
     max_iterations: int = 12
-    conv_threshold: float = 0.25
-    patience: int = 2
     # the coverage rule: op_add flags rows against it, coverage is scored with it
     coverage_percentile: float = COVERAGE_PERCENTILE
     coverage_row_min: bool = False
@@ -643,8 +642,14 @@ def refine(
 ) -> RefineOutcome:
     """Run the bounded refinement search and return the incumbent graph.
 
-    The trace always contains the unedited initial graph as t0. On a
-    solver failure mid-run the incumbent found so far is returned and
+    The trace always contains the unedited initial graph as t0. A batch
+    is kept only if it lowers the objective, so the current graph is the
+    incumbent, and ``incumbent_index`` is the last row that kept an edit
+    (0 if none did). The operators read only the graph and its
+    alignment, and name ids and prompts from them, so an iteration that
+    keeps nothing proposes the same batches as the next one would; the
+    search stops right after recording it. On a solver failure mid-run
+    the graph and alignment of the last recorded row are returned and
     the trace is flagged incomplete. The outcome carries the solved
     alignments of the initial graph and of the incumbent, so callers
     need not solve either again. One ``CostMemo`` serves every solve, so
@@ -665,21 +670,18 @@ def refine(
     )
 
     kg = initial_kg.copy()
-    aligned = align_graph(lecture, kg, memo, gamma, solver_cfg, solved)
+    aligned = initial = align_graph(lecture, kg, memo, gamma, solver_cfg, solved)
     trace = RdTrace(beta=cfg.beta)
     _record(trace, 0, kg, aligned, cfg.beta, [], [])
-    initial = incumbent = aligned
-    incumbent_kg = kg.copy()
-    incumbent_l = trace.points[0].objective
     incumbent_index = 0
 
     # looked up here, not at import, so a rebound module name takes effect
     operators = (op_add, op_split, op_merge, op_relate, op_prune)
     if llm_client is not None:
         operators += (llm_propose_edges,)
-    quiet = 0
-    previous_l = incumbent_l
     for t in range(1, cfg.max_iterations + 1):
+        # operators never mutate their input, so the recorded state needs no copy
+        recorded = kg, aligned
         edits: list[EditRecord] = []
         rejected: list[dict] = []
         try:
@@ -701,26 +703,17 @@ def refine(
         except NumericalError as exc:
             logger.error("solver failure at iteration %d: %s", t, exc)
             trace.incomplete = True
+            kg, aligned = recorded
             break
 
         _record(trace, t, kg, aligned, cfg.beta, edits, rejected)
-        objective = trace.points[-1].objective
-        if objective < incumbent_l:
-            incumbent_l = objective
-            incumbent_kg = kg.copy()
-            incumbent = aligned
-            incumbent_index = t
-        if abs(objective - previous_l) < cfg.conv_threshold:
-            quiet += 1
-            if quiet >= cfg.patience:
-                break
-        else:
-            quiet = 0
-        previous_l = objective
+        if not edits:
+            break
+        incumbent_index = t
 
     return RefineOutcome(
-        graph=incumbent_kg, trace=trace, incumbent_index=incumbent_index,
-        initial=initial, incumbent=incumbent,
+        graph=kg, trace=trace, incumbent_index=incumbent_index,
+        initial=initial, incumbent=aligned,
     )
 
 

@@ -7,7 +7,7 @@ from dataclasses import asdict, fields
 import pytest
 
 from rdkg.analysis import COVERAGE_PERCENTILE
-from rdkg.cli import EXIT_INPUT, main
+from rdkg.cli import EXIT_INPUT, EXIT_USAGE, main
 from rdkg.config import RunConfig, config_keys, load_run_config
 from rdkg.embeddings import HashEmbedder, HttpEmbedder
 from rdkg.errors import InputError
@@ -20,9 +20,8 @@ FLAT_KEYS = [
     "lambda_feat", "epsilon", "sinkhorn_iters", "fw_iters", "fw_tol", "beta",
     "theta_add", "theta_split", "theta_merge", "theta_cos", "theta_relate",
     "tau", "max_adds", "max_splits", "max_merges", "max_iterations",
-    "conv_threshold", "patience", "coverage_percentile",
-    "coverage_row_min", "embed_provider", "embed_dim", "embed_seed",
-    "embeddings_file", "embed_url", "embed_model", "embed_timeout",
+    "coverage_percentile", "coverage_row_min", "embed_provider", "embed_dim",
+    "embed_seed", "embeddings_file", "embed_url", "embed_model", "embed_timeout",
     "embed_retries", "llm_url", "llm_model", "llm_timeout", "llm_retries",
     "llm_temperature", "extra_relations", "debug",
 ]
@@ -105,6 +104,26 @@ def test_own_range_bounds_are_inclusive():
 def test_section_names_are_not_keys(key):
     with pytest.raises(InputError, match="unknown config keys"):
         load_run_config(overrides={key: {}})
+
+
+@pytest.mark.parametrize("key", ["conv_threshold", "patience"])
+def test_the_removed_stop_rule_keys_are_unknown(tmp_path, capsys, key):
+    # the search stops at its fixed point; a config naming the old stop rule is refused
+    lecture = tmp_path / "l.md"
+    lecture.write_text("# A\n\nsome lecture text\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"{key}": 2}}')
+    args = ["ingest", str(lecture), "--out", str(tmp_path)]
+    assert main([*args, "--config", str(cfg)]) == EXIT_INPUT
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
+    with pytest.raises(InputError, match=f"unknown config keys: {key}"):
+        load_run_config(overrides={key: 2})
+    # no flag is made for it: the CLI's usage error
+    flag = "--" + key.replace("_", "-")
+    assert main([*args, flag, "2"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "No such option" in err and flag in err
+    assert not (tmp_path / "l.space.json").exists()
 
 
 FLOAT_KEYS = [key for key, (_, hint) in config_keys().items() if hint is float]

@@ -10,7 +10,7 @@ import pytest
 
 from rdkg.analysis import coverage_tolerance, save_trace
 from rdkg.embeddings import CostMemo, cosine_distance, feature_cost
-from rdkg.errors import InputError
+from rdkg.errors import InputError, NumericalError
 from rdkg.kg import (
     ALLOWED_RELATIONS,
     DEFAULT_GAMMA,
@@ -425,40 +425,44 @@ def test_fresh_id_takes_the_least_free_suffix_of_the_graph():
 
 
 def test_a_re_proposed_add_batch_sends_no_new_edge_prompts(provider, monkeypatch):
-    # the added nodes' ids do not name the iteration, so an add batch that
-    # was rejected and is proposed again asks the same edge prompts, which
-    # the client's prompt cache answers
+    # the added nodes' ids do not name the iteration, so an add batch
+    # proposed again on the same graph and alignment has the same ids and
+    # asks the same edge prompts, which the client's prompt cache answers:
+    # the determinism the search's fixed-point stop rests on
     from rdkg.llm import LlmClient
 
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
-    edge_prompts = []
+    kg = topic_a_only_kg()
+    sent = []  # the edge prompts that reached the transport
 
     def transport(url, payload, headers, timeout):
         prompt = payload["messages"][0]["content"]
         if "propose new edges" in prompt:
-            edge_prompts.append(prompt)
+            sent.append(prompt)
         return {"choices": [{"message": {"content": "{}"}}]}
 
-    module = sys.modules["rdkg.refine"]
-    original = module.op_add
-    calls = []  # per op_add call: (its node ids, the edge prompts it sent)
-
-    def counting(kg, aligned, ctx, iteration):
-        before = len(edge_prompts)
-        out, records = original(kg, aligned, ctx, iteration)
-        calls.append(([r.nodes[0] for r in records], len(edge_prompts) - before))
-        return out, records
-
-    monkeypatch.setattr(module, "op_add", counting)
     client = LlmClient("http://fake", "m", retries=0, transport=transport)
-    out = refine(space, topic_a_only_kg(), provider,
-                 refine_config=RefinementConfig(max_iterations=4), llm_client=client)
-    rejected_adds = [t for t, row in enumerate(out.trace.rejected)
-                     if "add" in [b["op"] for b in row]]
-    assert rejected_adds == [2, 3]
-    (first, sent), (again, sent_again) = calls[1], calls[2]
-    assert first == again and sent == len(first) > 0
-    assert sent_again == 0
+    asked = []  # every edge prompt op_add asked the client
+    chat_json = client.chat_json
+
+    def counting(prompt):
+        if "propose new edges" in prompt:
+            asked.append(prompt)
+        return chat_json(prompt)
+
+    monkeypatch.setattr(client, "chat_json", counting)
+    ctx = make_ctx(space, provider, client=client)
+    aligned = solve(space, kg, provider)
+    calls = []  # per op_add call: (its node ids, its edge prompts, the prompts sent)
+    for iteration in (1, 2):
+        asked_before, sent_before = len(asked), len(sent)
+        _, records = op_add(kg, aligned, ctx, iteration)
+        calls.append(([r.nodes[0] for r in records], asked[asked_before:],
+                      len(sent) - sent_before))
+    (ids, prompts, new), (ids_again, prompts_again, new_again) = calls
+    assert ids == ids_again and len(ids) > 0
+    assert prompts == prompts_again and new == len(prompts) == len(ids)
+    assert new_again == 0
 
 
 def test_op_add_costs_its_new_nodes_in_one_memo_read(provider, monkeypatch):
@@ -935,11 +939,62 @@ def test_refine_stable_graph_early_stops(provider):
     cfg = RefinementConfig(theta_add=1e-9, theta_split=1.5, theta_cos=0.9999999,
                            theta_merge=1e-12, theta_relate=1e-9, tau=1e-12)
     out = refine(space, kg, provider, refine_config=cfg)
-    # no operator can fire: identical points, early stop after patience
-    assert len(out.trace.points) == 1 + cfg.patience
+    # no operator can fire: t1 keeps nothing, and the search stops there
+    assert len(out.trace.points) == 2
     objectives = {p.objective for p in out.trace.points}
     assert len(objectives) == 1
     assert [n.id for n in out.graph.nodes] == ["n1", "n2"]
+
+
+def test_refine_stops_after_the_first_iteration_that_keeps_nothing(provider, monkeypatch):
+    # every later iteration would propose the same batches, so no operator runs again
+    module = sys.modules["rdkg.refine"]
+    iterations = []  # the iteration of each operator call
+
+    def counted(op):
+        def wrapper(kg, aligned, ctx, iteration):
+            iterations.append(iteration)
+            return op(kg, aligned, ctx, iteration)
+        return wrapper
+
+    for name in ("op_add", "op_split", "op_merge", "op_relate", "op_prune"):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    out = refine(space, topic_a_only_kg(), provider)
+    fixed = next(t for t, edits in enumerate(out.trace.edits) if t > 0 and not edits)
+    assert 1 < fixed < RefinementConfig().max_iterations
+    assert max(iterations) == fixed and len(out.trace.points) == fixed + 1
+    assert out.incumbent_index == fixed - 1
+
+
+def test_refine_returns_the_last_recorded_row_on_a_solver_failure(provider, monkeypatch):
+    # iteration 1 keeps the add batch, then the split batch's solve fails:
+    # the kept add must not leak into the returned graph
+    module = sys.modules["rdkg.refine"]
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    kg = topic_a_only_kg()
+    armed = []
+    original_split, original_fgw = module.op_split, module.fgw
+
+    def op_split(graph, aligned, ctx, iteration):
+        assert len(graph.nodes) > len(kg.nodes)  # the add batch was kept
+        armed.append(iteration)
+        return original_split(graph, aligned, ctx, iteration)
+
+    def failing_fgw(*args):
+        if armed:
+            raise NumericalError("solver failure")
+        return original_fgw(*args)
+
+    monkeypatch.setattr(module, "op_split", op_split)
+    monkeypatch.setattr(module, "fgw", failing_fgw)
+    out = refine(space, kg, provider)
+    assert armed == [1]
+    assert out.trace.incomplete and len(out.trace.points) == 1
+    assert out.incumbent_index == 0
+    assert out.graph.node_ids() == kg.node_ids() and out.graph.edges == kg.edges
+    assert out.incumbent.result is out.initial.result
+    assert rate(out.graph) == out.trace.points[-1].rate
 
 
 def test_refine_duplicate_fixture_merges(provider):
@@ -1162,7 +1217,7 @@ def test_refine_rejects_a_batch_that_raises_the_objective(provider, monkeypatch)
     assert np.array_equal(out.incumbent.coupling.matrix, baseline.incumbent.coupling.matrix)
     assert [p.objective for p in out.trace.points] == [p.objective
                                                        for p in baseline.trace.points]
-    assert out.trace.edits == [[], [], []]
+    assert out.trace.edits == [[], []]
     for row in out.trace.rejected[1:]:
         assert [(b["op"], [e["nodes"] for e in b["edits"]]) for b in row] == [
             ("add", [["stray"]])]
