@@ -13,7 +13,10 @@ the fixed point and contracts much faster (Thibault, Chizat, Dossal,
 Papadakis, arXiv:1711.01851); a stalled stage returns to plain updates. Both
 marginals are checked only where the contraction measured so far would
 meet the tolerance, at most a few iterations apart, so an iteration
-between checks is two products and two updates. The fused problem
+between checks is two products and two updates. The loop writes its
+scalings, products, check residuals and the last checked pair into
+vectors allocated once per stage, so an iteration allocates nothing.
+The fused problem
 
     min_pi (1-lam) * sum_{i,j,k,l} |C1(i,k) - C2(j,l)|^2 pi(i,j) pi(k,l)
            + lam * <M, pi>
@@ -39,7 +42,10 @@ The product C1 pi C2 is linear in pi, so the solver carries it across
 outer steps: the line search's product C1 delta C2 of the step
 direction delta is the only N^2 M-sized product of a step, and the
 step pi + t delta moves the carried product by t times it. The start
-plan mu nu' has the rank-one product (C1 mu)(C2' nu)'.
+plan mu nu' has the rank-one product (C1 mu)(C2' nu)'. A step builds
+its gradient and the increments t delta and t C1 delta C2 in two N x M
+buffers allocated once per solve, and moves the plan and the carried
+product in place.
 
 Reported distortion is the unregularized objective at the returned
 coupling; the entropy term is a solver device, not part of the
@@ -86,14 +92,13 @@ class Coupling:
     """Transport plan with its prescribed marginals.
 
     Row sums match mu_row and column sums match mu_col within 1e-6 on
-    every accepted solve; residual records the worst deviation actually
-    achieved.
+    every accepted solve; marginal_residual() computes the worst
+    deviation actually achieved (no residual is stored).
     """
 
     matrix: np.ndarray
     mu_row: np.ndarray
     mu_col: np.ndarray
-    residual: float = 0.0
     converged: bool = True
     potentials: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -216,10 +221,8 @@ def sinkhorn(
     if not np.isfinite(plan).all():
         raise NumericalError("numerical failure in sinkhorn: non-finite plan")
     plan = _round_to_marginals(plan, mu, nu)
-    coupling = Coupling(matrix=plan, mu_row=mu, mu_col=nu, converged=converged)
-    coupling.residual = coupling.marginal_residual()
-    coupling.potentials = (f, g)
-    return coupling
+    return Coupling(matrix=plan, mu_row=mu, mu_col=nu, converged=converged,
+                    potentials=(f, g))
 
 
 def _epsilon_schedule(cost: np.ndarray, target: float) -> list[float]:
@@ -290,8 +293,20 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool, np
     pass's kernel, scaled in its own buffer to u o K o v, is the plan
     exp((f + g - cost)/eps) of the returned potentials, up to the flushed
     entries.
+
+    The stage allocates its vectors once: u, v, Kv and K'u, one work
+    vector per side (a check's residual, an over-relaxed update's factor)
+    and the last checked pair, which a check copies into two saved
+    vectors and a failed range test copies back. Every product, update
+    and residual is written into them with out=, in the same operations
+    and order as the expressions above, so an iteration allocates
+    nothing.
     """
     nu = np.exp(log_nu)
+    u, v = np.empty_like(f), np.empty_like(g)
+    kv, ktu = np.empty_like(f), np.empty_like(g)
+    row_work, col_work = np.empty_like(f), np.empty_like(g)
+    checked_u, checked_v = np.empty_like(f), np.empty_like(g)
     omega = 1.0
     relax = True  # False for the rest of the stage after a stall
     best = np.inf
@@ -300,25 +315,28 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool, np
     while True:
         kernel = _open_pass(cost, eps, f, g, log_mu, log_nu, mu, nu)
         iteration += 1
-        u = np.ones_like(f)
-        v = np.ones_like(g)
-        ktu = kernel.sum(axis=0)
-        checked = (u, v)
+        u.fill(1.0)
+        v.fill(1.0)
+        kernel.sum(axis=0, out=ktu)
+        checked_u.fill(1.0)
+        checked_v.fill(1.0)
         last_residual, last_scaled = np.inf, 0  # the previous check of this pass
         scaled, next_check = 0, 0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while True:
-                kv = kernel @ v
+                np.matmul(kernel, v, out=kv)
                 if scaled == next_check or iteration == cap:
                     # NaN fails every comparison, so it fails this test.
                     if not (0.0 < u.min() and u.max() <= _SCALE_LIMIT
                             and 0.0 < v.min() and v.max() <= _SCALE_LIMIT):
                         if not (np.isfinite(u).all() and np.isfinite(v).all()
                                 and 0.0 < u.min() and 0.0 < v.min()):
-                            u, v = checked
+                            np.copyto(u, checked_u)
+                            np.copyto(v, checked_v)
                         converged = False
                         break
-                    residual = max(np.abs(u * kv - mu).max(), np.abs(v * ktu - nu).max())
+                    residual = max(_deviation(u, kv, mu, row_work),
+                                   _deviation(v, ktu, nu, col_work))
                     converged = residual <= MARGINAL_TOL
                     if converged or iteration == cap:
                         break
@@ -337,17 +355,18 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool, np
                         # repeats of the last gap its contraction needs to meet the tolerance
                         need = math.log(MARGINAL_TOL / residual) / math.log(ratio)
                         gap = min(max(math.ceil(need * (scaled - last_scaled)), 1), _CHECK_GAP)
-                    checked = (u, v)
+                    np.copyto(checked_u, u)
+                    np.copyto(checked_v, v)
                     last_residual, last_scaled = residual, scaled
                     next_check = scaled + gap
                 if omega == 1.0:
-                    u = mu / kv
-                    ktu = u @ kernel
-                    v = nu / ktu
+                    np.divide(mu, kv, out=u)
+                    np.matmul(u, kernel, out=ktu)
+                    np.divide(nu, ktu, out=v)
                 else:
-                    u = u * (mu / (u * kv)) ** omega
-                    ktu = u @ kernel
-                    v = v * (nu / (v * ktu)) ** omega
+                    _relax(u, kv, mu, omega, row_work)
+                    np.matmul(u, kernel, out=ktu)
+                    _relax(v, ktu, nu, omega, col_work)
                 scaled += 1
                 iteration += 1
         f += eps * np.log(u)
@@ -356,6 +375,22 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool, np
             kernel *= u[:, None]
             kernel *= v
             return iteration, converged, kernel
+
+
+def _deviation(scaling, product, target, work) -> float:
+    """max |scaling o product - target|, computed in ``work``."""
+    np.multiply(scaling, product, out=work)
+    work -= target
+    np.abs(work, out=work)
+    return work.max()
+
+
+def _relax(scaling, product, target, omega, work) -> None:
+    """scaling <- scaling o (target / (scaling o product))^omega, in place."""
+    np.multiply(scaling, product, out=work)
+    np.divide(target, work, out=work)
+    np.power(work, omega, out=work)
+    scaling *= work
 
 
 def _open_pass(cost, eps, f, g, log_mu, log_nu, mu, nu) -> np.ndarray:
@@ -389,7 +424,7 @@ def _open_pass(cost, eps, f, g, log_mu, log_nu, mu, nu) -> np.ndarray:
     else:
         g += eps * (log_nu - np.log(cols))
         kernel *= nu / cols
-    kernel[kernel < _KERNEL_FLOOR] = 0.0
+    np.putmask(kernel, kernel < _KERNEL_FLOOR, 0.0)
     return kernel
 
 
@@ -401,9 +436,11 @@ def _round_to_marginals(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.
     most the pre-projection marginal violation. Returns the plan.
     """
     rows = plan.sum(axis=1)
-    plan *= np.minimum(1.0, mu / np.where(rows > 0, rows, 1.0))[:, None]
+    np.putmask(rows, rows <= 0.0, 1.0)
+    plan *= np.minimum(1.0, mu / rows)[:, None]
     cols = plan.sum(axis=0)
-    plan *= np.minimum(1.0, nu / np.where(cols > 0, cols, 1.0))[None, :]
+    np.putmask(cols, cols <= 0.0, 1.0)
+    plan *= np.minimum(1.0, nu / cols)[None, :]
     missing_rows = np.maximum(mu - plan.sum(axis=1), 0.0)
     missing_cols = np.maximum(nu - plan.sum(axis=0), 0.0)
     deficit = missing_rows.sum()
@@ -427,12 +464,17 @@ def _structure_parts(c1sq, c2sq, pi, product):
     The last two, with the product, are what the gradient at pi is made of.
     """
     u, w, r, s = _pair_terms(c1sq, c2sq, pi)
-    value = float(r @ u + s @ w - 2.0 * np.tensordot(product, pi))
+    value = float(r @ u + s @ w - 2.0 * np.vdot(product, pi))
     return max(value, 0.0), u, w
 
 
-def _gradient(u: np.ndarray, w: np.ndarray, product: np.ndarray) -> np.ndarray:
-    return 2.0 * (u[:, None] + w[None, :]) - 4.0 * product
+def _gradient(u, w, product, out=None, scratch=None) -> np.ndarray:
+    """2 (u_i + w_j) - 4 product(i,j), written into ``out`` with 4 product
+    in ``scratch`` when they are given."""
+    out = np.add(u[:, None], w[None, :], out=out)
+    out *= 2.0
+    out -= np.multiply(product, 4.0, out=scratch)
+    return out
 
 
 def structure_value(c1: np.ndarray, c2: np.ndarray, pi: np.ndarray) -> float:
@@ -468,12 +510,16 @@ def fgw(
     nonincreasing across outer iterations by construction; the history
     of unregularized objective values is returned for inspection.
 
-    C1 o C1 and C2 o C2 are formed once per call. The product C1 pi C2
-    is carried across steps (see the module docstring): the start plan's
-    is rank-one, and the line search's product C1 delta C2 both gives the
-    step's quadratic coefficient and moves the carried one, so an outer
-    step makes one matrix product. The carried product, with the pair
-    terms, gives each gradient and the final structure term.
+    C1 o C1, C2 o C2 and lam * feature_costs are formed once per call.
+    The product C1 pi C2 is carried across steps (see the module
+    docstring): the start plan's is rank-one, and the line search's
+    product C1 delta C2 both gives the step's quadratic coefficient and
+    moves the carried one, so an outer step makes one matrix product. The
+    carried product, with the pair terms, gives each gradient and the
+    final structure term. Each gradient is built in one reused N x M
+    buffer; the direction becomes delta in place, and t delta and
+    t C1 delta C2 are formed in a second one and added to pi and the
+    carried product in place.
     """
     cfg = config or SolverConfig()
     lam = cfg.lambda_feat
@@ -489,8 +535,12 @@ def fgw(
         raise InputError("feature cost shape does not match the marginals")
 
     c1sq, c2sq = d_source * d_source, d_target * d_target
+    lam_costs = lam * feature_costs
     pi = np.outer(mu, nu)
     product = np.outer(d_source @ mu, nu @ d_target)
+    # at lam = 1 the gradient is lam_costs itself
+    grad = np.empty((n, m)) if lam < 1.0 else lam_costs
+    scratch = np.empty((n, m))
     objective, feature, parts = _evaluate(c1sq, c2sq, feature_costs, pi, product, lam)
     history = [objective]
     converged = False
@@ -499,9 +549,10 @@ def fgw(
     potentials = None
 
     for iterations in range(1, cfg.fw_iters + 1):
-        grad = lam * feature_costs
         if lam < 1.0:
-            grad = grad + (1.0 - lam) * _gradient(*parts[1:], product)
+            _gradient(*parts[1:], product, out=grad, scratch=scratch)
+            grad *= 1.0 - lam
+            grad += lam_costs
         if not np.isfinite(grad).all():
             raise NumericalError(
                 f"numerical failure at outer iteration {iterations}: bad gradient"
@@ -511,20 +562,20 @@ def fgw(
         )
         inner_converged = inner_converged and inner.converged
         potentials = inner.potentials
-        direction = inner.matrix
-        delta = direction - pi
+        delta = inner.matrix
+        delta -= pi
 
         # Exact line search: objective along pi + t*delta is quadratic
         # a t^2 + b t + const with the coefficients below.
         quad, step_product = _quad_coeff(d_source, d_target, delta, c1sq, c2sq)
         a = (1.0 - lam) * quad
-        b = float(np.tensordot(grad, delta))
+        b = float(np.vdot(grad, delta))
         t = _argmin_quadratic_unit(a, b)
         if t == 0.0:
             converged = True
             break
-        pi = pi + t * delta
-        product = product + t * step_product
+        pi += np.multiply(delta, t, out=scratch)
+        product += np.multiply(step_product, t, out=scratch)
         new_objective, feature, parts = _evaluate(
             c1sq, c2sq, feature_costs, pi, product, lam
         )
@@ -548,10 +599,8 @@ def fgw(
     # Every iterate is a convex combination of the feasible start and
     # the inner solutions, so the residual is bounded by the worst inner
     # one; converged reflects whether all inner solves hit tolerance.
-    coupling = Coupling(matrix=pi, mu_row=mu, mu_col=nu, converged=inner_converged)
-    coupling.residual = coupling.marginal_residual()
     return FgwResult(
-        coupling=coupling,
+        coupling=Coupling(matrix=pi, mu_row=mu, mu_col=nu, converged=inner_converged),
         distortion=(1.0 - lam) * structure + lam * feature,
         structure_term=structure,
         feature_term=feature,
@@ -573,7 +622,7 @@ def coupling_dump(pi: Coupling) -> dict:
 def _evaluate(c1sq, c2sq, feats, pi, product, lam):
     """(objective, raw feature term, _structure_parts or None at lam = 1),
     given the product C1 pi C2."""
-    feature = float(np.tensordot(feats, pi))
+    feature = float(np.vdot(feats, pi))
     value = lam * feature
     parts = None
     if lam < 1.0:
@@ -592,7 +641,7 @@ def _quad_coeff(c1, c2, delta, c1sq, c2sq) -> tuple[float, np.ndarray]:
     r = delta.sum(axis=1)
     s = delta.sum(axis=0)
     product = c1 @ delta @ c2
-    return float(r @ c1sq @ r + s @ c2sq @ s - 2.0 * np.tensordot(product, delta)), product
+    return float(r @ c1sq @ r + s @ c2sq @ s - 2.0 * np.vdot(product, delta)), product
 
 
 def _argmin_quadratic_unit(a: float, b: float) -> float:

@@ -7,6 +7,7 @@ no code path with the solver.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -334,6 +335,168 @@ def test_sinkhorn_drops_non_finite_scalings(monkeypatch):
     assert out.marginal_residual() <= 1e-6
 
 
+def allocating_scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap, restores=None):
+    """Oracle: the scaling loop as it was before its buffers, every product,
+    update and residual a new array and the last checked pair two saved
+    references; each return to that pair is appended to ``restores``."""
+    nu = np.exp(log_nu)
+    omega = 1.0
+    relax = True
+    best = np.inf
+    stalls = 0
+    iteration = 0
+    while True:
+        kernel = ot._open_pass(cost, eps, f, g, log_mu, log_nu, mu, nu)
+        iteration += 1
+        u = np.ones_like(f)
+        v = np.ones_like(g)
+        ktu = kernel.sum(axis=0)
+        checked = (u, v)
+        last_residual, last_scaled = np.inf, 0
+        scaled, next_check = 0, 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            while True:
+                kv = kernel @ v
+                if scaled == next_check or iteration == cap:
+                    if not (0.0 < u.min() and u.max() <= ot._SCALE_LIMIT
+                            and 0.0 < v.min() and v.max() <= ot._SCALE_LIMIT):
+                        if not (np.isfinite(u).all() and np.isfinite(v).all()
+                                and 0.0 < u.min() and 0.0 < v.min()):
+                            u, v = checked
+                            if restores is not None:
+                                restores.append(iteration)
+                        converged = False
+                        break
+                    residual = max(np.abs(u * kv - mu).max(), np.abs(v * ktu - nu).max())
+                    converged = residual <= ot.MARGINAL_TOL
+                    if converged or iteration == cap:
+                        break
+                    if residual < best:
+                        rate_bound = (ot._OMEGA - 1.0) ** (scaled - last_scaled)
+                        if relax and omega == 1.0 and residual > last_residual * rate_bound:
+                            omega = ot._OMEGA
+                        best, stalls = residual, 0
+                    else:
+                        stalls += 1
+                        if stalls == 2:
+                            omega, relax = 1.0, False
+                    gap = 2 if scaled == 0 else ot._CHECK_GAP
+                    ratio = residual / last_residual
+                    if 0.0 < ratio < 1.0:
+                        need = math.log(ot.MARGINAL_TOL / residual) / math.log(ratio)
+                        gap = min(max(math.ceil(need * (scaled - last_scaled)), 1),
+                                  ot._CHECK_GAP)
+                    checked = (u, v)
+                    last_residual, last_scaled = residual, scaled
+                    next_check = scaled + gap
+                if omega == 1.0:
+                    u = mu / kv
+                    ktu = u @ kernel
+                    v = nu / ktu
+                else:
+                    u = u * (mu / (u * kv)) ** omega
+                    ktu = u @ kernel
+                    v = v * (nu / (v * ktu)) ** omega
+                scaled += 1
+                iteration += 1
+        f += eps * np.log(u)
+        g += eps * np.log(v)
+        if converged or iteration == cap:
+            kernel *= u[:, None]
+            kernel *= v
+            return iteration, converged, kernel
+
+
+def assert_same_bits_as_allocating_loop(cost, mu, nu, eps, max_iters, potentials=None):
+    """sinkhorn and sinkhorn with the allocating oracle loop return the same
+    plan and potentials bit for bit, and the same converged flag: the oracle
+    solve's (converged, restores)."""
+    got = sinkhorn(cost, mu, nu, eps, max_iters, potentials=potentials)
+    restores = []
+
+    def oracle_loop(*args):
+        return allocating_scale_loop(*args, restores=restores)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ot, "_scale_loop", oracle_loop)
+        ref = sinkhorn(cost, mu, nu, eps, max_iters, potentials=potentials)
+    assert got.matrix.tobytes() == ref.matrix.tobytes()
+    for mine, theirs in zip(got.potentials, ref.potentials):
+        assert mine.tobytes() == theirs.tobytes()
+    assert got.converged == ref.converged
+    return ref.converged, restores
+
+
+@pytest.mark.parametrize("shape", [(40, 13), (217, 33)])
+def test_scale_loop_buffers_match_the_allocating_loop(shape):
+    n, m = shape
+    rng = np.random.default_rng(n + m)
+    mu = np.full(n, 1 / n)
+    nu = rng.random(m) + 0.1
+    nu /= nu.sum()
+    for spread in (1.0, 30.0):
+        cost = rng.random((n, m)) * spread
+        cold = sinkhorn(cost, mu, nu, 0.05)
+        shifted = cost + rng.random((n, m)) * 0.2 * spread
+        assert_same_bits_as_allocating_loop(cost, mu, nu, 0.05, 200)
+        assert_same_bits_as_allocating_loop(shifted, mu, nu, 0.05, 200, cold.potentials)
+        # stopped by the iteration cap, cold (a short epsilon schedule) and warm
+        for max_iters, start in ((5, None), (3, cold.potentials)):
+            converged, _ = assert_same_bits_as_allocating_loop(
+                shifted, mu, nu, 1e-3, max_iters, start)
+            assert not converged
+
+
+def test_scale_loop_buffers_match_the_allocating_loop_over_relaxed():
+    # plain scaling needs more than 200 iterations here, so the solve
+    # over-relaxes (see test_sinkhorn_converges_where_plain_scaling_is_slow)
+    cost = self_similarity_cost(8)
+    mu = np.full(len(cost), 1 / len(cost))
+    cold = sinkhorn(cost, mu, mu, 0.05)
+    converged, _ = assert_same_bits_as_allocating_loop(cost, mu, mu, 0.05, 200)
+    assert converged
+    shifted = cost + np.random.default_rng(8).random(cost.shape) * 0.05
+    assert_same_bits_as_allocating_loop(shifted, mu, mu, 0.05, 200, cold.potentials)
+
+
+def test_scale_loop_buffers_match_the_allocating_loop_across_passes(monkeypatch):
+    # the far-off warm start opens new passes; with no range limit its
+    # scalings turn non-finite and the loop must restore the last checked
+    # pair, which an in-place update would have overwritten
+    cost, mu, nu, eps, f, g = far_off_warm_start()
+    assert_same_bits_as_allocating_loop(cost, mu, nu, eps, 2000, (f, g))
+    monkeypatch.setattr(ot, "_SCALE_LIMIT", np.inf)
+    _, restores = assert_same_bits_as_allocating_loop(cost, mu, nu, eps, 2000, (f, g))
+    assert restores
+
+
+def test_solvers_leave_their_inputs_unchanged(rng):
+    # no buffer of sinkhorn or fgw aliases an array the caller passed
+    n, m = 40, 13
+    c1, c2 = random_metric(n, rng), random_metric(m, rng)
+    # column-major, as CostMemo.unit_cost returns a column selection
+    feats = np.asfortranarray(rng.random((n, m)) * 2)
+    mu = np.full(n, 1 / n)
+    nu = rng.random(m) + 0.1
+    nu /= nu.sum()
+    cost = rng.random((n, m))
+    start = sinkhorn(cost, mu, nu, 0.05).potentials
+
+    def solve_and_compare(solve, *inputs):
+        before = [x.tobytes(order="A") for x in inputs]
+        out = solve()
+        assert [x.tobytes(order="A") for x in inputs] == before
+        assert not any(np.shares_memory(out, x) for x in inputs)
+
+    solve_and_compare(lambda: sinkhorn(cost, mu, nu, 0.05).matrix, cost, mu, nu)
+    solve_and_compare(lambda: sinkhorn(cost, mu, nu, 0.05, potentials=start).matrix,
+                      cost, mu, nu, *start)
+    for lam in (0.0, 0.6, 1.0):
+        cfg = SolverConfig(lambda_feat=lam)
+        solve_and_compare(lambda: fgw(c1, c2, feats, mu, nu, cfg).coupling.matrix,
+                          c1, c2, feats, mu, nu)
+
+
 # --- structural term ------------------------------------------------------------
 
 
@@ -620,7 +783,7 @@ def test_fgw_nonnegative_distortion(rng):
         feats = rng.random((3, 4)) * 2
         res = fgw(c1, c2, feats, np.full(3, 1 / 3), np.full(4, 1 / 4))
         assert res.distortion >= 0.0
-        assert res.coupling.residual <= 1e-6
+        assert res.coupling.marginal_residual() <= 1e-6
 
 
 @given(st.integers(min_value=0, max_value=1000))
@@ -642,7 +805,9 @@ def test_fgw_coupling_marginals_property(seed):
     residual = res.coupling.marginal_residual()
     if res.coupling.converged:
         assert residual <= 1e-6
-    assert res.coupling.residual == residual
+    plan = res.coupling.matrix
+    assert residual == max(np.abs(plan.sum(axis=1) - 1 / n).max(),
+                           np.abs(plan.sum(axis=0) - 1 / m).max())
 
 
 def test_coupling_validation_helpers():
