@@ -77,18 +77,15 @@ def knee_point(points: list[RdPoint]) -> int:
 def coverage_tolerance(
     feature_costs: np.ndarray,
     percentile: float = COVERAGE_PERCENTILE,
-    row_min: bool = False,
 ) -> float:
     """Feature-distance tolerance: a percentile of the cost distribution.
 
-    By default the percentile (linear interpolation between closest
-    ranks) is taken over all N*M entries; row_min restricts it to each
-    segment's best cost.
+    The percentile (linear interpolation between closest ranks) is taken
+    over all N*M entries.
     """
     if feature_costs.size == 0:
         raise InputError("empty feature-cost matrix")
-    values = feature_costs.min(axis=1) if row_min else feature_costs
-    return float(np.percentile(values, percentile))
+    return float(np.percentile(feature_costs, percentile))
 
 
 def covered_fraction(feature_costs: np.ndarray, plan: np.ndarray, tolerance: float) -> float:
@@ -108,13 +105,10 @@ def coverage(
     feature_costs: np.ndarray,
     plan: np.ndarray,
     percentile: float = COVERAGE_PERCENTILE,
-    row_min: bool = False,
 ) -> float:
     """Coverage score in [0, 1] of a coupling plan at the percentile-derived
     tolerance."""
-    return covered_fraction(
-        feature_costs, plan, coverage_tolerance(feature_costs, percentile, row_min)
-    )
+    return covered_fraction(feature_costs, plan, coverage_tolerance(feature_costs, percentile))
 
 
 def emit_report(

@@ -180,8 +180,7 @@ def align(space_path, kg_path, config_path, out_dir, **overrides) -> None:
     aligned = align_graph(space, graph, memo, cfg.gamma, cfg.solver)
     result = aligned.result
     cov = analysis.coverage(aligned.feature, aligned.coupling.matrix,
-                            cfg.refinement.coverage_percentile,
-                            cfg.refinement.coverage_row_min)
+                            cfg.refinement.coverage_percentile)
     r = kgmod.rate(graph)
     click.echo(
         f"D={result.distortion:.6f} (structure={result.structure_term:.6f}, "
@@ -219,9 +218,7 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, **overrides) -> None:
     analysis.save_trace(outcome.trace, out / "trace.jsonl")
 
     cov_before, cov_after = (
-        analysis.coverage(a.feature, a.coupling.matrix,
-                          cfg.refinement.coverage_percentile,
-                          cfg.refinement.coverage_row_min)
+        analysis.coverage(a.feature, a.coupling.matrix, cfg.refinement.coverage_percentile)
         for a in (outcome.initial, outcome.incumbent)
     )
     knee = analysis.emit_report(outcome.trace, cov_before, cov_after, out, cfg.echo())

@@ -8,9 +8,9 @@ else the previous graph and alignment stay and the batch is recorded as
 rejected with its rise in the objective. Each iteration then records
 one trace point, so the trace objective never rises and the current
 graph is the incumbent. The operators are deterministic functions of
-the graph and its alignment, so an iteration that keeps nothing would be
-repeated exactly by every later one: the search stops at the first such
-iteration (the fixed point), or after ``max_iterations``.
+the graph and its alignment, so each runs at most once per graph state:
+the search stops as soon as every operator has run on the current graph
+since the last kept batch (the fixed point), or after ``max_iterations``.
 
 Operator signals all come from the coupling:
 
@@ -34,7 +34,6 @@ costs, and add reads the new nodes' costs for its nearest-node edges.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import asdict, dataclass, field
 
@@ -83,7 +82,6 @@ class RefinementConfig:
     max_iterations: int = 12
     # the coverage rule: op_add flags rows against it, coverage is scored with it
     coverage_percentile: float = COVERAGE_PERCENTILE
-    coverage_row_min: bool = False
 
     def __post_init__(self) -> None:
         for name in ("beta", "theta_add", "theta_split", "theta_merge",
@@ -121,7 +119,6 @@ def align_graph(
     memo: CostMemo,
     gamma: tuple[float, float],
     solver_config: SolverConfig,
-    solved: dict[bytes, FgwResult] | None = None,
 ) -> Aligned:
     """Solve the fused transport alignment of ``kg`` to ``lecture``.
 
@@ -129,29 +126,13 @@ def align_graph(
     unit against every node from ``memo`` (made over ``lecture``'s units)
     and runs ``fgw`` with uniform measures. Every alignment the program
     solves comes from here.
-
-    ``solved`` maps the SHA-256 digest of the exact bytes of each earlier
-    solve's graph inputs (node distance, feature cost) to its result;
-    a graph whose inputs are there reuses that result, and a new solve is
-    added. One map serves one lecture and one solver setting.
     """
     distance = build_kg_space(kg, memo, gamma)
     feature = memo.unit_cost([node_text(n) for n in kg.nodes])
-    key = None
-    if solved is not None:
-        # the lecture fixes N, so the total length fixes M and each part's bytes
-        digest = hashlib.sha256()
-        for part in (distance, feature):
-            digest.update(part.tobytes())
-        key = digest.digest()
-        if key in solved:
-            return Aligned(feature=feature, result=solved[key])
     result = fgw(
         lecture.distance, distance, feature,
         lecture.measure, uniform_measure(len(kg.nodes)), solver_config,
     )
-    if key is not None:
-        solved[key] = result
     return Aligned(feature=feature, result=result)
 
 
@@ -269,7 +250,7 @@ def op_add(
     cache answers.
     """
     cfg = ctx.config
-    tol = coverage_tolerance(aligned.feature, cfg.coverage_percentile, cfg.coverage_row_min)
+    tol = coverage_tolerance(aligned.feature, cfg.coverage_percentile)
     rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, tol)
     flagged = [i for i in range(len(rho)) if rho[i] < cfg.theta_add]
     if not flagged:
@@ -646,20 +627,20 @@ def refine(
     is kept only if it lowers the objective, so the current graph is the
     incumbent, and ``incumbent_index`` is the last row that kept an edit
     (0 if none did). The operators read only the graph and its
-    alignment, and name ids and prompts from them, so an iteration that
-    keeps nothing proposes the same batches as the next one would; the
-    search stops right after recording it. On a solver failure mid-run
-    the graph and alignment of the last recorded row are returned and
-    the trace is flagged incomplete. The outcome carries the solved
-    alignments of the initial graph and of the incumbent, so callers
-    need not solve either again. One ``CostMemo`` serves every solve, so
-    each node text is embedded and costed once per search, and a graph
-    whose solve inputs equal an earlier one's reuses that solve.
+    alignment, and name ids and prompts from them, so an operator run
+    again on the same graph proposes the batch it proposed before. The
+    search counts the operator runs since the last kept batch and stops
+    once every operator has run on the current graph: the last row
+    lists only the operators that had not yet run on it. On a solver
+    failure mid-run the graph and alignment of the last recorded row are
+    returned and the trace is flagged incomplete. The outcome carries
+    the solved alignments of the initial graph and of the incumbent, so
+    callers need not solve either again. One ``CostMemo`` serves every
+    solve, so each node text is embedded and costed once per search.
     """
     solver_cfg = solver_config or SolverConfig()
     cfg = refine_config or RefinementConfig()
     memo = CostMemo(provider.embed, lecture.contents())
-    solved: dict[bytes, FgwResult] = {}
     ctx = OpContext(
         lecture=lecture,
         memo=memo,
@@ -670,7 +651,7 @@ def refine(
     )
 
     kg = initial_kg.copy()
-    aligned = initial = align_graph(lecture, kg, memo, gamma, solver_cfg, solved)
+    aligned = initial = align_graph(lecture, kg, memo, gamma, solver_cfg)
     trace = RdTrace(beta=cfg.beta)
     _record(trace, 0, kg, aligned, cfg.beta, [], [])
     incumbent_index = 0
@@ -679,6 +660,7 @@ def refine(
     operators = (op_add, op_split, op_merge, op_relate, op_prune)
     if llm_client is not None:
         operators += (llm_propose_edges,)
+    idle_runs = 0  # operator runs on the current graph and alignment
     for t in range(1, cfg.max_iterations + 1):
         # operators never mutate their input, so the recorded state needs no copy
         recorded = kg, aligned
@@ -686,17 +668,21 @@ def refine(
         rejected: list[dict] = []
         try:
             for op in operators:
+                if idle_runs == len(operators):
+                    break  # every operator has run on this graph: the fixed point
+                idle_runs += 1
                 candidate, records = op(kg, aligned, ctx, t)
                 if not records:
                     continue
                 # the records name the operator; a wrapper around op may not
                 _check_valid(candidate, records[0].op, allowed_relations)
-                solution = align_graph(lecture, candidate, memo, gamma, solver_cfg, solved)
+                solution = align_graph(lecture, candidate, memo, gamma, solver_cfg)
                 delta = (_objective(candidate, solution, cfg.beta)
                          - _objective(kg, aligned, cfg.beta))
                 if delta < 0:
                     kg, aligned = candidate, solution
                     edits.extend(records)
+                    idle_runs = 0
                 else:
                     rejected.append({"op": records[0].op, "delta_L": _round9(delta),
                                      "edits": [asdict(r) for r in records]})
@@ -708,7 +694,7 @@ def refine(
 
         _record(trace, t, kg, aligned, cfg.beta, edits, rejected)
         if not edits:
-            break
+            break  # a row that keeps nothing ends at the fixed point
         incumbent_index = t
 
     return RefineOutcome(

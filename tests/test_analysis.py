@@ -134,14 +134,6 @@ def test_covered_fraction_monotone_under_improvement(rng):
     assert covered_fraction(improved, plan, q) >= base
 
 
-def test_coverage_row_min_mode():
-    feats = np.array([[0.1, 0.9], [0.2, 0.9]])
-    q_all = coverage_tolerance(feats)
-    q_rows = coverage_tolerance(feats, row_min=True)
-    assert q_rows == pytest.approx(np.percentile([0.1, 0.2], 30))
-    assert q_rows != q_all
-
-
 def test_coverage_empty_matrix_rejected():
     with pytest.raises(InputError, match="empty"):
         coverage_tolerance(np.zeros((0, 0)))

@@ -20,8 +20,8 @@ FLAT_KEYS = [
     "lambda_feat", "epsilon", "sinkhorn_iters", "fw_iters", "fw_tol", "beta",
     "theta_add", "theta_split", "theta_merge", "theta_cos", "theta_relate",
     "tau", "max_adds", "max_splits", "max_merges", "max_iterations",
-    "coverage_percentile", "coverage_row_min", "embed_provider", "embed_dim",
-    "embed_seed", "embeddings_file", "embed_url", "embed_model", "embed_timeout",
+    "coverage_percentile", "embed_provider", "embed_dim", "embed_seed",
+    "embeddings_file", "embed_url", "embed_model", "embed_timeout",
     "embed_retries", "llm_url", "llm_model", "llm_timeout", "llm_retries",
     "llm_temperature", "extra_relations", "debug",
 ]
@@ -109,6 +109,15 @@ def test_section_names_are_not_keys(key):
 @pytest.mark.parametrize("key", ["conv_threshold", "patience"])
 def test_the_removed_stop_rule_keys_are_unknown(tmp_path, capsys, key):
     # the search stops at its fixed point; a config naming the old stop rule is refused
+    assert_unknown_key(tmp_path, capsys, key)
+
+
+def test_the_removed_coverage_row_min_key_is_unknown(tmp_path, capsys):
+    # coverage is taken over all N*M costs; a config asking for row minima is refused
+    assert_unknown_key(tmp_path, capsys, "coverage_row_min")
+
+
+def assert_unknown_key(tmp_path, capsys, key):
     lecture = tmp_path / "l.md"
     lecture.write_text("# A\n\nsome lecture text\n")
     cfg = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 """Refinement operators and the bounded search loop."""
 
+import hashlib
 import json
 import math
 import sys
@@ -357,16 +358,14 @@ def _add_group_starts(space, aligned, tol, theta_add):
     return {i for i in flagged if i - 1 not in flagged or paths[i - 1] != paths[i]}
 
 
-@pytest.mark.parametrize("percentile, row_min", [(5.0, False), (60.0, False), (30.0, True)])
-def test_op_add_flags_rows_by_the_configured_coverage_rule(provider, percentile, row_min):
+@pytest.mark.parametrize("percentile", [5.0, 60.0])
+def test_op_add_flags_rows_by_the_configured_coverage_rule(provider, percentile):
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
     kg = topic_a_only_kg()
     aligned = solve(space, kg, provider)
-    cfg = RefinementConfig(max_adds=100, coverage_percentile=percentile,
-                           coverage_row_min=row_min)
+    cfg = RefinementConfig(max_adds=100, coverage_percentile=percentile)
     starts = _add_group_starts(
-        space, aligned, coverage_tolerance(aligned.feature, percentile, row_min),
-        cfg.theta_add,
+        space, aligned, coverage_tolerance(aligned.feature, percentile), cfg.theta_add
     )
     # the case is only informative where the default rule flags other spans
     assert starts != _add_group_starts(
@@ -1055,36 +1054,73 @@ def test_align_graph_equals_the_hand_composed_solve(provider, monkeypatch):
             assert getattr(got.result, name) == getattr(want.result, name)
 
 
-def test_align_graph_reuses_a_solve_of_the_same_inputs(provider, monkeypatch):
-    refine_module = sys.modules["rdkg.refine"]
-    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
-    memo = CostMemo(provider.embed, space.contents())
-    solves = []
-    monkeypatch.setattr(refine_module, "fgw", lambda *a: solves.append(a) or fgw(*a))
-    solved = {}
-    first = align_graph(space, topic_a_only_kg(), memo, DEFAULT_GAMMA, SolverConfig(), solved)
-    again = align_graph(space, topic_a_only_kg(), memo, DEFAULT_GAMMA, SolverConfig(), solved)
-    assert len(solves) == 1 and again.result is first.result
-    edited = topic_a_only_kg()
-    edited.edges.clear()
-    other = align_graph(space, edited, memo, DEFAULT_GAMMA, SolverConfig(), solved)
-    assert len(solves) == 2 and other.result is not first.result
-    fresh = align_graph(space, edited, memo, DEFAULT_GAMMA, SolverConfig())
-    assert np.array_equal(other.coupling.matrix, fresh.coupling.matrix)
+OPERATOR_NAMES = ("op_add", "op_split", "op_merge", "op_relate", "op_prune")
+
+
+def spy_operators(monkeypatch):
+    """Rebind the five operators; return the list of each call's (name, graph).
+
+    The list holds the graphs, so no two live states share an ``id``."""
+    module = sys.modules["rdkg.refine"]
+    calls = []
+    for name in OPERATOR_NAMES:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda kg, *args, _op=original, _name=name:
+                            calls.append((_name, kg)) or _op(kg, *args))
+    return calls
 
 
 def test_refine_calls_the_operators_bound_in_its_module(provider, monkeypatch):
     # a tool that rebinds rdkg.refine.op_* (such as a span tracer) sees every call
-    module = sys.modules["rdkg.refine"]
-    names = ("op_add", "op_split", "op_merge", "op_relate", "op_prune")
-    calls = []
-    for name in names:
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, _op=original, _name=name:
-                            calls.append(_name) or _op(*args))
+    calls = spy_operators(monkeypatch)
     space, kg = duplicate_pair_fixture(provider)
     refine(space, kg, provider, refine_config=RefinementConfig(max_iterations=2))
-    assert calls == list(names) * 2
+    names = [name for name, _ in calls]
+    # the operators run in their fixed order until the fixed point
+    assert set(names) == set(OPERATOR_NAMES)
+    assert names == [OPERATOR_NAMES[k % len(OPERATOR_NAMES)] for k in range(len(names))]
+
+
+def two_topic_fixture(provider):
+    return build_lecture_space(two_topic_markdown(), embed=provider.embed), topic_a_only_kg()
+
+
+@pytest.mark.parametrize("fixture", [two_topic_fixture, duplicate_pair_fixture,
+                                     overloaded_fixture])
+def test_refine_runs_each_operator_once_per_graph_state(provider, monkeypatch, fixture):
+    calls = spy_operators(monkeypatch)
+    space, kg = fixture(provider)
+    out = refine(space, kg, provider)
+    states = [(name, id(graph)) for name, graph in calls]
+    assert len(states) == len(set(states))
+    # every operator's last run saw the returned graph: the fixed point
+    last = {name: graph for name, graph in calls}
+    assert set(last) == set(OPERATOR_NAMES)
+    assert all(graph is out.graph for graph in last.values())
+    assert len(out.trace.points) - 1 < RefinementConfig().max_iterations
+
+
+def fgw_inputs_digest(args) -> str:
+    digest = hashlib.sha256()
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            digest.update(repr((arg.dtype.str, arg.shape)).encode())
+            digest.update(np.ascontiguousarray(arg).tobytes())
+        else:
+            digest.update(repr(arg).encode())
+    return digest.hexdigest()
+
+
+def test_refine_solves_no_input_set_twice(provider, monkeypatch):
+    # on this fixture an operator run twice on one graph would re-propose a
+    # rejected batch and solve its inputs again
+    module = sys.modules["rdkg.refine"]
+    digests = []
+    monkeypatch.setattr(module, "fgw", lambda *a: digests.append(fgw_inputs_digest(a)) or fgw(*a))
+    out = refine(*two_topic_fixture(provider), provider)
+    assert sum(len(row) for row in out.trace.rejected) > 0
+    assert len(digests) > len(out.trace.points)
+    assert len(digests) == len(set(digests))
 
 
 def test_refine_objective_identity(provider):
