@@ -235,11 +235,15 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, **overrides) -> None:
 @click.argument("trace_path", type=click.Path())
 @_config_options
 def report(trace_path, config_path, out_dir, **overrides) -> None:
-    """Regenerate report files from an existing trace."""
-    cfg = _setup(config_path, overrides)
+    """Regenerate report files from an existing trace.
+
+    The trace records beta and no other setting, so the regenerated
+    ``report.json`` echoes no config: its ``config`` block is empty.
+    """
+    _setup(config_path, overrides)
     trace = analysis.load_trace(_require_file(trace_path))
     out = Path(out_dir) if out_dir else Path(trace_path).parent
-    analysis.emit_report(trace, None, None, out, cfg.echo())
+    analysis.emit_report(trace, None, None, out)
     click.echo(f"report -> {out / 'report.json'}")
 
 

@@ -345,6 +345,8 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
 
     Computed as half the squared distance of the unit vectors, which is
     algebraically identical to 1 - cos and floating-point-exact at 0.
+    It is the scalar reference that tests and CI compare ``feature_cost``
+    against; no decision of the program reads it.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
@@ -443,9 +445,9 @@ class CostMemo:
         self._pair_cost = np.empty((0, 0))
 
     def unit_cost(self, texts: list[str]) -> np.ndarray:
-        """N x len(texts): ``feature_cost(unit_rows, embed(texts))``."""
-        columns = self._columns(texts)
-        return self._unit_cost[:, columns]
+        """N x len(texts): ``feature_cost(unit_rows, embed(texts))``, row-major."""
+        columns = self._columns(texts)  # before reading _unit_cost, which it extends
+        return self._unit_cost.take(columns, axis=1)
 
     def pair_cost(self, texts: list[str]) -> np.ndarray:
         """``feature_cost(rows, rows)`` over the rows of ``texts``."""

@@ -170,18 +170,6 @@ def parse_markdown(text: str) -> Section:
     return root
 
 
-def iter_sections(root: Section):
-    """Yield sections depth-first in document order, root included."""
-    yield root
-    for child in root.children:
-        yield from iter_sections(child)
-
-
-def heading_count(root: Section) -> int:
-    """Number of real headings in the tree (the synthetic root excluded)."""
-    return sum(1 for s in iter_sections(root) if s.level > 0)
-
-
 def _normalize_ws(s: str) -> str:
     return re.sub(r"\s+", " ", s).strip()
 

@@ -30,6 +30,8 @@ Operator signals all come from the coupling:
 The search's ``CostMemo`` is the one source of node rows and
 node-to-node costs: split clusters its unit rows, merge reads its pair
 costs, and add reads the new nodes' costs for its nearest-node edges.
+Every cosine decision reads the one kernel, ``feature_cost``, and every
+tie (split seeds, top-coupled elements) goes to the first in row order.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .analysis import COVERAGE_PERCENTILE, RdPoint, RdTrace, _round9, coverage_tolerance
-from .embeddings import CostMemo, _unit_rows, cosine_distance
+from .embeddings import CostMemo, self_cost
 from .errors import InputError, NumericalError
 from .kg import (
     ALLOWED_RELATIONS,
@@ -60,11 +62,6 @@ from .ot import Coupling, FgwResult, SolverConfig, fgw
 logger = logging.getLogger(__name__)
 
 MAX_DEFINITION_CHARS = 1000
-
-#: Array kernels sum in another order than the scalar definitions they
-#: replace. Values this close to a threshold or an extremum are re-decided
-#: with the scalar definition, so every decision matches it exactly.
-_TIE_TOL = 1e-9
 
 
 @dataclass
@@ -198,12 +195,6 @@ def symmetric_kl(p: np.ndarray, q: np.ndarray, smoothing: float = KL_SMOOTHING) 
     forward = float((ps * np.log(ps / qs)).sum())
     backward = float((qs * np.log(qs / ps)).sum())
     return max(0.0, 0.5 * (forward + backward))
-
-
-def top_coupled(plan: np.ndarray, column: int, k: int = 5) -> np.ndarray:
-    """Indices of the k largest entries of a column, ties to lowest index."""
-    order = np.argsort(-plan[:, column], kind="stable")
-    return order[: min(k, plan.shape[0])]
 
 
 # --- shared operator context -------------------------------------------------
@@ -438,15 +429,15 @@ def op_relate(
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
     """Add relatedTo edges between nodes with adjacent lecture neighborhoods.
 
-    For every unconnected node pair, the mean lecture distance over the
-    cross pairs of their top-coupled elements (identical indices
-    excluded) must fall below the threshold. Pairs are taken in
-    ascending node order (j < k); a pair already joined by an edge of
-    the input graph is skipped.
-    All pair means come from one gathered block of ``d_lecture``; a mean
-    within ``_TIE_TOL`` of ``theta_relate`` is re-decided with
-    ``np.mean`` over the cross pairs in row order, so the edges are those
-    of the per-pair definition.
+    A node's top-coupled elements are the 5 largest entries of its
+    coupling column, ties to the lowest index. For every unconnected node
+    pair, the mean lecture distance over the cross pairs of their
+    top-coupled elements (identical indices excluded) must fall below
+    the threshold. Pairs are taken in ascending node order (j < k); a
+    pair already joined by an edge of the input graph is skipped.
+    All pair means come from one gathered block of ``d_lecture``, and
+    that mean is the definition: a pair whose mean equals
+    ``theta_relate`` is not related.
     """
     cfg = ctx.config
     d_lecture = ctx.lecture.distance
@@ -454,7 +445,7 @@ def op_relate(
     if m < 2:
         return kg, []
     plan = aligned.coupling.matrix
-    tops = np.stack([top_coupled(plan, j) for j in range(m)])
+    tops = np.argsort(-plan, axis=0, kind="stable")[:5].T
     rows = tops[:, None, :, None]
     cols = tops[None, :, None, :]
     distinct = rows != cols  # (m, m, k, k): the p != q cross pairs
@@ -463,10 +454,6 @@ def op_relate(
     means /= np.maximum(counts, 1)
     scored = np.triu(counts > 0, 1)
     related = scored & (means < cfg.theta_relate)
-    near = scored & (np.abs(means - cfg.theta_relate) <= _TIE_TOL)
-    for j, k in zip(*np.nonzero(near)):
-        block = d_lecture[np.ix_(tops[j], tops[k])]
-        related[j, k] = float(np.mean(block[distinct[j, k]])) < cfg.theta_relate
 
     linked = frozenset(frozenset((e.src, e.dst)) for e in kg.edges)
     added: list[RelationEdge] = []
@@ -557,7 +544,7 @@ def llm_propose_edges(
 def two_means(points: np.ndarray, max_iters: int = 25) -> np.ndarray:
     """Deterministic 2-means: farthest-pair seeding, no RNG.
 
-    The seeds are the pair (i < j) with the largest cosine distance;
+    The seeds are the pair (i < j) with the largest ``feature_cost``;
     among pairs tied at the maximum, exact duplicates included, the first
     in row order wins (``_farthest_pair``). Assignment uses squared
     Euclidean distance with ties to cluster 0; an emptied cluster is
@@ -588,24 +575,18 @@ def two_means(points: np.ndarray, max_iters: int = 25) -> np.ndarray:
 
 
 def _farthest_pair(pts: np.ndarray) -> tuple[int, int]:
-    """The pair (i < j) with the largest ``cosine_distance``, ties to the
+    """The pair (i < j) with the largest ``feature_cost``, ties to the
     first in row order.
 
-    One Gram matrix of unit rows finds the pairs within ``_TIE_TOL`` of
-    the maximum, and only those are rescored with the scalar kernel in
-    row order, so exact duplicate points and equidistant pairs give the
-    pair a full scalar scan would.
+    The costs are ``self_cost(pts)``, bit-equal to ``feature_cost(pts,
+    pts)`` at half the work. An entry depends only on its two rows, so
+    the maximum and its ties are those of any pair-by-pair scan of the
+    same kernel; exact duplicate points cost exactly 0.
     """
-    unit = _unit_rows(pts)
-    approx = 1.0 - unit @ unit.T
-    approx[np.tril_indices(len(pts))] = -np.inf
-    rows, cols = np.nonzero(approx >= approx.max() - _TIE_TOL)
-    best, pair = -1.0, (0, 1)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        d = cosine_distance(pts[i], pts[j])
-        if d > best:
-            best, pair = d, (i, j)
-    return pair
+    cost = self_cost(pts)
+    cost[np.tril_indices(len(pts))] = -np.inf
+    i, j = np.unravel_index(np.argmax(cost), cost.shape)
+    return int(i), int(j)
 
 
 # --- the search loop ----------------------------------------------------------

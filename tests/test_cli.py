@@ -256,6 +256,22 @@ def test_report_writes_the_beta_of_the_run(pipeline, tmp_path):
     assert regenerated["iso_objective"] == original["iso_objective"]
 
 
+@pytest.mark.parametrize("report_flags", [[], ["--beta", "7", "--max-iterations", "1"]])
+def test_report_config_never_disagrees_with_the_trace(pipeline, tmp_path, report_flags):
+    # report's own settings (its defaults or flags) are not the run's, so
+    # the regenerated report echoes none of them
+    run_dir = tmp_path / "run"
+    assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]), "--out", str(run_dir),
+                 "--beta", "1000", "--max-iterations", "3"]) == EXIT_OK
+    regen = tmp_path / "regen"
+    assert main(["report", str(run_dir / "trace.jsonl"), "--out", str(regen),
+                 *report_flags]) == EXIT_OK
+    rows = [json.loads(line) for line in (run_dir / "trace.jsonl").read_text().splitlines()]
+    report = json.loads((regen / "report.json").read_text())
+    assert report["beta"] == 1000.0 and {row["beta"] for row in rows} == {1000.0}
+    assert report["config"] == {}
+
+
 @pytest.mark.parametrize("rewrite", ["drop", "disagree"])
 def test_report_refuses_a_trace_without_one_beta(pipeline, tmp_path, capsys, rewrite):
     run_dir = tmp_path / "run"

@@ -457,7 +457,9 @@ def test_cost_memo_reads_equal_the_full_matrices():
     assert np.array_equal(memo.unit_rows, unit_rows)
     for texts in (["x y", "gamma", "x y"], ["z", "gamma", "w v"], ["x y"], ["w v", "z"]):
         rows = provider.embed(texts)
-        assert np.array_equal(memo.unit_cost(texts), feature_cost(unit_rows, rows))
+        costs = memo.unit_cost(texts)
+        assert np.array_equal(costs, feature_cost(unit_rows, rows))
+        assert costs.flags.c_contiguous  # the solver reads it row-major
         assert np.array_equal(memo.pair_cost(texts), feature_cost(rows, rows))
 
 

@@ -15,7 +15,7 @@ from rdkg.llm import (
     bootstrap_kg,
     propose_label_edges,
 )
-from rdkg.markdown import heading_count, parse_markdown
+from rdkg.markdown import parse_markdown
 from rdkg.refine import llm_propose_edges
 
 from conftest import table_memo
@@ -50,7 +50,12 @@ def test_fallback_bootstrap_headings_to_nodes():
 def test_fallback_node_count_equals_heading_count():
     md = "# A\nx\n## B\ny\n## C\nz\n# D\nw\n### E\nv"
     kg = bootstrap_kg(md)
-    assert len(kg.nodes) == heading_count(parse_markdown(md))
+    sections, headings = [parse_markdown(md)], 0
+    while sections:
+        section = sections.pop()
+        headings += section.level > 0
+        sections.extend(section.children)
+    assert len(kg.nodes) == headings == 5
 
 
 def test_fallback_definitions_from_first_block():

@@ -3,7 +3,7 @@
 import pytest
 
 from rdkg.errors import InputError
-from rdkg.markdown import heading_count, iter_sections, parse_markdown
+from rdkg.markdown import parse_markdown
 
 
 def test_basic_tree():
@@ -93,16 +93,25 @@ def test_single_line_display_math():
     assert blocks[0].text == "e = mc^2"
 
 
+def walk(section):
+    """The sections of a tree depth-first in document order, root included."""
+    yield section
+    for child in section.children:
+        yield from walk(child)
+
+
 def test_document_order_and_ids():
     root = parse_markdown("# A\n## B\n## C\n# D")
-    titles = [s.title for s in iter_sections(root)]
+    titles = [s.title for s in walk(root)]
     assert titles == ["<root>", "A", "B", "C", "D"]
-    ids = [s.id for s in iter_sections(root)]
+    ids = [s.id for s in walk(root)]
     assert ids == sorted(ids, key=lambda x: int(x[1:]))
 
 
 def test_heading_count_excludes_root():
-    assert heading_count(parse_markdown("# A\n## B\ntext")) == 2
+    root = parse_markdown("# A\n## B\ntext")
+    assert root.level == 0
+    assert [s.title for s in walk(root) if s.level > 0] == ["A", "B"]
 
 
 def test_empty_heading_title_placeholder():

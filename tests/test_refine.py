@@ -45,7 +45,6 @@ from rdkg.refine import (
     op_split,
     refine,
     symmetric_kl,
-    top_coupled,
     two_means,
 )
 
@@ -203,8 +202,19 @@ def test_edge_support_zero_column_prunes():
 
 
 def test_top_coupled_ties_lowest_index():
-    plan = np.array([[0.2], [0.2], [0.2], [0.2], [0.1], [0.1]])
-    assert top_coupled(plan, 0).tolist() == [0, 1, 2, 3, 4]
+    # column 0 ties six elements, column 1 ties six at 0 behind element 6;
+    # element 5 is far from every other, so the pair is related only if
+    # both columns take their ties to the lowest index and leave 5 out
+    plan = np.zeros((7, 2))
+    plan[:6, 0], plan[6, 0], plan[6, 1] = 0.2, 0.1, 1.0
+    d = np.full((7, 7), 0.1)
+    d[5, :] = d[:, 5] = 1.0
+    np.fill_diagonal(d, 0.0)
+    assert top_coupled_reference(plan, 0) == [0, 1, 2, 3, 4]
+    assert top_coupled_reference(plan, 1) == [6, 0, 1, 2, 3]
+    kg = KnowledgeGraph(nodes=[ConceptNode(id=f"n{j}", label=f"N{j}") for j in range(2)])
+    _, records = op_relate(kg, fake_aligned(plan), relate_ctx(d, 0.2), 1)
+    assert [r.edges[0] for r in records] == [["n0", "relatedTo", "n1"]]
 
 
 # --- two_means ------------------------------------------------------------------
@@ -231,12 +241,12 @@ def test_two_means_identical_points_repair():
 
 
 def scalar_farthest_pair(pts):
-    """Reference seeding: every pair scored with the scalar kernel, the
-    first strict improvement in row order wins."""
+    """Reference seeding: every pair scored on its own with ``feature_cost``,
+    the first strict improvement in row order wins."""
     pair, best = (0, 1), -1.0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            d = cosine_distance(pts[i], pts[j])
+            d = feature_cost(pts[i : i + 1], pts[j : j + 1])[0, 0]
             if d > best:
                 best, pair = d, (i, j)
     return pair
@@ -286,7 +296,14 @@ def tied_point_sets():
 
 def test_farthest_pair_matches_scalar_scan_on_ties():
     for pts in tied_point_sets():
-        assert _farthest_pair(pts) == scalar_farthest_pair(pts)
+        cost = feature_cost(pts, pts)
+        pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        top = max(cost[p] for p in pairs)
+        pair = _farthest_pair(pts)
+        assert pair in pairs and cost[pair] == top
+        assert all(cost[p] < top for p in pairs[: pairs.index(pair)])
+        assert pair == scalar_farthest_pair(pts)
+    assert _farthest_pair(np.ones((5, 3))) == (0, 1)  # exact duplicates: the first pair
 
 
 def test_two_means_matches_scalar_seeding_on_ties():
@@ -711,11 +728,16 @@ def test_op_relate_skips_connected_pairs(provider):
         assert tuple(sorted((src, dst))) not in connected_before
 
 
+def top_coupled_reference(plan, column):
+    """The 5 largest entries of a column, ties to the lowest index."""
+    return sorted(range(plan.shape[0]), key=lambda i: (-plan[i, column], i))[:5]
+
+
 def reference_relate_edges(kg, plan, d_lecture, theta):
     """Per-pair definition of op_relate: scan j < k, skip connected
     pairs (edges added so far included), mean over p != q cross pairs."""
     m = len(kg.nodes)
-    tops = [top_coupled(plan, j) for j in range(m)]
+    tops = [top_coupled_reference(plan, j) for j in range(m)]
     working = kg.copy()
     added = []
     for j in range(m):
@@ -760,8 +782,13 @@ def relate_ctx(d, theta):
 
 
 def test_op_relate_matches_per_pair_reference():
+    """op_relate's mean of a pair, from its one gathered block of
+    ``d_lecture``, is the definition: at a threshold exactly equal to that
+    mean the pair is not related. On this state it equals the per-pair
+    ``np.mean`` bit for bit, so the reference agrees at every threshold,
+    those at a mean included."""
     kg, plan, d, aligned = hand_built_relate_state()
-    tops = [top_coupled(plan, j) for j in range(5)]
+    tops = [top_coupled_reference(plan, j) for j in range(5)]
     assert len(set(tops[0]) & set(tops[1])) > 0  # p == q pairs exist
     means = sorted(
         float(np.mean([d[p, q] for p in tops[j] for q in tops[k] if p != q]))
@@ -1183,21 +1210,30 @@ def test_refine_costs_each_node_text_once(provider, monkeypatch):
     unit_columns = node_rows = 0
     solved_texts = set()
     original_cost = embeddings_module.feature_cost
+    original_self_cost = embeddings_module.self_cost
     original_build = refine_module.build_kg_space
 
+    # the memo's node costs, looked up in rdkg.embeddings: each new text's
+    # column against the units and its rows against the texts (self_cost).
+    # The split seeding costs unit-row subsets through refine's own
+    # binding of self_cost, and those are not node costs.
     def cost_spy(source, target, *args, **kwargs):
-        nonlocal unit_columns, node_rows
+        nonlocal unit_columns
         if np.array_equal(source, unit_rows):
             unit_columns += len(target)
-        else:
-            node_rows += len(source)
         return original_cost(source, target, *args, **kwargs)
+
+    def self_cost_spy(rows, start=0, *args, **kwargs):
+        nonlocal node_rows
+        node_rows += len(rows) - start
+        return original_self_cost(rows, start, *args, **kwargs)
 
     def build_spy(kg, memo, gamma):
         solved_texts.update(node_text(n) for n in kg.nodes)
         return original_build(kg, memo, gamma)
 
     monkeypatch.setattr(embeddings_module, "feature_cost", cost_spy)
+    monkeypatch.setattr(embeddings_module, "self_cost", self_cost_spy)
     monkeypatch.setattr(refine_module, "build_kg_space", build_spy)
     out = refine(space, topic_a_only_kg(), provider,
                  refine_config=RefinementConfig(max_iterations=4))
