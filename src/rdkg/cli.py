@@ -233,14 +233,15 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, **overrides) -> None:
 
 @cli.command()
 @click.argument("trace_path", type=click.Path())
-@_config_options
-def report(trace_path, config_path, out_dir, **overrides) -> None:
+@click.option("--out", "out_dir", type=click.Path(), default=None,
+              help="Output directory (default: alongside the trace).")
+def report(trace_path, out_dir) -> None:
     """Regenerate report files from an existing trace.
 
-    The trace records beta and no other setting, so the regenerated
-    ``report.json`` echoes no config: its ``config`` block is empty.
+    The report is a function of the trace alone, so --out is the only
+    option and a setting is a usage error. The trace records beta and no
+    other setting, so the config block of report.json is empty.
     """
-    _setup(config_path, overrides)
     trace = analysis.load_trace(_require_file(trace_path))
     out = Path(out_dir) if out_dir else Path(trace_path).parent
     analysis.emit_report(trace, None, None, out)

@@ -553,13 +553,18 @@ def fgw(
             _gradient(*parts[1:], product, out=grad, scratch=scratch)
             grad *= 1.0 - lam
             grad += lam_costs
-        if not np.isfinite(grad).all():
+        # sinkhorn's input check is the one scan of the gradient; a
+        # non-finite gradient is this solve's numerical failure
+        try:
+            inner = sinkhorn(
+                grad, mu, nu, cfg.epsilon, cfg.sinkhorn_iters, potentials=potentials
+            )
+        except InputError:
+            if np.isfinite(grad).all():
+                raise
             raise NumericalError(
                 f"numerical failure at outer iteration {iterations}: bad gradient"
-            )
-        inner = sinkhorn(
-            grad, mu, nu, cfg.epsilon, cfg.sinkhorn_iters, potentials=potentials
-        )
+            ) from None
         inner_converged = inner_converged and inner.converged
         potentials = inner.potentials
         delta = inner.matrix

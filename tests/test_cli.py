@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, ingest, main
+from rdkg.cli import report as report_command
 from rdkg.config import load_run_config
 from rdkg.embeddings import HashEmbedder, content_hash
 from rdkg.kg import load_kg, node_text, validate_graph
@@ -256,10 +257,10 @@ def test_report_writes_the_beta_of_the_run(pipeline, tmp_path):
     assert regenerated["iso_objective"] == original["iso_objective"]
 
 
-@pytest.mark.parametrize("report_flags", [[], ["--beta", "7", "--max-iterations", "1"]])
+@pytest.mark.parametrize("report_flags", [[]])
 def test_report_config_never_disagrees_with_the_trace(pipeline, tmp_path, report_flags):
-    # report's own settings (its defaults or flags) are not the run's, so
-    # the regenerated report echoes none of them
+    # report's own defaults are not the run's, so the regenerated report
+    # echoes none of them
     run_dir = tmp_path / "run"
     assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]), "--out", str(run_dir),
                  "--beta", "1000", "--max-iterations", "3"]) == EXIT_OK
@@ -270,6 +271,28 @@ def test_report_config_never_disagrees_with_the_trace(pipeline, tmp_path, report
     report = json.loads((regen / "report.json").read_text())
     assert report["beta"] == 1000.0 and {row["beta"] for row in rows} == {1000.0}
     assert report["config"] == {}
+
+
+def test_report_takes_only_its_trace_and_out():
+    assert [p.name for p in report_command.params] == ["trace_path", "out_dir"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--beta", "7"], ["--config", "c.json"], ["--debug"], ["--embed-provider", "bogus"],
+], ids=["beta", "config", "debug", "embed-provider"])
+def test_report_refuses_a_setting(pipeline, tmp_path, capsys, flags):
+    # the report is a function of the trace alone: a setting it would
+    # ignore is a usage error, not a silent no-op
+    run_dir = tmp_path / "run"
+    assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]), "--out", str(run_dir),
+                 "--max-iterations", "1"]) == EXIT_OK
+    capsys.readouterr()
+    regen = tmp_path / "regen"
+    assert main(["report", str(run_dir / "trace.jsonl"), "--out", str(regen),
+                 *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: No such option") and flags[0] in err
+    assert not regen.exists()
 
 
 @pytest.mark.parametrize("rewrite", ["drop", "disagree"])
@@ -506,12 +529,12 @@ def test_pipeline_composability(tmp_path):
 ])
 def test_range_checked_by_every_command(pipeline, lecture_file, tmp_path, capsys,
                                         setting, message):
+    # every command that takes settings: report takes none
     inputs = {
         "ingest": [str(lecture_file)],
         "bootstrap": [str(lecture_file)],
         "align": [str(pipeline["space"]), str(pipeline["kg"])],
         "refine": [str(pipeline["space"]), str(pipeline["kg"])],
-        "report": [str(tmp_path / "trace.jsonl")],
     }
     key, value = setting.split("=")
     flag = "--" + key.replace("_", "-")

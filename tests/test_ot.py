@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdkg import ot
-from rdkg.errors import InputError
+from rdkg.errors import InputError, NumericalError
 from rdkg.ot import (
     MARGINAL_TOL,
     Coupling,
@@ -775,6 +775,31 @@ def test_fgw_symmetry(rng):
     backward = fgw(c2, c1, feats.T, mu, mu, cfg)
     assert forward.coupling.converged and backward.coupling.converged
     assert forward.distortion == pytest.approx(backward.distortion, abs=1e-6)
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.0])
+def test_fgw_reports_a_non_finite_gradient_as_a_numerical_failure(rng, lam):
+    # sinkhorn's input check is the one scan of each gradient; fgw turns its
+    # refusal of a non-finite gradient into the solve's numerical failure
+    c1, c2 = random_metric(4, rng), random_metric(3, rng)
+    feats = rng.random((4, 3))
+    mu, nu = np.full(4, 1 / 4), np.full(3, 1 / 3)
+    if lam < 1.0:
+        c1 = c1 * 1e200  # c1 o c1 overflows, and with it the gradient
+    else:
+        feats[1, 2] = np.inf  # the gradient is the feature cost itself
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalError, match="outer iteration 1: bad gradient"
+    ):
+        fgw(c1, c2, feats, mu, nu, SolverConfig(lambda_feat=lam))
+
+
+def test_fgw_keeps_a_bad_marginal_an_input_error(rng):
+    # the gradient is finite, so sinkhorn's refusal is the caller's input
+    c1, c2 = random_metric(3, rng), random_metric(3, rng)
+    mu = np.array([0.5, 0.5, 0.0])
+    with pytest.raises(InputError, match="strictly positive"):
+        fgw(c1, c2, rng.random((3, 3)), mu, np.full(3, 1 / 3))
 
 
 def test_fgw_nonnegative_distortion(rng):
