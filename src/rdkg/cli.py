@@ -51,18 +51,40 @@ def _flag(key: str, hint):
     return click.option(name, key, type=kind, default=None, help=help_text)
 
 
-def _config_options(fn):
+# The config keys each command reads, and so its only flags besides --config
+# and --out. The config file is loaded and range-checked whole in every
+# command, so one file serves the whole pipeline.
+INGEST_KEYS = frozenset({
+    "alpha_chron", "alpha_logic", "alpha_sem", "embed_provider", "embed_dim", "embed_seed",
+    "embeddings_file", "embed_url", "embed_model", "embed_timeout", "embed_retries", "debug",
+})
+BOOTSTRAP_KEYS = frozenset({
+    "llm_url", "llm_model", "llm_timeout", "llm_retries", "llm_temperature",
+    "extra_relations", "debug",
+})
+ALIGN_KEYS = INGEST_KEYS | {
+    "extra_relations", "gamma_struct", "gamma_sem", "lambda_feat", "epsilon",
+    "sinkhorn_iters", "fw_iters", "fw_tol", "beta", "coverage_percentile",
+}
+REFINE_KEYS = frozenset(config_keys())
+
+
+def _config_options(keys: frozenset[str]):
+    """``--config``, ``--out`` and one flag for each key in ``keys``, e.g.
+    --beta, --lambda-feat, --debug/--no-debug, in config_keys() order."""
     decorators = [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="Flat JSON config file."),
         click.option("--out", "out_dir", type=click.Path(), default=None,
                      help="Output directory (default: alongside inputs)."),
     ]
-    # one flag per config key, e.g. --beta, --lambda-feat, --debug/--no-debug
-    decorators += [_flag(key, hint) for key, (_, hint) in config_keys().items()]
-    for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
+    decorators += [_flag(key, hint) for key, (_, hint) in config_keys().items() if key in keys]
+
+    def apply(fn):
+        for dec in reversed(decorators):
+            fn = dec(fn)
+        return fn
+    return apply
 
 
 def _setup(config_path, overrides: dict) -> RunConfig:
@@ -124,7 +146,7 @@ def cli() -> None:
 
 @cli.command()
 @click.argument("markdown_path", type=click.Path())
-@_config_options
+@_config_options(INGEST_KEYS)
 def ingest(markdown_path, config_path, out_dir, **overrides) -> None:
     """Parse lecture Markdown into a lecture-space artifact."""
     cfg = _setup(config_path, overrides)
@@ -150,7 +172,7 @@ def ingest(markdown_path, config_path, out_dir, **overrides) -> None:
 
 @cli.command()
 @click.argument("markdown_path", type=click.Path())
-@_config_options
+@_config_options(BOOTSTRAP_KEYS)
 def bootstrap(markdown_path, config_path, out_dir, **overrides) -> None:
     """Extract an initial knowledge graph from lecture Markdown."""
     cfg = _setup(config_path, overrides)
@@ -171,7 +193,7 @@ def bootstrap(markdown_path, config_path, out_dir, **overrides) -> None:
 @cli.command()
 @click.argument("space_path", type=click.Path())
 @click.argument("kg_path", type=click.Path())
-@_config_options
+@_config_options(ALIGN_KEYS)
 def align(space_path, kg_path, config_path, out_dir, **overrides) -> None:
     """Align a lecture space to a knowledge graph and report distortion."""
     cfg = _setup(config_path, overrides)
@@ -198,7 +220,7 @@ def align(space_path, kg_path, config_path, out_dir, **overrides) -> None:
 @cli.command(name="refine")
 @click.argument("space_path", type=click.Path())
 @click.argument("kg_path", type=click.Path())
-@_config_options
+@_config_options(REFINE_KEYS)
 def refine_cmd(space_path, kg_path, config_path, out_dir, **overrides) -> None:
     """Refine a knowledge graph against a lecture space; write all artifacts."""
     cfg = _setup(config_path, overrides)

@@ -21,9 +21,13 @@ from .errors import InputError
 
 ROOT_TITLE = "<root>"
 
-_HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
+# CommonMark: a closing run of #s counts only after whitespace, so "# C#" is "C#"
+_HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)(?:(?<=\s)#+)?\s*$")
 _LIST_ITEM_RE = re.compile(r"^(\s*)([-*+]|\d+[.)])\s+(.*)$")
-_FENCE_RE = re.compile(r"^(```+|~~~+)\s*(\S*)\s*$")
+# CommonMark: 3+ backticks or tildes, then any info string (with no backtick
+# after a backtick run); closed by a line of only the same character, at
+# least as many times
+_FENCE_RE = re.compile(r"^(`{3,}(?!.*`)|~{3,})")
 
 
 @dataclass
@@ -97,10 +101,10 @@ def parse_markdown(text: str) -> Section:
         fence = _FENCE_RE.match(stripped)
         if fence:
             flush_paragraph()
-            marker = fence.group(1)[0] * 3
+            run = fence.group(1)
             body: list[str] = []
             i += 1
-            while i < len(lines) and not lines[i].strip().startswith(marker):
+            while i < len(lines) and not _closes(lines[i].strip(), run):
                 body.append(lines[i])
                 i += 1
             i += 1  # skip the closing fence (or run off the end)
@@ -168,6 +172,11 @@ def parse_markdown(text: str) -> Section:
 
     flush_paragraph()
     return root
+
+
+def _closes(stripped: str, run: str) -> bool:
+    """Whether a line closes the fence opened by ``run``."""
+    return stripped.startswith(run) and not stripped.strip(run[0])
 
 
 def _normalize_ws(s: str) -> str:

@@ -5,8 +5,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rdkg.config import config_keys
 from rdkg.embeddings import CostMemo, HashEmbedder
 from rdkg.kg import ConceptNode, KnowledgeGraph, RelationEdge
+
+# The config keys each command reads, pinned here apart from cli.py: a
+# command's only flags besides --config and --out.
+INGEST_KEYS = frozenset({
+    "alpha_chron", "alpha_logic", "alpha_sem", "embed_provider", "embed_dim", "embed_seed",
+    "embeddings_file", "embed_url", "embed_model", "embed_timeout", "embed_retries", "debug",
+})
+COMMAND_KEYS = {
+    "ingest": INGEST_KEYS,
+    "bootstrap": frozenset({"llm_url", "llm_model", "llm_timeout", "llm_retries",
+                            "llm_temperature", "extra_relations", "debug"}),
+    "align": INGEST_KEYS | {"extra_relations", "gamma_struct", "gamma_sem", "lambda_feat",
+                            "epsilon", "sinkhorn_iters", "fw_iters", "fw_tol", "beta",
+                            "coverage_percentile"},
+    "refine": frozenset(config_keys()),
+}
 
 TOPIC_A_WORDS = [
     "dataframe", "index", "column", "groupby", "aggregate",

@@ -4,9 +4,11 @@ import hashlib
 import json
 import sys
 
+import click
 import pytest
 
-from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, ingest, main
+from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, align, bootstrap, ingest, main
+from rdkg.cli import refine_cmd as refine_command
 from rdkg.cli import report as report_command
 from rdkg.config import load_run_config
 from rdkg.embeddings import HashEmbedder, content_hash
@@ -15,7 +17,7 @@ from rdkg.lecture import ARTIFACT_FORMAT, build_lecture_space, flatten
 from rdkg.llm import bootstrap_kg
 from rdkg.markdown import parse_markdown
 
-from conftest import topic_a_only_kg, two_topic_markdown
+from conftest import COMMAND_KEYS, topic_a_only_kg, two_topic_markdown
 
 
 @pytest.fixture
@@ -538,33 +540,91 @@ def test_range_checked_by_every_command(pipeline, lecture_file, tmp_path, capsys
     }
     key, value = setting.split("=")
     flag = "--" + key.replace("_", "-")
+    try:
+        parsed = json.loads(value)
+    except json.JSONDecodeError:
+        parsed = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({key: parsed}))
+    capsys.readouterr()
     for command, args in inputs.items():
+        # the config file is range-checked whole, whichever keys the command reads
         out = tmp_path / f"bad-{command}"
-        code = main([command, *args, "--out", str(out), flag, value])
-        assert code == EXIT_INPUT, command
+        assert main([command, *args, "--out", str(out), "--config", str(cfg)]) == EXIT_INPUT
         assert message in capsys.readouterr().err, command
+        assert not out.exists(), command
+        # a flag exists only for a key the command reads
+        code = main([command, *args, "--out", str(out), flag, value])
+        err = capsys.readouterr().err
+        if key in COMMAND_KEYS[command]:
+            assert code == EXIT_INPUT, command
+            assert message in err, command
+        else:
+            assert code == EXIT_USAGE, command
+            assert err.startswith("usage error: No such option") and flag in err, command
         assert not out.exists(), command
 
 
 def test_every_flag_takes_its_default(tmp_path, lecture_file):
     defaults = load_run_config().echo()
-    options = [p for p in ingest.params if p.name in defaults]
-    # exactly one flag per key, named after it; a bool key is a switch
-    assert sorted(p.name for p in options) == sorted(defaults)
-    argv = ["ingest", str(lecture_file), "--out", str(tmp_path)]
-    for option in options:
-        flag = "--" + option.name.replace("_", "-")
-        assert option.opts == [flag]
-        value = defaults[option.name]
-        if isinstance(value, bool):
-            assert option.secondary_opts == ["--no-" + flag[2:]]
-            argv.append(flag if value else option.secondary_opts[0])
-        elif value is not None:
-            argv += [flag, str(value)]
-    assert main(argv) == EXIT_OK
+    commands = {command.name: command for command in (ingest, bootstrap, align, refine_command)}
+    # each command's flags are exactly the keys it reads, and every key has a flag
+    for name, command in commands.items():
+        options = {p.name for p in command.params if isinstance(p, click.Option)}
+        assert options == COMMAND_KEYS[name] | {"config_path", "out_dir"}, name
+    assert set().union(*COMMAND_KEYS.values()) == set(defaults)
+    stem = tmp_path / lecture_file.stem
+    inputs = {"ingest": [lecture_file], "bootstrap": [lecture_file],
+              "align": [f"{stem}.space.json", f"{stem}.kg.json"],
+              "refine": [f"{stem}.space.json", f"{stem}.kg.json"]}
+    for name, command in commands.items():
+        argv = [name, *map(str, inputs[name]), "--out", str(tmp_path)]
+        # exactly one flag per key, named after it; a bool key is a switch
+        for option in command.params:
+            if option.name not in defaults:
+                continue
+            flag = "--" + option.name.replace("_", "-")
+            assert option.opts == [flag]
+            value = defaults[option.name]
+            if isinstance(value, bool):
+                assert option.secondary_opts == ["--no-" + flag[2:]]
+                argv.append(flag if value else option.secondary_opts[0])
+            elif value is not None:
+                argv += [flag, str(value)]
+        assert main(argv) == EXIT_OK, name
     # the list key repeats its flag
     assert main(["bootstrap", str(lecture_file), "--out", str(tmp_path),
                  "--extra-relations", "causes", "--extra-relations", "enables"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["ingest", "bootstrap", "align"])
+def test_a_command_refuses_the_flag_of_a_key_it_does_not_read(pipeline, lecture_file, tmp_path,
+                                                              capsys, command):
+    args = {"ingest": [str(lecture_file)], "bootstrap": [str(lecture_file)],
+            "align": [str(pipeline["space"]), str(pipeline["kg"]), "--debug"]}[command]
+    defaults = load_run_config().echo()
+    unread = sorted(set(defaults) - COMMAND_KEYS[command])
+    assert unread and "debug" not in unread
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for key in unread:
+        # the flag would be ignored, so it is a usage error and writes nothing
+        flag = "--" + key.replace("_", "-")
+        assert main([command, *args, "--out", str(out), flag, "1"]) == EXIT_USAGE, key
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: No such option") and flag in err, key
+        assert not out.exists(), key
+        # in a config file the key is still type- and range-checked
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: True}))
+        assert main([command, *args, "--out", str(out), "--config", str(cfg)]) == EXIT_INPUT
+        assert f"config key {key} must be " in capsys.readouterr().err, key
+        assert not out.exists(), key
+    # and a file that sets it to a valid value loads: one file serves every command
+    cfg = tmp_path / "shared.json"
+    cfg.write_text(json.dumps({key: defaults[key] for key in unread}))
+    assert main([command, *args, "--out", str(out), "--config", str(cfg)]) == EXIT_OK
+    assert any(out.iterdir())
 
 
 def test_a_string_flag_keeps_a_numeric_value(pipeline, tmp_path):
@@ -606,7 +666,7 @@ def test_the_widest_embed_seeds_write_an_artifact_that_align_reads(lecture_file,
                                                                    seed):
     flags = ["--out", str(tmp_path), "--embed-seed", str(seed)]
     assert main(["ingest", str(lecture_file), *flags]) == EXIT_OK
-    assert main(["bootstrap", str(lecture_file), *flags]) == EXIT_OK
+    assert main(["bootstrap", str(lecture_file), "--out", str(tmp_path)]) == EXIT_OK
     stem = tmp_path / lecture_file.stem
     assert main(["align", f"{stem}.space.json", f"{stem}.kg.json", *flags]) == EXIT_OK
 
@@ -824,10 +884,10 @@ def test_every_command_sends_each_text_to_the_endpoint_once(tmp_path, monkeypatc
     md.write_text("# A\nsame words here\n\nsame words here\n## B\nother words\n\nsame words here")
     http = ["--embed-provider", "http", "--embed-url", "http://fake/embed"]
     space, kg = str(tmp_path / "dup.space.json"), str(tmp_path / "dup.kg.json")
-    for argv in (["ingest", str(md)], ["bootstrap", str(md)], ["align", space, kg],
-                 ["refine", space, kg, "--max-iterations", "2"]):
+    for argv in (["ingest", str(md), *http], ["bootstrap", str(md)], ["align", space, kg, *http],
+                 ["refine", space, kg, "--max-iterations", "2", *http]):
         sent.clear()
-        assert main([*argv, "--out", str(tmp_path), *http]) == EXIT_OK, argv[0]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK, argv[0]
         assert len(sent) == len(set(sent)), argv[0]
         if argv[0] == "ingest":
             assert sorted(sent) == ["other words", "same words here"]

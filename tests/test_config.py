@@ -7,13 +7,15 @@ from dataclasses import asdict, fields
 import pytest
 
 from rdkg.analysis import COVERAGE_PERCENTILE
-from rdkg.cli import EXIT_INPUT, EXIT_USAGE, main
+from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from rdkg.config import RunConfig, config_keys, load_run_config
 from rdkg.embeddings import HashEmbedder, HttpEmbedder
 from rdkg.errors import InputError
 from rdkg.llm import LlmClient
 from rdkg.ot import SolverConfig
 from rdkg.refine import RefinementConfig
+
+from conftest import COMMAND_KEYS
 
 FLAT_KEYS = [
     "alpha_chron", "alpha_logic", "alpha_sem", "gamma_struct", "gamma_sem",
@@ -143,6 +145,13 @@ def test_a_float_key_must_be_finite(tmp_path, capsys, key):
     # NaN and Infinity would reach the solver, or be written as non-JSON tokens
     lecture = tmp_path / "l.md"
     lecture.write_text("# A\n\nsome lecture text\n")
+    for command in ("ingest", "bootstrap"):
+        assert main([command, str(lecture), "--out", str(tmp_path)]) == EXIT_OK
+    # the first command that reads the key, so it has the key's flag
+    command = next(c for c, keys in COMMAND_KEYS.items() if key in keys)
+    inputs = ([str(lecture)] if command in ("ingest", "bootstrap")
+              else [str(tmp_path / "l.space.json"), str(tmp_path / "l.kg.json")])
+    out = tmp_path / "out"
     flag = "--" + key.replace("_", "-")
     # a 400-digit integer in a file stays an int: the finite check compares
     # it with the largest float instead of converting it
@@ -152,6 +161,6 @@ def test_a_float_key_must_be_finite(tmp_path, capsys, key):
                  [flag, f"1{'0' * 400}"], [flag, "nan"], [flag, "inf"],
                  ["--config", str(cfg)]):
         capsys.readouterr()
-        assert main(["ingest", str(lecture), "--out", str(tmp_path), *args]) == EXIT_INPUT
+        assert main([command, *inputs, "--out", str(out), *args]) == EXIT_INPUT
         assert f"config key {key} must be a finite number, got " in capsys.readouterr().err
-    assert not (tmp_path / "l.space.json").exists()
+    assert not out.exists()

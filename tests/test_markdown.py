@@ -74,6 +74,32 @@ def test_fenced_code_single_block():
     assert blocks[1].text == "after"
 
 
+@pytest.mark.parametrize("opener, closer", [
+    ('```python title="demo.py"', "```"),
+    ("~~~ r echo=FALSE", "~~~"),
+    ("````", "`````   "),  # a longer closing run, then whitespace
+])
+def test_a_fence_takes_any_info_string(opener, closer):
+    md = f"# A\n{opener}\nx = 1\n{closer}\nFirst paragraph after code.\n\n## B\ntext"
+    a = parse_markdown(md).children[0]
+    assert [(b.kind, b.text) for b in a.blocks] == [
+        ("code", "x = 1"), ("paragraph", "First paragraph after code.")]
+    assert [(s.title, [b.text for b in s.blocks]) for s in a.children] == [("B", ["text"])]
+
+
+@pytest.mark.parametrize("inner", ["```python", "``", "~~~", "``` ```"])
+def test_only_a_bare_run_as_long_closes_a_fence(inner):
+    md = f"# A\n````\n{inner}\ncode\n````\nafter"
+    blocks = parse_markdown(md).children[0].blocks
+    assert [(b.kind, b.text) for b in blocks] == [("code", f"{inner}\ncode"),
+                                                  ("paragraph", "after")]
+
+
+def test_a_backtick_run_with_a_backtick_after_it_is_no_fence():
+    blocks = parse_markdown("# A\n``` `x`\ntext").children[0].blocks
+    assert [(b.kind, b.text) for b in blocks] == [("paragraph", "``` `x` text")]
+
+
 def test_unclosed_fence_consumes_rest():
     blocks = parse_markdown("# A\n```\ncode line\nmore code").children[0].blocks
     assert blocks[0].kind == "code"
@@ -122,6 +148,17 @@ def test_empty_heading_title_placeholder():
 def test_trailing_hashes_stripped():
     root = parse_markdown("## Title ##\nbody")
     assert root.children[0].title == "Title"
+
+
+@pytest.mark.parametrize("heading, title", [
+    ("# Title #  ", "Title"),
+    ("# C#", "C#"),
+    ("# a # b", "a # b"),
+    ("# #", "<untitled>"),
+])
+def test_a_closing_hash_run_follows_whitespace(heading, title):
+    root = parse_markdown(f"{heading}\nbody")
+    assert root.children[0].title == title
 
 
 def test_utf8_bom_tolerated():
