@@ -53,19 +53,20 @@ def _flag(key: str, hint):
 
 # The config keys each command reads, and so its only flags besides --config
 # and --out. The config file is loaded and range-checked whole in every
-# command, so one file serves the whole pipeline.
+# command, so one file serves the whole pipeline. Nothing ingest runs logs
+# below WARNING, so ingest does not read debug; align reads it for the
+# coupling dump, and the whole solver section through cfg.solver.
 INGEST_KEYS = frozenset({
     "alpha_chron", "alpha_logic", "alpha_sem", "embed_provider", "embed_dim", "embed_seed",
-    "embeddings_file", "embed_url", "embed_model", "embed_timeout", "embed_retries", "debug",
+    "embeddings_file", "embed_url", "embed_model", "embed_timeout", "embed_retries",
 })
 BOOTSTRAP_KEYS = frozenset({
     "llm_url", "llm_model", "llm_timeout", "llm_retries", "llm_temperature",
     "extra_relations", "debug",
 })
 ALIGN_KEYS = INGEST_KEYS | {
-    "extra_relations", "gamma_struct", "gamma_sem", "lambda_feat", "epsilon",
-    "sinkhorn_iters", "fw_iters", "fw_tol", "beta", "coverage_percentile",
-}
+    key for key, (section, _) in config_keys().items() if section == "solver"
+} | {"extra_relations", "gamma_struct", "gamma_sem", "beta", "coverage_percentile", "debug"}
 REFINE_KEYS = frozenset(config_keys())
 
 

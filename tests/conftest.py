@@ -13,7 +13,7 @@ from rdkg.kg import ConceptNode, KnowledgeGraph, RelationEdge
 # command's only flags besides --config and --out.
 INGEST_KEYS = frozenset({
     "alpha_chron", "alpha_logic", "alpha_sem", "embed_provider", "embed_dim", "embed_seed",
-    "embeddings_file", "embed_url", "embed_model", "embed_timeout", "embed_retries", "debug",
+    "embeddings_file", "embed_url", "embed_model", "embed_timeout", "embed_retries",
 })
 COMMAND_KEYS = {
     "ingest": INGEST_KEYS,
@@ -21,7 +21,7 @@ COMMAND_KEYS = {
                             "llm_temperature", "extra_relations", "debug"}),
     "align": INGEST_KEYS | {"extra_relations", "gamma_struct", "gamma_sem", "lambda_feat",
                             "epsilon", "sinkhorn_iters", "fw_iters", "fw_tol", "beta",
-                            "coverage_percentile"},
+                            "coverage_percentile", "debug"},
     "refine": frozenset(config_keys()),
 }
 
