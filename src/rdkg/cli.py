@@ -70,14 +70,14 @@ ALIGN_KEYS = INGEST_KEYS | {
 REFINE_KEYS = frozenset(config_keys())
 
 
-def _config_options(keys: frozenset[str]):
+def _config_options(keys: frozenset[str],
+                    out_help: str = "Output directory (default: alongside inputs)."):
     """``--config``, ``--out`` and one flag for each key in ``keys``, e.g.
     --beta, --lambda-feat, --debug/--no-debug, in config_keys() order."""
     decorators = [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="Flat JSON config file."),
-        click.option("--out", "out_dir", type=click.Path(), default=None,
-                     help="Output directory (default: alongside inputs)."),
+        click.option("--out", "out_dir", type=click.Path(), default=None, help=out_help),
     ]
     decorators += [_flag(key, hint) for key, (_, hint) in config_keys().items() if key in keys]
 
@@ -194,11 +194,18 @@ def bootstrap(markdown_path, config_path, out_dir, **overrides) -> None:
 @cli.command()
 @click.argument("space_path", type=click.Path())
 @click.argument("kg_path", type=click.Path())
-@_config_options(ALIGN_KEYS)
+@_config_options(ALIGN_KEYS, out_help="Directory of the --debug coupling dump "
+                "(default: the working directory); a usage error without debug.")
 def align(space_path, kg_path, config_path, out_dir, **overrides) -> None:
-    """Align a lecture space to a knowledge graph and report distortion."""
+    """Align a lecture space to a knowledge graph and report distortion.
+
+    With debug on, also dump the coupling to ``--out``; without it
+    ``--out`` would be ignored, so it is a usage error.
+    """
     cfg = _setup(config_path, overrides)
     provider, space, graph = _load_inputs(space_path, kg_path, cfg)
+    if out_dir is not None and not cfg.debug:
+        raise click.UsageError("align writes only the --debug coupling dump to --out")
     memo = CostMemo(provider.embed, space.contents())
     aligned = align_graph(space, graph, memo, cfg.gamma, cfg.solver)
     result = aligned.result

@@ -31,15 +31,10 @@ from .embeddings import (
 )
 from .errors import InputError, check_json, read_utf8
 from .kg import DEFAULT_GAMMA
-from .lecture import DEFAULT_ALPHA, check_weights
+from .lecture import DEFAULT_ALPHA, INT_RANGE, check_weights
 from .llm import DEFAULT_LLM_RETRIES, DEFAULT_LLM_TEMPERATURE, DEFAULT_LLM_TIMEOUT
 from .ot import SolverConfig
 from .refine import RefinementConfig
-
-
-#: The integers the lecture artifact's JSON codec writes; ``embed_seed``
-#: is stamped on every artifact in the embedding fingerprint.
-SEED_RANGE = (-2**63, 2**64 - 1)
 
 
 @dataclass
@@ -78,8 +73,9 @@ class RunConfig:
         check_weights("gamma", self.gamma, 2)
         check_provider(self.embed_provider, self.embed_url, self.embeddings_file)
         check_dim(self.embed_dim)
-        if not SEED_RANGE[0] <= self.embed_seed <= SEED_RANGE[1]:
-            raise InputError(f"embed_seed must be in [{SEED_RANGE[0]}, {SEED_RANGE[1]}], "
+        # embed_seed is stamped on every artifact in the embedding fingerprint
+        if not INT_RANGE[0] <= self.embed_seed <= INT_RANGE[1]:
+            raise InputError(f"embed_seed must be in [{INT_RANGE[0]}, {INT_RANGE[1]}], "
                              f"got {self.embed_seed}")
         check_request_settings(self.embed_timeout, self.embed_retries, "embed_")
         check_request_settings(self.llm_timeout, self.llm_retries, "llm_")

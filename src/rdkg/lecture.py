@@ -38,6 +38,10 @@ DEFAULT_ALPHA = (0.2, 0.3, 0.5)  # (chron, logic, sem) fusion weights
 #: version 1, which also stored the three component matrices.
 ARTIFACT_FORMAT = 2
 
+#: The integers the artifact's JSON codec (orjson) reads as integers: the
+#: range of ``format``, each ``idx`` and the stamped ``embed_seed``.
+INT_RANGE = (-2**63, 2**64 - 1)
+
 #: Units shorter than this after whitespace normalization are dropped
 #: before indexing; separators and artifacts pollute the embedding space.
 MIN_UNIT_CHARS = 3
@@ -357,8 +361,8 @@ def _fields(doc):
 
 def _int64(key: str, value: int) -> int:
     """``value``; raises InputError naming ``key`` if it lies outside
-    [-2**63, 2**64 - 1], the integers orjson reads as integers."""
-    if not -2**63 <= value < 2**64:
+    ``INT_RANGE``, [-2**63, 2**64 - 1]."""
+    if not INT_RANGE[0] <= value <= INT_RANGE[1]:
         raise InputError(f"{key} {value} lies outside [-2**63, 2**64 - 1]")
     return value
 

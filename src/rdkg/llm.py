@@ -1,12 +1,14 @@
 """Optional LLM-backed operations with deterministic offline fallbacks.
 
 Every operation here works without a client: graph bootstrapping falls
-back to a heading-based extraction, concept naming to TF-IDF keyword
-scoring, and edge proposal to a nearest-neighbor relatedTo link. With a
-client configured, each reply node and edge goes through the graph's own
-reader and rules (``kg.node_from_dict``, ``kg.node_violations`` and their
-edge twins) and anything invalid is dropped (never fatal), so a flaky
-endpoint degrades to the fallbacks instead of breaking a run.
+back to a heading-based extraction and concept naming to TF-IDF keyword
+scoring. A new node's edge is always the deterministic nearest-node
+relatedTo link; LLM edges come only from the refinement's LLM edge pass,
+which sends ``edge_prompt``. With a client configured, each reply node
+and edge goes through the graph's own reader and rules
+(``kg.node_from_dict``, ``kg.node_violations`` and their edge twins) and
+anything invalid is dropped (never fatal), so a flaky endpoint degrades
+to the fallbacks instead of breaking a run.
 """
 
 from __future__ import annotations
@@ -282,37 +284,23 @@ class Namer:
         return " ".join(term.capitalize() for term, _ in scored[:3])
 
 
-# --- edge proposal for a new node -------------------------------------------
+# --- the edge of a new node --------------------------------------------------
 
 
 def propose_label_edges(
-    new_node: ConceptNode,
-    kg: KnowledgeGraph,
-    costs: np.ndarray,
-    client: LlmClient | None = None,
-    allowed_relations: frozenset[str] = ALLOWED_RELATIONS,
+    new_node: ConceptNode, nodes: list[ConceptNode], costs: np.ndarray
 ) -> list[RelationEdge]:
-    """Candidate edges attaching a freshly added node to the graph.
+    """The edge attaching a freshly added node to the graph: a single
+    low-confidence relatedTo edge to the node of least feature cost among
+    ``nodes`` (the nodes before it), ties to the first (``np.argmin``);
+    none when ``nodes`` is empty.
 
-    With a client: the relation-constrained proposals touching the new
-    node that ``_valid_edge_proposals`` keeps. Without a client, or when
-    nothing valid comes back: a single low-confidence relatedTo edge to
-    the existing node of least feature cost, ties to the first
-    (``np.argmin``).
-
-    ``costs`` holds the new node's feature cost against each other node,
-    in kg.nodes order without the new node.
+    ``costs`` holds the new node's feature cost against each of ``nodes``.
+    LLM edges, for new nodes and old, come from the LLM edge pass alone.
     """
-    others = [n for n in kg.nodes if n.id != new_node.id]
-    if not others:
+    if not nodes:
         return []
-    if client is not None:
-        doc = client.chat_json(edge_prompt(kg, allowed_relations))
-        proposals = _valid_edge_proposals(doc, kg, allowed_relations)
-        touching = [e for e in proposals if new_node.id in (e.src, e.dst)]
-        if touching:
-            return touching
-    nearest = others[int(np.argmin(costs))]
+    nearest = nodes[int(np.argmin(costs))]
     return [
         RelationEdge(
             src=new_node.id,

@@ -1,8 +1,9 @@
 """Line-based Markdown parser producing a section tree.
 
 Only the structure needed downstream is recognized: ATX headings
-(``#`` .. ``######``), paragraphs, list items, fenced code blocks and
-display-math blocks (``$$ ... $$``). Everything else (tables, quotes,
+(``#`` .. ``######``, by CommonMark's rule, see ``_HEADING_RE``),
+paragraphs, list items, fenced code blocks and display-math blocks
+(``$$ ... $$``). Everything else (tables, quotes,
 HTML) is treated as paragraph text. The parser is deliberately small so
 its block segmentation stays deterministic and auditable.
 
@@ -21,8 +22,10 @@ from .errors import InputError
 
 ROOT_TITLE = "<root>"
 
-# CommonMark: a closing run of #s counts only after whitespace, so "# C#" is "C#"
-_HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)(?:(?<=\s)#+)?\s*$")
+# CommonMark: up to three spaces of indent, 1-6 #s, then whitespace or the
+# end of the line (so a bare "#" is a heading and "#tag" is text); a closing
+# run of #s counts only after whitespace, so "# C#" is "C#"
+_HEADING_RE = re.compile(r"^ {0,3}(#{1,6})(?=\s|$)(.*?)(?:(?<=\s)#+)?\s*$")
 _LIST_ITEM_RE = re.compile(r"^(\s*)([-*+]|\d+[.)])\s+(.*)$")
 # CommonMark: 3+ backticks or tildes, then any info string (with no backtick
 # after a backtick run); closed by a line of only the same character, at

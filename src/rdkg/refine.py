@@ -230,15 +230,14 @@ def op_add(
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
     """Add concepts for under-covered lecture spans (lowest mass first).
 
-    Contiguous flagged elements sharing a section path become one node;
-    per-group edges come from the LLM when available, else a single
-    low-confidence relatedTo to the nearest concept added or existing
-    before it. The new nodes are named first and their texts costed in
-    one memo read; each then joins the graph in turn, so its edge prompt
-    shows the nodes and edges before it. A node's id is ``add_<unit>``,
-    its span's first unit, and names no iteration: a rejected batch that
-    is proposed again sends the same prompts, which the LLM client's
-    cache answers.
+    Contiguous flagged elements sharing a section path become one node,
+    joined by a single low-confidence relatedTo edge to the nearest
+    concept added or existing before it (``propose_label_edges``). The
+    new nodes are named and their texts costed in one memo read. A
+    node's id is ``add_<unit>``, its span's first unit, and names no
+    iteration: a rejected batch that is proposed again sends the same
+    name prompts, which the LLM client's cache answers. LLM edges that
+    touch a new node come from ``llm_propose_edges``, as their own batch.
     """
     cfg = ctx.config
     tol = coverage_tolerance(aligned.feature, cfg.coverage_percentile)
@@ -275,16 +274,10 @@ def op_add(
             rationale="covers lecture span with low coupled mass",
         ))
     costs = ctx.memo.pair_cost([node_text(n) for n in working.nodes])
-    m = len(kg.nodes)
-    added, working.nodes = working.nodes[m:], working.nodes[:m]
     records: list[EditRecord] = []
-    for node in added:
-        position = len(working.nodes)
-        working.nodes.append(node)
-        edges = propose_label_edges(
-            node, working, costs[position, :position], ctx.llm_client,
-            ctx.allowed_relations,
-        )
+    for position in range(len(kg.nodes), len(working.nodes)):
+        node = working.nodes[position]
+        edges = propose_label_edges(node, working.nodes[:position], costs[position, :position])
         working.edges.extend(edges)
         records.append(
             EditRecord(

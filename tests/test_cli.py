@@ -184,6 +184,25 @@ def test_align_debug_coupling_dump(pipeline, tmp_path):
     assert len(dump["rows"]) == 40
 
 
+def test_align_refuses_out_without_debug(pipeline, tmp_path, capsys):
+    # align writes only the coupling dump, so --out with debug off would be
+    # ignored: a usage error that writes nothing
+    space, kg = str(pipeline["space"]), str(pipeline["kg"])
+    out = tmp_path / "dump"
+    capsys.readouterr()
+    for extra in ([], ["--no-debug"]):
+        assert main(["align", space, kg, "--out", str(out), *extra]) == EXIT_USAGE, extra
+        assert capsys.readouterr().err.startswith("usage error: "), extra
+        assert not out.exists(), extra
+    # debug from the config file turns the dump on, as the flag does
+    cfg = tmp_path / "debug.json"
+    cfg.write_text(json.dumps({"debug": True}))
+    assert main(["align", space, kg, "--out", str(out), "--config", str(cfg)]) == EXIT_OK
+    assert (out / "coupling.json").is_file()
+    assert main(["align", space, kg, "--out", str(out), "--config", str(cfg),
+                 "--no-debug"]) == EXIT_USAGE
+
+
 def test_refine_full_run_outputs(pipeline, tmp_path, capsys):
     out_dir = tmp_path / "run"
     code = main([
@@ -581,7 +600,9 @@ def test_every_flag_takes_its_default(tmp_path, lecture_file):
               "align": [f"{stem}.space.json", f"{stem}.kg.json"],
               "refine": [f"{stem}.space.json", f"{stem}.kg.json"]}
     for name, command in commands.items():
-        argv = [name, *map(str, inputs[name]), "--out", str(tmp_path)]
+        # align's --out is the debug dump's directory, refused with debug off
+        out = [] if name == "align" else ["--out", str(tmp_path)]
+        argv = [name, *map(str, inputs[name]), *out]
         # exactly one flag per key, named after it; a bool key is a switch
         for option in command.params:
             if option.name not in defaults:
@@ -671,7 +692,7 @@ def test_the_widest_embed_seeds_write_an_artifact_that_align_reads(lecture_file,
     assert main(["ingest", str(lecture_file), *flags]) == EXIT_OK
     assert main(["bootstrap", str(lecture_file), "--out", str(tmp_path)]) == EXIT_OK
     stem = tmp_path / lecture_file.stem
-    assert main(["align", f"{stem}.space.json", f"{stem}.kg.json", *flags]) == EXIT_OK
+    assert main(["align", f"{stem}.space.json", f"{stem}.kg.json", *flags[2:]]) == EXIT_OK
 
 
 @pytest.mark.parametrize("flags", [
@@ -887,10 +908,12 @@ def test_every_command_sends_each_text_to_the_endpoint_once(tmp_path, monkeypatc
     md.write_text("# A\nsame words here\n\nsame words here\n## B\nother words\n\nsame words here")
     http = ["--embed-provider", "http", "--embed-url", "http://fake/embed"]
     space, kg = str(tmp_path / "dup.space.json"), str(tmp_path / "dup.kg.json")
-    for argv in (["ingest", str(md), *http], ["bootstrap", str(md)], ["align", space, kg, *http],
-                 ["refine", space, kg, "--max-iterations", "2", *http]):
+    out = ["--out", str(tmp_path)]
+    for argv in (["ingest", str(md), *http, *out], ["bootstrap", str(md), *out],
+                 ["align", space, kg, *http],
+                 ["refine", space, kg, "--max-iterations", "2", *http, *out]):
         sent.clear()
-        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK, argv[0]
+        assert main(argv) == EXIT_OK, argv[0]
         assert len(sent) == len(set(sent)), argv[0]
         if argv[0] == "ingest":
             assert sorted(sent) == ["other words", "same words here"]

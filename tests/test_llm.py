@@ -2,13 +2,15 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rdkg.embeddings import cosine_distance
 from rdkg.errors import InputError
-from rdkg.kg import ConceptNode, KnowledgeGraph, RelationEdge, node_text, validate_graph
+from rdkg.kg import (ALLOWED_RELATIONS, ConceptNode, KnowledgeGraph, RelationEdge, node_text,
+                     validate_graph)
 from rdkg.llm import (
     LlmClient,
     Namer,
@@ -158,8 +160,11 @@ def test_edge_proposals_drop_a_bad_edge_keep_the_rest(bad_edge):
            "rationale": "r", **bad_edge}
     good = {"src": "new", "dst": "b", "relation": "uses", "confidence": 0.8, "rationale": "r"}
     reply = json.dumps({"edges": [bad, good]})
-    edges = propose_label_edges(kg.get_node("new"), kg, costs, make_client(lambda p: reply))
-    assert [(e.src, e.relation, e.dst) for e in edges] == [("new", "uses", "b")]
+    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)), 1)
+    assert [(e.src, e.relation, e.dst) for e in out.edges[len(kg.edges):]] == [
+        ("new", "uses", "b")
+    ]
+    assert [r.edges for r in records] == [[["new", "uses", "b"]]]
 
 
 def test_reply_items_must_state_confidence_and_keep_unknown_keys():
@@ -261,6 +266,11 @@ def test_client_label_that_is_no_string_falls_back(reply):
 # --- edge proposal ----------------------------------------------------------------
 
 
+def edge_pass_ctx(client, relations=ALLOWED_RELATIONS):
+    """The two fields of an ``OpContext`` that the LLM edge pass reads."""
+    return SimpleNamespace(llm_client=client, allowed_relations=relations)
+
+
 def graph_with_new_node():
     kg = KnowledgeGraph(
         nodes=[
@@ -275,11 +285,12 @@ def graph_with_new_node():
 
 def test_fallback_single_related_to_nearest():
     kg, costs = graph_with_new_node()
-    edges = propose_label_edges(kg.get_node("new"), kg, costs)
+    edges = propose_label_edges(kg.get_node("new"), kg.nodes[:2], costs)
     assert len(edges) == 1
     assert edges[0].relation == "relatedTo"
     assert edges[0].confidence == 0.3
     assert {edges[0].src, edges[0].dst} == {"new", "a"}
+    assert propose_label_edges(kg.get_node("new"), [], np.array([])) == []  # the first node
 
 
 def test_fallback_takes_the_first_least_memo_cost():
@@ -302,7 +313,7 @@ def test_fallback_takes_the_first_least_memo_cost():
             kg.nodes.append(ConceptNode(id="new", label="New"))
             memo = table_memo({**{f"R{i}": row for i, row in enumerate(rows)}, "New": point})
             costs = memo.pair_cost([node_text(n) for n in kg.nodes])[-1, :-1]
-            edges = propose_label_edges(kg.nodes[-1], kg, costs)
+            edges = propose_label_edges(kg.nodes[-1], kg.nodes[:-1], costs)
             nearest = int(edges[0].dst[1:])
             assert nearest == costs.tolist().index(costs.min())
             scalar = [cosine_distance(point, row) for row in rows]
@@ -310,23 +321,26 @@ def test_fallback_takes_the_first_least_memo_cost():
 
 
 def test_client_self_loop_dropped_fallback_applies():
+    # the edge pass drops the self-loop and proposes nothing, so the new
+    # node keeps its nearest-node relatedTo edge alone
     kg, costs = graph_with_new_node()
+    kg.edges.extend(propose_label_edges(kg.get_node("new"), kg.nodes[:2], costs))
     reply = json.dumps({"edges": [{"src": "new", "dst": "new", "relation": "uses",
                                    "confidence": 0.5, "rationale": "x"}]})
-    edges = propose_label_edges(kg.get_node("new"), kg, costs,
-                                make_client(lambda p: reply))
-    assert len(edges) == 1 and edges[0].relation == "relatedTo"
+    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)), 1)
+    assert out is kg and records == []
+    assert [(e.src, e.relation, e.dst) for e in out.edges] == [("new", "relatedTo", "a")]
 
 
 def test_client_valid_uses_edge_returned():
     kg, costs = graph_with_new_node()
     reply = json.dumps({"edges": [{"src": "new", "dst": "b", "relation": "uses",
                                    "confidence": 0.8, "rationale": "joins feed plots"}]})
-    edges = propose_label_edges(kg.get_node("new"), kg, costs,
-                                make_client(lambda p: reply))
-    assert [(e.src, e.relation, e.dst, e.confidence) for e in edges] == [
+    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)), 1)
+    assert [(e.src, e.relation, e.dst, e.confidence) for e in out.edges] == [
         ("new", "uses", "b", 0.8)
     ]
+    assert [(r.op, r.edges) for r in records] == [("llm-edge", [["new", "uses", "b"]])]
 
 
 def test_client_cache_by_prompt():
@@ -380,11 +394,9 @@ def test_edge_prompt_same_from_both_callers():
         sent.append(payload["messages"][0]["content"])
         return '{"edges": []}'
 
-    propose_label_edges(kg.get_node("b"), kg, np.array([1.0]), make_client(record), relations)
-    ctx = type("FakeCtx", (), {"llm_client": make_client(record),
-                               "allowed_relations": relations})()
-    llm_propose_edges(kg, None, ctx, 1)  # the pass reads no alignment
-    assert sent == [PINNED_EDGE_PROMPT, PINNED_EDGE_PROMPT]
+    # the LLM edge pass is the prompt's one caller; it reads no alignment
+    llm_propose_edges(kg, None, edge_pass_ctx(make_client(record), relations), 1)
+    assert sent == [PINNED_EDGE_PROMPT]
 
 
 def test_client_retries_with_backoff_until_json(monkeypatch):

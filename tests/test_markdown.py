@@ -161,6 +161,34 @@ def test_a_closing_hash_run_follows_whitespace(heading, title):
     assert root.children[0].title == title
 
 
+def test_indented_and_bare_headings_open_sections():
+    # a bare # run and a heading indented by up to three spaces are
+    # headings, as in CommonMark, so no section is lost in a paragraph
+    root = parse_markdown("# A\ntext\n#\nafter empty\n   ## B\nx")
+    assert [(s.level, s.title, [b.text for b in s.blocks]) for s in walk(root)][1:] == [
+        (1, "A", ["text"]), (1, "<untitled>", ["after empty"]), (2, "B", ["x"])]
+
+
+@pytest.mark.parametrize("line, level, title", [
+    ("#", 1, "<untitled>"),
+    ("###", 3, "<untitled>"),
+    (" # A", 1, "A"),
+    ("   ###### A ##", 6, "A"),
+    ("#\tA", 1, "A"),
+])
+def test_a_heading_is_indented_at_most_three_spaces(line, level, title):
+    root = parse_markdown(f"{line}\nbody")
+    assert [(s.level, s.title) for s in root.children] == [(level, title)]
+    assert root.children[0].blocks[0].text == "body"
+
+
+@pytest.mark.parametrize("line", ["    # A", "#tag", "####### seven", "##A"])
+def test_a_hash_line_that_is_no_heading_is_paragraph_text(line):
+    root = parse_markdown(f"{line}\nbody")
+    assert root.children == []
+    assert [b.text for b in root.blocks] == [f"{line.strip()} body"]
+
+
 def test_utf8_bom_tolerated():
     root = parse_markdown("﻿# A\nbody")
     assert root.children[0].title == "A"

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from rdkg.kg import (
     build_kg_space,
     node_text,
     rate,
+    save_kg,
     validate_graph,
 )
 from rdkg.lecture import build_lecture_space
@@ -393,9 +395,22 @@ def test_op_add_flags_rows_by_the_configured_coverage_rule(provider, percentile)
     assert {r.nodes[0] for r in records} == {f"add_{i}" for i in starts}
 
 
+def empty_reply_client(sent):
+    """An LLM client that answers every prompt with ``{}`` and appends
+    each prompt that reaches its transport to ``sent``."""
+    from rdkg.llm import LlmClient
+
+    def transport(url, payload, headers, timeout):
+        sent.append(payload["messages"][0]["content"])
+        return {"choices": [{"message": {"content": "{}"}}]}
+
+    return LlmClient("http://fake", "m", retries=0, transport=transport)
+
+
 def test_op_add_sends_and_keeps_extra_relations(provider):
-    # the edge prompt of each added node offers the run's extra relation,
-    # and a proposed edge with that relation touching the new node is kept
+    # op_add asks for no edges; the LLM edge pass on its graph offers the
+    # run's extra relation, and a proposed edge with that relation
+    # touching an added node is kept in the pass's batch
     from rdkg.llm import LlmClient
 
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
@@ -417,20 +432,36 @@ def test_op_add_sends_and_keeps_extra_relations(provider):
         return {"choices": [{"message": {"content": content}}]}
 
     client = LlmClient("http://fake", "m", retries=0, transport=transport)
-    aligned = solve(space, kg, provider)
     ctx = make_ctx(space, provider, client=client, relations=relations)
-    out, records = op_add(kg, aligned, ctx, 1)
-    assert records and len(edge_prompts) == len(records)
-    assert all("causes" in prompt.split("Allowed relations:")[1].split(".")[0]
-               for prompt in edge_prompts)
-    for record in records:
-        assert record.edges == [[record.nodes[0], "causes", "n1"]]
+    added, add_records = op_add(kg, solve(space, kg, provider), ctx, 1)
+    assert add_records and edge_prompts == []
+    out, records = llm_propose_edges(added, solve(space, added, provider), ctx, 1)
+    (prompt,) = edge_prompts
+    assert "causes" in prompt.split("Allowed relations:")[1].split(".")[0]
+    # the prompt shows the graph with every added node
+    new_ids = [r.nodes[0] for r in add_records]
+    nodes = prompt.split("Nodes:\n")[1].split("\n\n")[0].splitlines()
+    assert [line[2:].split(":")[0] for line in nodes] == kg.node_ids() + new_ids
+    assert [r.edges for r in records] == [[[new_ids[-1], "causes", "n1"]]]
+    assert out.edges[:-1] == added.edges
     assert validate_graph(out, relations) == []
-    # each edge prompt shows the graph as it stood when its node joined
-    new_ids = [r.nodes[0] for r in records]
-    for k, prompt in enumerate(edge_prompts):
-        nodes = prompt.split("Nodes:\n")[1].split("\n\n")[0].splitlines()
-        assert [line[2:].split(":")[0] for line in nodes] == kg.node_ids() + new_ids[: k + 1]
+
+
+def test_op_add_asks_the_llm_only_for_names(provider):
+    # with a client, op_add's requests are its name prompts, and each new
+    # node gets the nearest-node edge that the run without a client gives it
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    kg = topic_a_only_kg()
+    aligned = solve(space, kg, provider)
+    sent = []
+    out, records = op_add(kg, aligned, make_ctx(space, provider, client=empty_reply_client(sent)), 1)
+    plain, plain_records = op_add(kg, aligned, make_ctx(space, provider), 1)
+    assert len(records) >= 2
+    assert len(sent) == len(records)
+    assert all(prompt.startswith("Propose a concise concept label") for prompt in sent)
+    assert [asdict(r) for r in records] == [asdict(r) for r in plain_records]
+    assert out.edges == plain.edges and out.edges[len(kg.edges):]
+    assert all(e.relation == "relatedTo" for e in out.edges[len(kg.edges):])
 
 
 def test_fresh_id_takes_the_least_free_suffix_of_the_graph():
@@ -440,45 +471,26 @@ def test_fresh_id_takes_the_least_free_suffix_of_the_graph():
     assert fresh_id(kg, "add_3") == fresh_id(kg, "add_3") == "add_3_2"
 
 
-def test_a_re_proposed_add_batch_sends_no_new_edge_prompts(provider, monkeypatch):
+def test_a_re_proposed_add_batch_sends_no_new_edge_prompts(provider):
     # the added nodes' ids do not name the iteration, so an add batch
     # proposed again on the same graph and alignment has the same ids and
-    # asks the same edge prompts, which the client's prompt cache answers:
-    # the determinism the search's fixed-point stop rests on
-    from rdkg.llm import LlmClient
-
+    # names; it sends no edge prompt, and its name prompts are answered by
+    # the client's prompt cache: the determinism the search's fixed-point
+    # stop rests on
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
     kg = topic_a_only_kg()
-    sent = []  # the edge prompts that reached the transport
-
-    def transport(url, payload, headers, timeout):
-        prompt = payload["messages"][0]["content"]
-        if "propose new edges" in prompt:
-            sent.append(prompt)
-        return {"choices": [{"message": {"content": "{}"}}]}
-
-    client = LlmClient("http://fake", "m", retries=0, transport=transport)
-    asked = []  # every edge prompt op_add asked the client
-    chat_json = client.chat_json
-
-    def counting(prompt):
-        if "propose new edges" in prompt:
-            asked.append(prompt)
-        return chat_json(prompt)
-
-    monkeypatch.setattr(client, "chat_json", counting)
-    ctx = make_ctx(space, provider, client=client)
+    sent = []  # every prompt that reached the transport
+    ctx = make_ctx(space, provider, client=empty_reply_client(sent))
     aligned = solve(space, kg, provider)
-    calls = []  # per op_add call: (its node ids, its edge prompts, the prompts sent)
+    calls = []  # per op_add call: (its records, the prompts it sent)
     for iteration in (1, 2):
-        asked_before, sent_before = len(asked), len(sent)
+        before = len(sent)
         _, records = op_add(kg, aligned, ctx, iteration)
-        calls.append(([r.nodes[0] for r in records], asked[asked_before:],
-                      len(sent) - sent_before))
-    (ids, prompts, new), (ids_again, prompts_again, new_again) = calls
-    assert ids == ids_again and len(ids) > 0
-    assert prompts == prompts_again and new == len(prompts) == len(ids)
-    assert new_again == 0
+        calls.append(([(r.nodes, r.edges) for r in records], sent[before:]))
+    (records, prompts), (records_again, prompts_again) = calls
+    assert records == records_again and len(records) > 0
+    assert prompts and not any("propose new edges" in prompt for prompt in prompts)
+    assert prompts_again == []
 
 
 def test_op_add_costs_its_new_nodes_in_one_memo_read(provider, monkeypatch):
@@ -1347,3 +1359,20 @@ def test_refine_with_llm_client_proposes_edges(provider):
     ops = [e["op"] for edits in out.trace.edits for e in edits]
     assert "llm-edge" in ops
     assert validate_graph(out.graph) == []
+
+
+def test_refine_with_an_empty_reply_client_writes_the_no_client_trace(provider, tmp_path):
+    # the LLM edge pass proposes nothing on a {} reply and op_add asks for
+    # no edges, so the search keeps and rejects what it does without a client
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    plain = refine(space, topic_a_only_kg(), provider)
+    sent = []
+    asked = refine(space, topic_a_only_kg(), provider, llm_client=empty_reply_client(sent))
+    assert "add" in [e["op"] for edits in plain.trace.edits for e in edits]
+    assert any("propose new edges" in prompt for prompt in sent)
+    for name, outcome in (("plain", plain), ("asked", asked)):
+        save_trace(outcome.trace, tmp_path / f"{name}.jsonl")
+        save_kg(outcome.graph, tmp_path / f"{name}.kg.json")
+    for suffix in (".jsonl", ".kg.json"):
+        assert ((tmp_path / f"plain{suffix}").read_bytes()
+                == (tmp_path / f"asked{suffix}").read_bytes())
