@@ -33,6 +33,9 @@ class RdPoint:
     # (None in a trace written before rows carried them)
     outer_iterations: int | None = None
     converged: bool | None = None
+    # the coverage of the row's alignment (None in a trace written before
+    # rows carried it)
+    coverage: float | None = None
 
 
 @dataclass
@@ -111,18 +114,14 @@ def coverage(
     return covered_fraction(feature_costs, plan, coverage_tolerance(feature_costs, percentile))
 
 
-def emit_report(
-    trace: RdTrace,
-    coverage_before: float | None,
-    coverage_after: float | None,
-    out_dir: str | Path,
-    config_echo: dict | None = None,
-) -> int | None:
+def emit_report(trace: RdTrace, out_dir: str | Path,
+                config_echo: dict | None = None) -> int | None:
     """Write rd_curve.csv, report.json and plot_data.json into out_dir.
 
-    Returns the trace's knee index, or None for a trace of fewer than 2
-    points. Outputs are deterministic: rerunning on the same trace
-    produces byte-identical files.
+    Every field comes from the trace; coverage before and after is that
+    of its first and last rows. Returns the trace's knee index, or None
+    for a trace of fewer than 2 points. Outputs are deterministic:
+    rerunning on the same trace produces byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -151,8 +150,8 @@ def emit_report(
         "incomplete": trace.incomplete,
         "knee_index": knee,
         "knee_point": knee_entry,
-        "coverage_before": _round9(coverage_before),
-        "coverage_after": _round9(coverage_after),
+        "coverage_before": _round9(trace.points[0].coverage),
+        "coverage_after": _round9(trace.points[-1].coverage),
         "config": config_echo or {},
     }
     (out / "report.json").write_text(
@@ -201,9 +200,9 @@ def emit_report(
 
 def save_trace(trace: RdTrace, path: str | Path) -> None:
     """Write one JSON row per point. Each row carries the run's beta,
-    unrounded: it is an input of the run, not a measurement; its kept
-    and rejected edits; and, when known, its solve's ``solver``
-    diagnostics."""
+    unrounded: it is an input of the run, not a measurement; its
+    alignment's coverage (null when unknown); its kept and rejected
+    edits; and, when known, its solve's ``solver`` diagnostics."""
     rows = []
     for i, p in enumerate(trace.points):
         row = {
@@ -213,6 +212,7 @@ def save_trace(trace: RdTrace, path: str | Path) -> None:
             "structure": _round9(p.structure),
             "feature": _round9(p.feature),
             "objective": _round9(p.objective),
+            "coverage": _round9(p.coverage),
             "beta": float(trace.beta),
             "edits": trace.edits[i] if i < len(trace.edits) else [],
             "rejected": trace.rejected[i] if i < len(trace.rejected) else [],
@@ -229,8 +229,8 @@ def load_trace(path: str | Path) -> RdTrace:
     Raises InputError for a row field that ``check_json`` refuses as a
     finite number (``t``: an integer), a row without ``beta``
     (a trace written before rows carried it) or rows that disagree on it.
-    ``rejected`` and ``solver`` are optional, so traces written before
-    rows carried them still load.
+    ``coverage``, ``rejected`` and ``solver`` are optional, so traces
+    written before rows carried them still load.
     """
     points: list[RdPoint] = []
     edits: list[list[dict]] = []
@@ -253,6 +253,7 @@ def load_trace(path: str | Path) -> RdTrace:
                     feature=float(pop_field(row, "feature", float)),
                     outer_iterations=pop_field(solver, "outer_iterations", int, None),
                     converged=pop_field(solver, "converged", bool, None),
+                    coverage=pop_field(row, "coverage", float | None, None),
                 )
             )
             edits.append(row.get("edits", []))

@@ -247,15 +247,12 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, **overrides) -> None:
     kgmod.save_kg(outcome.graph, out / "refined.kg.json")
     analysis.save_trace(outcome.trace, out / "trace.jsonl")
 
-    cov_before, cov_after = (
-        analysis.coverage(a.feature, a.coupling.matrix, cfg.refinement.coverage_percentile)
-        for a in (outcome.initial, outcome.incumbent)
-    )
-    knee = analysis.emit_report(outcome.trace, cov_before, cov_after, out, cfg.echo())
+    knee = analysis.emit_report(outcome.trace, out, cfg.echo())
+    points = outcome.trace.points
     click.echo(
         f"refined: |V|={len(outcome.graph.nodes)} |E|={len(outcome.graph.edges)} "
         f"incumbent t={outcome.incumbent_index} knee={knee} "
-        f"coverage {cov_before:.4f} -> {cov_after:.4f} ({out})"
+        f"coverage {points[0].coverage:.4f} -> {points[-1].coverage:.4f} ({out})"
     )
     if outcome.trace.incomplete:
         raise NumericalError("refinement aborted early; partial trace written")
@@ -270,11 +267,12 @@ def report(trace_path, out_dir) -> None:
 
     The report is a function of the trace alone, so --out is the only
     option and a setting is a usage error. The trace records beta and no
-    other setting, so the config block of report.json is empty.
+    other setting, so the config block of report.json is empty; coverage
+    is null only for a trace written before rows carried it.
     """
     trace = analysis.load_trace(_require_file(trace_path))
     out = Path(out_dir) if out_dir else Path(trace_path).parent
-    analysis.emit_report(trace, None, None, out)
+    analysis.emit_report(trace, out)
     click.echo(f"report -> {out / 'report.json'}")
 
 

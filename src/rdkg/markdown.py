@@ -142,18 +142,21 @@ def parse_markdown(text: str) -> Section:
         item = _LIST_ITEM_RE.match(line)
         if item:
             flush_paragraph()
-            indent = len(item.group(1))
+            indent, content = len(item.group(1)), item.start(3)
             body = [item.group(3)]
             i += 1
             # Continuation lines: more-indented non-blank lines that are not
-            # themselves list items, headings or fences.
+            # themselves list items or fences, nor headings indented less
+            # than the item's content column (CommonMark keeps a heading
+            # that reaches it inside the item, as item text).
             while i < len(lines):
                 nxt = lines[i]
+                depth = len(nxt) - len(nxt.lstrip())
                 if (
                     nxt.strip()
-                    and len(nxt) - len(nxt.lstrip()) > indent
+                    and depth > indent
                     and not _LIST_ITEM_RE.match(nxt)
-                    and not _HEADING_RE.match(nxt)
+                    and (depth >= content or not _HEADING_RE.match(nxt))
                     and not _FENCE_RE.match(nxt.strip())
                 ):
                     body.append(nxt.strip())

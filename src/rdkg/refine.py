@@ -6,11 +6,15 @@ set). An operator's batch of edits is a candidate: its graph is solved
 (``align_graph``) and kept only if it strictly lowers the objective,
 else the previous graph and alignment stay and the batch is recorded as
 rejected with its rise in the objective. Each iteration then records
-one trace point, so the trace objective never rises and the current
-graph is the incumbent. The operators are deterministic functions of
-the graph and its alignment, so each runs at most once per graph state:
-the search stops as soon as every operator has run on the current graph
-since the last kept batch (the fixed point), or after ``max_iterations``.
+one trace row, so the trace objective never rises and the current graph
+is the incumbent. A row holds its graph's rate, distortion and objective,
+its alignment's solver diagnostics and coverage, and its kept and
+rejected batches; their edit records name no iteration, the row's ``t``
+is theirs. The trace is thus the run's one record: the report is read
+from it alone. The operators are functions of ``(kg, aligned, ctx)``
+alone, so each runs at most once per graph state: the search stops as
+soon as every operator has run on the current graph since the last kept
+batch (the fixed point), or after ``max_iterations``.
 
 Operator signals all come from the coupling:
 
@@ -41,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .analysis import COVERAGE_PERCENTILE, RdPoint, RdTrace, _round9, coverage_tolerance
+from .analysis import COVERAGE_PERCENTILE, RdPoint, RdTrace, _round9, coverage, coverage_tolerance
 from .embeddings import CostMemo, self_cost
 from .errors import InputError, NumericalError
 from .kg import (
@@ -95,7 +99,6 @@ class EditRecord:
     nodes: list[str] = field(default_factory=list)
     edges: list[list[str]] = field(default_factory=list)  # [src, relation, dst]
     rationale: str = ""
-    iteration: int = 0
 
 
 @dataclass
@@ -138,8 +141,6 @@ class RefineOutcome:
     graph: KnowledgeGraph
     trace: RdTrace
     incumbent_index: int
-    initial: Aligned  # the unedited graph's alignment (trace row t0)
-    incumbent: Aligned  # the returned graph's alignment
 
 
 # --- coupling statistics ----------------------------------------------------
@@ -226,7 +227,7 @@ def fresh_id(kg: KnowledgeGraph, base: str) -> str:
 
 
 def op_add(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext, iteration: int
+    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
     """Add concepts for under-covered lecture spans (lowest mass first).
 
@@ -285,14 +286,13 @@ def op_add(
                 nodes=[node.id],
                 edges=[[e.src, e.relation, e.dst] for e in edges],
                 rationale=f"under-covered span at {'/'.join(node.provenance['path'])}",
-                iteration=iteration,
             )
         )
     return working, records
 
 
 def op_split(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext, iteration: int
+    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
     """Split nodes whose coupling column spreads over heterogeneous content.
 
@@ -360,14 +360,13 @@ def op_split(
                 op="split",
                 nodes=[parent.id] + [c.id for c in children],
                 rationale=f"column entropy {entropies[j]:.3f} above threshold",
-                iteration=iteration,
             )
         )
     return (working, records) if records else (kg, [])
 
 
 def op_merge(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext, iteration: int
+    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
     """Merge redundant node pairs (similar texts, similar columns).
 
@@ -410,7 +409,6 @@ def op_merge(
                     op="merge",
                     nodes=[keep.id, drop.id],
                     rationale=f"cosine above {cfg.theta_cos}, symmetric KL {kl:.4f}",
-                    iteration=iteration,
                 )
             )
             break
@@ -418,7 +416,7 @@ def op_merge(
 
 
 def op_relate(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext, iteration: int
+    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
     """Add relatedTo edges between nodes with adjacent lecture neighborhoods.
 
@@ -468,7 +466,6 @@ def op_relate(
                 op="relate-add",
                 nodes=[a.id, b.id],
                 edges=[[edge.src, edge.relation, edge.dst]],
-                iteration=iteration,
             )
         )
     if not records:
@@ -479,7 +476,7 @@ def op_relate(
 
 
 def op_prune(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext, iteration: int
+    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
     """Remove edges whose support, the product of their endpoints' column
     masses, falls below tau."""
@@ -497,7 +494,6 @@ def op_prune(
                     nodes=[edge.src, edge.dst],
                     edges=[[edge.src, edge.relation, edge.dst]],
                     rationale=f"support {support:.3e} below tau",
-                    iteration=iteration,
                 )
             )
     if not records:
@@ -508,7 +504,7 @@ def op_prune(
 
 
 def llm_propose_edges(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext, iteration: int
+    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
 ) -> tuple[KnowledgeGraph, list[EditRecord]]:
     """LLM pass proposing new edges from graph content only; a no-op
     without a client."""
@@ -528,7 +524,6 @@ def llm_propose_edges(
                 nodes=[edge.src, edge.dst],
                 edges=[[edge.src, edge.relation, edge.dst]],
                 rationale=edge.rationale or "",
-                iteration=iteration,
             )
         )
     return working, records
@@ -606,11 +601,11 @@ def refine(
     search counts the operator runs since the last kept batch and stops
     once every operator has run on the current graph: the last row
     lists only the operators that had not yet run on it. On a solver
-    failure mid-run the graph and alignment of the last recorded row are
-    returned and the trace is flagged incomplete. The outcome carries
-    the solved alignments of the initial graph and of the incumbent, so
-    callers need not solve either again. One ``CostMemo`` serves every
-    solve, so each node text is embedded and costed once per search.
+    failure mid-run the graph of the last recorded row is returned and
+    the trace is flagged incomplete. Each row records its alignment's
+    coverage, so the first and last rows hold the coverage before and
+    after. One ``CostMemo`` serves every solve, so each node text is
+    embedded and costed once per search.
     """
     solver_cfg = solver_config or SolverConfig()
     cfg = refine_config or RefinementConfig()
@@ -625,9 +620,9 @@ def refine(
     )
 
     kg = initial_kg.copy()
-    aligned = initial = align_graph(lecture, kg, memo, gamma, solver_cfg)
+    aligned = align_graph(lecture, kg, memo, gamma, solver_cfg)
     trace = RdTrace(beta=cfg.beta)
-    _record(trace, 0, kg, aligned, cfg.beta, [], [])
+    _record(trace, 0, kg, aligned, cfg, [], [])
     incumbent_index = 0
 
     # looked up here, not at import, so a rebound module name takes effect
@@ -645,7 +640,7 @@ def refine(
                 if idle_runs == len(operators):
                     break  # every operator has run on this graph: the fixed point
                 idle_runs += 1
-                candidate, records = op(kg, aligned, ctx, t)
+                candidate, records = op(kg, aligned, ctx)
                 if not records:
                     continue
                 # the records name the operator; a wrapper around op may not
@@ -666,15 +661,12 @@ def refine(
             kg, aligned = recorded
             break
 
-        _record(trace, t, kg, aligned, cfg.beta, edits, rejected)
+        _record(trace, t, kg, aligned, cfg, edits, rejected)
         if not edits:
             break  # a row that keeps nothing ends at the fixed point
         incumbent_index = t
 
-    return RefineOutcome(
-        graph=kg, trace=trace, incumbent_index=incumbent_index,
-        initial=initial, incumbent=aligned,
-    )
+    return RefineOutcome(graph=kg, trace=trace, incumbent_index=incumbent_index)
 
 
 def _record(
@@ -682,7 +674,7 @@ def _record(
     t: int,
     kg: KnowledgeGraph,
     aligned: Aligned,
-    beta: float,
+    cfg: RefinementConfig,
     edits: list[EditRecord],
     rejected: list[dict],
 ) -> None:
@@ -692,11 +684,13 @@ def _record(
             t=t,
             rate=rate(kg),
             distortion=result.distortion,
-            objective=_objective(kg, aligned, beta),
+            objective=_objective(kg, aligned, cfg.beta),
             structure=result.structure_term,
             feature=result.feature_term,
             outer_iterations=result.outer_iterations,
             converged=result.converged,
+            coverage=coverage(aligned.feature, aligned.coupling.matrix,
+                              cfg.coverage_percentile),
         )
     )
     trace.edits.append([asdict(e) for e in edits])

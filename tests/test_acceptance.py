@@ -7,7 +7,6 @@ are independent re-implementations, not solver code paths.
 
 import itertools
 import json
-import math
 import time
 
 import numpy as np
@@ -17,7 +16,6 @@ from rdkg.cli import EXIT_OK, main
 from rdkg.embeddings import CostMemo
 from rdkg.kg import DEFAULT_GAMMA, kg_to_dict, load_kg, rate, save_kg
 from rdkg.lecture import build_lecture_space
-from rdkg.llm import bootstrap_kg
 from rdkg.ot import SolverConfig, fgw, sinkhorn, structure_value
 from rdkg.refine import RefinementConfig, align_graph, refine
 
@@ -195,7 +193,7 @@ def test_criterion_07_refinement_soundness(provider):
         namer=Namer(space2.contents()),
         config=RefinementConfig(),
     )
-    split_kg, records = op_split(kg2, aligned, ctx, 1)
+    split_kg, records = op_split(kg2, aligned, ctx)
     assert any(r.nodes[0] == "mix" for r in records)
     after = solve(space2, split_kg, provider)
     assert after.result.distortion < aligned.result.distortion

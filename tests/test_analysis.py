@@ -144,14 +144,17 @@ def test_coverage_empty_matrix_rejected():
 
 def sample_trace():
     pairs = [(1, 10), (2, 4), (3, 3.5), (4, 3.4)]
-    return RdTrace(beta=100.0, points=points_from(pairs),
-                   edits=[[], [{"op": "add", "nodes": ["x"], "edges": [],
-                                "rationale": "", "iteration": 1}], [], []])
+    points = points_from(pairs)
+    for point, covered in zip(points, (0.4, 0.5, 0.6, 0.7)):
+        point.coverage = covered
+    return RdTrace(beta=100.0, points=points,
+                   edits=[[], [{"op": "add", "nodes": ["x"], "edges": [], "rationale": ""}],
+                          [], []])
 
 
 def test_emit_report_files(tmp_path):
     trace = sample_trace()
-    knee = emit_report(trace, 0.4, 0.7, tmp_path, {"beta": 100.0})
+    knee = emit_report(trace, tmp_path, {"beta": 100.0})
     assert knee == knee_point(trace.points)
     csv_lines = (tmp_path / "rd_curve.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "t,rate,distortion,objective,structure,feature"
@@ -175,8 +178,8 @@ def test_emit_report_deterministic(tmp_path):
     trace = sample_trace()
     a = tmp_path / "a"
     b = tmp_path / "b"
-    emit_report(trace, 0.4, 0.7, a, {})
-    emit_report(trace, 0.4, 0.7, b, {})
+    emit_report(trace, a, {})
+    emit_report(trace, b, {})
     for name in ("rd_curve.csv", "report.json", "plot_data.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -192,7 +195,7 @@ def test_trace_round_trip(tmp_path):
     assert loaded.beta == trace.beta
     for got, want in zip(loaded.points, trace.points):
         assert got.t == want.t
-        for name in ("rate", "distortion", "objective", "structure", "feature"):
+        for name in ("rate", "distortion", "objective", "structure", "feature", "coverage"):
             assert getattr(got, name) == _round9(getattr(want, name))
     assert loaded.edits == trace.edits
     # a second save of the loaded trace is byte-identical (stable fixed point)
@@ -227,6 +230,22 @@ def test_trace_reads_rows_with_and_without_rejected_and_solver(tmp_path):
         load_trace(old)
 
 
+def test_a_trace_without_coverage_loads_and_reports_null(tmp_path):
+    # rows written before they carried coverage, or with it null
+    path = tmp_path / "trace.jsonl"
+    save_trace(sample_trace(), path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [row["coverage"] for row in rows] == [0.4, 0.5, 0.6, 0.7]
+    del rows[0]["coverage"]
+    rows[-1]["coverage"] = None
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    loaded = load_trace(path)
+    assert [p.coverage for p in loaded.points] == [None, 0.5, 0.6, None]
+    emit_report(loaded, tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["coverage_before"] is None and report["coverage_after"] is None
+
+
 def test_trace_rejects_malformed(tmp_path):
     path = tmp_path / "trace.jsonl"
     path.write_text('{"t": 0, "rate": 1}\n')
@@ -237,6 +256,7 @@ def test_trace_rejects_malformed(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("t", 1.0), ("t", False), ("distortion", None), ("objective", [1.0]), ("feature", "0.1"),
     ("rate", float("nan")), ("beta", float("inf")), ("structure", float("-inf")),
+    ("coverage", "0.5"), ("coverage", True),
 ])
 def test_trace_rejects_a_field_that_is_no_number(tmp_path, field, value):
     path = tmp_path / "trace.jsonl"
@@ -284,7 +304,7 @@ def test_emit_report_zero_beta_skips_iso_lines(tmp_path):
         RdPoint(t=1, rate=4.0, distortion=0.0, objective=4.0, structure=0, feature=0),
     ]
     trace = RdTrace(beta=0.0, points=points, edits=[[], []])
-    assert emit_report(trace, None, None, tmp_path) == knee_point(points)
+    assert emit_report(trace, tmp_path) == knee_point(points)
     plot = json.loads((tmp_path / "plot_data.json").read_text())
     assert plot["iso_objective"]["lines"] == []
 
@@ -300,7 +320,7 @@ def test_csv_floats_nine_significant_digits(tmp_path):
         ],
         edits=[[], []],
     )
-    emit_report(trace, None, None, tmp_path)
+    emit_report(trace, tmp_path)
     row = (tmp_path / "rd_curve.csv").read_text().splitlines()[1].split(",")
     assert row[1] == f"{1 / 3:.9g}"
     assert row[4] == "0.123456789"

@@ -17,7 +17,7 @@ from rdkg.lecture import ARTIFACT_FORMAT, build_lecture_space, flatten
 from rdkg.llm import bootstrap_kg
 from rdkg.markdown import parse_markdown
 
-from conftest import COMMAND_KEYS, topic_a_only_kg, two_topic_markdown
+from conftest import COMMAND_KEYS, two_topic_markdown
 
 
 @pytest.fixture
@@ -262,6 +262,9 @@ def test_report_from_trace(pipeline, tmp_path, capsys):
     original = json.loads((run_dir / "report.json").read_text())
     regenerated = json.loads((rerun / "report.json").read_text())
     assert regenerated["knee_index"] == original["knee_index"]
+    # both are read from the trace alone; only the run knows its settings
+    assert original["coverage_before"] is not None and original["coverage_after"] is not None
+    assert regenerated == {**original, "config": {}}
 
 
 def test_report_writes_the_beta_of_the_run(pipeline, tmp_path):
@@ -338,11 +341,15 @@ def test_report_refuses_a_trace_without_one_beta(pipeline, tmp_path, capsys, rew
     ("rate", "41.5", "rate must be a finite number, got \"41.5\""),
     ("objective", float("nan"), "objective must be a finite number, got NaN"),
     ("beta", float("inf"), "beta must be a finite number, got Infinity"),
+    ("coverage", "0.5", "coverage must be a finite number or null, got \"0.5\""),
+    ("coverage", True, "coverage must be a finite number or null, got true"),
 ], ids=[
     "beta-True-field 'beta' must be a number, got true",
     "rate-41.5-field 'rate' must be a number, got \"41.5\"",
     "objective-nan-field 'objective' must be finite, got NaN",
     "beta-inf-field 'beta' must be finite, got Infinity",
+    "coverage-0.5",
+    "coverage-True",
 ])
 def test_report_refuses_a_trace_field_that_is_no_number(
     pipeline, tmp_path, capsys, field, value, message

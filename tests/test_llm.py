@@ -160,7 +160,7 @@ def test_edge_proposals_drop_a_bad_edge_keep_the_rest(bad_edge):
            "rationale": "r", **bad_edge}
     good = {"src": "new", "dst": "b", "relation": "uses", "confidence": 0.8, "rationale": "r"}
     reply = json.dumps({"edges": [bad, good]})
-    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)), 1)
+    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)))
     assert [(e.src, e.relation, e.dst) for e in out.edges[len(kg.edges):]] == [
         ("new", "uses", "b")
     ]
@@ -327,7 +327,7 @@ def test_client_self_loop_dropped_fallback_applies():
     kg.edges.extend(propose_label_edges(kg.get_node("new"), kg.nodes[:2], costs))
     reply = json.dumps({"edges": [{"src": "new", "dst": "new", "relation": "uses",
                                    "confidence": 0.5, "rationale": "x"}]})
-    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)), 1)
+    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)))
     assert out is kg and records == []
     assert [(e.src, e.relation, e.dst) for e in out.edges] == [("new", "relatedTo", "a")]
 
@@ -336,7 +336,7 @@ def test_client_valid_uses_edge_returned():
     kg, costs = graph_with_new_node()
     reply = json.dumps({"edges": [{"src": "new", "dst": "b", "relation": "uses",
                                    "confidence": 0.8, "rationale": "joins feed plots"}]})
-    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)), 1)
+    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)))
     assert [(e.src, e.relation, e.dst, e.confidence) for e in out.edges] == [
         ("new", "uses", "b", 0.8)
     ]
@@ -395,7 +395,7 @@ def test_edge_prompt_same_from_both_callers():
         return '{"edges": []}'
 
     # the LLM edge pass is the prompt's one caller; it reads no alignment
-    llm_propose_edges(kg, None, edge_pass_ctx(make_client(record), relations), 1)
+    llm_propose_edges(kg, None, edge_pass_ctx(make_client(record), relations))
     assert sent == [PINNED_EDGE_PROMPT]
 
 

@@ -189,6 +189,23 @@ def test_a_hash_line_that_is_no_heading_is_paragraph_text(line):
     assert [b.text for b in root.blocks] == [f"{line.strip()} body"]
 
 
+@pytest.mark.parametrize("md, tree", [
+    # indented to the item's content column (2 for "- "): item text
+    ("# A\n- item one\n  more of it\n   ## B\n- item two",
+     [(1, "A", ["item one more of it ## B", "item two"])]),
+    ("# A\n1. item one\n   ## B\n2. item two",
+     [(1, "A", ["item one ## B", "item two"])]),
+    # indented less: a heading that opens a section
+    ("# A\n- item one\n ## B\n- item two",
+     [(1, "A", ["item one"]), (2, "B", ["item two"])]),
+    ("# A\n1. item one\n  ## B\n2. item two",
+     [(1, "A", ["item one"]), (2, "B", ["item two"])]),
+], ids=["bullet-at-column", "ordered-at-column", "bullet-short", "ordered-short"])
+def test_a_heading_inside_a_list_item_reaches_its_content_column(md, tree):
+    root = parse_markdown(md)
+    assert [(s.level, s.title, [b.text for b in s.blocks]) for s in walk(root)][1:] == tree
+
+
 def test_utf8_bom_tolerated():
     root = parse_markdown("﻿# A\nbody")
     assert root.children[0].title == "A"

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rdkg.analysis import coverage_tolerance, save_trace
+from rdkg.analysis import coverage, coverage_tolerance, save_trace
 from rdkg.embeddings import CostMemo, cosine_distance, feature_cost
 from rdkg.errors import InputError, NumericalError
 from rdkg.kg import (
@@ -173,7 +173,7 @@ def test_symmetric_kl_length_mismatch():
 def prune_with(plan, kg, tau=RefinementConfig.tau):
     """``op_prune`` against ``plan``: it reads only the coupling and tau."""
     aligned = SimpleNamespace(coupling=SimpleNamespace(matrix=plan))
-    return op_prune(kg, aligned, SimpleNamespace(config=RefinementConfig(tau=tau)), 1)
+    return op_prune(kg, aligned, SimpleNamespace(config=RefinementConfig(tau=tau)))
 
 
 def test_edge_support_arithmetic():
@@ -215,7 +215,7 @@ def test_top_coupled_ties_lowest_index():
     assert top_coupled_reference(plan, 0) == [0, 1, 2, 3, 4]
     assert top_coupled_reference(plan, 1) == [6, 0, 1, 2, 3]
     kg = KnowledgeGraph(nodes=[ConceptNode(id=f"n{j}", label=f"N{j}") for j in range(2)])
-    _, records = op_relate(kg, fake_aligned(plan), relate_ctx(d, 0.2), 1)
+    _, records = op_relate(kg, fake_aligned(plan), relate_ctx(d, 0.2))
     assert [r.edges[0] for r in records] == [["n0", "relatedTo", "n1"]]
 
 
@@ -329,7 +329,7 @@ def test_op_add_no_candidates_is_noop(provider):
     aligned = solve(space, kg, provider)
     assert aligned.feature.max() < 1e-12
     ctx = make_ctx(space, provider)
-    out, records = op_add(kg, aligned, ctx, 1)
+    out, records = op_add(kg, aligned, ctx)
     assert records == []
     assert out is kg
 
@@ -339,7 +339,7 @@ def test_op_add_fallback_edge_to_nearest(provider):
     kg = topic_a_only_kg()
     aligned = solve(space, kg, provider)
     ctx = make_ctx(space, provider)
-    out, records = op_add(kg, aligned, ctx, 1)
+    out, records = op_add(kg, aligned, ctx)
     assert records, "under-covered topic B must trigger adds"
     assert len(records) <= RefinementConfig().max_adds
     for record in records:
@@ -361,7 +361,7 @@ def test_op_add_cap_and_ordering(provider):
     ctx = make_ctx(space, provider, cfg)
     tol = coverage_tolerance(aligned.feature)
     rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, tol)
-    out, records = op_add(kg, aligned, ctx, 1)
+    out, records = op_add(kg, aligned, ctx)
     assert len(records) == 2
     # groups are taken lowest mass first; every skipped flagged element
     # has mass at least the worst accepted group's minimum
@@ -390,7 +390,7 @@ def test_op_add_flags_rows_by_the_configured_coverage_rule(provider, percentile)
     assert starts != _add_group_starts(
         space, aligned, coverage_tolerance(aligned.feature), cfg.theta_add
     )
-    _, records = op_add(kg, aligned, make_ctx(space, provider, cfg), 1)
+    _, records = op_add(kg, aligned, make_ctx(space, provider, cfg))
     # a node is named after the first unit of its span
     assert {r.nodes[0] for r in records} == {f"add_{i}" for i in starts}
 
@@ -433,9 +433,9 @@ def test_op_add_sends_and_keeps_extra_relations(provider):
 
     client = LlmClient("http://fake", "m", retries=0, transport=transport)
     ctx = make_ctx(space, provider, client=client, relations=relations)
-    added, add_records = op_add(kg, solve(space, kg, provider), ctx, 1)
+    added, add_records = op_add(kg, solve(space, kg, provider), ctx)
     assert add_records and edge_prompts == []
-    out, records = llm_propose_edges(added, solve(space, added, provider), ctx, 1)
+    out, records = llm_propose_edges(added, solve(space, added, provider), ctx)
     (prompt,) = edge_prompts
     assert "causes" in prompt.split("Allowed relations:")[1].split(".")[0]
     # the prompt shows the graph with every added node
@@ -454,8 +454,8 @@ def test_op_add_asks_the_llm_only_for_names(provider):
     kg = topic_a_only_kg()
     aligned = solve(space, kg, provider)
     sent = []
-    out, records = op_add(kg, aligned, make_ctx(space, provider, client=empty_reply_client(sent)), 1)
-    plain, plain_records = op_add(kg, aligned, make_ctx(space, provider), 1)
+    out, records = op_add(kg, aligned, make_ctx(space, provider, client=empty_reply_client(sent)))
+    plain, plain_records = op_add(kg, aligned, make_ctx(space, provider))
     assert len(records) >= 2
     assert len(sent) == len(records)
     assert all(prompt.startswith("Propose a concise concept label") for prompt in sent)
@@ -483,9 +483,9 @@ def test_a_re_proposed_add_batch_sends_no_new_edge_prompts(provider):
     ctx = make_ctx(space, provider, client=empty_reply_client(sent))
     aligned = solve(space, kg, provider)
     calls = []  # per op_add call: (its records, the prompts it sent)
-    for iteration in (1, 2):
+    for _ in range(2):
         before = len(sent)
-        _, records = op_add(kg, aligned, ctx, iteration)
+        _, records = op_add(kg, aligned, ctx)
         calls.append(([(r.nodes, r.edges) for r in records], sent[before:]))
     (records, prompts), (records_again, prompts_again) = calls
     assert records == records_again and len(records) > 0
@@ -505,7 +505,7 @@ def test_op_add_costs_its_new_nodes_in_one_memo_read(provider, monkeypatch):
     calls = []
     monkeypatch.setattr(embeddings_module, "feature_cost",
                         lambda a, b: calls.append(len(a)) or original(a, b))
-    out, records = op_add(kg, aligned, ctx, 1)
+    out, records = op_add(kg, aligned, ctx)
     assert len(records) >= 2
     assert calls == [len(space.elements), len(records)]
     align_graph(space, out, ctx.memo, DEFAULT_GAMMA, SolverConfig())
@@ -527,7 +527,7 @@ def test_op_split_trivial_noop(provider):
     )
     aligned = solve(space, kg, provider)
     cfg = RefinementConfig(theta_split=1.5)  # unreachable threshold
-    out, records = op_split(kg, aligned, make_ctx(space, provider, cfg), 1)
+    out, records = op_split(kg, aligned, make_ctx(space, provider, cfg))
     assert records == [] and out is kg
 
 
@@ -557,7 +557,7 @@ def test_op_split_fires_and_reduces_distortion(provider):
     space, kg = overloaded_fixture(provider)
     aligned = solve(space, kg, provider)
     ctx = make_ctx(space, provider)
-    out, records = op_split(kg, aligned, ctx, 1)
+    out, records = op_split(kg, aligned, ctx)
     split_parents = [r.nodes[0] for r in records if r.op == "split"]
     assert "mix" in split_parents
     assert validate_graph(out) == []
@@ -575,7 +575,7 @@ def test_op_split_keeps_extra_fields(provider):
     kg.get_node("anchor").extra = {"source": "syllabus"}
     kg.edges[0].extra = {"weight_hint": 0.8}
     aligned = solve(space, kg, provider)
-    out, records = op_split(kg, aligned, make_ctx(space, provider), 1)
+    out, records = op_split(kg, aligned, make_ctx(space, provider))
     assert "mix" in [r.nodes[0] for r in records]
     for record in records:
         parent = kg.get_node(record.nodes[0])
@@ -594,7 +594,7 @@ def test_op_split_skips_small_subsets(provider):
     aligned = solve(space, kg, provider)
     # single node: its column holds everything, entropy is high, but the
     # coupled subset can be at most 3 elements, so the split must skip
-    out, records = op_split(kg, aligned, make_ctx(space, provider), 1)
+    out, records = op_split(kg, aligned, make_ctx(space, provider))
     assert records == []
     assert len(out.nodes) == 1
 
@@ -628,7 +628,7 @@ def duplicate_pair_fixture(provider):
 def test_op_merge_fires_on_duplicates(provider):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
-    out, records = op_merge(kg, aligned, make_ctx(space, provider), 1)
+    out, records = op_merge(kg, aligned, make_ctx(space, provider))
     assert [r.op for r in records] == ["merge"]
     assert set(records[0].nodes) == {"c3", "c3dup"}
     assert len(out.nodes) == len(kg.nodes) - 1
@@ -641,7 +641,7 @@ def test_op_merge_thresholds_block(provider):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
     strict = RefinementConfig(theta_merge=1e-12, theta_cos=0.999999999)
-    out, records = op_merge(kg, aligned, make_ctx(space, provider, strict), 1)
+    out, records = op_merge(kg, aligned, make_ctx(space, provider, strict))
     # identical embeddings still satisfy cos, but near-identical (not
     # bit-identical) columns fail the tiny KL budget
     dup_records = [r for r in records if set(r.nodes) == {"c3", "c3dup"}]
@@ -663,7 +663,7 @@ def test_op_merge_identical_columns_always_fires():
     result = type("FakeResult", (), {"coupling": pi})()
     aligned = Aligned(feature=np.zeros((2, 3)), result=result)
     ctx = type("FakeCtx", (), {"config": RefinementConfig(), "memo": memo})()
-    out, records = op_merge(kg, aligned, ctx, 1)
+    out, records = op_merge(kg, aligned, ctx)
     assert [r.op for r in records] == ["merge"]
     assert records[0].nodes == ["a", "b"]
 
@@ -690,7 +690,7 @@ def test_op_merge_cosine_threshold_is_one_minus_the_memo_cost():
                 continue
             ctx = type("FakeCtx", (), {"config": RefinementConfig(theta_cos=theta),
                                        "memo": memo})()
-            _, records = op_merge(kg, aligned, ctx, 1)
+            _, records = op_merge(kg, aligned, ctx)
             expected, used = [], set()
             for a in range(6):
                 if len(expected) >= 3 or a in used:
@@ -711,7 +711,7 @@ def test_op_merge_respects_cap(provider):
     kg.edges.append(RelationEdge("c2dup", "c3", "uses", 0.9, "x"))
     aligned = solve(space, kg, provider)
     cfg = RefinementConfig(max_merges=1)
-    out, records = op_merge(kg, aligned, make_ctx(space, provider, cfg), 1)
+    out, records = op_merge(kg, aligned, make_ctx(space, provider, cfg))
     assert len(records) == 1
 
 
@@ -720,12 +720,12 @@ def test_op_relate_threshold_behavior(provider):
     aligned = solve(space, kg, provider)
     # permissive threshold connects everything unconnected; strict connects nothing
     ctx_hi = make_ctx(space, provider, RefinementConfig(theta_relate=0.999))
-    out_hi, rec_hi = op_relate(kg, aligned, ctx_hi, 1)
+    out_hi, rec_hi = op_relate(kg, aligned, ctx_hi)
     assert rec_hi and all(r.op == "relate-add" for r in rec_hi)
     assert all(r.edges[0][1] == "relatedTo" for r in rec_hi)
     assert validate_graph(out_hi) == []
     ctx_lo = make_ctx(space, provider, RefinementConfig(theta_relate=1e-9))
-    out_lo, rec_lo = op_relate(kg, aligned, ctx_lo, 1)
+    out_lo, rec_lo = op_relate(kg, aligned, ctx_lo)
     assert rec_lo == [] and out_lo is kg
 
 
@@ -733,7 +733,7 @@ def test_op_relate_skips_connected_pairs(provider):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
     ctx = make_ctx(space, provider, RefinementConfig(theta_relate=0.999))
-    out, records = op_relate(kg, aligned, ctx, 1)
+    out, records = op_relate(kg, aligned, ctx)
     connected_before = {e.key()[:2] for e in kg.edges}
     for record in records:
         src, _, dst = record.edges[0]
@@ -811,7 +811,7 @@ def test_op_relate_matches_per_pair_reference():
     thetas = [means[0] / 2, *means, (means[3] + means[4]) / 2, 2.0]
     fired = 0
     for theta in thetas:
-        out, records = op_relate(kg, aligned, relate_ctx(d, theta), 1)
+        out, records = op_relate(kg, aligned, relate_ctx(d, theta))
         expected = reference_relate_edges(kg, plan, d, theta)
         assert [r.edges[0] for r in records] == expected
         assert [r.nodes for r in records] == [[e[0], e[2]] for e in expected]
@@ -824,7 +824,7 @@ def test_op_relate_matches_per_pair_reference():
 def test_op_relate_no_distinct_cross_pairs():
     # a one-element lecture: every cross pair is (0, 0), so no pair is scored
     kg, plan, _, _ = hand_built_relate_state()
-    out, records = op_relate(kg, fake_aligned(plan[:1]), relate_ctx(np.zeros((1, 1)), 2.0), 1)
+    out, records = op_relate(kg, fake_aligned(plan[:1]), relate_ctx(np.zeros((1, 1)), 2.0))
     assert records == [] and out is kg
 
 
@@ -850,7 +850,7 @@ def test_op_prune_removes_unsupported(provider):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
     cfg = RefinementConfig(tau=10.0)  # everything is below this support
-    out, records = op_prune(kg, aligned, make_ctx(space, provider, cfg), 1)
+    out, records = op_prune(kg, aligned, make_ctx(space, provider, cfg))
     assert out.edges == []
     assert len(records) == len(kg.edges)
     assert all(r.op == "prune" for r in records)
@@ -859,7 +859,7 @@ def test_op_prune_removes_unsupported(provider):
 def test_op_prune_keeps_supported(provider):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
-    out, records = op_prune(kg, aligned, make_ctx(space, provider), 1)
+    out, records = op_prune(kg, aligned, make_ctx(space, provider))
     assert records == []
     assert len(out.edges) == len(kg.edges)
 
@@ -898,7 +898,7 @@ def test_operators_without_edits_return_the_input_uncopied(provider, graph_copie
         (op_prune, kg, aligned, ctx),
     ]
     for op, graph, graph_aligned, op_ctx in calls:
-        out, records = op(graph, graph_aligned, op_ctx, 1)
+        out, records = op(graph, graph_aligned, op_ctx)
         assert records == [] and out is graph, op.__name__
     assert graph_copies == []
 
@@ -917,15 +917,14 @@ def test_operators_copy_once_when_they_edit(provider, graph_copies):
     ]
     for op, graph, graph_aligned, op_ctx in calls:
         graph_copies.clear()
-        out, records = op(graph, graph_aligned, op_ctx, 1)
+        out, records = op(graph, graph_aligned, op_ctx)
         assert records and out is not graph, op.__name__
         assert graph_copies == [graph], op.__name__
 
 
 def test_llm_propose_edges_noop_without_client(provider):
     space, kg = duplicate_pair_fixture(provider)
-    out, records = llm_propose_edges(kg, solve(space, kg, provider),
-                                     make_ctx(space, provider), 1)
+    out, records = llm_propose_edges(kg, solve(space, kg, provider), make_ctx(space, provider))
     assert out is kg and records == []
 
 
@@ -951,11 +950,11 @@ def test_split_then_merge_restores_count(provider):
     )
     aligned = solve(space, kg, provider)
     ctx = make_ctx(space, provider)
-    split_kg, split_records = op_split(kg, aligned, ctx, 1)
+    split_kg, split_records = op_split(kg, aligned, ctx)
     assert any(r.nodes[0] == "n1" for r in split_records)
     count_after_split = len(split_kg.nodes)
     aligned2 = solve(space, split_kg, provider)
-    merge_kg, merge_records = op_merge(split_kg, aligned2, ctx, 1)
+    merge_kg, merge_records = op_merge(split_kg, aligned2, ctx)
     assert merge_records
     assert len(merge_kg.nodes) == count_after_split - len(merge_records)
 
@@ -987,18 +986,26 @@ def test_refine_stable_graph_early_stops(provider):
 def test_refine_stops_after_the_first_iteration_that_keeps_nothing(provider, monkeypatch):
     # every later iteration would propose the same batches, so no operator runs again
     module = sys.modules["rdkg.refine"]
-    iterations = []  # the iteration of each operator call
+    iterations = []  # the iteration of each operator call: one past the last recorded row
+    rows = [-1]  # the t of each recorded row
+    original_record = module._record
+
+    def record(trace, t, *args):
+        rows.append(t)
+        return original_record(trace, t, *args)
 
     def counted(op):
-        def wrapper(kg, aligned, ctx, iteration):
-            iterations.append(iteration)
-            return op(kg, aligned, ctx, iteration)
+        def wrapper(kg, aligned, ctx):
+            iterations.append(rows[-1] + 1)
+            return op(kg, aligned, ctx)
         return wrapper
 
     for name in ("op_add", "op_split", "op_merge", "op_relate", "op_prune"):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    monkeypatch.setattr(module, "_record", record)
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
     out = refine(space, topic_a_only_kg(), provider)
+    assert rows[1:] == [p.t for p in out.trace.points]
     fixed = next(t for t, edits in enumerate(out.trace.edits) if t > 0 and not edits)
     assert 1 < fixed < RefinementConfig().max_iterations
     assert max(iterations) == fixed and len(out.trace.points) == fixed + 1
@@ -1014,10 +1021,10 @@ def test_refine_returns_the_last_recorded_row_on_a_solver_failure(provider, monk
     armed = []
     original_split, original_fgw = module.op_split, module.fgw
 
-    def op_split(graph, aligned, ctx, iteration):
+    def op_split(graph, aligned, ctx):
         assert len(graph.nodes) > len(kg.nodes)  # the add batch was kept
-        armed.append(iteration)
-        return original_split(graph, aligned, ctx, iteration)
+        armed.append(graph.node_ids())
+        return original_split(graph, aligned, ctx)
 
     def failing_fgw(*args):
         if armed:
@@ -1027,11 +1034,12 @@ def test_refine_returns_the_last_recorded_row_on_a_solver_failure(provider, monk
     monkeypatch.setattr(module, "op_split", op_split)
     monkeypatch.setattr(module, "fgw", failing_fgw)
     out = refine(space, kg, provider)
-    assert armed == [1]
+    assert len(armed) == 1
     assert out.trace.incomplete and len(out.trace.points) == 1
     assert out.incumbent_index == 0
     assert out.graph.node_ids() == kg.node_ids() and out.graph.edges == kg.edges
-    assert out.incumbent.result is out.initial.result
+    monkeypatch.undo()
+    assert_row_is_a_fresh_solve(out.trace.points[-1], space, out.graph, provider)
     assert rate(out.graph) == out.trace.points[-1].rate
 
 
@@ -1059,17 +1067,24 @@ def test_refine_zero_iterations(provider):
     assert [n.id for n in out.graph.nodes] == [n.id for n in kg.nodes]
 
 
-def test_refine_returns_initial_and_incumbent_alignments(provider):
+def assert_row_is_a_fresh_solve(point, space, graph, provider):
+    """``point``'s distortion and coverage are those of a fresh solve of ``graph``."""
+    fresh, _ = hand_composed_alignment(space, graph, provider, SolverConfig())
+    assert point.distortion == fresh.result.distortion
+    assert point.coverage == coverage(fresh.feature, fresh.coupling.matrix)
+
+
+def test_refine_rows_carry_their_alignment_coverage(provider):
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
     kg = topic_a_only_kg()
     out = refine(space, kg, provider, refine_config=RefinementConfig(max_iterations=3))
     assert out.incumbent_index > 0
-    for aligned, graph, t in ((out.initial, kg, 0),
-                              (out.incumbent, out.graph, out.incumbent_index)):
-        fresh, _ = hand_composed_alignment(space, graph, provider, SolverConfig())
-        assert np.array_equal(aligned.coupling.matrix, fresh.coupling.matrix)
-        assert np.array_equal(aligned.feature, fresh.feature)
-        assert aligned.result.distortion == out.trace.points[t].distortion
+    for graph, t in ((kg, 0), (out.graph, out.incumbent_index)):
+        assert_row_is_a_fresh_solve(out.trace.points[t], space, graph, provider)
+    # a row that keeps nothing has the incumbent's alignment, so the last
+    # row holds the coverage after the search
+    assert out.trace.points[-1].coverage == out.trace.points[out.incumbent_index].coverage
+    assert out.trace.points[-1].coverage != out.trace.points[0].coverage
 
 
 def test_align_graph_equals_the_hand_composed_solve(provider, monkeypatch):
@@ -1224,6 +1239,8 @@ def test_refine_costs_each_node_text_once(provider, monkeypatch):
     original_cost = embeddings_module.feature_cost
     original_self_cost = embeddings_module.self_cost
     original_build = refine_module.build_kg_space
+    original_align = refine_module.align_graph
+    solved = []  # every alignment of the search, with its graph's node texts
 
     # the memo's node costs, looked up in rdkg.embeddings: each new text's
     # column against the units and its rows against the texts (self_cost).
@@ -1244,17 +1261,23 @@ def test_refine_costs_each_node_text_once(provider, monkeypatch):
         solved_texts.update(node_text(n) for n in kg.nodes)
         return original_build(kg, memo, gamma)
 
+    def align_spy(lecture, kg, *args):
+        aligned = original_align(lecture, kg, *args)
+        solved.append(([node_text(n) for n in kg.nodes], aligned))
+        return aligned
+
     monkeypatch.setattr(embeddings_module, "feature_cost", cost_spy)
     monkeypatch.setattr(embeddings_module, "self_cost", self_cost_spy)
     monkeypatch.setattr(refine_module, "build_kg_space", build_spy)
+    monkeypatch.setattr(refine_module, "align_graph", align_spy)
     out = refine(space, topic_a_only_kg(), provider,
                  refine_config=RefinementConfig(max_iterations=4))
     monkeypatch.undo()
     assert len(out.trace.points) > 2 and sum(len(e) for e in out.trace.edits) > 0
     assert unit_columns == node_rows == len(solved_texts)
-    for aligned, graph in ((out.initial, topic_a_only_kg()), (out.incumbent, out.graph)):
-        rows = provider.embed([node_text(n) for n in graph.nodes])
-        assert np.array_equal(aligned.feature, feature_cost(unit_rows, rows))
+    assert len(solved) > len(out.trace.points)  # rejected batches were solved too
+    for texts, aligned in solved:
+        assert np.array_equal(aligned.feature, feature_cost(unit_rows, provider.embed(texts)))
 
 
 def test_refine_incumbent_is_argmin(provider):
@@ -1272,11 +1295,11 @@ def test_refine_objective_never_rises(provider, fixture):
     objectives = [p.objective for p in out.trace.points]
     assert all(b <= a for a, b in zip(objectives, objectives[1:]))
     assert len(out.trace.rejected) == len(out.trace.points)
-    for t, batches in enumerate(out.trace.rejected):
+    for batches in out.trace.rejected:
         for batch in batches:
             assert batch["delta_L"] >= 0
             assert {e["op"] for e in batch["edits"]} == {batch["op"]}
-            assert {e["iteration"] for e in batch["edits"]} == {t}
+            assert all(set(e) == set(asdict(EditRecord(op=""))) for e in batch["edits"])
 
 
 def test_refine_rejects_a_batch_that_raises_the_objective(provider, monkeypatch):
@@ -1286,21 +1309,19 @@ def test_refine_rejects_a_batch_that_raises_the_objective(provider, monkeypatch)
                              max_merges=0, theta_relate=1e-9, tau=1e-12)
     baseline = refine(space, kg, provider, refine_config=quiet)
 
-    def op_add(graph, aligned, ctx, iteration):
+    def op_add(graph, aligned, ctx):
         stray = graph.copy()
         stray.nodes.append(ConceptNode(id="stray", label="Volcanoes",
                                        definition="magma lava eruption crater"))
-        return stray, [EditRecord(op="add", nodes=["stray"], iteration=iteration)]
+        return stray, [EditRecord(op="add", nodes=["stray"])]
 
     monkeypatch.setattr(sys.modules["rdkg.refine"], "op_add", op_add)
     out = refine(space, kg, provider, refine_config=quiet)
     assert out.graph.node_ids() == baseline.graph.node_ids() == kg.node_ids()
     assert out.graph.edges == kg.edges
     assert out.incumbent_index == 0
-    assert out.incumbent.result is out.initial.result
-    assert np.array_equal(out.incumbent.coupling.matrix, baseline.incumbent.coupling.matrix)
-    assert [p.objective for p in out.trace.points] == [p.objective
-                                                       for p in baseline.trace.points]
+    # every row, its solve and coverage included, is the baseline's
+    assert out.trace.points == baseline.trace.points
     assert out.trace.edits == [[], []]
     for row in out.trace.rejected[1:]:
         assert [(b["op"], [e["nodes"] for e in b["edits"]]) for b in row] == [
@@ -1330,9 +1351,10 @@ def test_refine_trace_does_not_depend_on_operator_function_names(provider, monke
 
 
 def test_edit_record_shape():
-    record = EditRecord(op="add", nodes=["x"], edges=[["x", "relatedTo", "y"]],
-                        rationale="r", iteration=3)
-    assert record.iteration == 3
+    # a record names no iteration: the trace row that holds it does
+    record = EditRecord(op="add", nodes=["x"], edges=[["x", "relatedTo", "y"]], rationale="r")
+    assert asdict(record) == {"op": "add", "nodes": ["x"], "edges": [["x", "relatedTo", "y"]],
+                              "rationale": "r"}
 
 
 def test_refine_with_llm_client_proposes_edges(provider):
