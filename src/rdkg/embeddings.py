@@ -90,23 +90,28 @@ class HashEmbedder:
         return {"kind": "hash", "dim": self.dim, "seed": self.seed}
 
     def embed(self, texts: list[str]) -> np.ndarray:
+        """One row per text. Each token's sign is added at its row's flat
+        slot by one bincount over the call; the sums are of +-1.0, exact
+        in any order, so the rows equal a per-token loop's."""
         if not texts:
             raise InputError("no texts to embed")
-        out = np.zeros((len(texts), self.dim))
+        slots: list[int] = []
+        signs: list[float] = []
         for row, text in enumerate(texts):
             if not text:
                 raise InputError("cannot embed empty text")
-            tokens = word_tokens(text)
-            if not tokens:
-                tokens = ["raw:" + content_hash(text)]
-            for tok in tokens:
+            base = row * self.dim
+            for tok in word_tokens(text) or ["raw:" + content_hash(text)]:
                 coord, sign = self._slot(tok)
-                out[row, coord] += sign
-            if not out[row].any():
-                # Sign cancellations across duplicate-coordinate tokens are
-                # possible in principle; perturb deterministically.
-                digest = hashlib.sha256(text.encode("utf-8")).digest()
-                out[row, int.from_bytes(digest[:4], "big") % self.dim] = 1.0
+                slots.append(base + coord)
+                signs.append(sign)
+        out = np.bincount(slots, weights=signs, minlength=len(texts) * self.dim)
+        out = out.reshape(len(texts), self.dim)
+        for row in np.flatnonzero(~out.any(axis=1)):
+            # Sign cancellations across duplicate-coordinate tokens are
+            # possible in principle; perturb deterministically.
+            digest = hashlib.sha256(texts[row].encode("utf-8")).digest()
+            out[row, int.from_bytes(digest[:4], "big") % self.dim] = 1.0
         return out
 
 

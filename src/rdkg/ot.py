@@ -13,9 +13,15 @@ the fixed point and contracts much faster (Thibault, Chizat, Dossal,
 Papadakis, arXiv:1711.01851); a stalled stage returns to plain updates. Both
 marginals are checked only where the contraction measured so far would
 meet the tolerance, at most a few iterations apart, so an iteration
-between checks is two products and two updates. The loop writes its
-scalings, products, check residuals and the last checked pair into
-vectors allocated once per stage, so an iteration allocates nothing.
+between checks is two products and two updates. The loop keeps its
+scalings, products, targets, work vector and last checked pair in one
+buffer each, rows then columns, allocated once per stage, so an
+iteration allocates nothing and a check makes each reduction once over
+both sides.
+Every product is ``ndarray.dot``, which calls the same BLAS routine as
+``@`` and gives the same bits: at the 40 x M problems of a refinement
+step numpy's per-call dispatch, not the flops, sets the loop's time,
+and ``dot`` dispatches in about half the time of the ``matmul`` ufunc.
 The fused problem
 
     min_pi (1-lam) * sum_{i,j,k,l} |C1(i,k) - C2(j,l)|^2 pi(i,j) pi(k,l)
@@ -76,14 +82,15 @@ _KERNEL_FLOOR = 1e-150
 #: factor gains less on them, and a larger one slows the many moderately
 #: slow solves, on which the rate cannot beat omega - 1.
 _OMEGA = 1.7
-#: Longest run of scaling iterations between two marginal checks. A check
-#: (six reductions, six elementwise operations) costs about two
-#: over-relaxed iterations at 40 x 30. A longer run saves checks on slow
-#: solves, a shorter one bounds the overrun where the contraction speeds
-#: up after a check. Counting iterations and checks, weighted by their
-#: timed cost, over the solves of a seed-1 round of each perfbench
-#: workload, runs of 8 to 16 came within 1% of each other, 6 cost 3% more
-#: and 4 12% more.
+#: Longest run of scaling iterations between two marginal checks. When a
+#: check was six reductions and six elementwise operations it cost about
+#: two over-relaxed iterations at 40 x 30; the joint buffers of
+#: _scale_loop have since made it three and four (not re-timed). A
+#: longer run saves checks on slow solves, a shorter one bounds the
+#: overrun where the contraction speeds up after a check. Counting
+#: iterations and checks, weighted by their timed cost, over the solves
+#: of a seed-1 round of each perfbench workload, runs of 8 to 16 came
+#: within 1% of each other, 6 cost 3% more and 4 12% more.
 _CHECK_GAP = 8
 
 
@@ -203,20 +210,24 @@ def sinkhorn(
         f, g = np.zeros(n), np.zeros(m)
         schedule = _epsilon_schedule(cost, epsilon)
     budget = max_iters
-    for stage, eps in enumerate(schedule):
-        final_stage = stage == len(schedule) - 1
-        if final_stage:
-            # The target epsilon always runs, so the returned potentials
-            # match the requested regularization.
-            cap = max(2, budget)
-        else:
-            # Early stages only need to roughly track the continuation path.
-            cap = min(budget, max(16, max_iters // (4 * len(schedule))))
-        spent, converged, plan = _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap)
-        budget -= spent
-        if budget <= 0 and not final_stage:
-            _, converged, plan = _scale_loop(cost, epsilon, f, g, log_mu, log_nu, mu, 2)
-            break
+    # A scaling update may divide by zero or overflow; the loop's range
+    # test catches what that leaves (see _scale_loop), so the solve's
+    # stages run under one errstate rather than one per pass.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for stage, eps in enumerate(schedule):
+            final_stage = stage == len(schedule) - 1
+            if final_stage:
+                # The target epsilon always runs, so the returned potentials
+                # match the requested regularization.
+                cap = max(2, budget)
+            else:
+                # Early stages only need to roughly track the continuation path.
+                cap = min(budget, max(16, max_iters // (4 * len(schedule))))
+            spent, converged, plan = _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap)
+            budget -= spent
+            if budget <= 0 and not final_stage:
+                _, converged, plan = _scale_loop(cost, epsilon, f, g, log_mu, log_nu, mu, 2)
+                break
 
     if not np.isfinite(plan).all():
         raise NumericalError("numerical failure in sinkhorn: non-finite plan")
@@ -294,19 +305,30 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool, np
     exp((f + g - cost)/eps) of the returned potentials, up to the flushed
     entries.
 
-    The stage allocates its vectors once: u, v, Kv and K'u, one work
-    vector per side (a check's residual, an over-relaxed update's factor)
-    and the last checked pair, which a check copies into two saved
-    vectors and a failed range test copies back. Every product, update
-    and residual is written into them with out=, in the same operations
-    and order as the expressions above, so an iteration allocates
-    nothing.
+    The stage allocates five buffers of length n + m, each a row part
+    then a column part: the scalings u|v, the products Kv|K'u, the
+    targets mu|nu, the work vector (a check's residual, an over-relaxed
+    update's factor) and the last checked pair. u, v, Kv and the rest
+    are views into them. A check is then one range test (min and max
+    over u|v), one residual over both sides (multiply, subtract, abs,
+    max) and one copy of u|v into the checked pair, which a failed range
+    test copies back. The max over u|v is the larger of the two sides'
+    maxima, so the check gives the same booleans and residual as one
+    per side. Every product (``ndarray.dot``, the BLAS call ``@`` makes,
+    with half its dispatch time), update and residual is written into
+    the views with out=, in the same operations and order as the
+    expressions above, so an iteration allocates nothing. At 40 x M an
+    iteration's time is mostly numpy's per-call cost, so fewer calls,
+    not fewer flops, make the loop faster.
     """
-    nu = np.exp(log_nu)
-    u, v = np.empty_like(f), np.empty_like(g)
-    kv, ktu = np.empty_like(f), np.empty_like(g)
-    row_work, col_work = np.empty_like(f), np.empty_like(g)
-    checked_u, checked_v = np.empty_like(f), np.empty_like(g)
+    n = len(f)
+    # one buffer per quantity, rows then columns, so a check reduces each once
+    scalings, products, work, checked = (np.empty(n + len(g)) for _ in range(4))
+    targets = np.concatenate((mu, np.exp(log_nu)))
+    u, v = scalings[:n], scalings[n:]
+    kv, ktu = products[:n], products[n:]
+    row_work, col_work = work[:n], work[n:]
+    nu = targets[n:]
     omega = 1.0
     relax = True  # False for the rest of the stage after a stall
     best = np.inf
@@ -315,74 +337,62 @@ def _scale_loop(cost, eps, f, g, log_mu, log_nu, mu, cap) -> tuple[int, bool, np
     while True:
         kernel = _open_pass(cost, eps, f, g, log_mu, log_nu, mu, nu)
         iteration += 1
-        u.fill(1.0)
-        v.fill(1.0)
+        scalings.fill(1.0)
         kernel.sum(axis=0, out=ktu)
-        checked_u.fill(1.0)
-        checked_v.fill(1.0)
+        checked.fill(1.0)
         last_residual, last_scaled = np.inf, 0  # the previous check of this pass
         scaled, next_check = 0, 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            while True:
-                np.matmul(kernel, v, out=kv)
-                if scaled == next_check or iteration == cap:
-                    # NaN fails every comparison, so it fails this test.
-                    if not (0.0 < u.min() and u.max() <= _SCALE_LIMIT
-                            and 0.0 < v.min() and v.max() <= _SCALE_LIMIT):
-                        if not (np.isfinite(u).all() and np.isfinite(v).all()
-                                and 0.0 < u.min() and 0.0 < v.min()):
-                            np.copyto(u, checked_u)
-                            np.copyto(v, checked_v)
-                        converged = False
-                        break
-                    residual = max(_deviation(u, kv, mu, row_work),
-                                   _deviation(v, ktu, nu, col_work))
-                    converged = residual <= MARGINAL_TOL
-                    if converged or iteration == cap:
-                        break
-                    if residual < best:
-                        rate_bound = (_OMEGA - 1.0) ** (scaled - last_scaled)
-                        if relax and omega == 1.0 and residual > last_residual * rate_bound:
-                            omega = _OMEGA
-                        best, stalls = residual, 0
-                    else:
-                        stalls += 1
-                        if stalls == 2:
-                            omega, relax = 1.0, False
-                    gap = 2 if scaled == 0 else _CHECK_GAP
-                    ratio = residual / last_residual  # 0 at the first check of a pass
-                    if 0.0 < ratio < 1.0:
-                        # repeats of the last gap its contraction needs to meet the tolerance
-                        need = math.log(MARGINAL_TOL / residual) / math.log(ratio)
-                        gap = min(max(math.ceil(need * (scaled - last_scaled)), 1), _CHECK_GAP)
-                    np.copyto(checked_u, u)
-                    np.copyto(checked_v, v)
-                    last_residual, last_scaled = residual, scaled
-                    next_check = scaled + gap
-                if omega == 1.0:
-                    np.divide(mu, kv, out=u)
-                    np.matmul(u, kernel, out=ktu)
-                    np.divide(nu, ktu, out=v)
+        while True:
+            kernel.dot(v, out=kv)
+            if scaled == next_check or iteration == cap:
+                # NaN fails every comparison, so it fails this test.
+                low = scalings.min()
+                if not (0.0 < low and scalings.max() <= _SCALE_LIMIT):
+                    if not (0.0 < low and np.isfinite(scalings).all()):
+                        np.copyto(scalings, checked)
+                    converged = False
+                    break
+                np.multiply(scalings, products, out=work)
+                work -= targets
+                np.abs(work, out=work)
+                residual = work.max()
+                converged = residual <= MARGINAL_TOL
+                if converged or iteration == cap:
+                    break
+                if residual < best:
+                    rate_bound = (_OMEGA - 1.0) ** (scaled - last_scaled)
+                    if relax and omega == 1.0 and residual > last_residual * rate_bound:
+                        omega = _OMEGA
+                    best, stalls = residual, 0
                 else:
-                    _relax(u, kv, mu, omega, row_work)
-                    np.matmul(u, kernel, out=ktu)
-                    _relax(v, ktu, nu, omega, col_work)
-                scaled += 1
-                iteration += 1
+                    stalls += 1
+                    if stalls == 2:
+                        omega, relax = 1.0, False
+                gap = 2 if scaled == 0 else _CHECK_GAP
+                ratio = residual / last_residual  # 0 at the first check of a pass
+                if 0.0 < ratio < 1.0:
+                    # repeats of the last gap its contraction needs to meet the tolerance
+                    need = math.log(MARGINAL_TOL / residual) / math.log(ratio)
+                    gap = min(max(math.ceil(need * (scaled - last_scaled)), 1), _CHECK_GAP)
+                np.copyto(checked, scalings)
+                last_residual, last_scaled = residual, scaled
+                next_check = scaled + gap
+            if omega == 1.0:
+                np.divide(mu, kv, out=u)
+                u.dot(kernel, out=ktu)
+                np.divide(nu, ktu, out=v)
+            else:
+                _relax(u, kv, mu, omega, row_work)
+                u.dot(kernel, out=ktu)
+                _relax(v, ktu, nu, omega, col_work)
+            scaled += 1
+            iteration += 1
         f += eps * np.log(u)
         g += eps * np.log(v)
         if converged or iteration == cap:
             kernel *= u[:, None]
             kernel *= v
             return iteration, converged, kernel
-
-
-def _deviation(scaling, product, target, work) -> float:
-    """max |scaling o product - target|, computed in ``work``."""
-    np.multiply(scaling, product, out=work)
-    work -= target
-    np.abs(work, out=work)
-    return work.max()
 
 
 def _relax(scaling, product, target, omega, work) -> None:
@@ -410,12 +420,16 @@ def _open_pass(cost, eps, f, g, log_mu, log_nu, mu, nu) -> np.ndarray:
     """
     kernel = g[None, :] - cost
     kernel /= eps
-    top = kernel.max(axis=1, keepdims=True)
-    kernel -= top
+    top = kernel.max(axis=1)
+    kernel -= top[:, None]
     np.exp(kernel, out=kernel)
-    rows = kernel.sum(axis=1, keepdims=True)
-    f[:] = eps * (log_mu - np.squeeze(top + np.log(rows), axis=1))
-    kernel *= mu[:, None] / rows
+    rows = kernel.sum(axis=1)
+    lse = np.log(rows)
+    lse += top
+    np.subtract(log_mu, lse, out=f)
+    f *= eps
+    np.divide(mu, rows, out=rows)
+    kernel *= rows[:, None]
     cols = kernel.sum(axis=0)
     if cols.min() < _KERNEL_FLOOR:
         col_lse = _logsumexp((f[:, None] - cost) / eps, axis=0)
@@ -437,12 +451,16 @@ def _round_to_marginals(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.
     """
     rows = plan.sum(axis=1)
     np.putmask(rows, rows <= 0.0, 1.0)
-    plan *= np.minimum(1.0, mu / rows)[:, None]
+    np.divide(mu, rows, out=rows)
+    plan *= np.minimum(rows, 1.0, out=rows)[:, None]
     cols = plan.sum(axis=0)
     np.putmask(cols, cols <= 0.0, 1.0)
-    plan *= np.minimum(1.0, nu / cols)[None, :]
-    missing_rows = np.maximum(mu - plan.sum(axis=1), 0.0)
-    missing_cols = np.maximum(nu - plan.sum(axis=0), 0.0)
+    np.divide(nu, cols, out=cols)
+    plan *= np.minimum(cols, 1.0, out=cols)
+    missing_rows = np.subtract(mu, plan.sum(axis=1, out=rows), out=rows)
+    np.maximum(missing_rows, 0.0, out=missing_rows)
+    missing_cols = np.subtract(nu, plan.sum(axis=0, out=cols), out=cols)
+    np.maximum(missing_cols, 0.0, out=missing_cols)
     deficit = missing_rows.sum()
     if deficit > 0:
         correction = np.outer(missing_rows, missing_cols)
@@ -454,7 +472,7 @@ def _round_to_marginals(plan: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.
 def _pair_terms(c1sq: np.ndarray, c2sq: np.ndarray, pi: np.ndarray):
     r = pi.sum(axis=1)
     s = pi.sum(axis=0)
-    return c1sq @ r, c2sq @ s, r, s
+    return c1sq.dot(r), c2sq.dot(s), r, s
 
 
 def _structure_parts(c1sq, c2sq, pi, product):
@@ -464,7 +482,7 @@ def _structure_parts(c1sq, c2sq, pi, product):
     The last two, with the product, are what the gradient at pi is made of.
     """
     u, w, r, s = _pair_terms(c1sq, c2sq, pi)
-    value = float(r @ u + s @ w - 2.0 * np.vdot(product, pi))
+    value = float(r.dot(u) + s.dot(w) - 2.0 * np.vdot(product, pi))
     return max(value, 0.0), u, w
 
 
@@ -484,14 +502,14 @@ def structure_value(c1: np.ndarray, c2: np.ndarray, pi: np.ndarray) -> float:
     (up to float rounding) for any nonnegative pi.
     """
     _check_square(c1, c2, pi)
-    return _structure_parts(c1 * c1, c2 * c2, pi, c1 @ pi @ c2)[0]
+    return _structure_parts(c1 * c1, c2 * c2, pi, c1.dot(pi).dot(c2))[0]
 
 
 def gw_gradient(c1: np.ndarray, c2: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Gradient of the structural term at pi (exact, factor 2 included)."""
     _check_square(c1, c2, pi)
     u, w, _, _ = _pair_terms(c1 * c1, c2 * c2, pi)
-    return _gradient(u, w, c1 @ pi @ c2)
+    return _gradient(u, w, c1.dot(pi).dot(c2))
 
 
 def fgw(
@@ -537,7 +555,7 @@ def fgw(
     c1sq, c2sq = d_source * d_source, d_target * d_target
     lam_costs = lam * feature_costs
     pi = np.outer(mu, nu)
-    product = np.outer(d_source @ mu, nu @ d_target)
+    product = np.outer(d_source.dot(mu), nu.dot(d_target))
     # at lam = 1 the gradient is lam_costs itself
     grad = np.empty((n, m)) if lam < 1.0 else lam_costs
     scratch = np.empty((n, m))
@@ -645,8 +663,9 @@ def _quad_coeff(c1, c2, delta, c1sq, c2sq) -> tuple[float, np.ndarray]:
     """
     r = delta.sum(axis=1)
     s = delta.sum(axis=0)
-    product = c1 @ delta @ c2
-    return float(r @ c1sq @ r + s @ c2sq @ s - 2.0 * np.vdot(product, delta)), product
+    product = c1.dot(delta).dot(c2)
+    value = r.dot(c1sq).dot(r) + s.dot(c2sq).dot(s) - 2.0 * np.vdot(product, delta)
+    return float(value), product
 
 
 def _argmin_quadratic_unit(a: float, b: float) -> float:

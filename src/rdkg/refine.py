@@ -45,7 +45,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .analysis import COVERAGE_PERCENTILE, RdPoint, RdTrace, _round9, coverage, coverage_tolerance
+from .analysis import (
+    COVERAGE_PERCENTILE,
+    RdPoint,
+    RdTrace,
+    _round9,
+    coverage_tolerance,
+    covered_fraction,
+)
 from .embeddings import CostMemo, self_cost
 from .errors import InputError, NumericalError
 from .kg import (
@@ -107,10 +114,18 @@ class Aligned:
 
     feature: np.ndarray  # N x M cosine cost, absolute scale
     result: FgwResult
+    _tolerances: dict[float, float] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def coupling(self) -> Coupling:
         return self.result.coupling
+
+    def tolerance(self, percentile: float) -> float:
+        """``coverage_tolerance`` of the feature costs, taken once per
+        percentile: the trace row and ``op_add`` both read it."""
+        if percentile not in self._tolerances:
+            self._tolerances[percentile] = coverage_tolerance(self.feature, percentile)
+        return self._tolerances[percentile]
 
 
 def align_graph(
@@ -241,7 +256,7 @@ def op_add(
     touch a new node come from ``llm_propose_edges``, as their own batch.
     """
     cfg = ctx.config
-    tol = coverage_tolerance(aligned.feature, cfg.coverage_percentile)
+    tol = aligned.tolerance(cfg.coverage_percentile)
     rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, tol)
     flagged = [i for i in range(len(rho)) if rho[i] < cfg.theta_add]
     if not flagged:
@@ -689,8 +704,8 @@ def _record(
             feature=result.feature_term,
             outer_iterations=result.outer_iterations,
             converged=result.converged,
-            coverage=coverage(aligned.feature, aligned.coupling.matrix,
-                              cfg.coverage_percentile),
+            coverage=covered_fraction(aligned.feature, aligned.coupling.matrix,
+                                      aligned.tolerance(cfg.coverage_percentile)),
         )
     )
     trace.edits.append([asdict(e) for e in edits])

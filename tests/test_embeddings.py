@@ -93,6 +93,34 @@ def test_hash_provider_hashes_each_distinct_token_once(monkeypatch):
     assert token_hashes == sorted(f"7:{t}".encode() for t in {t for ts in tokens for t in ts})
 
 
+def per_token_embed(provider, texts):
+    """Oracle: HashEmbedder.embed as one numpy scalar addition per token."""
+    out = np.zeros((len(texts), provider.dim))
+    for row, text in enumerate(texts):
+        for tok in embeddings.word_tokens(text) or ["raw:" + content_hash(text)]:
+            coord, sign = provider._slot(tok)
+            out[row, coord] += sign
+        if not out[row].any():
+            digest = hashlib.sha256(text.encode("utf-8")).digest()
+            out[row, int.from_bytes(digest[:4], "big") % provider.dim] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("dim, texts", [
+    (8, ["the cat saw the other cat", "a b a b a b a", "x"]),
+    (64, ["Alpha beta ALPHA", "!!! ???", "alpha"]),
+    # "one" and "two" share dim=1's one slot with opposite signs: the fallback row
+    (1, ["one two", "one one two", "two"]),
+])
+def test_hash_provider_rows_equal_a_per_token_loop(dim, texts):
+    provider = HashEmbedder(dim=dim)
+    got = provider.embed(texts)
+    assert got.tobytes() == per_token_embed(HashEmbedder(dim=dim), texts).tobytes()
+    if dim == 1:
+        assert provider._slot("one")[1] == -provider._slot("two")[1]
+        assert got[0, 0] == 1.0
+
+
 # --- file provider ------------------------------------------------------------
 
 

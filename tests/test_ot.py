@@ -427,24 +427,28 @@ def assert_same_bits_as_allocating_loop(cost, mu, nu, eps, max_iters, potentials
     return ref.converged, restores
 
 
-@pytest.mark.parametrize("shape", [(40, 13), (217, 33)])
+# m = 1 makes v, K'u and the rest length-1 views into the joint buffers
+@pytest.mark.parametrize("shape", [(40, 13), (217, 33), (40, 1)])
 def test_scale_loop_buffers_match_the_allocating_loop(shape):
     n, m = shape
     rng = np.random.default_rng(n + m)
     mu = np.full(n, 1 / n)
     nu = rng.random(m) + 0.1
     nu /= nu.sum()
-    for spread in (1.0, 30.0):
-        cost = rng.random((n, m)) * spread
+    # a column-major cost gives a column-major kernel, so the products
+    # take BLAS's other layout
+    for spread, order in itertools.product((1.0, 30.0), "CF"):
+        cost = np.asarray(rng.random((n, m)) * spread, order=order)
         cold = sinkhorn(cost, mu, nu, 0.05)
-        shifted = cost + rng.random((n, m)) * 0.2 * spread
+        shifted = np.asarray(cost + rng.random((n, m)) * 0.2 * spread, order=order)
         assert_same_bits_as_allocating_loop(cost, mu, nu, 0.05, 200)
         assert_same_bits_as_allocating_loop(shifted, mu, nu, 0.05, 200, cold.potentials)
-        # stopped by the iteration cap, cold (a short epsilon schedule) and warm
+        # stopped by the iteration cap, cold (a short epsilon schedule) and
+        # warm; one column is exact after the opening iteration
         for max_iters, start in ((5, None), (3, cold.potentials)):
             converged, _ = assert_same_bits_as_allocating_loop(
                 shifted, mu, nu, 1e-3, max_iters, start)
-            assert not converged
+            assert converged == (m == 1)
 
 
 def test_scale_loop_buffers_match_the_allocating_loop_over_relaxed():
@@ -526,6 +530,38 @@ def test_structure_matches_oracle_on_random_instances(rng):
         assert structure_value(c1, c2, plan) == pytest.approx(
             four_index_structure(c1, c2, plan), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (6, 1), (1, 5), (7, 4)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_products_equal_their_matmul_expressions(shape, order):
+    # the solver's products are ndarray.dot; the expressions they replace
+    # are written here with @, and must give the same bits
+    n, m = shape
+    rng = np.random.default_rng(n * 10 + m)
+
+    def operand(rows, cols, low=0.0):
+        return np.asarray(rng.random((rows, cols)) + low, order=order)
+
+    c1, c2 = operand(n, n), operand(m, m)
+    c1sq, c2sq = c1 * c1, c2 * c2
+    pi, delta = operand(n, m), operand(n, m, low=-0.5)
+
+    r, s = pi.sum(axis=1), pi.sum(axis=0)
+    got = ot._pair_terms(c1sq, c2sq, pi)
+    for mine, theirs in zip(got, (c1sq @ r, c2sq @ s, r, s)):
+        assert mine.tobytes() == theirs.tobytes()
+
+    u, w = c1sq @ r, c2sq @ s
+    product = c1 @ pi @ c2
+    value = max(float(r @ u + s @ w - 2.0 * np.vdot(product, pi)), 0.0)
+    assert structure_value(c1, c2, pi) == value
+
+    r, s = delta.sum(axis=1), delta.sum(axis=0)
+    product = c1 @ delta @ c2
+    quad = float(r @ c1sq @ r + s @ c2sq @ s - 2.0 * np.vdot(product, delta))
+    got_quad, got_product = ot._quad_coeff(c1, c2, delta, c1sq, c2sq)
+    assert got_quad == quad and got_product.tobytes() == product.tobytes()
 
 
 def test_gradient_is_numerical_derivative(rng):

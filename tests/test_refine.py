@@ -1087,6 +1087,23 @@ def test_refine_rows_carry_their_alignment_coverage(provider):
     assert out.trace.points[-1].coverage != out.trace.points[0].coverage
 
 
+def test_refine_takes_each_alignments_coverage_tolerance_once(provider, monkeypatch):
+    # the trace row and op_add read one tolerance per graph state
+    refine_module = sys.modules["rdkg.refine"]
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    taken = []  # the cost matrices themselves, so no id is reused
+
+    def counted(feature, percentile):
+        taken.append(feature)
+        return coverage_tolerance(feature, percentile)
+
+    monkeypatch.setattr(refine_module, "coverage_tolerance", counted)
+    out = refine(space, topic_a_only_kg(), provider,
+                 refine_config=RefinementConfig(max_iterations=3))
+    assert out.incumbent_index > 0
+    assert len(taken) == len({id(f) for f in taken}) == out.incumbent_index + 1
+
+
 def test_align_graph_equals_the_hand_composed_solve(provider, monkeypatch):
     refine_module = sys.modules["rdkg.refine"]
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
