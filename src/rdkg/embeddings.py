@@ -333,36 +333,88 @@ def provider_from_config(cfg) -> HashEmbedder | FileEmbedder | HttpEmbedder:
     )
 
 
+#: Rows per tile of ``feature_cost``'s Gram product. Replaying the
+#: feature_cost calls of one seed-1 round of each benchmark workload (d =
+#: 256, one OpenBLAS thread, 2-vCPU AVX-512 Xeon; medians of 20
+#: interleaved replays), tiles of 8, 16 and 32 rows took 3.5, 4.0 and 5.0
+#: ms on short-lectures, 8.7, 8.4 and 8.8 ms on long-lecture and 6.8, 7.1
+#: and 7.4 ms on rd-sweep, against 4.1, 20.0 and 10.7 ms for np.einsum's
+#: loop. Larger tiles pad small calls more.
+_TILE = 8
+
+
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """The rows of ``matrix`` scaled to unit length, followed by zero rows
+    up to a whole number of _TILE-row tiles."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise InputError("embedding matrix must be 2-dimensional")
-    if not np.isfinite(m).all():
-        raise InputError("embedding matrix has non-finite entries")
-    norms = np.linalg.norm(m, axis=1)
-    if (norms == 0).any():
-        raise InputError("degenerate embedding: zero-norm row")
-    return m / norms[:, None]
+    out = np.empty((-(-len(m) // _TILE) * _TILE, m.shape[1]))
+    rows = out[: len(m)]
+    # np.linalg.norm(m, axis=1), with the squares in the output's rows
+    norms = np.sqrt(np.add.reduce(np.multiply(m, m, out=rows), axis=1))
+    if not (np.isfinite(norms).all() and norms.all()):
+        # a non-finite entry makes its row's norm non-finite; a finite row's
+        # norm can overflow, so only then are the entries read
+        if not np.isfinite(m).all():
+            raise InputError("embedding matrix has non-finite entries")
+        if not norms.all():
+            raise InputError("degenerate embedding: zero-norm row")
+    np.divide(m, norms[:, None], out=rows)
+    out[len(m) :] = 0.0
+    return out
+
+
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b.T`` for two tiled unit-row buffers, one BLAS product of a
+    (_TILE, d) tile of ``a`` and a (d, _TILE) tile of ``b`` per block of
+    the result.
+
+    Every entry comes from a call of the same shape, wherever its two rows
+    sit, so it depends only on those two rows. The tiles of ``b`` are
+    copied into contiguous (d, _TILE) columns, so the two operands are
+    never one buffer (for that numpy calls ``syrk``, whose entries differ
+    in the last bit) and each call multiplies two untransposed matrices:
+    on an AVX-512 Xeon, OpenBLAS's kernel for a transposed operand slowed
+    a loop of small numpy calls run right after a 40 x 40 product by 13
+    to 22%, and this one by nothing measurable.
+    """
+    d = a.shape[1]
+    p, q = len(a) // _TILE, len(b) // _TILE
+    columns = b.reshape(1, q, _TILE, d).transpose(0, 1, 3, 2).copy()
+    gram = np.empty((len(a), len(b)))
+    np.matmul(
+        a.reshape(p, 1, _TILE, d),
+        columns,
+        out=gram.reshape(p, _TILE, q, _TILE).transpose(0, 2, 1, 3),
+    )
+    return gram
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     """clip(1 - cos(u, v), 0, 2), exactly 0 for identical vectors.
 
     Computed as half the squared distance of the unit vectors, which is
-    algebraically identical to 1 - cos and floating-point-exact at 0.
-    It is the scalar reference that tests and CI compare ``feature_cost``
-    against; no decision of the program reads it.
+    algebraically identical to 1 - cos and floating-point-exact at 0, in
+    ``np.longdouble``: where that is x87 extended precision (x86-64
+    Linux), the 11 extra bits keep the sums' rounding far below the final
+    rounding to a float at any dimension, so the result is within about
+    half an ulp of exact arithmetic. It is the scalar reference that
+    tests and CI compare ``feature_cost`` against; no decision of the
+    program reads it.
     """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if u.shape != v.shape:
         raise InputError("cosine_distance: length mismatch")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    u = u.astype(np.longdouble)
+    v = v.astype(np.longdouble)
+    nu = np.sqrt(np.sum(u * u))
+    nv = np.sqrt(np.sum(v * v))
     if nu == 0 or nv == 0:
         raise InputError("degenerate embedding: zero-norm vector")
     diff = u / nu - v / nv
-    return float(np.clip(0.5 * np.dot(diff, diff), 0.0, 2.0))
+    return float(np.clip(0.5 * np.sum(diff * diff), 0.0, 2.0))
 
 
 #: Entries of ``1 - a.b`` below this are costed again as ``0.5 * |a - b|^2``.
@@ -376,20 +428,25 @@ def feature_cost(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     absolute cost (never re-normalized) consumed by the transport
     objective and by coverage.
 
-    The kernel is ``1 - a_i . b_j`` over the unit rows, with the dot
-    products from ``np.einsum``'s own sum-of-products loop. A BLAS
-    product is not used: its entries can change in the last bit with the
-    shape of the call. Near 0, ``1 - a.b`` is not exactly 0 for identical
-    rows and loses its relative accuracy, so each entry below
-    _RECOST_BELOW is costed again as half the squared distance of the
-    unit rows: exactly 0 for identical rows, accurate for near-duplicates.
-    Both the test and the recost read only the entry's two rows, so an
-    entry depends on nothing else in the call (not the other rows, not
-    their order), and ``feature_cost(b, a)`` is ``feature_cost(a, b).T``
-    bit for bit. Beyond the output, it holds the two unit-row copies and,
-    for the entries recosted, their indices and their row differences,
-    len(target) pairs at a time (so many duplicates cannot make the
-    differences larger than a few copies of the target rows).
+    The kernel is ``1 - a_i . b_j`` over the unit rows. The dot products
+    come from BLAS products of one fixed shape (``_gram``): the unit rows
+    are written into zero-padded buffers of whole _TILE-row tiles, and
+    each block of the product is one (_TILE, d) by (d, _TILE) call. A
+    BLAS product of the whole matrices is not used: its entries can
+    change in the last bit with the shape of the call. Near 0, ``1 -
+    a.b`` is not exactly 0 for identical rows and loses its relative
+    accuracy, so each entry below _RECOST_BELOW is costed again as half
+    the squared distance of the unit rows: exactly 0 for identical rows,
+    accurate for near-duplicates. The product, the test and the recost
+    read only the entry's two rows, so an entry depends on nothing else
+    in the call (not the other rows, not their order or position), and
+    ``feature_cost(b, a)`` is ``feature_cost(a, b).T`` bit for bit. The
+    result is C-contiguous. Beyond the output, it holds the two padded
+    unit-row copies, the column copy of the target's tiles, the padded
+    product until the output is taken from it and, for the entries
+    recosted, their indices and their row differences, len(target) pairs
+    at a time (so many duplicates cannot make the differences larger
+    than a few copies of the target rows).
     """
     a = _unit_rows(source)
     b = _unit_rows(target)
@@ -397,12 +454,12 @@ def feature_cost(source: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise InputError(
             f"feature_cost: dimension mismatch ({a.shape[1]} vs {b.shape[1]})"
         )
-    out = np.einsum("ik,jk->ij", a, b)
-    np.subtract(1.0, out, out=out)
-    near_i, near_j = np.nonzero(out < _RECOST_BELOW)
-    step = max(len(b), 1)
-    for k in range(0, near_i.size, step):
-        i, j = near_i[k : k + step], near_j[k : k + step]
+    n, m = len(source), len(target)
+    out = np.subtract(1.0, _gram(a, b)[:n, :m])
+    near = np.flatnonzero(out < _RECOST_BELOW)
+    step = max(m, 1)
+    for k in range(0, near.size, step):
+        i, j = np.divmod(near[k : k + step], m)
         diff = a[i] - b[j]
         out[i, j] = 0.5 * np.einsum("ij,ij->i", diff, diff)
     np.clip(out, 0.0, 2.0, out=out)
@@ -412,20 +469,24 @@ def feature_cost(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 def self_cost(rows: np.ndarray, start: int = 0, block: int = 64) -> np.ndarray:
     """Rows ``start:`` of ``feature_cost(rows, rows)``, costing one half.
 
-    Each block of rows is costed through ``feature_cost`` against the
-    rows up to the block's end (the entries on and below the diagonal),
-    and its transpose is copied into the earlier rows' columns above the
-    diagonal. An entry of ``feature_cost`` depends only on its two rows,
-    not on the other rows of the call nor on their order, so every entry
+    Each block of rows is the target of one ``feature_cost`` call whose
+    source is the rows up to the block's end. That column block holds the
+    block's rows on and below the diagonal (transposed) and, above the
+    diagonal, the earlier rows' entries in the block's columns. The block
+    is the target because ``feature_cost`` copies its target's tiles. An
+    entry of ``feature_cost`` depends only on its two rows, not on the
+    other rows of the call nor on their order or position in its tiles,
+    and ``feature_cost(b, a)`` is ``feature_cost(a, b).T``, so every entry
     is bit-equal to the full matrix's. Beyond the output, it holds one
-    block's unit-row copies and cost rows.
+    block's padded unit-row copies, product and cost columns.
     """
     n = len(rows)
     out = np.empty((n - start, n))
     for i0 in range(start, n, block):
         i1 = min(i0 + block, n)
-        out[i0 - start : i1 - start, :i1] = feature_cost(rows[i0:i1], rows[:i1])
-        out[: i0 - start, i0:i1] = out[i0 - start : i1 - start, start:i0].T
+        cost = feature_cost(rows[:i1], rows[i0:i1])
+        out[i0 - start : i1 - start, :i1] = cost.T
+        out[: i0 - start, i0:i1] = cost[start:i0]
     return out
 
 

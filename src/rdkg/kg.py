@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .embeddings import CostMemo
-from .errors import InputError, pop_field, read_utf8
+from .errors import InputError, check_json, pop_field, read_utf8
 from .lecture import fuse, minmax_normalize
 
 #: The allowed relation ontology. relatedTo is the low-confidence
@@ -260,12 +260,13 @@ def node_from_dict(raw: Any) -> ConceptNode:
     A missing or null ``id`` is refused, as is a null ``label`` (missing:
     empty) or ``confidence`` (missing: 0.5). A null ``definition`` or
     ``aliases`` reads as empty, a null ``provenance`` or ``rationale`` as
-    None. Each field is read by ``errors.pop_field``.
+    None. Each field is read by ``errors.pop_field``. A ``provenance``
+    object's ``path``, where it has one, must be a list of strings.
     """
     if not isinstance(raw, dict):
         raise TypeError("a node is not a JSON object")
     raw = dict(raw)
-    return ConceptNode(
+    node = ConceptNode(
         id=pop_field(raw, "id", str),
         label=pop_field(raw, "label", str, ""),
         definition=pop_field(raw, "definition", str | None, ""),
@@ -275,6 +276,9 @@ def node_from_dict(raw: Any) -> ConceptNode:
         rationale=pop_field(raw, "rationale", str | None, None),
         extra=raw,
     )
+    if node.provenance is not None and "path" in node.provenance:
+        check_json("provenance.path", node.provenance["path"], list[str])
+    return node
 
 
 def edge_from_dict(raw: Any) -> RelationEdge:

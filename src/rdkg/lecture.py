@@ -128,8 +128,10 @@ def chron_distance(elements: list[LectureElement]) -> np.ndarray:
     if n == 1:
         return np.zeros((1, 1))
     idx = np.array([e.idx for e in elements], dtype=np.float64)
-    span = idx.max()
-    return np.abs(idx[:, None] - idx[None, :]) / span
+    out = np.subtract.outer(idx, idx)
+    np.abs(out, out=out)
+    out /= idx.max()
+    return out
 
 
 def logic_distance(elements: list[LectureElement]) -> np.ndarray:
@@ -164,12 +166,16 @@ def minmax_normalize(matrix: np.ndarray) -> np.ndarray:
     n = m.shape[0]
     if n <= 1:
         return np.zeros_like(m)
-    off = ~np.eye(n, dtype=bool)
-    lo = m[off].min()
-    hi = m[off].max()
-    out = np.zeros_like(m)
-    if hi > lo:
-        out[off] = (m[off] - lo) / (hi - lo)
+    # the off-diagonal entries, as a view: each diagonal entry ends a row
+    # of n + 1 in the flat matrix after its first entry
+    off = m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    lo = off.min()
+    hi = off.max()
+    if not hi > lo:
+        return np.zeros_like(m)
+    out = np.subtract(m, lo)
+    out /= hi - lo
+    np.fill_diagonal(out, 0.0)
     return out
 
 
@@ -182,8 +188,10 @@ def fuse(name: str, weights, components: list[np.ndarray]) -> np.ndarray:
     """
     w = check_weights(name, weights, len(components))
     fused = w[0] * components[0]
+    term = np.empty_like(fused)
     for weight, component in zip(w[1:], components[1:]):
-        fused = fused + weight * component
+        np.multiply(weight, component, out=term)
+        fused += term
     return minmax_normalize(fused)
 
 

@@ -144,6 +144,12 @@ def test_align_broken_kg_lists_violations(pipeline, tmp_path, capsys):
     ({"nodes": [{"id": "a", "label": "A"}, {"id": "b", "label": "B"}],
       "edges": [{"src": "a", "dst": "b", "relation": "uses", "confidence": False}]},
      "confidence must be a finite number, got false"),
+    ({"nodes": [{"id": "a", "label": "A", "provenance": {"path": {}}}]},
+     "provenance.path must be a list of strings, got {}"),
+    ({"nodes": [{"id": "a", "label": "A", "provenance": {"path": 0.5}}]},
+     "provenance.path must be a list of strings, got 0.5"),
+    ({"nodes": [{"id": "a", "label": "A", "provenance": {"path": [True]}}]},
+     "provenance.path must be a list of strings, got [true]"),
 ], ids=[
     "doc0-not a JSON object",
     "doc1-id is null",
@@ -157,6 +163,9 @@ def test_align_broken_kg_lists_violations(pipeline, tmp_path, capsys):
     "doc9-confidence is not a number (bool)",
     "doc10-definition is not a string (list)",
     "doc11-confidence is not a number (bool)",
+    "doc12-provenance.path is an object",
+    "doc13-provenance.path is a number",
+    "doc14-provenance.path is a list of booleans",
 ])
 def test_align_refuses_malformed_kg_json(pipeline, tmp_path, capsys, doc, message):
     # a null is refused, not read as the string "None" (which names a node here);

@@ -1,13 +1,14 @@
 """Embedding providers and the cosine kernel."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import rdkg
 from rdkg import embeddings
 from rdkg.config import RunConfig
 from rdkg.embeddings import (
+    _TILE,
     CostMemo,
     FileEmbedder,
     HashEmbedder,
@@ -367,16 +369,24 @@ def test_feature_cost_dimension_mismatch():
         feature_cost(np.ones((2, 3)), np.ones((2, 4)))
 
 
+def _integers(u):
+    """The floats of ``u`` as integers over one power-of-two scale."""
+    ratios = [float(x).as_integer_ratio() for x in u]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios]
+
+
 def _exact_cosine_distance(u, v):
-    """1 - cos(u, v) from exact rational sums, as (1 - cos^2) / (1 + cos)
-    where that avoids cancellation."""
-    uu = sum(Fraction(x) ** 2 for x in u)
-    vv = sum(Fraction(x) ** 2 for x in v)
-    uv = sum(Fraction(x) * Fraction(y) for x, y in zip(u, v))
-    squared = uv * uv / (uu * vv)
-    if uv <= 0:
-        return 1.0 + math.sqrt(squared)
-    return float(1 - squared) / (1.0 + math.sqrt(squared))
+    """1 - cos(u, v) from exact integer sums (the two scales cancel), with
+    the square root and the quotient taken to 60 digits: the float nearest
+    the exact value."""
+    iu, iv = _integers(u), _integers(v)
+    uu = sum(x * x for x in iu)
+    vv = sum(y * y for y in iv)
+    uv = sum(x * y for x, y in zip(iu, iv))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(1 - Decimal(uv) / (Decimal(uu) * Decimal(vv)).sqrt())
 
 
 def test_feature_cost_is_exact_at_0_and_2_and_accurate_near_0(rng):
@@ -406,17 +416,33 @@ def test_feature_cost_is_exact_at_0_and_2_and_accurate_near_0(rng):
     costs = feature_cost(source, target)
     assert costs[0, 2] == 2.0 and costs[1, 0] == 2.0
 
-    for dim in (2, 7, 64, 256):  # random rows against the scalar definition
+    # random rows against the scalar definition, also where BLAS may split
+    # the products' k loop (300 to 1536)
+    for dim in (2, 7, 64, 256, 300, 384, 768, 1536):
         a = rng.normal(size=(20, dim))
         b = rng.normal(size=(20, dim))
         costs = feature_cost(a, b)
         for i, j in np.ndindex(costs.shape):
             assert abs(costs[i, j] - cosine_distance(a[i], b[j])) <= 1e-15, (dim, i, j)
-    a = rng.normal(size=(10, 16))
-    b = rng.normal(size=(10, 16))
+
+
+@pytest.mark.parametrize("dim", [16, 300, 384, 768, 1536])
+@pytest.mark.parametrize("values", ["normal", "integer"])
+def test_feature_cost_and_cosine_distance_against_exact_arithmetic(rng, dim, values):
+    # the scalar reference rounds the exact value once (its sums keep the
+    # extended precision of np.longdouble); at 300 dimensions a float64
+    # reference strayed 5 ulps
+    a = rng.normal(size=(8, dim))
+    b = rng.normal(size=(8, dim))
+    if values == "integer":
+        a, b = np.round(3 * a), np.round(3 * b)
+        a[:, 0] += 0.5
+        b[:, 0] += 0.5
     costs = feature_cost(a, b)
-    for i, j in np.ndindex(costs.shape):  # and against exact arithmetic
-        assert abs(costs[i, j] - _exact_cosine_distance(a[i], b[j])) <= 1e-15, (i, j)
+    for i, j in np.ndindex(costs.shape):
+        exact = _exact_cosine_distance(a[i], b[j])
+        assert abs(costs[i, j] - exact) <= 1e-15, (i, j)
+        assert abs(cosine_distance(a[i], b[j]) - exact) <= 0.51 * math.ulp(exact), (i, j)
 
 
 def test_self_cost_memory_is_bounded_by_the_unit_rows():
@@ -477,6 +503,45 @@ def test_feature_cost_entries_do_not_depend_on_the_rest_of_the_call(
     assert np.array_equal(self_cost(a, start, block), feature_cost(a, a)[start:])
 
 
+TILE_SIZES = (1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 256, 300, 768])
+def test_feature_cost_entries_keep_their_bits_at_every_tile_position(rng, dim):
+    # each entry comes from a BLAS call of one shape wherever its rows sit:
+    # around the tile boundaries, a pair's bits follow it through row
+    # permutations and to every position, the rows' memory layout does not
+    # matter, and one buffer passed twice (numpy's syrk path) never
+    # reaches BLAS
+    for n, m in itertools.product(TILE_SIZES, TILE_SIZES):
+        a = rng.normal(size=(n, dim))
+        b = rng.normal(size=(m, dim))
+        full = feature_cost(a, b)
+        assert full.flags.c_contiguous
+        p, q = rng.permutation(n), rng.permutation(m)
+        assert _same_bits(feature_cost(a[p], b[q]), full[np.ix_(p, q)]), (n, m)
+        assert _same_bits(feature_cost(b, a), full.T), (n, m)
+        assert _same_bits(feature_cost(np.asfortranarray(a), b), full), (n, m)
+        # the pair (a[0], b[0]) at every position of an n x m call
+        everywhere = feature_cost(np.tile(a[:1], (n, 1)), np.tile(b[:1], (m, 1)))
+        assert (everywhere.view(np.int64) == full.view(np.int64)[0, 0]).all(), (n, m)
+        units = {f"u{i}": row for i, row in enumerate(a)}
+        texts = {f"t{j}": row for j, row in enumerate(b)}
+        rows = {**units, **texts}
+        memo = CostMemo(lambda keys: np.stack([rows[k] for k in keys]), list(units))
+        costs = memo.unit_cost(list(texts))
+        assert costs.flags.c_contiguous and _same_bits(costs, full), (n, m)
+    for n in TILE_SIZES:
+        a = rng.normal(size=(n, dim))
+        same = feature_cost(a, a)
+        assert _same_bits(feature_cost(a, a.copy()), same), n
+        assert _same_bits(self_cost(a), same), n
+
+
 def test_cost_memo_reads_equal_the_full_matrices():
     provider = HashEmbedder(dim=32)
     units = ["alpha beta", "gamma", "delta epsilon", "alpha beta"]
@@ -510,4 +575,4 @@ def test_cost_memo_costs_each_text_once(monkeypatch):
     memo.unit_cost(["a"])
     assert len(costed) == 2
     memo.pair_cost(["c", "a"])
-    assert costed[2:] == [(3, 1), (1, 3)]  # the new text against the units, then all three
+    assert costed[2:] == [(3, 1), (3, 1)]  # the new text against the units, then all three against it

@@ -214,6 +214,68 @@ def test_alpha_permutation_invariance(perm):
     assert np.allclose(base, swapped)
 
 
+# The plain forms of the N^2 layers, kept as oracles: the layers must
+# return the same bits with fewer passes and temporaries.
+
+
+def plain_chron_distance(elements):
+    if len(elements) == 1:
+        return np.zeros((1, 1))
+    idx = np.array([e.idx for e in elements], dtype=np.float64)
+    return np.abs(idx[:, None] - idx[None, :]) / idx.max()
+
+
+def plain_minmax_normalize(matrix):
+    m = np.asarray(matrix, dtype=np.float64)
+    n = m.shape[0]
+    if n <= 1:
+        return np.zeros_like(m)
+    off = ~np.eye(n, dtype=bool)
+    lo = m[off].min()
+    hi = m[off].max()
+    out = np.zeros_like(m)
+    if hi > lo:
+        out[off] = (m[off] - lo) / (hi - lo)
+    return out
+
+
+def plain_fuse(weights, components):
+    w = np.asarray(weights, dtype=np.float64)
+    fused = w[0] * components[0]
+    for weight, component in zip(w[1:], components[1:]):
+        fused = fused + weight * component
+    return plain_minmax_normalize(fused)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 217])
+def test_the_n2_layers_return_the_bits_of_their_plain_forms(rng, n):
+    def same(x, y):
+        return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    symmetric = rng.random((n, n))
+    symmetric = symmetric + symmetric.T
+    np.fill_diagonal(symmetric, 0.0)
+    matrices = [
+        rng.normal(size=(n, n)),  # random, diagonal included
+        symmetric,
+        np.full((n, n), 0.25),  # constant
+        np.where(np.eye(n, dtype=bool), 9.0, 0.5),  # constant off the diagonal
+        np.round(4 * rng.random((n, n))),  # ties at the minimum and maximum
+        rng.normal(size=(n, n)).T,  # not C-contiguous
+    ]
+    for k, m in enumerate(matrices):
+        before = m.copy()
+        assert same(minmax_normalize(m), plain_minmax_normalize(m)), k
+        assert same(m, before), k
+    components = [rng.random((n, n)) for _ in range(3)]
+    for weights in (DEFAULT_ALPHA, (1.0, 0.0, 0.0), (0.45, 0.15, 0.4)):
+        assert same(fuse("alpha", weights, components), plain_fuse(weights, components))
+    steps = rng.integers(1, 4, size=n)  # increasing idx with gaps
+    elements = [LectureElement(id=f"u{i}", idx=int(idx), section_path=("A",), content="x")
+                for i, idx in enumerate(np.cumsum(steps) - steps[0])]
+    assert same(chron_distance(elements), plain_chron_distance(elements))
+
+
 def test_uniform_measure_values():
     assert np.allclose(uniform_measure(4), [0.25] * 4)
     assert uniform_measure(1)[0] == 1.0

@@ -119,6 +119,7 @@ def test_bootstrap_drops_invalid_relation_keeps_rest():
 
 @pytest.mark.parametrize("bad_node", [
     {"provenance": "slides 3"},
+    {"provenance": {"path": 0.5}},
     {"aliases": "matrix algebra"},
     {"confidence": "0.9"},
     {"confidence": True},

@@ -504,10 +504,10 @@ def test_op_add_costs_its_new_nodes_in_one_memo_read(provider, monkeypatch):
     original = embeddings_module.feature_cost
     calls = []
     monkeypatch.setattr(embeddings_module, "feature_cost",
-                        lambda a, b: calls.append(len(a)) or original(a, b))
+                        lambda a, b: calls.append((len(a), len(b))) or original(a, b))
     out, records = op_add(kg, aligned, ctx)
     assert len(records) >= 2
-    assert calls == [len(space.elements), len(records)]
+    assert calls == [(len(space.elements), len(records)), (len(out.nodes), len(records))]
     align_graph(space, out, ctx.memo, DEFAULT_GAMMA, SolverConfig())
     assert len(calls) == 2
     # each fallback edge goes to the first node before it at the least cost
