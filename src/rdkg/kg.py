@@ -93,19 +93,27 @@ class KnowledgeGraph:
         return any(tuple(sorted((e.src, e.dst))) == pair for e in self.edges)
 
     def copy(self) -> "KnowledgeGraph":
-        # the constructors, not dataclasses.replace, which costs several times
-        # more per call; a search copies thousands of nodes and edges
-        return KnowledgeGraph(
-            nodes=[ConceptNode(id=n.id, label=n.label, definition=n.definition,
-                               aliases=list(n.aliases),
-                               provenance=dict(n.provenance) if n.provenance else None,
-                               confidence=n.confidence, rationale=n.rationale,
-                               extra=dict(n.extra)) for n in self.nodes],
-            edges=[RelationEdge(src=e.src, dst=e.dst, relation=e.relation,
-                                confidence=e.confidence, rationale=e.rationale,
-                                extra=dict(e.extra)) for e in self.edges],
-            extra=dict(self.extra),
-        )
+        return KnowledgeGraph(nodes=[copy_node(n) for n in self.nodes],
+                              edges=[copy_edge(e) for e in self.edges],
+                              extra=dict(self.extra))
+
+
+# The copies use the constructors, not dataclasses.replace, which costs several
+# times more per call; a search copies thousands of nodes and edges.
+
+
+def copy_node(n: ConceptNode) -> ConceptNode:
+    """A node equal to ``n`` that shares no list or dict with it."""
+    return ConceptNode(id=n.id, label=n.label, definition=n.definition,
+                       aliases=list(n.aliases),
+                       provenance=None if n.provenance is None else dict(n.provenance),
+                       confidence=n.confidence, rationale=n.rationale, extra=dict(n.extra))
+
+
+def copy_edge(e: RelationEdge) -> RelationEdge:
+    """An edge equal to ``e`` that shares no dict with it."""
+    return RelationEdge(src=e.src, dst=e.dst, relation=e.relation, confidence=e.confidence,
+                        rationale=e.rationale, extra=dict(e.extra))
 
 
 def validate_graph(

@@ -1,11 +1,13 @@
 """Coupling-driven graph refinement minimizing rate + beta * distortion.
 
-Each iteration applies the local edit operators in a fixed order (add,
+Each iteration runs the local edit operators in a fixed order (add,
 split, merge, relate, prune, and the LLM edge pass when a client is
-set). An operator's batch of edits is a candidate: its graph is solved
-(``align_graph``) and kept only if it strictly lowers the objective,
-else the previous graph and alignment stay and the batch is recorded as
-rejected with its rise in the objective. Each iteration then records
+set). An operator changes no graph: it proposes a ranked list of edits,
+and ``apply_edits`` copies the graph once and applies them to the copy
+in order. That copy is the candidate: it is solved (``align_graph``)
+and kept only if it strictly lowers the objective, else the previous
+graph and alignment stay and the batch is recorded as rejected with its
+rise in the objective. Each iteration then records
 one trace row, so the trace objective never rises and the current graph
 is the incumbent. A row holds its graph's rate, distortion and objective,
 its alignment's solver diagnostics and coverage, and its kept and
@@ -42,6 +44,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -62,6 +66,8 @@ from .kg import (
     KnowledgeGraph,
     RelationEdge,
     build_kg_space,
+    copy_edge,
+    copy_node,
     node_text,
     rate,
     validate_graph,
@@ -240,28 +246,37 @@ def fresh_id(kg: KnowledgeGraph, base: str) -> str:
 
 # --- operators ---------------------------------------------------------------
 
+#: One proposed edit: it changes the working graph in place and returns its
+#: record. The record exists only once the edit is applied, because it names
+#: the ids that ``fresh_id`` picks on the working graph.
+Edit = Callable[[KnowledgeGraph], EditRecord]
 
-def op_add(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
-) -> tuple[KnowledgeGraph, list[EditRecord]]:
+
+def apply_edits(kg: KnowledgeGraph, edits: list[Edit]) -> tuple[KnowledgeGraph, list[EditRecord]]:
+    """Copy ``kg`` once and apply ``edits`` to the copy in order: the
+    candidate graph of a batch and its records. ``kg`` is left as it was."""
+    working = kg.copy()
+    return working, [edit(working) for edit in edits]
+
+
+def op_add(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
     """Add concepts for under-covered lecture spans (lowest mass first).
 
     Contiguous flagged elements sharing a section path become one node,
     joined by a single low-confidence relatedTo edge to the nearest
     concept added or existing before it (``propose_label_edges``). The
-    new nodes are named and their texts costed in one memo read. A
-    node's id is ``add_<unit>``, its span's first unit, and names no
-    iteration: a rejected batch that is proposed again sends the same
-    name prompts, which the LLM client's cache answers. LLM edges that
-    touch a new node come from ``llm_propose_edges``, as their own batch.
+    new nodes are named and their texts costed in one memo read; each
+    add takes its nearest node from its row of that read, cut at the
+    working graph's length. A node's id is ``add_<unit>``, its span's
+    first unit, and names no iteration: a rejected batch that is
+    proposed again sends the same name prompts, which the LLM client's
+    cache answers. LLM edges that touch a new node come from
+    ``llm_propose_edges``, as their own batch.
     """
     cfg = ctx.config
     tol = aligned.tolerance(cfg.coverage_percentile)
     rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, tol)
     flagged = [i for i in range(len(rho)) if rho[i] < cfg.theta_add]
-    if not flagged:
-        return kg, []
-
     groups: list[list[int]] = []
     for i in flagged:
         if (
@@ -275,40 +290,42 @@ def op_add(
             groups.append([i])
     groups.sort(key=lambda g: (min(rho[i] for i in g), g[0]))
     groups = groups[: cfg.max_adds]
+    if not groups:
+        return []
 
-    working = kg.copy()
+    new_nodes = []
     for group in groups:
         texts = [ctx.lecture.elements[i].content for i in group]
         path = ctx.lecture.elements[group[0]].section_path
         definition = " ".join(texts)[:MAX_DEFINITION_CHARS]
-        working.nodes.append(ConceptNode(
-            id=fresh_id(working, f"add_{group[0]}"),
+        new_nodes.append(ConceptNode(
+            id=f"add_{group[0]}",  # the base of the id fresh_id gives it
             label=ctx.namer.name(texts),
             definition=definition,
             provenance={"path": list(path), "excerpt": definition[:200]},
             confidence=0.5,
             rationale="covers lecture span with low coupled mass",
         ))
-    costs = ctx.memo.pair_cost([node_text(n) for n in working.nodes])
-    records: list[EditRecord] = []
-    for position in range(len(kg.nodes), len(working.nodes)):
-        node = working.nodes[position]
-        edges = propose_label_edges(node, working.nodes[:position], costs[position, :position])
-        working.edges.extend(edges)
-        records.append(
-            EditRecord(
-                op="add",
-                nodes=[node.id],
-                edges=[[e.src, e.relation, e.dst] for e in edges],
-                rationale=f"under-covered span at {'/'.join(node.provenance['path'])}",
-            )
-        )
-    return working, records
+    costs = ctx.memo.pair_cost([node_text(n) for n in kg.nodes + new_nodes])
+    return [partial(_add_node, node, costs[len(kg.nodes) + k])
+            for k, node in enumerate(new_nodes)]
 
 
-def op_split(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
-) -> tuple[KnowledgeGraph, list[EditRecord]]:
+def _add_node(proposed: ConceptNode, costs: np.ndarray, working: KnowledgeGraph) -> EditRecord:
+    node = copy_node(proposed)
+    node.id = fresh_id(working, proposed.id)
+    edges = propose_label_edges(node, working.nodes, costs[: len(working.nodes)])
+    working.nodes.append(node)
+    working.edges.extend(edges)
+    return EditRecord(
+        op="add",
+        nodes=[node.id],
+        edges=[[e.src, e.relation, e.dst] for e in edges],
+        rationale=f"under-covered span at {'/'.join(node.provenance['path'])}",
+    )
+
+
+def op_split(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
     """Split nodes whose coupling column spreads over heterogeneous content.
 
     The coupled subset (entries above the column mean) is clustered by
@@ -318,71 +335,56 @@ def op_split(
     incident edge with its ``extra``.
     """
     cfg = ctx.config
-    entropies = column_entropy(aligned.coupling.matrix)
+    plan = aligned.coupling.matrix
+    entropies = column_entropy(plan)
     candidates = [j for j in range(len(entropies)) if entropies[j] > cfg.theta_split]
     candidates.sort(key=lambda j: (-entropies[j], j))
-    candidates = candidates[: cfg.max_splits]
-    if not candidates:
-        return kg, []
-
-    plan = aligned.coupling.matrix
-    working = None  # copied at the first split
-    records: list[EditRecord] = []
-    for j in candidates:
-        parent = kg.nodes[j]
+    edits: list[Edit] = []
+    for j in candidates[: cfg.max_splits]:
         column = plan[:, j]
         subset = np.flatnonzero(column > column.mean()).tolist()
         if len(subset) < 4:
             continue
-        if working is None:
-            working = kg.copy()
         labels = two_means(ctx.memo.unit_rows[subset])
-        group_a = [subset[i] for i in range(len(subset)) if labels[i] == 0]
-        group_b = [subset[i] for i in range(len(subset)) if labels[i] == 1]
-        children: list[ConceptNode] = []
-        for tag, group in (("a", group_a), ("b", group_b)):
-            texts = [ctx.lecture.elements[i].content for i in group]
-            children.append(
-                ConceptNode(
-                    id=fresh_id(working, f"{parent.id}_{tag}"),
-                    label=ctx.namer.name(texts),
-                    definition=" ".join(texts)[:MAX_DEFINITION_CHARS],
-                    aliases=list(parent.aliases),
-                    provenance=dict(parent.provenance) if parent.provenance else None,
-                    confidence=parent.confidence,
-                    rationale=f"split of {parent.id} (heterogeneous coupling)",
-                    extra=dict(parent.extra),
-                )
-            )
-        idx = next(i for i, n in enumerate(working.nodes) if n.id == parent.id)
-        working.nodes[idx : idx + 1] = children
-        incident = [e for e in working.edges if parent.id in (e.src, e.dst)]
-        working.edges = [e for e in working.edges if parent.id not in (e.src, e.dst)]
-        keys = {e.key() for e in working.edges}
-        for child in children:
-            for e in incident:
-                rewired = RelationEdge(
-                    src=child.id if e.src == parent.id else e.src,
-                    dst=child.id if e.dst == parent.id else e.dst,
-                    relation=e.relation,
-                    confidence=e.confidence,
-                    rationale=e.rationale,
-                    extra=dict(e.extra),
-                )
-                _add_edge_dedup(working, rewired, keys)
-        records.append(
-            EditRecord(
-                op="split",
-                nodes=[parent.id] + [c.id for c in children],
-                rationale=f"column entropy {entropies[j]:.3f} above threshold",
-            )
-        )
-    return (working, records) if records else (kg, [])
+        children = []  # (label, definition) of child a, then of child b
+        for cluster in (0, 1):
+            texts = [ctx.lecture.elements[subset[i]].content
+                     for i in range(len(subset)) if labels[i] == cluster]
+            children.append((ctx.namer.name(texts), " ".join(texts)[:MAX_DEFINITION_CHARS]))
+        edits.append(partial(_split_node, kg.nodes[j].id, children,
+                             f"column entropy {entropies[j]:.3f} above threshold"))
+    return edits
 
 
-def op_merge(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
-) -> tuple[KnowledgeGraph, list[EditRecord]]:
+def _split_node(parent_id: str, children: list[tuple[str, str]], rationale: str,
+                working: KnowledgeGraph) -> EditRecord:
+    """Replace the parent by its children at its position in the node list.
+    The non-incident edges keep their order; then come child a's rewired
+    edges, then child b's, each dropped if its key is already present."""
+    idx = next(i for i, n in enumerate(working.nodes) if n.id == parent_id)
+    nodes = []
+    for tag, (label, definition) in zip("ab", children):
+        child = copy_node(working.nodes[idx])
+        child.id = fresh_id(working, f"{parent_id}_{tag}")
+        child.label, child.definition = label, definition
+        child.rationale = f"split of {parent_id} (heterogeneous coupling)"
+        nodes.append(child)
+    working.nodes[idx : idx + 1] = nodes
+    incident = [e for e in working.edges if parent_id in (e.src, e.dst)]
+    working.edges = [e for e in working.edges if parent_id not in (e.src, e.dst)]
+    keys = {e.key() for e in working.edges}
+    for child in nodes:
+        for e in incident:
+            rewired = copy_edge(e)
+            if e.src == parent_id:
+                rewired.src = child.id
+            if e.dst == parent_id:
+                rewired.dst = child.id
+            _add_edge_dedup(working, rewired, keys)
+    return EditRecord(op="split", nodes=[parent_id] + [c.id for c in nodes], rationale=rationale)
+
+
+def op_merge(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
     """Merge redundant node pairs (similar texts, similar columns).
 
     Pairs are scanned in ascending node order and accepted greedily; a
@@ -396,12 +398,11 @@ def op_merge(
     plan = aligned.coupling.matrix
     col_sums = plan.sum(axis=0)
     similar = 1.0 - ctx.memo.pair_cost([node_text(n) for n in kg.nodes]) >= cfg.theta_cos
-    working = None  # copied at the first merge
     used: set[str] = set()
-    records: list[EditRecord] = []
+    edits: list[Edit] = []
     m = len(kg.nodes)
     for i in range(m):
-        if len(records) >= cfg.max_merges:
+        if len(edits) >= cfg.max_merges:
             break
         keep = kg.nodes[i]
         if keep.id in used or col_sums[i] <= 0:
@@ -415,24 +416,39 @@ def op_merge(
             kl = symmetric_kl(plan[:, i] / col_sums[i], plan[:, j] / col_sums[j])
             if kl > cfg.theta_merge:
                 continue
-            if working is None:
-                working = kg.copy()
-            _merge_into(working, keep.id, drop.id)
             used.update((keep.id, drop.id))
-            records.append(
-                EditRecord(
-                    op="merge",
-                    nodes=[keep.id, drop.id],
-                    rationale=f"cosine above {cfg.theta_cos}, symmetric KL {kl:.4f}",
-                )
-            )
+            edits.append(partial(_merge_nodes, keep.id, drop.id,
+                                 f"cosine above {cfg.theta_cos}, symmetric KL {kl:.4f}"))
             break
-    return (working, records) if records else (kg, [])
+    return edits
 
 
-def op_relate(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
-) -> tuple[KnowledgeGraph, list[EditRecord]]:
+def _merge_nodes(keep_id: str, drop_id: str, rationale: str,
+                 working: KnowledgeGraph) -> EditRecord:
+    """Fold the dropped node into the kept one. The edges keep their order,
+    rewired to the kept node; self-loops and repeated keys are dropped."""
+    keep = working.get_node(keep_id)
+    drop = working.get_node(drop_id)
+    for alias in [drop.label, *drop.aliases]:
+        alias = alias.strip()
+        if alias and alias != keep.label and alias not in keep.aliases:
+            keep.aliases.append(alias)
+    working.nodes = [n for n in working.nodes if n.id != drop_id]
+    old_edges = working.edges
+    working.edges = []
+    keys: set[tuple[str, str, str]] = set()
+    for e in old_edges:
+        rewired = copy_edge(e)
+        if e.src == drop_id:
+            rewired.src = keep_id
+        if e.dst == drop_id:
+            rewired.dst = keep_id
+        if rewired.src != rewired.dst:
+            _add_edge_dedup(working, rewired, keys)
+    return EditRecord(op="merge", nodes=[keep_id, drop_id], rationale=rationale)
+
+
+def op_relate(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
     """Add relatedTo edges between nodes with adjacent lecture neighborhoods.
 
     A node's top-coupled elements are the 5 largest entries of its
@@ -447,9 +463,8 @@ def op_relate(
     """
     cfg = ctx.config
     d_lecture = ctx.lecture.distance
-    m = len(kg.nodes)
-    if m < 2:
-        return kg, []
+    if len(kg.nodes) < 2:
+        return []
     plan = aligned.coupling.matrix
     tops = np.argsort(-plan, axis=0, kind="stable")[:5].T
     rows = tops[:, None, :, None]
@@ -462,8 +477,7 @@ def op_relate(
     related = scored & (means < cfg.theta_relate)
 
     linked = frozenset(frozenset((e.src, e.dst)) for e in kg.edges)
-    added: list[RelationEdge] = []
-    records: list[EditRecord] = []
+    edits: list[Edit] = []
     for j, k in zip(*np.nonzero(related)):
         a, b = kg.nodes[j], kg.nodes[k]
         if frozenset((a.id, b.id)) in linked:
@@ -475,73 +489,44 @@ def op_relate(
             confidence=0.5,
             rationale="top-coupled lecture neighborhoods are adjacent",
         )
-        added.append(edge)
-        records.append(
-            EditRecord(
-                op="relate-add",
-                nodes=[a.id, b.id],
-                edges=[[edge.src, edge.relation, edge.dst]],
-            )
-        )
-    if not records:
-        return kg, []
-    working = kg.copy()
-    working.edges.extend(added)
-    return working, records
+        edits.append(partial(_append_edge, "relate-add", "", edge))
+    return edits
 
 
-def op_prune(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
-) -> tuple[KnowledgeGraph, list[EditRecord]]:
+def op_prune(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
     """Remove edges whose support, the product of their endpoints' column
     masses, falls below tau."""
     index = kg.node_index()
     masses = aligned.coupling.matrix.sum(axis=0)
-    pruned: set[int] = set()
-    records: list[EditRecord] = []
-    for pos, edge in enumerate(kg.edges):
+    edits: list[Edit] = []
+    for edge in kg.edges:
         support = float(masses[index[edge.src]] * masses[index[edge.dst]])
         if support < ctx.config.tau:
-            pruned.add(pos)
-            records.append(
-                EditRecord(
-                    op="prune",
-                    nodes=[edge.src, edge.dst],
-                    edges=[[edge.src, edge.relation, edge.dst]],
-                    rationale=f"support {support:.3e} below tau",
-                )
-            )
-    if not records:
-        return kg, []
-    working = kg.copy()
-    working.edges = [e for pos, e in enumerate(working.edges) if pos not in pruned]
-    return working, records
+            edits.append(partial(_remove_edge, edge, f"support {support:.3e} below tau"))
+    return edits
 
 
-def llm_propose_edges(
-    kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext
-) -> tuple[KnowledgeGraph, list[EditRecord]]:
-    """LLM pass proposing new edges from graph content only; a no-op
-    without a client."""
+def _remove_edge(edge: RelationEdge, rationale: str, working: KnowledgeGraph) -> EditRecord:
+    working.edges.remove(edge)  # the first equal edge: equal edges have equal support
+    return EditRecord(op="prune", nodes=[edge.src, edge.dst],
+                      edges=[[edge.src, edge.relation, edge.dst]], rationale=rationale)
+
+
+def llm_propose_edges(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
+    """LLM pass proposing new edges from graph content only; proposes
+    nothing without a client."""
     if ctx.llm_client is None:
-        return kg, []
+        return []
     doc = ctx.llm_client.chat_json(edge_prompt(kg, ctx.allowed_relations))
-    proposals = _valid_edge_proposals(doc, kg, ctx.allowed_relations)
-    if not proposals:
-        return kg, []
-    working = kg.copy()
-    records = []
-    for edge in proposals:
-        working.edges.append(edge)
-        records.append(
-            EditRecord(
-                op="llm-edge",
-                nodes=[edge.src, edge.dst],
-                edges=[[edge.src, edge.relation, edge.dst]],
-                rationale=edge.rationale or "",
-            )
-        )
-    return working, records
+    return [partial(_append_edge, "llm-edge", edge.rationale or "", edge)
+            for edge in _valid_edge_proposals(doc, kg, ctx.allowed_relations)]
+
+
+def _append_edge(op: str, rationale: str, edge: RelationEdge,
+                 working: KnowledgeGraph) -> EditRecord:
+    working.edges.append(copy_edge(edge))
+    return EditRecord(op=op, nodes=[edge.src, edge.dst],
+                      edges=[[edge.src, edge.relation, edge.dst]], rationale=rationale)
 
 
 def two_means(points: np.ndarray, max_iters: int = 25) -> np.ndarray:
@@ -610,7 +595,9 @@ def refine(
     The trace always contains the unedited initial graph as t0. A batch
     is kept only if it lowers the objective, so the current graph is the
     incumbent, and ``incumbent_index`` is the last row that kept an edit
-    (0 if none did). The operators read only the graph and its
+    (0 if none did). Each operator proposes its edits without changing
+    the graph, and ``apply_edits`` applies them in order to one copy,
+    the candidate. The operators read only the graph and its
     alignment, and name ids and prompts from them, so an operator run
     again on the same graph proposes the batch it proposed before. The
     search counts the operator runs since the last kept batch and stops
@@ -646,7 +633,8 @@ def refine(
         operators += (llm_propose_edges,)
     idle_runs = 0  # operator runs on the current graph and alignment
     for t in range(1, cfg.max_iterations + 1):
-        # operators never mutate their input, so the recorded state needs no copy
+        # an operator only proposes, and apply_edits edits its own copy, so
+        # the recorded state needs no copy
         recorded = kg, aligned
         edits: list[EditRecord] = []
         rejected: list[dict] = []
@@ -655,9 +643,10 @@ def refine(
                 if idle_runs == len(operators):
                     break  # every operator has run on this graph: the fixed point
                 idle_runs += 1
-                candidate, records = op(kg, aligned, ctx)
-                if not records:
+                proposed = op(kg, aligned, ctx)
+                if not proposed:
                     continue
+                candidate, records = apply_edits(kg, proposed)
                 # the records name the operator; a wrapper around op may not
                 _check_valid(candidate, records[0].op, allowed_relations)
                 solution = align_graph(lecture, candidate, memo, gamma, solver_cfg)
@@ -723,32 +712,6 @@ def _check_valid(
     violations = validate_graph(kg, allowed_relations)
     if violations:
         raise RuntimeError(f"{op_name} corrupted the graph: {violations}")
-
-
-def _merge_into(kg: KnowledgeGraph, keep_id: str, drop_id: str) -> None:
-    keep = kg.get_node(keep_id)
-    drop = kg.get_node(drop_id)
-    for alias in [drop.label, *drop.aliases]:
-        alias = alias.strip()
-        if alias and alias != keep.label and alias not in keep.aliases:
-            keep.aliases.append(alias)
-    kg.nodes = [n for n in kg.nodes if n.id != drop_id]
-    old_edges = kg.edges
-    kg.edges = []
-    keys: set[tuple[str, str, str]] = set()
-    for e in old_edges:
-        src = keep_id if e.src == drop_id else e.src
-        dst = keep_id if e.dst == drop_id else e.dst
-        if src == dst:
-            continue
-        _add_edge_dedup(
-            kg,
-            RelationEdge(
-                src=src, dst=dst, relation=e.relation,
-                confidence=e.confidence, rationale=e.rationale, extra=dict(e.extra),
-            ),
-            keys,
-        )
 
 
 def _add_edge_dedup(

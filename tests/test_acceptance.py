@@ -174,7 +174,7 @@ def test_criterion_07_refinement_soundness(provider):
     """Duplicate nodes merge; an overloaded node splits profitably."""
     from test_refine import duplicate_pair_fixture, overloaded_fixture, solve
     from rdkg.embeddings import CostMemo
-    from rdkg.refine import op_split, OpContext
+    from rdkg.refine import apply_edits, op_split, OpContext
     from rdkg.llm import Namer
 
     space, kg = duplicate_pair_fixture(provider)
@@ -193,7 +193,7 @@ def test_criterion_07_refinement_soundness(provider):
         namer=Namer(space2.contents()),
         config=RefinementConfig(),
     )
-    split_kg, records = op_split(kg2, aligned, ctx)
+    split_kg, records = apply_edits(kg2, op_split(kg2, aligned, ctx))
     assert any(r.nodes[0] == "mix" for r in records)
     after = solve(space2, split_kg, provider)
     assert after.result.distortion < aligned.result.distortion

@@ -53,6 +53,9 @@ def test_copy_is_equal_and_shares_no_list_or_dict():
         for name, value in vars(original).items():
             if isinstance(value, (list, dict)):
                 assert getattr(clone, name) is not value, name
+    # an empty provenance object stays one, as a KG file round trip keeps it
+    empty = KnowledgeGraph(nodes=[ConceptNode(id="e", label="E", provenance={})])
+    assert empty.copy() == empty
 
 
 def simple_graph():

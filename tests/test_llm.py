@@ -18,7 +18,7 @@ from rdkg.llm import (
     propose_label_edges,
 )
 from rdkg.markdown import parse_markdown
-from rdkg.refine import llm_propose_edges
+from rdkg.refine import apply_edits, llm_propose_edges
 
 from conftest import table_memo
 
@@ -161,7 +161,8 @@ def test_edge_proposals_drop_a_bad_edge_keep_the_rest(bad_edge):
            "rationale": "r", **bad_edge}
     good = {"src": "new", "dst": "b", "relation": "uses", "confidence": 0.8, "rationale": "r"}
     reply = json.dumps({"edges": [bad, good]})
-    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)))
+    edits = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)))
+    out, records = apply_edits(kg, edits)
     assert [(e.src, e.relation, e.dst) for e in out.edges[len(kg.edges):]] == [
         ("new", "uses", "b")
     ]
@@ -328,16 +329,16 @@ def test_client_self_loop_dropped_fallback_applies():
     kg.edges.extend(propose_label_edges(kg.get_node("new"), kg.nodes[:2], costs))
     reply = json.dumps({"edges": [{"src": "new", "dst": "new", "relation": "uses",
                                    "confidence": 0.5, "rationale": "x"}]})
-    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)))
-    assert out is kg and records == []
-    assert [(e.src, e.relation, e.dst) for e in out.edges] == [("new", "relatedTo", "a")]
+    assert llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply))) == []
+    assert [(e.src, e.relation, e.dst) for e in kg.edges] == [("new", "relatedTo", "a")]
 
 
 def test_client_valid_uses_edge_returned():
     kg, costs = graph_with_new_node()
     reply = json.dumps({"edges": [{"src": "new", "dst": "b", "relation": "uses",
                                    "confidence": 0.8, "rationale": "joins feed plots"}]})
-    out, records = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)))
+    edits = llm_propose_edges(kg, None, edge_pass_ctx(make_client(lambda p: reply)))
+    out, records = apply_edits(kg, edits)
     assert [(e.src, e.relation, e.dst, e.confidence) for e in out.edges] == [
         ("new", "uses", "b", 0.8)
     ]

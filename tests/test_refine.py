@@ -20,6 +20,7 @@ from rdkg.kg import (
     KnowledgeGraph,
     RelationEdge,
     build_kg_space,
+    kg_to_dict,
     node_text,
     rate,
     save_kg,
@@ -31,11 +32,13 @@ from rdkg.ot import Coupling, SolverConfig, fgw
 from rdkg.refine import (
     Aligned,
     _farthest_pair,
-    _merge_into,
+    _merge_nodes,
+    _split_node,
     EditRecord,
     OpContext,
     RefinementConfig,
     align_graph,
+    apply_edits,
     column_entropy,
     covered_row_mass,
     fresh_id,
@@ -183,11 +186,11 @@ def test_edge_support_arithmetic():
         nodes=[ConceptNode(id=x, label=x.upper()) for x in "abc"],
         edges=[RelationEdge("a", "b", "uses", 0.5), RelationEdge("c", "b", "partOf", 0.5)],
     )
-    assert prune_with(plan, kg, tau=0.0625) == (kg, [])  # supports 0.125 and 0.0625
-    out, records = prune_with(plan, kg, tau=0.07)
+    assert prune_with(plan, kg, tau=0.0625) == []  # supports 0.125 and 0.0625
+    out, records = apply_edits(kg, prune_with(plan, kg, tau=0.07))
     assert [(e.src, e.dst) for e in out.edges] == [("a", "b")]
     assert [r.rationale for r in records] == ["support 6.250e-02 below tau"]
-    out, records = prune_with(plan, kg, tau=0.13)
+    out, records = apply_edits(kg, prune_with(plan, kg, tau=0.13))
     assert out.edges == [] and len(records) == 2
 
 
@@ -198,7 +201,7 @@ def test_edge_support_zero_column_prunes():
         nodes=[ConceptNode(id=x, label=x.upper()) for x in "ab"],
         edges=[RelationEdge("a", "b", "uses", 0.5)],
     )
-    out, records = prune_with(plan, kg)
+    out, records = apply_edits(kg, prune_with(plan, kg))
     assert out.edges == []
     assert [r.rationale for r in records] == ["support 0.000e+00 below tau"]
 
@@ -215,7 +218,7 @@ def test_top_coupled_ties_lowest_index():
     assert top_coupled_reference(plan, 0) == [0, 1, 2, 3, 4]
     assert top_coupled_reference(plan, 1) == [6, 0, 1, 2, 3]
     kg = KnowledgeGraph(nodes=[ConceptNode(id=f"n{j}", label=f"N{j}") for j in range(2)])
-    _, records = op_relate(kg, fake_aligned(plan), relate_ctx(d, 0.2))
+    _, records = apply_edits(kg, op_relate(kg, fake_aligned(plan), relate_ctx(d, 0.2)))
     assert [r.edges[0] for r in records] == [["n0", "relatedTo", "n1"]]
 
 
@@ -329,9 +332,7 @@ def test_op_add_no_candidates_is_noop(provider):
     aligned = solve(space, kg, provider)
     assert aligned.feature.max() < 1e-12
     ctx = make_ctx(space, provider)
-    out, records = op_add(kg, aligned, ctx)
-    assert records == []
-    assert out is kg
+    assert op_add(kg, aligned, ctx) == []
 
 
 def test_op_add_fallback_edge_to_nearest(provider):
@@ -339,7 +340,7 @@ def test_op_add_fallback_edge_to_nearest(provider):
     kg = topic_a_only_kg()
     aligned = solve(space, kg, provider)
     ctx = make_ctx(space, provider)
-    out, records = op_add(kg, aligned, ctx)
+    out, records = apply_edits(kg, op_add(kg, aligned, ctx))
     assert records, "under-covered topic B must trigger adds"
     assert len(records) <= RefinementConfig().max_adds
     for record in records:
@@ -361,7 +362,7 @@ def test_op_add_cap_and_ordering(provider):
     ctx = make_ctx(space, provider, cfg)
     tol = coverage_tolerance(aligned.feature)
     rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, tol)
-    out, records = op_add(kg, aligned, ctx)
+    out, records = apply_edits(kg, op_add(kg, aligned, ctx))
     assert len(records) == 2
     # groups are taken lowest mass first; every skipped flagged element
     # has mass at least the worst accepted group's minimum
@@ -390,7 +391,7 @@ def test_op_add_flags_rows_by_the_configured_coverage_rule(provider, percentile)
     assert starts != _add_group_starts(
         space, aligned, coverage_tolerance(aligned.feature), cfg.theta_add
     )
-    _, records = op_add(kg, aligned, make_ctx(space, provider, cfg))
+    _, records = apply_edits(kg, op_add(kg, aligned, make_ctx(space, provider, cfg)))
     # a node is named after the first unit of its span
     assert {r.nodes[0] for r in records} == {f"add_{i}" for i in starts}
 
@@ -433,9 +434,9 @@ def test_op_add_sends_and_keeps_extra_relations(provider):
 
     client = LlmClient("http://fake", "m", retries=0, transport=transport)
     ctx = make_ctx(space, provider, client=client, relations=relations)
-    added, add_records = op_add(kg, solve(space, kg, provider), ctx)
+    added, add_records = apply_edits(kg, op_add(kg, solve(space, kg, provider), ctx))
     assert add_records and edge_prompts == []
-    out, records = llm_propose_edges(added, solve(space, added, provider), ctx)
+    out, records = apply_edits(added, llm_propose_edges(added, solve(space, added, provider), ctx))
     (prompt,) = edge_prompts
     assert "causes" in prompt.split("Allowed relations:")[1].split(".")[0]
     # the prompt shows the graph with every added node
@@ -454,8 +455,9 @@ def test_op_add_asks_the_llm_only_for_names(provider):
     kg = topic_a_only_kg()
     aligned = solve(space, kg, provider)
     sent = []
-    out, records = op_add(kg, aligned, make_ctx(space, provider, client=empty_reply_client(sent)))
-    plain, plain_records = op_add(kg, aligned, make_ctx(space, provider))
+    client = empty_reply_client(sent)
+    out, records = apply_edits(kg, op_add(kg, aligned, make_ctx(space, provider, client=client)))
+    plain, plain_records = apply_edits(kg, op_add(kg, aligned, make_ctx(space, provider)))
     assert len(records) >= 2
     assert len(sent) == len(records)
     assert all(prompt.startswith("Propose a concise concept label") for prompt in sent)
@@ -485,7 +487,7 @@ def test_a_re_proposed_add_batch_sends_no_new_edge_prompts(provider):
     calls = []  # per op_add call: (its records, the prompts it sent)
     for _ in range(2):
         before = len(sent)
-        _, records = op_add(kg, aligned, ctx)
+        _, records = apply_edits(kg, op_add(kg, aligned, ctx))
         calls.append(([(r.nodes, r.edges) for r in records], sent[before:]))
     (records, prompts), (records_again, prompts_again) = calls
     assert records == records_again and len(records) > 0
@@ -505,7 +507,7 @@ def test_op_add_costs_its_new_nodes_in_one_memo_read(provider, monkeypatch):
     calls = []
     monkeypatch.setattr(embeddings_module, "feature_cost",
                         lambda a, b: calls.append((len(a), len(b))) or original(a, b))
-    out, records = op_add(kg, aligned, ctx)
+    out, records = apply_edits(kg, op_add(kg, aligned, ctx))
     assert len(records) >= 2
     assert calls == [(len(space.elements), len(records)), (len(out.nodes), len(records))]
     align_graph(space, out, ctx.memo, DEFAULT_GAMMA, SolverConfig())
@@ -527,8 +529,7 @@ def test_op_split_trivial_noop(provider):
     )
     aligned = solve(space, kg, provider)
     cfg = RefinementConfig(theta_split=1.5)  # unreachable threshold
-    out, records = op_split(kg, aligned, make_ctx(space, provider, cfg))
-    assert records == [] and out is kg
+    assert op_split(kg, aligned, make_ctx(space, provider, cfg)) == []
 
 
 def overloaded_fixture(provider):
@@ -557,7 +558,7 @@ def test_op_split_fires_and_reduces_distortion(provider):
     space, kg = overloaded_fixture(provider)
     aligned = solve(space, kg, provider)
     ctx = make_ctx(space, provider)
-    out, records = op_split(kg, aligned, ctx)
+    out, records = apply_edits(kg, op_split(kg, aligned, ctx))
     split_parents = [r.nodes[0] for r in records if r.op == "split"]
     assert "mix" in split_parents
     assert validate_graph(out) == []
@@ -575,7 +576,7 @@ def test_op_split_keeps_extra_fields(provider):
     kg.get_node("anchor").extra = {"source": "syllabus"}
     kg.edges[0].extra = {"weight_hint": 0.8}
     aligned = solve(space, kg, provider)
-    out, records = op_split(kg, aligned, make_ctx(space, provider))
+    out, records = apply_edits(kg, op_split(kg, aligned, make_ctx(space, provider)))
     assert "mix" in [r.nodes[0] for r in records]
     for record in records:
         parent = kg.get_node(record.nodes[0])
@@ -594,9 +595,7 @@ def test_op_split_skips_small_subsets(provider):
     aligned = solve(space, kg, provider)
     # single node: its column holds everything, entropy is high, but the
     # coupled subset can be at most 3 elements, so the split must skip
-    out, records = op_split(kg, aligned, make_ctx(space, provider))
-    assert records == []
-    assert len(out.nodes) == 1
+    assert op_split(kg, aligned, make_ctx(space, provider)) == []
 
 
 def duplicate_pair_fixture(provider):
@@ -628,7 +627,7 @@ def duplicate_pair_fixture(provider):
 def test_op_merge_fires_on_duplicates(provider):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
-    out, records = op_merge(kg, aligned, make_ctx(space, provider))
+    out, records = apply_edits(kg, op_merge(kg, aligned, make_ctx(space, provider)))
     assert [r.op for r in records] == ["merge"]
     assert set(records[0].nodes) == {"c3", "c3dup"}
     assert len(out.nodes) == len(kg.nodes) - 1
@@ -641,7 +640,7 @@ def test_op_merge_thresholds_block(provider):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
     strict = RefinementConfig(theta_merge=1e-12, theta_cos=0.999999999)
-    out, records = op_merge(kg, aligned, make_ctx(space, provider, strict))
+    out, records = apply_edits(kg, op_merge(kg, aligned, make_ctx(space, provider, strict)))
     # identical embeddings still satisfy cos, but near-identical (not
     # bit-identical) columns fail the tiny KL budget
     dup_records = [r for r in records if set(r.nodes) == {"c3", "c3dup"}]
@@ -663,7 +662,7 @@ def test_op_merge_identical_columns_always_fires():
     result = type("FakeResult", (), {"coupling": pi})()
     aligned = Aligned(feature=np.zeros((2, 3)), result=result)
     ctx = type("FakeCtx", (), {"config": RefinementConfig(), "memo": memo})()
-    out, records = op_merge(kg, aligned, ctx)
+    out, records = apply_edits(kg, op_merge(kg, aligned, ctx))
     assert [r.op for r in records] == ["merge"]
     assert records[0].nodes == ["a", "b"]
 
@@ -690,7 +689,7 @@ def test_op_merge_cosine_threshold_is_one_minus_the_memo_cost():
                 continue
             ctx = type("FakeCtx", (), {"config": RefinementConfig(theta_cos=theta),
                                        "memo": memo})()
-            _, records = op_merge(kg, aligned, ctx)
+            _, records = apply_edits(kg, op_merge(kg, aligned, ctx))
             expected, used = [], set()
             for a in range(6):
                 if len(expected) >= 3 or a in used:
@@ -711,7 +710,7 @@ def test_op_merge_respects_cap(provider):
     kg.edges.append(RelationEdge("c2dup", "c3", "uses", 0.9, "x"))
     aligned = solve(space, kg, provider)
     cfg = RefinementConfig(max_merges=1)
-    out, records = op_merge(kg, aligned, make_ctx(space, provider, cfg))
+    out, records = apply_edits(kg, op_merge(kg, aligned, make_ctx(space, provider, cfg)))
     assert len(records) == 1
 
 
@@ -720,20 +719,19 @@ def test_op_relate_threshold_behavior(provider):
     aligned = solve(space, kg, provider)
     # permissive threshold connects everything unconnected; strict connects nothing
     ctx_hi = make_ctx(space, provider, RefinementConfig(theta_relate=0.999))
-    out_hi, rec_hi = op_relate(kg, aligned, ctx_hi)
+    out_hi, rec_hi = apply_edits(kg, op_relate(kg, aligned, ctx_hi))
     assert rec_hi and all(r.op == "relate-add" for r in rec_hi)
     assert all(r.edges[0][1] == "relatedTo" for r in rec_hi)
     assert validate_graph(out_hi) == []
     ctx_lo = make_ctx(space, provider, RefinementConfig(theta_relate=1e-9))
-    out_lo, rec_lo = op_relate(kg, aligned, ctx_lo)
-    assert rec_lo == [] and out_lo is kg
+    assert op_relate(kg, aligned, ctx_lo) == []
 
 
 def test_op_relate_skips_connected_pairs(provider):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
     ctx = make_ctx(space, provider, RefinementConfig(theta_relate=0.999))
-    out, records = op_relate(kg, aligned, ctx)
+    out, records = apply_edits(kg, op_relate(kg, aligned, ctx))
     connected_before = {e.key()[:2] for e in kg.edges}
     for record in records:
         src, _, dst = record.edges[0]
@@ -811,7 +809,7 @@ def test_op_relate_matches_per_pair_reference():
     thetas = [means[0] / 2, *means, (means[3] + means[4]) / 2, 2.0]
     fired = 0
     for theta in thetas:
-        out, records = op_relate(kg, aligned, relate_ctx(d, theta))
+        out, records = apply_edits(kg, op_relate(kg, aligned, relate_ctx(d, theta)))
         expected = reference_relate_edges(kg, plan, d, theta)
         assert [r.edges[0] for r in records] == expected
         assert [r.nodes for r in records] == [[e[0], e[2]] for e in expected]
@@ -824,8 +822,7 @@ def test_op_relate_matches_per_pair_reference():
 def test_op_relate_no_distinct_cross_pairs():
     # a one-element lecture: every cross pair is (0, 0), so no pair is scored
     kg, plan, _, _ = hand_built_relate_state()
-    out, records = op_relate(kg, fake_aligned(plan[:1]), relate_ctx(np.zeros((1, 1)), 2.0))
-    assert records == [] and out is kg
+    assert op_relate(kg, fake_aligned(plan[:1]), relate_ctx(np.zeros((1, 1)), 2.0)) == []
 
 
 def test_merge_into_keeps_edge_order_and_drops_duplicates():
@@ -839,18 +836,46 @@ def test_merge_into_keeps_edge_order_and_drops_duplicates():
             RelationEdge("x", "b", "partOf", 0.5),
         ],
     )
-    _merge_into(kg, "a", "b")
+    record = _merge_nodes("a", "b", "why", kg)
+    assert asdict(record) == {"op": "merge", "nodes": ["a", "b"], "edges": [], "rationale": "why"}
     assert [(e.src, e.relation, e.dst) for e in kg.edges] == [
         ("a", "uses", "x"), ("c", "partOf", "a"), ("x", "partOf", "a"),
     ]
     assert kg.get_node("a").aliases == ["B"]
 
 
+def test_split_node_keeps_edge_order_and_drops_duplicates():
+    # the children take the parent's place; the edges not touching it keep
+    # their order, then come child a's rewired edges, then child b's
+    kg = KnowledgeGraph(
+        nodes=[ConceptNode(id=x, label=x.upper(), aliases=["alias"]) for x in ("a", "p", "b")],
+        edges=[
+            RelationEdge("a", "b", "uses", 0.5),
+            RelationEdge("p", "a", "uses", 0.5),
+            RelationEdge("b", "a", "partOf", 0.5),
+            RelationEdge("b", "p", "partOf", 0.5),
+            RelationEdge("a", "p", "uses", 0.5),  # duplicate of p-a once rewired
+        ],
+    )
+    record = _split_node("p", [("First", "one"), ("Second", "two")], "why", kg)
+    assert asdict(record) == {"op": "split", "nodes": ["p", "p_a", "p_b"], "edges": [],
+                              "rationale": "why"}
+    assert [(n.id, n.label, n.definition, n.aliases) for n in kg.nodes] == [
+        ("a", "A", "", ["alias"]), ("p_a", "First", "one", ["alias"]),
+        ("p_b", "Second", "two", ["alias"]), ("b", "B", "", ["alias"]),
+    ]
+    assert [(e.src, e.relation, e.dst) for e in kg.edges] == [
+        ("a", "uses", "b"), ("b", "partOf", "a"),
+        ("p_a", "uses", "a"), ("b", "partOf", "p_a"),
+        ("p_b", "uses", "a"), ("b", "partOf", "p_b"),
+    ]
+
+
 def test_op_prune_removes_unsupported(provider):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
     cfg = RefinementConfig(tau=10.0)  # everything is below this support
-    out, records = op_prune(kg, aligned, make_ctx(space, provider, cfg))
+    out, records = apply_edits(kg, op_prune(kg, aligned, make_ctx(space, provider, cfg)))
     assert out.edges == []
     assert len(records) == len(kg.edges)
     assert all(r.op == "prune" for r in records)
@@ -859,9 +884,7 @@ def test_op_prune_removes_unsupported(provider):
 def test_op_prune_keeps_supported(provider):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
-    out, records = op_prune(kg, aligned, make_ctx(space, provider))
-    assert records == []
-    assert len(out.edges) == len(kg.edges)
+    assert op_prune(kg, aligned, make_ctx(space, provider)) == []
 
 
 @pytest.fixture
@@ -878,7 +901,7 @@ def graph_copies(monkeypatch):
     return copied
 
 
-def test_operators_without_edits_return_the_input_uncopied(provider, graph_copies):
+def test_operators_with_nothing_to_propose_return_no_edits(provider, graph_copies):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
     quiet = RefinementConfig(theta_cos=2.0, theta_relate=1e-9, tau=1e-300)
@@ -898,34 +921,71 @@ def test_operators_without_edits_return_the_input_uncopied(provider, graph_copie
         (op_prune, kg, aligned, ctx),
     ]
     for op, graph, graph_aligned, op_ctx in calls:
-        out, records = op(graph, graph_aligned, op_ctx)
-        assert records == [] and out is graph, op.__name__
+        assert op(graph, graph_aligned, op_ctx) == [], op.__name__
     assert graph_copies == []
 
 
-def test_operators_copy_once_when_they_edit(provider, graph_copies):
+def firing_operator_calls(provider):
+    """Each of the six edit producers on a fixture where it proposes edits:
+    (producer, graph, alignment, context). The LLM edge pass gets a client
+    that proposes one edge."""
+    from rdkg.llm import LlmClient
+
+    def transport(url, payload, headers, timeout):
+        content = "{}"
+        if "propose new edges" in payload["messages"][0]["content"]:
+            content = json.dumps({"edges": [{"src": "c0", "dst": "c2", "relation": "contrastsWith",
+                                             "confidence": 0.6, "rationale": "other topics"}]})
+        return {"choices": [{"message": {"content": content}}]}
+
+    client = LlmClient("http://fake", "m", retries=0, transport=transport)
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
-    ctx = make_ctx(space, provider, RefinementConfig(theta_relate=0.999, tau=10.0))
+    ctx = make_ctx(space, provider, RefinementConfig(theta_relate=0.999, tau=10.0), client)
+    add_space, add_kg = two_topic_fixture(provider)
     split_space, split_kg = overloaded_fixture(provider)
-    split_aligned = solve(split_space, split_kg, provider)
-    calls = [
-        (op_split, split_kg, split_aligned, make_ctx(split_space, provider)),
+    return [
+        (op_add, add_kg, solve(add_space, add_kg, provider), make_ctx(add_space, provider)),
+        (op_split, split_kg, solve(split_space, split_kg, provider),
+         make_ctx(split_space, provider)),
         (op_merge, kg, aligned, ctx),
         (op_relate, kg, aligned, ctx),
         (op_prune, kg, aligned, ctx),
+        (llm_propose_edges, kg, aligned, ctx),
     ]
-    for op, graph, graph_aligned, op_ctx in calls:
+
+
+def test_operators_never_copy_and_apply_edits_copies_once(provider, graph_copies):
+    for op, graph, graph_aligned, op_ctx in firing_operator_calls(provider):
         graph_copies.clear()
-        out, records = op(graph, graph_aligned, op_ctx)
-        assert records and out is not graph, op.__name__
+        edits = op(graph, graph_aligned, op_ctx)
+        assert edits and graph_copies == [], op.__name__
+        out, records = apply_edits(graph, edits)
+        assert len(records) == len(edits) and out is not graph, op.__name__
         assert graph_copies == [graph], op.__name__
+
+
+def test_edits_never_touch_the_graph_they_came_from(provider):
+    # refine() keeps the recorded graph and alignment uncopied, and a later
+    # step may apply one edit alone: both rest on proposals and applies
+    # leaving their input as it was, and on applies building their own nodes
+    for op, graph, graph_aligned, op_ctx in firing_operator_calls(provider):
+        doc, plan = kg_to_dict(graph), graph_aligned.coupling.matrix.tobytes()
+        edits = op(graph, graph_aligned, op_ctx)
+        assert edits and kg_to_dict(graph) == doc, op.__name__
+        first, first_records = apply_edits(graph, edits)
+        second, second_records = apply_edits(graph, edits)
+        assert kg_to_dict(graph) == doc, op.__name__
+        assert graph_aligned.coupling.matrix.tobytes() == plan, op.__name__
+        assert kg_to_dict(first) == kg_to_dict(second) != doc, op.__name__
+        assert [asdict(r) for r in first_records] == [asdict(r) for r in second_records]
+        objects = [{id(x) for x in g.nodes + g.edges} for g in (graph, first, second)]
+        assert sum(len(ids) for ids in objects) == len(set.union(*objects)), op.__name__
 
 
 def test_llm_propose_edges_noop_without_client(provider):
     space, kg = duplicate_pair_fixture(provider)
-    out, records = llm_propose_edges(kg, solve(space, kg, provider), make_ctx(space, provider))
-    assert out is kg and records == []
+    assert llm_propose_edges(kg, solve(space, kg, provider), make_ctx(space, provider)) == []
 
 
 def test_split_then_merge_restores_count(provider):
@@ -950,11 +1010,11 @@ def test_split_then_merge_restores_count(provider):
     )
     aligned = solve(space, kg, provider)
     ctx = make_ctx(space, provider)
-    split_kg, split_records = op_split(kg, aligned, ctx)
+    split_kg, split_records = apply_edits(kg, op_split(kg, aligned, ctx))
     assert any(r.nodes[0] == "n1" for r in split_records)
     count_after_split = len(split_kg.nodes)
     aligned2 = solve(space, split_kg, provider)
-    merge_kg, merge_records = op_merge(split_kg, aligned2, ctx)
+    merge_kg, merge_records = apply_edits(split_kg, op_merge(split_kg, aligned2, ctx))
     assert merge_records
     assert len(merge_kg.nodes) == count_after_split - len(merge_records)
 
@@ -1226,8 +1286,6 @@ def test_refine_deterministic(provider):
     b = refine(space, topic_a_only_kg(), provider, refine_config=cfg)
     assert [p.__dict__ for p in a.trace.points] == [p.__dict__ for p in b.trace.points]
     assert a.trace.edits == b.trace.edits
-    from rdkg.kg import kg_to_dict
-
     assert kg_to_dict(a.graph) == kg_to_dict(b.graph)
 
 
@@ -1326,11 +1384,13 @@ def test_refine_rejects_a_batch_that_raises_the_objective(provider, monkeypatch)
                              max_merges=0, theta_relate=1e-9, tau=1e-12)
     baseline = refine(space, kg, provider, refine_config=quiet)
 
+    def add_stray(working):
+        working.nodes.append(ConceptNode(id="stray", label="Volcanoes",
+                                         definition="magma lava eruption crater"))
+        return EditRecord(op="add", nodes=["stray"])
+
     def op_add(graph, aligned, ctx):
-        stray = graph.copy()
-        stray.nodes.append(ConceptNode(id="stray", label="Volcanoes",
-                                       definition="magma lava eruption crater"))
-        return stray, [EditRecord(op="add", nodes=["stray"])]
+        return [add_stray]
 
     monkeypatch.setattr(sys.modules["rdkg.refine"], "op_add", op_add)
     out = refine(space, kg, provider, refine_config=quiet)
