@@ -43,7 +43,10 @@ class RdTrace:
     beta: float
     points: list[RdPoint] = field(default_factory=list)
     edits: list[list[dict]] = field(default_factory=list)  # kept edit records per row
-    # per row, each rejected batch: {"op", "delta_L" (its rise in L), "edits"}
+    # per row, each rejected batch: {"op", "delta_L" (its rise in L), "edits"};
+    # a batch whose rate alone reached the incumbent's L is not solved, since
+    # D >= 0: {"op", "delta_L" (rate - L, a lower bound on its rise),
+    # "solved": false, "edits"}
     rejected: list[list[dict]] = field(default_factory=list)
     incomplete: bool = False
 

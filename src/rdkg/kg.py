@@ -9,7 +9,7 @@ provenance and prompting but do not weight the geometry.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -308,15 +308,22 @@ def edge_from_dict(raw: Any) -> RelationEdge:
 
 def kg_to_dict(kg: KnowledgeGraph) -> dict[str, Any]:
     """The JSON document of a graph: each node's and edge's fields in
-    declaration order, then its extra keys; then the graph's extra keys."""
-    return {"nodes": [_element_doc(n) for n in kg.nodes],
-            "edges": [_element_doc(e) for e in kg.edges], **kg.extra}
+    declaration order, then its extra keys; then the graph's extra keys.
+    The document shares its lists and dicts with the graph: it is built
+    to be written, so it takes no deep copy (``dataclasses.asdict``)."""
+    return {"nodes": [_node_doc(n) for n in kg.nodes],
+            "edges": [_edge_doc(e) for e in kg.edges], **kg.extra}
 
 
-def _element_doc(element: ConceptNode | RelationEdge) -> dict[str, Any]:
-    doc = asdict(element)
-    doc.update(doc.pop("extra"))
-    return doc
+def _node_doc(n: ConceptNode) -> dict[str, Any]:
+    return {"id": n.id, "label": n.label, "definition": n.definition, "aliases": n.aliases,
+            "provenance": n.provenance, "confidence": n.confidence,
+            "rationale": n.rationale, **n.extra}
+
+
+def _edge_doc(e: RelationEdge) -> dict[str, Any]:
+    return {"src": e.src, "dst": e.dst, "relation": e.relation, "confidence": e.confidence,
+            "rationale": e.rationale, **e.extra}
 
 
 def load_kg(path: str | Path) -> KnowledgeGraph:

@@ -7,7 +7,12 @@ and ``apply_edits`` copies the graph once and applies them to the copy
 in order. That copy is the candidate: it is solved (``align_graph``)
 and kept only if it strictly lowers the objective, else the previous
 graph and alignment stay and the batch is recorded as rejected with its
-rise in the objective. Each iteration then records
+rise in the objective. The distortion is never negative, so a
+candidate's objective is at least its rate: a candidate whose rate
+alone reaches the incumbent's objective cannot be kept and is not
+solved. It is recorded as rejected with ``"solved": false`` and, as its
+rise, the excess of its rate over the incumbent's objective, a lower
+bound on the true rise. Each iteration then records
 one trace row, so the trace objective never rises and the current graph
 is the incumbent. A row holds its graph's rate, distortion and objective,
 its alignment's solver diagnostics and coverage, and its kept and
@@ -373,14 +378,12 @@ def _split_node(parent_id: str, children: list[tuple[str, str]], rationale: str,
     incident = [e for e in working.edges if parent_id in (e.src, e.dst)]
     working.edges = [e for e in working.edges if parent_id not in (e.src, e.dst)]
     keys = {e.key() for e in working.edges}
-    for child in nodes:
-        for e in incident:
-            rewired = copy_edge(e)
-            if e.src == parent_id:
-                rewired.src = child.id
-            if e.dst == parent_id:
-                rewired.dst = child.id
-            _add_edge_dedup(working, rewired, keys)
+    # the working graph owns its edges: child a rewires them in place, child b
+    # the copies taken before that
+    copies = [copy_edge(e) for e in incident]
+    for child, edges in zip(nodes, (incident, copies)):
+        for e in edges:
+            _add_edge_dedup(working, _rewire(e, parent_id, child.id), keys)
     return EditRecord(op="split", nodes=[parent_id] + [c.id for c in nodes], rationale=rationale)
 
 
@@ -437,15 +440,20 @@ def _merge_nodes(keep_id: str, drop_id: str, rationale: str,
     old_edges = working.edges
     working.edges = []
     keys: set[tuple[str, str, str]] = set()
-    for e in old_edges:
-        rewired = copy_edge(e)
-        if e.src == drop_id:
-            rewired.src = keep_id
-        if e.dst == drop_id:
-            rewired.dst = keep_id
-        if rewired.src != rewired.dst:
-            _add_edge_dedup(working, rewired, keys)
+    for e in old_edges:  # the working graph's own edges, rewired in place
+        _rewire(e, drop_id, keep_id)
+        if e.src != e.dst:
+            _add_edge_dedup(working, e, keys)
     return EditRecord(op="merge", nodes=[keep_id, drop_id], rationale=rationale)
+
+
+def _rewire(edge: RelationEdge, old_id: str, new_id: str) -> RelationEdge:
+    """Point ``edge``'s endpoints at ``old_id`` to ``new_id``, in place."""
+    if edge.src == old_id:
+        edge.src = new_id
+    if edge.dst == old_id:
+        edge.dst = new_id
+    return edge
 
 
 def op_relate(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
@@ -597,7 +605,11 @@ def refine(
     incumbent, and ``incumbent_index`` is the last row that kept an edit
     (0 if none did). Each operator proposes its edits without changing
     the graph, and ``apply_edits`` applies them in order to one copy,
-    the candidate. The operators read only the graph and its
+    the candidate. A candidate whose rate is at least the incumbent's
+    objective is rejected unsolved (``beta * D >= 0``): its record has
+    ``"solved": false`` and ``delta_L`` = rate - objective, a lower bound
+    on its rise, and a solve that would have raised ``NumericalError``
+    for it never runs. The operators read only the graph and its
     alignment, and name ids and prompts from them, so an operator run
     again on the same graph proposes the batch it proposed before. The
     search counts the operator runs since the last kept batch and stops
@@ -649,9 +661,17 @@ def refine(
                 candidate, records = apply_edits(kg, proposed)
                 # the records name the operator; a wrapper around op may not
                 _check_valid(candidate, records[0].op, allowed_relations)
+                incumbent = _objective(kg, aligned, cfg.beta)
+                if rate(candidate) >= incumbent:
+                    # beta * D >= 0, so the candidate's L is at least its rate: no
+                    # solve can make it lower L, and its rate's excess is a lower
+                    # bound on its rise
+                    rejected.append({"op": records[0].op,
+                                     "delta_L": _round9(rate(candidate) - incumbent),
+                                     "solved": False, "edits": [asdict(r) for r in records]})
+                    continue
                 solution = align_graph(lecture, candidate, memo, gamma, solver_cfg)
-                delta = (_objective(candidate, solution, cfg.beta)
-                         - _objective(kg, aligned, cfg.beta))
+                delta = _objective(candidate, solution, cfg.beta) - incumbent
                 if delta < 0:
                     kg, aligned = candidate, solution
                     edits.extend(records)

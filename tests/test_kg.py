@@ -355,6 +355,35 @@ def test_unknown_fields_preserved(tmp_path):
     assert out["dataset"] == "week3"
 
 
+def asdict_doc(element):
+    """An element's document by dataclasses.asdict, the deep-copy form
+    kg_to_dict once used: the oracle of its keys, their order and values."""
+    doc = dataclasses.asdict(element)
+    doc.update(doc.pop("extra"))
+    return doc
+
+
+def test_kg_to_dict_equals_the_asdict_form():
+    kg = KnowledgeGraph(
+        nodes=[
+            ConceptNode(id="a", label="Alpha", definition="first", aliases=["A", "alpha"],
+                        provenance={"path": ["S", "T"], "excerpt": "first"}, confidence=0.7,
+                        rationale="why", extra={"score": 0.77, "tags": ["x", {"y": None}]}),
+            ConceptNode(id="b", label="Beta"),  # None provenance and rationale, no extra
+        ],
+        edges=[
+            RelationEdge("a", "b", "uses", 0.9, "because", extra={"hint": {"w": [1, 2]}}),
+            RelationEdge("b", "a", "partOf"),
+        ],
+        extra={"dataset": "week3"},
+    )
+    want = {"nodes": [asdict_doc(n) for n in kg.nodes],
+            "edges": [asdict_doc(e) for e in kg.edges], "dataset": "week3"}
+    got = kg_to_dict(kg)
+    assert got == want
+    assert json.dumps(got, indent=1) == json.dumps(want, indent=1)  # key order included
+
+
 def test_from_dict_to_dict_identity():
     doc = kg_to_dict(simple_graph())
     assert kg_to_dict(kg_from_dict(doc)) == doc

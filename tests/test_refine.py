@@ -5,12 +5,13 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rdkg.analysis import coverage, coverage_tolerance, save_trace
+from rdkg.analysis import _round9, coverage, coverage_tolerance, save_trace
 from rdkg.embeddings import CostMemo, cosine_distance, feature_cost
 from rdkg.errors import InputError, NumericalError
 from rdkg.kg import (
@@ -869,6 +870,35 @@ def test_split_node_keeps_edge_order_and_drops_duplicates():
         ("p_a", "uses", "a"), ("b", "partOf", "p_a"),
         ("p_b", "uses", "a"), ("b", "partOf", "p_b"),
     ]
+    assert len({id(e) for e in kg.edges}) == len(kg.edges)  # child b's edges are copies
+
+
+def test_merge_and_split_applies_leave_their_input_graph_untouched():
+    # the applies rewire the working graph's own edges in place, so only
+    # apply_edits' one copy keeps the input graph as it was
+    kg = KnowledgeGraph(
+        nodes=[ConceptNode(id=x, label=x.upper(), aliases=[f"{x} alias"],
+                           provenance={"path": ["S", x]}, extra={"k": [x]})
+               for x in ("a", "b", "p", "q")],
+        edges=[
+            RelationEdge("a", "b", "uses", 0.5, extra={"w": [1]}),
+            RelationEdge("p", "b", "partOf", 0.5),
+            RelationEdge("q", "p", "uses", 0.5),
+            RelationEdge("b", "q", "partOf", 0.5),
+        ],
+    )
+    snapshot = json.dumps(kg_to_dict(kg))
+    edges = list(kg.edges)
+    edits = [partial(_merge_nodes, "a", "b", "why"),
+             partial(_split_node, "p", [("First", "one"), ("Second", "two")], "why")]
+    out, _ = apply_edits(kg, edits)
+    assert json.dumps(kg_to_dict(kg)) == snapshot and kg.edges == edges
+    assert all(a is b for a, b in zip(kg.edges, edges))
+    assert not {id(e) for e in out.edges} & {id(e) for e in kg.edges}
+    assert [(e.src, e.relation, e.dst) for e in out.edges] == [
+        ("a", "partOf", "q"), ("p_a", "partOf", "a"), ("q", "uses", "p_a"),
+        ("p_b", "partOf", "a"), ("q", "uses", "p_b"),
+    ]
 
 
 def test_op_prune_removes_unsupported(provider):
@@ -970,14 +1000,15 @@ def test_edits_never_touch_the_graph_they_came_from(provider):
     # step may apply one edit alone: both rest on proposals and applies
     # leaving their input as it was, and on applies building their own nodes
     for op, graph, graph_aligned, op_ctx in firing_operator_calls(provider):
-        doc, plan = kg_to_dict(graph), graph_aligned.coupling.matrix.tobytes()
+        # kg_to_dict shares the graph's lists and dicts, so snapshot its text
+        doc, plan = json.dumps(kg_to_dict(graph)), graph_aligned.coupling.matrix.tobytes()
         edits = op(graph, graph_aligned, op_ctx)
-        assert edits and kg_to_dict(graph) == doc, op.__name__
+        assert edits and json.dumps(kg_to_dict(graph)) == doc, op.__name__
         first, first_records = apply_edits(graph, edits)
         second, second_records = apply_edits(graph, edits)
-        assert kg_to_dict(graph) == doc, op.__name__
+        assert json.dumps(kg_to_dict(graph)) == doc, op.__name__
         assert graph_aligned.coupling.matrix.tobytes() == plan, op.__name__
-        assert kg_to_dict(first) == kg_to_dict(second) != doc, op.__name__
+        assert json.dumps(kg_to_dict(first)) == json.dumps(kg_to_dict(second)) != doc, op.__name__
         assert [asdict(r) for r in first_records] == [asdict(r) for r in second_records]
         objects = [{id(x) for x in g.nodes + g.edges} for g in (graph, first, second)]
         assert sum(len(ids) for ids in objects) == len(set.union(*objects)), op.__name__
@@ -1377,17 +1408,33 @@ def test_refine_objective_never_rises(provider, fixture):
             assert all(set(e) == set(asdict(EditRecord(op=""))) for e in batch["edits"])
 
 
+def counted_solves(monkeypatch):
+    """The graphs that refine() passes to align_graph, and the fgw calls."""
+    module = sys.modules["rdkg.refine"]
+    graphs, solves = [], []
+    original_align, original_fgw = module.align_graph, module.fgw
+
+    def aligning(lecture, kg, *args):
+        graphs.append(kg)
+        return original_align(lecture, kg, *args)
+
+    monkeypatch.setattr(module, "align_graph", aligning)
+    monkeypatch.setattr(module, "fgw", lambda *a: solves.append(a) or original_fgw(*a))
+    return graphs, solves
+
+
+def add_stray(working):
+    working.nodes.append(ConceptNode(id="stray", label="Volcanoes",
+                                     definition="magma lava eruption crater"))
+    return EditRecord(op="add", nodes=["stray"])
+
+
 def test_refine_rejects_a_batch_that_raises_the_objective(provider, monkeypatch):
     space, kg = duplicate_pair_fixture(provider)
     # no operator of the module fires under these settings
     quiet = RefinementConfig(max_iterations=2, theta_add=1e-9, theta_split=1.5,
                              max_merges=0, theta_relate=1e-9, tau=1e-12)
     baseline = refine(space, kg, provider, refine_config=quiet)
-
-    def add_stray(working):
-        working.nodes.append(ConceptNode(id="stray", label="Volcanoes",
-                                         definition="magma lava eruption crater"))
-        return EditRecord(op="add", nodes=["stray"])
 
     def op_add(graph, aligned, ctx):
         return [add_stray]
@@ -1404,6 +1451,91 @@ def test_refine_rejects_a_batch_that_raises_the_objective(provider, monkeypatch)
         assert [(b["op"], [e["nodes"] for e in b["edits"]]) for b in row] == [
             ("add", [["stray"]])]
         assert row[0]["delta_L"] > 0
+
+
+def test_refine_records_a_batch_whose_rate_reaches_L_unsolved(provider, monkeypatch):
+    # at beta 1 the duplicate fixture's L is 6.81 and one stray node takes
+    # the rate from 6.5 to 7.5: D >= 0, so no solve could keep the batch
+    space, kg = duplicate_pair_fixture(provider)
+    quiet = RefinementConfig(beta=1.0, max_iterations=2, theta_add=1e-9, theta_split=1.5,
+                             max_merges=0, theta_relate=1e-9, tau=1e-12)
+    baseline = refine(space, kg, provider, refine_config=quiet)
+    incumbent = baseline.trace.points[0].objective
+    assert rate(kg) < incumbent < rate(kg) + 1
+    graphs, solves = counted_solves(monkeypatch)
+    monkeypatch.setattr(sys.modules["rdkg.refine"], "op_add", lambda *args: [add_stray])
+    out = refine(space, kg, provider, refine_config=quiet)
+    assert len(graphs) == len(solves) == 1 and graphs[0].node_ids() == kg.node_ids()
+    assert out.trace.points == baseline.trace.points
+    assert out.trace.edits == [[], []] and out.incumbent_index == 0
+    assert out.trace.rejected == [[], [{
+        "op": "add", "delta_L": _round9(rate(kg) + 1 - incumbent), "solved": False,
+        "edits": [asdict(EditRecord(op="add", nodes=["stray"]))],
+    }]]
+
+
+def test_refine_solves_a_batch_just_below_L_and_skips_one_at_L(provider, monkeypatch):
+    # D does not depend on beta, so beta sets the t0 objective to the float
+    # the stray batch's rate equals, or to the next float above it
+    space, kg = duplicate_pair_fixture(provider)
+    quiet = dict(max_iterations=2, theta_add=1e-9, theta_split=1.5, max_merges=0,
+                 theta_relate=1e-9, tau=1e-12)
+    d0 = refine(space, kg, provider, refine_config=RefinementConfig(**quiet)).trace.points[0].distortion
+    target = rate(kg) + 1  # the stray batch's rate
+    at = 1.0 / d0
+    while rate(kg) + at * d0 < target:
+        at = np.nextafter(at, np.inf)
+    while rate(kg) + np.nextafter(at, 0.0) * d0 >= target:
+        at = np.nextafter(at, 0.0)
+    above = at
+    while rate(kg) + above * d0 == target:
+        above = np.nextafter(above, np.inf)
+    assert rate(kg) + at * d0 == target
+    assert rate(kg) + above * d0 == np.nextafter(target, np.inf)
+    monkeypatch.setattr(sys.modules["rdkg.refine"], "op_add", lambda *args: [add_stray])
+    graphs, _ = counted_solves(monkeypatch)
+    skipped = refine(space, kg, provider, refine_config=RefinementConfig(beta=float(at), **quiet))
+    assert len(graphs) == 1
+    assert [(b["delta_L"], b.get("solved")) for b in skipped.trace.rejected[1]] == [(0.0, False)]
+    graphs.clear()
+    solved = refine(space, kg, provider, refine_config=RefinementConfig(beta=float(above), **quiet))
+    assert len(graphs) == 2 and graphs[1].node_ids() == kg.node_ids() + ["stray"]
+    [batch] = solved.trace.rejected[1]
+    assert "solved" not in batch and batch["delta_L"] > 0
+
+
+@pytest.mark.parametrize("fixture, beta", [(two_topic_fixture, 15.0), (overloaded_fixture, 15.0)])
+def test_refine_unsolved_bounds_lie_below_the_true_rise(provider, monkeypatch, fixture, beta):
+    # each batch refine() did not solve is solved here: its true rise in L
+    # is at least its recorded bound, which is at least 0
+    module = sys.modules["rdkg.refine"]
+    applied = []  # (the graph, its candidate, their records) of every batch, in order
+
+    def applying(kg, edits):
+        candidate, records = apply_edits(kg, edits)
+        applied.append((kg, candidate, [asdict(r) for r in records]))
+        return candidate, records
+
+    monkeypatch.setattr(module, "apply_edits", applying)
+    graphs, _ = counted_solves(monkeypatch)
+    space, kg = fixture(provider)
+    out = refine(space, kg, provider, refine_config=RefinementConfig(beta=beta))
+    monkeypatch.undo()
+    batches = [b for row in out.trace.rejected for b in row]
+    unsolved = [b for b in batches if b.get("solved") is False]
+    skipped = [pair for pair in applied if not any(pair[1] is g for g in graphs)]
+    assert len(skipped) == len(unsolved) > 0 and len(unsolved) < len(batches)
+    assert any(out.trace.edits)
+    memo = CostMemo(provider.embed, space.contents())
+
+    def objective(graph):
+        return rate(graph) + beta * align_graph(
+            space, graph, memo, DEFAULT_GAMMA, SolverConfig()).result.distortion
+
+    for (graph, candidate, records), batch in zip(skipped, unsolved):
+        assert batch["edits"] == records
+        rise = objective(candidate) - objective(graph)
+        assert _round9(rise) >= batch["delta_L"] >= 0
 
 
 def test_refine_trace_does_not_depend_on_operator_function_names(provider, monkeypatch,
