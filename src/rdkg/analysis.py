@@ -80,18 +80,16 @@ def knee_point(points: list[RdPoint]) -> int:
     return min(tied, key=lambda i: (points[i].objective, points[i].t))
 
 
-def coverage_tolerance(
-    feature_costs: np.ndarray,
-    percentile: float = COVERAGE_PERCENTILE,
-) -> float:
-    """Feature-distance tolerance: a percentile of the cost distribution.
+def coverage_tolerance(feature_costs: np.ndarray) -> float:
+    """Feature-distance tolerance: the COVERAGE_PERCENTILE-th percentile
+    of the cost distribution.
 
     The percentile (linear interpolation between closest ranks) is taken
     over all N*M entries.
     """
     if feature_costs.size == 0:
         raise InputError("empty feature-cost matrix")
-    return float(np.percentile(feature_costs, percentile))
+    return float(np.percentile(feature_costs, COVERAGE_PERCENTILE))
 
 
 def covered_fraction(feature_costs: np.ndarray, plan: np.ndarray, tolerance: float) -> float:
@@ -107,14 +105,9 @@ def covered_fraction(feature_costs: np.ndarray, plan: np.ndarray, tolerance: flo
     return float((costs <= tolerance).mean())
 
 
-def coverage(
-    feature_costs: np.ndarray,
-    plan: np.ndarray,
-    percentile: float = COVERAGE_PERCENTILE,
-) -> float:
-    """Coverage score in [0, 1] of a coupling plan at the percentile-derived
-    tolerance."""
-    return covered_fraction(feature_costs, plan, coverage_tolerance(feature_costs, percentile))
+def coverage(feature_costs: np.ndarray, plan: np.ndarray) -> float:
+    """Coverage score in [0, 1] of a coupling plan at ``coverage_tolerance``."""
+    return covered_fraction(feature_costs, plan, coverage_tolerance(feature_costs))
 
 
 def emit_report(trace: RdTrace, out_dir: str | Path,
@@ -230,10 +223,11 @@ def load_trace(path: str | Path) -> RdTrace:
     """Read a JSONL trace written by save_trace.
 
     Raises InputError for a row field that ``check_json`` refuses as a
-    finite number (``t``: an integer), a row without ``beta``
-    (a trace written before rows carried it) or rows that disagree on it.
-    ``coverage``, ``rejected`` and ``solver`` are optional, so traces
-    written before rows carried them still load.
+    finite number (``t``: an integer; ``edits`` and ``rejected``: lists),
+    a row without ``beta`` (a trace written before rows carried it) or
+    rows that disagree on it. ``coverage``, ``edits``, ``rejected`` and
+    ``solver`` are optional, so traces written before rows carried them
+    still load.
     """
     points: list[RdPoint] = []
     edits: list[list[dict]] = []
@@ -259,8 +253,8 @@ def load_trace(path: str | Path) -> RdTrace:
                     coverage=pop_field(row, "coverage", float | None, None),
                 )
             )
-            edits.append(row.get("edits", []))
-            rejected.append(row.get("rejected", []))
+            edits.append(pop_field(row, "edits", list, []))
+            rejected.append(pop_field(row, "rejected", list, []))
             beta = pop_field(row, "beta", float, None)
         except ValueError as exc:  # malformed JSON, or a field check_json refuses
             raise InputError(f"malformed trace at line {lineno}: {exc}") from exc

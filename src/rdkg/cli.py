@@ -66,7 +66,7 @@ BOOTSTRAP_KEYS = frozenset({
 })
 ALIGN_KEYS = INGEST_KEYS | {
     key for key, (section, _) in config_keys().items() if section == "solver"
-} | {"extra_relations", "gamma_struct", "gamma_sem", "beta", "coverage_percentile", "debug"}
+} | {"extra_relations", "gamma_struct", "gamma_sem", "beta", "debug"}
 REFINE_KEYS = frozenset(config_keys())
 
 
@@ -209,8 +209,7 @@ def align(space_path, kg_path, config_path, out_dir, **overrides) -> None:
     memo = CostMemo(provider.embed, space.contents())
     aligned = align_graph(space, graph, memo, cfg.gamma, cfg.solver)
     result = aligned.result
-    cov = analysis.coverage(aligned.feature, aligned.coupling.matrix,
-                            cfg.refinement.coverage_percentile)
+    cov = analysis.coverage(aligned.feature, aligned.coupling.matrix)
     r = kgmod.rate(graph)
     click.echo(
         f"D={result.distortion:.6f} (structure={result.structure_term:.6f}, "

@@ -120,8 +120,9 @@ class FileEmbedder:
 
     File format: {"dim": d, "keys": [content-hash, ...],
     "vectors": [[...], ...]} with keys[i] the SHA-256 of the exact text
-    vectors[i] embeds. The fingerprint names the file by the SHA-256 of
-    its bytes.
+    vectors[i] embeds, a list of d finite numbers (``check_json``'s rule,
+    so ``true`` or ``"1.5"`` is refused). The fingerprint names the file
+    by the SHA-256 of its bytes.
     """
 
     def __init__(self, path: str | Path):
@@ -143,15 +144,10 @@ class FileEmbedder:
         self._table: dict[str, np.ndarray] = {}
         for key, vec in zip(keys, vectors):
             try:
-                arr = np.asarray(vec, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise InputError(
-                    f"embeddings file {path}: non-numeric vector for key {key[:12]}"
-                ) from exc
-            if not np.isfinite(arr).all():
-                raise InputError(
-                    f"embeddings file {path}: non-finite vector for key {key[:12]}"
-                )
+                arr = np.array(check_json(f"vector for key {key[:12]}", vec, list[float]),
+                               dtype=np.float64)
+            except InputError as exc:
+                raise InputError(f"embeddings file {path}: {exc}") from exc
             if arr.shape != (self.dim,):
                 raise InputError(
                     f"embeddings file: dimension mismatch for key {key[:12]}"
@@ -183,8 +179,8 @@ class HttpEmbedder:
     Wire contract: POST {"model": ..., "inputs": [text, ...]} returning
     {"embeddings": [[...], ...]}, batched at 64 texts per request, with
     retries and exponential backoff. Every text given is sent, repeats
-    included. A reply whose vectors are not one numeric matrix raises
-    ProviderError.
+    included. A reply vector that ``check_json`` refuses as a list of
+    finite numbers, or vectors of unequal length, raise ProviderError.
     """
 
     BATCH = 64
@@ -230,8 +226,10 @@ class HttpEmbedder:
                 )
             rows.extend(vectors)
         try:
+            for i, row in enumerate(rows):
+                check_json(f"vector {i}", row, list[float])
             return np.asarray(rows, dtype=np.float64)
-        except (TypeError, ValueError) as exc:  # ragged or non-numeric vectors
+        except ValueError as exc:  # a mistyped vector (an InputError), or ragged ones
             raise ProviderError(f"embedding endpoint returned malformed vectors: {exc}") from exc
 
 

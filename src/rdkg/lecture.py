@@ -315,13 +315,14 @@ def load_lecture_space(path: str | Path) -> LectureSpace:
 
     Each field is read by ``errors.pop_field``: ``format`` an integer,
     each element's ``id`` and ``content`` strings, ``idx`` an integer and
-    ``path`` a list of strings, ``alpha`` a list of numbers, ``fingerprint``
-    an object or null, ``d`` and ``mu`` lists. A ``format`` or ``idx``
-    outside [-2**63, 2**64 - 1] is refused and quoted as written: orjson
-    reads such an integer as a float, so the fields of a refused file are
-    read again from the stdlib's parse. Raises InputError for a file that
-    is not UTF-8 or not JSON, a file of another ``format``, a missing or
-    mistyped field, a ragged or non-numeric ``d`` or ``mu``, and a space
+    ``path`` a list of strings, ``alpha`` and ``mu`` lists of numbers,
+    ``fingerprint`` an object or null, ``d`` a list. A ``format`` or
+    ``idx`` outside [-2**63, 2**64 - 1] is refused and quoted as written:
+    orjson reads such an integer as a float, so the fields of a refused
+    file are read again from the stdlib's parse. Raises InputError for a
+    file that is not UTF-8 or not JSON, a file of another ``format``, a
+    missing or mistyped field, a ragged or non-numeric ``d`` (its entries
+    are not type-checked one by one: ``true`` reads as 1.0), and a space
     that breaks ``check_space`` (non-finite, asymmetric or out-of-range
     distances, a nonzero diagonal, a measure that is not a positive
     probability vector).
@@ -361,7 +362,7 @@ def _fields(doc):
     elements = [_element_from_dict(i, raw)
                 for i, raw in enumerate(pop_field(doc, "elements", list))]
     distance = pop_field(doc, "d", list)
-    measure = pop_field(doc, "mu", list)
+    measure = pop_field(doc, "mu", list[float])
     alpha = tuple(float(x) for x in pop_field(doc, "alpha", list[float]))
     fingerprint = pop_field(doc, "fingerprint", dict | None, None)
     return elements, distance, measure, alpha, fingerprint

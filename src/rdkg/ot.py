@@ -68,6 +68,10 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 MARGINAL_TOL = 1e-6
+#: The Frank-Wolfe stop rule: at most FW_ITERS outer steps, and a stop once
+#: a step lowers the objective by less than FW_TOL times max(|objective|, 1).
+FW_ITERS = 50
+FW_TOL = 1e-6
 #: Upper bound on the Sinkhorn scalings between two absorptions, and the
 #: kernel entries flushed to 0 when the kernel is formed (subnormal
 #: operands slow every product they enter). A flushed entry would carry
@@ -124,15 +128,13 @@ class SolverConfig:
     lambda_feat: float = 0.6
     epsilon: float = 0.05
     sinkhorn_iters: int = 200
-    fw_iters: int = 50
-    fw_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_feat <= 1.0:
             raise InputError("lambda_feat must lie in [0, 1]")
         if self.epsilon <= 0:
             raise InputError("epsilon must be positive")
-        if self.sinkhorn_iters < 1 or self.fw_iters < 1:
+        if self.sinkhorn_iters < 1:
             raise InputError("iteration counts must be at least 1")
 
 
@@ -523,10 +525,11 @@ def fgw(
     """Fused structural-feature coupling by conditional gradient.
 
     Starts from the independence plan mu nu', iterates Sinkhorn-solved
-    linearizations with exact quadratic line search, and stops when the
-    relative objective decrease drops below fw_tol. The objective is
-    nonincreasing across outer iterations by construction; the history
-    of unregularized objective values is returned for inspection.
+    linearizations with exact quadratic line search, and stops after
+    FW_ITERS outer steps or once the relative objective decrease drops
+    below FW_TOL. The objective is nonincreasing across outer iterations
+    by construction; the history of unregularized objective values is
+    returned for inspection.
 
     C1 o C1, C2 o C2 and lam * feature_costs are formed once per call.
     The product C1 pi C2 is carried across steps (see the module
@@ -534,10 +537,12 @@ def fgw(
     product C1 delta C2 both gives the step's quadratic coefficient and
     moves the carried one, so an outer step makes one matrix product. The
     carried product, with the pair terms, gives each gradient and the
-    final structure term. Each gradient is built in one reused N x M
-    buffer; the direction becomes delta in place, and t delta and
-    t C1 delta C2 are formed in a second one and added to pi and the
-    carried product in place.
+    final structure term, at every lam: at lam = 1 the structural part
+    of the gradient and of the line search is weighted by 0, so the
+    steps are those of the feature term alone. Each gradient is built in
+    one reused N x M buffer; the direction becomes delta in place, and
+    t delta and t C1 delta C2 are formed in a second one and added to pi
+    and the carried product in place.
     """
     cfg = config or SolverConfig()
     lam = cfg.lambda_feat
@@ -556,9 +561,7 @@ def fgw(
     lam_costs = lam * feature_costs
     pi = np.outer(mu, nu)
     product = np.outer(d_source.dot(mu), nu.dot(d_target))
-    # at lam = 1 the gradient is lam_costs itself
-    grad = np.empty((n, m)) if lam < 1.0 else lam_costs
-    scratch = np.empty((n, m))
+    grad, scratch = np.empty((n, m)), np.empty((n, m))
     objective, feature, parts = _evaluate(c1sq, c2sq, feature_costs, pi, product, lam)
     history = [objective]
     converged = False
@@ -566,11 +569,10 @@ def fgw(
     iterations = 0
     potentials = None
 
-    for iterations in range(1, cfg.fw_iters + 1):
-        if lam < 1.0:
-            _gradient(*parts[1:], product, out=grad, scratch=scratch)
-            grad *= 1.0 - lam
-            grad += lam_costs
+    for iterations in range(1, FW_ITERS + 1):
+        _gradient(*parts[1:], product, out=grad, scratch=scratch)
+        grad *= 1.0 - lam
+        grad += lam_costs
         # sinkhorn's input check is the one scan of the gradient; a
         # non-finite gradient is this solve's numerical failure
         try:
@@ -609,15 +611,12 @@ def fgw(
         history.append(new_objective)
         decrease = objective - new_objective
         objective = new_objective
-        if decrease < cfg.fw_tol * max(abs(objective), 1.0):
+        if decrease < FW_TOL * max(abs(objective), 1.0):
             converged = True
             break
 
     # parts and feature belong to the last evaluated plan, which is pi.
-    if parts is None:
-        structure = structure_value(d_source, d_target, pi)
-    else:
-        structure = parts[0]
+    structure = parts[0]
     feature = max(feature, 0.0)
     # Every iterate is a convex combination of the feasible start and
     # the inner solutions, so the residual is bounded by the worst inner
@@ -643,15 +642,11 @@ def coupling_dump(pi: Coupling) -> dict:
 
 
 def _evaluate(c1sq, c2sq, feats, pi, product, lam):
-    """(objective, raw feature term, _structure_parts or None at lam = 1),
-    given the product C1 pi C2."""
+    """(objective, raw feature term, _structure_parts), given the product
+    C1 pi C2."""
     feature = float(np.vdot(feats, pi))
-    value = lam * feature
-    parts = None
-    if lam < 1.0:
-        parts = _structure_parts(c1sq, c2sq, pi, product)
-        value += (1.0 - lam) * parts[0]
-    return value, feature, parts
+    parts = _structure_parts(c1sq, c2sq, pi, product)
+    return lam * feature + (1.0 - lam) * parts[0], feature, parts
 
 
 def _quad_coeff(c1, c2, delta, c1sq, c2sq) -> tuple[float, np.ndarray]:

@@ -49,19 +49,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
-from .analysis import (
-    COVERAGE_PERCENTILE,
-    RdPoint,
-    RdTrace,
-    _round9,
-    coverage_tolerance,
-    covered_fraction,
-)
+from .analysis import RdPoint, RdTrace, _round9, coverage_tolerance, covered_fraction
 from .embeddings import CostMemo, self_cost
 from .errors import InputError, NumericalError
 from .kg import (
@@ -99,16 +92,12 @@ class RefinementConfig:
     max_splits: int = 3
     max_merges: int = 3
     max_iterations: int = 12
-    # the coverage rule: op_add flags rows against it, coverage is scored with it
-    coverage_percentile: float = COVERAGE_PERCENTILE
 
     def __post_init__(self) -> None:
         for name in ("beta", "theta_add", "theta_split", "theta_merge",
                      "theta_cos", "theta_relate", "tau"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
-        if not 0.0 <= self.coverage_percentile <= 100.0:
-            raise InputError("coverage_percentile must lie in [0, 100]")
 
 
 @dataclass
@@ -125,18 +114,16 @@ class Aligned:
 
     feature: np.ndarray  # N x M cosine cost, absolute scale
     result: FgwResult
-    _tolerances: dict[float, float] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def coupling(self) -> Coupling:
         return self.result.coupling
 
-    def tolerance(self, percentile: float) -> float:
-        """``coverage_tolerance`` of the feature costs, taken once per
-        percentile: the trace row and ``op_add`` both read it."""
-        if percentile not in self._tolerances:
-            self._tolerances[percentile] = coverage_tolerance(self.feature, percentile)
-        return self._tolerances[percentile]
+    @cached_property
+    def tolerance(self) -> float:
+        """``coverage_tolerance`` of the feature costs, taken once: the
+        trace row and ``op_add`` both read it."""
+        return coverage_tolerance(self.feature)
 
 
 def align_graph(
@@ -271,16 +258,17 @@ def op_add(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
     joined by a single low-confidence relatedTo edge to the nearest
     concept added or existing before it (``propose_label_edges``). The
     new nodes are named and their texts costed in one memo read; each
-    add takes its nearest node from its row of that read, cut at the
-    working graph's length. A node's id is ``add_<unit>``, its span's
+    add, when applied, reads its costs against the working graph's nodes
+    from the memo by text, so a subset of the batch, or the batch in
+    another order, links each node to its own nearest. Every text it
+    reads was costed by then. A node's id is ``add_<unit>``, its span's
     first unit, and names no iteration: a rejected batch that is
     proposed again sends the same name prompts, which the LLM client's
     cache answers. LLM edges that touch a new node come from
     ``llm_propose_edges``, as their own batch.
     """
     cfg = ctx.config
-    tol = aligned.tolerance(cfg.coverage_percentile)
-    rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, tol)
+    rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, aligned.tolerance)
     flagged = [i for i in range(len(rho)) if rho[i] < cfg.theta_add]
     groups: list[list[int]] = []
     for i in flagged:
@@ -311,15 +299,15 @@ def op_add(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
             confidence=0.5,
             rationale="covers lecture span with low coupled mass",
         ))
-    costs = ctx.memo.pair_cost([node_text(n) for n in kg.nodes + new_nodes])
-    return [partial(_add_node, node, costs[len(kg.nodes) + k])
-            for k, node in enumerate(new_nodes)]
+    ctx.memo.pair_cost([node_text(n) for n in kg.nodes + new_nodes])
+    return [partial(_add_node, node, ctx.memo) for node in new_nodes]
 
 
-def _add_node(proposed: ConceptNode, costs: np.ndarray, working: KnowledgeGraph) -> EditRecord:
+def _add_node(proposed: ConceptNode, memo: CostMemo, working: KnowledgeGraph) -> EditRecord:
     node = copy_node(proposed)
     node.id = fresh_id(working, proposed.id)
-    edges = propose_label_edges(node, working.nodes, costs[: len(working.nodes)])
+    costs = memo.pair_cost([node_text(n) for n in working.nodes + [node]])[-1, :-1]
+    edges = propose_label_edges(node, working.nodes, costs)
     working.nodes.append(node)
     working.edges.extend(edges)
     return EditRecord(
@@ -714,7 +702,7 @@ def _record(
             outer_iterations=result.outer_iterations,
             converged=result.converged,
             coverage=covered_fraction(aligned.feature, aligned.coupling.matrix,
-                                      aligned.tolerance(cfg.coverage_percentile)),
+                                      aligned.tolerance),
         )
     )
     trace.edits.append([asdict(e) for e in edits])

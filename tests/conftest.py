@@ -20,8 +20,7 @@ COMMAND_KEYS = {
     "bootstrap": frozenset({"llm_url", "llm_model", "llm_timeout", "llm_retries",
                             "llm_temperature", "extra_relations", "debug"}),
     "align": INGEST_KEYS | {"extra_relations", "gamma_struct", "gamma_sem", "lambda_feat",
-                            "epsilon", "sinkhorn_iters", "fw_iters", "fw_tol", "beta",
-                            "coverage_percentile", "debug"},
+                            "epsilon", "sinkhorn_iters", "beta", "debug"},
     "refine": frozenset(config_keys()),
 }
 

@@ -224,6 +224,16 @@ def test_trace_reads_rows_with_and_without_rejected_and_solver(tmp_path):
     loaded = load_trace(old)
     assert loaded.rejected == [[], [], [], []] and loaded.edits == trace.edits
     assert all(p.outer_iterations is None and p.converged is None for p in loaded.points)
+    old.write_text("".join(json.dumps({k: v for k, v in row.items() if k != "edits"}) + "\n"
+                           for row in rows))
+    assert load_trace(old).edits == [[], [], [], []]
+    # present, each is a list
+    for key, value, shown in (("edits", 5, "5"), ("rejected", "oops", '"oops"')):
+        bad = [dict(row) for row in rows]
+        bad[1][key] = value
+        old.write_text("".join(json.dumps(row) + "\n" for row in bad))
+        with pytest.raises(InputError, match=f"line 2: {key} must be a list, got {shown}"):
+            load_trace(old)
     rows[1]["solver"]["converged"] = "yes"
     old.write_text("".join(json.dumps(row) + "\n" for row in rows))
     with pytest.raises(InputError, match="line 2: converged must be a boolean"):

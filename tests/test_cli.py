@@ -379,13 +379,14 @@ def test_report_refuses_a_trace_field_that_is_no_number(
     assert not regen.exists()
 
 
-def test_refine_trace_follows_the_coverage_rule(pipeline, tmp_path):
-    # op_add flags rows by the configured rule, so the search itself changes
+def test_refine_trace_follows_the_coverage_rule(pipeline, tmp_path, monkeypatch):
+    # op_add flags rows by the coverage percentile, so the search itself changes
     traces = []
-    for percentile in ("1", "30"):
+    for percentile in (1.0, 30.0):
+        monkeypatch.setattr("rdkg.analysis.COVERAGE_PERCENTILE", percentile)
         out = tmp_path / f"p{percentile}"
         assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]), "--out", str(out),
-                     "--coverage-percentile", percentile, "--max-iterations", "2"]) == EXIT_OK
+                     "--max-iterations", "2"]) == EXIT_OK
         traces.append((out / "trace.jsonl").read_text())
     assert traces[0] != traces[1]
 
@@ -549,7 +550,7 @@ def test_pipeline_composability(tmp_path):
     ("lambda_feat=2", "lambda_feat must lie in [0, 1]"),
     ("beta=0", "beta must be positive"),
     ("theta_add=-1", "theta_add must be positive"),
-    ("coverage_percentile=500", "coverage_percentile must lie in [0, 100]"),
+    ("sinkhorn_iters=0", "iteration counts must be at least 1"),
     ("gamma_struct=5", "gamma must be nonnegative and sum to 1"),
     ("alpha_sem=0.9", "alpha must be nonnegative and sum to 1"),
     ("embed_dim=0", "embedding dimension must be positive"),
@@ -754,8 +755,8 @@ def test_align_and_refine_refuse_unstamped_or_other_format(pipeline, tmp_path, c
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc["d"][1].pop(), "malformed field"),
     (lambda doc: doc["d"][0].__setitem__(1, "near"), "malformed field"),
-    (lambda doc: doc["mu"].__setitem__(0, [doc["mu"][0]]), "malformed field"),
-    (lambda doc: doc["mu"].__setitem__(0, "x"), "malformed field"),
+    (lambda doc: doc["mu"].__setitem__(0, [doc["mu"][0]]), "mu must be a list of finite numbers"),
+    (lambda doc: doc["mu"].__setitem__(0, "x"), "mu must be a list of finite numbers"),
     (lambda doc: doc["d"][0].__setitem__(1, float("nan")), "non-finite"),
     (lambda doc: doc.update(mu=[2 * m for m in doc["mu"]]), "not a positive probability"),
     (lambda doc: doc["d"][0].__setitem__(1, -5.0), "not exactly symmetric"),
@@ -787,6 +788,11 @@ def test_align_refuses_a_bad_lecture_artifact(pipeline, tmp_path, capsys, edit, 
     (lambda doc: doc.update(alpha=["0.2", "0.3", "0.5"]),
      'alpha must be a list of finite numbers, got ["0.2", "0.3", "0.5"]'),
     (lambda doc: doc.update(format=2.0), "format must be an integer, got 2.0"),
+    # a numeric string or a boolean in mu is refused, not read as a number
+    (lambda doc: doc["mu"].__setitem__(0, repr(doc["mu"][0])),
+     'mu must be a list of finite numbers, got ["0.'),
+    (lambda doc: doc["mu"].__setitem__(0, True),
+     "mu must be a list of finite numbers, got [true,"),
     # an integer beyond 64 bits (orjson reads it as a float) is quoted as written
     (lambda doc: doc["elements"][0].update(idx=2**64),
      "element 0: idx 18446744073709551616 lies outside [-2**63, 2**64 - 1]"),
@@ -795,6 +801,7 @@ def test_align_refuses_a_bad_lecture_artifact(pipeline, tmp_path, capsys, edit, 
     (lambda doc: doc["elements"][0].update(idx=10**400),  # beyond a float too
      f"element 0: idx {10**400} lies outside [-2**63, 2**64 - 1]"),
 ], ids=["content-5", "path-string", "idx-string", "id-number", "alpha-strings", "format-float",
+        "mu-numeric-string", "mu-boolean",
         "idx-beyond-64-bits", "format-beyond-64-bits", "idx-beyond-a-float"])
 def test_align_and_refine_refuse_a_mistyped_artifact_field(pipeline, tmp_path, capsys, edit,
                                                           message):
@@ -956,6 +963,9 @@ def test_align_prints_the_distortion_of_refine_row_t0(pipeline, tmp_path, capsys
     (65, lambda inputs: [[1.0, 2.0, 3.0] if len(inputs) == 64 else [1.0, 2.0]]
      * len(inputs), "malformed vectors"),  # each batch even, 3 then 2 numbers per vector
     (1, lambda inputs: [["x", 1.0]], "malformed vectors"),
+    # a boolean or a numeric string is refused, not read as a number
+    (2, lambda inputs: [[True, "1.5"]] * len(inputs),
+     'malformed vectors: vector 0 must be a list of finite numbers, got [true, "1.5"]'),
     (1, lambda inputs: None, "embedding provider unavailable"),  # no vector list
 ])
 def test_malformed_embedding_reply_exits_input(tmp_path, monkeypatch, capsys, units, vectors,
@@ -976,14 +986,21 @@ def test_malformed_embedding_reply_exits_input(tmp_path, monkeypatch, capsys, un
     ({"dim": "sixteen", "keys": [], "vectors": []}, 'dim must be an integer, got "sixteen"'),
     ({"dim": 2.5, "keys": [], "vectors": []}, "dim must be an integer, got 2.5"),
     ({"dim": 2, "keys": 7, "vectors": []}, "keys must be a list of strings, got 7"),
-    ({"dim": 2, "keys": [content_hash("x")], "vectors": [["one", 1.0]]}, "non-numeric vector"),
-    ({"dim": 2, "keys": [content_hash("x")], "vectors": [[None, 1.0]]}, "non-finite vector"),
+    ({"dim": 2, "keys": [content_hash("x")], "vectors": [["one", 1.0]]},
+     f"vector for key {content_hash('x')[:12]} must be a list of finite numbers, "
+     'got ["one", 1.0]'),
+    ({"dim": 2, "keys": [content_hash("x")], "vectors": [[None, 1.0]]},
+     "must be a list of finite numbers, got [null, 1.0]"),
+    # neither converted to [1.0, 1.5]
+    ({"dim": 2, "keys": [content_hash("x")], "vectors": [[True, "1.5"]]},
+     'must be a list of finite numbers, got [true, "1.5"]'),
 ], ids=[
     "doc0-dim is not an integer",
     "doc1-dim is not an integer",
     "doc2-keys is not a list",
     "doc3-non-numeric vector",
     "doc4-non-finite vector",
+    "doc5-boolean and numeric string",
 ])
 def test_ingest_refuses_a_malformed_embeddings_file(tmp_path, lecture_file, capsys, doc, message):
     path = tmp_path / "emb.json"

@@ -6,7 +6,6 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from rdkg.analysis import COVERAGE_PERCENTILE
 from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from rdkg.config import RunConfig, config_keys, load_run_config
 from rdkg.embeddings import HashEmbedder, HttpEmbedder
@@ -19,10 +18,10 @@ from conftest import COMMAND_KEYS
 
 FLAT_KEYS = [
     "alpha_chron", "alpha_logic", "alpha_sem", "gamma_struct", "gamma_sem",
-    "lambda_feat", "epsilon", "sinkhorn_iters", "fw_iters", "fw_tol", "beta",
+    "lambda_feat", "epsilon", "sinkhorn_iters", "beta",
     "theta_add", "theta_split", "theta_merge", "theta_cos", "theta_relate",
     "tau", "max_adds", "max_splits", "max_merges", "max_iterations",
-    "coverage_percentile", "embed_provider", "embed_dim", "embed_seed",
+    "embed_provider", "embed_dim", "embed_seed",
     "embeddings_file", "embed_url", "embed_model", "embed_timeout",
     "embed_retries", "llm_url", "llm_model", "llm_timeout", "llm_retries",
     "llm_temperature", "extra_relations", "debug",
@@ -47,7 +46,6 @@ def test_defaults_come_from_the_nested_configs():
     echo = cfg.echo()
     for nested in (SolverConfig(), RefinementConfig()):
         assert {k: echo[k] for k in asdict(nested)} == asdict(nested)
-    assert echo["coverage_percentile"] == COVERAGE_PERCENTILE
 
 
 def _defaults(fn) -> dict:
@@ -89,10 +87,6 @@ def test_nested_range_checks_run_at_load(key, value, message):
 
 
 def test_own_range_bounds_are_inclusive():
-    for value in (0, 100):
-        assert load_run_config(overrides={"coverage_percentile": value})
-    with pytest.raises(InputError, match=re.escape("must lie in [0, 100]")):
-        load_run_config(overrides={"coverage_percentile": -1})
     assert load_run_config(overrides={"alpha_chron": 0, "alpha_logic": 0.5})
     # embed_seed: the integers the artifact's JSON codec writes, in a config made directly too
     for value in (-2**63, 2**64 - 1):
@@ -135,6 +129,34 @@ def assert_unknown_key(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert "No such option" in err and flag in err
     assert not (tmp_path / "l.space.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("fw_iters", 50), ("fw_tol", 1e-6),
+                                        ("coverage_percentile", 30)])
+def test_the_fixed_stop_rule_and_coverage_percentile_are_unknown_keys(tmp_path, capsys,
+                                                                       key, value):
+    # ot.FW_ITERS, ot.FW_TOL and analysis.COVERAGE_PERCENTILE are constants: a
+    # file or flag that sets one, even to its value, is refused by every command
+    lecture = tmp_path / "l.md"
+    lecture.write_text("# A\n\nsome lecture text\n")
+    for command in ("ingest", "bootstrap"):
+        assert main([command, str(lecture), "--out", str(tmp_path)]) == EXIT_OK
+    artifacts = [str(tmp_path / "l.space.json"), str(tmp_path / "l.kg.json")]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"{key}": {value}}}')
+    flag = "--" + key.replace("_", "-")
+    out = tmp_path / "out"
+    for command, inputs in (("ingest", [str(lecture)]), ("bootstrap", [str(lecture)]),
+                            ("align", artifacts), ("refine", artifacts)):
+        capsys.readouterr()
+        assert main([command, "--help"]) == EXIT_OK
+        assert flag not in capsys.readouterr().out, command
+        assert main([command, *inputs, "--out", str(out), "--config", str(cfg)]) == EXIT_INPUT
+        assert f"unknown config keys: {key}" in capsys.readouterr().err, command
+        assert main([command, *inputs, "--out", str(out), flag, str(value)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "No such option" in err and flag in err, command
+        assert not out.exists(), command
 
 
 FLOAT_KEYS = [key for key, (_, hint) in config_keys().items() if hint is float]

@@ -380,18 +380,21 @@ def _add_group_starts(space, aligned, tol, theta_add):
 
 
 @pytest.mark.parametrize("percentile", [5.0, 60.0])
-def test_op_add_flags_rows_by_the_configured_coverage_rule(provider, percentile):
+def test_op_add_flags_rows_by_the_configured_coverage_rule(provider, percentile, monkeypatch):
+    # the rule is analysis.COVERAGE_PERCENTILE, which op_add reads through
+    # the alignment's tolerance
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
     kg = topic_a_only_kg()
     aligned = solve(space, kg, provider)
-    cfg = RefinementConfig(max_adds=100, coverage_percentile=percentile)
+    cfg = RefinementConfig(max_adds=100)
     starts = _add_group_starts(
-        space, aligned, coverage_tolerance(aligned.feature, percentile), cfg.theta_add
+        space, aligned, float(np.percentile(aligned.feature, percentile)), cfg.theta_add
     )
     # the case is only informative where the default rule flags other spans
     assert starts != _add_group_starts(
         space, aligned, coverage_tolerance(aligned.feature), cfg.theta_add
     )
+    monkeypatch.setattr("rdkg.analysis.COVERAGE_PERCENTILE", percentile)
     _, records = apply_edits(kg, op_add(kg, aligned, make_ctx(space, provider, cfg)))
     # a node is named after the first unit of its span
     assert {r.nodes[0] for r in records} == {f"add_{i}" for i in starts}
@@ -520,6 +523,31 @@ def test_op_add_costs_its_new_nodes_in_one_memo_read(provider, monkeypatch):
         k = ids.index(record.nodes[0])
         nearest = ids[int(np.argmin(costs[k, :k]))]
         assert record.edges == [[record.nodes[0], "relatedTo", nearest]]
+
+
+def test_an_add_applied_out_of_batch_order_links_to_its_own_nearest(provider, monkeypatch):
+    # each add reads its costs from the memo by node text when it is applied,
+    # so a subset of the batch, or the batch in another order, links every
+    # new node to the least-cost node before it, and embeds nothing new
+    space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
+    kg = topic_a_only_kg()
+    ctx = make_ctx(space, provider)
+    edits = op_add(kg, solve(space, kg, provider), ctx)
+    assert len(edits) >= 3
+    embeddings_module = sys.modules["rdkg.embeddings"]
+    original = embeddings_module.feature_cost
+    calls = []
+    monkeypatch.setattr(embeddings_module, "feature_cost",
+                        lambda a, b: calls.append((len(a), len(b))) or original(a, b))
+    for subset in ([edits[2], edits[0]], edits[::-1]):
+        out, records = apply_edits(kg, subset)
+        costs = ctx.memo.pair_cost([node_text(n) for n in out.nodes])
+        ids = out.node_ids()
+        for record in records:
+            k = ids.index(record.nodes[0])
+            nearest = ids[int(np.argmin(costs[k, :k]))]
+            assert record.edges == [[record.nodes[0], "relatedTo", nearest]]
+    assert calls == []
 
 
 def test_op_split_trivial_noop(provider):
@@ -1184,9 +1212,9 @@ def test_refine_takes_each_alignments_coverage_tolerance_once(provider, monkeypa
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
     taken = []  # the cost matrices themselves, so no id is reused
 
-    def counted(feature, percentile):
+    def counted(feature):
         taken.append(feature)
-        return coverage_tolerance(feature, percentile)
+        return coverage_tolerance(feature)
 
     monkeypatch.setattr(refine_module, "coverage_tolerance", counted)
     out = refine(space, topic_a_only_kg(), provider,
