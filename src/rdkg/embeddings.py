@@ -42,6 +42,10 @@ T = TypeVar("T")
 API_KEY_ENV = "EMBEDDINGS_API_KEY"
 
 DEFAULT_EMBED_DIM = 256  # HashEmbedder vector length
+#: The largest embedding dimension (``check_dim``). A row then takes 512
+#: KiB; without a bound, 10**9 ends in numpy's MemoryError and 2**70 in
+#: its OverflowError, not in an input error.
+MAX_EMBED_DIM = 65536
 DEFAULT_EMBED_SEED = 0  # HashEmbedder token-hash seed
 DEFAULT_EMBED_TIMEOUT = 30.0  # HttpEmbedder request timeout, seconds
 DEFAULT_EMBED_RETRIES = 2  # HttpEmbedder retries after a failed request
@@ -247,9 +251,11 @@ def embed_distinct(embed: Callable[[list[str]], np.ndarray], texts: list[str]) -
 
 
 def check_dim(dim: int) -> None:
-    """The embedding-dimension rule: at least 1."""
+    """The embedding-dimension rule: in [1, MAX_EMBED_DIM]."""
     if dim < 1:
         raise InputError("embedding dimension must be positive")
+    if dim > MAX_EMBED_DIM:
+        raise InputError(f"embedding dimension must be at most {MAX_EMBED_DIM}, got {dim}")
 
 
 def check_provider(kind: str, embed_url: str | None, embeddings_file: str | None) -> None:
@@ -341,13 +347,18 @@ def provider_from_config(cfg) -> HashEmbedder | FileEmbedder | HttpEmbedder:
 _TILE = 8
 
 
+def _tiled(n: int) -> int:
+    """``n`` rounded up to a whole number of _TILE-row tiles."""
+    return -(-n // _TILE) * _TILE
+
+
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     """The rows of ``matrix`` scaled to unit length, followed by zero rows
     up to a whole number of _TILE-row tiles."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise InputError("embedding matrix must be 2-dimensional")
-    out = np.empty((-(-len(m) // _TILE) * _TILE, m.shape[1]))
+    out = np.empty((_tiled(len(m)), m.shape[1]))
     rows = out[: len(m)]
     # np.linalg.norm(m, axis=1), with the squares in the output's rows
     norms = np.sqrt(np.add.reduce(np.multiply(m, m, out=rows), axis=1))
@@ -426,25 +437,12 @@ def feature_cost(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     absolute cost (never re-normalized) consumed by the transport
     objective and by coverage.
 
-    The kernel is ``1 - a_i . b_j`` over the unit rows. The dot products
-    come from BLAS products of one fixed shape (``_gram``): the unit rows
-    are written into zero-padded buffers of whole _TILE-row tiles, and
-    each block of the product is one (_TILE, d) by (d, _TILE) call. A
-    BLAS product of the whole matrices is not used: its entries can
-    change in the last bit with the shape of the call. Near 0, ``1 -
-    a.b`` is not exactly 0 for identical rows and loses its relative
-    accuracy, so each entry below _RECOST_BELOW is costed again as half
-    the squared distance of the unit rows: exactly 0 for identical rows,
-    accurate for near-duplicates. The product, the test and the recost
-    read only the entry's two rows, so an entry depends on nothing else
-    in the call (not the other rows, not their order or position), and
-    ``feature_cost(b, a)`` is ``feature_cost(a, b).T`` bit for bit. The
-    result is C-contiguous. Beyond the output, it holds the two padded
-    unit-row copies, the column copy of the target's tiles, the padded
-    product until the output is taken from it and, for the entries
-    recosted, their indices and their row differences, len(target) pairs
-    at a time (so many duplicates cannot make the differences larger
-    than a few copies of the target rows).
+    The unit rows of each set are written into zero-padded buffers of
+    whole _TILE-row tiles (``_unit_rows``) and costed by ``_cost``. An
+    entry depends on its two rows only (not the other rows, not their
+    order or position), and ``feature_cost(b, a)`` is ``feature_cost(a,
+    b).T`` bit for bit. The result is C-contiguous. Beyond the output, it
+    holds the two padded unit-row copies and what ``_cost`` holds.
     """
     a = _unit_rows(source)
     b = _unit_rows(target)
@@ -452,7 +450,29 @@ def feature_cost(source: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise InputError(
             f"feature_cost: dimension mismatch ({a.shape[1]} vs {b.shape[1]})"
         )
-    n, m = len(source), len(target)
+    return _cost(a, b, len(source), len(target))
+
+
+def _cost(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The n x m cosine costs of the first n rows of ``a`` against the
+    first m rows of ``b``, two tiled unit-row buffers (rows past those
+    are zero padding or other unit rows, and are not read into the
+    result).
+
+    The kernel is ``1 - a_i . b_j``, with the dot products from ``_gram``.
+    A BLAS product of the whole matrices is not used: its entries can
+    change in the last bit with the shape of the call. Near 0, ``1 -
+    a.b`` is not exactly 0 for identical rows and loses its relative
+    accuracy, so each entry below _RECOST_BELOW is costed again as half
+    the squared distance of the unit rows: exactly 0 for identical rows,
+    accurate for near-duplicates. The product, the test and the recost
+    read only the entry's two rows, so an entry depends on nothing else
+    in the buffers. Beyond the output, it holds the column copy of ``b``'s
+    tiles, the padded product until the output is taken from it and, for
+    the entries recosted, their indices and their row differences, m
+    pairs at a time (so many duplicates cannot make the differences
+    larger than a few copies of the target rows).
+    """
     out = np.subtract(1.0, _gram(a, b)[:n, :m])
     near = np.flatnonzero(out < _RECOST_BELOW)
     step = max(m, 1)
@@ -467,22 +487,32 @@ def feature_cost(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 def self_cost(rows: np.ndarray, start: int = 0, block: int = 64) -> np.ndarray:
     """Rows ``start:`` of ``feature_cost(rows, rows)``, costing one half.
 
-    Each block of rows is the target of one ``feature_cost`` call whose
-    source is the rows up to the block's end. That column block holds the
+    The rows are normalized once, into one tiled unit-row buffer
+    (``_unit_rows``), and every block is costed from slices of it. Each
+    block of rows is the target of one ``_cost`` call whose source is the
+    buffer's tiles up to the block's end. That column block holds the
     block's rows on and below the diagonal (transposed) and, above the
     diagonal, the earlier rows' entries in the block's columns. The block
-    is the target because ``feature_cost`` copies its target's tiles. An
-    entry of ``feature_cost`` depends only on its two rows, not on the
-    other rows of the call nor on their order or position in its tiles,
-    and ``feature_cost(b, a)`` is ``feature_cost(a, b).T``, so every entry
-    is bit-equal to the full matrix's. Beyond the output, it holds one
-    block's padded unit-row copies, product and cost columns.
+    is the target because ``_cost`` copies its target's tiles. A block
+    that does not start on a tile boundary is copied into zero-padded
+    tiles of its own. An entry of ``_cost`` depends only on its two rows,
+    not on the other rows of the buffers nor on their position in its
+    tiles, so every entry is bit-equal to the full matrix's. Beyond the
+    output, it holds the tiled unit rows and, for one block, its copy
+    (when it is copied), the column copy of its tiles, the product and
+    the cost columns.
     """
     n = len(rows)
+    unit = _unit_rows(rows)
     out = np.empty((n - start, n))
     for i0 in range(start, n, block):
         i1 = min(i0 + block, n)
-        cost = feature_cost(rows[:i1], rows[i0:i1])
+        if i0 % _TILE:  # a block off the tile grid is copied into tiles of its own
+            target = np.zeros((_tiled(i1 - i0), unit.shape[1]))
+            target[: i1 - i0] = unit[i0:i1]
+        else:
+            target = unit[i0 : i0 + _tiled(i1 - i0)]
+        cost = _cost(unit[: _tiled(i1)], target, i1, i1 - i0)
         out[i0 - start : i1 - start, :i1] = cost.T
         out[: i0 - start, i0:i1] = cost[start:i0]
     return out

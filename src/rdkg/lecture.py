@@ -10,7 +10,7 @@ units is uniform.
 The lecture-space artifact holds the units, the fused distance, the
 measure, and the stamp of how it was made: the fusion weights and the
 embedding provider's fingerprint. It is one compact UTF-8 JSON object,
-written and parsed with orjson; its distance is written one row at a
+written and parsed with orjson; its distance is written a few rows at a
 time. A file orjson refuses (NaN or Infinity literals, numbers beyond a
 float, lone surrogates) is parsed again with the stdlib ``json``, so it
 is refused by the same checks and messages. The writer and the reader
@@ -47,6 +47,9 @@ INT_RANGE = (-2**63, 2**64 - 1)
 MIN_UNIT_CHARS = 3
 
 _WEIGHT_TOL = 1e-9
+
+#: Rows of ``d`` per ``orjson.dumps`` call of ``save_lecture_space``.
+_SAVE_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -139,21 +142,29 @@ def logic_distance(elements: list[LectureElement]) -> np.ndarray:
 
     The diagonal is 1 - |path_i| / max_depth, nonzero for non-maximal
     paths; it is irrelevant downstream because the fused matrix forces a
-    zero diagonal.
+    zero diagonal. Beyond the output, it holds one N x N boolean buffer
+    and one prefix code per unit.
     """
     paths = [e.section_path for e in elements]
+    n = len(paths)
     max_depth = max(len(p) for p in paths)
     # the paths share their first k entries iff their length-k prefixes are
     # equal, so the LCP is the count of depths with equal prefix codes; a
-    # path shorter than k has code NaN, which equals nothing
+    # path shorter than k has a code of its own, -1 - i, which equals no
+    # other unit's, so only the diagonal counts it and is set afterwards
     codes: dict[tuple[str, ...], int] = {}
-    lcp = np.zeros((len(paths), len(paths)))
+    out = np.zeros((n, n))
+    equal = np.empty((n, n), dtype=bool)
     for k in range(1, max_depth + 1):
         code = np.array(
-            [codes.setdefault(p[:k], len(codes)) if len(p) >= k else np.nan for p in paths]
+            [codes.setdefault(p[:k], len(codes)) if len(p) >= k else -1 - i
+             for i, p in enumerate(paths)]
         )
-        lcp += code[:, None] == code[None, :]
-    return 1.0 - lcp / max_depth
+        np.equal(code[:, None], code[None, :], out=equal)
+        out += equal
+    np.fill_diagonal(out, [len(p) for p in paths])
+    out /= max_depth
+    return np.subtract(1.0, out, out=out)
 
 
 def minmax_normalize(matrix: np.ndarray) -> np.ndarray:
@@ -278,9 +289,11 @@ def save_lecture_space(space: LectureSpace, path: str | Path) -> None:
     ``orjson.dumps`` of the whole document: UTF-8 text, floats at their
     shortest round-trip digits so a reload is bit-exact (``repr``'s
     digits; values below 1e-4 are spelled without an exponent, e.g.
-    ``0.00001``, and values from 1e16 up as ``1e16``). ``d`` is written one
-    row per ``orjson.dumps``, so the whole document is never held as one
-    buffer.
+    ``0.00001``, and values from 1e16 up as ``1e16``). ``d`` is written
+    _SAVE_ROWS rows per ``orjson.dumps``, each call's outer brackets
+    dropped, so the whole document is never held as one buffer: beyond
+    the space, it holds the serialized elements and ``mu``, and one call's
+    bytes.
 
     Raises InputError, writing nothing, for a space that breaks
     ``check_space``.
@@ -303,10 +316,11 @@ def save_lecture_space(space: LectureSpace, path: str | Path) -> None:
     d = np.ascontiguousarray(space.distance, dtype=np.float64)
     with Path(path).open("wb") as out:
         out.write(head[:-1] + b',"d":[')
-        for i, row in enumerate(d):
+        for i in range(0, len(d), _SAVE_ROWS):
             if i:
                 out.write(b",")
-            out.write(orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY))
+            rows = orjson.dumps(d[i : i + _SAVE_ROWS], option=orjson.OPT_SERIALIZE_NUMPY)
+            out.write(memoryview(rows)[1:-1])  # the rows without the block's brackets
         out.write(b"]," + tail[1:])
 
 

@@ -554,6 +554,9 @@ def test_pipeline_composability(tmp_path):
     ("gamma_struct=5", "gamma must be nonnegative and sum to 1"),
     ("alpha_sem=0.9", "alpha must be nonnegative and sum to 1"),
     ("embed_dim=0", "embedding dimension must be positive"),
+    ("embed_dim=65537", "embedding dimension must be at most 65536, got 65537"),
+    ("embed_dim=1180591620717411303424",  # 2**70 ended in an OverflowError traceback
+     "embedding dimension must be at most 65536, got 1180591620717411303424"),
     ("embed_timeout=-1", "embed_timeout must be positive"),
     ("llm_timeout=0", "llm_timeout must be positive"),
     ("embed_provider=bogus", "unknown embedding provider kind: 'bogus'"),

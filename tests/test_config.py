@@ -88,6 +88,8 @@ def test_nested_range_checks_run_at_load(key, value, message):
 
 def test_own_range_bounds_are_inclusive():
     assert load_run_config(overrides={"alpha_chron": 0, "alpha_logic": 0.5})
+    for value in (1, 65536):
+        assert RunConfig(embed_dim=value).embed_dim == value
     # embed_seed: the integers the artifact's JSON codec writes, in a config made directly too
     for value in (-2**63, 2**64 - 1):
         assert RunConfig(embed_seed=value).embed_seed == value

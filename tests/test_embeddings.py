@@ -471,6 +471,22 @@ def test_self_cost_memory_is_bounded_by_the_unit_rows():
     assert peak < 3 * out.nbytes + 4 * rows.nbytes + 2**20
 
 
+def test_self_cost_normalizes_each_row_once(monkeypatch):
+    # every 64-row block is costed from one normalization of the 481 rows;
+    # normalizing the rows up to each block's end takes 2,754
+    import rdkg.embeddings as module
+
+    normalized = []
+    original = module._unit_rows
+    monkeypatch.setattr(module, "_unit_rows",
+                        lambda matrix: normalized.append(len(matrix)) or original(matrix))
+    rows = np.random.default_rng(0).normal(size=(481, 256))
+    out = self_cost(rows)
+    assert normalized == [481]
+    monkeypatch.undo()
+    assert _same_bits(out, feature_cost(rows, rows))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 40),
@@ -561,13 +577,13 @@ def test_cost_memo_costs_each_text_once(monkeypatch):
 
     provider = HashEmbedder(dim=32)
     costed = []
-    original = module.feature_cost
+    original = module._cost
 
-    def spy(source, target, *args, **kwargs):
-        costed.append((len(source), len(target)))
-        return original(source, target, *args, **kwargs)
+    def spy(a, b, n, m):  # the kernel behind feature_cost and self_cost
+        costed.append((n, m))
+        return original(a, b, n, m)
 
-    monkeypatch.setattr(module, "feature_cost", spy)
+    monkeypatch.setattr(module, "_cost", spy)
     memo = CostMemo(provider.embed, ["u one", "u two", "u three"])
     memo.unit_cost(["a", "b", "a"])
     assert costed == [(3, 2), (2, 2)]  # the units, then the half triangle

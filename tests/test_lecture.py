@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdkg.embeddings import feature_cost
@@ -144,7 +144,17 @@ _section_paths = st.one_of(
 )
 
 
+def _seeded_paths(n=200, seed=0):
+    """``n`` paths drawn with replacement from 40 paths of depths 1 to 5, so
+    an equal path recurs with other paths between."""
+    rng = np.random.default_rng(seed)
+    pool = [tuple(str(t) for t in rng.choice(list("ABC"), size=depth))
+            for depth in [1, 2, 3, 4, 5] * 8]
+    return [pool[i] for i in rng.integers(len(pool), size=n)]
+
+
 @given(st.lists(_section_paths, min_size=1, max_size=12))
+@example(paths=_seeded_paths())
 @settings(max_examples=150, deadline=None)
 def test_logic_equals_the_scalar_prefix_reference(paths):
     # ragged depths, shared prefixes, the same title at another depth,
@@ -427,6 +437,37 @@ def test_artifact_save_peaks_below_8_mib_at_n_481(tmp_path):
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert (tmp_path / "space.json").read_bytes() == old_artifact_text(space).encode("utf-8")
+
+
+def one_row_per_dumps_bytes(space):
+    """The artifact's bytes as a writer that makes one orjson.dumps per row
+    of ``d`` writes them."""
+    doc = artifact_document(space)
+    del doc["d"]
+    tail = orjson.dumps({key: doc.pop(key) for key in ("alpha", "fingerprint")})
+    rows = b",".join(orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)
+                     for row in space.distance)
+    return orjson.dumps(doc)[:-1] + b',"d":[' + rows + b"]," + tail[1:]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 481])
+def test_artifact_bytes_equal_a_one_row_per_dumps_writer(tmp_path, n):
+    # d is written several rows per dumps call, around and across its chunks
+    rng = np.random.default_rng(n)
+    a = rng.random((n, n))
+    a.flat[rng.integers(n * n, size=n)] = rng.choice([1e-05, 5e-324, 1 / 3, 1.0], size=n)
+    d = np.minimum(a, a.T)
+    np.fill_diagonal(d, 0.0)
+    space = LectureSpace(
+        elements=[LectureElement(id=f"u{i}", idx=i, section_path=("S", f"T{i % 7}"),
+                                 content=f"unit {i} — ünits") for i in range(n)],
+        distance=d,
+        measure=uniform_measure(n),
+        alpha=DEFAULT_ALPHA,
+        fingerprint={"kind": "hash", "dim": 256, "seed": 0},
+    )
+    save_lecture_space(space, tmp_path / "space.json")
+    assert (tmp_path / "space.json").read_bytes() == one_row_per_dumps_bytes(space)
 
 
 @pytest.mark.parametrize("i, j, value, message", [

@@ -507,10 +507,10 @@ def test_op_add_costs_its_new_nodes_in_one_memo_read(provider, monkeypatch):
     ctx = make_ctx(space, provider)
     aligned = align_graph(space, kg, ctx.memo, DEFAULT_GAMMA, SolverConfig())
     embeddings_module = sys.modules["rdkg.embeddings"]
-    original = embeddings_module.feature_cost
+    original = embeddings_module._cost  # the kernel behind feature_cost and self_cost
     calls = []
-    monkeypatch.setattr(embeddings_module, "feature_cost",
-                        lambda a, b: calls.append((len(a), len(b))) or original(a, b))
+    monkeypatch.setattr(embeddings_module, "_cost",
+                        lambda a, b, n, m: calls.append((n, m)) or original(a, b, n, m))
     out, records = apply_edits(kg, op_add(kg, aligned, ctx))
     assert len(records) >= 2
     assert calls == [(len(space.elements), len(records)), (len(out.nodes), len(records))]
@@ -535,10 +535,10 @@ def test_an_add_applied_out_of_batch_order_links_to_its_own_nearest(provider, mo
     edits = op_add(kg, solve(space, kg, provider), ctx)
     assert len(edits) >= 3
     embeddings_module = sys.modules["rdkg.embeddings"]
-    original = embeddings_module.feature_cost
+    original = embeddings_module._cost  # the kernel behind feature_cost and self_cost
     calls = []
-    monkeypatch.setattr(embeddings_module, "feature_cost",
-                        lambda a, b: calls.append((len(a), len(b))) or original(a, b))
+    monkeypatch.setattr(embeddings_module, "_cost",
+                        lambda a, b, n, m: calls.append((n, m)) or original(a, b, n, m))
     for subset in ([edits[2], edits[0]], edits[::-1]):
         out, records = apply_edits(kg, subset)
         costs = ctx.memo.pair_cost([node_text(n) for n in out.nodes])
