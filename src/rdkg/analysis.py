@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, check_json, pop_field, read_utf8
+from .errors import InputError, check_json, parse_json, pop_field, read_utf8
 
 COVERAGE_PERCENTILE = 30.0
 _COLLINEAR_EPS = 1e-9
@@ -222,12 +222,12 @@ def save_trace(trace: RdTrace, path: str | Path) -> None:
 def load_trace(path: str | Path) -> RdTrace:
     """Read a JSONL trace written by save_trace.
 
-    Raises InputError for a row field that ``check_json`` refuses as a
-    finite number (``t``: an integer; ``edits`` and ``rejected``: lists),
-    a row without ``beta`` (a trace written before rows carried it) or
-    rows that disagree on it. ``coverage``, ``edits``, ``rejected`` and
-    ``solver`` are optional, so traces written before rows carried them
-    still load.
+    Raises InputError for a row ``parse_json`` refuses, a row field that
+    ``check_json`` refuses as a finite number (``t``: an integer; ``edits``
+    and ``rejected``: lists), a row without ``beta`` (a trace written
+    before rows carried it) or rows that disagree on it. ``coverage``,
+    ``edits``, ``rejected`` and ``solver`` are optional, so traces written
+    before rows carried them still load.
     """
     points: list[RdPoint] = []
     edits: list[list[dict]] = []
@@ -237,8 +237,9 @@ def load_trace(path: str | Path) -> RdTrace:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        row = parse_json(line, f"trace at line {lineno}")
         try:
-            row = check_json("the row", json.loads(line), dict)
+            check_json("the row", row, dict)
             solver = pop_field(row, "solver", dict, {})
             points.append(
                 RdPoint(
@@ -256,7 +257,7 @@ def load_trace(path: str | Path) -> RdTrace:
             edits.append(pop_field(row, "edits", list, []))
             rejected.append(pop_field(row, "rejected", list, []))
             beta = pop_field(row, "beta", float, None)
-        except ValueError as exc:  # malformed JSON, or a field check_json refuses
+        except InputError as exc:  # a field check_json refuses
             raise InputError(f"malformed trace at line {lineno}: {exc}") from exc
         if beta is None:
             raise InputError(

@@ -12,7 +12,6 @@ into report.json.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
@@ -29,7 +28,7 @@ from .embeddings import (
     check_provider,
     check_request_settings,
 )
-from .errors import InputError, check_json, read_utf8
+from .errors import InputError, check_json, parse_json, read_utf8
 from .kg import DEFAULT_GAMMA
 from .lecture import DEFAULT_ALPHA, INT_RANGE, check_weights
 from .llm import DEFAULT_LLM_RETRIES, DEFAULT_LLM_TEMPERATURE, DEFAULT_LLM_TIMEOUT
@@ -126,12 +125,8 @@ def load_run_config(
     """
     values: dict = {}
     if config_path is not None:
-        try:
-            doc = json.loads(read_utf8(config_path, f"config file {config_path}"))
-        except OSError as exc:
-            raise InputError(f"cannot read config file {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"malformed config file {config_path}: {exc}") from exc
+        name = f"config file {config_path}"
+        doc = parse_json(read_utf8(config_path, name), name)
         if not isinstance(doc, dict):
             raise InputError("config file must hold a flat JSON object")
         values.update(doc)

@@ -30,7 +30,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import InputError, ProviderError, check_json, pop_field
+from .errors import InputError, ProviderError, check_json, parse_json, pop_field
 
 logger = logging.getLogger(__name__)
 
@@ -130,18 +130,20 @@ class FileEmbedder:
     """
 
     def __init__(self, path: str | Path):
+        name = f"embeddings file {path}"
+        raw = Path(path).read_bytes()  # the fingerprint hashes the bytes
         try:
-            raw = Path(path).read_bytes()
-            doc = json.loads(raw.decode("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read embeddings file {path}: {exc}") from exc
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{name} is not UTF-8: {exc}") from exc
+        doc = parse_json(text, name)
         try:
             check_json("the document", doc, dict)
             self.dim = pop_field(doc, "dim", int)
             keys = pop_field(doc, "keys", list[str])
             vectors = pop_field(doc, "vectors", list)
         except InputError as exc:
-            raise InputError(f"embeddings file {path}: {exc}") from exc
+            raise InputError(f"{name}: {exc}") from exc
         if len(keys) != len(vectors):
             raise InputError("embeddings file: keys/vectors count mismatch")
         self.sha256 = hashlib.sha256(raw).hexdigest()
@@ -151,7 +153,7 @@ class FileEmbedder:
                 arr = np.array(check_json(f"vector for key {key[:12]}", vec, list[float]),
                                dtype=np.float64)
             except InputError as exc:
-                raise InputError(f"embeddings file {path}: {exc}") from exc
+                raise InputError(f"{name}: {exc}") from exc
             if arr.shape != (self.dim,):
                 raise InputError(
                     f"embeddings file: dimension mismatch for key {key[:12]}"
@@ -289,7 +291,7 @@ def json_headers(key_env: str) -> dict:
 
 
 def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
-    """POST ``payload`` as JSON and decode the JSON reply."""
+    """POST ``payload`` as JSON and parse the reply with ``parse_json``."""
     # Imported here: urllib.request pulls in http.client, ssl and email,
     # which only the HTTP providers need.
     import urllib.request
@@ -298,7 +300,7 @@ def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
         url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
     )
     with urllib.request.urlopen(req, timeout=timeout) as resp:  # noqa: S310
-        return json.loads(resp.read().decode("utf-8"))
+        return parse_json(resp.read().decode("utf-8"), f"reply from {url}")
 
 
 def request_with_retries(

@@ -1,14 +1,16 @@
 """Exception hierarchy shared across the pipeline.
 
 The CLI maps these onto stable exit codes: usage errors exit 1,
-InputError exits 2, NumericalError exits 3. The JSON type rule lives
-here too, so that every reader of a JSON file (config, KG, LLM reply,
-trace, embeddings file, lecture artifact) refuses a mistyped value with
-one message form, and so does ``read_utf8``, through which every text
-file is read, so that a file that is not UTF-8 is refused by name.
+InputError exits 2, NumericalError exits 3. The JSON parser and type
+rule live here too, so that every reader of JSON (config, KG, LLM or
+HTTP reply, trace, embeddings file, lecture artifact) refuses text that
+is not JSON, a lone surrogate and a mistyped value alike, and so does
+``read_utf8``, through which every text file is read, a file that is
+not UTF-8.
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 from types import NoneType, UnionType
@@ -40,7 +42,28 @@ def read_utf8(path: str | Path, name: str) -> str:
         raise InputError(f"{name} is not UTF-8: {exc}") from exc
 
 
-# --- the JSON type rule -----------------------------------------------------
+# --- the JSON parser and type rule ------------------------------------------
+
+#: A surrogate code point: no UTF-8 text holds one, so no output can be
+#: written that holds one.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def parse_json(text: str, name: str) -> Any:
+    """The JSON document of ``text``; raises InputError "malformed <name>:
+    ..." for text that is not JSON and for a document in which a key or a
+    string holds a lone surrogate (an escape such as ``"\\ud800"``)."""
+    try:
+        doc = json.loads(text)
+        # a surrogate comes from a \u escape, or from a text not read from UTF-8
+        lone = ("\\u" in text or not text.isascii()) and _SURROGATE.search(
+            json.dumps(doc, ensure_ascii=False))
+    except (ValueError, RecursionError) as exc:  # also an integer of over 4300 digits
+        raise InputError(f"malformed {name}: {exc}") from exc
+    if lone:
+        raise InputError(f"malformed {name}: a string holds the lone surrogate {lone[0]!r}")
+    return doc
+
 
 _KINDS = {str: "a string", bool: "a boolean", int: "an integer", float: "a finite number",
           dict: "an object", list: "a list", NoneType: "null"}
@@ -51,12 +74,16 @@ def check_json(name: str, value: Any, kind: Any) -> Any:
     """Return ``value`` if it is a JSON value of ``kind``, else raise
     InputError "<name> must be <kind>, got <value as JSON>".
 
-    ``kind`` is ``str``, ``bool``, ``int`` (never a boolean), ``float`` (an
-    integer counts, a boolean does not, and the value must be finite),
-    ``dict``, ``list``, ``list[X]`` or a union of them such as ``str | None``.
+    ``kind`` is ``str`` (holding no lone surrogate), ``bool``, ``int``
+    (never a boolean), ``float`` (an integer counts, a boolean does not,
+    and the value must be finite), ``dict``, ``list``, ``list[X]`` or a
+    union of them such as ``str | None``.
     """
     if not _is_json(value, kind):
-        shown = json.dumps(value, default=repr)
+        try:
+            shown = json.dumps(value, default=repr)
+        except RecursionError:  # orjson reads a document nested deeper than this
+            shown = "a value nested too deep to show"
         raise InputError(f"{name} must be {_describe(kind)}, got "
                          f"{shown if len(shown) <= 80 else shown[:77] + '...'}")
     return value
@@ -81,6 +108,8 @@ def _is_json(value: Any, kind: Any) -> bool:
         return (isinstance(value, (int, float) if kind is float else int)
                 and not isinstance(value, bool)
                 and (kind is int or abs(value) <= sys.float_info.max))
+    if kind is str:  # a flag value holds one for each byte that is not UTF-8
+        return isinstance(value, str) and (value.isascii() or not _SURROGATE.search(value))
     if type(kind) is type:
         return isinstance(value, kind)
     if isinstance(kind, UnionType):

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .embeddings import CostMemo
-from .errors import InputError, check_json, pop_field, read_utf8
+from .errors import InputError, check_json, parse_json, pop_field, read_utf8
 from .lecture import fuse, minmax_normalize
 
 #: The allowed relation ontology. relatedTo is the low-confidence
@@ -327,10 +327,8 @@ def _edge_doc(e: RelationEdge) -> dict[str, Any]:
 
 
 def load_kg(path: str | Path) -> KnowledgeGraph:
-    try:
-        doc = json.loads(read_utf8(path, f"KG JSON {path}"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed KG JSON {path}: {exc}") from exc
+    name = f"KG JSON {path}"
+    doc = parse_json(read_utf8(path, name), name)
     try:
         return kg_from_dict(doc)
     except (TypeError, ValueError) as exc:

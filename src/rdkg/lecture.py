@@ -11,9 +11,9 @@ The lecture-space artifact holds the units, the fused distance, the
 measure, and the stamp of how it was made: the fusion weights and the
 embedding provider's fingerprint. It is one compact UTF-8 JSON object,
 written and parsed with orjson; its distance is written a few rows at a
-time. A file orjson refuses (NaN or Infinity literals, numbers beyond a
-float, lone surrogates) is parsed again with the stdlib ``json``, so it
-is refused by the same checks and messages. The writer and the reader
+time. A text orjson refuses goes to ``errors.parse_json``, every other
+reader's parser, which reads NaN, Infinity and integers beyond a float
+for the field checks to refuse by name. The writer and the reader
 enforce one contract (``check_space``): the distance is finite, exactly
 symmetric, zero on the diagonal and in [0, 1], and the measure is a
 positive probability vector.
@@ -21,7 +21,6 @@ positive probability vector.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +28,7 @@ import numpy as np
 import orjson
 
 from .embeddings import embed_distinct, self_cost
-from .errors import InputError, check_json, pop_field, read_utf8
+from .errors import InputError, check_json, parse_json, pop_field, read_utf8
 from .markdown import ROOT_TITLE, Section, parse_markdown
 
 DEFAULT_ALPHA = (0.2, 0.3, 0.5)  # (chron, logic, sem) fusion weights
@@ -38,8 +37,8 @@ DEFAULT_ALPHA = (0.2, 0.3, 0.5)  # (chron, logic, sem) fusion weights
 #: version 1, which also stored the three component matrices.
 ARTIFACT_FORMAT = 2
 
-#: The integers the artifact's JSON codec (orjson) reads as integers: the
-#: range of ``format``, each ``idx`` and the stamped ``embed_seed``.
+#: The integers the artifact's JSON codec (orjson) reads as integers, and so
+#: the range of ``embed_seed``, which the writer stamps in the fingerprint.
 INT_RANGE = (-2**63, 2**64 - 1)
 
 #: Units shorter than this after whitespace normalization are dropped
@@ -328,90 +327,69 @@ def load_lecture_space(path: str | Path) -> LectureSpace:
     """Load a lecture-space artifact written by save_lecture_space.
 
     Each field is read by ``errors.pop_field``: ``format`` an integer,
-    each element's ``id`` and ``content`` strings, ``idx`` an integer and
-    ``path`` a list of strings, ``alpha`` and ``mu`` lists of numbers,
-    ``fingerprint`` an object or null, ``d`` a list. A ``format`` or
-    ``idx`` outside [-2**63, 2**64 - 1] is refused and quoted as written:
-    orjson reads such an integer as a float, so the fields of a refused
-    file are read again from the stdlib's parse. Raises InputError for a
-    file that is not UTF-8 or not JSON, a file of another ``format``, a
-    missing or mistyped field, a ragged or non-numeric ``d`` (its entries
-    are not type-checked one by one: ``true`` reads as 1.0), and a space
-    that breaks ``check_space`` (non-finite, asymmetric or out-of-range
+    each element's ``id`` and ``content`` strings, ``idx`` an integer equal
+    to its position (the writer numbers the units 0..N-1) and ``path`` a
+    list of strings, ``alpha`` and ``mu`` lists of numbers,
+    ``fingerprint`` an object or null, ``d`` a list. An integer beyond 64
+    bits, which orjson reads as a float, is refused as one. Raises
+    InputError for a file that is not UTF-8 or not JSON, a string that
+    holds a lone surrogate, a file of another ``format``, a missing or
+    mistyped field, a ragged or non-numeric ``d`` (its entries are not
+    type-checked one by one: ``true`` reads as 1.0), and a space that
+    breaks ``check_space`` (non-finite, asymmetric or out-of-range
     distances, a nonzero diagonal, a measure that is not a positive
     probability vector).
     """
     name = f"lecture artifact {path}"
     doc = _parse(read_utf8(path, name), name)  # the text is freed before d is built
     try:
-        elements, distance, measure, alpha, fingerprint = _fields(doc)
-    except InputError as exc:
-        try:  # the stdlib keeps an integer orjson read as a float as written
-            _fields(json.loads(read_utf8(path, name)))
-        except InputError as written:
-            exc = written
+        space = _space_from_dict(doc)
+    except InputError as exc:  # a missing or mistyped field
         raise InputError(f"{name}: {exc}") from exc
-    try:
-        space = LectureSpace(
-            elements=elements,
-            distance=np.asarray(distance, dtype=np.float64),
-            measure=np.asarray(measure, dtype=np.float64),
-            alpha=alpha,
-            fingerprint=fingerprint,
-        )
-    except (TypeError, ValueError) as exc:  # a ragged or non-numeric matrix or vector
+    except (TypeError, ValueError, OverflowError) as exc:  # d ragged, non-numeric or > a float
         raise InputError(f"{name} has a malformed field: {exc}") from exc
     check_space(space, name)
     return space
 
 
-def _fields(doc):
-    """The artifact's elements, ``d``, ``mu``, ``alpha`` and fingerprint;
-    raises InputError for a missing or mistyped field."""
+def _space_from_dict(doc) -> LectureSpace:
     check_json("the document", doc, dict)
-    version = _int64("format", pop_field(doc, "format", int, 1))
+    version = pop_field(doc, "format", int, 1)
     if version != ARTIFACT_FORMAT:
         raise InputError(f"the file has format {version}, this version reads "
                          f"format {ARTIFACT_FORMAT}; re-ingest the lecture")
-    elements = [_element_from_dict(i, raw)
-                for i, raw in enumerate(pop_field(doc, "elements", list))]
-    distance = pop_field(doc, "d", list)
-    measure = pop_field(doc, "mu", list[float])
-    alpha = tuple(float(x) for x in pop_field(doc, "alpha", list[float]))
-    fingerprint = pop_field(doc, "fingerprint", dict | None, None)
-    return elements, distance, measure, alpha, fingerprint
-
-
-def _int64(key: str, value: int) -> int:
-    """``value``; raises InputError naming ``key`` if it lies outside
-    ``INT_RANGE``, [-2**63, 2**64 - 1]."""
-    if not INT_RANGE[0] <= value <= INT_RANGE[1]:
-        raise InputError(f"{key} {value} lies outside [-2**63, 2**64 - 1]")
-    return value
+    return LectureSpace(
+        elements=[_element_from_dict(i, raw)
+                  for i, raw in enumerate(pop_field(doc, "elements", list))],
+        distance=np.asarray(pop_field(doc, "d", list), dtype=np.float64),
+        measure=np.asarray(pop_field(doc, "mu", list[float]), dtype=np.float64),
+        alpha=tuple(float(x) for x in pop_field(doc, "alpha", list[float])),
+        fingerprint=pop_field(doc, "fingerprint", dict | None, None),
+    )
 
 
 def _parse(text: str, name: str):
+    """orjson's parse of ``text``, or ``parse_json``'s of a text orjson
+    refuses: NaN and Infinity literals and integers beyond a float, which
+    the field checks refuse by name, a lone surrogate, or not JSON."""
     try:
-        try:
-            return orjson.loads(text)
-        except orjson.JSONDecodeError:
-            # NaN and Infinity literals, numbers beyond a float and lone
-            # surrogates: the stdlib reads them for the checks to refuse,
-            # or refuses the text with its own message
-            return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed {name}: {exc}") from exc
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return parse_json(text, name)
 
 
 def _element_from_dict(i: int, raw) -> LectureElement:
     where = f"element {i}"
     check_json(where, raw, dict)
     try:
-        return LectureElement(
+        element = LectureElement(
             id=pop_field(raw, "id", str),
-            idx=_int64("idx", pop_field(raw, "idx", int)),
+            idx=pop_field(raw, "idx", int),
             section_path=tuple(pop_field(raw, "path", list[str])),
             content=pop_field(raw, "content", str),
         )
+        if element.idx != i:
+            raise InputError(f"idx must be {i}, the element's position, got {element.idx}")
+        return element
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from exc

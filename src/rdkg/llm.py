@@ -13,7 +13,6 @@ to the fallbacks instead of breaking a run.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -23,7 +22,7 @@ import numpy as np
 
 from .embeddings import (check_request_settings, content_hash, json_headers, post_json,
                          request_with_retries, word_tokens)
-from .errors import InputError, ProviderError
+from .errors import InputError, ProviderError, check_json, parse_json
 from .kg import (ALLOWED_RELATIONS, ConceptNode, KnowledgeGraph, RelationEdge, edge_from_dict,
                  edge_violations, node_from_dict, node_text, node_violations)
 from .markdown import parse_markdown
@@ -152,16 +151,10 @@ class LlmClient:
 def _extract_json(reply: dict) -> dict:
     """The JSON object in a chat-completion style reply; raises when the
     reply holds none."""
-    content = reply["choices"][0]["message"]["content"]
-    if not isinstance(content, str):
-        raise ProviderError("reply content is not text")
-    content = content.strip()
+    content = check_json("reply content", reply["choices"][0]["message"]["content"], str).strip()
     if content.startswith("```"):
         content = re.sub(r"^```[a-zA-Z]*\n?|```$", "", content).strip()
-    doc = json.loads(content)
-    if not isinstance(doc, dict):
-        raise ProviderError("reply content is not a JSON object")
-    return doc
+    return check_json("reply content", parse_json(content, "reply content"), dict)
 
 
 # --- bootstrap --------------------------------------------------------------

@@ -18,6 +18,7 @@ from rdkg.llm import bootstrap_kg
 from rdkg.markdown import parse_markdown
 
 from conftest import COMMAND_KEYS, two_topic_markdown
+from fuzz import endpoint
 
 
 @pytest.fixture
@@ -796,16 +797,20 @@ def test_align_refuses_a_bad_lecture_artifact(pipeline, tmp_path, capsys, edit, 
      'mu must be a list of finite numbers, got ["0.'),
     (lambda doc: doc["mu"].__setitem__(0, True),
      "mu must be a list of finite numbers, got [true,"),
-    # an integer beyond 64 bits (orjson reads it as a float) is quoted as written
+    # an integer beyond 64 bits is read by orjson as a float, and refused as one
     (lambda doc: doc["elements"][0].update(idx=2**64),
-     "element 0: idx 18446744073709551616 lies outside [-2**63, 2**64 - 1]"),
+     "element 0: idx must be an integer, got 1.8446744073709552e+19"),
     (lambda doc: doc.update(format=-2**63 - 1),
-     "format -9223372036854775809 lies outside [-2**63, 2**64 - 1]"),
-    (lambda doc: doc["elements"][0].update(idx=10**400),  # beyond a float too
-     f"element 0: idx {10**400} lies outside [-2**63, 2**64 - 1]"),
+     "format must be an integer, got -9.223372036854776e+18"),
+    # beyond a float too: the stdlib reads it as an integer, which is not the position
+    (lambda doc: doc["elements"][0].update(idx=10**400),
+     f"element 0: idx must be 0, the element's position, got {10**400}"),
+    (lambda doc: (doc["elements"][0].update(idx=1), doc["elements"][1].update(idx=0)),
+     "element 0: idx must be 0, the element's position, got 1"),
 ], ids=["content-5", "path-string", "idx-string", "id-number", "alpha-strings", "format-float",
         "mu-numeric-string", "mu-boolean",
-        "idx-beyond-64-bits", "format-beyond-64-bits", "idx-beyond-a-float"])
+        "idx-beyond-64-bits", "format-beyond-64-bits", "idx-beyond-a-float",
+        "idx-not-its-position"])
 def test_align_and_refine_refuse_a_mistyped_artifact_field(pipeline, tmp_path, capsys, edit,
                                                           message):
     # neither converted ("AB" as the path ("A", "B"), "0" as 0) nor a traceback
@@ -885,26 +890,119 @@ def test_every_reader_refuses_a_mistyped_value_with_one_message(pipeline, tmp_pa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("reader", ["ingest", "bootstrap", "kg", "artifact", "trace", "config"])
+def _reading(reader, path, pipeline):
+    """The argv of the command that reads ``path`` as its ``reader`` input."""
+    lecture, space, kg = pipeline["dir"] / "lecture.md", pipeline["space"], pipeline["kg"]
+    return list(map(str, {
+        "ingest": ["ingest", path],
+        "bootstrap": ["bootstrap", path],
+        "kg": ["align", space, path],
+        "artifact": ["align", path, kg],
+        "trace": ["report", path],
+        "config": ["ingest", lecture, "--config", path],
+        "embeddings": ["ingest", lecture, "--embed-provider", "file", "--embeddings-file", path],
+    }[reader]))
+
+
+@pytest.mark.parametrize("reader", ["ingest", "bootstrap", "kg", "artifact", "trace", "config",
+                                    "embeddings"])
 def test_every_reader_refuses_a_file_that_is_not_utf8(pipeline, tmp_path, capsys, reader):
     bad = tmp_path / "bad"
     bad.write_bytes(bytes.fromhex("fffe00626164"))
-    lecture, space, kg = pipeline["dir"] / "lecture.md", pipeline["space"], pipeline["kg"]
-    argv = {
-        "ingest": ["ingest", bad],
-        "bootstrap": ["bootstrap", bad],
-        "kg": ["align", space, bad],
-        "artifact": ["align", bad, kg],
-        "trace": ["report", bad],
-        "config": ["ingest", lecture, "--config", bad],
-    }[reader]
     out = tmp_path / "out"
     capsys.readouterr()
-    assert main([*map(str, argv), "--out", str(out)]) == EXIT_INPUT
+    assert main([*_reading(reader, bad, pipeline), "--out", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "'utf-8' codec can't decode" in err
     assert f"{bad} is not UTF-8" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["kg", "artifact", "config", "trace", "embeddings",
+                                    "http-reply", "llm-reply"])
+def test_every_reader_refuses_a_lone_surrogate(pipeline, tmp_path, capsys, monkeypatch, reader):
+    # json.dumps writes "\ud800" as its escape; read as a string, it could be
+    # written to no UTF-8 output
+    lecture, space, kg = pipeline["dir"] / "lecture.md", pipeline["space"], pipeline["kg"]
+    bad = tmp_path / "bad.json"
+    texts = [e.content for e in flatten(parse_markdown(lecture.read_text()))]
+    url = "http://127.0.0.1:9/endpoint"  # answered by the stand-in endpoint
+    if reader == "kg":
+        doc = json.loads(kg.read_text())
+        doc["nodes"][0]["label"] = "\ud800"
+    elif reader == "artifact":
+        doc = json.loads(space.read_text())
+        doc["elements"][0]["content"] = "\ud800"
+    elif reader == "config":
+        doc = {"extra_relations": ["\ud800"]}
+    elif reader == "trace":
+        doc = {"t": 0, "rate": 3.0, "distortion": 0.5, "objective": 53.0, "structure": 0.2,
+               "feature": 0.3, "beta": 100.0,
+               "edits": [{"op": "add", "nodes": ["\ud800"], "edges": [], "rationale": ""}]}
+    elif reader == "embeddings":  # a vector for every unit, and one more under the key
+        doc = {"dim": 8, "keys": [content_hash(t) for t in texts] + ["\ud800"],
+               "vectors": HashEmbedder(dim=8).embed(texts + ["x"]).tolist()}
+    elif reader == "http-reply":  # an unread key: post_json parses the whole reply
+        monkeypatch.setattr("urllib.request.urlopen", endpoint(
+            {"embeddings": HashEmbedder().embed(list(dict.fromkeys(texts))).tolist(),
+             "model": "\ud800"}))
+    else:
+        monkeypatch.setattr("urllib.request.urlopen", endpoint({"choices": [{"message": {
+            "content": {"nodes": [{"id": "c1", "label": "\ud800", "confidence": 0.9,
+                                   "rationale": "r"}], "edges": []}}}]}))
+    if reader == "config":  # refine, which wrote its outputs before it crashed on the value
+        argv = ["refine", str(space), str(kg), "--config", str(bad)]
+    elif reader == "http-reply":
+        argv = ["ingest", str(lecture), "--embed-provider", "http", "--embed-url", url,
+                "--embed-retries", "0"]
+    elif reader == "llm-reply":
+        argv = ["bootstrap", str(lecture), "--llm-url", url, "--llm-retries", "0"]
+    else:
+        argv = _reading(reader, bad, pipeline)
+    if not reader.endswith("reply"):
+        bad.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if reader == "llm-reply":  # the reply is dropped: the heading graph, as without a client
+        assert code == EXIT_OK
+        assert main(["bootstrap", str(lecture), "--out", str(tmp_path / "plain")]) == EXIT_OK
+        assert ((out / "lecture.kg.json").read_bytes()
+                == (tmp_path / "plain" / "lecture.kg.json").read_bytes())
+    else:
+        assert code == EXIT_INPUT
+        assert "a string holds the lone surrogate '\\ud800'" in err
+        assert not out.exists()
+
+
+def test_a_flag_value_that_is_not_utf8_is_refused(pipeline, tmp_path, capsys):
+    # the argv byte 0xff reaches the program as the lone surrogate "\udcff"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]),
+                 "--extra-relations", "\udcff", "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert ('config key extra_relations must be a list of strings or null, got ["\\udcff"]'
+            in err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["kg", "artifact", "config", "trace", "embeddings"])
+@pytest.mark.parametrize("text", ["[1" + "0" * 5000 + "]", "[" * 100_000 + "]" * 100_000],
+                         ids=["an-integer-of-5001-digits", "lists-nested-100000-deep"])
+def test_every_reader_refuses_json_beyond_the_parsers_limits(pipeline, tmp_path, capsys,
+                                                             reader, text):
+    # the stdlib refuses both with a ValueError or a RecursionError, which are
+    # not JSONDecodeErrors; orjson reads the nested lists
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*_reading(reader, bad, pipeline), "--out", str(out)]) == EXIT_INPUT
+    assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
 
 
