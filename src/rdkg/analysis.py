@@ -198,7 +198,8 @@ def save_trace(trace: RdTrace, path: str | Path) -> None:
     """Write one JSON row per point. Each row carries the run's beta,
     unrounded: it is an input of the run, not a measurement; its
     alignment's coverage (null when unknown); its kept and rejected
-    edits; and, when known, its solve's ``solver`` diagnostics."""
+    edits; when known, its solve's ``solver`` diagnostics; and, on the
+    last row of a run a solver failure aborted, ``"incomplete": true``."""
     rows = []
     for i, p in enumerate(trace.points):
         row = {
@@ -215,6 +216,8 @@ def save_trace(trace: RdTrace, path: str | Path) -> None:
         }
         if p.outer_iterations is not None:
             row["solver"] = {"outer_iterations": p.outer_iterations, "converged": p.converged}
+        if trace.incomplete and i == len(trace.points) - 1:
+            row["incomplete"] = True
         rows.append(json.dumps(row, ensure_ascii=False))
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
@@ -226,8 +229,8 @@ def load_trace(path: str | Path) -> RdTrace:
     ``check_json`` refuses as a finite number (``t``: an integer; ``edits``
     and ``rejected``: lists), a row without ``beta`` (a trace written
     before rows carried it) or rows that disagree on it. ``coverage``,
-    ``edits``, ``rejected`` and ``solver`` are optional, so traces written
-    before rows carried them still load.
+    ``edits``, ``rejected``, ``solver`` and the last row's ``incomplete``
+    are optional, so traces written before rows carried them still load.
     """
     points: list[RdPoint] = []
     edits: list[list[dict]] = []
@@ -257,6 +260,7 @@ def load_trace(path: str | Path) -> RdTrace:
             edits.append(pop_field(row, "edits", list, []))
             rejected.append(pop_field(row, "rejected", list, []))
             beta = pop_field(row, "beta", float, None)
+            incomplete = pop_field(row, "incomplete", bool, False)
         except InputError as exc:  # a field check_json refuses
             raise InputError(f"malformed trace at line {lineno}: {exc}") from exc
         if beta is None:
@@ -272,7 +276,8 @@ def load_trace(path: str | Path) -> RdTrace:
             f"trace {path} rows disagree on beta ({', '.join(map(repr, sorted(betas)))}); "
             "re-run refine to write a trace of one run"
         )
-    return RdTrace(beta=betas.pop(), points=points, edits=edits, rejected=rejected)
+    return RdTrace(beta=betas.pop(), points=points, edits=edits, rejected=rejected,
+                   incomplete=incomplete)
 
 
 def _normalize_axis(values: np.ndarray) -> np.ndarray:

@@ -181,6 +181,8 @@ def bootstrap(markdown_path, config_path, out_dir, **overrides) -> None:
     graph = bootstrap_kg(
         read_utf8(src, f"lecture {src}"), _llm_client(cfg), _allowed_relations(cfg)
     )
+    if not graph.nodes:  # align and refine cannot use an empty graph
+        raise InputError(f"lecture {src} has no heading and no usable LLM reply: no concept")
     out = Path(out_dir) if out_dir else src.parent
     out.mkdir(parents=True, exist_ok=True)
     target = out / (src.stem + ".kg.json")

@@ -72,6 +72,8 @@ MARGINAL_TOL = 1e-6
 #: a step lowers the objective by less than FW_TOL times max(|objective|, 1).
 FW_ITERS = 50
 FW_TOL = 1e-6
+#: The cap on the Sinkhorn scaling iterations of one linear solve in fgw.
+SINKHORN_ITERS = 200
 #: Upper bound on the Sinkhorn scalings between two absorptions, and the
 #: kernel entries flushed to 0 when the kernel is formed (subnormal
 #: operands slow every product they enter). A flushed entry would carry
@@ -127,15 +129,12 @@ class Coupling:
 class SolverConfig:
     lambda_feat: float = 0.6
     epsilon: float = 0.05
-    sinkhorn_iters: int = 200
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_feat <= 1.0:
             raise InputError("lambda_feat must lie in [0, 1]")
         if self.epsilon <= 0:
             raise InputError("epsilon must be positive")
-        if self.sinkhorn_iters < 1:
-            raise InputError("iteration counts must be at least 1")
 
 
 @dataclass
@@ -160,7 +159,7 @@ def sinkhorn(
     mu: np.ndarray,
     nu: np.ndarray,
     epsilon: float,
-    max_iters: int = SolverConfig.sinkhorn_iters,
+    max_iters: int = SINKHORN_ITERS,
     potentials: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Coupling:
     """Entropy-regularized linear transport by stabilized Sinkhorn.
@@ -576,9 +575,7 @@ def fgw(
         # sinkhorn's input check is the one scan of the gradient; a
         # non-finite gradient is this solve's numerical failure
         try:
-            inner = sinkhorn(
-                grad, mu, nu, cfg.epsilon, cfg.sinkhorn_iters, potentials=potentials
-            )
+            inner = sinkhorn(grad, mu, nu, cfg.epsilon, SINKHORN_ITERS, potentials=potentials)
         except InputError:
             if np.isfinite(grad).all():
                 raise

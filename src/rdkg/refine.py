@@ -77,27 +77,26 @@ from .ot import Coupling, FgwResult, SolverConfig, fgw
 logger = logging.getLogger(__name__)
 
 MAX_DEFINITION_CHARS = 1000
+#: The operator gates: fixed rules of the search, not settings (see README)
+THETA_ADD = 0.02
+THETA_SPLIT = 0.35
+THETA_MERGE = 0.12
+THETA_COS = 0.90
+THETA_RELATE = 0.25
+TAU = 1e-4
 
 
 @dataclass
 class RefinementConfig:
     beta: float = 100.0
-    theta_add: float = 0.02
-    theta_split: float = 0.35
-    theta_merge: float = 0.12
-    theta_cos: float = 0.90
-    theta_relate: float = 0.25
-    tau: float = 1e-4
     max_adds: int = 5
     max_splits: int = 3
     max_merges: int = 3
     max_iterations: int = 12
 
     def __post_init__(self) -> None:
-        for name in ("beta", "theta_add", "theta_split", "theta_merge",
-                     "theta_cos", "theta_relate", "tau"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
+        if self.beta <= 0:
+            raise InputError("beta must be positive")
 
 
 @dataclass
@@ -267,9 +266,8 @@ def op_add(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
     cache answers. LLM edges that touch a new node come from
     ``llm_propose_edges``, as their own batch.
     """
-    cfg = ctx.config
     rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, aligned.tolerance)
-    flagged = [i for i in range(len(rho)) if rho[i] < cfg.theta_add]
+    flagged = [i for i in range(len(rho)) if rho[i] < THETA_ADD]
     groups: list[list[int]] = []
     for i in flagged:
         if (
@@ -282,7 +280,7 @@ def op_add(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
         else:
             groups.append([i])
     groups.sort(key=lambda g: (min(rho[i] for i in g), g[0]))
-    groups = groups[: cfg.max_adds]
+    groups = groups[: ctx.config.max_adds]
     if not groups:
         return []
 
@@ -327,13 +325,12 @@ def op_split(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]
     take their group's concatenated text as definition, and inherit every
     incident edge with its ``extra``.
     """
-    cfg = ctx.config
     plan = aligned.coupling.matrix
     entropies = column_entropy(plan)
-    candidates = [j for j in range(len(entropies)) if entropies[j] > cfg.theta_split]
+    candidates = [j for j in range(len(entropies)) if entropies[j] > THETA_SPLIT]
     candidates.sort(key=lambda j: (-entropies[j], j))
     edits: list[Edit] = []
-    for j in candidates[: cfg.max_splits]:
+    for j in candidates[: ctx.config.max_splits]:
         column = plan[:, j]
         subset = np.flatnonzero(column > column.mean()).tolist()
         if len(subset) < 4:
@@ -385,15 +382,14 @@ def op_merge(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]
     cosine similarity is one minus the feature cost of its node texts,
     read from the search's memo.
     """
-    cfg = ctx.config
     plan = aligned.coupling.matrix
     col_sums = plan.sum(axis=0)
-    similar = 1.0 - ctx.memo.pair_cost([node_text(n) for n in kg.nodes]) >= cfg.theta_cos
+    similar = 1.0 - ctx.memo.pair_cost([node_text(n) for n in kg.nodes]) >= THETA_COS
     used: set[str] = set()
     edits: list[Edit] = []
     m = len(kg.nodes)
     for i in range(m):
-        if len(edits) >= cfg.max_merges:
+        if len(edits) >= ctx.config.max_merges:
             break
         keep = kg.nodes[i]
         if keep.id in used or col_sums[i] <= 0:
@@ -405,11 +401,11 @@ def op_merge(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]
             if not similar[i, j]:
                 continue
             kl = symmetric_kl(plan[:, i] / col_sums[i], plan[:, j] / col_sums[j])
-            if kl > cfg.theta_merge:
+            if kl > THETA_MERGE:
                 continue
             used.update((keep.id, drop.id))
             edits.append(partial(_merge_nodes, keep.id, drop.id,
-                                 f"cosine above {cfg.theta_cos}, symmetric KL {kl:.4f}"))
+                                 f"cosine above {THETA_COS}, symmetric KL {kl:.4f}"))
             break
     return edits
 
@@ -455,9 +451,8 @@ def op_relate(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit
     pair already joined by an edge of the input graph is skipped.
     All pair means come from one gathered block of ``d_lecture``, and
     that mean is the definition: a pair whose mean equals
-    ``theta_relate`` is not related.
+    ``THETA_RELATE`` is not related.
     """
-    cfg = ctx.config
     d_lecture = ctx.lecture.distance
     if len(kg.nodes) < 2:
         return []
@@ -470,7 +465,7 @@ def op_relate(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit
     means = np.where(distinct, d_lecture[rows, cols], 0.0).sum(axis=(2, 3))
     means /= np.maximum(counts, 1)
     scored = np.triu(counts > 0, 1)
-    related = scored & (means < cfg.theta_relate)
+    related = scored & (means < THETA_RELATE)
 
     linked = frozenset(frozenset((e.src, e.dst)) for e in kg.edges)
     edits: list[Edit] = []
@@ -491,13 +486,13 @@ def op_relate(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit
 
 def op_prune(kg: KnowledgeGraph, aligned: Aligned, ctx: OpContext) -> list[Edit]:
     """Remove edges whose support, the product of their endpoints' column
-    masses, falls below tau."""
+    masses, falls below TAU."""
     index = kg.node_index()
     masses = aligned.coupling.matrix.sum(axis=0)
     edits: list[Edit] = []
     for edge in kg.edges:
         support = float(masses[index[edge.src]] * masses[index[edge.dst]])
-        if support < ctx.config.tau:
+        if support < TAU:
             edits.append(partial(_remove_edge, edge, f"support {support:.3e} below tau"))
     return edits
 

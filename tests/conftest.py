@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ COMMAND_KEYS = {
     "bootstrap": frozenset({"llm_url", "llm_model", "llm_timeout", "llm_retries",
                             "llm_temperature", "extra_relations", "debug"}),
     "align": INGEST_KEYS | {"extra_relations", "gamma_struct", "gamma_sem", "lambda_feat",
-                            "epsilon", "sinkhorn_iters", "beta", "debug"},
+                            "epsilon", "beta", "debug"},
     "refine": frozenset(config_keys()),
 }
 
@@ -98,3 +100,16 @@ def provider() -> HashEmbedder:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def gates(monkeypatch):
+    """Set the operator gates (``refine.THETA_ADD`` ... ``refine.TAU``) and
+    the Sinkhorn cap (``ot.SINKHORN_ITERS``) for one test, each named in
+    lower case: ``gates(theta_split=1.5, tau=10.0)``. A name that is not a
+    constant raises."""
+    def set_gates(**values) -> None:
+        for name, value in values.items():
+            module = import_module("rdkg.ot" if name == "sinkhorn_iters" else "rdkg.refine")
+            monkeypatch.setattr(module, name.upper(), value)
+    return set_gates

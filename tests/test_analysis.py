@@ -240,6 +240,26 @@ def test_trace_reads_rows_with_and_without_rejected_and_solver(tmp_path):
         load_trace(old)
 
 
+def test_an_aborted_trace_keeps_its_incomplete_flag(tmp_path):
+    # only the last row of an aborted run carries the flag, so a complete
+    # run's trace has the bytes it had before rows could carry it
+    path = tmp_path / "trace.jsonl"
+    save_trace(sample_trace(), path)
+    assert all("incomplete" not in json.loads(line) for line in path.read_text().splitlines())
+    assert load_trace(path).incomplete is False
+    trace = sample_trace()
+    trace.incomplete = True
+    save_trace(trace, path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [row.get("incomplete") for row in rows] == [None, None, None, True]
+    assert list(rows[-1])[-1] == "incomplete"
+    assert load_trace(path).incomplete is True
+    rows[-1]["incomplete"] = "yes"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(InputError, match="line 4: incomplete must be a boolean"):
+        load_trace(path)
+
+
 def test_a_trace_without_coverage_loads_and_reports_null(tmp_path):
     # rows written before they carried coverage, or with it null
     path = tmp_path / "trace.jsonl"

@@ -7,11 +7,13 @@ import sys
 import click
 import pytest
 
-from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, align, bootstrap, ingest, main
+from rdkg.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, align, bootstrap, ingest,
+                      main)
 from rdkg.cli import refine_cmd as refine_command
 from rdkg.cli import report as report_command
 from rdkg.config import config_keys, load_run_config
 from rdkg.embeddings import HashEmbedder, content_hash
+from rdkg.errors import NumericalError
 from rdkg.kg import load_kg, node_text, validate_graph
 from rdkg.lecture import ARTIFACT_FORMAT, build_lecture_space, flatten
 from rdkg.llm import bootstrap_kg
@@ -80,6 +82,20 @@ def test_bootstrap_fallback_counts(tmp_path, capsys):
     assert "|V|=3" in capsys.readouterr().out
     kg = load_kg(tmp_path / "mini.kg.json")
     assert len(kg.nodes) == 3
+
+
+@pytest.mark.parametrize("llm", ["none", "unusable-reply"])
+def test_bootstrap_refuses_a_lecture_without_a_heading(tmp_path, monkeypatch, capsys, llm):
+    # the heading fallback would write an empty graph, which align and refine refuse
+    md = tmp_path / "plain.md"
+    md.write_text("some lecture text\n\nmore lecture text\n")
+    reply = {"choices": [{"message": {"content": json.dumps({"nodes": []})}}]}
+    monkeypatch.setattr("rdkg.llm.post_json", lambda *args: reply)
+    flags = {"none": [], "unusable-reply": ["--llm-url", "http://fake/llm"]}[llm]
+    out = tmp_path / "out"
+    assert main(["bootstrap", str(md), "--out", str(out), *flags]) == EXIT_INPUT
+    assert f"input error: lecture {md} has no heading" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bootstrap_output_round_trips(tmp_path, lecture_file):
@@ -404,8 +420,6 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_numerical_failure_exits_three(pipeline, monkeypatch, capsys):
-    from rdkg.errors import NumericalError
-
     def boom(*args, **kwargs):
         raise NumericalError("numerical failure at outer iteration 1")
 
@@ -414,6 +428,31 @@ def test_numerical_failure_exits_three(pipeline, monkeypatch, capsys):
     code = main(["align", str(pipeline["space"]), str(pipeline["kg"])])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_a_report_regenerated_from_an_aborted_run_stays_incomplete(pipeline, tmp_path,
+                                                                    monkeypatch, capsys):
+    # the second solve, the first candidate's, fails: refine writes what it
+    # has and exits 3, and the trace alone tells report that the run was cut
+    module = sys.modules["rdkg.refine"]
+    solves, fgw = [], module.fgw
+
+    def second_fails(*args):
+        solves.append(args)
+        if len(solves) == 2:
+            raise NumericalError("numerical failure at outer iteration 1")
+        return fgw(*args)
+
+    monkeypatch.setattr(module, "fgw", second_fails)
+    run_dir = tmp_path / "run"
+    assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]),
+                 "--out", str(run_dir)]) == EXIT_NUMERICAL
+    assert len(solves) == 2
+    original = json.loads((run_dir / "report.json").read_text())
+    assert original["incomplete"] is True
+    regen = tmp_path / "regen"
+    assert main(["report", str(run_dir / "trace.jsonl"), "--out", str(regen)]) == EXIT_OK
+    assert json.loads((regen / "report.json").read_text()) == {**original, "config": {}}
 
 
 def test_config_file_and_flag_precedence(tmp_path, lecture_file, capsys):
@@ -550,8 +589,9 @@ def test_pipeline_composability(tmp_path):
     ("epsilon=0", "epsilon must be positive"),
     ("lambda_feat=2", "lambda_feat must lie in [0, 1]"),
     ("beta=0", "beta must be positive"),
-    ("theta_add=-1", "theta_add must be positive"),
-    ("sinkhorn_iters=0", "iteration counts must be at least 1"),
+    # a retired gate or cap is refused as a key, in a file and as a flag
+    ("theta_add=-1", "unknown config keys: theta_add"),
+    ("sinkhorn_iters=0", "unknown config keys: sinkhorn_iters"),
     ("gamma_struct=5", "gamma must be nonnegative and sum to 1"),
     ("alpha_sem=0.9", "alpha must be nonnegative and sum to 1"),
     ("embed_dim=0", "embedding dimension must be positive"),

@@ -3,6 +3,7 @@
 import inspect
 import re
 from dataclasses import asdict, fields
+from importlib import import_module
 
 import pytest
 
@@ -18,9 +19,7 @@ from conftest import COMMAND_KEYS
 
 FLAT_KEYS = [
     "alpha_chron", "alpha_logic", "alpha_sem", "gamma_struct", "gamma_sem",
-    "lambda_feat", "epsilon", "sinkhorn_iters", "beta",
-    "theta_add", "theta_split", "theta_merge", "theta_cos", "theta_relate",
-    "tau", "max_adds", "max_splits", "max_merges", "max_iterations",
+    "lambda_feat", "epsilon", "beta", "max_adds", "max_splits", "max_merges", "max_iterations",
     "embed_provider", "embed_dim", "embed_seed",
     "embeddings_file", "embed_url", "embed_model", "embed_timeout",
     "embed_retries", "llm_url", "llm_model", "llm_timeout", "llm_retries",
@@ -79,7 +78,8 @@ def test_overrides_reach_the_nested_configs(tmp_path):
     ("epsilon", 0, "epsilon must be positive"),
     ("lambda_feat", 2, "lambda_feat must lie in [0, 1]"),
     ("beta", 0, "beta must be positive"),
-    ("theta_add", -1, "theta_add must be positive"),
+    # a retired gate is refused as a key before any range check
+    ("theta_add", -1, "unknown config keys: theta_add"),
 ])
 def test_nested_range_checks_run_at_load(key, value, message):
     with pytest.raises(InputError, match=re.escape(message)):
@@ -139,6 +139,21 @@ def test_the_fixed_stop_rule_and_coverage_percentile_are_unknown_keys(tmp_path, 
                                                                        key, value):
     # ot.FW_ITERS, ot.FW_TOL and analysis.COVERAGE_PERCENTILE are constants: a
     # file or flag that sets one, even to its value, is refused by every command
+    assert_refused_by_every_command(tmp_path, capsys, key, value)
+
+
+@pytest.mark.parametrize("key", ["theta_add", "theta_split", "theta_merge", "theta_cos",
+                                 "theta_relate", "tau", "sinkhorn_iters"])
+def test_the_operator_gates_and_sinkhorn_cap_are_unknown_keys(tmp_path, capsys, key):
+    # refine.THETA_ADD ... refine.TAU and ot.SINKHORN_ITERS are constants: a file
+    # or flag that sets one, even to its value, is refused by every command
+    module = import_module("rdkg.ot" if key == "sinkhorn_iters" else "rdkg.refine")
+    assert_refused_by_every_command(tmp_path, capsys, key, getattr(module, key.upper()))
+
+
+def assert_refused_by_every_command(tmp_path, capsys, key, value):
+    """A config file setting ``key`` to ``value`` exits 2 and its flag
+    exits 1 in ingest, bootstrap, align and refine; neither writes."""
     lecture = tmp_path / "l.md"
     lecture.write_text("# A\n\nsome lecture text\n")
     for command in ("ingest", "bootstrap"):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rdkg import ot
@@ -619,7 +619,7 @@ def recomputing_fgw(c1, c2, feats, mu, nu, cfg):
         grad = lam * feats
         if lam < 1.0:
             grad = grad + (1.0 - lam) * gw_gradient(c1, c2, pi)
-        inner = sinkhorn(grad, mu, nu, cfg.epsilon, cfg.sinkhorn_iters, potentials=potentials)
+        inner = sinkhorn(grad, mu, nu, cfg.epsilon, ot.SINKHORN_ITERS, potentials=potentials)
         potentials = inner.potentials
         delta = inner.matrix - pi
         r, s = delta.sum(axis=1), delta.sum(axis=0)
@@ -663,7 +663,7 @@ def reference_fgw(c1, c2, feats, mu, nu, cfg):
     potentials = None
     for _ in range(FW_ITERS):
         grad = lam * feats + (1.0 - lam) * (2.0 * (u[:, None] + w[None, :]) - 4.0 * product)
-        inner = sinkhorn(grad, mu, nu, cfg.epsilon, cfg.sinkhorn_iters, potentials=potentials)
+        inner = sinkhorn(grad, mu, nu, cfg.epsilon, ot.SINKHORN_ITERS, potentials=potentials)
         potentials = inner.potentials
         delta = inner.matrix - pi
         r, s = delta.sum(axis=1), delta.sum(axis=0)
@@ -743,7 +743,7 @@ def test_fgw_lambda_one_reduces_to_sinkhorn(rng):
     nu = np.full(m, 1 / m)
     cfg = SolverConfig(lambda_feat=1.0)
     res = fgw(c1, c2, feats, mu, nu, cfg)
-    baseline = sinkhorn(feats, mu, nu, cfg.epsilon, cfg.sinkhorn_iters)
+    baseline = sinkhorn(feats, mu, nu, cfg.epsilon, ot.SINKHORN_ITERS)
     # the 1e-9 contract is the distortion identity; the plans agree only
     # up to the marginal tolerance of the two solve paths
     assert res.distortion == pytest.approx((feats * res.coupling.matrix).sum(), abs=1e-9)
@@ -797,18 +797,18 @@ def test_fgw_beats_permutation_bound(rng):
         assert res.distortion <= best + 0.1
 
 
-def test_fgw_symmetry(rng, monkeypatch):
+def test_fgw_symmetry(rng, monkeypatch, gates):
     # symmetry is asserted on solves whose inner problems fully converge,
     # hence the generous inner iteration budget and the tight stop rule
     monkeypatch.setattr("rdkg.ot.FW_ITERS", 200)
     monkeypatch.setattr("rdkg.ot.FW_TOL", 1e-10)
+    gates(sinkhorn_iters=30000)
     n = 4
     c1, c2 = random_metric(n, rng), random_metric(n, rng)
     feats = rng.random((n, n)) * 2
     mu = np.full(n, 1 / n)
-    cfg = SolverConfig(sinkhorn_iters=30000)
-    forward = fgw(c1, c2, feats, mu, mu, cfg)
-    backward = fgw(c2, c1, feats.T, mu, mu, cfg)
+    forward = fgw(c1, c2, feats, mu, mu)
+    backward = fgw(c2, c1, feats.T, mu, mu)
     assert forward.coupling.converged and backward.coupling.converged
     assert forward.distortion == pytest.approx(backward.distortion, abs=1e-6)
 
@@ -847,11 +847,14 @@ def test_fgw_nonnegative_distortion(rng):
         assert res.coupling.marginal_residual() <= 1e-6
 
 
+# the cap is set once for every example, so the fixture needs no reset
 @given(st.integers(min_value=0, max_value=1000))
-@settings(max_examples=15, deadline=None)
-def test_fgw_coupling_marginals_property(seed):
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fgw_coupling_marginals_property(gates, seed):
     # accepted solves (all inner problems converged) satisfy the 1e-6
     # marginal contract; otherwise the violation must be reported
+    gates(sinkhorn_iters=20000)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
     m = int(rng.integers(2, 6))
@@ -861,7 +864,6 @@ def test_fgw_coupling_marginals_property(seed):
         rng.random((n, m)) * 2,
         np.full(n, 1 / n),
         np.full(m, 1 / m),
-        SolverConfig(sinkhorn_iters=20000),
     )
     residual = res.coupling.marginal_residual()
     if res.coupling.converged:

@@ -31,6 +31,7 @@ from rdkg.lecture import build_lecture_space
 from rdkg.llm import Namer
 from rdkg.ot import Coupling, SolverConfig, fgw
 from rdkg.refine import (
+    THETA_ADD,
     Aligned,
     _farthest_pair,
     _merge_nodes,
@@ -111,7 +112,7 @@ def test_covered_row_mass_partial():
     feats[:, :4] = 0.0
     rho = covered_row_mass(plan, feats, tol=0.5)
     assert rho[0] == pytest.approx(0.4 * (1.0 / n))
-    assert rho[0] < RefinementConfig().theta_add
+    assert rho[0] < THETA_ADD
 
 
 def test_covered_row_mass_shape_mismatch():
@@ -174,24 +175,27 @@ def test_symmetric_kl_length_mismatch():
         symmetric_kl(np.array([1.0]), np.array([0.5, 0.5]))
 
 
-def prune_with(plan, kg, tau=RefinementConfig.tau):
-    """``op_prune`` against ``plan``: it reads only the coupling and tau."""
+def prune_with(plan, kg):
+    """``op_prune`` against ``plan``: it reads only the coupling and TAU."""
     aligned = SimpleNamespace(coupling=SimpleNamespace(matrix=plan))
-    return op_prune(kg, aligned, SimpleNamespace(config=RefinementConfig(tau=tau)))
+    return op_prune(kg, aligned, SimpleNamespace())
 
 
-def test_edge_support_arithmetic():
+def test_edge_support_arithmetic(gates):
     # an edge's support is the product of its endpoints' column masses
     plan = np.array([[0.25, 0.125, 0.0], [0.25, 0.125, 0.25]])
     kg = KnowledgeGraph(
         nodes=[ConceptNode(id=x, label=x.upper()) for x in "abc"],
         edges=[RelationEdge("a", "b", "uses", 0.5), RelationEdge("c", "b", "partOf", 0.5)],
     )
-    assert prune_with(plan, kg, tau=0.0625) == []  # supports 0.125 and 0.0625
-    out, records = apply_edits(kg, prune_with(plan, kg, tau=0.07))
+    gates(tau=0.0625)
+    assert prune_with(plan, kg) == []  # supports 0.125 and 0.0625
+    gates(tau=0.07)
+    out, records = apply_edits(kg, prune_with(plan, kg))
     assert [(e.src, e.dst) for e in out.edges] == [("a", "b")]
     assert [r.rationale for r in records] == ["support 6.250e-02 below tau"]
-    out, records = apply_edits(kg, prune_with(plan, kg, tau=0.13))
+    gates(tau=0.13)
+    out, records = apply_edits(kg, prune_with(plan, kg))
     assert out.edges == [] and len(records) == 2
 
 
@@ -207,7 +211,7 @@ def test_edge_support_zero_column_prunes():
     assert [r.rationale for r in records] == ["support 0.000e+00 below tau"]
 
 
-def test_top_coupled_ties_lowest_index():
+def test_top_coupled_ties_lowest_index(gates):
     # column 0 ties six elements, column 1 ties six at 0 behind element 6;
     # element 5 is far from every other, so the pair is related only if
     # both columns take their ties to the lowest index and leave 5 out
@@ -219,7 +223,8 @@ def test_top_coupled_ties_lowest_index():
     assert top_coupled_reference(plan, 0) == [0, 1, 2, 3, 4]
     assert top_coupled_reference(plan, 1) == [6, 0, 1, 2, 3]
     kg = KnowledgeGraph(nodes=[ConceptNode(id=f"n{j}", label=f"N{j}") for j in range(2)])
-    _, records = apply_edits(kg, op_relate(kg, fake_aligned(plan), relate_ctx(d, 0.2)))
+    gates(theta_relate=0.2)
+    _, records = apply_edits(kg, op_relate(kg, fake_aligned(plan), relate_ctx(d)))
     assert [r.edges[0] for r in records] == [["n0", "relatedTo", "n1"]]
 
 
@@ -322,7 +327,7 @@ def test_two_means_matches_scalar_seeding_on_ties():
 
 def test_op_add_no_candidates_is_noop(provider):
     # identical unit and node texts give an all-zero feature cost, so the
-    # tolerance is 0 and every row keeps its full mass above theta_add
+    # tolerance is 0 and every row keeps its full mass above THETA_ADD
     lines = ["# T", "", "## S", ""]
     for _ in range(6):
         lines += ["identical content block repeated verbatim.", ""]
@@ -367,14 +372,14 @@ def test_op_add_cap_and_ordering(provider):
     assert len(records) == 2
     # groups are taken lowest mass first; every skipped flagged element
     # has mass at least the worst accepted group's minimum
-    flagged = [i for i in range(len(rho)) if rho[i] < cfg.theta_add]
+    flagged = [i for i in range(len(rho)) if rho[i] < THETA_ADD]
     assert flagged
 
 
-def _add_group_starts(space, aligned, tol, theta_add):
+def _add_group_starts(space, aligned, tol):
     """First row of each span op_add would flag at tolerance ``tol``."""
     rho = covered_row_mass(aligned.coupling.matrix, aligned.feature, tol)
-    flagged = {i for i in range(len(rho)) if rho[i] < theta_add}
+    flagged = {i for i in range(len(rho)) if rho[i] < THETA_ADD}
     paths = [e.section_path for e in space.elements]
     return {i for i in flagged if i - 1 not in flagged or paths[i - 1] != paths[i]}
 
@@ -387,13 +392,9 @@ def test_op_add_flags_rows_by_the_configured_coverage_rule(provider, percentile,
     kg = topic_a_only_kg()
     aligned = solve(space, kg, provider)
     cfg = RefinementConfig(max_adds=100)
-    starts = _add_group_starts(
-        space, aligned, float(np.percentile(aligned.feature, percentile)), cfg.theta_add
-    )
+    starts = _add_group_starts(space, aligned, float(np.percentile(aligned.feature, percentile)))
     # the case is only informative where the default rule flags other spans
-    assert starts != _add_group_starts(
-        space, aligned, coverage_tolerance(aligned.feature), cfg.theta_add
-    )
+    assert starts != _add_group_starts(space, aligned, coverage_tolerance(aligned.feature))
     monkeypatch.setattr("rdkg.analysis.COVERAGE_PERCENTILE", percentile)
     _, records = apply_edits(kg, op_add(kg, aligned, make_ctx(space, provider, cfg)))
     # a node is named after the first unit of its span
@@ -550,15 +551,15 @@ def test_an_add_applied_out_of_batch_order_links_to_its_own_nearest(provider, mo
     assert calls == []
 
 
-def test_op_split_trivial_noop(provider):
+def test_op_split_trivial_noop(provider, gates):
     md = "\n".join(["# T", "", make_section("Topic", TOPIC_A_WORDS, 6, 0)])
     space = build_lecture_space(md, embed=provider.embed)
     kg = KnowledgeGraph(
         nodes=[ConceptNode(id="n1", label="Topic", definition=" ".join(TOPIC_A_WORDS))]
     )
     aligned = solve(space, kg, provider)
-    cfg = RefinementConfig(theta_split=1.5)  # unreachable threshold
-    assert op_split(kg, aligned, make_ctx(space, provider, cfg)) == []
+    gates(theta_split=1.5)  # unreachable threshold
+    assert op_split(kg, aligned, make_ctx(space, provider)) == []
 
 
 def overloaded_fixture(provider):
@@ -665,11 +666,11 @@ def test_op_merge_fires_on_duplicates(provider):
     assert "Delta" in keep.aliases or keep.label == "Delta"
 
 
-def test_op_merge_thresholds_block(provider):
+def test_op_merge_thresholds_block(provider, gates):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
-    strict = RefinementConfig(theta_merge=1e-12, theta_cos=0.999999999)
-    out, records = apply_edits(kg, op_merge(kg, aligned, make_ctx(space, provider, strict)))
+    gates(theta_merge=1e-12, theta_cos=0.999999999)
+    out, records = apply_edits(kg, op_merge(kg, aligned, make_ctx(space, provider)))
     # identical embeddings still satisfy cos, but near-identical (not
     # bit-identical) columns fail the tiny KL budget
     dup_records = [r for r in records if set(r.nodes) == {"c3", "c3dup"}]
@@ -694,10 +695,11 @@ def test_op_merge_identical_columns_always_fires():
     out, records = apply_edits(kg, op_merge(kg, aligned, ctx))
     assert [r.op for r in records] == ["merge"]
     assert records[0].nodes == ["a", "b"]
+    assert records[0].rationale == "cosine above 0.9, symmetric KL 0.0000"
 
 
-def test_op_merge_cosine_threshold_is_one_minus_the_memo_cost():
-    # identical columns (KL 0), so only the cosine test decides; theta_cos
+def test_op_merge_cosine_threshold_is_one_minus_the_memo_cost(gates):
+    # identical columns (KL 0), so only the cosine test decides; THETA_COS
     # set exactly to each pair's similarity, one minus its memo cost, must
     # still admit it
     rng = np.random.default_rng(5)
@@ -716,8 +718,8 @@ def test_op_merge_cosine_threshold_is_one_minus_the_memo_cost():
             assert theta == pytest.approx(1.0 - cosine_distance(emb[i], emb[j]), abs=1e-12)
             if theta <= 0:
                 continue
-            ctx = type("FakeCtx", (), {"config": RefinementConfig(theta_cos=theta),
-                                       "memo": memo})()
+            gates(theta_cos=theta)
+            ctx = type("FakeCtx", (), {"config": RefinementConfig(), "memo": memo})()
             _, records = apply_edits(kg, op_merge(kg, aligned, ctx))
             expected, used = [], set()
             for a in range(6):
@@ -743,24 +745,25 @@ def test_op_merge_respects_cap(provider):
     assert len(records) == 1
 
 
-def test_op_relate_threshold_behavior(provider):
+def test_op_relate_threshold_behavior(provider, gates):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
+    ctx = make_ctx(space, provider)
     # permissive threshold connects everything unconnected; strict connects nothing
-    ctx_hi = make_ctx(space, provider, RefinementConfig(theta_relate=0.999))
-    out_hi, rec_hi = apply_edits(kg, op_relate(kg, aligned, ctx_hi))
+    gates(theta_relate=0.999)
+    out_hi, rec_hi = apply_edits(kg, op_relate(kg, aligned, ctx))
     assert rec_hi and all(r.op == "relate-add" for r in rec_hi)
     assert all(r.edges[0][1] == "relatedTo" for r in rec_hi)
     assert validate_graph(out_hi) == []
-    ctx_lo = make_ctx(space, provider, RefinementConfig(theta_relate=1e-9))
-    assert op_relate(kg, aligned, ctx_lo) == []
+    gates(theta_relate=1e-9)
+    assert op_relate(kg, aligned, ctx) == []
 
 
-def test_op_relate_skips_connected_pairs(provider):
+def test_op_relate_skips_connected_pairs(provider, gates):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
-    ctx = make_ctx(space, provider, RefinementConfig(theta_relate=0.999))
-    out, records = apply_edits(kg, op_relate(kg, aligned, ctx))
+    gates(theta_relate=0.999)
+    out, records = apply_edits(kg, op_relate(kg, aligned, make_ctx(space, provider)))
     connected_before = {e.key()[:2] for e in kg.edges}
     for record in records:
         src, _, dst = record.edges[0]
@@ -814,13 +817,12 @@ def fake_aligned(plan):
     return type("FakeAligned", (), {"coupling": pi})()
 
 
-def relate_ctx(d, theta):
+def relate_ctx(d):
     lecture = type("FakeLecture", (), {"distance": d})()
-    return type("FakeCtx", (), {"lecture": lecture,
-                                "config": RefinementConfig(theta_relate=theta)})()
+    return type("FakeCtx", (), {"lecture": lecture})()
 
 
-def test_op_relate_matches_per_pair_reference():
+def test_op_relate_matches_per_pair_reference(gates):
     """op_relate's mean of a pair, from its one gathered block of
     ``d_lecture``, is the definition: at a threshold exactly equal to that
     mean the pair is not related. On this state it equals the per-pair
@@ -838,7 +840,8 @@ def test_op_relate_matches_per_pair_reference():
     thetas = [means[0] / 2, *means, (means[3] + means[4]) / 2, 2.0]
     fired = 0
     for theta in thetas:
-        out, records = apply_edits(kg, op_relate(kg, aligned, relate_ctx(d, theta)))
+        gates(theta_relate=theta)
+        out, records = apply_edits(kg, op_relate(kg, aligned, relate_ctx(d)))
         expected = reference_relate_edges(kg, plan, d, theta)
         assert [r.edges[0] for r in records] == expected
         assert [r.nodes for r in records] == [[e[0], e[2]] for e in expected]
@@ -848,10 +851,11 @@ def test_op_relate_matches_per_pair_reference():
     assert 0 < fired < len(thetas)
 
 
-def test_op_relate_no_distinct_cross_pairs():
+def test_op_relate_no_distinct_cross_pairs(gates):
     # a one-element lecture: every cross pair is (0, 0), so no pair is scored
     kg, plan, _, _ = hand_built_relate_state()
-    assert op_relate(kg, fake_aligned(plan[:1]), relate_ctx(np.zeros((1, 1)), 2.0)) == []
+    gates(theta_relate=2.0)
+    assert op_relate(kg, fake_aligned(plan[:1]), relate_ctx(np.zeros((1, 1)))) == []
 
 
 def test_merge_into_keeps_edge_order_and_drops_duplicates():
@@ -929,11 +933,11 @@ def test_merge_and_split_applies_leave_their_input_graph_untouched():
     ]
 
 
-def test_op_prune_removes_unsupported(provider):
+def test_op_prune_removes_unsupported(provider, gates):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
-    cfg = RefinementConfig(tau=10.0)  # everything is below this support
-    out, records = apply_edits(kg, op_prune(kg, aligned, make_ctx(space, provider, cfg)))
+    gates(tau=10.0)  # everything is below this support
+    out, records = apply_edits(kg, op_prune(kg, aligned, make_ctx(space, provider)))
     assert out.edges == []
     assert len(records) == len(kg.edges)
     assert all(r.op == "prune" for r in records)
@@ -959,11 +963,11 @@ def graph_copies(monkeypatch):
     return copied
 
 
-def test_operators_with_nothing_to_propose_return_no_edits(provider, graph_copies):
+def test_operators_with_nothing_to_propose_return_no_edits(provider, graph_copies, gates):
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
-    quiet = RefinementConfig(theta_cos=2.0, theta_relate=1e-9, tau=1e-300)
-    ctx = make_ctx(space, provider, quiet)
+    gates(theta_cos=2.0, theta_relate=1e-9, tau=1e-300)
+    ctx = make_ctx(space, provider)
     tiny_md = "\n".join(["# T", "", make_section("Tiny", TOPIC_A_WORDS, 3, 0)])
     tiny_space = build_lecture_space(tiny_md, embed=provider.embed)
     tiny_kg = KnowledgeGraph(
@@ -983,10 +987,11 @@ def test_operators_with_nothing_to_propose_return_no_edits(provider, graph_copie
     assert graph_copies == []
 
 
-def firing_operator_calls(provider):
+def firing_operator_calls(provider, gates):
     """Each of the six edit producers on a fixture where it proposes edits:
-    (producer, graph, alignment, context). The LLM edge pass gets a client
-    that proposes one edge."""
+    (producer, graph, alignment, context), with the relate and prune gates
+    set so that both fire. The LLM edge pass gets a client that proposes
+    one edge."""
     from rdkg.llm import LlmClient
 
     def transport(url, payload, headers, timeout):
@@ -999,7 +1004,8 @@ def firing_operator_calls(provider):
     client = LlmClient("http://fake", "m", retries=0, transport=transport)
     space, kg = duplicate_pair_fixture(provider)
     aligned = solve(space, kg, provider)
-    ctx = make_ctx(space, provider, RefinementConfig(theta_relate=0.999, tau=10.0), client)
+    gates(theta_relate=0.999, tau=10.0)
+    ctx = make_ctx(space, provider, client=client)
     add_space, add_kg = two_topic_fixture(provider)
     split_space, split_kg = overloaded_fixture(provider)
     return [
@@ -1013,8 +1019,8 @@ def firing_operator_calls(provider):
     ]
 
 
-def test_operators_never_copy_and_apply_edits_copies_once(provider, graph_copies):
-    for op, graph, graph_aligned, op_ctx in firing_operator_calls(provider):
+def test_operators_never_copy_and_apply_edits_copies_once(provider, graph_copies, gates):
+    for op, graph, graph_aligned, op_ctx in firing_operator_calls(provider, gates):
         graph_copies.clear()
         edits = op(graph, graph_aligned, op_ctx)
         assert edits and graph_copies == [], op.__name__
@@ -1023,11 +1029,11 @@ def test_operators_never_copy_and_apply_edits_copies_once(provider, graph_copies
         assert graph_copies == [graph], op.__name__
 
 
-def test_edits_never_touch_the_graph_they_came_from(provider):
+def test_edits_never_touch_the_graph_they_came_from(provider, gates):
     # refine() keeps the recorded graph and alignment uncopied, and a later
     # step may apply one edit alone: both rest on proposals and applies
     # leaving their input as it was, and on applies building their own nodes
-    for op, graph, graph_aligned, op_ctx in firing_operator_calls(provider):
+    for op, graph, graph_aligned, op_ctx in firing_operator_calls(provider, gates):
         # kg_to_dict shares the graph's lists and dicts, so snapshot its text
         doc, plan = json.dumps(kg_to_dict(graph)), graph_aligned.coupling.matrix.tobytes()
         edits = op(graph, graph_aligned, op_ctx)
@@ -1081,7 +1087,7 @@ def test_split_then_merge_restores_count(provider):
 # --- refine loop --------------------------------------------------------------------
 
 
-def test_refine_stable_graph_early_stops(provider):
+def test_refine_stable_graph_early_stops(provider, gates):
     md = "\n".join(["# T", "", make_section("One", TOPIC_A_WORDS[:5], 5, 0),
                     make_section("Two", TOPIC_A_WORDS[5:], 5, 0)])
     space = build_lecture_space(md, embed=provider.embed)
@@ -1092,9 +1098,9 @@ def test_refine_stable_graph_early_stops(provider):
         ],
         edges=[RelationEdge("n1", "n2", "relatedTo", 0.5, "x")],
     )
-    cfg = RefinementConfig(theta_add=1e-9, theta_split=1.5, theta_cos=0.9999999,
-                           theta_merge=1e-12, theta_relate=1e-9, tau=1e-12)
-    out = refine(space, kg, provider, refine_config=cfg)
+    gates(theta_add=1e-9, theta_split=1.5, theta_cos=0.9999999, theta_merge=1e-12,
+          theta_relate=1e-9, tau=1e-12)
+    out = refine(space, kg, provider)
     # no operator can fire: t1 keeps nothing, and the search stops there
     assert len(out.trace.points) == 2
     objectives = {p.objective for p in out.trace.points}
@@ -1457,11 +1463,15 @@ def add_stray(working):
     return EditRecord(op="add", nodes=["stray"])
 
 
-def test_refine_rejects_a_batch_that_raises_the_objective(provider, monkeypatch):
+#: Gates under which, with max_merges 0, no operator of the module fires on
+#: the duplicate-pair fixture.
+QUIET_GATES = dict(theta_add=1e-9, theta_split=1.5, theta_relate=1e-9, tau=1e-12)
+
+
+def test_refine_rejects_a_batch_that_raises_the_objective(provider, monkeypatch, gates):
     space, kg = duplicate_pair_fixture(provider)
-    # no operator of the module fires under these settings
-    quiet = RefinementConfig(max_iterations=2, theta_add=1e-9, theta_split=1.5,
-                             max_merges=0, theta_relate=1e-9, tau=1e-12)
+    gates(**QUIET_GATES)
+    quiet = RefinementConfig(max_iterations=2, max_merges=0)
     baseline = refine(space, kg, provider, refine_config=quiet)
 
     def op_add(graph, aligned, ctx):
@@ -1481,12 +1491,12 @@ def test_refine_rejects_a_batch_that_raises_the_objective(provider, monkeypatch)
         assert row[0]["delta_L"] > 0
 
 
-def test_refine_records_a_batch_whose_rate_reaches_L_unsolved(provider, monkeypatch):
+def test_refine_records_a_batch_whose_rate_reaches_L_unsolved(provider, monkeypatch, gates):
     # at beta 1 the duplicate fixture's L is 6.81 and one stray node takes
     # the rate from 6.5 to 7.5: D >= 0, so no solve could keep the batch
     space, kg = duplicate_pair_fixture(provider)
-    quiet = RefinementConfig(beta=1.0, max_iterations=2, theta_add=1e-9, theta_split=1.5,
-                             max_merges=0, theta_relate=1e-9, tau=1e-12)
+    gates(**QUIET_GATES)
+    quiet = RefinementConfig(beta=1.0, max_iterations=2, max_merges=0)
     baseline = refine(space, kg, provider, refine_config=quiet)
     incumbent = baseline.trace.points[0].objective
     assert rate(kg) < incumbent < rate(kg) + 1
@@ -1502,12 +1512,12 @@ def test_refine_records_a_batch_whose_rate_reaches_L_unsolved(provider, monkeypa
     }]]
 
 
-def test_refine_solves_a_batch_just_below_L_and_skips_one_at_L(provider, monkeypatch):
+def test_refine_solves_a_batch_just_below_L_and_skips_one_at_L(provider, monkeypatch, gates):
     # D does not depend on beta, so beta sets the t0 objective to the float
     # the stray batch's rate equals, or to the next float above it
     space, kg = duplicate_pair_fixture(provider)
-    quiet = dict(max_iterations=2, theta_add=1e-9, theta_split=1.5, max_merges=0,
-                 theta_relate=1e-9, tau=1e-12)
+    gates(**QUIET_GATES)
+    quiet = dict(max_iterations=2, max_merges=0)
     d0 = refine(space, kg, provider, refine_config=RefinementConfig(**quiet)).trace.points[0].distortion
     target = rate(kg) + 1  # the stray batch's rate
     at = 1.0 / d0
