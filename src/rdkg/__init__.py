@@ -36,7 +36,7 @@ from .lecture import (
 )
 from .llm import LlmClient, Namer, bootstrap_kg
 from .markdown import parse_markdown
-from .ot import Coupling, FgwResult, SolverConfig, fgw, sinkhorn
+from .ot import Coupling, FgwResult, fgw, sinkhorn
 from .refine import RefinementConfig, RefineOutcome, refine
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "RefineOutcome",
     "RefinementConfig",
     "RelationEdge",
-    "SolverConfig",
     "bootstrap_kg",
     "build_kg_space",
     "build_lecture_space",

@@ -19,6 +19,8 @@ from .errors import InputError, check_json, parse_json, pop_field, read_utf8
 
 COVERAGE_PERCENTILE = 30.0
 _COLLINEAR_EPS = 1e-9
+#: The fields save_trace writes on every row that an older trace's rows lack
+_RECORDED = ("coverage", "beta", "edits", "rejected", "solver")
 
 
 @dataclass
@@ -30,12 +32,9 @@ class RdPoint:
     structure: float
     feature: float
     # the row's solve: Frank-Wolfe outer steps and whether it converged
-    # (None in a trace written before rows carried them)
-    outer_iterations: int | None = None
-    converged: bool | None = None
-    # the coverage of the row's alignment (None in a trace written before
-    # rows carried it)
-    coverage: float | None = None
+    outer_iterations: int
+    converged: bool
+    coverage: float  # of the row's alignment
 
 
 @dataclass
@@ -197,9 +196,9 @@ def emit_report(trace: RdTrace, out_dir: str | Path,
 def save_trace(trace: RdTrace, path: str | Path) -> None:
     """Write one JSON row per point. Each row carries the run's beta,
     unrounded: it is an input of the run, not a measurement; its
-    alignment's coverage (null when unknown); its kept and rejected
-    edits; when known, its solve's ``solver`` diagnostics; and, on the
-    last row of a run a solver failure aborted, ``"incomplete": true``."""
+    alignment's coverage; its kept and rejected edits; its solve's
+    ``solver`` diagnostics; and, on the last row of a run a solver
+    failure aborted, ``"incomplete": true``."""
     rows = []
     for i, p in enumerate(trace.points):
         row = {
@@ -211,11 +210,10 @@ def save_trace(trace: RdTrace, path: str | Path) -> None:
             "objective": _round9(p.objective),
             "coverage": _round9(p.coverage),
             "beta": float(trace.beta),
-            "edits": trace.edits[i] if i < len(trace.edits) else [],
-            "rejected": trace.rejected[i] if i < len(trace.rejected) else [],
+            "edits": trace.edits[i],
+            "rejected": trace.rejected[i],
+            "solver": {"outer_iterations": p.outer_iterations, "converged": p.converged},
         }
-        if p.outer_iterations is not None:
-            row["solver"] = {"outer_iterations": p.outer_iterations, "converged": p.converged}
         if trace.incomplete and i == len(trace.points) - 1:
             row["incomplete"] = True
         rows.append(json.dumps(row, ensure_ascii=False))
@@ -226,24 +224,31 @@ def load_trace(path: str | Path) -> RdTrace:
     """Read a JSONL trace written by save_trace.
 
     Raises InputError for a row ``parse_json`` refuses, a row field that
-    ``check_json`` refuses as a finite number (``t``: an integer; ``edits``
-    and ``rejected``: lists), a row without ``beta`` (a trace written
-    before rows carried it) or rows that disagree on it. ``coverage``,
-    ``edits``, ``rejected``, ``solver`` and the last row's ``incomplete``
-    are optional, so traces written before rows carried them still load.
+    ``check_json`` refuses (``t`` and ``outer_iterations``: integers;
+    ``converged``: a boolean; ``edits`` and ``rejected``: lists; the
+    rest: finite numbers), a row without one of ``_RECORDED`` (a trace
+    written before rows carried it), rows that disagree on beta, and
+    ``"incomplete": true`` on any row but the last.
     """
     points: list[RdPoint] = []
     edits: list[list[dict]] = []
     rejected: list[list[dict]] = []
     betas: set[float] = set()
+    flagged: list[int] = []  # the lines of rows flagged incomplete
     text = read_utf8(path, f"trace {path}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         row = parse_json(line, f"trace at line {lineno}")
+        absent = [key for key in _RECORDED if key not in row] if isinstance(row, dict) else []
+        if absent:
+            raise InputError(
+                f"trace {path} line {lineno} has no {absent[0]} (it predates traces that "
+                "record it); re-run refine to write a new one"
+            )
         try:
             check_json("the row", row, dict)
-            solver = pop_field(row, "solver", dict, {})
+            solver = pop_field(row, "solver", dict)
             points.append(
                 RdPoint(
                     t=pop_field(row, "t", int),
@@ -252,23 +257,19 @@ def load_trace(path: str | Path) -> RdTrace:
                     objective=float(pop_field(row, "objective", float)),
                     structure=float(pop_field(row, "structure", float)),
                     feature=float(pop_field(row, "feature", float)),
-                    outer_iterations=pop_field(solver, "outer_iterations", int, None),
-                    converged=pop_field(solver, "converged", bool, None),
-                    coverage=pop_field(row, "coverage", float | None, None),
+                    outer_iterations=pop_field(solver, "outer_iterations", int),
+                    converged=pop_field(solver, "converged", bool),
+                    coverage=float(pop_field(row, "coverage", float)),
                 )
             )
-            edits.append(pop_field(row, "edits", list, []))
-            rejected.append(pop_field(row, "rejected", list, []))
-            beta = pop_field(row, "beta", float, None)
-            incomplete = pop_field(row, "incomplete", bool, False)
+            edits.append(pop_field(row, "edits", list))
+            rejected.append(pop_field(row, "rejected", list))
+            betas.add(float(pop_field(row, "beta", float)))
+            if pop_field(row, "incomplete", bool, False):
+                flagged.append(lineno)
         except InputError as exc:  # a field check_json refuses
             raise InputError(f"malformed trace at line {lineno}: {exc}") from exc
-        if beta is None:
-            raise InputError(
-                f"trace {path} line {lineno} has no beta (it predates traces that "
-                "record it); re-run refine to write a new one"
-            )
-        betas.add(float(beta))
+        last_line = lineno
     if not points:
         raise InputError("empty trace file")
     if len(betas) > 1:
@@ -276,8 +277,13 @@ def load_trace(path: str | Path) -> RdTrace:
             f"trace {path} rows disagree on beta ({', '.join(map(repr, sorted(betas)))}); "
             "re-run refine to write a trace of one run"
         )
+    if flagged and flagged[0] != last_line:
+        raise InputError(
+            f"trace {path} line {flagged[0]} is flagged incomplete, but only the last row "
+            "of an aborted run is"
+        )
     return RdTrace(beta=betas.pop(), points=points, edits=edits, rejected=rejected,
-                   incomplete=incomplete)
+                   incomplete=bool(flagged))
 
 
 def _normalize_axis(values: np.ndarray) -> np.ndarray:
@@ -291,7 +297,5 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _round9(x):
-    if x is None:
-        return None
+def _round9(x) -> float:
     return float(f"{float(x):.9g}")

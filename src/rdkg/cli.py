@@ -55,7 +55,8 @@ def _flag(key: str, hint):
 # and --out. The config file is loaded and range-checked whole in every
 # command, so one file serves the whole pipeline. Nothing ingest runs logs
 # below WARNING, so ingest does not read debug; align reads it for the
-# coupling dump, and the whole solver section through cfg.solver.
+# coupling dump, and beta for the objective it prints. The alignment itself
+# reads no key: its weights and regularization are constants.
 INGEST_KEYS = frozenset({
     "alpha_chron", "alpha_logic", "alpha_sem", "embed_provider", "embed_dim", "embed_seed",
     "embeddings_file", "embed_url", "embed_model", "embed_timeout", "embed_retries",
@@ -64,16 +65,14 @@ BOOTSTRAP_KEYS = frozenset({
     "llm_url", "llm_model", "llm_timeout", "llm_retries", "llm_temperature",
     "extra_relations", "debug",
 })
-ALIGN_KEYS = INGEST_KEYS | {
-    key for key, (section, _) in config_keys().items() if section == "solver"
-} | {"extra_relations", "gamma_struct", "gamma_sem", "beta", "debug"}
+ALIGN_KEYS = INGEST_KEYS | {"extra_relations", "beta", "debug"}
 REFINE_KEYS = frozenset(config_keys())
 
 
 def _config_options(keys: frozenset[str],
                     out_help: str = "Output directory (default: alongside inputs)."):
     """``--config``, ``--out`` and one flag for each key in ``keys``, e.g.
-    --beta, --lambda-feat, --debug/--no-debug, in config_keys() order."""
+    --beta, --extra-relations, --debug/--no-debug, in config_keys() order."""
     decorators = [
         click.option("--config", "config_path", type=click.Path(), default=None,
                      help="Flat JSON config file."),
@@ -209,7 +208,7 @@ def align(space_path, kg_path, config_path, out_dir, **overrides) -> None:
     if out_dir is not None and not cfg.debug:
         raise click.UsageError("align writes only the --debug coupling dump to --out")
     memo = CostMemo(provider.embed, space.contents())
-    aligned = align_graph(space, graph, memo, cfg.gamma, cfg.solver)
+    aligned = align_graph(space, graph, memo)
     result = aligned.result
     cov = analysis.coverage(aligned.feature, aligned.coupling.matrix)
     r = kgmod.rate(graph)
@@ -236,9 +235,7 @@ def refine_cmd(space_path, kg_path, config_path, out_dir, **overrides) -> None:
     provider, space, graph = _load_inputs(space_path, kg_path, cfg)
     outcome = refine(
         space, graph, provider,
-        solver_config=cfg.solver,
         refine_config=cfg.refinement,
-        gamma=cfg.gamma,
         llm_client=_llm_client(cfg),
         allowed_relations=_allowed_relations(cfg),
     )
@@ -268,8 +265,7 @@ def report(trace_path, out_dir) -> None:
 
     The report is a function of the trace alone, so --out is the only
     option and a setting is a usage error. The trace records beta and no
-    other setting, so the config block of report.json is empty; coverage
-    is null only for a trace written before rows carried it.
+    other setting, so the config block of report.json is empty.
     """
     trace = analysis.load_trace(_require_file(trace_path))
     out = Path(out_dir) if out_dir else Path(trace_path).parent

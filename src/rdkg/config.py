@@ -2,12 +2,14 @@
 
 Precedence is CLI flag > config file > built-in default. The config
 file is a flat JSON object. Its keys are RunConfig's own fields plus the
-fields of the nested SolverConfig and RefinementConfig, each declared
-once, in the dataclass that uses it. Every value is checked against its
-key's type, counts must not be negative, and the range checks of
-RunConfig and the nested configs run at load, so a bad value is an
-InputError in every command. The effective configuration is echoed flat
-into report.json.
+fields of its one nested config, RefinementConfig, each declared once,
+in the dataclass that uses it. Every value is checked against its key's
+type, counts must not be negative, and the range checks of RunConfig
+and RefinementConfig run at load, so a bad value is an InputError in
+every command. The effective configuration is echoed flat into
+report.json. The alignment has no settings: its fusion weights, feature
+weight and regularization are the constants kg.GAMMA, ot.LAMBDA_FEAT
+and ot.EPSILON.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from .embeddings import (
     check_request_settings,
 )
 from .errors import InputError, check_json, parse_json, read_utf8
-from .kg import DEFAULT_GAMMA
 from .lecture import DEFAULT_ALPHA, INT_RANGE, check_weights
 from .llm import DEFAULT_LLM_RETRIES, DEFAULT_LLM_TEMPERATURE, DEFAULT_LLM_TIMEOUT
-from .ot import SolverConfig
 from .refine import RefinementConfig
 
 
@@ -42,10 +42,6 @@ class RunConfig:
     alpha_chron: float = DEFAULT_ALPHA[0]
     alpha_logic: float = DEFAULT_ALPHA[1]
     alpha_sem: float = DEFAULT_ALPHA[2]
-    # graph-space fusion weights
-    gamma_struct: float = DEFAULT_GAMMA[0]
-    gamma_sem: float = DEFAULT_GAMMA[1]
-    solver: SolverConfig = field(default_factory=SolverConfig)
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
     # embedding provider
     embed_provider: str = "hash"  # one of embeddings.PROVIDER_KINDS
@@ -69,7 +65,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         # the rules of the code each key reaches, run wherever a config is made
         check_weights("alpha", self.alpha, 3)
-        check_weights("gamma", self.gamma, 2)
         check_provider(self.embed_provider, self.embed_url, self.embeddings_file)
         check_dim(self.embed_dim)
         # embed_seed is stamped on every artifact in the embedding fingerprint
@@ -82,10 +77,6 @@ class RunConfig:
     @property
     def alpha(self) -> tuple[float, float, float]:
         return (self.alpha_chron, self.alpha_logic, self.alpha_sem)
-
-    @property
-    def gamma(self) -> tuple[float, float]:
-        return (self.gamma_struct, self.gamma_sem)
 
     def echo(self) -> dict:
         """Every flat key with its value, in config_keys() order."""
@@ -100,8 +91,8 @@ def config_keys() -> Mapping[str, tuple[str | None, object]]:
     """Every flat config key in declaration order -> (section, annotation).
 
     ``section`` is the RunConfig field holding the nested config that
-    declares the key (``solver``, ``refinement``), or None for a key
-    RunConfig declares itself.
+    declares the key (``refinement``), or None for a key RunConfig
+    declares itself.
     """
     hints = get_type_hints(RunConfig)
     keys: dict[str, tuple[str | None, object]] = {}

@@ -486,29 +486,33 @@ def _cost(a: np.ndarray, b: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
-def self_cost(rows: np.ndarray, start: int = 0, block: int = 64) -> np.ndarray:
+#: The rows self_cost costs per ``_cost`` call.
+_SELF_COST_BLOCK = 64
+
+
+def self_cost(rows: np.ndarray, start: int = 0) -> np.ndarray:
     """Rows ``start:`` of ``feature_cost(rows, rows)``, costing one half.
 
     The rows are normalized once, into one tiled unit-row buffer
-    (``_unit_rows``), and every block is costed from slices of it. Each
-    block of rows is the target of one ``_cost`` call whose source is the
-    buffer's tiles up to the block's end. That column block holds the
-    block's rows on and below the diagonal (transposed) and, above the
-    diagonal, the earlier rows' entries in the block's columns. The block
-    is the target because ``_cost`` copies its target's tiles. A block
-    that does not start on a tile boundary is copied into zero-padded
-    tiles of its own. An entry of ``_cost`` depends only on its two rows,
-    not on the other rows of the buffers nor on their position in its
-    tiles, so every entry is bit-equal to the full matrix's. Beyond the
-    output, it holds the tiled unit rows and, for one block, its copy
-    (when it is copied), the column copy of its tiles, the product and
-    the cost columns.
+    (``_unit_rows``), and every block of ``_SELF_COST_BLOCK`` rows is
+    costed from slices of it. Each block is the target of one ``_cost``
+    call whose source is the buffer's tiles up to the block's end. That
+    column block holds the block's rows on and below the diagonal
+    (transposed) and, above the diagonal, the earlier rows' entries in
+    the block's columns. The block is the target because ``_cost``
+    copies its target's tiles. A block that does not start on a tile
+    boundary is copied into zero-padded tiles of its own. An entry of
+    ``_cost`` depends only on its two rows, not on the other rows of the
+    buffers nor on their position in its tiles, so every entry is
+    bit-equal to the full matrix's. Beyond the output, it holds the
+    tiled unit rows and, for one block, its copy (when it is copied),
+    the column copy of its tiles, the product and the cost columns.
     """
     n = len(rows)
     unit = _unit_rows(rows)
     out = np.empty((n - start, n))
-    for i0 in range(start, n, block):
-        i1 = min(i0 + block, n)
+    for i0 in range(start, n, _SELF_COST_BLOCK):
+        i1 = min(i0 + _SELF_COST_BLOCK, n)
         if i0 % _TILE:  # a block off the tile grid is copied into tiles of its own
             target = np.zeros((_tiled(i1 - i0), unit.shape[1]))
             target[: i1 - i0] = unit[i0:i1]

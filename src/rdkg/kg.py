@@ -40,7 +40,9 @@ ALLOWED_RELATIONS = frozenset(
     }
 )
 
-DEFAULT_GAMMA = (0.4, 0.6)  # (struct, sem) fusion weights
+#: The graph space's (struct, sem) fusion weights: a fixed rule of the
+#: distortion, not a setting (see README).
+GAMMA = (0.4, 0.6)
 
 
 @dataclass
@@ -224,11 +226,10 @@ def node_text(node: ConceptNode) -> str:
     return ". ".join(p for p in parts if p)
 
 
-def build_kg_space(
-    kg: KnowledgeGraph, memo: CostMemo, gamma: tuple[float, float] = DEFAULT_GAMMA
-) -> np.ndarray:
-    """The graph space's fused node distance; its measure is uniform over
-    nodes, as the lecture's is over units.
+def build_kg_space(kg: KnowledgeGraph, memo: CostMemo) -> np.ndarray:
+    """The graph space's fused node distance, weighted by GAMMA as read at
+    the call; its measure is uniform over nodes, as the lecture's is over
+    units.
 
     ``memo`` gives the pairwise feature costs of the node texts (label,
     definition, up to three aliases).
@@ -236,7 +237,7 @@ def build_kg_space(
     if not kg.nodes:
         raise InputError("cannot build a space over an empty graph")
     texts = [node_text(n) for n in kg.nodes]
-    return fuse("gamma", gamma, [
+    return fuse("gamma", GAMMA, [
         struct_distance(kg),
         minmax_normalize(memo.pair_cost(texts)),
     ])

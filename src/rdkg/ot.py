@@ -74,6 +74,11 @@ FW_ITERS = 50
 FW_TOL = 1e-6
 #: The cap on the Sinkhorn scaling iterations of one linear solve in fgw.
 SINKHORN_ITERS = 200
+#: The distortion's feature weight lam (1 - lam weighs the structure) and
+#: the entropic regularization of fgw's linear solves: fixed rules of the
+#: distortion, not settings (see README).
+LAMBDA_FEAT = 0.6
+EPSILON = 0.05
 #: Upper bound on the Sinkhorn scalings between two absorptions, and the
 #: kernel entries flushed to 0 when the kernel is formed (subnormal
 #: operands slow every product they enter). A flushed entry would carry
@@ -123,18 +128,6 @@ class Coupling:
         row_err = np.abs(self.matrix.sum(axis=1) - self.mu_row).max()
         col_err = np.abs(self.matrix.sum(axis=0) - self.mu_col).max()
         return float(max(row_err, col_err))
-
-
-@dataclass
-class SolverConfig:
-    lambda_feat: float = 0.6
-    epsilon: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lambda_feat <= 1.0:
-            raise InputError("lambda_feat must lie in [0, 1]")
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be positive")
 
 
 @dataclass
@@ -519,7 +512,6 @@ def fgw(
     feature_costs: np.ndarray,
     mu: np.ndarray,
     nu: np.ndarray,
-    config: SolverConfig | None = None,
 ) -> FgwResult:
     """Fused structural-feature coupling by conditional gradient.
 
@@ -530,21 +522,21 @@ def fgw(
     by construction; the history of unregularized objective values is
     returned for inspection.
 
-    C1 o C1, C2 o C2 and lam * feature_costs are formed once per call.
-    The product C1 pi C2 is carried across steps (see the module
-    docstring): the start plan's is rank-one, and the line search's
-    product C1 delta C2 both gives the step's quadratic coefficient and
-    moves the carried one, so an outer step makes one matrix product. The
-    carried product, with the pair terms, gives each gradient and the
-    final structure term, at every lam: at lam = 1 the structural part
-    of the gradient and of the line search is weighted by 0, so the
-    steps are those of the feature term alone. Each gradient is built in
-    one reused N x M buffer; the direction becomes delta in place, and
-    t delta and t C1 delta C2 are formed in a second one and added to pi
-    and the carried product in place.
+    lam is LAMBDA_FEAT and each linear solve's regularization EPSILON,
+    both read at the call. C1 o C1, C2 o C2 and lam * feature_costs are
+    formed once per call. The product C1 pi C2 is carried across steps
+    (see the module docstring): the start plan's is rank-one, and the
+    line search's product C1 delta C2 both gives the step's quadratic
+    coefficient and moves the carried one, so an outer step makes one
+    matrix product. The carried product, with the pair terms, gives each
+    gradient and the final structure term, at every lam: at lam = 1 the
+    structural part of the gradient and of the line search is weighted
+    by 0, so the steps are those of the feature term alone. Each
+    gradient is built in one reused N x M buffer; the direction becomes
+    delta in place, and t delta and t C1 delta C2 are formed in a second
+    one and added to pi and the carried product in place.
     """
-    cfg = config or SolverConfig()
-    lam = cfg.lambda_feat
+    lam = LAMBDA_FEAT
     d_source = np.asarray(d_source, dtype=np.float64)
     d_target = np.asarray(d_target, dtype=np.float64)
     feature_costs = np.asarray(feature_costs, dtype=np.float64)
@@ -575,7 +567,7 @@ def fgw(
         # sinkhorn's input check is the one scan of the gradient; a
         # non-finite gradient is this solve's numerical failure
         try:
-            inner = sinkhorn(grad, mu, nu, cfg.epsilon, SINKHORN_ITERS, potentials=potentials)
+            inner = sinkhorn(grad, mu, nu, EPSILON, SINKHORN_ITERS, potentials=potentials)
         except InputError:
             if np.isfinite(grad).all():
                 raise

@@ -59,7 +59,6 @@ from .embeddings import CostMemo, self_cost
 from .errors import InputError, NumericalError
 from .kg import (
     ALLOWED_RELATIONS,
-    DEFAULT_GAMMA,
     ConceptNode,
     KnowledgeGraph,
     RelationEdge,
@@ -72,7 +71,7 @@ from .kg import (
 )
 from .lecture import LectureSpace, uniform_measure
 from .llm import LlmClient, Namer, _valid_edge_proposals, edge_prompt, propose_label_edges
-from .ot import Coupling, FgwResult, SolverConfig, fgw
+from .ot import Coupling, FgwResult, fgw
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +83,9 @@ THETA_MERGE = 0.12
 THETA_COS = 0.90
 THETA_RELATE = 0.25
 TAU = 1e-4
+#: symmetric_kl's additive smoothing, and the cap on two_means's assignment steps
+KL_SMOOTHING = 1e-9
+TWO_MEANS_ITERS = 25
 
 
 @dataclass
@@ -125,13 +127,7 @@ class Aligned:
         return coverage_tolerance(self.feature)
 
 
-def align_graph(
-    lecture: LectureSpace,
-    kg: KnowledgeGraph,
-    memo: CostMemo,
-    gamma: tuple[float, float],
-    solver_config: SolverConfig,
-) -> Aligned:
+def align_graph(lecture: LectureSpace, kg: KnowledgeGraph, memo: CostMemo) -> Aligned:
     """Solve the fused transport alignment of ``kg`` to ``lecture``.
 
     Builds the graph's node distance, reads the cost of every lecture
@@ -139,12 +135,10 @@ def align_graph(
     and runs ``fgw`` with uniform measures. Every alignment the program
     solves comes from here.
     """
-    distance = build_kg_space(kg, memo, gamma)
+    distance = build_kg_space(kg, memo)
     feature = memo.unit_cost([node_text(n) for n in kg.nodes])
-    result = fgw(
-        lecture.distance, distance, feature,
-        lecture.measure, uniform_measure(len(kg.nodes)), solver_config,
-    )
+    result = fgw(lecture.distance, distance, feature,
+                 lecture.measure, uniform_measure(len(kg.nodes)))
     return Aligned(feature=feature, result=result)
 
 
@@ -189,11 +183,8 @@ def column_entropy(plan: np.ndarray) -> np.ndarray:
     return out
 
 
-KL_SMOOTHING = 1e-9  # symmetric_kl's additive smoothing
-
-
-def symmetric_kl(p: np.ndarray, q: np.ndarray, smoothing: float = KL_SMOOTHING) -> float:
-    """0.5 * (KL(p||q) + KL(q||p)) after additive smoothing.
+def symmetric_kl(p: np.ndarray, q: np.ndarray) -> float:
+    """0.5 * (KL(p||q) + KL(q||p)) after adding KL_SMOOTHING to every entry.
 
     Smoothing every entry before renormalizing keeps the value finite
     on disjoint supports. Profiles equal up to rounding give 0.0, not
@@ -203,8 +194,8 @@ def symmetric_kl(p: np.ndarray, q: np.ndarray, smoothing: float = KL_SMOOTHING) 
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise InputError("symmetric_kl: length mismatch")
-    ps = (p + smoothing) / (p + smoothing).sum()
-    qs = (q + smoothing) / (q + smoothing).sum()
+    ps = (p + KL_SMOOTHING) / (p + KL_SMOOTHING).sum()
+    qs = (q + KL_SMOOTHING) / (q + KL_SMOOTHING).sum()
     forward = float((ps * np.log(ps / qs)).sum())
     backward = float((qs * np.log(qs / ps)).sum())
     return max(0.0, 0.5 * (forward + backward))
@@ -520,8 +511,9 @@ def _append_edge(op: str, rationale: str, edge: RelationEdge,
                       edges=[[edge.src, edge.relation, edge.dst]], rationale=rationale)
 
 
-def two_means(points: np.ndarray, max_iters: int = 25) -> np.ndarray:
-    """Deterministic 2-means: farthest-pair seeding, no RNG.
+def two_means(points: np.ndarray) -> np.ndarray:
+    """Deterministic 2-means: farthest-pair seeding, no RNG, at most
+    TWO_MEANS_ITERS assignment steps.
 
     The seeds are the pair (i < j) with the largest ``feature_cost``;
     among pairs tied at the maximum, exact duplicates included, the first
@@ -536,7 +528,7 @@ def two_means(points: np.ndarray, max_iters: int = 25) -> np.ndarray:
     seed_a, seed_b = _farthest_pair(pts)
     centroids = np.stack([pts[seed_a], pts[seed_b]])
     labels: np.ndarray | None = None
-    for _ in range(max_iters):
+    for _ in range(TWO_MEANS_ITERS):
         d0 = ((pts - centroids[0]) ** 2).sum(axis=1)
         d1 = ((pts - centroids[1]) ** 2).sum(axis=1)
         new_labels = (d1 < d0).astype(int)
@@ -575,9 +567,7 @@ def refine(
     lecture: LectureSpace,
     initial_kg: KnowledgeGraph,
     provider,
-    solver_config: SolverConfig | None = None,
     refine_config: RefinementConfig | None = None,
-    gamma: tuple[float, float] = DEFAULT_GAMMA,
     llm_client: LlmClient | None = None,
     allowed_relations: frozenset[str] = ALLOWED_RELATIONS,
 ) -> RefineOutcome:
@@ -604,7 +594,6 @@ def refine(
     after. One ``CostMemo`` serves every solve, so each node text is
     embedded and costed once per search.
     """
-    solver_cfg = solver_config or SolverConfig()
     cfg = refine_config or RefinementConfig()
     memo = CostMemo(provider.embed, lecture.contents())
     ctx = OpContext(
@@ -617,7 +606,7 @@ def refine(
     )
 
     kg = initial_kg.copy()
-    aligned = align_graph(lecture, kg, memo, gamma, solver_cfg)
+    aligned = align_graph(lecture, kg, memo)
     trace = RdTrace(beta=cfg.beta)
     _record(trace, 0, kg, aligned, cfg, [], [])
     incumbent_index = 0
@@ -653,7 +642,7 @@ def refine(
                                      "delta_L": _round9(rate(candidate) - incumbent),
                                      "solved": False, "edits": [asdict(r) for r in records]})
                     continue
-                solution = align_graph(lecture, candidate, memo, gamma, solver_cfg)
+                solution = align_graph(lecture, candidate, memo)
                 delta = _objective(candidate, solution, cfg.beta) - incumbent
                 if delta < 0:
                     kg, aligned = candidate, solution

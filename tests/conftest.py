@@ -21,8 +21,7 @@ COMMAND_KEYS = {
     "ingest": INGEST_KEYS,
     "bootstrap": frozenset({"llm_url", "llm_model", "llm_timeout", "llm_retries",
                             "llm_temperature", "extra_relations", "debug"}),
-    "align": INGEST_KEYS | {"extra_relations", "gamma_struct", "gamma_sem", "lambda_feat",
-                            "epsilon", "beta", "debug"},
+    "align": INGEST_KEYS | {"extra_relations", "beta", "debug"},
     "refine": frozenset(config_keys()),
 }
 
@@ -102,14 +101,20 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+#: The module of each constant ``gates`` sets outside ``refine``
+CONSTANT_MODULES = {"sinkhorn_iters": "rdkg.ot", "lambda_feat": "rdkg.ot", "epsilon": "rdkg.ot",
+                    "gamma": "rdkg.kg"}
+
+
 @pytest.fixture
 def gates(monkeypatch):
-    """Set the operator gates (``refine.THETA_ADD`` ... ``refine.TAU``) and
-    the Sinkhorn cap (``ot.SINKHORN_ITERS``) for one test, each named in
-    lower case: ``gates(theta_split=1.5, tau=10.0)``. A name that is not a
-    constant raises."""
+    """Set the operator gates (``refine.THETA_ADD`` ... ``refine.TAU``), the
+    Sinkhorn cap (``ot.SINKHORN_ITERS``) and the alignment's constants
+    (``ot.LAMBDA_FEAT``, ``ot.EPSILON``, ``kg.GAMMA``) for one test, each
+    named in lower case: ``gates(theta_split=1.5, gamma=(0.7, 0.3))``. A
+    name that is not a constant raises."""
     def set_gates(**values) -> None:
         for name, value in values.items():
-            module = import_module("rdkg.ot" if name == "sinkhorn_iters" else "rdkg.refine")
+            module = import_module(CONSTANT_MODULES.get(name, "rdkg.refine"))
             monkeypatch.setattr(module, name.upper(), value)
     return set_gates

@@ -14,9 +14,9 @@ import numpy as np
 from rdkg.analysis import coverage, knee_point, RdPoint
 from rdkg.cli import EXIT_OK, main
 from rdkg.embeddings import CostMemo
-from rdkg.kg import DEFAULT_GAMMA, kg_to_dict, load_kg, rate, save_kg
+from rdkg.kg import kg_to_dict, load_kg, rate, save_kg
 from rdkg.lecture import build_lecture_space
-from rdkg.ot import SolverConfig, fgw, sinkhorn, structure_value
+from rdkg.ot import LAMBDA_FEAT, fgw, sinkhorn, structure_value
 from rdkg.refine import RefinementConfig, align_graph, refine
 
 from conftest import random_metric, topic_a_only_kg, two_topic_markdown
@@ -95,7 +95,7 @@ def test_criterion_02_gw_decomposition_oracle():
 def test_criterion_03_fgw_permutation_upper_bound():
     """Solver distortion within 0.1 of the best permutation coupling."""
     rng = np.random.default_rng(13)
-    lam = SolverConfig().lambda_feat
+    lam = LAMBDA_FEAT
     started = time.time()
     worst = -np.inf
     for trial in range(50):
@@ -124,30 +124,33 @@ def _perm_plan(n, perm):
     return plan
 
 
-def test_criterion_04_self_alignment():
+def test_criterion_04_self_alignment(gates):
     """Identical spaces: distortion <= 0.05 and identity matching."""
+    gates(epsilon=0.05)
     rng = np.random.default_rng(14)
     n = 8
     d = random_metric(n, rng)
     feats = np.ones((n, n)) - np.eye(n)
     mu = np.full(n, 1 / n)
-    res = fgw(d, d, feats, mu, mu, SolverConfig(epsilon=0.05))
+    res = fgw(d, d, feats, mu, mu)
     assert res.distortion <= 0.05
     assert list(res.coupling.matrix.argmax(axis=1)) == list(range(n))
     note(4, f"distortion {res.distortion:.2e}, identity argmax")
 
 
-def test_criterion_05_lambda_reductions():
+def test_criterion_05_lambda_reductions(gates):
     """lambda=1 distortion is <M, pi>; lambda=0 is the structure term."""
     rng = np.random.default_rng(15)
     n, m = 4, 3
     c1, c2 = random_metric(n, rng), random_metric(m, rng)
     feats = rng.random((n, m)) * 2
     mu, nu = np.full(n, 1 / n), np.full(m, 1 / m)
-    at_one = fgw(c1, c2, feats, mu, nu, SolverConfig(lambda_feat=1.0))
+    gates(lambda_feat=1.0)
+    at_one = fgw(c1, c2, feats, mu, nu)
     gap_one = abs(at_one.distortion - float((feats * at_one.coupling.matrix).sum()))
     assert gap_one <= 1e-9
-    at_zero = fgw(c1, c2, feats, mu, nu, SolverConfig(lambda_feat=0.0))
+    gates(lambda_feat=0.0)
+    at_zero = fgw(c1, c2, feats, mu, nu)
     gap_zero = abs(at_zero.distortion - at_zero.structure_term)
     assert gap_zero <= 1e-9
     note(5, f"reduction gaps {gap_one:.1e} (lambda=1), {gap_zero:.1e} (lambda=0)")
@@ -207,13 +210,13 @@ def test_criterion_08_knee_detection():
     pairs = [(1, 10), (2, 4), (3, 3.5), (4, 3.4)]
     points = [
         RdPoint(t=i, rate=r, distortion=d, objective=r + 100 * d,
-                structure=0.0, feature=d)
+                structure=0.0, feature=d, outer_iterations=1, converged=True, coverage=0.5)
         for i, (r, d) in enumerate(pairs)
     ]
     assert knee_point(points) == 1
     scaled = [
         RdPoint(t=i, rate=r * 10, distortion=d, objective=r * 10 + 100 * d,
-                structure=0.0, feature=d)
+                structure=0.0, feature=d, outer_iterations=1, converged=True, coverage=0.5)
         for i, (r, d) in enumerate(pairs)
     ]
     assert knee_point(scaled) == 1
@@ -228,7 +231,7 @@ def test_criterion_09_coverage_improvement(tmp_path, provider):
 
     def evaluate(graph):
         memo = CostMemo(provider.embed, space.contents())
-        aligned = align_graph(space, graph, memo, DEFAULT_GAMMA, SolverConfig())
+        aligned = align_graph(space, graph, memo)
         return aligned.result.distortion, coverage(aligned.feature, aligned.coupling.matrix)
 
     d_before, cov_before = evaluate(kg)
@@ -319,7 +322,7 @@ def test_criterion_12_scale_sanity():
     c2 = random_metric(m, rng, dim=4)
     feats = rng.random((n, m)) * 2
     started = time.time()
-    res = fgw(c1, c2, feats, np.full(n, 1 / n), np.full(m, 1 / m), SolverConfig())
+    res = fgw(c1, c2, feats, np.full(n, 1 / n), np.full(m, 1 / m))
     elapsed = time.time() - started
     assert elapsed < 10.0
     assert np.isfinite(res.distortion)

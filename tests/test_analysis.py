@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,10 +21,14 @@ from rdkg.analysis import (
 from rdkg.errors import InputError
 
 
+#: The solve diagnostics and coverage of a row, where a test does not read them
+SOLVED = {"outer_iterations": 1, "converged": True, "coverage": 0.5}
+
+
 def points_from(pairs, beta=100.0):
     return [
         RdPoint(t=i, rate=r, distortion=d, objective=r + beta * d,
-                structure=d * 0.4, feature=d * 0.6)
+                structure=d * 0.4, feature=d * 0.6, **SOLVED)
         for i, (r, d) in enumerate(pairs)
     ]
 
@@ -149,7 +154,8 @@ def sample_trace():
         point.coverage = covered
     return RdTrace(beta=100.0, points=points,
                    edits=[[], [{"op": "add", "nodes": ["x"], "edges": [], "rationale": ""}],
-                          [], []])
+                          [], []],
+                   rejected=[[], [], [], []])
 
 
 def test_emit_report_files(tmp_path):
@@ -203,40 +209,41 @@ def test_trace_round_trip(tmp_path):
     assert path.read_bytes() == (tmp_path / "trace2.jsonl").read_bytes()
 
 
-def test_trace_reads_rows_with_and_without_rejected_and_solver(tmp_path):
+def test_trace_refuses_rows_without_edits_rejected_or_solver(tmp_path):
+    # every row refine writes carries the three; a row without one predates them
     trace = sample_trace()
-    trace.rejected = [[], [], [{"op": "split", "delta_L": 0.5, "edits": []}], []]
-    trace.points[1].outer_iterations, trace.points[1].converged = 7, True
+    trace.rejected[2] = [{"op": "split", "delta_L": 0.5, "edits": []}]
+    trace.points[1].outer_iterations, trace.points[1].converged = 7, False
     path = tmp_path / "trace.jsonl"
     save_trace(trace, path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [row.get("solver") for row in rows] == [
-        None, {"outer_iterations": 7, "converged": True}, None, None]
+    assert [row["solver"] for row in rows[:2]] == [
+        {"outer_iterations": 1, "converged": True}, {"outer_iterations": 7, "converged": False}]
     loaded = load_trace(path)
-    assert loaded.rejected == trace.rejected
+    assert loaded.rejected == trace.rejected and loaded.edits == trace.edits
     assert [(p.outer_iterations, p.converged) for p in loaded.points] == [
-        (None, None), (7, True), (None, None), (None, None)]
-    # rows written before they carried the two fields
+        (1, True), (7, False), (1, True), (1, True)]
     old = tmp_path / "old.jsonl"
-    old.write_text("".join(
-        json.dumps({k: v for k, v in row.items() if k not in ("rejected", "solver")}) + "\n"
-        for row in rows))
-    loaded = load_trace(old)
-    assert loaded.rejected == [[], [], [], []] and loaded.edits == trace.edits
-    assert all(p.outer_iterations is None and p.converged is None for p in loaded.points)
-    old.write_text("".join(json.dumps({k: v for k, v in row.items() if k != "edits"}) + "\n"
-                           for row in rows))
-    assert load_trace(old).edits == [[], [], [], []]
-    # present, each is a list
-    for key, value, shown in (("edits", 5, "5"), ("rejected", "oops", '"oops"')):
+    for key in ("edits", "rejected", "solver"):
+        old.write_text("".join(json.dumps({k: v for k, v in row.items() if k != key}) + "\n"
+                               for row in rows))
+        with pytest.raises(InputError, match=f"line 1 has no {key} .*re-run refine"):
+            load_trace(old)
+    # present, each has its type
+    for key, value, shown in (("edits", 5, "5"), ("rejected", "oops", '"oops"'),
+                              ("solver", [7, True], "[7, true]")):
         bad = [dict(row) for row in rows]
         bad[1][key] = value
         old.write_text("".join(json.dumps(row) + "\n" for row in bad))
-        with pytest.raises(InputError, match=f"line 2: {key} must be a list, got {shown}"):
+        with pytest.raises(InputError, match=re.escape(f"line 2: {key} must be a")):
             load_trace(old)
     rows[1]["solver"]["converged"] = "yes"
     old.write_text("".join(json.dumps(row) + "\n" for row in rows))
     with pytest.raises(InputError, match="line 2: converged must be a boolean"):
+        load_trace(old)
+    del rows[1]["solver"]["outer_iterations"]
+    old.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(InputError, match="line 2: outer_iterations is missing"):
         load_trace(old)
 
 
@@ -260,20 +267,38 @@ def test_an_aborted_trace_keeps_its_incomplete_flag(tmp_path):
         load_trace(path)
 
 
-def test_a_trace_without_coverage_loads_and_reports_null(tmp_path):
-    # rows written before they carried coverage, or with it null
+def test_trace_refuses_the_incomplete_flag_before_the_last_row(tmp_path):
+    # the trace keeps one flag, the run's: read from the last row alone, a flag
+    # on an earlier row was lost and the report said the run was complete
+    path = tmp_path / "trace.jsonl"
+    save_trace(sample_trace(), path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[1]["incomplete"] = True
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(InputError, match="line 2 is flagged incomplete, but only the last row"):
+        load_trace(path)
+    # the last row carries it, with blank lines after it
+    del rows[1]["incomplete"]
+    rows[-1]["incomplete"] = True
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows) + "\n\n")
+    assert load_trace(path).incomplete is True
+
+
+def test_trace_refuses_rows_without_coverage(tmp_path):
+    # a row without coverage predates rows that carry it, and a null one is no number
     path = tmp_path / "trace.jsonl"
     save_trace(sample_trace(), path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert [row["coverage"] for row in rows] == [0.4, 0.5, 0.6, 0.7]
     del rows[0]["coverage"]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(InputError, match="line 1 has no coverage .*re-run refine"):
+        load_trace(path)
+    rows[0]["coverage"] = 0.4
     rows[-1]["coverage"] = None
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    loaded = load_trace(path)
-    assert [p.coverage for p in loaded.points] == [None, 0.5, 0.6, None]
-    emit_report(loaded, tmp_path)
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["coverage_before"] is None and report["coverage_after"] is None
+    with pytest.raises(InputError, match="line 4: coverage must be a finite number, got null"):
+        load_trace(path)
 
 
 def test_trace_rejects_malformed(tmp_path):
@@ -330,8 +355,8 @@ def test_trace_rejects_empty(tmp_path):
 def test_emit_report_zero_beta_skips_iso_lines(tmp_path):
     # a trace with beta 0 has no contour lines; the report must still emit
     points = [
-        RdPoint(t=0, rate=5.0, distortion=0.0, objective=5.0, structure=0, feature=0),
-        RdPoint(t=1, rate=4.0, distortion=0.0, objective=4.0, structure=0, feature=0),
+        RdPoint(t=0, rate=5.0, distortion=0.0, objective=5.0, structure=0, feature=0, **SOLVED),
+        RdPoint(t=1, rate=4.0, distortion=0.0, objective=4.0, structure=0, feature=0, **SOLVED),
     ]
     trace = RdTrace(beta=0.0, points=points, edits=[[], []])
     assert emit_report(trace, tmp_path) == knee_point(points)
@@ -344,9 +369,9 @@ def test_csv_floats_nine_significant_digits(tmp_path):
         beta=100.0,
         points=[
             RdPoint(t=0, rate=1 / 3, distortion=2 / 3, objective=1 / 3 + 100 * 2 / 3,
-                    structure=0.123456789123, feature=0.2),
+                    structure=0.123456789123, feature=0.2, **SOLVED),
             RdPoint(t=1, rate=2.0, distortion=0.5, objective=52.0,
-                    structure=0.1, feature=0.9),
+                    structure=0.1, feature=0.9, **SOLVED),
         ],
         edits=[[], []],
     )

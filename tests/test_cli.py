@@ -11,7 +11,7 @@ from rdkg.cli import (EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, align, bo
                       main)
 from rdkg.cli import refine_cmd as refine_command
 from rdkg.cli import report as report_command
-from rdkg.config import config_keys, load_run_config
+from rdkg.config import load_run_config
 from rdkg.embeddings import HashEmbedder, content_hash
 from rdkg.errors import NumericalError
 from rdkg.kg import load_kg, node_text, validate_graph
@@ -117,9 +117,9 @@ def test_align_prints_metrics(pipeline, capsys):
         assert token in out
 
 
-def test_align_lambda_one_distortion_equals_feature(pipeline, capsys):
-    code = main(["align", str(pipeline["space"]), str(pipeline["kg"]),
-                 "--lambda-feat", "1.0"])
+def test_align_lambda_one_distortion_equals_feature(pipeline, capsys, gates):
+    gates(lambda_feat=1.0)
+    code = main(["align", str(pipeline["space"]), str(pipeline["kg"])])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     d = float(out.split("D=")[1].split()[0])
@@ -362,13 +362,41 @@ def test_report_refuses_a_trace_without_one_beta(pipeline, tmp_path, capsys, rew
     assert "re-run refine" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rewrite, message", [
+    ("coverage", "line 1 has no coverage"), ("solver", "line 1 has no solver"),
+    ("edits", "line 1 has no edits"), ("rejected", "line 1 has no rejected"),
+    # a run's one flag, on a row before the last: the report said the run was complete
+    ("incomplete", "line 1 is flagged incomplete, but only the last row"),
+])
+def test_report_refuses_a_row_refine_would_not_write(pipeline, tmp_path, capsys, rewrite,
+                                                     message):
+    run_dir = tmp_path / "run"
+    assert main(["refine", str(pipeline["space"]), str(pipeline["kg"]), "--out", str(run_dir),
+                 "--max-iterations", "2"]) == EXIT_OK
+    trace = run_dir / "trace.jsonl"
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(rows) > 1
+    if rewrite == "incomplete":
+        rows[0]["incomplete"] = True
+    else:
+        del rows[0][rewrite]
+    trace.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    capsys.readouterr()
+    regen = tmp_path / "regen"
+    assert main(["report", str(trace), "--out", str(regen)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not regen.exists()
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("beta", True, "beta must be a finite number, got true"),
     ("rate", "41.5", "rate must be a finite number, got \"41.5\""),
     ("objective", float("nan"), "objective must be a finite number, got NaN"),
     ("beta", float("inf"), "beta must be a finite number, got Infinity"),
-    ("coverage", "0.5", "coverage must be a finite number or null, got \"0.5\""),
-    ("coverage", True, "coverage must be a finite number or null, got true"),
+    ("coverage", "0.5", "coverage must be a finite number, got \"0.5\""),
+    ("coverage", True, "coverage must be a finite number, got true"),
+    # every row written since rows carry coverage has one
+    ("coverage", None, "coverage must be a finite number, got null"),
 ], ids=[
     "beta-True-field 'beta' must be a number, got true",
     "rate-41.5-field 'rate' must be a number, got \"41.5\"",
@@ -376,6 +404,7 @@ def test_report_refuses_a_trace_without_one_beta(pipeline, tmp_path, capsys, rew
     "beta-inf-field 'beta' must be finite, got Infinity",
     "coverage-0.5",
     "coverage-True",
+    "coverage-None",
 ])
 def test_report_refuses_a_trace_field_that_is_no_number(
     pipeline, tmp_path, capsys, field, value, message
@@ -586,13 +615,10 @@ def test_pipeline_composability(tmp_path):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("epsilon=0", "epsilon must be positive"),
-    ("lambda_feat=2", "lambda_feat must lie in [0, 1]"),
     ("beta=0", "beta must be positive"),
     # a retired gate or cap is refused as a key, in a file and as a flag
     ("theta_add=-1", "unknown config keys: theta_add"),
     ("sinkhorn_iters=0", "unknown config keys: sinkhorn_iters"),
-    ("gamma_struct=5", "gamma must be nonnegative and sum to 1"),
     ("alpha_sem=0.9", "alpha must be nonnegative and sum to 1"),
     ("embed_dim=0", "embedding dimension must be positive"),
     ("embed_dim=65537", "embedding dimension must be at most 65536, got 65537"),
@@ -653,9 +679,9 @@ def test_every_flag_takes_its_default(tmp_path, lecture_file):
         options = {p.name for p in command.params if isinstance(p, click.Option)}
         assert options == COMMAND_KEYS[name] | {"config_path", "out_dir"}, name
     assert set().union(*COMMAND_KEYS.values()) == set(defaults)
-    # align hands the whole solver section to the FGW solve
-    solver = {key for key, (section, _) in config_keys().items() if section == "solver"}
-    assert solver and solver <= COMMAND_KEYS["align"]
+    # the alignment reads no key: align's keys are ingest's, the graph's relations,
+    # beta for the printed objective and debug for the dump
+    assert (len(COMMAND_KEYS["align"]), len(defaults)) == (14, 23)
     stem = tmp_path / lecture_file.stem
     inputs = {"ingest": [lecture_file], "bootstrap": [lecture_file],
               "align": [f"{stem}.space.json", f"{stem}.kg.json"],
@@ -895,7 +921,8 @@ def _command_reading(slot, value, pipeline, tmp_path):
                 "--embeddings-file", str(bad)], placed
     if slot.startswith("trace"):
         row = {"t": 0, "rate": 3.0, "distortion": 0.5, "objective": 53.0, "structure": 0.2,
-               "feature": 0.3, "beta": 100.0, "edits": []}
+               "feature": 0.3, "coverage": 0.5, "beta": 100.0, "edits": [], "rejected": [],
+               "solver": {"outer_iterations": 3, "converged": True}}
         row[TYPED_SLOTS[slot][0]] = value
         bad.write_text(json.dumps(row) + "\n")
         return ["report", str(bad)], placed
@@ -978,8 +1005,9 @@ def test_every_reader_refuses_a_lone_surrogate(pipeline, tmp_path, capsys, monke
         doc = {"extra_relations": ["\ud800"]}
     elif reader == "trace":
         doc = {"t": 0, "rate": 3.0, "distortion": 0.5, "objective": 53.0, "structure": 0.2,
-               "feature": 0.3, "beta": 100.0,
-               "edits": [{"op": "add", "nodes": ["\ud800"], "edges": [], "rationale": ""}]}
+               "feature": 0.3, "coverage": 0.5, "beta": 100.0,
+               "edits": [{"op": "add", "nodes": ["\ud800"], "edges": [], "rationale": ""}],
+               "rejected": [], "solver": {"outer_iterations": 3, "converged": True}}
     elif reader == "embeddings":  # a vector for every unit, and one more under the key
         doc = {"dim": 8, "keys": [content_hash(t) for t in texts] + ["\ud800"],
                "vectors": HashEmbedder(dim=8).embed(texts + ["x"]).tolist()}

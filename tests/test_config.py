@@ -1,4 +1,4 @@
-"""Run configuration: one flat key set over RunConfig and its nested configs."""
+"""Run configuration: one flat key set over RunConfig and its nested config."""
 
 import inspect
 import re
@@ -7,19 +7,20 @@ from importlib import import_module
 
 import pytest
 
+import rdkg
+from rdkg import kg, ot
 from rdkg.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from rdkg.config import RunConfig, config_keys, load_run_config
 from rdkg.embeddings import HashEmbedder, HttpEmbedder
 from rdkg.errors import InputError
 from rdkg.llm import LlmClient
-from rdkg.ot import SolverConfig
 from rdkg.refine import RefinementConfig
 
 from conftest import COMMAND_KEYS
 
 FLAT_KEYS = [
-    "alpha_chron", "alpha_logic", "alpha_sem", "gamma_struct", "gamma_sem",
-    "lambda_feat", "epsilon", "beta", "max_adds", "max_splits", "max_merges", "max_iterations",
+    "alpha_chron", "alpha_logic", "alpha_sem",
+    "beta", "max_adds", "max_splits", "max_merges", "max_iterations",
     "embed_provider", "embed_dim", "embed_seed",
     "embeddings_file", "embed_url", "embed_model", "embed_timeout",
     "embed_retries", "llm_url", "llm_model", "llm_timeout", "llm_retries",
@@ -34,17 +35,14 @@ def test_echo_keeps_the_flat_keys_in_order():
 
 def test_nested_fields_declared_once():
     own = {f.name for f in fields(RunConfig)}
-    for nested in (SolverConfig, RefinementConfig):
-        assert own.isdisjoint(f.name for f in fields(nested))
+    assert own.isdisjoint(f.name for f in fields(RefinementConfig))
 
 
 def test_defaults_come_from_the_nested_configs():
     cfg = load_run_config()
-    assert cfg.solver == SolverConfig()
     assert cfg.refinement == RefinementConfig()
     echo = cfg.echo()
-    for nested in (SolverConfig(), RefinementConfig()):
-        assert {k: echo[k] for k in asdict(nested)} == asdict(nested)
+    assert {k: echo[k] for k in asdict(cfg.refinement)} == asdict(RefinementConfig())
 
 
 def _defaults(fn) -> dict:
@@ -66,17 +64,15 @@ def test_provider_defaults_come_from_the_providers():
 
 def test_overrides_reach_the_nested_configs(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text('{"epsilon": 0.1, "max_iterations": 4, "alpha_sem": 0.5}')
-    cfg = load_run_config(path, {"beta": 7, "epsilon": None})
-    assert cfg.solver.epsilon == 0.1
+    path.write_text('{"max_adds": 2, "max_iterations": 4, "alpha_sem": 0.5}')
+    cfg = load_run_config(path, {"beta": 7, "max_adds": None})
+    assert cfg.refinement.max_adds == 2
     assert cfg.refinement.max_iterations == 4
     assert cfg.refinement.beta == 7
     assert cfg.echo()["beta"] == 7
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("epsilon", 0, "epsilon must be positive"),
-    ("lambda_feat", 2, "lambda_feat must lie in [0, 1]"),
     ("beta", 0, "beta must be positive"),
     # a retired gate is refused as a key before any range check
     ("theta_add", -1, "unknown config keys: theta_add"),
@@ -149,6 +145,18 @@ def test_the_operator_gates_and_sinkhorn_cap_are_unknown_keys(tmp_path, capsys, 
     # or flag that sets one, even to its value, is refused by every command
     module = import_module("rdkg.ot" if key == "sinkhorn_iters" else "rdkg.refine")
     assert_refused_by_every_command(tmp_path, capsys, key, getattr(module, key.upper()))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma_struct", 0.4), ("gamma_sem", 0.6), ("lambda_feat", 0.6), ("epsilon", 0.05),
+])
+def test_the_alignment_constants_are_unknown_keys(tmp_path, capsys, key, value):
+    # kg.GAMMA, ot.LAMBDA_FEAT and ot.EPSILON are constants, and SolverConfig is
+    # gone: a file or flag that sets one, even to its value, is refused by
+    # every command
+    assert (kg.GAMMA, ot.LAMBDA_FEAT, ot.EPSILON) == ((0.4, 0.6), 0.6, 0.05)
+    assert not hasattr(rdkg, "SolverConfig") and not hasattr(ot, "SolverConfig")
+    assert_refused_by_every_command(tmp_path, capsys, key, value)
 
 
 def assert_refused_by_every_command(tmp_path, capsys, key, value):

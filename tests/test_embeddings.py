@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -516,7 +517,8 @@ def test_feature_cost_entries_do_not_depend_on_the_rest_of_the_call(
     assert np.array_equal(feature_cost(b, a), full.T)
     start = data.draw(st.integers(0, n), label="start")
     block = data.draw(st.integers(1, 70), label="block")
-    assert np.array_equal(self_cost(a, start, block), feature_cost(a, a)[start:])
+    with mock.patch.object(embeddings, "_SELF_COST_BLOCK", block):
+        assert np.array_equal(self_cost(a, start), feature_cost(a, a)[start:])
 
 
 TILE_SIZES = (1, _TILE - 1, _TILE, _TILE + 1, 3 * _TILE + 5)

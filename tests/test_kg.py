@@ -308,8 +308,10 @@ def test_build_kg_space_invariants(provider):
 
 
 @pytest.mark.parametrize("gamma", [(0.5, 0.5), (0.3, 0.7)])
-def test_build_kg_space_equals_the_hand_written_fusion(provider, gamma):
-    # the fusion the graph space had before it shared lecture.fuse, bit for bit
+def test_build_kg_space_equals_the_hand_written_fusion(provider, gates, gamma):
+    # the fusion the graph space had before it shared lecture.fuse, bit for bit,
+    # at the weights kg.GAMMA holds when it is called
+    gates(gamma=gamma)
     for kg in (simple_graph(), topic_a_only_kg()):
         rows = provider.embed([node_text(n) for n in kg.nodes])
         g = np.asarray(gamma, dtype=np.float64)
@@ -317,7 +319,7 @@ def test_build_kg_space_equals_the_hand_written_fusion(provider, gamma):
             g[0] * struct_distance(kg) + g[1] * minmax_normalize(feature_cost(rows, rows))
         )
         memo = CostMemo(provider.embed, ["unit"])
-        assert np.array_equal(build_kg_space(kg, memo, gamma), reference)
+        assert np.array_equal(build_kg_space(kg, memo), reference)
 
 
 # --- JSON round-trip ---------------------------------------------------------------

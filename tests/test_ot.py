@@ -21,7 +21,6 @@ from rdkg.ot import (
     FW_TOL,
     MARGINAL_TOL,
     Coupling,
-    SolverConfig,
     _argmin_quadratic_unit,
     _logsumexp,
     _round_to_marginals,
@@ -187,7 +186,7 @@ def test_sinkhorn_matches_log_domain_oracle(shape, eps, monkeypatch):
             mp.setattr(ot, "MARGINAL_TOL", 1e-12)
             cold = sinkhorn(cost, mu, nu, eps, 20000)
             warm = sinkhorn(shifted, mu, nu, eps, 20000, potentials=cold.potentials)
-            if eps == SolverConfig.epsilon:
+            if eps == ot.EPSILON:
                 assert cold.converged
             for solved_cost, plan in ((cost, cold), (shifted, warm)):
                 assert np.isfinite(plan.matrix).all()
@@ -476,7 +475,7 @@ def test_scale_loop_buffers_match_the_allocating_loop_across_passes(monkeypatch)
     assert restores
 
 
-def test_solvers_leave_their_inputs_unchanged(rng):
+def test_solvers_leave_their_inputs_unchanged(rng, gates):
     # no buffer of sinkhorn or fgw aliases an array the caller passed
     n, m = 40, 13
     c1, c2 = random_metric(n, rng), random_metric(m, rng)
@@ -498,8 +497,8 @@ def test_solvers_leave_their_inputs_unchanged(rng):
     solve_and_compare(lambda: sinkhorn(cost, mu, nu, 0.05, potentials=start).matrix,
                       cost, mu, nu, *start)
     for lam in (0.0, 0.6, 1.0):
-        cfg = SolverConfig(lambda_feat=lam)
-        solve_and_compare(lambda: fgw(c1, c2, feats, mu, nu, cfg).coupling.matrix,
+        gates(lambda_feat=lam)
+        solve_and_compare(lambda: fgw(c1, c2, feats, mu, nu).coupling.matrix,
                           c1, c2, feats, mu, nu)
 
 
@@ -601,10 +600,11 @@ def _self_alignment_fixture(n=6):
     return d, feats, mu
 
 
-def recomputing_fgw(c1, c2, feats, mu, nu, cfg):
+def recomputing_fgw(c1, c2, feats, mu, nu):
     """Frank-Wolfe through the public gw_gradient and structure_value,
-    every product recomputed: (plan, terms, history)."""
-    lam = cfg.lambda_feat
+    every product recomputed, at ot.LAMBDA_FEAT and ot.EPSILON: (plan,
+    terms, history)."""
+    lam = ot.LAMBDA_FEAT
 
     def objective(plan):
         value = lam * float(np.tensordot(feats, plan))
@@ -619,7 +619,7 @@ def recomputing_fgw(c1, c2, feats, mu, nu, cfg):
         grad = lam * feats
         if lam < 1.0:
             grad = grad + (1.0 - lam) * gw_gradient(c1, c2, pi)
-        inner = sinkhorn(grad, mu, nu, cfg.epsilon, ot.SINKHORN_ITERS, potentials=potentials)
+        inner = sinkhorn(grad, mu, nu, ot.EPSILON, ot.SINKHORN_ITERS, potentials=potentials)
         potentials = inner.potentials
         delta = inner.matrix - pi
         r, s = delta.sum(axis=1), delta.sum(axis=0)
@@ -636,13 +636,14 @@ def recomputing_fgw(c1, c2, feats, mu, nu, cfg):
     return pi, terms, history
 
 
-def reference_fgw(c1, c2, feats, mu, nu, cfg):
+def reference_fgw(c1, c2, feats, mu, nu):
     """Frank-Wolfe with the product P = C1 pi C2 carried by linearity: P
     starts as (C1 mu)(C2' nu)' and each step pi + t delta adds t C1 delta C2,
     the line search's product. Returns (plan, terms, history, iterates),
     iterates pairing every plan with its carried P. Every lam takes the
-    same step: at lam = 1 the structural parts are weighted by 0."""
-    lam = cfg.lambda_feat
+    same step: at lam = 1 the structural parts are weighted by 0. lam is
+    ot.LAMBDA_FEAT and the regularization ot.EPSILON."""
+    lam = ot.LAMBDA_FEAT
     c1sq, c2sq = c1 * c1, c2 * c2
 
     def terms(plan, product):
@@ -663,7 +664,7 @@ def reference_fgw(c1, c2, feats, mu, nu, cfg):
     potentials = None
     for _ in range(FW_ITERS):
         grad = lam * feats + (1.0 - lam) * (2.0 * (u[:, None] + w[None, :]) - 4.0 * product)
-        inner = sinkhorn(grad, mu, nu, cfg.epsilon, ot.SINKHORN_ITERS, potentials=potentials)
+        inner = sinkhorn(grad, mu, nu, ot.EPSILON, ot.SINKHORN_ITERS, potentials=potentials)
         potentials = inner.potentials
         delta = inner.matrix - pi
         r, s = delta.sum(axis=1), delta.sum(axis=0)
@@ -682,22 +683,23 @@ def reference_fgw(c1, c2, feats, mu, nu, cfg):
     return pi, (structure, max(feature, 0.0)), history, iterates
 
 
-def _fw_problem(rng, lam, low=3, high=9):
+def _fw_problem(rng, low=3, high=9):
     n, m = int(rng.integers(low, high)), int(rng.integers(low, high))
     c1, c2 = random_metric(n, rng), random_metric(m, rng)
     feats = rng.random((n, m)) * 2
     mu = np.full(n, 1 / n)
     nu = rng.random(m) + 0.1
     nu /= nu.sum()
-    return c1, c2, feats, mu, nu, SolverConfig(lambda_feat=lam)
+    return c1, c2, feats, mu, nu
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
-def test_fgw_reuses_products_exactly(rng, lam):
+def test_fgw_reuses_products_exactly(rng, gates, lam):
     # the carried product and the kept pair terms give bit-identical
     # iterates and terms
+    gates(lambda_feat=lam)
     for _ in range(3):
-        problem = _fw_problem(rng, lam)
+        problem = _fw_problem(rng)
         res = fgw(*problem)
         plan, (structure, feature), history, _ = reference_fgw(*problem)
         assert len(history) > 2
@@ -707,13 +709,14 @@ def test_fgw_reuses_products_exactly(rng, lam):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
-def test_fgw_carried_product_matches_fresh_products(rng, lam):
+def test_fgw_carried_product_matches_fresh_products(rng, gates, lam):
     # carrying C1 pi C2 by linearity drifts from a fresh product only by
     # rounding, and moves the solve no further than that; at lam = 1 the
     # structure term, which weighs nothing in the solve, comes from the
     # carried product too
+    gates(lambda_feat=lam)
     for low, high in ((3, 9), (3, 9), (20, 45)):
-        problem = _fw_problem(rng, lam, low, high)
+        problem = _fw_problem(rng, low, high)
         c1, c2 = problem[:2]
         _, _, history, iterates = reference_fgw(*problem)
         assert len(iterates) > 2
@@ -728,32 +731,34 @@ def test_fgw_carried_product_matches_fresh_products(rng, lam):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_fgw_self_alignment_identity():
+def test_fgw_self_alignment_identity(gates):
+    gates(epsilon=0.05)
     d, feats, mu = _self_alignment_fixture()
-    res = fgw(d, d, feats, mu, mu, SolverConfig(epsilon=0.05))
+    res = fgw(d, d, feats, mu, mu)
     assert res.distortion <= 0.05
     assert list(res.coupling.matrix.argmax(axis=1)) == list(range(len(mu)))
 
 
-def test_fgw_lambda_one_reduces_to_sinkhorn(rng):
+def test_fgw_lambda_one_reduces_to_sinkhorn(rng, gates):
     n, m = 4, 3
     c1, c2 = random_metric(n, rng), random_metric(m, rng)
     feats = rng.random((n, m)) * 2
     mu = np.full(n, 1 / n)
     nu = np.full(m, 1 / m)
-    cfg = SolverConfig(lambda_feat=1.0)
-    res = fgw(c1, c2, feats, mu, nu, cfg)
-    baseline = sinkhorn(feats, mu, nu, cfg.epsilon, ot.SINKHORN_ITERS)
+    gates(lambda_feat=1.0)
+    res = fgw(c1, c2, feats, mu, nu)
+    baseline = sinkhorn(feats, mu, nu, ot.EPSILON, ot.SINKHORN_ITERS)
     # the 1e-9 contract is the distortion identity; the plans agree only
     # up to the marginal tolerance of the two solve paths
     assert res.distortion == pytest.approx((feats * res.coupling.matrix).sum(), abs=1e-9)
     assert np.allclose(res.coupling.matrix, baseline.matrix, atol=1e-5)
 
 
-def test_fgw_lambda_zero_distortion_is_structure(rng):
+def test_fgw_lambda_zero_distortion_is_structure(rng, gates):
     c1, c2 = random_metric(3, rng), random_metric(3, rng)
     mu = np.full(3, 1 / 3)
-    res = fgw(c1, c2, np.zeros((3, 3)), mu, mu, SolverConfig(lambda_feat=0.0))
+    gates(lambda_feat=0.0)
+    res = fgw(c1, c2, np.zeros((3, 3)), mu, mu)
     assert res.distortion == pytest.approx(res.structure_term, abs=1e-9)
 
 
@@ -762,7 +767,7 @@ def test_fgw_distortion_decomposition_invariant(rng):
     feats = rng.random((4, 4)) * 2
     mu = np.full(4, 1 / 4)
     res = fgw(c1, c2, feats, mu, mu)
-    lam = SolverConfig().lambda_feat
+    lam = ot.LAMBDA_FEAT
     assert res.distortion == pytest.approx(
         (1 - lam) * res.structure_term + lam * res.feature_term, abs=1e-9
     )
@@ -780,7 +785,7 @@ def test_fgw_monotone_history(rng):
 
 
 def test_fgw_beats_permutation_bound(rng):
-    lam = SolverConfig().lambda_feat
+    lam = ot.LAMBDA_FEAT
     for _ in range(10):
         n = int(rng.integers(3, 5))
         c1, c2 = random_metric(n, rng), random_metric(n, rng)
@@ -814,9 +819,10 @@ def test_fgw_symmetry(rng, monkeypatch, gates):
 
 
 @pytest.mark.parametrize("lam", [0.6, 1.0])
-def test_fgw_reports_a_non_finite_gradient_as_a_numerical_failure(rng, lam):
+def test_fgw_reports_a_non_finite_gradient_as_a_numerical_failure(rng, gates, lam):
     # sinkhorn's input check is the one scan of each gradient; fgw turns its
     # refusal of a non-finite gradient into the solve's numerical failure
+    gates(lambda_feat=lam)
     c1, c2 = random_metric(4, rng), random_metric(3, rng)
     feats = rng.random((4, 3))
     mu, nu = np.full(4, 1 / 4), np.full(3, 1 / 3)
@@ -827,7 +833,7 @@ def test_fgw_reports_a_non_finite_gradient_as_a_numerical_failure(rng, lam):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         NumericalError, match="outer iteration 1: bad gradient"
     ):
-        fgw(c1, c2, feats, mu, nu, SolverConfig(lambda_feat=lam))
+        fgw(c1, c2, feats, mu, nu)
 
 
 def test_fgw_keeps_a_bad_marginal_an_input_error(rng):

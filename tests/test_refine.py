@@ -16,7 +16,6 @@ from rdkg.embeddings import CostMemo, cosine_distance, feature_cost
 from rdkg.errors import InputError, NumericalError
 from rdkg.kg import (
     ALLOWED_RELATIONS,
-    DEFAULT_GAMMA,
     ConceptNode,
     KnowledgeGraph,
     RelationEdge,
@@ -29,7 +28,7 @@ from rdkg.kg import (
 )
 from rdkg.lecture import build_lecture_space
 from rdkg.llm import Namer
-from rdkg.ot import Coupling, SolverConfig, fgw
+from rdkg.ot import Coupling, fgw
 from rdkg.refine import (
     THETA_ADD,
     Aligned,
@@ -77,19 +76,18 @@ def make_ctx(space, provider, config=None, client=None, relations=ALLOWED_RELATI
     )
 
 
-def solve(space, kg, provider, cfg=None):
-    memo = CostMemo(provider.embed, space.contents())
-    return align_graph(space, kg, memo, DEFAULT_GAMMA, cfg or SolverConfig())
+def solve(space, kg, provider):
+    return align_graph(space, kg, CostMemo(provider.embed, space.contents()))
 
 
-def hand_composed_alignment(space, kg, provider, cfg, gamma=DEFAULT_GAMMA):
+def hand_composed_alignment(space, kg, provider):
     """The alignment spelled out: node distance, feature cost, fgw with a
     uniform node measure; returns it with the node distance."""
-    distance = build_kg_space(kg, CostMemo(provider.embed, space.contents()), gamma)
+    distance = build_kg_space(kg, CostMemo(provider.embed, space.contents()))
     feats = feature_cost(provider.embed(space.contents()),
                          provider.embed([node_text(n) for n in kg.nodes]))
     measure = np.full(len(kg.nodes), 1.0 / len(kg.nodes))
-    result = fgw(space.distance, distance, feats, space.measure, measure, cfg)
+    result = fgw(space.distance, distance, feats, space.measure, measure)
     return Aligned(feature=feats, result=result), distance
 
 
@@ -166,7 +164,7 @@ def test_symmetric_kl_values():
 def test_symmetric_kl_smoothing_keeps_finite():
     one_hot = np.array([1.0, 0.0])
     uniform = np.array([0.5, 0.5])
-    value = symmetric_kl(one_hot, uniform, smoothing=1e-9)
+    value = symmetric_kl(one_hot, uniform)
     assert value > 5.0 and np.isfinite(value)
 
 
@@ -506,7 +504,7 @@ def test_op_add_costs_its_new_nodes_in_one_memo_read(provider, monkeypatch):
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
     kg = topic_a_only_kg()
     ctx = make_ctx(space, provider)
-    aligned = align_graph(space, kg, ctx.memo, DEFAULT_GAMMA, SolverConfig())
+    aligned = align_graph(space, kg, ctx.memo)
     embeddings_module = sys.modules["rdkg.embeddings"]
     original = embeddings_module._cost  # the kernel behind feature_cost and self_cost
     calls = []
@@ -515,7 +513,7 @@ def test_op_add_costs_its_new_nodes_in_one_memo_read(provider, monkeypatch):
     out, records = apply_edits(kg, op_add(kg, aligned, ctx))
     assert len(records) >= 2
     assert calls == [(len(space.elements), len(records)), (len(out.nodes), len(records))]
-    align_graph(space, out, ctx.memo, DEFAULT_GAMMA, SolverConfig())
+    align_graph(space, out, ctx.memo)
     assert len(calls) == 2
     # each fallback edge goes to the first node before it at the least cost
     costs = ctx.memo.pair_cost([node_text(n) for n in out.nodes])
@@ -1194,7 +1192,7 @@ def test_refine_zero_iterations(provider):
 
 def assert_row_is_a_fresh_solve(point, space, graph, provider):
     """``point``'s distortion and coverage are those of a fresh solve of ``graph``."""
-    fresh, _ = hand_composed_alignment(space, graph, provider, SolverConfig())
+    fresh, _ = hand_composed_alignment(space, graph, provider)
     assert point.distortion == fresh.result.distortion
     assert point.coverage == coverage(fresh.feature, fresh.coupling.matrix)
 
@@ -1229,18 +1227,20 @@ def test_refine_takes_each_alignments_coverage_tolerance_once(provider, monkeypa
     assert len(taken) == len({id(f) for f in taken}) == out.incumbent_index + 1
 
 
-def test_align_graph_equals_the_hand_composed_solve(provider, monkeypatch):
+def test_align_graph_equals_the_hand_composed_solve(provider, monkeypatch, gates):
     refine_module = sys.modules["rdkg.refine"]
     space = build_lecture_space(two_topic_markdown(), embed=provider.embed)
     _, duplicate_kg = duplicate_pair_fixture(provider)
-    cases = [(topic_a_only_kg(), DEFAULT_GAMMA, SolverConfig()),
-             (duplicate_kg, (0.7, 0.3), SolverConfig(lambda_feat=0.3, epsilon=0.02))]
+    # at the constants, then at other values of each, read when the solve runs
+    cases = [(topic_a_only_kg(), {}),
+             (duplicate_kg, {"gamma": (0.7, 0.3), "lambda_feat": 0.3, "epsilon": 0.02})]
     solves = []
     monkeypatch.setattr(refine_module, "fgw", lambda *a: solves.append(a) or fgw(*a))
-    for kg, gamma, cfg in cases:
-        got = align_graph(space, kg, CostMemo(provider.embed, space.contents()), gamma, cfg)
-        want, distance = hand_composed_alignment(space, kg, provider, cfg, gamma)
-        _, solved_distance, _, _, solved_measure, _ = solves.pop()
+    for kg, constants in cases:
+        gates(**constants)
+        got = align_graph(space, kg, CostMemo(provider.embed, space.contents()))
+        want, distance = hand_composed_alignment(space, kg, provider)
+        _, solved_distance, _, _, solved_measure = solves.pop()
         assert np.array_equal(solved_distance, distance)
         assert np.array_equal(solved_measure, np.full(len(kg.nodes), 1.0 / len(kg.nodes)))
         assert np.array_equal(got.feature, want.feature)
@@ -1392,14 +1392,14 @@ def test_refine_costs_each_node_text_once(provider, monkeypatch):
             unit_columns += len(target)
         return original_cost(source, target, *args, **kwargs)
 
-    def self_cost_spy(rows, start=0, *args, **kwargs):
+    def self_cost_spy(rows, start=0):
         nonlocal node_rows
         node_rows += len(rows) - start
-        return original_self_cost(rows, start, *args, **kwargs)
+        return original_self_cost(rows, start)
 
-    def build_spy(kg, memo, gamma):
+    def build_spy(kg, memo):
         solved_texts.update(node_text(n) for n in kg.nodes)
-        return original_build(kg, memo, gamma)
+        return original_build(kg, memo)
 
     def align_spy(lecture, kg, *args):
         aligned = original_align(lecture, kg, *args)
@@ -1567,8 +1567,7 @@ def test_refine_unsolved_bounds_lie_below_the_true_rise(provider, monkeypatch, f
     memo = CostMemo(provider.embed, space.contents())
 
     def objective(graph):
-        return rate(graph) + beta * align_graph(
-            space, graph, memo, DEFAULT_GAMMA, SolverConfig()).result.distortion
+        return rate(graph) + beta * align_graph(space, graph, memo).result.distortion
 
     for (graph, candidate, records), batch in zip(skipped, unsolved):
         assert batch["edits"] == records
